@@ -23,10 +23,13 @@ The two structural operations mirror the two ways of splitting a tree:
   flow-kind series ``v``: the coefficient of τ is Σ over partitions of
   u(skeleton)·Π v(component).
 
-On top of substitution sit the two triangular solves:
-:func:`modified_equation_series` finds the flow-kind ``v`` with
-substitute(v, exact flow) = method, and :func:`modifying_integrator_series`
-finds ``v`` with substitute(v, method) = exact flow.
+Two triangular solves invert substitution.  :func:`modified_equation_series`
+finds the flow-kind ``v`` with substitute(v, exact flow) = method.  It does
+not walk the 2**(|τ|-1) partition splits: the exact flow of ``v`` is
+exp of the Lie derivative ∂_v, whose action on a tree sums over its
+|τ| - 1 single-edge cuts, so the solve is polynomial in the order.
+:func:`modifying_integrator_series` finds ``v`` with
+substitute(v, method) = exact flow, over the distinct partition splits.
 
 Display convention: a coefficient table is presented as
 Σ coeff(τ)/σ(τ) · h^{|τ| − reduce} · F(τ), where σ is the tree symmetry and
@@ -36,6 +39,7 @@ field).  JSON files store raw coefficients, never the σ-divided form.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .coefficients import (
@@ -52,12 +56,12 @@ from .coefficients import (
 )
 from .errors import SeriesError, SingularMethodError
 from .rationals import rat
-from .splits import partition_split_table, subtree_split_table
+from .splits import edge_cut_table, partition_split_table, subtree_split_table
 from .trees import EMPTY_TREE, RootedTree, all_trees_up_to, parse_tree, trees_of_order
 
-# Instrumentation: compose/substitute skip whole split terms whose outer
-# coefficient is exactly zero.  The counter lets tests verify both that the
-# skip fires and (with skip_zero=False) that it never changes results.
+# Instrumentation: the operations skip whole split terms with a factor that
+# is exactly zero.  The counter lets tests verify both that the skip fires
+# and (with skip_zero=False) that it never changes results.
 _zero_skips = 0
 
 
@@ -244,8 +248,9 @@ def substitute(
 ) -> TruncatedBSeries:
     """Feed the flow-kind series ``flow`` in as the vector field of ``outer``.
 
-    coeff(τ) = Σ over partition splits of outer(skeleton) · Π flow(component).
-    The empty coefficient is ``outer``'s.
+    coeff(τ) = Σ over partition splits of outer(skeleton) · Π flow(component),
+    each distinct split weighted by its multiplicity.  The empty coefficient
+    is ``outer``'s.
     """
     global _zero_skips
     _require_same_order(flow, outer, "substitution")
@@ -255,12 +260,12 @@ def substitute(
     coeffs: dict[RootedTree, Coefficient] = {}
     for tree in all_trees_up_to(flow.max_order):
         total: Coefficient = rat(0)
-        for skeleton, components in partition_split_table(tree):
+        for skeleton, components, k in partition_split_table(tree):
             o = outer[skeleton]
             if skip_zero and coeff_is_zero(o):
                 _zero_skips += 1
                 continue
-            term = o
+            term = o if k == 1 else coeff_mul(o, k)
             for component in components:
                 term = coeff_mul(term, flow[component])
             total = coeff_add(total, term)
@@ -274,32 +279,40 @@ def modified_equation_series(
     """Flow-kind series v with substitute(v, exact flow) = method.
 
     Integrating the modified field h·v to time h reproduces the method's
-    step exactly through the truncation order.  Solved tree by tree: the
-    no-edges-removed partition isolates v(τ)·1, and every other partition
-    only involves components of smaller order.  ``skip_zero`` drops split
-    terms with a zero factor instead of multiplying them through; it never
-    changes the result.
+    step exactly through the truncation order.  The time-h flow of v has
+    coefficients Σ_{j≥1} (1/j!)·c_j(τ), where c_1 = v and the Lie
+    derivative c_j(τ) = Σ over single-edge cuts of c_{j-1}(trunk)·v(branch)
+    (Hairer-Lubich-Wanner, GNI §IX.9).  Every c_j(τ) with j ≥ 2 involves
+    only smaller trees, so v(τ) = method(τ) - Σ_{j=2}^{|τ|} c_j(τ)/j! is
+    solved tree by tree.  ``skip_zero`` drops cut terms with a zero factor
+    instead of multiplying them through; it never changes the result.
     """
     global _zero_skips
     if not coeff_eq(method.empty, 1):
         raise SeriesError("modified equation needs a map-kind method series")
     v: dict[RootedTree, Coefficient] = {}
+    # lie[τ][j - 1] = c_j(τ) for j = 1..|τ|; c_j(τ) = 0 whenever j > |τ|
+    lie: dict[RootedTree, list[Coefficient]] = {}
+    inverse_factorials = [rat(1, math.factorial(j)) for j in range(2, method.max_order + 1)]
     for tree in all_trees_up_to(method.max_order):
-        total: Coefficient = method[tree]
-        for skeleton, components in partition_split_table(tree)[1:]:
-            term: Coefficient = rat(1, skeleton.density())
-            skipped = False
-            for component in components:
-                c = v[component]
+        higher: list[Coefficient] = [rat(0)] * (tree.order - 1)  # c_2 .. c_|τ|
+        for trunk, branch, k in edge_cut_table(tree):
+            w = v[branch]
+            if skip_zero and coeff_is_zero(w):
+                _zero_skips += 1
+                continue
+            if k != 1:
+                w = coeff_mul(w, k)
+            for j, c in enumerate(lie[trunk]):
                 if skip_zero and coeff_is_zero(c):
                     _zero_skips += 1
-                    skipped = True
-                    break
-                term = coeff_mul(term, c)
-            if skipped:
-                continue
-            total = coeff_sub(total, term)
+                    continue
+                higher[j] = coeff_add(higher[j], coeff_mul(c, w))
+        total: Coefficient = method[tree]
+        for c, inverse in zip(higher, inverse_factorials):
+            total = coeff_sub(total, coeff_mul(c, inverse))
         v[tree] = total
+        lie[tree] = [total] + higher
     return TruncatedBSeries(method.max_order, rat(0), v)
 
 
@@ -309,9 +322,10 @@ def modifying_integrator_series(
     """Flow-kind series v with substitute(v, method) = exact flow.
 
     Applying the method to the field h·v integrates the *original* field
-    exactly through the truncation order.  Requires method(•) ≠ 0.
-    ``skip_zero`` drops split terms whose skeleton weight (or any component
-    coefficient) is zero — a pure optimization.
+    exactly through the truncation order.  Requires method(•) ≠ 0.  Solved
+    tree by tree over the distinct partition splits, each term weighted by
+    its multiplicity.  ``skip_zero`` drops split terms whose skeleton weight
+    (or any component coefficient) is zero — a pure optimization.
     """
     global _zero_skips
     if not coeff_eq(method.empty, 1):
@@ -324,26 +338,33 @@ def modifying_integrator_series(
                 "method coefficient of the one-node tree is zero; the triangular "
                 "solve would divide by it"
             )
+    # The row loop looks trees up by level sequence: the tables' trees are
+    # other objects than the series' keys, and bytes keys compare without a
+    # Python-level __eq__.  Zero coefficients are found once, not per row.
+    weights = {t._levels: c for t, c in method.items()}
+    zero_weights = {s for s, c in weights.items() if coeff_is_zero(c)} if skip_zero else set()
+    solved: dict[bytes, Coefficient] = {}
+    zero_solved: set[bytes] = set()
     v: dict[RootedTree, Coefficient] = {}
     for tree in all_trees_up_to(method.max_order):
         total: Coefficient = rat(1, tree.density())
-        for skeleton, components in partition_split_table(tree)[1:]:
-            term: Coefficient = method[skeleton]
-            if skip_zero and coeff_is_zero(term):
+        for skeleton, components, k in partition_split_table(tree)[1:]:
+            if skeleton._levels in zero_weights:
                 _zero_skips += 1
                 continue
-            skipped = False
+            term: Coefficient = weights[skeleton._levels]
+            if k != 1:
+                term = coeff_mul(term, k)
             for component in components:
-                c = v[component]
-                if skip_zero and coeff_is_zero(c):
+                if component._levels in zero_solved:
                     _zero_skips += 1
-                    skipped = True
                     break
-                term = coeff_mul(term, c)
-            if skipped:
-                continue
-            total = coeff_sub(total, term)
-        v[tree] = coeff_div(total, u1)
+                term = coeff_mul(term, solved[component._levels])
+            else:
+                total = coeff_sub(total, term)
+        c = v[tree] = solved[tree._levels] = coeff_div(total, u1)
+        if skip_zero and coeff_is_zero(c):
+            zero_solved.add(tree._levels)
     return TruncatedBSeries(method.max_order, rat(0), v)
 
 

@@ -1,4 +1,4 @@
-"""The two ways to take a tree apart.
+"""The ways to take a tree apart.
 
 *Ordered-subtree splits* choose a parent-closed set of nodes containing the
 root (plus the empty choice).  The chosen nodes form the kept subtree; each
@@ -9,18 +9,23 @@ complement forest.  These splits drive series composition.
 components left behind form the forest; contracting each component to a
 single node gives the skeleton.  These splits drive series substitution.
 
-Both enumerations yield one split per subset, so equal-shaped splits appear
-with multiplicity — that multiplicity is exactly what the series laws need,
-and nothing here deduplicates it.  The public iterators are lazy (a tree of
-order 40 has ~2**39 edge subsets; taking the first few must not enumerate
-them all).  The ``*_table`` functions materialize and cache whole split
-tables keyed by tree; series operations use those, so the 2**n cost is paid
-once per tree shape and only for the small orders a truncated series
-actually contains.
+*Edge cuts* remove a single edge: the part that keeps the root is the
+trunk, the part that falls off is the branch.  A tree of order n has n - 1
+of them; they drive the Lie-derivative recursion of the modified equation.
+
+The lazy iterators yield one split per subset, so equal-shaped splits
+appear as often as the series laws count them (a tree of order 40 has
+~2**39 edge subsets; taking the first few must not enumerate them all).
+The ``*_table`` functions materialize and cache whole tables keyed by tree;
+series operations use those, so the cost is paid once per tree shape and
+only for the small orders a truncated series actually contains.  The
+partition and edge-cut tables merge equal splits into one row that carries
+its integer multiplicity; the subtree table still lists one row per subset.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
@@ -128,15 +133,49 @@ def subtree_split_table(tree: RootedTree) -> tuple[tuple[SubtreeOrEmpty, tuple[R
 
 
 @lru_cache(maxsize=None)
-def partition_split_table(tree: RootedTree) -> tuple[tuple[RootedTree, tuple[RootedTree, ...]], ...]:
-    """All partition splits of ``tree`` as a cached flat table.
+def partition_split_table(
+    tree: RootedTree,
+) -> tuple[tuple[RootedTree, tuple[RootedTree, ...], int], ...]:
+    """Distinct partition splits of ``tree`` as a cached flat table.
 
-    Entries are (skeleton, forest trees).  Same order as :func:`partitions`;
-    in particular the first entry is always (one-node tree, (tree,)).
+    Entries are (skeleton, forest trees, multiplicity): each distinct split
+    appears once, in the order of its first appearance in
+    :func:`partitions`, and the multiplicities sum to 2**(order-1).  The
+    first entry is always (one-node tree, (tree,), 1).
     """
+    # count the raw kernel rows before wrapping, so only distinct rows are
+    # ever turned into RootedTree objects
+    counts = Counter(_kernels.partition_splits(tree._levels))
     return tuple(
-        (RootedTree._wrap(skel), tuple(RootedTree._wrap(m) for m in forest))
-        for skel, forest in _kernels.partition_splits(tree._levels)
+        (RootedTree._wrap(skel), tuple(RootedTree._wrap(m) for m in forest), k)
+        for (skel, forest), k in counts.items()
+    )
+
+
+@lru_cache(maxsize=None)
+def edge_cut_table(tree: RootedTree) -> tuple[tuple[RootedTree, RootedTree, int], ...]:
+    """Distinct single-edge cuts of ``tree`` as a cached flat table.
+
+    Entries are (trunk, branch, multiplicity), in the order of the cut
+    node's first appearance in the level sequence; the multiplicities sum
+    to order - 1.  The one-node tree has no cuts.
+    """
+    levels = tree._levels
+    n = len(levels)
+    counts: Counter = Counter()
+    for i in range(1, n):
+        base = levels[i]
+        end = i + 1
+        while end < n and levels[end] > base:
+            end += 1
+        # removing the contiguous span of node i's subtree leaves a valid
+        # depth-first sequence of the trunk
+        trunk = _kernels.canonical_levels(levels[:i] + levels[end:])
+        branch = _kernels.canonical_levels(bytes(lvl - base for lvl in levels[i:end]))
+        counts[trunk, branch] += 1
+    return tuple(
+        (RootedTree._wrap(trunk), RootedTree._wrap(branch), k)
+        for (trunk, branch), k in counts.items()
     )
 
 
@@ -144,3 +183,4 @@ def clear_split_caches() -> None:
     """Drop the cached split tables (cold-start measurements only)."""
     subtree_split_table.cache_clear()
     partition_split_table.cache_clear()
+    edge_cut_table.cache_clear()

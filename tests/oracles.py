@@ -209,6 +209,52 @@ def partition_splits_bruteforce(levels) -> Counter:
     return out
 
 
+def edge_cuts_bruteforce(levels) -> Counter:
+    """Multiset of (trunk shape, branch shape), one cut per non-root node."""
+    n = len(levels)
+    parent = parents_from_levels(levels)
+    out: Counter = Counter()
+    for v in range(1, n):
+        below = {v}
+        for u in range(v + 1, n):
+            if parent[u] in below:
+                below.add(u)
+        trunk = [levels[u] for u in range(n) if u not in below]
+        branch = [levels[u] for u in sorted(below)]
+        out[(levels_to_shape(trunk), levels_to_shape(branch))] += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# series solves, by partition multisets
+# ---------------------------------------------------------------------------
+
+def modified_equation_bruteforce(method, max_order: int, one) -> dict:
+    """Triangular solve of Σ over partitions (1/γ(skeleton))·Π v(component)
+    = method(τ) for the flow-kind v, shape by shape.
+
+    ``method`` maps every shape up to ``max_order`` to its coefficient;
+    ``one`` is the rational unit the 1/γ weights are built from.  The
+    no-edges-removed partition (skeleton = one node, forest = {τ}) is the
+    only one that involves v(τ) itself.
+    """
+    v: dict = {}
+    for n in range(1, max_order + 1):
+        for shape in shapes_of_order(n):
+            total = method[shape]
+            for (skeleton, forest), count in partition_splits_bruteforce(
+                shape_to_levels(shape)
+            ).items():
+                if skeleton == LEAF:
+                    continue
+                term = one / density_direct(shape_to_levels(skeleton)) * count
+                for component in forest:
+                    term = term * v[component]
+                total = total - term
+            v[shape] = total
+    return v
+
+
 # ---------------------------------------------------------------------------
 # elementary differentials, no caching, no index sorting
 # ---------------------------------------------------------------------------

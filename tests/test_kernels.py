@@ -86,9 +86,8 @@ def test_split_tables_agree_bit_for_bit():
 def test_masks_agree():
     for tree in all_trees_up_to(6):
         seq = tree._levels
-        parents = _fallback.parents_of(seq)
-        assert list(_speedups.closed_subtree_masks(parents)) == list(
-            _fallback.closed_subtree_masks(parents)
+        assert list(_speedups.closed_subtree_masks(seq)) == list(
+            _fallback.closed_subtree_masks(seq)
         )
         for mask in range(1 << (len(seq) - 1)):
             assert _speedups.partition_split_for_mask(seq, mask) == (

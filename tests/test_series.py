@@ -26,8 +26,11 @@ from bsharp.series import (
     truncated,
     zero_skip_count,
 )
-from bsharp.tableaux import builtin_tableau, rk_series, tableau_from_json_dict
-from bsharp.trees import EMPTY_TREE, all_trees_up_to, parse_tree
+from bsharp.splits import clear_split_caches, edge_cut_table, partition_split_table
+from bsharp.tableaux import ButcherTableau, builtin_tableau, rk_series, tableau_from_json_dict
+from bsharp.trees import EMPTY_TREE, RootedTree, all_trees_up_to, parse_tree
+
+from oracles import levels_to_shape, modified_equation_bruteforce
 
 T = parse_tree
 
@@ -233,6 +236,53 @@ def test_euler_perturbations_have_harmonic_tall_tree_weights():
         chain = T("[" + ",".join(str(i) for i in range(n)) + "]")
         assert v[chain] == rat((-1) ** (n + 1), n)
         assert w[chain] == rat(1, math.factorial(n))
+
+
+def _by_shape(series):
+    return {levels_to_shape(tree.levels): c for tree, c in series.items()}
+
+
+def _random_rational_tableau(stages, seed):
+    rng = random.Random(seed)
+    A = [
+        [rat(rng.randint(-3, 4), rng.randint(1, 4)) if j < i else rat(0) for j in range(stages)]
+        for i in range(stages)
+    ]
+    b = [rat(rng.choice((-1, 0, 1, 2)), rng.randint(1, 3)) for _ in range(stages)]
+    return ButcherTableau(A, b, [sum(row, rat(0)) for row in A])
+
+
+@pytest.mark.parametrize(
+    "tab",
+    [builtin_tableau(name) for name in ("euler", "midpoint", "rk4")]
+    + [_random_rational_tableau(stages, seed) for stages, seed in ((2, 1), (3, 2), (4, 3))],
+)
+def test_modified_equation_matches_partition_oracle(tab):
+    method = rk_series(tab, 7)
+    expected = modified_equation_bruteforce(_by_shape(method), 7, rat(1))
+    assert _by_shape(modified_equation_series(method)) == expected
+
+
+def test_symbolic_modified_equation_matches_partition_oracle():
+    method = rk_series(builtin_tableau("rk22(alpha)"), 6)
+    expected = modified_equation_bruteforce(_by_shape(method), 6, rat(1))
+    got = _by_shape(modified_equation_series(method))
+    assert got.keys() == expected.keys()
+    assert all(coeff_eq(got[shape], expected[shape]) for shape in expected)
+
+
+def test_modified_equation_builds_no_partition_table():
+    # Euler's step is 1 + x on the linear chain trees, so the modified
+    # field there is log(1 + x): weight (-1)^(n+1)/n on the n-chain
+    clear_split_caches()
+    assert edge_cut_table.cache_info().currsize == 0
+    v = modified_equation_series(rk_series(builtin_tableau("euler"), 11))
+    for n in range(1, 12):
+        assert v[RootedTree(range(n))] == rat((-1) ** (n + 1), n)
+    assert partition_split_table.cache_info().currsize == 0
+    assert edge_cut_table.cache_info().currsize > 0
+    clear_split_caches()
+    assert edge_cut_table.cache_info().currsize == 0
 
 
 def test_modified_equation_frozen_second_order_family():

@@ -6,6 +6,7 @@ from bsharp.splits import (
     Forest,
     PartitionSplit,
     SubtreeSplit,
+    edge_cut_table,
     ordered_subtrees,
     partition_split_table,
     partitions,
@@ -14,6 +15,7 @@ from bsharp.splits import (
 from bsharp.trees import EMPTY_TREE, RootedTree, all_trees_up_to, parse_tree
 
 from oracles import (
+    edge_cuts_bruteforce,
     levels_to_shape,
     partition_splits_bruteforce,
     subtree_splits_bruteforce,
@@ -157,14 +159,33 @@ def test_iteration_is_deterministic():
 
 def test_tables_agree_with_iterators():
     for tree in all_trees_up_to(5):
-        assert [
-            (skel, tuple(forest)) for skel, forest in partitions(tree)
-        ] == list(partition_split_table(tree))
+        raw = [(skel, tuple(forest)) for skel, forest in partitions(tree)]
+        table = partition_split_table(tree)
+        # distinct rows whose multiplicities expand back to the iterator's
+        expanded = Counter()
+        for skel, forest, k in table:
+            expanded[skel, forest] += k
+        assert expanded == Counter(raw)
+        assert [(skel, forest) for skel, forest, _ in table] == list(dict.fromkeys(raw))
+        assert table[0] == (T("[0]"), (tree,), 1)
         assert [
             (sub, tuple(forest)) for sub, forest in ordered_subtrees(tree)
         ] == list(subtree_split_table(tree))
         # cached: same object on the second call
         assert partition_split_table(tree) is partition_split_table(tree)
+
+
+def test_edge_cut_table_matches_bruteforce():
+    for tree in all_trees_up_to(7):
+        table = edge_cut_table(tree)
+        ours = Counter()
+        for trunk, branch, k in table:
+            assert trunk.order + branch.order == tree.order
+            ours[levels_to_shape(trunk.levels), levels_to_shape(branch.levels)] += k
+        assert len(ours) == len(table)  # rows are distinct
+        assert ours == edge_cuts_bruteforce(tree.levels)
+        assert edge_cut_table(tree) is table
+    assert edge_cut_table(T("[0]")) == ()
 
 
 def test_forest_sorts_and_prints():
