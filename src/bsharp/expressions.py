@@ -19,7 +19,7 @@ same computation prints the same way in every run.
 from __future__ import annotations
 
 import hashlib
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import CoefficientError
 from .rationals import Rat, is_rational, rat, rat_str
@@ -358,6 +358,9 @@ def differentiate(expr: Expression, index: int) -> Expression:
     return out
 
 
+_ZERO_BASE = "zero base with negative exponent"
+
+
 def eval_expression(expr: Expression, values: Sequence) -> object:
     """Evaluate at a point.  Exact when every value is rational (ints and
     backend rationals); floating otherwise.  Division by zero raises
@@ -389,12 +392,98 @@ def eval_expression(expr: Expression, values: Sequence) -> object:
         else:
             base = rec(node.base)
             if node.exponent < 0 and base == 0:
-                raise ZeroDivisionError("zero base with negative exponent")
+                raise ZeroDivisionError(_ZERO_BASE)
             out = base ** node.exponent
         memo[node] = out
         return out
 
     return rec(expr)
+
+
+#: most operands one generated statement folds; a longer one-line fold
+#: nests too deep for ``compile()`` (RecursionError at a few thousand)
+_FOLD_WIDTH = 64
+
+
+def compile_float(
+    outputs: Sequence, dimension: int
+) -> Callable[[Sequence[float]], list[float]]:
+    """Lower the float evaluation of several outputs into one function.
+
+    Each output is an :class:`Expression`, whose value is returned as is,
+    or a sequence of (weight, Expression) pairs, returned as the fold
+    ``((0.0 + w1*E1) + w2*E2) + ...``.  The generated function unpacks a
+    point of ``dimension`` floats into locals and computes every DAG node
+    once, in the depth-first order :func:`eval_expression` first reaches
+    it; constants and weights become floats once and reach the code
+    through its namespace.  Sums and products fold left and a power stays
+    ``base ** exponent``, so the results are the floats ``eval_expression``
+    gives at a float point, bit for bit, and a failure raises the same
+    exception: ``ZeroDivisionError`` for a zero base with a negative
+    exponent, ``OverflowError`` from ``**``.  A variable outside
+    ``dimension`` raises ``IndexError`` here, not at call time.
+    """
+    namespace: dict[str, object] = {}
+    names: dict[Expression, str] = {}
+    body: list[str] = []
+
+    def fold(target: str, operands: list[str], op: str) -> None:
+        body.append(f"{target} = {op.join(operands[:_FOLD_WIDTH])}")
+        for i in range(_FOLD_WIDTH, len(operands), _FOLD_WIDTH - 1):
+            body.append(f"{target} = {op.join([target] + operands[i:i + _FOLD_WIDTH - 1])}")
+
+    def name_of(node: Expression) -> str:
+        name = names.get(node)
+        if name is not None:
+            return name
+        if isinstance(node, Const):
+            name = f"c{len(namespace)}"
+            namespace[name] = float(node.value)
+        elif isinstance(node, Var):
+            if node.index >= dimension:
+                raise IndexError(
+                    f"expression uses variable {node.index} but only "
+                    f"{dimension} values are given"
+                )
+            name = f"y{node.index}"
+        elif isinstance(node, Sum):
+            operands = [name_of(t) for t in node.terms]
+            name = f"t{len(names)}"
+            fold(name, operands, " + ")
+        elif isinstance(node, Prod):
+            operands = [name_of(f) for f in node.factors]
+            name = f"t{len(names)}"
+            fold(name, operands, " * ")
+        elif isinstance(node, Power):
+            base = name_of(node.base)
+            name = f"t{len(names)}"
+            if node.exponent < 0:
+                body.append(f"if {base} == 0: raise ZeroDivisionError({_ZERO_BASE!r})")
+            body.append(f"{name} = {base} ** {node.exponent}")
+        else:  # pragma: no cover
+            raise TypeError(f"not an expression: {node!r}")
+        names[node] = name
+        return name
+
+    results: list[str] = []
+    for i, output in enumerate(outputs):
+        if isinstance(output, Expression):
+            results.append(name_of(output))
+            continue
+        terms = ["0.0"]
+        for weight, expr in output:
+            w = f"w{len(namespace)}"
+            namespace[w] = float(weight)
+            terms.append(f"{w} * {name_of(expr)}")
+        fold(f"o{i}", terms, " + ")
+        results.append(f"o{i}")
+
+    params = ", ".join(f"y{i}" for i in range(dimension))
+    source = "\n    ".join(
+        ["def field(y):", f"[{params}] = y", *body, f"return [{', '.join(results)}]"]
+    )
+    exec(compile(source, "<bsharp float field>", "exec"), namespace)
+    return namespace["field"]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .expressions import (
     add_all,
     const,
     differentiate,
-    eval_expression,
     mul_all,
     power,
     variable,

@@ -202,6 +202,22 @@ def scale_step(series: TruncatedBSeries, mu: Coefficient) -> TruncatedBSeries:
     )
 
 
+# The split-table loops look coefficients up by level sequence: the tables'
+# trees are other objects than the series' keys, and bytes keys compare
+# without a Python-level RootedTree.__eq__.  Zero coefficients are found once
+# per tree, not once per row.
+
+def _by_levels(series: TruncatedBSeries) -> dict[bytes, Coefficient]:
+    """Coefficients keyed by level sequence, ``empty`` under EMPTY_TREE's."""
+    table = {t._levels: c for t, c in series.items()}
+    table[EMPTY_TREE._levels] = series.empty
+    return table
+
+
+def _zero_levels(table: Mapping[bytes, Coefficient]) -> set[bytes]:
+    return {s for s, c in table.items() if coeff_is_zero(c)}
+
+
 def compose(
     inner: TruncatedBSeries,
     outer: TruncatedBSeries,
@@ -224,17 +240,19 @@ def compose(
         inner = scale_step(inner, half)
         outer = scale_step(outer, half)
 
+    inner_by_levels = _by_levels(inner)
+    outer_by_levels = _by_levels(outer)
+    zero_outer = _zero_levels(outer_by_levels) if skip_zero else set()
     coeffs: dict[RootedTree, Coefficient] = {}
     for tree in all_trees_up_to(inner.max_order):
         total: Coefficient = rat(0)
         for kept, branches in subtree_split_table(tree):
-            o = outer.empty if kept is EMPTY_TREE else outer[kept]
-            if skip_zero and coeff_is_zero(o):
+            if kept._levels in zero_outer:
                 _zero_skips += 1
                 continue
-            term = o
+            term = outer_by_levels[kept._levels]
             for branch in branches:
-                term = coeff_mul(term, inner[branch])
+                term = coeff_mul(term, inner_by_levels[branch._levels])
             total = coeff_add(total, term)
         coeffs[tree] = total
     return TruncatedBSeries(inner.max_order, outer.empty, coeffs)
@@ -257,17 +275,20 @@ def substitute(
     if not coeff_is_zero(flow.empty):
         raise SeriesError("substitution needs a flow-kind inner series (empty coefficient 0)")
 
+    flow_by_levels = _by_levels(flow)
+    outer_by_levels = _by_levels(outer)
+    zero_outer = _zero_levels(outer_by_levels) if skip_zero else set()
     coeffs: dict[RootedTree, Coefficient] = {}
     for tree in all_trees_up_to(flow.max_order):
         total: Coefficient = rat(0)
         for skeleton, components, k in partition_split_table(tree):
-            o = outer[skeleton]
-            if skip_zero and coeff_is_zero(o):
+            if skeleton._levels in zero_outer:
                 _zero_skips += 1
                 continue
+            o = outer_by_levels[skeleton._levels]
             term = o if k == 1 else coeff_mul(o, k)
             for component in components:
-                term = coeff_mul(term, flow[component])
+                term = coeff_mul(term, flow_by_levels[component._levels])
             total = coeff_add(total, term)
         coeffs[tree] = total
     return TruncatedBSeries(flow.max_order, outer.empty, coeffs)
@@ -338,11 +359,8 @@ def modifying_integrator_series(
                 "method coefficient of the one-node tree is zero; the triangular "
                 "solve would divide by it"
             )
-    # The row loop looks trees up by level sequence: the tables' trees are
-    # other objects than the series' keys, and bytes keys compare without a
-    # Python-level __eq__.  Zero coefficients are found once, not per row.
-    weights = {t._levels: c for t, c in method.items()}
-    zero_weights = {s for s, c in weights.items() if coeff_is_zero(c)} if skip_zero else set()
+    weights = _by_levels(method)
+    zero_weights = _zero_levels(weights) if skip_zero else set()
     solved: dict[bytes, Coefficient] = {}
     zero_solved: set[bytes] = set()
     v: dict[RootedTree, Coefficient] = {}

@@ -11,6 +11,12 @@ Three ways to produce a trajectory on the grid t = 0, h, 2h, ...:
   ``reference``.
 
 All stepping is IEEE double; exactness ends where the trajectory begins.
+The field is compiled once per run: :func:`~bsharp.expressions.compile_float`
+lowers the expression DAG of every component (and, for a series field,
+every degree) into one straight-line function that computes each shared
+node once.  It keeps the interpreter's order of operations, so the floats,
+and the CSV, are the ones a node-by-node
+:func:`~bsharp.expressions.eval_expression` gives.
 A step that produces a non-finite value aborts the run via
 :class:`NumericFailureError`, which carries the time of the last good row.
 """
@@ -23,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 
 from .coefficients import coeff_eval
 from .errors import NumericFailureError, TableauError
-from .expressions import eval_expression
+from .expressions import compile_float
 from .odes import DiffCache, ODESystem, series_vector_field
 from .series import modified_equation_series, modifying_integrator_series
 from .tableaux import ButcherTableau, rk_series
@@ -92,12 +98,8 @@ def _require_explicit(tab: ButcherTableau) -> None:
 
 
 def system_field(system: ODESystem) -> Field:
-    rhs = system.rhs
-
-    def f(y: Sequence[float]) -> list[float]:
-        return [eval_expression(e, y) for e in rhs]
-
-    return f
+    """The right-hand side as a compiled float field."""
+    return compile_float(system.rhs, system.dimension)
 
 
 def graded_field(
@@ -105,31 +107,18 @@ def graded_field(
     terms: list[list[tuple[int, object]]],
     step: float,
 ) -> Field:
-    """Collapse per-degree expression lists into a numeric field.
+    """Collapse per-degree expression lists into a compiled float field.
 
     ``terms`` is the output of :func:`series_vector_field` for a flow-kind
-    series: degree d contributes ``step**(d-1) * E_d(y)``.  The degree-0
-    entry is identically zero for flow series and is skipped.
+    series: degree d contributes ``step**(d-1) * E_d(y)``, and each
+    component is the fold ``((0.0 + w1*E1) + w2*E2) + ...`` in degree order.
+    The degree-0 entry is identically zero for flow series and is skipped.
     """
-    weighted: list[list[tuple[float, object]]] = []
-    for component in terms:
-        ws = []
-        for degree, expr in component:
-            if degree == 0:
-                continue
-            ws.append((step ** (degree - 1), expr))
-        weighted.append(ws)
-
-    def f(y: Sequence[float]) -> list[float]:
-        out = []
-        for ws in weighted:
-            acc = 0.0
-            for w, expr in ws:
-                acc += w * eval_expression(expr, y)
-            out.append(acc)
-        return out
-
-    return f
+    weighted = [
+        [(step ** (degree - 1), expr) for degree, expr in component if degree != 0]
+        for component in terms
+    ]
+    return compile_float(weighted, system.dimension)
 
 
 def _rk_step(

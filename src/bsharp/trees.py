@@ -118,6 +118,7 @@ class _EmptyTree:
     """Sentinel for the empty tree (constant term of a series)."""
 
     __slots__ = ()
+    _levels = b""  # the empty level sequence; keys the empty coefficient
 
     @property
     def order(self) -> int:

@@ -291,3 +291,40 @@ def elementary_differential_bruteforce(system, levels):
         return add_all(terms)
 
     return tuple(node_value(0, j) for j in range(nvars))
+
+
+# ---------------------------------------------------------------------------
+# float vector fields, interpreted node by node
+# ---------------------------------------------------------------------------
+
+def system_field_interpreted(system):
+    """The right-hand side at a float point, one ``eval_expression`` per
+    component."""
+    from bsharp.expressions import eval_expression
+
+    def f(y):
+        return [eval_expression(e, y) for e in system.rhs]
+
+    return f
+
+
+def graded_field_interpreted(terms, step):
+    """Σ_d step**(d-1)·E_d(y) per component, accumulated from 0.0 in degree
+    order with a fresh ``eval_expression`` per component and degree."""
+    from bsharp.expressions import eval_expression
+
+    weighted = [
+        [(step ** (degree - 1), expr) for degree, expr in component if degree != 0]
+        for component in terms
+    ]
+
+    def f(y):
+        out = []
+        for ws in weighted:
+            acc = 0.0
+            for w, expr in ws:
+                acc += w * eval_expression(expr, y)
+            out.append(acc)
+        return out
+
+    return f

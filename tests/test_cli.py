@@ -289,6 +289,37 @@ def test_simulate_blow_up_streams_then_fails():
     assert "last valid t" in proc.stderr
 
 
+OSCILLATOR = "vars p, q; p' = -q/(p^2 + q^2); q' = p/(p^2 + q^2)"
+
+
+@pytest.mark.parametrize("extra", [(), ("--modified-order", "3")], ids=["direct", "modified"])
+def test_simulate_singular_start_fails_after_the_first_row(extra):
+    # the README oscillator is singular at the origin: the first step divides by zero
+    proc = run_cli(
+        "simulate", "--tableau", "midpoint", "--ode-text", OSCILLATOR,
+        "--step", "0.5", "--t-max", "2", "--initial", "0,0", *extra,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == "t,p,q\n0.0,0.0,0.0\n"
+    [line] = proc.stderr.splitlines()
+    assert "zero base with negative exponent" in line
+    assert "last valid t = 0.0" in line
+
+
+def test_simulate_overflow_is_a_numeric_failure():
+    proc = run_cli(
+        "simulate", "--tableau", "euler", "--ode-text", "vars y\ny' = y^2\n",
+        "--step", "10", "--t-max", "100", "--initial", "10",
+    )
+    assert proc.returncode == 4
+    assert [row.split(",")[0] for row in proc.stdout.splitlines()] == [
+        "t", "0.0", "10.0", "20.0", "30.0", "40.0", "50.0", "60.0", "70.0",
+    ]
+    [line] = proc.stderr.splitlines()
+    assert "Numerical result out of range" in line
+    assert "last valid t = 70.0" in line
+
+
 @pytest.mark.parametrize(
     "extra",
     [

@@ -1,13 +1,19 @@
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bsharp.errors import CoefficientError
 from bsharp.expressions import (
     Const,
+    Expression,
     Power,
     Prod,
     Sum,
     Var,
     add_all,
+    compile_float,
     const,
     differentiate,
     eval_expression,
@@ -131,6 +137,117 @@ def test_eval_errors():
         eval_expression(power(P, -1), (rat(0),))
     with pytest.raises(IndexError):
         eval_expression(Q, (rat(1),))
+
+
+# ---------------------------------------------------------------------------
+# compiled float evaluation
+# ---------------------------------------------------------------------------
+
+def interpreted(outputs, y):
+    """What compile_float promises, output by output through eval_expression."""
+    out = []
+    for output in outputs:
+        if isinstance(output, Expression):
+            out.append(eval_expression(output, y))
+            continue
+        acc = 0.0
+        for w, e in output:
+            acc += w * eval_expression(e, y)
+        out.append(acc)
+    return out
+
+
+def outcome(fn, y):
+    """repr of every float (so -0.0 and nan compare), or the exception."""
+    try:
+        return [repr(v) for v in fn(y)]
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def test_compiled_wide_sum_and_product_fold_left():
+    # a one-line fold of thousands of operands would overflow compile()'s
+    # recursion; the points make other fold orders round otherwise
+    n = 5000
+    xs = [variable(i) for i in range(n)]
+    wide_sum = add_all(xs)
+    wide_prod = mul_all(xs)
+    assert isinstance(wide_sum, Sum) and len(wide_sum.terms) == n
+    assert isinstance(wide_prod, Prod) and len(wide_prod.factors) == n
+    f = compile_float([wide_sum, wide_prod], n)
+    # in term order 2^53, -2^53, 1, ...: a 1 added to 2^53 is lost
+    sum_point = [0.0] * n
+    for i, term in enumerate(wide_sum.terms):
+        sum_point[term.index] = (2.0**53, -(2.0**53), 1.0)[i % 3]
+    rng = random.Random(5)
+    prod_point = [1.0 + rng.uniform(-1e-3, 1e-3) for _ in range(n)]
+    for y in (sum_point, prod_point):
+        assert outcome(f, y) == outcome(lambda y: interpreted([wide_sum, wide_prod], y), y)
+
+
+def test_compiled_keeps_signed_zeros():
+    neg = mul_all([const(-1), P])
+    f = compile_float([neg, [(1.0, neg)]], 2)
+    # a bare output stays -0.0; a graded one is 0.0 + 1.0*(-0.0) = 0.0
+    assert [repr(v) for v in f([0.0, 1.0])] == ["-0.0", "0.0"]
+    outputs = [neg, [(1.0, neg)]]
+    assert outcome(f, [0.0, 1.0]) == outcome(lambda y: interpreted(outputs, y), [0.0, 1.0])
+
+
+def test_compiled_failures_match_the_interpreter():
+    inverse = power(add_all([power(P, 2), power(Q, 2)]), -1)
+    f = compile_float([mul_all([Q, inverse])], 2)
+    with pytest.raises(ZeroDivisionError, match="^zero base with negative exponent$"):
+        f([0.0, -0.0])
+    assert f([0.0, 2.0]) == [0.5]
+    cube = compile_float([power(P, 3)], 1)
+    with pytest.raises(OverflowError):
+        cube([1e200])
+    assert outcome(cube, [1e200]) == outcome(lambda y: [eval_expression(power(P, 3), y)], [1e200])
+    # an out-of-range variable fails when the field is built, not when called
+    with pytest.raises(IndexError, match="variable 1"):
+        compile_float([add_all([P, Q])], 1)
+
+
+def test_compiled_outputs_and_empty_components():
+    f = compile_float([const(rat(1, 3)), [], P, [(2.0, const(rat(1, 3))), (0.5, P)]], 1)
+    assert f([4.0]) == [1 / 3, 0.0, 4.0, (0.0 + 2.0 * (1 / 3)) + 0.5 * 4.0]
+
+
+_LEAVES = [P, Q, variable(2), const(2), const(rat(-1, 3)), const(rat(7, 5))]
+
+
+@st.composite
+def dags(draw, depth=3):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(_LEAVES))
+    kind = draw(st.sampled_from(["add", "mul", "pow"]))
+    if kind == "pow":
+        base = draw(dags(depth - 1))
+        try:
+            return power(base, draw(st.integers(-3, 3)))
+        except CoefficientError:  # a constant zero base with a negative exponent
+            return base
+    parts = draw(st.lists(dags(depth - 1), min_size=1, max_size=4))
+    return add_all(parts) if kind == "add" else mul_all(parts)
+
+
+_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0, 1e-170, 1e160, -7e200])
+
+
+@given(
+    st.lists(
+        st.one_of(
+            dags(), st.lists(st.tuples(st.sampled_from([1.0, 0.1, 0.01]), dags()), max_size=3)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.tuples(_FLOATS, _FLOATS, _FLOATS),
+)
+def test_compiled_matches_interpreter_on_random_dags(outputs, y):
+    f = compile_float(outputs, 3)
+    assert outcome(f, list(y)) == outcome(lambda y: interpreted(outputs, y), list(y))
 
 
 # ---------------------------------------------------------------------------

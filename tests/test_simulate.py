@@ -4,16 +4,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bsharp import simulate
 from bsharp.errors import NumericFailureError, TableauError
-from bsharp.odes import parse_ode
+from bsharp.odes import DiffCache, parse_ode, series_vector_field
 from bsharp.rationals import rat
+from bsharp.series import modified_equation_series, modifying_integrator_series
 from bsharp.simulate import SimulationPlan, iterate_rows, run_simulation
-from bsharp.tableaux import ButcherTableau, builtin_tableau
+from bsharp.tableaux import ButcherTableau, builtin_tableau, rk_series
+
+from oracles import graded_field_interpreted, system_field_interpreted
 
 DECAY = parse_ode("vars y\ny' = -y\n")
 GROWTH = parse_ode("vars y\ny' = y\n")
 FLAT = parse_ode("vars u, v\nu' = 0\nv' = 0\n")
 CIRCLE = parse_ode("vars p, q\np' = -q/(p^2 + q^2)\nq' = p/(p^2 + q^2)\n")
+CUBIC2 = parse_ode("vars u, v\nu' = v - u^3/3 + 2*u*v^2\nv' = -u + v^3/5 - 3/2*u^2*v + 1/4\n")
+CUBIC3 = parse_ode(
+    "vars x, y, z\nx' = y*z - x^3 + 1/3\ny' = x - 2*y*z^2 + z\nz' = -x*y + y^3/2 - 3/4*z*x^2\n"
+)
 
 
 def plan(**kw):
@@ -198,16 +206,78 @@ def test_blow_up_reports_last_valid_time():
 
 
 def test_division_by_zero_is_a_numeric_failure():
-    # the circle field is singular at the origin
-    p = plan(system=CIRCLE, initial=(0.5, 0.0), step=1.0, t_max=10.0, tableau=builtin_tableau("euler"))
-    try:
-        rows = run_simulation(p)
-    except NumericFailureError as exc:
-        assert exc.last_valid_t >= 0.0
-    else:  # a lucky trajectory must at least stay finite
-        assert all(math.isfinite(v) for _, y in rows for v in y)
+    # the circle field is singular at the origin; the first step fails
+    p = plan(system=CIRCLE, initial=(0.0, 0.0), step=1.0, t_max=10.0)
+    seen = []
+    with pytest.raises(NumericFailureError, match="zero base with negative exponent") as info:
+        for t, y in iterate_rows(p):
+            seen.append((t, y))
+    assert seen == [(0.0, (0.0, 0.0))]
+    assert info.value.last_valid_t == 0.0
 
 
 def test_run_simulation_materializes_iterate_rows():
     p = plan(step=0.2, t_max=1.0)
     assert run_simulation(p) == list(iterate_rows(p))
+
+
+# ---------------------------------------------------------------------------
+# the compiled field against the interpreted one, bit for bit
+# ---------------------------------------------------------------------------
+
+def reprs(values):
+    return [repr(v) for v in values]
+
+
+CASES = {
+    "circle": (CIRCLE, [(1.0, 0.0), (0.6, -0.8), (-0.25, 1e-3), (3.5, 2.0)]),
+    "cubic2": (CUBIC2, [(0.0, 0.0), (0.5, -0.25), (-1.5, 0.75), (1e-3, 2.0)]),
+    "cubic3": (
+        CUBIC3, [(0.0, 0.0, 0.0), (0.5, -0.25, 0.125), (-1.0, 0.3, 2.0), (1e-3, -0.7, 0.9)]
+    ),
+    "flat": (FLAT, [(0.0, -0.0), (1.5, -2.25)]),
+    "decay": (DECAY, [(0.0,), (-0.0,), (0.75,)]),
+}
+
+
+@pytest.mark.parametrize("case", ["circle", "cubic2", "cubic3"])
+@pytest.mark.parametrize("tableau", ["euler", "midpoint", "rk4"])
+def test_compiled_graded_fields_match_the_interpreter(case, tableau):
+    system, points = CASES[case]
+    for order in range(1, 6):
+        method = rk_series(builtin_tableau(tableau), order)
+        for solve in (modified_equation_series, modifying_integrator_series):
+            terms = series_vector_field(solve(method), system, DiffCache(system))
+            for step in (0.1, 0.37):
+                compiled = simulate.graded_field(system, terms, step)
+                oracle = graded_field_interpreted(terms, step)
+                for y in points:
+                    assert reprs(compiled(y)) == reprs(oracle(y)), (order, solve, step, y)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_compiled_system_field_matches_the_interpreter(case):
+    system, points = CASES[case]
+    compiled, oracle = simulate.system_field(system), system_field_interpreted(system)
+    for y in points:
+        assert reprs(compiled(y)) == reprs(oracle(y))
+
+
+@pytest.mark.parametrize(
+    "mode, order", [("direct", 2), ("reference", 2), ("modified", 3), ("modifying", 4)]
+)
+def test_trajectories_match_the_interpreted_field(monkeypatch, mode, order):
+    p = plan(
+        tableau=builtin_tableau("midpoint"), system=CIRCLE, initial=(0.6, 0.8),
+        step=0.25, t_max=0.75, mode=mode, series_order=order,
+    )
+    compiled = run_simulation(p)
+    monkeypatch.setattr(simulate, "system_field", system_field_interpreted)
+    monkeypatch.setattr(
+        simulate, "graded_field", lambda system, terms, step: graded_field_interpreted(terms, step)
+    )
+    interpreted = run_simulation(p)
+    assert len(compiled) == 4
+    assert [(repr(t), reprs(y)) for t, y in compiled] == [
+        (repr(t), reprs(y)) for t, y in interpreted
+    ]
