@@ -7,8 +7,8 @@ the extension was built, ``bsharp._kernels._speedups``:
   enumerate     walk every canonical sequence of one order via the
                 constant-amortized successor step
   canonicalize  re-canonicalize scrambled (child-shuffled) serializations
-  splits        build the full subtree- and partition-split lists for
-                every tree of one order
+  splits        build the full subtree-split lists for every tree of
+                one order
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -100,9 +100,8 @@ def main():
              lambda: walk_order(mod, args.gen_order)),
             (f"canonicalize {len(samples)} x order {args.canon_order}",
              lambda: [mod.canonical_levels(s) for s in samples]),
-            (f"splits, all {len(split_inputs)} trees of order {args.split_order}",
-             lambda: [(mod.subtree_splits(t), mod.partition_splits(t))
-                      for t in split_inputs]),
+            (f"subtree splits, all {len(split_inputs)} trees of order {args.split_order}",
+             lambda: [mod.subtree_splits(t) for t in split_inputs]),
         ]
 
     backends = [("python", _fallback)]
@@ -134,7 +133,6 @@ def main():
     if _speedups is not None:
         for t in split_inputs[: 64]:
             assert _fallback.subtree_splits(t) == _speedups.subtree_splits(t)
-            assert _fallback.partition_splits(t) == _speedups.partition_splits(t)
         for s in samples[: 256]:
             assert _fallback.canonical_levels(s) == _speedups.canonical_levels(s)
 

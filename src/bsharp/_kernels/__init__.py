@@ -27,5 +27,4 @@ subtree_split_for_mask = impl.subtree_split_for_mask
 partition_split_for_mask = impl.partition_split_for_mask
 closed_subtree_masks = impl.closed_subtree_masks
 subtree_splits = impl.subtree_splits
-partition_splits = impl.partition_splits
 clear_caches = impl.clear_caches

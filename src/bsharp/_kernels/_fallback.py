@@ -200,34 +200,3 @@ def subtree_splits(levels: bytes) -> list[tuple[bytes | None, tuple[bytes, ...]]
     out.append((None, (canonical_levels(levels),)))
     return out
 
-
-def partition_splits(levels: bytes) -> list[tuple[bytes, tuple[bytes, ...]]]:
-    """All 2**(n-1) edge-removal splits, masks in ascending order."""
-    n = len(levels)
-    parent = parents_of(levels)
-    out = []
-    for mask in range(1 << (n - 1)):
-        comp = bytearray(n)
-        skel_level = bytearray(n)
-        skel = bytearray((0,))
-        roots = [0]
-        for i in range(1, n):
-            if (mask >> (i - 1)) & 1:
-                comp[i] = i
-                lvl = skel_level[comp[parent[i]]] + 1
-                skel_level[i] = lvl
-                skel.append(lvl)
-                roots.append(i)
-            else:
-                comp[i] = comp[parent[i]]
-        members: list[bytes] = []
-        for r in roots:
-            base = levels[r]
-            mem = bytearray()
-            for j in range(r, _subtree_end(levels, r)):
-                if comp[j] == r:
-                    mem.append(levels[j] - base)
-            members.append(canonical_levels(bytes(mem)))
-        members.sort(key=_sort_key)
-        out.append((canonical_levels(bytes(skel)), tuple(members)))
-    return out

@@ -249,15 +249,3 @@ def subtree_splits(bytes levels):
     out.append((None, (canonical_levels(levels),)))
     return out
 
-
-def partition_splits(bytes levels):
-    cdef Py_ssize_t n = len(levels)
-    cdef const unsigned char* lv = _ptr(levels)
-    cdef unsigned char parent[64]
-    cdef unsigned long long mask, total
-    _parents_c(lv, <int> n, parent)
-    total = (<unsigned long long> 1) << (<int> n - 1)
-    out = []
-    for mask in range(total):
-        out.append(_partition_for_mask_c(lv, <int> n, parent, mask))
-    return out

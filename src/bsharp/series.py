@@ -30,6 +30,9 @@ exp of the Lie derivative ∂_v, whose action on a tree sums over its
 |τ| - 1 single-edge cuts, so the solve is polynomial in the order.
 :func:`modifying_integrator_series` finds ``v`` with
 substitute(v, method) = exact flow, over the distinct partition splits.
+Both :func:`substitute` and that solve read the cached partition tables of
+:mod:`bsharp.splits`, which are built from each tree's children without
+enumerating edge subsets; their rows are keyed by level sequence.
 
 Display convention: a coefficient table is presented as
 Σ coeff(τ)/σ(τ) · h^{|τ| − reduce} · F(τ), where σ is the tree symmetry and
@@ -202,10 +205,11 @@ def scale_step(series: TruncatedBSeries, mu: Coefficient) -> TruncatedBSeries:
     )
 
 
-# The split-table loops look coefficients up by level sequence: the tables'
-# trees are other objects than the series' keys, and bytes keys compare
-# without a Python-level RootedTree.__eq__.  Zero coefficients are found once
-# per tree, not once per row.
+# The split-table loops look coefficients up by level sequence: partition
+# rows are level sequences already, the subtree table's trees are other
+# objects than the series' keys, and bytes keys compare without a
+# Python-level RootedTree.__eq__.  Zero coefficients are found once per
+# tree, not once per row.
 
 def _by_levels(series: TruncatedBSeries) -> dict[bytes, Coefficient]:
     """Coefficients keyed by level sequence, ``empty`` under EMPTY_TREE's."""
@@ -282,13 +286,13 @@ def substitute(
     for tree in all_trees_up_to(flow.max_order):
         total: Coefficient = rat(0)
         for skeleton, components, k in partition_split_table(tree):
-            if skeleton._levels in zero_outer:
+            if skeleton in zero_outer:
                 _zero_skips += 1
                 continue
-            o = outer_by_levels[skeleton._levels]
+            o = outer_by_levels[skeleton]
             term = o if k == 1 else coeff_mul(o, k)
             for component in components:
-                term = coeff_mul(term, flow_by_levels[component._levels])
+                term = coeff_mul(term, flow_by_levels[component])
             total = coeff_add(total, term)
         coeffs[tree] = total
     return TruncatedBSeries(flow.max_order, outer.empty, coeffs)
@@ -345,8 +349,10 @@ def modifying_integrator_series(
     Applying the method to the field h·v integrates the *original* field
     exactly through the truncation order.  Requires method(•) ≠ 0.  Solved
     tree by tree over the distinct partition splits, each term weighted by
-    its multiplicity.  ``skip_zero`` drops split terms whose skeleton weight
-    (or any component coefficient) is zero — a pure optimization.
+    its multiplicity: v(τ) = (1/γ(τ) - Σ k·method(skeleton)·Π v(component))
+    / method(•), the sum over every split but the no-edges-removed one.
+    ``skip_zero`` drops split terms whose skeleton weight (or any component
+    coefficient) is zero — a pure optimization.
     """
     global _zero_skips
     if not coeff_eq(method.empty, 1):
@@ -367,17 +373,17 @@ def modifying_integrator_series(
     for tree in all_trees_up_to(method.max_order):
         total: Coefficient = rat(1, tree.density())
         for skeleton, components, k in partition_split_table(tree)[1:]:
-            if skeleton._levels in zero_weights:
+            if skeleton in zero_weights:
                 _zero_skips += 1
                 continue
-            term: Coefficient = weights[skeleton._levels]
+            term: Coefficient = weights[skeleton]
             if k != 1:
                 term = coeff_mul(term, k)
             for component in components:
-                if component._levels in zero_solved:
+                if component in zero_solved:
                     _zero_skips += 1
                     break
-                term = coeff_mul(term, solved[component._levels])
+                term = coeff_mul(term, solved[component])
             else:
                 total = coeff_sub(total, term)
         c = v[tree] = solved[tree._levels] = coeff_div(total, u1)

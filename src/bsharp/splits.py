@@ -21,6 +21,15 @@ series operations use those, so the cost is paid once per tree shape and
 only for the small orders a truncated series actually contains.  The
 partition and edge-cut tables merge equal splits into one row that carries
 its integer multiplicity; the subtree table still lists one row per subset.
+
+Partition tables never walk the 2**(order-1) edge subsets.  They are built
+from the children's tables (the coproduct recursion of Calaque,
+Ebrahimi-Fard and Manchon, "Two interacting Hopf algebras of trees",
+2011): the edge from the root to each child is either kept or cut, and
+equal partial results are merged as they arise.  The tables of subtrees
+met as a child are memoised by canonical level sequence.  Partition rows
+hold canonical level sequences (``bytes``), not :class:`RootedTree`
+objects; :func:`clear_split_caches` drops every table and memo.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
 from . import _kernels
-from .trees import EMPTY_TREE, RootedTree, _EmptyTree
+from .trees import EMPTY_TREE, RootedTree, _child_slices, _EmptyTree
 
 SubtreeOrEmpty = Union[RootedTree, _EmptyTree]
 
@@ -132,23 +141,108 @@ def subtree_split_table(tree: RootedTree) -> tuple[tuple[SubtreeOrEmpty, tuple[R
     return tuple(out)
 
 
+# -- partition tables by the children recursion ------------------------------
+#
+# A *rooted state* of a tree with some edges removed is the triple
+# (children of the root component, children of the skeleton root, the other
+# components), each a multiset of canonical level sequences kept as a tuple
+# in descending order.  A tree's rooted table maps each state to the number
+# of edge subsets that give it.  Children are joined one at a time, in
+# level-sequence order; the edge to a child is either kept or cut.
+#
+# No masks are stored.  A child's edges are the bits above those of the
+# children joined before it, and the edge to the child is the bit just
+# below them, so looping over the child's states (outer), keep before cut,
+# then over the states joined so far (inner) produces each combination in
+# ascending order of its least mask, given that both tables are in that
+# order.  Insertion order therefore stays the order of least masks, which
+# is the order of first appearance in :func:`partitions`.
+
+_DEEPER = bytes(range(1, 256)) + b"\xff"    # translate table: level + 1
+_SHALLOWER = b"\x00" + bytes(range(255))    # translate table: level - 1
+_ROOT_ONLY = ((), (), ())
+
+# canonical level sequence -> rooted table, only for trees met as a child
+_rooted_tables: dict[bytes, dict[tuple, int]] = {}
+# descending tuple of canonical children -> level sequence of their root
+_grafts: dict[tuple[bytes, ...], bytes] = {}
+
+
+def _graft(children: tuple[bytes, ...]) -> bytes:
+    """Canonical level sequence of a root carrying ``children``."""
+    seq = _grafts.get(children)
+    if seq is None:
+        seq = _grafts[children] = b"\x00" + b"".join(c.translate(_DEEPER) for c in children)
+    return seq
+
+
+def _merge(a: tuple[bytes, ...], b: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """Multiset union of two descending tuples."""
+    if not b:
+        return a
+    if not a:
+        return b
+    return tuple(sorted(a + b, reverse=True))
+
+
+def _join(partial: dict[tuple, int], child: dict[tuple, int]) -> dict[tuple, int]:
+    """Rooted table after hanging one more child (given by its rooted
+    table) under the root of ``partial``."""
+    out: dict[tuple, int] = {}
+    get = out.get
+    states = list(partial.items())
+    for (c_comp, c_skel, c_others), ck in child.items():
+        # keep the edge: the child's root component hangs under ours and
+        # its skeleton root merges into ours
+        kept = (_graft(c_comp),)
+        for (comp, skel, others), k in states:
+            key = (_merge(comp, kept), _merge(skel, c_skel), _merge(others, c_others))
+            out[key] = get(key, 0) + k * ck
+        # cut the edge: the child's root component is one more component
+        # and its whole skeleton hangs under our skeleton root
+        cut_skel = (_graft(c_skel),)
+        cut_others = _merge(c_others, kept)
+        for (comp, skel, others), k in states:
+            key = (comp, _merge(skel, cut_skel), _merge(others, cut_others))
+            out[key] = get(key, 0) + k * ck
+    return out
+
+
+def _build_rooted(seq: bytes) -> dict[tuple, int]:
+    table = {_ROOT_ONLY: 1}
+    for child in _child_slices(seq):
+        table = _join(table, _rooted_table(child.translate(_SHALLOWER)))
+    return table
+
+
+def _rooted_table(seq: bytes) -> dict[tuple, int]:
+    table = _rooted_tables.get(seq)
+    if table is None:
+        table = _rooted_tables[seq] = _build_rooted(seq)
+    return table
+
+
 @lru_cache(maxsize=None)
-def partition_split_table(
-    tree: RootedTree,
-) -> tuple[tuple[RootedTree, tuple[RootedTree, ...], int], ...]:
+def partition_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, ...], int], ...]:
     """Distinct partition splits of ``tree`` as a cached flat table.
 
-    Entries are (skeleton, forest trees, multiplicity): each distinct split
-    appears once, in the order of its first appearance in
-    :func:`partitions`, and the multiplicities sum to 2**(order-1).  The
-    first entry is always (one-node tree, (tree,), 1).
+    Entries are (skeleton, forest, multiplicity) with canonical level
+    sequences (``bytes``) for the skeleton and the forest members, the
+    forest sorted by (order, level sequence).  Each distinct split appears
+    once, in the order of its first appearance in :func:`partitions`, and
+    the multiplicities sum to 2**(order-1).  The first entry is always
+    (one-node tree, (tree,), 1).
     """
-    # count the raw kernel rows before wrapping, so only distinct rows are
-    # ever turned into RootedTree objects
-    counts = Counter(_kernels.partition_splits(tree._levels))
+    rows: dict[tuple[bytes, tuple[bytes, ...]], int] = {}
+    get = rows.get
+    # the tree's own rooted table is folded here, not cached
+    for (comp, skel, others), k in _build_rooted(tree._levels).items():
+        key = (_graft(skel), _merge(others, (_graft(comp),)))
+        rows[key] = get(key, 0) + k
+    # forests are descending; a stable sort by length of the reversed tuple
+    # gives (order, level sequence) order
     return tuple(
-        (RootedTree._wrap(skel), tuple(RootedTree._wrap(m) for m in forest), k)
-        for (skel, forest), k in counts.items()
+        (skel, tuple(sorted(forest[::-1], key=len)), k) for (skel, forest), k in rows.items()
     )
 
 
@@ -180,7 +274,9 @@ def edge_cut_table(tree: RootedTree) -> tuple[tuple[RootedTree, RootedTree, int]
 
 
 def clear_split_caches() -> None:
-    """Drop the cached split tables (cold-start measurements only)."""
+    """Drop every cached split table and the memos behind them."""
     subtree_split_table.cache_clear()
     partition_split_table.cache_clear()
     edge_cut_table.cache_clear()
+    _rooted_tables.clear()
+    _grafts.clear()

@@ -255,6 +255,31 @@ def modified_equation_bruteforce(method, max_order: int, one) -> dict:
     return v
 
 
+def modifying_integrator_bruteforce(method, max_order: int, one) -> dict:
+    """Triangular solve of Σ over partitions method(skeleton)·Π v(component)
+    = 1/γ(τ) for the flow-kind v, shape by shape.
+
+    Same inputs as :func:`modified_equation_bruteforce`.  The
+    no-edges-removed partition contributes method(•)·v(τ); every other
+    partition involves only smaller shapes.
+    """
+    v: dict = {}
+    for n in range(1, max_order + 1):
+        for shape in shapes_of_order(n):
+            total = one / density_direct(shape_to_levels(shape))
+            for (skeleton, forest), count in partition_splits_bruteforce(
+                shape_to_levels(shape)
+            ).items():
+                if skeleton == LEAF:
+                    continue
+                term = method[skeleton] * count
+                for component in forest:
+                    term = term * v[component]
+                total = total - term
+            v[shape] = total / method[LEAF]
+    return v
+
+
 # ---------------------------------------------------------------------------
 # elementary differentials, no caching, no index sorting
 # ---------------------------------------------------------------------------

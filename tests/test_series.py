@@ -30,7 +30,11 @@ from bsharp.splits import clear_split_caches, edge_cut_table, partition_split_ta
 from bsharp.tableaux import ButcherTableau, builtin_tableau, rk_series, tableau_from_json_dict
 from bsharp.trees import EMPTY_TREE, RootedTree, all_trees_up_to, parse_tree
 
-from oracles import levels_to_shape, modified_equation_bruteforce
+from oracles import (
+    levels_to_shape,
+    modified_equation_bruteforce,
+    modifying_integrator_bruteforce,
+)
 
 T = parse_tree
 
@@ -267,6 +271,26 @@ def test_symbolic_modified_equation_matches_partition_oracle():
     method = rk_series(builtin_tableau("rk22(alpha)"), 6)
     expected = modified_equation_bruteforce(_by_shape(method), 6, rat(1))
     got = _by_shape(modified_equation_series(method))
+    assert got.keys() == expected.keys()
+    assert all(coeff_eq(got[shape], expected[shape]) for shape in expected)
+
+
+@pytest.mark.parametrize(
+    "tab",
+    [builtin_tableau(name) for name in ("euler", "midpoint", "rk4")]
+    # seeded tableaux with Σb ≠ 0: the solve divides by method(•) = Σb
+    + [_random_rational_tableau(stages, seed) for stages, seed in ((2, 1), (3, 4), (4, 3))],
+)
+def test_modifying_integrator_matches_partition_oracle(tab):
+    method = rk_series(tab, 7)
+    expected = modifying_integrator_bruteforce(_by_shape(method), 7, rat(1))
+    assert _by_shape(modifying_integrator_series(method)) == expected
+
+
+def test_symbolic_modifying_integrator_matches_partition_oracle():
+    method = rk_series(builtin_tableau("rk22(alpha)"), 6)
+    expected = modifying_integrator_bruteforce(_by_shape(method), 6, rat(1))
+    got = _by_shape(modifying_integrator_series(method))
     assert got.keys() == expected.keys()
     assert all(coeff_eq(got[shape], expected[shape]) for shape in expected)
 

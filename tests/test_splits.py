@@ -2,6 +2,9 @@ from collections import Counter
 from itertools import islice
 from time import perf_counter
 
+from hypothesis import given, settings
+
+from bsharp import splits
 from bsharp.splits import (
     Forest,
     PartitionSplit,
@@ -12,7 +15,7 @@ from bsharp.splits import (
     partitions,
     subtree_split_table,
 )
-from bsharp.trees import EMPTY_TREE, RootedTree, all_trees_up_to, parse_tree
+from bsharp.trees import EMPTY_TREE, RootedTree, all_trees_up_to, canonicalize, parse_tree
 
 from oracles import (
     edge_cuts_bruteforce,
@@ -20,6 +23,7 @@ from oracles import (
     partition_splits_bruteforce,
     subtree_splits_bruteforce,
 )
+from test_trees import level_sequences
 
 T = parse_tree  # shorthand for the fixtures below
 
@@ -157,22 +161,83 @@ def test_iteration_is_deterministic():
     assert list(ordered_subtrees(tree)) == list(ordered_subtrees(tree))
 
 
+def _assert_table_matches_iterator(tree):
+    # the lazy iterator goes through the per-mask kernel, one split per
+    # edge subset in ascending mask order; the table is built by the
+    # children recursion
+    raw = [
+        (skel._levels, tuple(m._levels for m in forest))
+        for skel, forest in partitions(tree)
+    ]
+    table = partition_split_table(tree)
+    rows = [(skel, forest) for skel, forest, _ in table]
+    assert all(
+        type(skel) is bytes and all(type(m) is bytes for m in forest)
+        for skel, forest in rows
+    )
+    assert len(set(rows)) == len(rows)
+    expanded = Counter()
+    for skel, forest, k in table:
+        expanded[skel, forest] += k
+    assert expanded == Counter(raw)
+    assert sum(k for _, _, k in table) == 1 << (tree.order - 1)
+    # distinct rows in the order of their first appearance
+    assert rows == list(dict.fromkeys(raw))
+    assert table[0] == (b"\x00", (tree._levels,), 1)
+
+
 def test_tables_agree_with_iterators():
-    for tree in all_trees_up_to(5):
-        raw = [(skel, tuple(forest)) for skel, forest in partitions(tree)]
-        table = partition_split_table(tree)
-        # distinct rows whose multiplicities expand back to the iterator's
-        expanded = Counter()
-        for skel, forest, k in table:
-            expanded[skel, forest] += k
-        assert expanded == Counter(raw)
-        assert [(skel, forest) for skel, forest, _ in table] == list(dict.fromkeys(raw))
-        assert table[0] == (T("[0]"), (tree,), 1)
+    trees = list(all_trees_up_to(8))
+    assert len(trees) == 200
+    for tree in trees:
+        _assert_table_matches_iterator(tree)
         assert [
             (sub, tuple(forest)) for sub, forest in ordered_subtrees(tree)
         ] == list(subtree_split_table(tree))
         # cached: same object on the second call
         assert partition_split_table(tree) is partition_split_table(tree)
+
+
+@given(level_sequences(max_nodes=11))
+@settings(max_examples=40, deadline=None)
+def test_partition_table_matches_iterator_on_random_trees(levels):
+    _assert_table_matches_iterator(canonicalize(levels))
+
+
+def test_partition_table_matches_bruteforce():
+    for tree in all_trees_up_to(7):
+        ours = Counter()
+        for skel, forest, k in partition_split_table(tree):
+            assert len(skel) == len(forest)
+            assert sum(len(m) for m in forest) == tree.order
+            ours[
+                levels_to_shape(skel), tuple(sorted(levels_to_shape(m) for m in forest))
+            ] += k
+        assert ours == partition_splits_bruteforce(tree.levels)
+
+
+def test_clear_split_caches_empties_every_cache():
+    def caches():
+        # every module-level memo: the lru-cached tables and plain dicts
+        return {
+            name: obj.cache_info().currsize if hasattr(obj, "cache_info") else len(obj)
+            for name, obj in vars(splits).items()
+            if not name.startswith("__")
+            and (hasattr(obj, "cache_info") or isinstance(obj, dict))
+        }
+
+    for tree in all_trees_up_to(6):
+        partition_split_table(tree)
+        subtree_split_table(tree)
+        edge_cut_table(tree)
+    filled = caches()
+    assert {
+        "subtree_split_table", "partition_split_table", "edge_cut_table",
+        "_rooted_tables", "_grafts",
+    } <= filled.keys()
+    assert all(size > 0 for size in filled.values()), filled
+    splits.clear_split_caches()
+    assert all(size == 0 for size in caches().values()), caches()
 
 
 def test_edge_cut_table_matches_bruteforce():
