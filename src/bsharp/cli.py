@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, count
 from typing import Optional, Sequence, TextIO
 
 from .errors import BSharpError, NumericFailureError
@@ -212,6 +213,13 @@ def _perturbed_flow(args) -> TruncatedBSeries:
     return modifying_integrator_series(series)
 
 
+def _step_symbol(variables: tuple[str, ...]) -> str:
+    """The first of ``h``, ``h_step``, ``h_step2``, ``h_step3``, ... that
+    names no variable, so the printed field reads back unambiguously."""
+    names = chain(("h", "h_step"), (f"h_step{i}" for i in count(2)))
+    return next(name for name in names if name not in variables)
+
+
 def cmd_perturbed(args) -> int:
     """Shared handler for modified-equation and modifying-integrator."""
     flow = _perturbed_flow(args)
@@ -222,7 +230,7 @@ def cmd_perturbed(args) -> int:
         args.subparser.error("--reduce-order-by does not apply to --ode output")
     system = _load_system(args)
     terms = series_vector_field(flow, system, DiffCache(system))
-    step_name = "h" if "h" not in system.variables else "h_step"
+    step_name = _step_symbol(system.variables)
     h = variable(system.dimension)
     names = system.variables + (step_name,)
 

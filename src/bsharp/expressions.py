@@ -14,6 +14,12 @@ products flatten and fold their constants, like terms in a sum collect
 annihilate/disappear.  Products do *not* expand over sums.  Child order is
 deterministic: nodes sort by kind and then by a structural digest, so the
 same computation prints the same way in every run.
+
+Printing walks the DAG, not the tree it stands for: each distinct node's
+text is built once and reused at every occurrence, so
+:func:`format_expression` costs time linear in the distinct nodes plus the
+length of the output, and holds beyond its result only the texts of
+shared nodes that later occurrences still await.
 """
 
 from __future__ import annotations
@@ -507,62 +513,128 @@ def format_expression(
 
     Text output uses ``*`` and ``^`` and parses back through the ODE
     expression grammar; LaTeX uses ``\\frac`` for fractional constants.
+
+    A node prints the same *core* text wherever it occurs; only the
+    parentheses around it depend on whether it stands in a sum, a product
+    or under a power.  One pass counts how often each distinct node is
+    used, then each core is built once, bottom up, and wrapped at every
+    use.  The cost is linear in the number of distinct nodes plus the
+    length of the output.  A core is kept only while a later use still
+    awaits it, so beyond its result the call holds just the shared texts
+    not yet consumed.
     """
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown expression format {fmt!r}")
     latex = fmt == "latex"
+    if latex:
+        from .coefficients import _rat_latex as number
+    else:
+        number = rat_str
+    sep = " " if latex else "*"
 
-    def name_of(index: int) -> str:
-        if index < len(names):
-            return _name_latex(names[index]) if latex else names[index]
-        return f"y{index}"
-
-    def render(node: Expression, context: int) -> str:
-        # context: 0 sum, 1 product, 2 power-base
-        if isinstance(node, Const):
-            if latex:
-                from .coefficients import _rat_latex
-
-                s = _rat_latex(node.value)
+    # uses of each distinct node: one per occurrence among the operands of a
+    # distinct parent, plus one for the root
+    uses: dict[Expression, int] = {expr: 1}
+    stack = [expr]
+    while stack:
+        for child in _operands(stack.pop()):
+            if child in uses:
+                uses[child] += 1
             else:
-                s = rat_str(node.value)
-            needs = node.value < 0 and context >= 1
-            if context == 2 and rat(node.value).denominator != 1:
-                needs = True
-            return _paren(s, needs, latex)
-        if isinstance(node, Var):
-            return name_of(node.index)
-        if isinstance(node, Power):
-            base = render(node.base, 2)
-            if latex:
-                return f"{base}^{{{node.exponent}}}"
-            return f"{base}^{node.exponent}"
-        if isinstance(node, Prod):
-            factors = node.factors
-            neg = False
-            if isinstance(factors[0], Const) and factors[0].value < 0:
-                neg = True
-                c = -rat(factors[0].value)
-                factors = factors[1:] if c == 1 else (const(c),) + factors[1:]
-            sep = " " if latex else "*"
-            s = sep.join(render(f, 1) for f in factors)
-            if neg:
-                s = "-" + s
-            return _paren(s, context == 2 or (neg and context == 1), latex)
-        if isinstance(node, Sum):
-            parts = []
-            for term in node.terms:
-                body = render(term, 0)
-                if not parts:
-                    parts.append(body)
-                elif body.startswith("-"):
-                    parts.append(f" - {body[1:]}")
-                else:
-                    parts.append(f" + {body}")
-            return _paren("".join(parts), context >= 1, latex)
-        raise TypeError(f"not an expression: {node!r}")  # pragma: no cover
+                uses[child] = 1
+                stack.append(child)
 
-    return render(expr, 0)
+    shared: dict[Expression, str] = {}  # cores of nodes with uses still due
+    cores: list[str] = []  # operand cores awaiting their parent
+    work: list = [(expr, False)]
+    while work:
+        node, expanded = work.pop()
+        if not expanded:
+            core = shared.get(node)
+            if core is None:
+                work.append((node, True))
+                work.extend((child, False) for child in reversed(_operands(node)))
+                continue
+            if uses[node] == 1:
+                del shared[node]
+            else:
+                uses[node] -= 1
+            cores.append(core)
+            continue
+        operands = _operands(node)
+        count = len(operands)
+        parts = cores[len(cores) - count:]
+        del cores[len(cores) - count:]
+        if isinstance(node, Const):
+            core = number(node.value)
+        elif isinstance(node, Var):
+            index = node.index
+            if index >= len(names):
+                core = f"y{index}"
+            else:
+                core = _name_latex(names[index]) if latex else names[index]
+        elif isinstance(node, Power):
+            base = _paren(parts[0], _needs_paren(operands[0], 2), latex)
+            core = f"{base}^{{{node.exponent}}}" if latex else f"{base}^{node.exponent}"
+        elif isinstance(node, Prod):
+            factors = [
+                _paren(part, _needs_paren(f, 1), latex)
+                for part, f in zip(parts, operands)
+            ]
+            if _signed(node):
+                magnitude = -node.factors[0].value
+                if magnitude != 1:
+                    factors.insert(0, number(magnitude))
+                core = "-" + sep.join(factors)
+            else:
+                core = sep.join(factors)
+        elif isinstance(node, Sum):
+            terms = [parts[0]]
+            for body in parts[1:]:
+                if body.startswith("-"):
+                    terms.append(f" - {body[1:]}")
+                else:
+                    terms.append(f" + {body}")
+            core = "".join(terms)
+        else:  # pragma: no cover
+            raise TypeError(f"not an expression: {node!r}")
+        if uses[node] > 1:
+            uses[node] -= 1
+            shared[node] = core
+        cores.append(core)
+    return cores[0]  # the root stands in a sum context: never parenthesized
+
+
+def _signed(node: Prod) -> bool:
+    """Whether a product leads with a negative constant.  It prints its
+    sign in front and the constant's magnitude (unless 1) in place."""
+    first = node.factors[0]
+    return isinstance(first, Const) and first.value < 0
+
+
+def _operands(node: Expression) -> tuple:
+    """The children whose texts a node's core text joins (a signed
+    product's constant is printed by the product itself)."""
+    if isinstance(node, Sum):
+        return node.terms
+    if isinstance(node, Prod):
+        return node.factors[1:] if _signed(node) else node.factors
+    if isinstance(node, Power):
+        return (node.base,)
+    return ()
+
+
+def _needs_paren(node: Expression, context: int) -> bool:
+    """Whether a node's core text needs parentheses in a context: 0 a sum
+    term, 1 a product factor, 2 a power base."""
+    if isinstance(node, Const):
+        value = node.value
+        return (value < 0 and context >= 1) or (context == 2 and value.denominator != 1)
+    if isinstance(node, Prod):
+        return context == 2 or (context == 1 and _signed(node))
+    if isinstance(node, Sum):
+        return context >= 1
+    return False
 
 
 def _paren(s: str, needed: bool, latex: bool) -> str:

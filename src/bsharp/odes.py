@@ -21,13 +21,12 @@ derivatives and subtree results across calls.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 from .coefficients import parse_arithmetic
 from .errors import CoefficientError, ParseError
 from .expressions import (
+    _ZERO,
     Expression,
     add_all,
     const,
@@ -44,13 +43,28 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _RESERVED = {"vars", "param"}
 
 
-@dataclass(frozen=True)
 class ODESystem:
-    """An autonomous system y' = f(y) with exact rational parameters."""
+    """An autonomous system y' = f(y) with exact rational parameters.
 
-    variables: tuple[str, ...]
-    rhs: tuple[Expression, ...]
-    parameters: dict[str, Rat] = field(default_factory=dict)
+    Attributes are read-only: ``variables`` (names, in component order),
+    ``rhs`` (one expression per component) and ``parameters`` (name to
+    value, empty by default).
+    """
+
+    __slots__ = ("variables", "rhs", "parameters")
+
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        rhs: tuple[Expression, ...],
+        parameters: Optional[dict[str, Rat]] = None,
+    ):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "parameters", {} if parameters is None else parameters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: ODESystem is read-only")
 
     @property
     def dimension(self) -> int:
@@ -249,8 +263,16 @@ class DiffCache:
 
     Mixed partials commute for the expression class at hand, so tensors are
     keyed by *sorted* index tuples; asking for ``(2, 0, 1)`` and ``(0, 1, 2)``
-    builds one entry.  ``tensor_builds`` and ``tree_builds`` count actual
-    constructions, not lookups — tests use them to pin the sharing.
+    builds one entry.  A node with m children sums, over index assignments
+    (k_1, ..., k_m), the partial by y_{k_1} ... y_{k_m} times the children's
+    k_i-th components.  The assignments grow one child at a time, and a
+    prefix is dropped as soon as the child's component or the partial for
+    the indices so far is zero, since every derivative of zero is zero.  So
+    of the n^m assignments only those with nonzero terms are reached, which
+    for low-degree polynomial systems is a small share.
+    ``tensor_builds`` and ``tree_builds`` count actual constructions, not
+    lookups (``tensor_builds`` thus counts only the tensors reached) — tests
+    use them to pin the sharing.
     """
 
     def __init__(self, system: ODESystem):
@@ -287,16 +309,27 @@ class DiffCache:
             out = self.system.rhs
         else:
             child_vals = [self.elementary(child) for child in children]
-            m = len(children)
             components = []
             for j in range(n):
-                terms = []
-                for assignment in product(range(n), repeat=m):
-                    factors = [self.partial(j, tuple(sorted(assignment)))]
-                    for i, k in enumerate(assignment):
-                        factors.append(child_vals[i][k])
-                    terms.append(mul_all(factors))
-                components.append(add_all(terms))
+                # index assignments grown one child at a time, in
+                # lexicographic order: (sorted indices, child factors)
+                branches: list[tuple[tuple[int, ...], list[Expression]]] = [((), [])]
+                for vals in child_vals:
+                    grown = []
+                    for indices, factors in branches:
+                        for k in range(n):
+                            value = vals[k]
+                            if value is _ZERO:
+                                continue
+                            extended = tuple(sorted(indices + (k,)))
+                            if self.partial(j, extended) is _ZERO:
+                                continue
+                            grown.append((extended, factors + [value]))
+                    branches = grown
+                components.append(add_all([
+                    mul_all([self.partial(j, indices)] + factors)
+                    for indices, factors in branches
+                ]))
             out = tuple(components)
         self.tree_builds += 1
         self._trees[key] = out

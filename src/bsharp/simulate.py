@@ -24,7 +24,6 @@ A step that produces a non-finite value aborts the run via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .coefficients import coeff_eval
@@ -50,32 +49,43 @@ _RK4_B = (1 / 6, 1 / 3, 1 / 3, 1 / 6)
 Field = Callable[[Sequence[float]], list[float]]
 
 
-@dataclass(frozen=True)
 class SimulationPlan:
-    """Everything needed to produce one trajectory."""
+    """Everything needed to produce one trajectory; validated on
+    construction, read-only afterwards."""
 
-    tableau: ButcherTableau
-    system: ODESystem
-    step: float
-    t_max: float
-    initial: tuple[float, ...]
-    mode: str = "direct"
-    series_order: int = 2
+    __slots__ = ("tableau", "system", "step", "t_max", "initial", "mode", "series_order")
 
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown simulation mode {self.mode!r}")
-        if not (self.step > 0):
+    def __init__(
+        self,
+        tableau: ButcherTableau,
+        system: ODESystem,
+        step: float,
+        t_max: float,
+        initial: tuple[float, ...],
+        mode: str = "direct",
+        series_order: int = 2,
+    ):
+        if mode not in _MODES:
+            raise ValueError(f"unknown simulation mode {mode!r}")
+        if not (step > 0):
             raise TableauError("step size must be positive")
-        if not (self.t_max > 0):
+        if not (t_max > 0):
             raise TableauError("t_max must be positive")
-        if len(self.initial) != self.system.dimension:
+        if len(initial) != system.dimension:
             raise TableauError(
-                f"initial point has {len(self.initial)} components, "
-                f"system has {self.system.dimension}"
+                f"initial point has {len(initial)} components, "
+                f"system has {system.dimension}"
             )
-        if self.mode in ("modified", "modifying") and self.series_order < 1:
+        if mode in ("modified", "modifying") and series_order < 1:
             raise TableauError("series order must be at least 1")
+        for name, value in (
+            ("tableau", tableau), ("system", system), ("step", step), ("t_max", t_max),
+            ("initial", initial), ("mode", mode), ("series_order", series_order),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: SimulationPlan is read-only")
 
     @property
     def rows(self) -> int:

@@ -353,3 +353,117 @@ def graded_field_interpreted(terms, step):
         return out
 
     return f
+
+
+# ---------------------------------------------------------------------------
+# elementary differentials, every index assignment expanded
+# ---------------------------------------------------------------------------
+
+class DiffCacheProductExpansion:
+    """``DiffCache.elementary`` as it was before zero-prefix pruning: one
+    ``mul_all`` product for each of the n^m index assignments of a node
+    with m children, zero or not.  Partials come from a ``DiffCache``."""
+
+    def __init__(self, system):
+        from bsharp.odes import DiffCache
+
+        self.system = system
+        self._cache = DiffCache(system)
+        self.partial = self._cache.partial
+        self._trees = {}
+
+    def elementary(self, tree):
+        """The tree's elementary differential, one expression per component."""
+        from bsharp.expressions import add_all, mul_all
+
+        key = tree._levels
+        out = self._trees.get(key)
+        if out is not None:
+            return out
+        n = self.system.dimension
+        children = tree.children()
+        if not children:
+            out = self.system.rhs
+        else:
+            child_vals = [self.elementary(child) for child in children]
+            m = len(children)
+            components = []
+            for j in range(n):
+                terms = []
+                for assignment in product(range(n), repeat=m):
+                    factors = [self.partial(j, tuple(sorted(assignment)))]
+                    for i, k in enumerate(assignment):
+                        factors.append(child_vals[i][k])
+                    terms.append(mul_all(factors))
+                components.append(add_all(terms))
+            out = tuple(components)
+        self._trees[key] = out
+        return out
+
+
+# ---------------------------------------------------------------------------
+# expression printing, as a tree walk
+# ---------------------------------------------------------------------------
+
+def format_expression_tree_walk(expr, names, fmt="text"):
+    """``format_expression`` as it was before it printed each distinct node
+    once: a recursive walk that renders every occurrence of a shared node
+    again, in its context."""
+    from bsharp.expressions import Const, Power, Prod, Sum, Var, _name_latex, _paren, const
+    from bsharp.rationals import rat, rat_str
+
+    if fmt not in ("text", "latex"):
+        raise ValueError(f"unknown expression format {fmt!r}")
+    latex = fmt == "latex"
+
+    def name_of(index: int) -> str:
+        if index < len(names):
+            return _name_latex(names[index]) if latex else names[index]
+        return f"y{index}"
+
+    def render(node, context: int) -> str:
+        # context: 0 sum, 1 product, 2 power-base
+        if isinstance(node, Const):
+            if latex:
+                from bsharp.coefficients import _rat_latex
+
+                s = _rat_latex(node.value)
+            else:
+                s = rat_str(node.value)
+            needs = node.value < 0 and context >= 1
+            if context == 2 and rat(node.value).denominator != 1:
+                needs = True
+            return _paren(s, needs, latex)
+        if isinstance(node, Var):
+            return name_of(node.index)
+        if isinstance(node, Power):
+            base = render(node.base, 2)
+            if latex:
+                return f"{base}^{{{node.exponent}}}"
+            return f"{base}^{node.exponent}"
+        if isinstance(node, Prod):
+            factors = node.factors
+            neg = False
+            if isinstance(factors[0], Const) and factors[0].value < 0:
+                neg = True
+                c = -rat(factors[0].value)
+                factors = factors[1:] if c == 1 else (const(c),) + factors[1:]
+            sep = " " if latex else "*"
+            s = sep.join(render(f, 1) for f in factors)
+            if neg:
+                s = "-" + s
+            return _paren(s, context == 2 or (neg and context == 1), latex)
+        if isinstance(node, Sum):
+            parts = []
+            for term in node.terms:
+                body = render(term, 0)
+                if not parts:
+                    parts.append(body)
+                elif body.startswith("-"):
+                    parts.append(f" - {body[1:]}")
+                else:
+                    parts.append(f" + {body}")
+            return _paren("".join(parts), context >= 1, latex)
+        raise TypeError(f"not an expression: {node!r}")  # pragma: no cover
+
+    return render(expr, 0)

@@ -204,6 +204,23 @@ def test_step_symbol_dodges_a_variable_named_h():
     assert data["equations"]["h"] == "h - 1/2*h_step*h"
 
 
+def test_step_symbol_dodges_variables_named_h_and_h_step():
+    base = (
+        "modified-equation", "--tableau", "midpoint", "--order", "3",
+        "--ode-text", "vars h, h_step; h' = h_step; h_step' = -h",
+    )
+    data = json.loads(run_ok(*base, "--format", "json"))
+    assert data["step_symbol"] == "h_step2"
+    assert data["equations"] == {
+        "h": "h_step + 1/6*h_step*h_step2^2",
+        "h_step": "-h - 1/6*h*h_step2^2",
+    }
+    assert run_ok(*base) == (
+        "h' = h_step + 1/6*h_step*h_step2^2\n"
+        "h_step' = -h - 1/6*h*h_step2^2\n"
+    )
+
+
 def test_modified_equation_latex_over_a_system():
     out = run_ok(
         "modified-equation", "--tableau", "euler", "--order", "2",

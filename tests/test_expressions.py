@@ -24,6 +24,8 @@ from bsharp.expressions import (
 )
 from bsharp.rationals import rat
 
+from oracles import format_expression_tree_walk
+
 P, Q = variable(0), variable(1)
 NAMES = ("p", "q")
 
@@ -285,6 +287,41 @@ def test_latex_rendering():
         == r"-2 p \left(q^{2} + p^{2}\right)^{-2}"
     )
     assert format_expression(P, ("alpha",), "latex") == r"\alpha"
+
+
+_SIGNED = [const(-1), const(-2), const(rat(-1, 3)), const(rat(-7, 2))]
+_PRINT_LEAVES = [P, Q, variable(2), const(1), const(2), const(rat(1, 2)), const(rat(7, 5))] + _SIGNED
+
+
+@st.composite
+def shared_dags(draw):
+    """A DAG built from a growing pool, so later nodes reuse earlier ones
+    in sums, products and power bases: signed products, fractional
+    constants, powers of sums and negative exponents."""
+    pool = list(_PRINT_LEAVES)
+    for _ in range(draw(st.integers(1, 14))):
+        picks = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))]
+        kind = draw(st.sampled_from(["add", "mul", "signed", "pow"]))
+        if kind == "add":
+            node = add_all(picks)
+        elif kind == "mul":
+            node = mul_all(picks)
+        elif kind == "signed":
+            node = mul_all([draw(st.sampled_from(_SIGNED))] + picks)
+        else:
+            try:
+                node = power(add_all(picks), draw(st.sampled_from([-3, -2, -1, 2, 3])))
+            except CoefficientError:  # a zero base with a negative exponent
+                continue
+        pool.append(node)
+    built = pool[len(_PRINT_LEAVES):] or pool
+    return add_all(built) if draw(st.booleans()) else built[-1]
+
+
+@given(shared_dags(), st.sampled_from(["text", "latex"]))
+def test_rendering_matches_the_tree_walk(expr, form):
+    names = ("alpha", "q")  # variable 2 has no name and prints as y2
+    assert format_expression(expr, names, form) == format_expression_tree_walk(expr, names, form)
 
 
 def test_format_rejects_unknown():

@@ -1,19 +1,42 @@
+import gc
 import random
+import sys
+import tracemalloc
 
 import pytest
 
+from bsharp import expressions
 from bsharp.errors import ParseError, UnboundSymbolError
-from bsharp.expressions import eval_expression
+from bsharp.expressions import (
+    Const,
+    Prod,
+    add_all,
+    eval_expression,
+    format_expression,
+    mul_all,
+    power,
+    variable,
+)
 from bsharp.odes import DiffCache, elementary_differential, parse_ode, series_vector_field
 from bsharp.rationals import rat
 from bsharp.series import modified_equation_series
 from bsharp.tableaux import builtin_tableau, rk_series
 from bsharp.trees import all_trees_up_to, parse_tree
 
-from oracles import elementary_differential_bruteforce
+from oracles import (
+    DiffCacheProductExpansion,
+    elementary_differential_bruteforce,
+    format_expression_tree_walk,
+)
 
 LV = "vars p, q\np' = (2 - q)*p\nq' = (p - 1)*q\n"
 OSC = "vars p, q\np' = -q/(p^2 + q^2)\nq' = p/(p^2 + q^2)\n"
+# the cubic systems of the benchmark's field workload, in dimensions 3 and 4
+CUBIC3 = "vars a, b, c; a' = 1/2*b - 1/3*a*c*b; b' = -1/2*c + 1/3*b*a; c' = 1/2*a - 1/3*c*b"
+CUBIC4 = (
+    "vars a, b, c, d; a' = 1/2*b - 1/3*a*c*b; b' = -1/2*c + 1/3*b*d; "
+    "c' = 1/2*d - 1/3*c*a; d' = -1/2*a + 1/3*d*b"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +154,28 @@ def test_first_derivative_tree_matches_finite_differences(source):
         assert eval_expression(bush[j], y) == pytest.approx(fd2, rel=1e-4, abs=1e-4)
 
 
+@pytest.mark.parametrize("source", [LV, OSC, CUBIC3, CUBIC4])
+def test_elementary_matches_the_product_expansion(source):
+    # zero-prefix pruning leaves out only terms that are zero, so every
+    # differential is the very node the full n^m expansion interns
+    system = parse_ode(source)
+    cache, oracle = DiffCache(system), DiffCacheProductExpansion(system)
+    for tree in all_trees_up_to(6):
+        ours, ref = cache.elementary(tree), oracle.elementary(tree)
+        assert all(a is b for a, b in zip(ours, ref, strict=True))
+
+
+def test_elementary_builds_only_the_tensors_it_reaches():
+    # the order-8 midpoint modified field of the 4-dim cubic system; the
+    # full n^m expansion builds 840 partial-derivative tensors for it
+    system = parse_ode(CUBIC4)
+    cache = DiffCache(system)
+    flow = modified_equation_series(rk_series(builtin_tableau("midpoint"), 8))
+    series_vector_field(flow, system, cache)
+    assert cache.tree_builds == 191
+    assert cache.tensor_builds == 82
+
+
 def test_diff_cache_counters_and_reuse():
     system = parse_ode(LV)
     cache = DiffCache(system)
@@ -195,3 +240,100 @@ def test_series_field_rejects_foreign_cache():
     series = rk_series(builtin_tableau("euler"), 3)
     with pytest.raises(ValueError):
         series_vector_field(series, system, DiffCache(parse_ode(OSC)))
+
+
+# ---------------------------------------------------------------------------
+# printing modified fields
+# ---------------------------------------------------------------------------
+
+def step_fields(source, order):
+    """The midpoint modified field of order ``order``, with the step as one
+    more variable, as ``modified-equation --ode-text`` prints it."""
+    system = parse_ode(source)
+    flow = modified_equation_series(rk_series(builtin_tableau("midpoint"), order))
+    h = variable(system.dimension)
+    fields = [
+        add_all([mul_all((power(h, degree - 1), expr)) for degree, expr in component if degree])
+        for component in series_vector_field(flow, system)
+    ]
+    return system.variables + ("h",), fields
+
+
+@pytest.mark.parametrize("source", [OSC, CUBIC3, CUBIC4])
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_field_printing_matches_the_tree_walk(source, fmt):
+    names, fields = step_fields(source, 6)
+    for field in fields:
+        assert format_expression(field, names, fmt) == format_expression_tree_walk(
+            field, names, fmt
+        )
+
+
+@pytest.mark.parametrize("source", [LV, OSC, CUBIC3, CUBIC4])
+def test_printed_fields_read_back_to_the_same_nodes(source):
+    names, fields = step_fields(source, 6)
+    text = f"vars {', '.join(names)}\n" + "".join(
+        f"{name}' = {format_expression(field, names)}\n" for name, field in zip(names, fields)
+    ) + "h' = 0\n"
+    parsed = parse_ode(text)
+    assert all(a is b for a, b in zip(parsed.rhs, fields))
+
+
+def _reachable(root):
+    seen, stack = {root}, [root]
+    while stack:
+        node = stack.pop()
+        for child in getattr(node, "terms", ()) + getattr(node, "factors", ()) + (
+            (node.base,) if hasattr(node, "base") else ()
+        ):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
+
+
+def test_field_printing_formats_each_constant_once(monkeypatch):
+    names, fields = step_fields(CUBIC4, 6)
+    calls = 0
+    rat_str = expressions.rat_str
+
+    def counted(value):
+        nonlocal calls
+        calls += 1
+        return rat_str(value)
+
+    monkeypatch.setattr(expressions, "rat_str", counted)
+    for field in fields:
+        nodes = _reachable(field)
+        constants = sum(isinstance(node, Const) for node in nodes)
+        signed = sum(
+            isinstance(node, Prod) and isinstance(node.factors[0], Const)
+            and node.factors[0].value < 0
+            for node in nodes
+        )
+        calls = 0
+        format_expression(field, names)
+        assert 0 < calls <= constants + signed
+
+
+def test_field_printing_keeps_nothing_but_its_result():
+    # with the collector off, a reference cycle (closures that call each
+    # other) would keep the call's working dicts alive after it returns
+    names, fields = step_fields(OSC, 5)
+    field = fields[0]
+    format_expression(field, names)  # warm: imports, caches
+    own = [tracemalloc.Filter(True, expressions.__file__)]
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(own)
+        start, _ = tracemalloc.get_traced_memory()
+        text = format_expression(field, names)
+        _, peak = tracemalloc.get_traced_memory()
+        after = tracemalloc.take_snapshot().filter_traces(own)
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak - start > 2 * sys.getsizeof(text)  # the call did hold working memory
+    kept = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert kept == sys.getsizeof(text)

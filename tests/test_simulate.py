@@ -57,6 +57,19 @@ def test_plan_rejects_bad_inputs():
     assert plan(mode="direct", series_order=0).rows == 11
 
 
+def test_plan_defaults_and_read_only_attributes():
+    p = plan()
+    assert (p.mode, p.series_order, p.step, p.initial) == ("direct", 2, 0.1, (1.0,))
+    with pytest.raises(AttributeError):
+        p.step = 0.2
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert p.step == 0.1
+    with pytest.raises(AttributeError):
+        DECAY.rhs = ()
+    assert DECAY.parameters == {}
+
+
 def test_implicit_tableaux_cannot_run():
     implicit = ButcherTableau([[rat(1, 2)]], [rat(1)], [rat(1, 2)])
     with pytest.raises(TableauError, match="not explicit"):
