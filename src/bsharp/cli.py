@@ -19,6 +19,7 @@ import sys
 from itertools import chain, count
 from typing import Optional, Sequence, TextIO
 
+from .coefficients import latex_name
 from .errors import BSharpError, NumericFailureError
 from .expressions import add_all, format_expression, mul_all, power, variable
 from .odes import DiffCache, ODESystem, parse_ode, series_vector_field
@@ -261,7 +262,7 @@ def cmd_perturbed(args) -> int:
     for name, f in zip(system.variables, fields):
         body = format_expression(f, names, fmt)
         if fmt == "latex":
-            lines.append(f"\\dot{{{name}}} = {body}")
+            lines.append(f"\\dot{{{latex_name(name)}}} = {body}")
         else:
             lines.append(f"{name}' = {body}")
     _emit(args, "\n".join(lines))

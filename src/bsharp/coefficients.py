@@ -1,8 +1,9 @@
 """Exact scalar coefficients: rationals and rational functions.
 
-A coefficient is either a rational number (``int`` or the backend rational
-type) or a :class:`RationalFunction` — a quotient of multivariate
-polynomials over the rationals in named parameters such as ``alpha``.
+A coefficient is either a rational number (``int`` or
+:class:`fractions.Fraction`) or a :class:`RationalFunction` — a quotient of
+multivariate polynomials over the rationals in named parameters such as
+``alpha``.
 
 Rational functions are deliberately *not* reduced: computing multivariate
 GCDs costs more than it saves at the sizes that occur here, so ``num/den``
@@ -407,14 +408,23 @@ _GREEK = {
     "tau", "upsilon", "phi", "chi", "psi", "omega",
 }
 
+# a base that starts with a letter, then ``_rest`` or trailing digits
+_LATEX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*?)(?:_(\w+)|(\d+))?\Z")
 
-def _sym_latex(name: str) -> str:
-    m = re.match(r"([A-Za-z_]+?)(\d*)\Z", name)
-    stem, digits = (m.group(1), m.group(2)) if m else (name, "")
-    out = f"\\{stem}" if stem in _GREEK else stem
-    if digits:
-        out += f"_{{{digits}}}"
-    return out
+
+def latex_name(name: str) -> str:
+    """LaTeX form of a symbol or variable name.
+
+    A Greek base becomes a command (``theta`` -> ``\\theta``), ``a_rest``
+    becomes ``a_{rest}`` and trailing digits a subscript (``x12`` ->
+    ``x_{12}``).  Names that do not start with a letter print as they are.
+    """
+    m = _LATEX_NAME_RE.match(name)
+    if m is None:
+        return name
+    base, sub = m.group(1), m.group(2) or m.group(3)
+    out = f"\\{base}" if base in _GREEK else base
+    return f"{out}_{{{sub}}}" if sub else out
 
 
 def _rat_text(value: Rat) -> str:
@@ -432,7 +442,7 @@ def _rat_latex(value: Rat) -> str:
 def _term_body(exps, coeff_abs: Rat, symbols, latex: bool) -> str:
     if latex:
         factors = [
-            _sym_latex(s) + (f"^{{{e}}}" if e > 1 else "")
+            latex_name(s) + (f"^{{{e}}}" if e > 1 else "")
             for s, e in zip(symbols, exps) if e
         ]
         if not factors:

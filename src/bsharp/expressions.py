@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Mapping, Sequence
 
+from .coefficients import _rat_latex, latex_name
 from .errors import CoefficientError
 from .rationals import Rat, is_rational, rat, rat_str
 
@@ -369,7 +370,7 @@ _ZERO_BASE = "zero base with negative exponent"
 
 def eval_expression(expr: Expression, values: Sequence) -> object:
     """Evaluate at a point.  Exact when every value is rational (ints and
-    backend rationals); floating otherwise.  Division by zero raises
+    ``Fraction``); floating otherwise.  Division by zero raises
     ``ZeroDivisionError`` either way."""
     exact = all(not isinstance(v, float) for v in values)
     memo: dict[Expression, object] = {}
@@ -496,16 +497,6 @@ def compile_float(
 # printing
 # ---------------------------------------------------------------------------
 
-_GREEK_VARS = {
-    "alpha", "beta", "gamma", "delta", "epsilon", "theta", "lambda", "mu",
-    "sigma", "tau", "phi", "psi", "omega",
-}
-
-
-def _name_latex(name: str) -> str:
-    return f"\\{name}" if name in _GREEK_VARS else name
-
-
 def format_expression(
     expr: Expression, names: Sequence[str], fmt: str = "text"
 ) -> str:
@@ -526,10 +517,7 @@ def format_expression(
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown expression format {fmt!r}")
     latex = fmt == "latex"
-    if latex:
-        from .coefficients import _rat_latex as number
-    else:
-        number = rat_str
+    number = _rat_latex if latex else rat_str
     sep = " " if latex else "*"
 
     # uses of each distinct node: one per occurrence among the operands of a
@@ -572,7 +560,7 @@ def format_expression(
             if index >= len(names):
                 core = f"y{index}"
             else:
-                core = _name_latex(names[index]) if latex else names[index]
+                core = latex_name(names[index]) if latex else names[index]
         elif isinstance(node, Power):
             base = _paren(parts[0], _needs_paren(operands[0], 2), latex)
             core = f"{base}^{{{node.exponent}}}" if latex else f"{base}^{node.exponent}"

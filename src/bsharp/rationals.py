@@ -1,48 +1,40 @@
 """Arbitrary-precision rational numbers.
 
-Uses ``gmpy2.mpq`` when available (install extra ``bsharp[fast]``) and falls
-back to :class:`fractions.Fraction`.  Both expose ``.numerator`` and
-``.denominator`` and print as ``p/q`` (or ``p`` for integers), so everything
-downstream is backend-agnostic.  Exactness is never traded away: the only
-float conversions in the package happen at the numeric-integration boundary.
+Every rational is a :class:`fractions.Fraction`; it exposes ``.numerator``
+and ``.denominator`` and prints as ``p/q`` (or ``p`` for integers).
+Exactness is never traded away: the only float conversions in the package
+happen at the numeric-integration boundary.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Rat
 from typing import Union
 
-try:
-    from gmpy2 import mpq as _mpq
+# read by perfbench/run.py, which records it as "rationals"
+BACKEND = "fractions"
 
-    Rat = _mpq
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _mpq
-
-    Rat = _mpq
-    BACKEND = "fractions"
-
-RatLike = Union[int, "Rat"]
+RatLike = Union[int, Rat]
 
 
 def rat(numerator: RatLike = 0, denominator: RatLike = 1) -> Rat:
     """Build a rational.  ``rat(2, 6)`` == 1/3; ``rat(5)`` == 5."""
-    return _mpq(numerator, denominator) if denominator != 1 else _mpq(numerator)
+    return Rat(numerator, denominator) if denominator != 1 else Rat(numerator)
 
 ZERO = rat(0)
 ONE = rat(1)
 
 
 def is_rational(value: object) -> bool:
-    """True for ints and backend rationals (the scalar coefficient types)."""
-    return isinstance(value, (int, _mpq)) and not isinstance(value, bool)
+    """True for ints and rationals (the scalar coefficient types)."""
+    return isinstance(value, (int, Rat)) and not isinstance(value, bool)
 
 
 def rat_from_str(text: str) -> Rat:
     """Parse ``"p"`` or ``"p/q"`` with optional sign and whitespace."""
-    return _mpq(text.strip())
+    return Rat(text.strip())
 
 
 def rat_str(value: Rat) -> str:
     """Canonical text form: ``"p/q"`` in lowest terms, ``"p"`` for integers."""
-    return str(_mpq(value))
+    return str(Rat(value))

@@ -20,7 +20,8 @@ The ``*_table`` functions materialize and cache whole tables keyed by tree;
 series operations use those, so the cost is paid once per tree shape and
 only for the small orders a truncated series actually contains.  The
 partition and edge-cut tables merge equal splits into one row that carries
-its integer multiplicity; the subtree table still lists one row per subset.
+its integer multiplicity; the subtree table holds the rows of
+:func:`ordered_subtrees`, one per subset, from the same row generator.
 
 Partition tables never walk the 2**(order-1) edge subsets.  They are built
 from the children's tables (the coproduct recursion of Calaque,
@@ -38,8 +39,14 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
-from . import _kernels
-from .trees import EMPTY_TREE, RootedTree, _child_slices, _EmptyTree
+from .trees import (
+    EMPTY_TREE,
+    RootedTree,
+    _canon,
+    _child_slices,
+    _EmptyTree,
+    _SHALLOWER,
+)
 
 SubtreeOrEmpty = Union[RootedTree, _EmptyTree]
 
@@ -79,7 +86,39 @@ class PartitionSplit(NamedTuple):
     forest: Forest
 
 
-def _iter_closed_masks(parents: bytes) -> Iterator[int]:
+# -- per-subset splits ------------------------------------------------------
+#
+# Subtree masks: bit i set means node i is kept; masks are parent-closed and
+# always contain bit 0 (the root).  Partition masks: bit i - 1 set means the
+# edge from parent(i) to node i is removed.
+
+
+def _parents(levels: bytes) -> bytes:
+    """parent[i] = index of the parent of node i (parent[0] is 0)."""
+    parent = bytearray(len(levels))
+    last_at = bytearray(len(levels))  # last node seen at each level
+    for i in range(1, len(levels)):
+        lvl = levels[i]
+        parent[i] = last_at[lvl - 1]
+        last_at[lvl] = i
+    return bytes(parent)
+
+
+def _subtree_end(levels: bytes, i: int) -> int:
+    """One past the last node of the subtree rooted at node ``i``."""
+    n = len(levels)
+    base = levels[i]
+    j = i + 1
+    while j < n and levels[j] > base:
+        j += 1
+    return j
+
+
+def _forest_key(member: bytes) -> tuple[int, bytes]:
+    return (len(member), member)
+
+
+def _closed_masks(parents: bytes) -> Iterator[int]:
     # depth-first over node indices, exclude branch first; bit 0 always set
     n = len(parents)
 
@@ -94,21 +133,72 @@ def _iter_closed_masks(parents: bytes) -> Iterator[int]:
     return rec(1, 1)
 
 
+def _subtree_rows(levels: bytes) -> Iterator[tuple[bytes, tuple[bytes, ...]]]:
+    """(kept subtree, cut-away forest) for each parent-closed mask, root-only
+    first.
+
+    The kept nodes, in their original order, already form a depth-first
+    traversal of the kept subtree, each at its original level.  Every
+    maximal unkept branch is a contiguous span that falls off intact.
+    """
+    n = len(levels)
+    parents = _parents(levels)
+    for mask in _closed_masks(parents):
+        sub = bytearray()
+        forest: list[bytes] = []
+        i = 0
+        while i < n:
+            if (mask >> i) & 1:
+                sub.append(levels[i])
+                i += 1
+            else:  # first unkept node of a branch: its parent is kept
+                end = _subtree_end(levels, i)
+                base = levels[i]
+                forest.append(_canon(bytes(lvl - base for lvl in levels[i:end])))
+                i = end
+        forest.sort(key=_forest_key)
+        yield _canon(bytes(sub)), tuple(forest)
+
+
+def _partition_split(
+    levels: bytes, parents: bytes, mask: int
+) -> tuple[bytes, tuple[bytes, ...]]:
+    """Remove the masked edges: (contracted skeleton, component forest)."""
+    n = len(levels)
+    comp = bytearray(n)       # comp[i] = index of the root of i's component
+    skel_level = bytearray(n)  # level in the skeleton, indexed by component root
+    skel = bytearray((0,))
+    roots = [0]
+    for i in range(1, n):
+        if (mask >> (i - 1)) & 1:
+            comp[i] = i
+            lvl = skel_level[comp[parents[i]]] + 1
+            skel_level[i] = lvl
+            skel.append(lvl)
+            roots.append(i)
+        else:
+            comp[i] = comp[parents[i]]
+    members: list[bytes] = []
+    for r in roots:
+        base = levels[r]
+        mem = bytearray()
+        for j in range(r, _subtree_end(levels, r)):
+            if comp[j] == r:
+                mem.append(levels[j] - base)
+        members.append(_canon(bytes(mem)))
+    members.sort(key=_forest_key)
+    return _canon(bytes(skel)), tuple(members)
+
+
 def ordered_subtrees(tree: RootedTree) -> Iterator[SubtreeSplit]:
     """Lazily enumerate every ordered-subtree split of ``tree``.
 
     Root-only split first, whole-tree split last but one, then the empty
     split.  The number of splits is (number of parent-closed subsets) + 1.
     """
-    levels = tree._levels
-    parents = _kernels.parents_of(levels)
-    for mask in _iter_closed_masks(parents):
-        sub, forest = _kernels.subtree_split_for_mask(levels, mask)
-        yield SubtreeSplit(
-            RootedTree._wrap(sub),
-            Forest(tuple(RootedTree._wrap(m) for m in forest)),
-        )
-    yield SubtreeSplit(EMPTY_TREE, Forest((RootedTree._wrap(_kernels.canonical_levels(levels)),)))
+    for sub, forest in _subtree_rows(tree._levels):
+        yield SubtreeSplit(RootedTree._wrap(sub), Forest(tuple(map(RootedTree._wrap, forest))))
+    yield SubtreeSplit(EMPTY_TREE, Forest((tree,)))
 
 
 def partitions(tree: RootedTree) -> Iterator[PartitionSplit]:
@@ -119,12 +209,10 @@ def partitions(tree: RootedTree) -> Iterator[PartitionSplit]:
     skeleton shaped like the tree itself) comes last.
     """
     levels = tree._levels
+    parents = _parents(levels)
     for mask in range(1 << (tree.order - 1)):
-        skel, forest = _kernels.partition_split_for_mask(levels, mask)
-        yield PartitionSplit(
-            RootedTree._wrap(skel),
-            Forest(tuple(RootedTree._wrap(m) for m in forest)),
-        )
+        skel, forest = _partition_split(levels, parents, mask)
+        yield PartitionSplit(RootedTree._wrap(skel), Forest(tuple(map(RootedTree._wrap, forest))))
 
 
 @lru_cache(maxsize=None)
@@ -134,11 +222,12 @@ def subtree_split_table(tree: RootedTree) -> tuple[tuple[SubtreeOrEmpty, tuple[R
     Entries are (kept subtree or EMPTY_TREE, forest trees).  Same order as
     :func:`ordered_subtrees`.
     """
-    out = []
-    for sub, forest in _kernels.subtree_splits(tree._levels):
-        kept: SubtreeOrEmpty = EMPTY_TREE if sub is None else RootedTree._wrap(sub)
-        out.append((kept, tuple(RootedTree._wrap(m) for m in forest)))
-    return tuple(out)
+    rows: list[tuple[SubtreeOrEmpty, tuple[RootedTree, ...]]] = [
+        (RootedTree._wrap(sub), tuple(map(RootedTree._wrap, forest)))
+        for sub, forest in _subtree_rows(tree._levels)
+    ]
+    rows.append((EMPTY_TREE, (tree,)))
+    return tuple(rows)
 
 
 # -- partition tables by the children recursion ------------------------------
@@ -159,7 +248,6 @@ def subtree_split_table(tree: RootedTree) -> tuple[tuple[SubtreeOrEmpty, tuple[R
 # is the order of first appearance in :func:`partitions`.
 
 _DEEPER = bytes(range(1, 256)) + b"\xff"    # translate table: level + 1
-_SHALLOWER = b"\x00" + bytes(range(255))    # translate table: level - 1
 _ROOT_ONLY = ((), (), ())
 
 # canonical level sequence -> rooted table, only for trees met as a child
@@ -255,17 +343,14 @@ def edge_cut_table(tree: RootedTree) -> tuple[tuple[RootedTree, RootedTree, int]
     to order - 1.  The one-node tree has no cuts.
     """
     levels = tree._levels
-    n = len(levels)
     counts: Counter = Counter()
-    for i in range(1, n):
+    for i in range(1, len(levels)):
         base = levels[i]
-        end = i + 1
-        while end < n and levels[end] > base:
-            end += 1
+        end = _subtree_end(levels, i)
         # removing the contiguous span of node i's subtree leaves a valid
         # depth-first sequence of the trunk
-        trunk = _kernels.canonical_levels(levels[:i] + levels[end:])
-        branch = _kernels.canonical_levels(bytes(lvl - base for lvl in levels[i:end]))
+        trunk = _canon(levels[:i] + levels[end:])
+        branch = _canon(bytes(lvl - base for lvl in levels[i:end]))
         counts[trunk, branch] += 1
     return tuple(
         (RootedTree._wrap(trunk), RootedTree._wrap(branch), k)

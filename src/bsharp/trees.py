@@ -8,6 +8,11 @@ plain sequences.  Orders above 62 are rejected, which keeps every sequence
 one cache line wide (stored as ``bytes``) and subset masks inside a machine
 word.
 
+Canonicalization sorts the child subsequences of every node in descending
+order, which makes the concatenation lexicographically greatest; results
+are memoised by input sequence.  Enumeration steps from one canonical
+sequence to the next in constant amortized time, without canonicalizing.
+
 The empty tree ``∅`` that indexes the constant term of a B-series is *not*
 an order-0 :class:`RootedTree`; it is the distinct sentinel
 :data:`EMPTY_TREE`, accepted only where a series coefficient is being looked
@@ -19,13 +24,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 
-from . import _kernels
 from .errors import InvalidTreeError
 
 MAX_ORDER = 62
 
+_canon_cache: dict[bytes, bytes] = {}
 _symmetry_cache: dict[bytes, int] = {}
 _density_cache: dict[bytes, int] = {}
+
+_SHALLOWER = b"\x00" + bytes(range(255))  # translate table: level - 1
 
 
 class RootedTree:
@@ -41,12 +48,12 @@ class RootedTree:
 
     def __init__(self, levels: Iterable[int]):
         seq = _validate(levels)
-        self._levels = _kernels.canonical_levels(seq)
+        self._levels = _canon(seq)
         self._hash = hash(self._levels)
 
     @classmethod
     def _wrap(cls, canonical: bytes) -> "RootedTree":
-        # fast path for sequences produced by the kernels (already canonical)
+        # fast path for level sequences that are already canonical
         self = object.__new__(cls)
         self._levels = canonical
         self._hash = hash(canonical)
@@ -63,12 +70,9 @@ class RootedTree:
 
     def children(self) -> tuple["RootedTree", ...]:
         """Subtrees hanging off the root, largest first."""
-        seq = self._levels
-        n = len(seq)
-        starts = [i for i in range(1, n) if seq[i] == 1] + [n]
         return tuple(
-            RootedTree._wrap(bytes(lvl - 1 for lvl in seq[s:e]))
-            for s, e in zip(starts, starts[1:])
+            RootedTree._wrap(child.translate(_SHALLOWER))
+            for child in _child_slices(self._levels)
         )
 
     def symmetry(self) -> int:
@@ -189,7 +193,7 @@ def trees_of_order(n: int, *, include_empty: bool = False) -> Iterator[RootedTre
     current: bytes | None = bytes(range(n))
     while current is not None:
         yield RootedTree._wrap(current)
-        current = _kernels.successor_levels(current)
+        current = _successor(current)
 
 
 def count_trees(n: int) -> int:
@@ -225,9 +229,50 @@ def format_tree(tree) -> str:
 
 
 def _child_slices(seq: bytes) -> list[bytes]:
+    """The subsequences of the root's children, in order, at their original
+    levels."""
     n = len(seq)
     starts = [i for i in range(1, n) if seq[i] == seq[0] + 1] + [n]
     return [seq[s:e] for s, e in zip(starts, starts[1:])]
+
+
+def _canon(seq: bytes) -> bytes:
+    """Canonical (lexicographically greatest) form of a valid level
+    sequence, keeping its base level."""
+    out = _canon_cache.get(seq)
+    if out is None:
+        if len(seq) <= 2:
+            out = seq  # a single node or a single edge is already canonical
+        else:
+            out = seq[:1] + b"".join(sorted(map(_canon, _child_slices(seq)), reverse=True))
+        _canon_cache[seq] = out
+    return out
+
+
+def _successor(levels: bytes) -> bytes | None:
+    """Next canonical level sequence of the same order, or None after the
+    bush.
+
+    Starting from the chain ``[0, 1, ..., n-1]`` this visits every
+    canonical sequence of order n once, in decreasing lexicographic order
+    (Beyer and Hedetniemi, 1980).  Only the suffix from the last node
+    deeper than level 1 is rewritten: it repeats the span that starts at
+    that node's parent.
+    """
+    n = len(levels)
+    p = n - 1
+    while p >= 0 and levels[p] <= 1:
+        p -= 1
+    if p < 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = bytearray(levels[:p])
+    width = p - q
+    for i in range(p, n):
+        out.append(out[i - width])
+    return bytes(out)
 
 
 def _symmetry(seq: bytes) -> int:
@@ -256,8 +301,8 @@ def _density(seq: bytes) -> int:
 
 
 def clear_tree_caches() -> None:
-    """Drop the symmetry/density memos and the kernel canonicalization
-    cache.  Only useful for cold-start measurements."""
+    """Drop every module-level memo: canonical forms, symmetries and
+    densities.  Trees already built stay valid."""
+    _canon_cache.clear()
     _symmetry_cache.clear()
     _density_cache.clear()
-    _kernels.clear_caches()

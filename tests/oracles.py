@@ -409,7 +409,8 @@ def format_expression_tree_walk(expr, names, fmt="text"):
     """``format_expression`` as it was before it printed each distinct node
     once: a recursive walk that renders every occurrence of a shared node
     again, in its context."""
-    from bsharp.expressions import Const, Power, Prod, Sum, Var, _name_latex, _paren, const
+    from bsharp.coefficients import latex_name
+    from bsharp.expressions import Const, Power, Prod, Sum, Var, _paren, const
     from bsharp.rationals import rat, rat_str
 
     if fmt not in ("text", "latex"):
@@ -418,7 +419,7 @@ def format_expression_tree_walk(expr, names, fmt="text"):
 
     def name_of(index: int) -> str:
         if index < len(names):
-            return _name_latex(names[index]) if latex else names[index]
+            return latex_name(names[index]) if latex else names[index]
         return f"y{index}"
 
     def render(node, context: int) -> str:

@@ -229,6 +229,27 @@ def test_modified_equation_latex_over_a_system():
     assert out == "\\dot{y} = y - \\frac{1}{2} h y\n"
 
 
+@pytest.mark.parametrize(
+    "ode,latex",
+    [
+        ("vars h; h' = h", "\\dot{h} = h - \\frac{1}{2} h_{step} h\n"),
+        ("vars x_old; x_old' = x_old", "\\dot{x_{old}} = x_{old} - \\frac{1}{2} h x_{old}\n"),
+        (
+            "vars theta, x1; theta' = x1; x1' = -theta",
+            "\\dot{\\theta} = x_{1} + \\frac{1}{2} h \\theta\n"
+            "\\dot{x_{1}} = \\frac{1}{2} h x_{1} - \\theta\n",
+        ),
+    ],
+    ids=["h_step", "x_old", "theta"],
+)
+def test_latex_names_brace_subscripts_and_spell_greek(ode, latex):
+    out = run_ok(
+        "modified-equation", "--tableau", "euler", "--order", "2",
+        "--ode-text", ode, "--format", "latex",
+    )
+    assert out == latex
+
+
 def test_modifying_integrator_flips_the_correction_sign():
     base = (
         "--tableau", "euler", "--order", "2", "--ode-text", "vars y\ny' = y\n",

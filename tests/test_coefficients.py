@@ -148,6 +148,9 @@ def test_text_rendering(build, text):
         ("(3/4)/(alpha + 2)", r"\frac{3}{4 \alpha + 8}"),
         ("alpha*beta^2", r"\alpha \beta^{2}"),
         ("x1 + 2", r"x_{1} + 2"),
+        ("alpha_1 + beta_x", r"\alpha_{1} + \beta_{x}"),
+        ("h_step*theta2", r"h_{step} \theta_{2}"),
+        ("x1y2 + chi", r"\chi + x1y_{2}"),
     ],
 )
 def test_latex_rendering(source, latex):

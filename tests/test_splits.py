@@ -15,7 +15,14 @@ from bsharp.splits import (
     partitions,
     subtree_split_table,
 )
-from bsharp.trees import EMPTY_TREE, RootedTree, all_trees_up_to, canonicalize, parse_tree
+from bsharp.trees import (
+    EMPTY_TREE,
+    MAX_ORDER,
+    RootedTree,
+    all_trees_up_to,
+    canonicalize,
+    parse_tree,
+)
 
 from oracles import (
     edge_cuts_bruteforce,
@@ -238,6 +245,13 @@ def test_clear_split_caches_empties_every_cache():
     assert all(size > 0 for size in filled.values()), filled
     splits.clear_split_caches()
     assert all(size == 0 for size in caches().values()), caches()
+
+
+def test_order_cap_matches_mask_width():
+    # masks are built in machine words; the cap keeps 2**(order-1) in range
+    assert MAX_ORDER == 62
+    chain = bytes(range(MAX_ORDER))
+    assert splits._parents(chain)[-1] == MAX_ORDER - 2
 
 
 def test_edge_cut_table_matches_bruteforce():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsharp import trees
 from bsharp.errors import InvalidTreeError
 from bsharp.trees import (
     EMPTY_TREE,
@@ -128,6 +129,54 @@ def test_canonical_form_is_maximal_among_representatives(levels):
     ]
     assert same_shape == [tree]
     assert tree.levels == max(t.levels for t in same_shape)
+
+
+def _reversed_dfs(levels):
+    """The same tree written with every child list visited in reverse."""
+    children: dict[int, list[int]] = {}
+    path: list[int] = []  # path[d] = the last node seen at level d
+    for v, lvl in enumerate(levels):
+        del path[lvl:]
+        if path:
+            children.setdefault(path[-1], []).append(v)
+        path.append(v)
+    out: list[int] = []
+
+    def walk(v, depth):
+        out.append(depth)
+        for child in reversed(children.get(v, [])):
+            walk(child, depth + 1)
+
+    walk(0, 0)
+    return tuple(out)
+
+
+def test_canonicalization_undoes_a_reversed_traversal():
+    for tree in all_trees_up_to(7):
+        variant = _reversed_dfs(tree.levels)
+        assert sorted(variant) == sorted(tree.levels)
+        assert RootedTree(variant).levels == tree.levels
+
+
+def test_clear_tree_caches_empties_every_cache():
+    def caches():
+        # every module-level memo: lru-cached functions and plain dicts
+        return {
+            name: obj.cache_info().currsize if hasattr(obj, "cache_info") else len(obj)
+            for name, obj in vars(trees).items()
+            if not name.startswith("__")
+            and (hasattr(obj, "cache_info") or isinstance(obj, dict))
+        }
+
+    for tree in all_trees_up_to(6):
+        canonicalize(_reversed_dfs(tree.levels))
+        tree.symmetry()
+        tree.density()
+    filled = caches()
+    assert {"_canon_cache", "_symmetry_cache", "_density_cache"} <= filled.keys()
+    assert all(size > 0 for size in filled.values()), filled
+    trees.clear_tree_caches()
+    assert all(size == 0 for size in caches().values()), caches()
 
 
 def test_children_decompose_and_rebuild():
