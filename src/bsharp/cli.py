@@ -270,10 +270,12 @@ def cmd_perturbed(args) -> int:
 
 
 def cmd_order(args) -> int:
+    fmt = args.format or "text"
+    if fmt == "latex":
+        args.subparser.error("order supports text and json output")
     tab = _load_tableau(args.tableau)
     bindings = _parse_bindings(args.bind, args.subparser) if args.bind else None
     p = order_of_accuracy(tab, args.max, bindings)
-    fmt = args.format or "text"
     if fmt == "json":
         _emit(args, json.dumps({"order": p}))
     else:
@@ -350,6 +352,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="output format (default: json for series, text otherwise)",
     )
     p.add_argument("--output", metavar="FILE", help="write output here instead of stdout")
+
+
+def _add_reduce_order(p: argparse.ArgumentParser) -> None:
+    """Only the commands that print a series offer the display shift."""
     p.add_argument(
         "--reduce-order-by",
         type=int,
@@ -396,11 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_splits)
 
     p = new("bseries", "series of a Runge-Kutta method")
+    _add_reduce_order(p)
     p.add_argument("--tableau", required=True, metavar="SPEC", help="built-in name or JSON file")
     p.add_argument("--order", type=int, required=True, help="truncation order")
     p.set_defaults(func=cmd_bseries)
 
     p = new("compose", "compose two series (INNER first, then OUTER)")
+    _add_reduce_order(p)
     p.add_argument("inner", metavar="INNER", help="series JSON file")
     p.add_argument("outer", metavar="OUTER", help="series JSON file")
     p.add_argument(
@@ -411,17 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compose)
 
     p = new("substitute", "substitute a flow series into another series")
+    _add_reduce_order(p)
     p.add_argument("flow", metavar="FLOW", help="flow-kind series JSON file")
     p.add_argument("outer", metavar="OUTER", help="series JSON file")
     p.set_defaults(func=cmd_substitute)
 
     p = new("modified-equation", "flow whose exact solution the method samples")
+    _add_reduce_order(p)
     p.add_argument("--tableau", required=True, metavar="SPEC")
     p.add_argument("--order", type=int, required=True)
     _add_ode_flags(p, required=False)
     p.set_defaults(func=cmd_perturbed, variant="modified")
 
     p = new("modifying-integrator", "flow the method integrates exactly")
+    _add_reduce_order(p)
     p.add_argument("--tableau", required=True, metavar="SPEC")
     p.add_argument("--order", type=int, required=True)
     _add_ode_flags(p, required=False)

@@ -2,17 +2,28 @@
 
 A coefficient is either a rational number (``int`` or
 :class:`fractions.Fraction`) or a :class:`RationalFunction` — a quotient of
-multivariate polynomials over the rationals in named parameters such as
-``alpha``.
+multivariate polynomials in named parameters such as ``alpha``.
 
-Rational functions are deliberately *not* reduced: computing multivariate
-GCDs costs more than it saves at the sizes that occur here, so ``num/den``
-is normalized only up to content — numerator and denominator have integer
-coefficients with no common integer factor, no common monomial factor, and
-the graded-lex leading coefficient of the denominator is positive.
-Equality is decided by cross-multiplication, e.g.
-``(alpha^2 - 1)/(alpha - 1) == alpha + 1`` holds even though the left side
-keeps its unreduced form.
+The numerator and denominator of a rational function hold Python ``int``
+coefficients.  Every arithmetic result passes through one normalizer,
+:func:`_normalize`, which brings it to this normal form:
+
+* numerator and denominator have no common integer factor (one
+  ``math.gcd`` pass, exact ``//`` division) and no common monomial factor;
+* the graded-lex leading coefficient of the denominator is positive;
+* a constant over a constant collapses to a plain rational.
+
+Scalars enter the arithmetic as their numerator and denominator, so no
+polynomial operation ever builds a ``Fraction``.  A public
+:class:`MultiPoly` may still hold rational coefficients; the public
+:class:`RationalFunction` constructor clears them to integers once.
+
+Rational functions are deliberately *not* reduced by a polynomial GCD:
+the common monomial step already cancels monomial denominators, the only
+kind that ``rk22(alpha)`` produces, and a GCD reduction of the other
+denominators would change printed coefficients.
+So ``(alpha^2 - 1)/(alpha - 1)`` keeps its unreduced form.  Equality is
+decided by cross-multiplication, which sees that it equals ``alpha + 1``.
 
 Term order everywhere (printing, leading coefficients) is graded
 lexicographic, highest degree first, with symbols sorted by name.
@@ -20,12 +31,13 @@ lexicographic, highest degree first, with symbols sorted by name.
 
 from __future__ import annotations
 
-import math
 import re
+from math import gcd, lcm
+from operator import add, sub
 from typing import Mapping, Union
 
 from .errors import CoefficientError, ParseError, UnboundSymbolError
-from .rationals import Rat, is_rational, rat, rat_str
+from .rationals import ZERO, Rat, is_rational, rat, rat_str
 
 Coefficient = Union[int, Rat, "RationalFunction"]
 
@@ -36,34 +48,27 @@ class MultiPoly:
     """Multivariate polynomial over the rationals.
 
     ``symbols`` is a sorted tuple of names; ``terms`` maps exponent vectors
-    (one entry per symbol) to nonzero rational coefficients.  Symbols that
-    no term actually uses are pruned, so a constant polynomial always has an
-    empty symbol tuple.
+    (one entry per symbol) to nonzero coefficients, held as ``int`` wherever
+    they are integral.  Symbols that no term actually uses are pruned, so a
+    constant polynomial always has an empty symbol tuple.
     """
 
     __slots__ = ("symbols", "terms")
 
     def __init__(self, symbols: tuple[str, ...], terms: dict[tuple[int, ...], Rat]):
-        terms = {e: c for e, c in terms.items() if c != 0}
-        if symbols and terms:
-            used = [any(e[i] for e in terms) for i in range(len(symbols))]
-            if not all(used):
-                keep = [i for i, u in enumerate(used) if u]
-                symbols = tuple(symbols[i] for i in keep)
-                terms = {tuple(e[i] for i in keep): c for e, c in terms.items()}
-        elif not terms:
-            symbols = ()
-        self.symbols = symbols
-        self.terms = terms
+        terms = {
+            e: c.numerator if c.denominator == 1 else c
+            for e, c in terms.items() if c != 0
+        }
+        self.symbols, self.terms = _prune(symbols, terms)
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
-        value = rat(value)
-        return cls((), {(): value} if value != 0 else {})
+        return cls((), {(): rat(value)})
 
     @classmethod
     def symbol(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): rat(1)})
+        return _poly((name,), {(1,): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -74,18 +79,10 @@ class MultiPoly:
         return not self.symbols
 
     def constant_value(self) -> Rat:
-        return self.terms.get((), rat(0))
-
-    def scaled(self, factor: Rat) -> "MultiPoly":
-        return MultiPoly(self.symbols, {e: c * factor for e, c in self.terms.items()})
+        return rat(self.terms.get((), 0))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-
-    def leading_coefficient(self) -> Rat:
-        if not self.terms:
-            return rat(0)
-        return self.sorted_terms()[0][1]
+        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
 
     def eval(self, bindings: Mapping[str, Rat]) -> Rat:
         for name in self.symbols:
@@ -103,8 +100,8 @@ class MultiPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        _, a, b = _align(self, other)
-        return a == b
+        symbols = _union(self, other)
+        return _terms(self, symbols) == _terms(other, symbols)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -112,14 +109,50 @@ class MultiPoly:
         return f"<MultiPoly {_poly_text(self)}>"
 
 
-def _align(a: MultiPoly, b: MultiPoly):
-    if a.symbols == b.symbols:
-        return a.symbols, a.terms, b.terms
-    symbols = tuple(sorted(set(a.symbols) | set(b.symbols)))
-    return symbols, _embed(a, symbols), _embed(b, symbols)
+def _poly(symbols: tuple[str, ...], terms: dict) -> MultiPoly:
+    """A MultiPoly from pruned symbols and nonzero terms, taken as they are."""
+    p = object.__new__(MultiPoly)
+    p.symbols = symbols
+    p.terms = terms
+    return p
 
 
-def _embed(p: MultiPoly, symbols: tuple[str, ...]) -> dict[tuple[int, ...], Rat]:
+def _const(value: int) -> MultiPoly:
+    return _poly((), {(): value} if value else {})
+
+
+def _grlex(exps: tuple[int, ...]):
+    return sum(exps), exps
+
+
+def _prune(symbols: tuple[str, ...], terms: dict) -> tuple[tuple[str, ...], dict]:
+    """Drop the symbols that no term uses: all of them if there are no terms."""
+    if not terms:
+        return (), terms
+    used = tuple(map(any, zip(*terms)))
+    if all(used):
+        return symbols, terms
+    keep = [i for i, u in enumerate(used) if u]
+    return (
+        tuple(symbols[i] for i in keep),
+        {tuple(e[i] for i in keep): c for e, c in terms.items()},
+    )
+
+
+def _union(*polys: MultiPoly) -> tuple[str, ...]:
+    """The sorted symbols of all ``polys`` together."""
+    symbols: tuple[str, ...] = ()
+    for p in polys:
+        if p.symbols and p.symbols != symbols:
+            if symbols:
+                return tuple(sorted({s for q in polys for s in q.symbols}))
+            symbols = p.symbols
+    return symbols
+
+
+def _terms(p: MultiPoly, symbols: tuple[str, ...]) -> dict:
+    """The terms of ``p`` with exponent vectors over ``symbols``, a superset
+    of its own."""
     if p.symbols == symbols:
         return p.terms
     idx = [symbols.index(s) for s in p.symbols]
@@ -133,49 +166,124 @@ def _embed(p: MultiPoly, symbols: tuple[str, ...]) -> dict[tuple[int, ...], Rat]
     return out
 
 
-def _poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    symbols, ta, tb = _align(a, b)
+# Term-dict arithmetic.  Both sides are over the same symbols; results hold
+# no zero coefficient and are new dicts, never an operand's own.
+
+def _poly_add(ta: dict, tb: dict) -> dict:
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
     out = dict(ta)
     for e, c in tb.items():
-        out[e] = out.get(e, rat(0)) + c
-    return MultiPoly(symbols, out)
+        c += out.get(e, 0)
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
 
 
-def _poly_neg(a: MultiPoly) -> MultiPoly:
-    return MultiPoly(a.symbols, {e: -c for e, c in a.terms.items()})
+def _poly_scale(t: dict, shift: tuple[int, ...], factor: int) -> dict:
+    """``t`` times the monomial ``factor * x^shift``."""
+    if any(shift):
+        return {tuple(map(add, e, shift)): c * factor for e, c in t.items()}
+    return {e: c * factor for e, c in t.items()}
 
 
-def _poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    symbols, ta, tb = _align(a, b)
-    out: dict[tuple[int, ...], Rat] = {}
-    for ea, ca in ta.items():
-        for eb, cb in tb.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, rat(0)) + ca * cb
-    return MultiPoly(symbols, out)
+def _poly_mul(ta: dict, tb: dict) -> dict:
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    if len(tb) == 1:
+        (e, c), = tb.items()
+        return _poly_scale(ta, e, c)
+    out: dict = {}
+    get = out.get
+    for eb, cb in tb.items():
+        for ea, ca in ta.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
-def _poly_pow(a: MultiPoly, k: int) -> MultiPoly:
-    result = MultiPoly.constant(1)
+def _poly_pow(t: dict, k: int, width: int) -> dict:
+    result = {(0,) * width: 1}
     for _ in range(k):
-        result = _poly_mul(result, a)
+        result = _poly_mul(result, t)
     return result
 
 
+def _normalize(symbols: tuple[str, ...], num: dict, den: dict) -> Coefficient:
+    """The normal form of ``num/den``: integer term dicts over ``symbols``
+    with no zero coefficient, ``den`` not empty."""
+    if not num:
+        return ZERO
+    shift = tuple(map(min, map(min, zip(*num)), map(min, zip(*den))))
+    if any(shift):
+        num = {tuple(map(sub, e, shift)): c for e, c in num.items()}
+        den = {tuple(map(sub, e, shift)): c for e, c in den.items()}
+    g = gcd(*num.values(), *den.values())  # skips the rest once it reaches 1
+    lead = den[max(den, key=_grlex)]
+    if lead < 0:
+        g = -g
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den = {e: c // g for e, c in den.items()}
+    num_symbols, num = _prune(symbols, num)
+    den_symbols, den = _prune(symbols, den)
+    if not (num_symbols or den_symbols):
+        return Rat(num[()], den[()])
+    rf = object.__new__(RationalFunction)
+    rf.num = _poly(num_symbols, num)
+    rf.den = _poly(den_symbols, den)
+    return rf
+
+
+def _parts(value) -> tuple[MultiPoly, MultiPoly] | None:
+    """Numerator and denominator of an operand, or None for a non-coefficient."""
+    if isinstance(value, RationalFunction):
+        return value.num, value.den
+    if is_rational(value):
+        return _const(value.numerator), _const(value.denominator)
+    return None
+
+
+def _quotient_sum(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly) -> Coefficient:
+    """``a/b + c/d``."""
+    symbols = _union(a, b, c, d)
+    ta, tb, tc, td = (_terms(p, symbols) for p in (a, b, c, d))
+    num = _poly_add(_poly_mul(ta, td), _poly_mul(tc, tb))
+    return _normalize(symbols, num, _poly_mul(tb, td))
+
+
+def _quotient_product(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly) -> Coefficient:
+    """``(a/b) * (c/d)``."""
+    symbols = _union(a, b, c, d)
+    ta, tb, tc, td = (_terms(p, symbols) for p in (a, b, c, d))
+    return _normalize(symbols, _poly_mul(ta, tc), _poly_mul(tb, td))
+
+
+def _negated(p: MultiPoly) -> MultiPoly:
+    return _poly(p.symbols, {e: -c for e, c in p.terms.items()})
+
+
 class RationalFunction:
-    """Quotient of two polynomials, normalized up to rational content only."""
+    """Quotient of two integer polynomials, normalized up to content and a
+    common monomial only."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero:
             raise CoefficientError("zero denominator in rational function")
-        if num.is_zero:
-            den = MultiPoly.constant(1)
+        symbols = _union(num, den)
+        tn, td = _terms(num, symbols), _terms(den, symbols)
+        scale = lcm(*(c.denominator for t in (tn, td) for c in t.values()))
+        tn = {e: c.numerator * (scale // c.denominator) for e, c in tn.items()}
+        td = {e: c.numerator * (scale // c.denominator) for e, c in td.items()}
+        value = _normalize(symbols, tn, td)
+        if isinstance(value, RationalFunction):
+            self.num, self.den = value.num, value.den
         else:
-            num, den = _clear_content(num, den)
-        self.num = num
-        self.den = den
+            self.num, self.den = _const(value.numerator), _const(value.denominator)
 
     @property
     def symbols(self) -> frozenset[str]:
@@ -194,70 +302,81 @@ class RationalFunction:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = _as_rf(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        num = _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den))
-        return _collapse(RationalFunction(num, _poly_mul(self.den, other.den)))
+        return _quotient_sum(self.num, self.den, *parts)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _collapse(RationalFunction(_poly_neg(self.num), self.den))
+        return self * -1
 
     def __sub__(self, other):
-        other = _as_rf(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return self + (-other)
+        c, d = parts
+        return _quotient_sum(self.num, self.den, _negated(c), d)
 
     def __rsub__(self, other):
-        other = _as_rf(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return other - self
+        c, d = parts
+        return _quotient_sum(c, d, _negated(self.num), self.den)
 
     def __mul__(self, other):
-        other = _as_rf(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return _collapse(
-            RationalFunction(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
-        )
+        return _quotient_product(self.num, self.den, *parts)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_rf(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        if other.num.is_zero:
+        c, d = parts
+        if c.is_zero:
             raise CoefficientError("division by zero coefficient")
-        return _collapse(
-            RationalFunction(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
-        )
+        return _quotient_product(self.num, self.den, d, c)
 
     def __rtruediv__(self, other):
-        other = _as_rf(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return other / self
+        if self.num.is_zero:
+            raise CoefficientError("division by zero coefficient")
+        c, d = parts
+        return _quotient_product(c, d, self.den, self.num)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k >= 0:
-            return _collapse(RationalFunction(_poly_pow(self.num, k), _poly_pow(self.den, k)))
-        if self.num.is_zero:
-            raise CoefficientError("zero coefficient raised to a negative power")
-        return _collapse(RationalFunction(_poly_pow(self.den, -k), _poly_pow(self.num, -k)))
+        num, den = self.num, self.den
+        if k < 0:
+            if num.is_zero:
+                raise CoefficientError("zero coefficient raised to a negative power")
+            num, den, k = den, num, -k
+        symbols = _union(num, den)
+        width = len(symbols)
+        return _normalize(
+            symbols,
+            _poly_pow(_terms(num, symbols), k, width),
+            _poly_pow(_terms(den, symbols), k, width),
+        )
 
     def __eq__(self, other: object) -> bool:
-        rf = _as_rf(other)
-        if rf is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
+        c, d = parts
         # cross-multiplication: no GCDs anywhere
-        return _poly_mul(self.num, rf.den) == _poly_mul(rf.num, self.den)
+        symbols = _union(self.num, self.den, c, d)
+        ta, tb, tc, td = (_terms(p, symbols) for p in (self.num, self.den, c, d))
+        return _poly_mul(ta, td) == _poly_mul(tc, tb)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -268,70 +387,11 @@ class RationalFunction:
         return f"<RationalFunction {_rf_text(self)}>"
 
 
-def _strip_common_monomial(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Divide both sides by their largest common monomial (not a GCD pass:
-    per-symbol minimum exponents only, so e.g. alpha^7/alpha^9 collapses
-    but (alpha^2-1)/(alpha-1) is left alone)."""
-    common = set(num.symbols) & set(den.symbols)
-    if not common:
-        return num, den
-    shift: dict[str, int] = {}
-    for name in common:
-        i = num.symbols.index(name)
-        j = den.symbols.index(name)
-        m = min(min(e[i] for e in num.terms), min(e[j] for e in den.terms))
-        if m > 0:
-            shift[name] = m
-    if not shift:
-        return num, den
-    return _shift_exponents(num, shift), _shift_exponents(den, shift)
-
-
-def _shift_exponents(p: MultiPoly, shift: dict[str, int]) -> MultiPoly:
-    offsets = [shift.get(s, 0) for s in p.symbols]
-    return MultiPoly(
-        p.symbols,
-        {
-            tuple(e - o for e, o in zip(exps, offsets)): c
-            for exps, c in p.terms.items()
-        },
-    )
-
-
-def _clear_content(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    num, den = _strip_common_monomial(num, den)
-    coeffs = list(num.terms.values()) + list(den.terms.values())
-    lcm = 1
-    for c in coeffs:
-        lcm = math.lcm(lcm, int(c.denominator))
-    gcd = 0
-    for c in coeffs:
-        gcd = math.gcd(gcd, abs(int(c.numerator)) * (lcm // int(c.denominator)))
-    scale = rat(lcm, gcd)
-    if den.leading_coefficient() < 0:
-        scale = -scale
-    return num.scaled(scale), den.scaled(scale)
-
-
-def _collapse(rf: RationalFunction) -> Coefficient:
-    if rf.num.is_constant and rf.den.is_constant:
-        return rf.num.constant_value() / rf.den.constant_value()
-    return rf
-
-
-def _as_rf(value) -> RationalFunction | None:
-    if isinstance(value, RationalFunction):
-        return value
-    if is_rational(value):
-        return RationalFunction(MultiPoly.constant(value), MultiPoly.constant(1))
-    return None
-
-
 def symbol(name: str) -> RationalFunction:
     """The coefficient consisting of a bare named parameter."""
     if not _NAME_RE.match(name):
         raise CoefficientError(f"invalid symbol name {name!r}")
-    return RationalFunction(MultiPoly.symbol(name), MultiPoly.constant(1))
+    return _normalize((name,), {(1,): 1}, {(0,): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +477,20 @@ def latex_name(name: str) -> str:
 
     A Greek base becomes a command (``theta`` -> ``\\theta``), ``a_rest``
     becomes ``a_{rest}`` and trailing digits a subscript (``x12`` ->
-    ``x_{12}``).  Names that do not start with a letter print as they are.
+    ``x_{12}``).  Every other underscore is a literal one, ``\\_``
+    (``a_b_c`` -> ``a_{b\\_c}``, ``y_`` -> ``y\\_``); so is each underscore
+    of a name that does not start with a letter (``_x`` -> ``\\_x``).
     """
     m = _LATEX_NAME_RE.match(name)
     if m is None:
-        return name
+        return _literal_underscores(name)
     base, sub = m.group(1), m.group(2) or m.group(3)
-    out = f"\\{base}" if base in _GREEK else base
-    return f"{out}_{{{sub}}}" if sub else out
+    out = f"\\{base}" if base in _GREEK else _literal_underscores(base)
+    return f"{out}_{{{_literal_underscores(sub)}}}" if sub else out
+
+
+def _literal_underscores(text: str) -> str:
+    return text.replace("_", r"\_")
 
 
 def _rat_text(value: Rat) -> str:

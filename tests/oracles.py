@@ -9,9 +9,14 @@ small orders where exhaustive enumeration is feasible.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product
+
+from bsharp.coefficients import latex_name
+from bsharp.errors import CoefficientError, UnboundSymbolError
+from bsharp.rationals import is_rational, rat, rat_str
 
 # A "shape" is the canonical nested-tuple form of a rooted tree: every node
 # is the tuple of its children's shapes, sorted.  The single-node tree is ().
@@ -468,3 +473,401 @@ def format_expression_tree_walk(expr, names, fmt="text"):
         raise TypeError(f"not an expression: {node!r}")  # pragma: no cover
 
     return render(expr, 0)
+
+
+# ---------------------------------------------------------------------------
+# rational functions over Fraction coefficients
+# ---------------------------------------------------------------------------
+#
+# The polynomial and rational-function arithmetic that bsharp used before its
+# polynomials held integer coefficients, copied verbatim: every operation
+# rebuilds Fraction coefficients and renormalizes through
+# ``RationalFunction.__init__`` / ``_clear_content`` / ``_collapse``.  The
+# printers below render these objects exactly as ``coeff_print`` rendered
+# them, so the package's output can be compared with it byte for byte.
+
+class MultiPoly:
+    """Multivariate polynomial over the rationals.
+
+    ``symbols`` is a sorted tuple of names; ``terms`` maps exponent vectors
+    (one entry per symbol) to nonzero rational coefficients.  Symbols that
+    no term actually uses are pruned, so a constant polynomial always has an
+    empty symbol tuple.
+    """
+
+    __slots__ = ("symbols", "terms")
+
+    def __init__(self, symbols: tuple[str, ...], terms: dict[tuple[int, ...], Rat]):
+        terms = {e: c for e, c in terms.items() if c != 0}
+        if symbols and terms:
+            used = [any(e[i] for e in terms) for i in range(len(symbols))]
+            if not all(used):
+                keep = [i for i, u in enumerate(used) if u]
+                symbols = tuple(symbols[i] for i in keep)
+                terms = {tuple(e[i] for i in keep): c for e, c in terms.items()}
+        elif not terms:
+            symbols = ()
+        self.symbols = symbols
+        self.terms = terms
+
+    @classmethod
+    def constant(cls, value) -> "MultiPoly":
+        value = rat(value)
+        return cls((), {(): value} if value != 0 else {})
+
+    @classmethod
+    def symbol(cls, name: str) -> "MultiPoly":
+        return cls((name,), {(1,): rat(1)})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @property
+    def is_constant(self) -> bool:
+        return not self.symbols
+
+    def constant_value(self) -> Rat:
+        return self.terms.get((), rat(0))
+
+    def scaled(self, factor: Rat) -> "MultiPoly":
+        return MultiPoly(self.symbols, {e: c * factor for e, c in self.terms.items()})
+
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+    def leading_coefficient(self) -> Rat:
+        if not self.terms:
+            return rat(0)
+        return self.sorted_terms()[0][1]
+
+    def eval(self, bindings: Mapping[str, Rat]) -> Rat:
+        for name in self.symbols:
+            if name not in bindings:
+                raise UnboundSymbolError(f"no value bound for symbol '{name}'")
+        total = rat(0)
+        for exps, c in self.terms.items():
+            value = rat(c)
+            for name, e in zip(self.symbols, exps):
+                if e:
+                    value *= rat(bindings[name]) ** e
+            total += value
+        return total
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        _, a, b = _align(self, other)
+        return a == b
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<MultiPoly {_poly_text(self)}>"
+
+
+def _align(a: MultiPoly, b: MultiPoly):
+    if a.symbols == b.symbols:
+        return a.symbols, a.terms, b.terms
+    symbols = tuple(sorted(set(a.symbols) | set(b.symbols)))
+    return symbols, _embed(a, symbols), _embed(b, symbols)
+
+
+def _embed(p: MultiPoly, symbols: tuple[str, ...]) -> dict[tuple[int, ...], Rat]:
+    if p.symbols == symbols:
+        return p.terms
+    idx = [symbols.index(s) for s in p.symbols]
+    width = len(symbols)
+    out = {}
+    for exps, c in p.terms.items():
+        vec = [0] * width
+        for k, e in zip(idx, exps):
+            vec[k] = e
+        out[tuple(vec)] = c
+    return out
+
+
+def _poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    symbols, ta, tb = _align(a, b)
+    out = dict(ta)
+    for e, c in tb.items():
+        out[e] = out.get(e, rat(0)) + c
+    return MultiPoly(symbols, out)
+
+
+def _poly_neg(a: MultiPoly) -> MultiPoly:
+    return MultiPoly(a.symbols, {e: -c for e, c in a.terms.items()})
+
+
+def _poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    symbols, ta, tb = _align(a, b)
+    out: dict[tuple[int, ...], Rat] = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, rat(0)) + ca * cb
+    return MultiPoly(symbols, out)
+
+
+def _poly_pow(a: MultiPoly, k: int) -> MultiPoly:
+    result = MultiPoly.constant(1)
+    for _ in range(k):
+        result = _poly_mul(result, a)
+    return result
+
+
+class RationalFunction:
+    """Quotient of two polynomials, normalized up to rational content only."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: MultiPoly, den: MultiPoly):
+        if den.is_zero:
+            raise CoefficientError("zero denominator in rational function")
+        if num.is_zero:
+            den = MultiPoly.constant(1)
+        else:
+            num, den = _clear_content(num, den)
+        self.num = num
+        self.den = den
+
+    @property
+    def symbols(self) -> frozenset[str]:
+        return frozenset(self.num.symbols) | frozenset(self.den.symbols)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    def eval(self, bindings: Mapping[str, Rat]) -> Rat:
+        den = self.den.eval(bindings)
+        if den == 0:
+            raise CoefficientError("denominator vanishes at the evaluation point")
+        return self.num.eval(bindings) / den
+
+    # -- arithmetic ---------------------------------------------------
+
+    def __add__(self, other):
+        other = _as_rf(other)
+        if other is None:
+            return NotImplemented
+        num = _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den))
+        return _collapse(RationalFunction(num, _poly_mul(self.den, other.den)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _collapse(RationalFunction(_poly_neg(self.num), self.den))
+
+    def __sub__(self, other):
+        other = _as_rf(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = _as_rf(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = _as_rf(other)
+        if other is None:
+            return NotImplemented
+        return _collapse(
+            RationalFunction(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _as_rf(other)
+        if other is None:
+            return NotImplemented
+        if other.num.is_zero:
+            raise CoefficientError("division by zero coefficient")
+        return _collapse(
+            RationalFunction(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
+        )
+
+    def __rtruediv__(self, other):
+        other = _as_rf(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k >= 0:
+            return _collapse(RationalFunction(_poly_pow(self.num, k), _poly_pow(self.den, k)))
+        if self.num.is_zero:
+            raise CoefficientError("zero coefficient raised to a negative power")
+        return _collapse(RationalFunction(_poly_pow(self.den, -k), _poly_pow(self.num, -k)))
+
+    def __eq__(self, other: object) -> bool:
+        rf = _as_rf(other)
+        if rf is None:
+            return NotImplemented
+        # cross-multiplication: no GCDs anywhere
+        return _poly_mul(self.num, rf.den) == _poly_mul(rf.num, self.den)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __str__(self) -> str:
+        return _rf_text(self)
+
+    def __repr__(self) -> str:
+        return f"<RationalFunction {_rf_text(self)}>"
+
+
+def _strip_common_monomial(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """Divide both sides by their largest common monomial (not a GCD pass:
+    per-symbol minimum exponents only, so e.g. alpha^7/alpha^9 collapses
+    but (alpha^2-1)/(alpha-1) is left alone)."""
+    common = set(num.symbols) & set(den.symbols)
+    if not common:
+        return num, den
+    shift: dict[str, int] = {}
+    for name in common:
+        i = num.symbols.index(name)
+        j = den.symbols.index(name)
+        m = min(min(e[i] for e in num.terms), min(e[j] for e in den.terms))
+        if m > 0:
+            shift[name] = m
+    if not shift:
+        return num, den
+    return _shift_exponents(num, shift), _shift_exponents(den, shift)
+
+
+def _shift_exponents(p: MultiPoly, shift: dict[str, int]) -> MultiPoly:
+    offsets = [shift.get(s, 0) for s in p.symbols]
+    return MultiPoly(
+        p.symbols,
+        {
+            tuple(e - o for e, o in zip(exps, offsets)): c
+            for exps, c in p.terms.items()
+        },
+    )
+
+
+def _clear_content(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    num, den = _strip_common_monomial(num, den)
+    coeffs = list(num.terms.values()) + list(den.terms.values())
+    lcm = 1
+    for c in coeffs:
+        lcm = math.lcm(lcm, int(c.denominator))
+    gcd = 0
+    for c in coeffs:
+        gcd = math.gcd(gcd, abs(int(c.numerator)) * (lcm // int(c.denominator)))
+    scale = rat(lcm, gcd)
+    if den.leading_coefficient() < 0:
+        scale = -scale
+    return num.scaled(scale), den.scaled(scale)
+
+
+def _collapse(rf: RationalFunction) -> Coefficient:
+    if rf.num.is_constant and rf.den.is_constant:
+        return rf.num.constant_value() / rf.den.constant_value()
+    return rf
+
+
+def _as_rf(value) -> RationalFunction | None:
+    if isinstance(value, RationalFunction):
+        return value
+    if is_rational(value):
+        return RationalFunction(MultiPoly.constant(value), MultiPoly.constant(1))
+    return None
+
+
+def _rat_text(value: Rat) -> str:
+    return rat_str(rat(value))
+
+
+def _rat_latex(value: Rat) -> str:
+    value = rat(value)
+    if value.denominator == 1:
+        return str(value)
+    sign = "-" if value < 0 else ""
+    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+
+
+def _term_body(exps, coeff_abs: Rat, symbols, latex: bool) -> str:
+    if latex:
+        factors = [
+            latex_name(s) + (f"^{{{e}}}" if e > 1 else "")
+            for s, e in zip(symbols, exps) if e
+        ]
+        if not factors:
+            return _rat_latex(coeff_abs)
+        body = " ".join(factors)
+        if coeff_abs != 1:
+            body = f"{_rat_latex(coeff_abs)} {body}"
+        return body
+    factors = [f"{s}^{e}" if e > 1 else s for s, e in zip(symbols, exps) if e]
+    if not factors:
+        return _rat_text(coeff_abs)
+    body = "*".join(factors)
+    if coeff_abs != 1:
+        body = f"{_rat_text(coeff_abs)}*{body}"
+    return body
+
+
+def _poly_render(p: MultiPoly, latex: bool) -> str:
+    if p.is_zero:
+        return "0"
+    parts = []
+    for exps, c in p.sorted_terms():
+        body = _term_body(exps, abs(c), p.symbols, latex)
+        if not parts:
+            parts.append(f"-{body}" if c < 0 else body)
+        else:
+            parts.append(f" - {body}" if c < 0 else f" + {body}")
+    return "".join(parts)
+
+
+def _poly_text(p: MultiPoly) -> str:
+    return _poly_render(p, latex=False)
+
+
+def _is_atomic_poly(p: MultiPoly) -> bool:
+    # renders without any operator: a bare integer or a bare symbol
+    if len(p.terms) != 1:
+        return False
+    (exps, c), = p.terms.items()
+    if not any(exps):
+        return c >= 0 and rat(c).denominator == 1
+    return c == 1 and sum(exps) == 1
+
+
+def _rf_text(rf: RationalFunction) -> str:
+    num, den = rf.num, rf.den
+    if den.is_constant and den.constant_value() == 1:
+        return _poly_text(num)
+    num_str = _poly_text(num)
+    if len(num.terms) > 1:
+        num_str = f"({num_str})"
+    den_str = _poly_text(den)
+    if not _is_atomic_poly(den):
+        den_str = f"({den_str})"
+    return f"{num_str}/{den_str}"
+
+
+def _rf_latex(rf: RationalFunction) -> str:
+    num, den = rf.num, rf.den
+    if den.is_constant and den.constant_value() == 1:
+        return _poly_render(num, latex=True)
+    return f"\\frac{{{_poly_render(num, latex=True)}}}{{{_poly_render(den, latex=True)}}}"
+
+
+def oracle_symbol(name: str) -> RationalFunction:
+    """The oracle coefficient consisting of a bare named parameter."""
+    return RationalFunction(MultiPoly.symbol(name), MultiPoly.constant(1))
+
+
+def oracle_print(c, fmt: str = "text") -> str:
+    """``coeff_print`` as it was, for oracle rationals and rational functions."""
+    if isinstance(c, RationalFunction):
+        return _rf_text(c) if fmt == "text" else _rf_latex(c)
+    return _rat_text(c) if fmt == "text" else _rat_latex(c)

@@ -250,6 +250,18 @@ def test_latex_names_brace_subscripts_and_spell_greek(ode, latex):
     assert out == latex
 
 
+def test_latex_names_print_stray_underscores_literally():
+    # `_x` and `y_` have no subscript separator: every underscore is `\_`
+    out = run_ok(
+        "modified-equation", "--tableau", "euler", "--order", "2",
+        "--ode-text", "vars _x, y_; _x' = y_; y_' = _x", "--format", "latex",
+    )
+    assert out == (
+        "\\dot{\\_x} = y\\_ - \\frac{1}{2} h \\_x\n"
+        "\\dot{y\\_} = \\_x - \\frac{1}{2} h y\\_\n"
+    )
+
+
 def test_modifying_integrator_flips_the_correction_sign():
     base = (
         "--tableau", "euler", "--order", "2", "--ode-text", "vars y\ny' = y\n",
@@ -294,6 +306,55 @@ def test_order_with_bindings():
     assert out == "2\n"
     proc = run_cli("order", "--tableau", "rk22(alpha)", "--max", "4", "--bind", "alpha=zero")
     assert proc.returncode == 2
+
+
+def test_order_refuses_latex():
+    proc = run_cli("order", "--tableau", "rk4", "--max", "5", "--format", "latex")
+    assert proc.returncode == 2
+    assert "order supports text and json output" in proc.stderr
+    assert proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# --reduce-order-by: offered only where a series is printed
+# ---------------------------------------------------------------------------
+
+SERIES_COMMANDS = ("bseries", "compose", "substitute", "modified-equation", "modifying-integrator")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trees", "3"),
+        ("splits", "[0,1,1]", "--kind", "subtrees"),
+        ("order", "--tableau", "rk4", "--max", "3"),
+        (
+            "simulate", "--tableau", "euler", "--ode-text", "vars y; y' = y",
+            "--step", "0.5", "--t-max", "1", "--initial", "1",
+        ),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_reduce_order_by_is_refused_where_no_series_is_printed(argv):
+    proc = run_cli(*argv, "--reduce-order-by", "1")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --reduce-order-by 1" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", SERIES_COMMANDS)
+def test_reduce_order_by_is_offered_by_every_series_command(command):
+    assert "--reduce-order-by" in run_ok(command, "--help")
+
+
+def test_reduce_order_by_lowers_the_printed_h_powers():
+    base = run_ok("modified-equation", "--tableau", "midpoint", "--order", "3", "--format", "text")
+    reduced = run_ok(
+        "modified-equation", "--tableau", "midpoint", "--order", "3", "--format", "text",
+        "--reduce-order-by", "1",
+    )
+    assert "h^1" in base and "h^0" not in base
+    assert reduced == base.replace("h^1", "h^0").replace("h^3", "h^2")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
+import operator
+from fractions import Fraction
+from math import gcd
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bsharp.coefficients import (
+    MultiPoly,
     RationalFunction,
     coeff_add,
     coeff_div,
@@ -121,6 +127,138 @@ def test_symbols_and_eval():
 
 
 # ---------------------------------------------------------------------------
+# integer arithmetic against the Fraction-coefficient oracle
+# ---------------------------------------------------------------------------
+
+# An operand is a bare symbol, a rational scalar, or a polynomial with more
+# than one term (so that denominators stop being monomials).
+operands = st.one_of(
+    st.tuples(st.just("symbol"), st.sampled_from(["alpha", "beta"])),
+    st.tuples(st.just("scalar"), st.integers(-9, 9), st.integers(1, 6)),
+    st.tuples(
+        st.just("binomial"), st.sampled_from(["alpha", "beta"]),
+        st.integers(1, 2), st.integers(-3, 3).filter(bool),
+    ),
+)
+
+steps = st.one_of(
+    st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), operands, st.booleans()),
+    st.tuples(st.just("pow"), st.integers(-2, 3), st.just(False)),
+)
+
+
+def _operand(spec, sym, scalar):
+    """Build ``spec`` from a symbol constructor and a scalar constructor."""
+    if spec[0] == "symbol":
+        return sym(spec[1])
+    if spec[0] == "scalar":
+        return scalar(spec[1], spec[2])
+    _, name, degree, k = spec
+    return sym(name) ** degree + k
+
+
+_NEW_OPS = {"add": coeff_add, "sub": coeff_sub, "mul": coeff_mul, "div": coeff_div}
+_OLD_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def run_chain(start, chain):
+    """Apply ``chain`` to the package arithmetic and to the oracle side by
+    side; yield both values after every step.  Steps that would divide by
+    zero are skipped on both sides."""
+    new = _operand(start, symbol, rat)
+    old = _operand(start, oracles.oracle_symbol, Fraction)
+    yield new, old
+    for op, arg, swap in chain:
+        if op == "pow":
+            if arg < 0 and coeff_is_zero(new):
+                continue
+            new, old = coeff_pow(new, arg), old ** arg
+        else:
+            b_new = _operand(arg, symbol, rat)
+            b_old = _operand(arg, oracles.oracle_symbol, Fraction)
+            a_new, a_old = new, old
+            if swap:
+                a_new, b_new, a_old, b_old = b_new, a_new, b_old, a_old
+            if op == "div" and coeff_is_zero(b_new):
+                continue
+            new, old = _NEW_OPS[op](a_new, b_new), _OLD_OPS[op](a_old, b_old)
+        yield new, old
+
+
+chains = st.tuples(operands, st.lists(steps, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains)
+def test_arithmetic_matches_the_fraction_oracle(chain):
+    for new, old in run_chain(*chain):
+        assert isinstance(new, RationalFunction) == isinstance(old, oracles.RationalFunction)
+        text = oracles.oracle_print(old)
+        assert coeff_print(new) == text
+        assert coeff_print(new, "latex") == oracles.oracle_print(old, "latex")
+        assert coeff_eq(new, coeff_parse(text))
+
+
+def _leading(terms):
+    return terms[max(terms, key=lambda e: (sum(e), e))]
+
+
+def assert_normal_form(rf):
+    num, den = rf.num, rf.den
+    coeffs = list(num.terms.values()) + list(den.terms.values())
+    assert all(type(c) is int for c in coeffs)
+    assert gcd(*coeffs) == 1
+    assert _leading(den.terms) > 0
+    for name in set(num.symbols) & set(den.symbols):
+        i, j = num.symbols.index(name), den.symbols.index(name)
+        assert min(e[i] for e in num.terms) == 0 or min(e[j] for e in den.terms) == 0
+    for p in (num, den):
+        # symbols are sorted and every one of them is used
+        assert list(p.symbols) == sorted(p.symbols)
+        assert all(any(e[i] for e in p.terms) for i in range(len(p.symbols)))
+    assert num.symbols or den.symbols  # constant over constant collapses
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains)
+def test_every_result_is_in_integer_normal_form(chain):
+    for new, _ in run_chain(*chain):
+        if isinstance(new, RationalFunction):
+            assert_normal_form(new)
+        else:
+            assert type(new) in (int, Fraction)
+
+
+def test_results_share_no_term_dict_with_an_operand():
+    x = coeff_div(coeff_add(ALPHA, BETA), coeff_add(ALPHA, rat(1)))
+    held = [dict(x.num.terms), dict(x.den.terms)]
+    for y in (x * 1, 1 * x, x / 1, x ** 1, x + 0, x - 0, coeff_mul(x, ALPHA / ALPHA)):
+        assert y.num.terms is not x.num.terms and y.den.terms is not x.den.terms
+        y.num.terms.clear()
+        y.den.terms.clear()
+    assert [x.num.terms, x.den.terms] == held
+
+
+def test_public_constructors_accept_rational_coefficients():
+    third = MultiPoly.constant(Fraction(1, 3))
+    assert third.terms == {(): Fraction(1, 3)}
+    num = MultiPoly(("a",), {(1,): Fraction(1, 3)})
+    rf = RationalFunction(num, MultiPoly.constant(Fraction(2, 5)))
+    old = oracles.RationalFunction(
+        oracles.MultiPoly(("a",), {(1,): Fraction(1, 3)}),
+        oracles.MultiPoly.constant(Fraction(2, 5)),
+    )
+    assert coeff_print(rf) == oracles.oracle_print(old) == "5*a/6"
+    assert coeff_print(rf, "latex") == oracles.oracle_print(old, "latex")
+    assert_normal_form(rf)
+    # constant over constant stays a RationalFunction when built directly
+    pair = RationalFunction(third, MultiPoly.constant(Fraction(2, 5)))
+    assert (pair.num.terms, pair.den.terms) == ({(): 5}, {(): 6})
+    assert coeff_eq(pair, rat(5, 6))
+    assert RationalFunction(MultiPoly(("a",), {}), third).is_zero
+
+
+# ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
 
@@ -151,6 +289,8 @@ def test_text_rendering(build, text):
         ("alpha_1 + beta_x", r"\alpha_{1} + \beta_{x}"),
         ("h_step*theta2", r"h_{step} \theta_{2}"),
         ("x1y2 + chi", r"\chi + x1y_{2}"),
+        ("_x*y_ + alpha_", r"\_x y\_ + alpha\_"),
+        ("a_b_c + x__y", r"a_{b\_c} + x_{\_y}"),
     ],
 )
 def test_latex_rendering(source, latex):
