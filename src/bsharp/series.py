@@ -32,7 +32,9 @@ exp of the Lie derivative ∂_v, whose action on a tree sums over its
 substitute(v, method) = exact flow, over the distinct partition splits.
 Both :func:`substitute` and that solve read the cached partition tables of
 :mod:`bsharp.splits`, which are built from each tree's children without
-enumerating edge subsets; their rows are keyed by level sequence.
+enumerating edge subsets.  A series keeps one dict keyed by canonical
+level sequence, the key of every split-table row: ``b""`` (the empty
+coefficient) first, then the trees in ``all_trees_up_to`` order.
 
 Display convention: a coefficient table is presented as
 Σ coeff(τ)/σ(τ) · h^{|τ| − reduce} · F(τ), where σ is the tree symmetry and
@@ -43,6 +45,7 @@ field).  JSON files store raw coefficients, never the σ-divided form.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .coefficients import (
@@ -85,7 +88,7 @@ class TruncatedBSeries:
     (order, level sequence) order.  Instances are immutable.
     """
 
-    __slots__ = ("max_order", "empty", "_coeffs", "_order")
+    __slots__ = ("max_order", "_coeffs")
 
     def __init__(
         self,
@@ -93,7 +96,7 @@ class TruncatedBSeries:
         empty: Coefficient,
         coefficients: Mapping[RootedTree, Coefficient],
     ):
-        if not isinstance(max_order, int) or max_order < 0:
+        if not isinstance(max_order, int) or isinstance(max_order, bool) or max_order < 0:
             raise SeriesError(f"max_order must be a non-negative integer, got {max_order!r}")
         expected = tuple(all_trees_up_to(max_order))
         if len(coefficients) != len(expected) or any(t not in coefficients for t in expected):
@@ -102,15 +105,25 @@ class TruncatedBSeries:
                 f"of order 1..{max_order}"
             )
         self.max_order = max_order
-        self.empty = empty
-        self._order = expected
-        self._coeffs = {t: coefficients[t] for t in expected}
+        self._coeffs = {b"": empty, **{t._levels: coefficients[t] for t in expected}}
+
+    @classmethod
+    def _from_levels(cls, max_order: int, coeffs: dict[bytes, Coefficient]) -> "TruncatedBSeries":
+        """Wrap a dict already in the stored shape, without checking it."""
+        self = object.__new__(cls)
+        self.max_order = max_order
+        self._coeffs = coeffs
+        return self
 
     @classmethod
     def from_function(
         cls, max_order: int, empty: Coefficient, fn: Callable[[RootedTree], Coefficient]
     ) -> "TruncatedBSeries":
         return cls(max_order, empty, {t: fn(t) for t in all_trees_up_to(max_order)})
+
+    @property
+    def empty(self) -> Coefficient:
+        return self._coeffs[b""]
 
     @property
     def kind(self) -> str:
@@ -122,10 +135,8 @@ class TruncatedBSeries:
         return "general"
 
     def __getitem__(self, tree) -> Coefficient:
-        if tree is EMPTY_TREE:
-            return self.empty
         try:
-            return self._coeffs[tree]
+            return self._coeffs[tree._levels]
         except KeyError:
             raise SeriesError(
                 f"tree {tree} of order {tree.order} is outside this series "
@@ -133,11 +144,11 @@ class TruncatedBSeries:
             ) from None
 
     def trees(self) -> Iterator[RootedTree]:
-        return iter(self._order)
+        return map(RootedTree._wrap, islice(self._coeffs, 1, None))
 
     def items(self) -> Iterator[tuple[RootedTree, Coefficient]]:
-        for t in self._order:
-            yield t, self._coeffs[t]
+        for seq, c in islice(self._coeffs.items(), 1, None):
+            yield RootedTree._wrap(seq), c
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedBSeries):
@@ -160,9 +171,7 @@ def _require_same_order(a: TruncatedBSeries, b: TruncatedBSeries, op: str) -> No
 
 def series_eq(a: TruncatedBSeries, b: TruncatedBSeries) -> bool:
     _require_same_order(a, b, "series equality")
-    if not coeff_eq(a.empty, b.empty):
-        return False
-    return all(coeff_eq(ca, cb) for (_, ca), (_, cb) in zip(a.items(), b.items()))
+    return all(coeff_eq(ca, cb) for ca, cb in zip(a._coeffs.values(), b._coeffs.values()))
 
 
 def series_sub(a: TruncatedBSeries, b: TruncatedBSeries) -> TruncatedBSeries:
@@ -205,21 +214,9 @@ def scale_step(series: TruncatedBSeries, mu: Coefficient) -> TruncatedBSeries:
     )
 
 
-# The split-table loops look coefficients up by level sequence: partition
-# rows are level sequences already, the subtree table's trees are other
-# objects than the series' keys, and bytes keys compare without a
-# Python-level RootedTree.__eq__.  Zero coefficients are found once per
-# tree, not once per row.
-
-def _by_levels(series: TruncatedBSeries) -> dict[bytes, Coefficient]:
-    """Coefficients keyed by level sequence, ``empty`` under EMPTY_TREE's."""
-    table = {t._levels: c for t, c in series.items()}
-    table[EMPTY_TREE._levels] = series.empty
-    return table
-
-
-def _zero_levels(table: Mapping[bytes, Coefficient]) -> set[bytes]:
-    return {s for s, c in table.items() if coeff_is_zero(c)}
+def _zero_levels(series: TruncatedBSeries) -> set[bytes]:
+    """Keys of the zero coefficients, found once per tree, not once per row."""
+    return {s for s, c in series._coeffs.items() if coeff_is_zero(c)}
 
 
 def compose(
@@ -244,22 +241,22 @@ def compose(
         inner = scale_step(inner, half)
         outer = scale_step(outer, half)
 
-    inner_by_levels = _by_levels(inner)
-    outer_by_levels = _by_levels(outer)
-    zero_outer = _zero_levels(outer_by_levels) if skip_zero else set()
-    coeffs: dict[RootedTree, Coefficient] = {}
+    inner_coeffs = inner._coeffs
+    outer_coeffs = outer._coeffs
+    zero_outer = _zero_levels(outer) if skip_zero else set()
+    coeffs = {b"": outer.empty}
     for tree in all_trees_up_to(inner.max_order):
         total: Coefficient = rat(0)
         for kept, branches in subtree_split_table(tree):
-            if kept._levels in zero_outer:
+            if kept in zero_outer:
                 _zero_skips += 1
                 continue
-            term = outer_by_levels[kept._levels]
+            term = outer_coeffs[kept]
             for branch in branches:
-                term = coeff_mul(term, inner_by_levels[branch._levels])
+                term = coeff_mul(term, inner_coeffs[branch])
             total = coeff_add(total, term)
-        coeffs[tree] = total
-    return TruncatedBSeries(inner.max_order, outer.empty, coeffs)
+        coeffs[tree._levels] = total
+    return TruncatedBSeries._from_levels(inner.max_order, coeffs)
 
 
 def substitute(
@@ -279,23 +276,23 @@ def substitute(
     if not coeff_is_zero(flow.empty):
         raise SeriesError("substitution needs a flow-kind inner series (empty coefficient 0)")
 
-    flow_by_levels = _by_levels(flow)
-    outer_by_levels = _by_levels(outer)
-    zero_outer = _zero_levels(outer_by_levels) if skip_zero else set()
-    coeffs: dict[RootedTree, Coefficient] = {}
+    flow_coeffs = flow._coeffs
+    outer_coeffs = outer._coeffs
+    zero_outer = _zero_levels(outer) if skip_zero else set()
+    coeffs = {b"": outer.empty}
     for tree in all_trees_up_to(flow.max_order):
         total: Coefficient = rat(0)
         for skeleton, components, k in partition_split_table(tree):
             if skeleton in zero_outer:
                 _zero_skips += 1
                 continue
-            o = outer_by_levels[skeleton]
+            o = outer_coeffs[skeleton]
             term = o if k == 1 else coeff_mul(o, k)
             for component in components:
-                term = coeff_mul(term, flow_by_levels[component])
+                term = coeff_mul(term, flow_coeffs[component])
             total = coeff_add(total, term)
-        coeffs[tree] = total
-    return TruncatedBSeries(flow.max_order, outer.empty, coeffs)
+        coeffs[tree._levels] = total
+    return TruncatedBSeries._from_levels(flow.max_order, coeffs)
 
 
 def modified_equation_series(
@@ -315,12 +312,13 @@ def modified_equation_series(
     global _zero_skips
     if not coeff_eq(method.empty, 1):
         raise SeriesError("modified equation needs a map-kind method series")
-    v: dict[RootedTree, Coefficient] = {}
+    v: dict[bytes, Coefficient] = {b"": rat(0)}
     # lie[τ][j - 1] = c_j(τ) for j = 1..|τ|; c_j(τ) = 0 whenever j > |τ|
-    lie: dict[RootedTree, list[Coefficient]] = {}
+    lie: dict[bytes, list[Coefficient]] = {}
     inverse_factorials = [rat(1, math.factorial(j)) for j in range(2, method.max_order + 1)]
     for tree in all_trees_up_to(method.max_order):
-        higher: list[Coefficient] = [rat(0)] * (tree.order - 1)  # c_2 .. c_|τ|
+        seq = tree._levels
+        higher: list[Coefficient] = [rat(0)] * (len(seq) - 1)  # c_2 .. c_|τ|
         for trunk, branch, k in edge_cut_table(tree):
             w = v[branch]
             if skip_zero and coeff_is_zero(w):
@@ -333,12 +331,12 @@ def modified_equation_series(
                     _zero_skips += 1
                     continue
                 higher[j] = coeff_add(higher[j], coeff_mul(c, w))
-        total: Coefficient = method[tree]
+        total: Coefficient = method._coeffs[seq]
         for c, inverse in zip(higher, inverse_factorials):
             total = coeff_sub(total, coeff_mul(c, inverse))
-        v[tree] = total
-        lie[tree] = [total] + higher
-    return TruncatedBSeries(method.max_order, rat(0), v)
+        v[seq] = total
+        lie[seq] = [total] + higher
+    return TruncatedBSeries._from_levels(method.max_order, v)
 
 
 def modifying_integrator_series(
@@ -357,19 +355,18 @@ def modifying_integrator_series(
     global _zero_skips
     if not coeff_eq(method.empty, 1):
         raise SeriesError("modifying integrator needs a map-kind method series")
+    weights = method._coeffs
     u1: Coefficient = rat(1)
     if method.max_order >= 1:
-        u1 = method[RootedTree([0])]
+        u1 = weights[b"\x00"]
         if coeff_is_zero(u1):
             raise SingularMethodError(
                 "method coefficient of the one-node tree is zero; the triangular "
                 "solve would divide by it"
             )
-    weights = _by_levels(method)
-    zero_weights = _zero_levels(weights) if skip_zero else set()
-    solved: dict[bytes, Coefficient] = {}
+    zero_weights = _zero_levels(method) if skip_zero else set()
     zero_solved: set[bytes] = set()
-    v: dict[RootedTree, Coefficient] = {}
+    v: dict[bytes, Coefficient] = {b"": rat(0)}
     for tree in all_trees_up_to(method.max_order):
         total: Coefficient = rat(1, tree.density())
         for skeleton, components, k in partition_split_table(tree)[1:]:
@@ -383,13 +380,13 @@ def modifying_integrator_series(
                 if component in zero_solved:
                     _zero_skips += 1
                     break
-                term = coeff_mul(term, solved[component])
+                term = coeff_mul(term, v[component])
             else:
                 total = coeff_sub(total, term)
-        c = v[tree] = solved[tree._levels] = coeff_div(total, u1)
+        c = v[tree._levels] = coeff_div(total, u1)
         if skip_zero and coeff_is_zero(c):
             zero_solved.add(tree._levels)
-    return TruncatedBSeries(method.max_order, rat(0), v)
+    return TruncatedBSeries._from_levels(method.max_order, v)
 
 
 def series_order_of_accuracy(series: TruncatedBSeries, max_check: int | None = None) -> int:
@@ -522,7 +519,7 @@ def series_from_json_dict(data: dict) -> TruncatedBSeries:
     if kind not in ("map", "flow"):
         raise SeriesError(f'series kind must be "map" or "flow", got {kind!r}')
     max_order = data["max_order"]
-    if not isinstance(max_order, int):
+    if not isinstance(max_order, int) or isinstance(max_order, bool):
         raise SeriesError("max_order must be an integer")
     empty = coeff_parse(str(data["empty"]))
     if not coeff_eq(empty, 1 if kind == "map" else 0):

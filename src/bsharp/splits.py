@@ -16,21 +16,24 @@ of them; they drive the Lie-derivative recursion of the modified equation.
 The lazy iterators yield one split per subset, so equal-shaped splits
 appear as often as the series laws count them (a tree of order 40 has
 ~2**39 edge subsets; taking the first few must not enumerate them all).
-The ``*_table`` functions materialize and cache whole tables keyed by tree;
-series operations use those, so the cost is paid once per tree shape and
-only for the small orders a truncated series actually contains.  The
-partition and edge-cut tables merge equal splits into one row that carries
-its integer multiplicity; the subtree table holds the rows of
-:func:`ordered_subtrees`, one per subset, from the same row generator.
+They are the only place that wraps splits in :class:`RootedTree` and
+:class:`Forest`.  The ``*_table`` functions materialize and cache whole
+tables keyed by tree; series operations use those, so the cost is paid
+once per tree shape and only for the small orders a truncated series
+actually contains.  Every table row holds canonical level sequences
+(``bytes``), the key a series stores its coefficients under, with ``b""``
+for the empty tree.  The partition and edge-cut tables merge equal splits
+into one row that carries its integer multiplicity; the subtree table
+holds the rows of :func:`ordered_subtrees`, one per subset, from the same
+row generator.
 
 Partition tables never walk the 2**(order-1) edge subsets.  They are built
 from the children's tables (the coproduct recursion of Calaque,
 Ebrahimi-Fard and Manchon, "Two interacting Hopf algebras of trees",
 2011): the edge from the root to each child is either kept or cut, and
 equal partial results are merged as they arise.  The tables of subtrees
-met as a child are memoised by canonical level sequence.  Partition rows
-hold canonical level sequences (``bytes``), not :class:`RootedTree`
-objects; :func:`clear_split_caches` drops every table and memo.
+met as a child are memoised by canonical level sequence;
+:func:`clear_split_caches` drops every table and memo.
 """
 
 from __future__ import annotations
@@ -39,16 +42,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
-from .trees import (
-    EMPTY_TREE,
-    RootedTree,
-    _canon,
-    _child_slices,
-    _EmptyTree,
-    _SHALLOWER,
-)
-
-SubtreeOrEmpty = Union[RootedTree, _EmptyTree]
+from .trees import EMPTY_TREE, RootedTree, _canon, _children, _EmptyTree
 
 
 class Forest(tuple):
@@ -74,7 +68,7 @@ class SubtreeSplit(NamedTuple):
     """One ordered-subtree split: the kept subtree (or ∅) and the forest of
     branches that were cut off."""
 
-    subtree: SubtreeOrEmpty
+    subtree: Union[RootedTree, _EmptyTree]
     forest: Forest
 
 
@@ -216,18 +210,14 @@ def partitions(tree: RootedTree) -> Iterator[PartitionSplit]:
 
 
 @lru_cache(maxsize=None)
-def subtree_split_table(tree: RootedTree) -> tuple[tuple[SubtreeOrEmpty, tuple[RootedTree, ...]], ...]:
+def subtree_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, ...]], ...]:
     """All ordered-subtree splits of ``tree`` as a cached flat table.
 
-    Entries are (kept subtree or EMPTY_TREE, forest trees).  Same order as
+    Entries are (kept subtree, forest) as canonical level sequences, with
+    ``b""`` as the kept part of the empty split.  Same order as
     :func:`ordered_subtrees`.
     """
-    rows: list[tuple[SubtreeOrEmpty, tuple[RootedTree, ...]]] = [
-        (RootedTree._wrap(sub), tuple(map(RootedTree._wrap, forest)))
-        for sub, forest in _subtree_rows(tree._levels)
-    ]
-    rows.append((EMPTY_TREE, (tree,)))
-    return tuple(rows)
+    return (*_subtree_rows(tree._levels), (b"", (tree._levels,)))
 
 
 # -- partition tables by the children recursion ------------------------------
@@ -298,8 +288,8 @@ def _join(partial: dict[tuple, int], child: dict[tuple, int]) -> dict[tuple, int
 
 def _build_rooted(seq: bytes) -> dict[tuple, int]:
     table = {_ROOT_ONLY: 1}
-    for child in _child_slices(seq):
-        table = _join(table, _rooted_table(child.translate(_SHALLOWER)))
+    for child in _children(seq):
+        table = _join(table, _rooted_table(child))
     return table
 
 
@@ -335,10 +325,11 @@ def partition_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, .
 
 
 @lru_cache(maxsize=None)
-def edge_cut_table(tree: RootedTree) -> tuple[tuple[RootedTree, RootedTree, int], ...]:
+def edge_cut_table(tree: RootedTree) -> tuple[tuple[bytes, bytes, int], ...]:
     """Distinct single-edge cuts of ``tree`` as a cached flat table.
 
-    Entries are (trunk, branch, multiplicity), in the order of the cut
+    Entries are (trunk, branch, multiplicity) with canonical level
+    sequences for the trunk and the branch, in the order of the cut
     node's first appearance in the level sequence; the multiplicities sum
     to order - 1.  The one-node tree has no cuts.
     """
@@ -352,10 +343,7 @@ def edge_cut_table(tree: RootedTree) -> tuple[tuple[RootedTree, RootedTree, int]
         trunk = _canon(levels[:i] + levels[end:])
         branch = _canon(bytes(lvl - base for lvl in levels[i:end]))
         counts[trunk, branch] += 1
-    return tuple(
-        (RootedTree._wrap(trunk), RootedTree._wrap(branch), k)
-        for (trunk, branch), k in counts.items()
-    )
+    return tuple((trunk, branch, k) for (trunk, branch), k in counts.items())
 
 
 def clear_split_caches() -> None:

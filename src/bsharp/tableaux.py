@@ -38,7 +38,7 @@ from .coefficients import (
 from .errors import TableauError
 from .rationals import Rat, rat
 from .series import TruncatedBSeries, series_order_of_accuracy
-from .trees import RootedTree, all_trees_up_to
+from .trees import RootedTree, _children, all_trees_up_to
 
 
 class RowSumWarning(UserWarning):
@@ -69,7 +69,7 @@ class ButcherTableau:
         self.A = A
         self.b = b
         self.c = c
-        self._psi_cache: dict[RootedTree, tuple[Coefficient, ...]] = {}
+        self._psi_cache: dict[bytes, tuple[Coefficient, ...]] = {}
         for i, row in enumerate(A):
             row_sum: Coefficient = rat(0)
             for a in row:
@@ -114,13 +114,12 @@ class ButcherTableau:
         return f"<ButcherTableau {self.stages} stages>"
 
 
-def _propagated(tab: ButcherTableau, tree: RootedTree) -> tuple[Coefficient, ...]:
-    """(A·Ψ(tree))_i for each stage i, cached per tableau."""
-    cached = tab._psi_cache.get(tree)
+def _propagated(tab: ButcherTableau, seq: bytes) -> tuple[Coefficient, ...]:
+    """(A·Ψ(τ))_i for each stage i, τ given by its level sequence; cached."""
+    cached = tab._psi_cache.get(seq)
     if cached is not None:
         return cached
-    children = tree.children()
-    child_vectors = [_propagated(tab, child) for child in children]
+    child_vectors = [_propagated(tab, child) for child in _children(seq)]
     psi = []
     for j in range(tab.stages):
         value: Coefficient = rat(1)
@@ -136,13 +135,13 @@ def _propagated(tab: ButcherTableau, tree: RootedTree) -> tuple[Coefficient, ...
             total = coeff_add(total, coeff_mul(a, psi[j]))
         out.append(total)
     result = tuple(out)
-    tab._psi_cache[tree] = result
+    tab._psi_cache[seq] = result
     return result
 
 
 def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
     """Φ(tree): the coefficient of the method's B-series at ``tree``."""
-    child_vectors = [_propagated(tab, child) for child in tree.children()]
+    child_vectors = [_propagated(tab, child) for child in _children(tree._levels)]
     total: Coefficient = rat(0)
     for i, bi in enumerate(tab.b):
         if coeff_is_zero(bi):
@@ -241,14 +240,17 @@ def tableau_from_json_dict(data: dict) -> ButcherTableau:
     missing = {"A", "b", "c"} - data.keys()
     if missing:
         raise TableauError(f"tableau JSON is missing {sorted(missing)}")
-    try:
-        A = [[coeff_parse(str(v)) for v in row] for row in data["A"]]
-        b = [coeff_parse(str(v)) for v in data["b"]]
-        c = [coeff_parse(str(v)) for v in data["c"]]
-    except TypeError as exc:
-        raise TableauError(f"malformed tableau JSON: {exc}") from exc
-    tab = ButcherTableau(A, b, c)
-    declared = data.get("symbols")
+    rows, b, c, declared = data["A"], data["b"], data["c"], data.get("symbols")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise TableauError('tableau JSON "A" must be a matrix: a list of rows, each a list')
+    if not isinstance(b, list) or not isinstance(c, list):
+        raise TableauError('tableau JSON "b" and "c" must be lists')
+    if declared is not None and not (
+        isinstance(declared, list) and all(isinstance(name, str) for name in declared)
+    ):
+        raise TableauError('tableau JSON "symbols" must be a list of names')
+    A = [[coeff_parse(str(v)) for v in row] for row in rows]
+    tab = ButcherTableau(A, [coeff_parse(str(v)) for v in b], [coeff_parse(str(v)) for v in c])
     if declared is not None:
         undeclared = tab.symbols - set(declared)
         if undeclared:

@@ -70,10 +70,7 @@ class RootedTree:
 
     def children(self) -> tuple["RootedTree", ...]:
         """Subtrees hanging off the root, largest first."""
-        return tuple(
-            RootedTree._wrap(child.translate(_SHALLOWER))
-            for child in _child_slices(self._levels)
-        )
+        return tuple(map(RootedTree._wrap, _children(self._levels)))
 
     def symmetry(self) -> int:
         """Order of the automorphism group (sigma)."""
@@ -173,6 +170,15 @@ def canonicalize(levels: Iterable[int]) -> RootedTree:
     return RootedTree(levels)
 
 
+def _check_order(n: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidTreeError(f"order must be an integer, got {n!r}")
+    if n < 0:
+        raise InvalidTreeError(f"order must be non-negative, got {n}")
+    if n > MAX_ORDER:
+        raise InvalidTreeError(f"order {n} exceeds the maximum of {MAX_ORDER}")
+
+
 def trees_of_order(n: int, *, include_empty: bool = False) -> Iterator[RootedTree]:
     """All canonical trees with n nodes, lexicographically decreasing.
 
@@ -180,12 +186,7 @@ def trees_of_order(n: int, *, include_empty: bool = False) -> Iterator[RootedTre
     bush ``[0, 1, 1, ..., 1]``.  ``n == 0`` yields nothing unless
     ``include_empty`` is set, in which case it yields :data:`EMPTY_TREE`.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidTreeError(f"order must be an integer, got {n!r}")
-    if n < 0:
-        raise InvalidTreeError(f"order must be non-negative, got {n}")
-    if n > MAX_ORDER:
-        raise InvalidTreeError(f"order {n} exceeds the maximum of {MAX_ORDER}")
+    _check_order(n)
     if n == 0:
         if include_empty:
             yield EMPTY_TREE  # type: ignore[misc]
@@ -197,8 +198,15 @@ def trees_of_order(n: int, *, include_empty: bool = False) -> Iterator[RootedTre
 
 
 def count_trees(n: int) -> int:
-    """Number of distinct rooted trees with n nodes."""
-    return sum(1 for _ in trees_of_order(n))
+    """Number of distinct rooted trees with n nodes (OEIS A000081), by
+    Otter's recurrence a(m+1) = Σ_{k=1..m} (Σ_{d|k} d·a(d))·a(m-k+1) / m."""
+    _check_order(n)
+    a = [0, 1]  # a[0] = 0: the empty tree is not counted
+    divisor_sums = [0]  # divisor_sums[k] = Σ_{d | k} d·a(d)
+    for m in range(1, n):
+        divisor_sums.append(sum(d * a[d] for d in range(1, m + 1) if m % d == 0))
+        a.append(sum(divisor_sums[k] * a[m - k + 1] for k in range(1, m + 1)) // m)
+    return a[n]
 
 
 def all_trees_up_to(max_order: int) -> Iterator[RootedTree]:
@@ -224,16 +232,18 @@ def parse_tree(text: str):
     return RootedTree(levels)
 
 
-def format_tree(tree) -> str:
-    return str(tree)
-
-
 def _child_slices(seq: bytes) -> list[bytes]:
     """The subsequences of the root's children, in order, at their original
     levels."""
     n = len(seq)
     starts = [i for i in range(1, n) if seq[i] == seq[0] + 1] + [n]
     return [seq[s:e] for s, e in zip(starts, starts[1:])]
+
+
+def _children(seq: bytes) -> list[bytes]:
+    """Level sequences of the root's children, in order, each rebased to
+    level 0 (canonical whenever ``seq`` is)."""
+    return [child.translate(_SHALLOWER) for child in _child_slices(seq)]
 
 
 def _canon(seq: bytes) -> bytes:
@@ -280,7 +290,7 @@ def _symmetry(seq: bytes) -> int:
     if result is not None:
         return result
     counts: dict[bytes, int] = {}
-    for child in _child_slices(seq):
+    for child in _children(seq):
         counts[child] = counts.get(child, 0) + 1
     result = 1
     for child, k in counts.items():
@@ -294,7 +304,7 @@ def _density(seq: bytes) -> int:
     if result is not None:
         return result
     result = len(seq)
-    for child in _child_slices(seq):
+    for child in _children(seq):
         result *= _density(child)
     _density_cache[seq] = result
     return result

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +12,19 @@ from bsharp.tableaux import builtin_tableau, rk_series
 
 LV = "vars p, q\np' = (2 - q)*p\nq' = (p - 1)*q\n"
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def run_cli(*args):
+    """``python -m bsharp`` in a child process that imports this checkout's
+    package, whether or not the parent found it on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
     return subprocess.run(
         [sys.executable, "-m", "bsharp", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 

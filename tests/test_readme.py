@@ -6,11 +6,10 @@ command (``\\`` continuation lines joined) followed by its exact stdout.
 
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from test_cli import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,9 +39,8 @@ def test_readme_has_examples():
 
 @pytest.mark.parametrize("command,expected", EXAMPLES, ids=[c.split()[1] for c, _ in EXAMPLES])
 def test_readme_example_output(command, expected):
-    argv = shlex.split(command)
-    proc = subprocess.run(
-        [sys.executable, "-m", *argv], capture_output=True, text=True
-    )
+    program, *args = shlex.split(command)
+    assert program == "bsharp"
+    proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected

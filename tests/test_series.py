@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -34,6 +35,8 @@ from oracles import (
     levels_to_shape,
     modified_equation_bruteforce,
     modifying_integrator_bruteforce,
+    partition_splits_bruteforce,
+    subtree_splits_bruteforce,
 )
 
 T = parse_tree
@@ -65,6 +68,8 @@ def test_series_must_cover_exactly_the_tree_range():
         TruncatedBSeries(2, rat(1), extra)
     with pytest.raises(SeriesError):
         TruncatedBSeries(-1, rat(1), {})
+    with pytest.raises(SeriesError, match="non-negative integer"):
+        TruncatedBSeries(True, rat(1), {T("[0]"): rat(1)})
 
 
 def test_kind_classification():
@@ -81,6 +86,22 @@ def test_lookup_and_iteration_order():
     assert list(s.trees()) == list(all_trees_up_to(4))
     with pytest.raises(SeriesError, match="outside this series"):
         s[T("[0,1,2,3,4]")]
+
+
+def test_every_series_stores_one_level_sequence_dict():
+    method = rk_series(builtin_tableau("midpoint"), 4)
+    flow = random_flow_series(4, 5)
+    keys = [b""] + [t._levels for t in all_trees_up_to(4)]
+    assert TruncatedBSeries.__slots__ == ("max_order", "_coeffs")
+    for s in (
+        method,
+        compose(method, method),
+        substitute(flow, method),
+        modified_equation_series(method),
+        modifying_integrator_series(method),
+    ):
+        assert list(s._coeffs) == keys
+        assert s._coeffs[b""] is s.empty
 
 
 def test_series_equality_needs_matching_orders():
@@ -146,6 +167,26 @@ def test_composition_identity_laws():
 def test_composition_is_associative():
     a, b, c = (random_map_series(5, seed) for seed in (31, 32, 33))
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+def test_compose_and_substitute_match_split_oracles():
+    # brute force over node and edge subsets, coefficients looked up by shape
+    inner, outer, flow = random_map_series(6, 21), random_map_series(6, 22), random_flow_series(6, 23)
+    a, b, v = _by_shape(inner), _by_shape(outer), _by_shape(flow)
+    b[None] = outer.empty  # the kept part of the empty split
+    composed, substituted = _by_shape(compose(inner, outer)), _by_shape(substitute(flow, outer))
+    for tree in all_trees_up_to(6):
+        shape = levels_to_shape(tree.levels)
+        expected = sum(
+            k * b[kept] * math.prod(a[m] for m in forest)
+            for (kept, forest), k in subtree_splits_bruteforce(tree.levels).items()
+        )
+        assert composed[shape] == expected
+        expected = sum(
+            k * b[skel] * math.prod(v[m] for m in forest)
+            for (skel, forest), k in partition_splits_bruteforce(tree.levels).items()
+        )
+        assert substituted[shape] == expected
 
 
 def test_composition_requires_map_kind_inner():
@@ -234,8 +275,6 @@ def test_euler_perturbations_have_harmonic_tall_tree_weights():
     # two classical scalar expansions: log(1+x) and exp(x)-1
     v = modified_equation_series(rk_series(builtin_tableau("euler"), 6))
     w = modifying_integrator_series(rk_series(builtin_tableau("euler"), 6))
-    import math
-
     for n in range(1, 7):
         chain = T("[" + ",".join(str(i) for i in range(n)) + "]")
         assert v[chain] == rat((-1) ** (n + 1), n)
@@ -457,6 +496,7 @@ def test_json_rejects_general_kind():
         (lambda d: d.pop("kind"), "missing"),
         (lambda d: d.update(kind="exact"), "must be"),
         (lambda d: d.update(max_order="2"), "integer"),
+        (lambda d: d.update(max_order=True), "max_order must be an integer"),
         (lambda d: d.update(empty="1/2"), "contradicts"),
         (lambda d: d.update(coefficients=[]), "object"),
         (lambda d: d["coefficients"].pop("[0,1]"), "cover exactly"),

@@ -199,7 +199,8 @@ def test_tables_agree_with_iterators():
     for tree in trees:
         _assert_table_matches_iterator(tree)
         assert [
-            (sub, tuple(forest)) for sub, forest in ordered_subtrees(tree)
+            (sub._levels, tuple(m._levels for m in forest))
+            for sub, forest in ordered_subtrees(tree)
         ] == list(subtree_split_table(tree))
         # cached: same object on the second call
         assert partition_split_table(tree) is partition_split_table(tree)
@@ -259,12 +260,30 @@ def test_edge_cut_table_matches_bruteforce():
         table = edge_cut_table(tree)
         ours = Counter()
         for trunk, branch, k in table:
-            assert trunk.order + branch.order == tree.order
-            ours[levels_to_shape(trunk.levels), levels_to_shape(branch.levels)] += k
+            assert len(trunk) + len(branch) == tree.order
+            ours[levels_to_shape(trunk), levels_to_shape(branch)] += k
         assert len(ours) == len(table)  # rows are distinct
         assert ours == edge_cuts_bruteforce(tree.levels)
         assert edge_cut_table(tree) is table
     assert edge_cut_table(T("[0]")) == ()
+
+
+def test_every_table_row_holds_level_sequences():
+    def is_levels(x):
+        return type(x) is bytes
+
+    for tree in all_trees_up_to(6):
+        subtree = subtree_split_table(tree)
+        assert all(is_levels(kept) and all(map(is_levels, forest)) for kept, forest in subtree)
+        assert subtree[-1] == (b"", (tree._levels,))
+        assert all(
+            is_levels(skel) and all(map(is_levels, forest)) and type(k) is int
+            for skel, forest, k in partition_split_table(tree)
+        )
+        assert all(
+            is_levels(trunk) and is_levels(branch) and type(k) is int
+            for trunk, branch, k in edge_cut_table(tree)
+        )
 
 
 def test_forest_sorts_and_prints():

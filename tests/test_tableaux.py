@@ -180,6 +180,13 @@ def test_json_requires_declared_symbols():
         ({"A": [["0"]]}, "missing"),
         ({"A": [["0"], ["0"]], "b": ["1"], "c": ["0"]}, "matrix"),
         ({"A": "zero", "b": ["1"], "c": ["0"]}, "malformed|matrix"),
+        # strings are not lists, even though they iterate
+        ({"A": "x", "b": ["1"], "c": ["0"]}, '"A" must be a matrix'),
+        ({"A": ["0"], "b": ["1"], "c": ["0"]}, '"A" must be a matrix'),
+        ({"A": [["0"]], "b": "1", "c": ["0"]}, '"b" and "c" must be lists'),
+        ({"A": [["0"]], "b": ["1"], "c": "0"}, '"b" and "c" must be lists'),
+        ({"A": [["0"]], "b": ["a"], "c": ["0"], "symbols": "ab"}, '"symbols" must be a list'),
+        ({"A": [["0"]], "b": ["a"], "c": ["0"], "symbols": [["a"]]}, '"symbols" must be a list'),
     ],
 )
 def test_json_shape_errors(data, fragment):

@@ -11,7 +11,6 @@ from bsharp.trees import (
     all_trees_up_to,
     canonicalize,
     count_trees,
-    format_tree,
     parse_tree,
     trees_of_order,
 )
@@ -223,7 +222,6 @@ def test_parse_and_format_round_trip():
     for n in range(1, 6):
         for tree in trees_of_order(n):
             assert parse_tree(str(tree)) == tree
-            assert format_tree(tree) == str(tree)
 
 
 def test_parse_empty_tree_spellings():
@@ -250,6 +248,23 @@ def test_ordering_and_hash():
     c, d = parse_tree("[0,1,1]"), parse_tree("[0,1,2]")
     assert c < d  # then lex on levels
     assert len({RootedTree((0, 1)), parse_tree("[0,1]")}) == 1
+
+
+# OEIS A000081: rooted trees with 1..20 nodes
+A000081 = [
+    1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973, 87811,
+    235381, 634847, 1721159, 4688676, 12826228,
+]
+
+
+def test_count_trees_matches_enumeration_and_a000081():
+    for n in range(1, 13):
+        assert count_trees(n) == sum(1 for _ in trees_of_order(n))
+    assert [count_trees(n) for n in range(1, 21)] == A000081
+    assert count_trees(MAX_ORDER) > A000081[-1]
+    for bad in (MAX_ORDER + 1, 3.0, True, "3"):
+        with pytest.raises(InvalidTreeError):
+            count_trees(bad)
 
 
 def test_order_zero_is_the_empty_enumeration():
