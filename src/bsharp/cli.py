@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import chain, count
 from typing import Optional, Sequence, TextIO
 
-from .coefficients import latex_name
-from .errors import BSharpError, NumericFailureError
+from .coefficients import latex_name, parse_rational
+from .errors import BSharpError, NumericFailureError, ParseError
 from .expressions import add_all, format_expression, mul_all, power, variable
 from .odes import DiffCache, ODESystem, parse_ode, series_vector_field
-from .rationals import Rat, rat, rat_from_str, rat_str
+from .rationals import Rat, rat, rat_str
 from .series import (
     TruncatedBSeries,
     compose,
@@ -84,8 +85,8 @@ def _parse_bindings(pairs: Sequence[str], parser) -> dict[str, Rat]:
         if not eq or not name:
             parser.error(f"--bind expects name=value, got {pair!r}")
         try:
-            bindings[name] = rat_from_str(value)
-        except (ValueError, ZeroDivisionError):
+            bindings[name] = parse_rational(value)
+        except ParseError:
             parser.error(f"--bind {name}: {value!r} is not a rational number")
     return bindings
 
@@ -111,8 +112,7 @@ def _emit(args, text: str) -> None:
             out.close()
 
 
-def _emit_series(args, series: TruncatedBSeries) -> int:
-    fmt = args.format or "json"
+def _emit_series(args, series: TruncatedBSeries, fmt: str) -> int:
     if fmt == "json":
         if args.reduce_order_by:
             args.subparser.error("--reduce-order-by applies to text/latex output only")
@@ -129,14 +129,11 @@ def _emit_series(args, series: TruncatedBSeries) -> int:
 def cmd_trees(args) -> int:
     if args.order < 1:
         args.subparser.error("order must be at least 1")
-    fmt = args.format or "text"
-    if fmt == "latex":
-        args.subparser.error("trees supports text and json output")
     rows = []
     for tree in trees_of_order(args.order):
         sigma, gamma = tree.symmetry(), tree.density()
         rows.append((tree, sigma, gamma))
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, json.dumps(
             [
                 {
@@ -166,16 +163,13 @@ def cmd_trees(args) -> int:
 
 def cmd_splits(args) -> int:
     tree = parse_tree(args.tree)
-    fmt = args.format or "text"
-    if fmt == "latex":
-        args.subparser.error("splits supports text and json output")
     if args.kind == "subtrees":
         label = "subtree"
         pairs = [(s.subtree, s.forest) for s in ordered_subtrees(tree)]
     else:
         label = "skeleton"
         pairs = [(s.skeleton, s.forest) for s in partitions(tree)]
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, json.dumps(
             [
                 {label: str(kept), "forest": [str(t) for t in forest]}
@@ -190,20 +184,20 @@ def cmd_splits(args) -> int:
 
 def cmd_bseries(args) -> int:
     tab = _load_tableau(args.tableau)
-    return _emit_series(args, rk_series(tab, args.order))
+    return _emit_series(args, rk_series(tab, args.order), args.format)
 
 
 def cmd_compose(args) -> int:
     inner = _load_series(args.inner)
     outer = _load_series(args.outer)
     result = compose(inner, outer, normalize_stepsize=args.normalize_stepsize)
-    return _emit_series(args, result)
+    return _emit_series(args, result, args.format)
 
 
 def cmd_substitute(args) -> int:
     flow = _load_series(args.flow)
     outer = _load_series(args.outer)
-    return _emit_series(args, substitute(flow, outer))
+    return _emit_series(args, substitute(flow, outer), args.format)
 
 
 def _perturbed_flow(args) -> TruncatedBSeries:
@@ -225,7 +219,7 @@ def cmd_perturbed(args) -> int:
     """Shared handler for modified-equation and modifying-integrator."""
     flow = _perturbed_flow(args)
     if args.ode is None and getattr(args, "ode_text", None) is None:
-        return _emit_series(args, flow)
+        return _emit_series(args, flow, args.format or "json")
 
     if args.reduce_order_by:
         args.subparser.error("--reduce-order-by does not apply to --ode output")
@@ -270,13 +264,10 @@ def cmd_perturbed(args) -> int:
 
 
 def cmd_order(args) -> int:
-    fmt = args.format or "text"
-    if fmt == "latex":
-        args.subparser.error("order supports text and json output")
     tab = _load_tableau(args.tableau)
     bindings = _parse_bindings(args.bind, args.subparser) if args.bind else None
     p = order_of_accuracy(tab, args.max, bindings)
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, json.dumps({"order": p}))
     else:
         _emit(args, str(p))
@@ -284,16 +275,14 @@ def cmd_order(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.format and args.format != "text":
-        args.subparser.error("simulate writes CSV; only --format text is supported")
     if args.modifying_integrator and args.modified_order is None:
         args.subparser.error("--modifying-integrator requires --modified-order")
     if args.reference and args.modified_order is not None:
         args.subparser.error("--reference and --modified-order are mutually exclusive")
-    if args.step <= 0:
-        args.subparser.error("--step must be positive")
-    if args.t_max <= 0:
-        args.subparser.error("--t-max must be positive")
+    if not (math.isfinite(args.step) and args.step > 0):
+        args.subparser.error("--step must be finite and positive")
+    if not (math.isfinite(args.t_max) and args.t_max > 0):
+        args.subparser.error("--t-max must be finite and positive")
     if args.modified_order is not None and args.modified_order < 1:
         args.subparser.error("--modified-order must be at least 1")
 
@@ -344,16 +333,6 @@ def cmd_simulate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        choices=("text", "json", "latex"),
-        default=None,
-        help="output format (default: json for series, text otherwise)",
-    )
-    p.add_argument("--output", metavar="FILE", help="write output here instead of stdout")
-
-
 def _add_reduce_order(p: argparse.ArgumentParser) -> None:
     """Only the commands that print a series offer the display shift."""
     p.add_argument(
@@ -380,11 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def new(name: str, help: str) -> argparse.ArgumentParser:
+    def new(
+        name: str, help: str, formats=("text", "json"), default="text", shown=None
+    ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        _add_common(p)
+        p.add_argument(
+            "--format",
+            choices=formats,
+            default=default,
+            help=f"output format (default: {shown or default})",
+        )
+        p.add_argument("--output", metavar="FILE", help="write output here instead of stdout")
         p.set_defaults(subparser=p)
         return p
+
+    series_formats = ("text", "json", "latex")
+    # a perturbed flow prints as a series (json) or, with --ode, as a field (text)
+    flow_default = (None, "json; text with --ode")
 
     p = new("trees", "list canonical rooted trees of one order")
     p.add_argument("order", type=int, help="tree order (number of nodes)")
@@ -401,13 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_splits)
 
-    p = new("bseries", "series of a Runge-Kutta method")
+    p = new("bseries", "series of a Runge-Kutta method", series_formats, "json")
     _add_reduce_order(p)
     p.add_argument("--tableau", required=True, metavar="SPEC", help="built-in name or JSON file")
     p.add_argument("--order", type=int, required=True, help="truncation order")
     p.set_defaults(func=cmd_bseries)
 
-    p = new("compose", "compose two series (INNER first, then OUTER)")
+    p = new("compose", "compose two series (INNER first, then OUTER)", series_formats, "json")
     _add_reduce_order(p)
     p.add_argument("inner", metavar="INNER", help="series JSON file")
     p.add_argument("outer", metavar="OUTER", help="series JSON file")
@@ -418,20 +409,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_compose)
 
-    p = new("substitute", "substitute a flow series into another series")
+    p = new("substitute", "substitute a flow series into another series", series_formats, "json")
     _add_reduce_order(p)
     p.add_argument("flow", metavar="FLOW", help="flow-kind series JSON file")
     p.add_argument("outer", metavar="OUTER", help="series JSON file")
     p.set_defaults(func=cmd_substitute)
 
-    p = new("modified-equation", "flow whose exact solution the method samples")
+    p = new(
+        "modified-equation", "flow whose exact solution the method samples",
+        series_formats, *flow_default,
+    )
     _add_reduce_order(p)
     p.add_argument("--tableau", required=True, metavar="SPEC")
     p.add_argument("--order", type=int, required=True)
     _add_ode_flags(p, required=False)
     p.set_defaults(func=cmd_perturbed, variant="modified")
 
-    p = new("modifying-integrator", "flow the method integrates exactly")
+    p = new(
+        "modifying-integrator", "flow the method integrates exactly",
+        series_formats, *flow_default,
+    )
     _add_reduce_order(p)
     p.add_argument("--tableau", required=True, metavar="SPEC")
     p.add_argument("--order", type=int, required=True)
@@ -450,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_order)
 
-    p = new("simulate", "fixed-step integration, CSV output")
+    p = new("simulate", "fixed-step integration, CSV output", ("text",))
     p.add_argument("--tableau", required=True, metavar="SPEC")
     _add_ode_flags(p, required=True)
     p.add_argument("--step", type=float, required=True, help="output step size h")
@@ -500,6 +497,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        # an exact number with more digits than Python converts to text;
+        # any other ValueError is a bug
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"error: a number has more than {sys.get_int_max_str_digits()} digits "
+            "(PYTHONINTMAXSTRDIGITS raises the limit)",
+            file=sys.stderr,
+        )
         return 3
 
 

@@ -27,11 +27,21 @@ decided by cross-multiplication, which sees that it equals ``alpha + 1``.
 
 Term order everywhere (printing, leading coefficients) is graded
 lexicographic, highest degree first, with symbols sorted by name.
+
+Every exact value the package reads from text goes through one grammar,
+:func:`parse_arithmetic`: integer literals (as :class:`Rat`), names,
+``+ - * / ^`` with integer-literal exponents, unary minus and parentheses.
+Values combine with Python's own operators, so one parser serves every
+value type; the caller only says what a name means.  :func:`coeff_parse`
+reads names as symbols, :func:`parse_rational` refuses them, and
+:func:`bsharp.odes.parse_ode` reads them as variables and parameters.
+:data:`NAME` is the one spelling of a name.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd, lcm
 from operator import add, sub
 from typing import Mapping, Union
@@ -41,7 +51,9 @@ from .rationals import ZERO, Rat, is_rational, rat, rat_str
 
 Coefficient = Union[int, Rat, "RationalFunction"]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+#: how a name is spelled: a coefficient symbol, an ODE variable or parameter
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(NAME + r"\Z")
 
 
 class MultiPoly:
@@ -586,14 +598,14 @@ def coeff_print(c: Coefficient, fmt: str = "text") -> str:
 
 
 # ---------------------------------------------------------------------------
-# parsing (shared by coefficient strings and ODE right-hand sides)
+# parsing: one grammar for every exact value read from text
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({NAME})|([-+*/^()]))")
 
 
 def tokenize(text: str, *, line: int | None = None, col_offset: int = 0):
-    """Split arithmetic text into (kind, value, column) tokens."""
+    """Split arithmetic text into (kind, text, column) tokens."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -608,7 +620,14 @@ def tokenize(text: str, *, line: int | None = None, col_offset: int = 0):
             )
         col = col_offset + m.start(m.lastindex) + 1
         if m.group(1) is not None:
-            tokens.append(("int", m.group(1), col))
+            digits = m.group(1)
+            limit = sys.get_int_max_str_digits()
+            if limit and len(digits) > limit:
+                raise ParseError(
+                    f"integer literal of {len(digits)} digits exceeds the limit of {limit}",
+                    line=line, column=col,
+                )
+            tokens.append(("int", digits, col))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), col))
         else:
@@ -619,16 +638,17 @@ def tokenize(text: str, *, line: int | None = None, col_offset: int = 0):
 
 
 class _Parser:
-    """Precedence-climbing parser over an algebra of callbacks.
+    """Precedence-climbing parser.
 
-    The algebra supplies ``from_int``, ``from_name(name, line, column)``,
-    ``add/sub/mul/div/neg`` and ``pow(value, int_exponent)``; exponents are
-    integer literals only.
+    Integer literals become :class:`Rat`; values combine with Python's own
+    ``+ - * / **`` and unary minus, so the result is whatever the operands'
+    types make of it.  ``name(text, line, column)`` gives each name its
+    value.  Exponents are integer literals only.
     """
 
-    def __init__(self, tokens, algebra, line):
+    def __init__(self, tokens, name, line):
         self.tokens = tokens
-        self.algebra = algebra
+        self.name = name
         self.line = line
         self.i = 0
 
@@ -659,7 +679,7 @@ class _Parser:
             if kind == "op" and text in "+-":
                 self.next()
                 rhs = self.term()
-                value = self.algebra.add(value, rhs) if text == "+" else self.algebra.sub(value, rhs)
+                value = value + rhs if text == "+" else value - rhs
             else:
                 return value
 
@@ -671,12 +691,12 @@ class _Parser:
                 tok = self.next()
                 rhs = self.factor()
                 if text == "*":
-                    value = self.algebra.mul(value, rhs)
+                    value = value * rhs
                 else:
                     try:
-                        value = self.algebra.div(value, rhs)
-                    except CoefficientError as exc:
-                        self.error(str(exc), tok)
+                        value = value / rhs
+                    except (CoefficientError, ZeroDivisionError):
+                        self.error("division by zero", tok)
             else:
                 return value
 
@@ -684,7 +704,7 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.next()
-            return self.algebra.neg(self.factor())
+            return -self.factor()
         return self.power()
 
     def power(self):
@@ -694,9 +714,9 @@ class _Parser:
             tok = self.next()
             exponent = self.exponent()
             try:
-                return self.algebra.pow(base, exponent)
-            except CoefficientError as exc:
-                self.error(str(exc), tok)
+                return base ** exponent
+            except (CoefficientError, ZeroDivisionError):
+                self.error("zero raised to a negative power", tok)
         return base
 
     def exponent(self) -> int:
@@ -721,9 +741,9 @@ class _Parser:
     def atom(self):
         kind, text, col = self.next()
         if kind == "int":
-            return self.algebra.from_int(int(text))
+            return Rat(int(text))
         if kind == "name":
-            return self.algebra.from_name(text, self.line, col)
+            return self.name(text, self.line, col)
         if kind == "op" and text == "(":
             value = self.expr()
             kind, text, _ = self.next()
@@ -733,30 +753,26 @@ class _Parser:
         self.error("expected a number, name, or '('", (kind, text, col))
 
 
-def parse_arithmetic(text: str, algebra, *, line: int | None = None, col_offset: int = 0):
+def parse_arithmetic(text: str, name, *, line: int | None = None, col_offset: int = 0):
+    """Read ``text`` in the one input grammar; ``name(text, line, column)``
+    is the value of a name, or raises :class:`ParseError`."""
     tokens = tokenize(text, line=line, col_offset=col_offset)
     if tokens[0][0] == "end":
         raise ParseError("empty expression", line=line, column=col_offset + 1)
-    return _Parser(tokens, algebra, line).parse()
-
-
-class _CoeffAlgebra:
-    @staticmethod
-    def from_int(i: int):
-        return rat(i)
-
-    @staticmethod
-    def from_name(name: str, line, column):
-        return symbol(name)
-
-    add = staticmethod(coeff_add)
-    sub = staticmethod(coeff_sub)
-    mul = staticmethod(coeff_mul)
-    div = staticmethod(coeff_div)
-    neg = staticmethod(coeff_neg)
-    pow = staticmethod(coeff_pow)
+    return _Parser(tokens, name, line).parse()
 
 
 def coeff_parse(text: str) -> Coefficient:
-    """Parse ``"1/2"``, ``"1 - alpha"``, ``"1/(8*alpha^2)"``, ..."""
-    return parse_arithmetic(text, _CoeffAlgebra())
+    """Parse ``"1/2"``, ``"1 - alpha"``, ``"1/(8*alpha^2)"``, ...; every
+    name is a :func:`symbol`."""
+    return parse_arithmetic(text, lambda name, line, column: symbol(name))
+
+
+def _no_names(name: str, line: int | None, column: int):
+    raise ParseError(f"expected a rational number, found {name!r}", line=line, column=column)
+
+
+def parse_rational(text: str, *, line: int | None = None, col_offset: int = 0) -> Rat:
+    """Parse a rational such as ``"3/4"`` or ``"2^-1 - 1/3"``: the grammar
+    of :func:`coeff_parse` without names."""
+    return parse_arithmetic(text, _no_names, line=line, col_offset=col_offset)

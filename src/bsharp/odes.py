@@ -10,7 +10,11 @@ Systems are written in a small declaration language::
 ``vars`` comes first and fixes component order; ``param`` lines bind exact
 rational parameters usable in the right-hand sides; every declared variable
 needs exactly one ``name' = expression`` line.  Statements are separated by
-newlines or semicolons, ``#`` starts a comment.
+newlines or semicolons, ``#`` starts a comment.  Values and right-hand
+sides are read by the package's one arithmetic grammar
+(:func:`bsharp.coefficients.parse_arithmetic`): a ``param`` value is a
+rational as in a tableau entry, and in a right-hand side a name is a
+declared variable or parameter.
 
 From a parsed system, :class:`DiffCache` computes the elementary
 differential of any rooted tree — the tree-shaped contraction of partial
@@ -23,23 +27,24 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .coefficients import parse_arithmetic
-from .errors import CoefficientError, ParseError
+from .coefficients import NAME, parse_arithmetic, parse_rational
+from .errors import ParseError
 from .expressions import (
     _ZERO,
     Expression,
+    _as_expr,
     add_all,
     const,
     differentiate,
     mul_all,
-    power,
     variable,
 )
-from .rationals import Rat, is_rational, rat
+from .rationals import Rat, rat
 from .series import TruncatedBSeries
 from .trees import RootedTree
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_PARAM_RE = re.compile(rf"param\s+({NAME})\s*=\s*(.+)")
+_HEAD_RE = re.compile(rf"({NAME})\s*'\s*=")
 _RESERVED = {"vars", "param"}
 
 
@@ -76,81 +81,6 @@ class ODESystem:
         return tuple(format_expression(e, self.variables) for e in self.rhs)
 
 
-class _OdeAlgebra:
-    """Expression-building callbacks for the shared arithmetic parser."""
-
-    def __init__(self, variables: tuple[str, ...], params: dict[str, Rat]):
-        self._vars = {name: i for i, name in enumerate(variables)}
-        self._params = params
-
-    def from_int(self, value: int) -> Expression:
-        return const(value)
-
-    def from_name(self, name: str, line: int, column: int) -> Expression:
-        index = self._vars.get(name)
-        if index is not None:
-            return variable(index)
-        if name in self._params:
-            return const(self._params[name])
-        raise ParseError(
-            f"unknown identifier {name!r}", line=line, column=column
-        )
-
-    def add(self, a, b):
-        return add_all((a, b))
-
-    def sub(self, a, b):
-        return add_all((a, -b))
-
-    def mul(self, a, b):
-        return mul_all((a, b))
-
-    def div(self, a, b):
-        return mul_all((a, power(b, -1)))
-
-    def neg(self, a):
-        return -a
-
-    def pow(self, a, exponent: int):
-        return power(a, exponent)
-
-
-class _RatAlgebra:
-    """Plain rational arithmetic, for ``param`` right-hand sides."""
-
-    def from_int(self, value: int):
-        return rat(value)
-
-    def from_name(self, name: str, line: int, column: int):
-        raise ParseError(
-            f"parameter values must be numeric, found {name!r}",
-            line=line,
-            column=column,
-        )
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        if b == 0:
-            raise CoefficientError("division by zero in parameter value")
-        return a / b
-
-    def neg(self, a):
-        return -a
-
-    def pow(self, a, exponent: int):
-        if a == 0 and exponent < 0:
-            raise CoefficientError("zero raised to a negative power")
-        return a ** exponent
-
-
 def _statements(text: str):
     """Yield (line_number, column_offset, statement) with comments stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -169,6 +99,14 @@ def parse_ode(text: str) -> ODESystem:
     variables: Optional[tuple[str, ...]] = None
     params: dict[str, Rat] = {}
     equations: dict[str, Expression] = {}
+    indices: dict[str, int] = {}
+
+    def value_of(name: str, line: int, column: int) -> Expression:
+        if name in indices:
+            return variable(indices[name])
+        if name in params:
+            return const(params[name])
+        raise ParseError(f"unknown identifier {name!r}", line=line, column=column)
 
     for lineno, col, stmt in _statements(text):
         if stmt == "vars" or (stmt.startswith("vars") and stmt[4].isspace()):
@@ -185,7 +123,7 @@ def parse_ode(text: str) -> ODESystem:
             if names == [""]:
                 raise ParseError("vars declares no variables", line=lineno, column=col + 1)
             for name in names:
-                if not _NAME_RE.fullmatch(name):
+                if not re.fullmatch(NAME, name):
                     raise ParseError(
                         f"bad variable name {name!r}", line=lineno, column=col + 1
                     )
@@ -196,6 +134,7 @@ def parse_ode(text: str) -> ODESystem:
             if len(set(names)) != len(names):
                 raise ParseError("duplicate variable name", line=lineno, column=col + 1)
             variables = tuple(names)
+            indices = {name: i for i, name in enumerate(variables)}
             continue
 
         if variables is None:
@@ -204,7 +143,7 @@ def parse_ode(text: str) -> ODESystem:
             )
 
         if stmt.startswith("param") and (len(stmt) == 5 or stmt[5].isspace()):
-            m = re.fullmatch(r"param\s+([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+)", stmt)
+            m = _PARAM_RE.fullmatch(stmt)
             if m is None:
                 raise ParseError(
                     "expected: param <name> = <rational>", line=lineno, column=col + 1
@@ -214,18 +153,12 @@ def parse_ode(text: str) -> ODESystem:
                 raise ParseError(
                     f"parameter name {name!r} is taken", line=lineno, column=col + 1
                 )
-            value = parse_arithmetic(
-                m.group(2),
-                _RatAlgebra(),
-                line=lineno,
-                col_offset=col + m.start(2),
+            params[name] = parse_rational(
+                m.group(2), line=lineno, col_offset=col + m.start(2)
             )
-            if not is_rational(value):  # pragma: no cover - algebra is closed
-                raise ParseError("parameter value is not rational", line=lineno)
-            params[name] = rat(value)
             continue
 
-        m = re.match(r"([A-Za-z_][A-Za-z_0-9]*)\s*'\s*=", stmt)
+        m = _HEAD_RE.match(stmt)
         if m is None:
             raise ParseError(f"bad statement {stmt!r}", line=lineno, column=col + 1)
         name = m.group(1)
@@ -239,12 +172,9 @@ def parse_ode(text: str) -> ODESystem:
             raise ParseError(
                 f"duplicate equation for {name!r}", line=lineno, column=col + 1
             )
-        equations[name] = parse_arithmetic(
-            stmt[m.end():],
-            _OdeAlgebra(variables, params),
-            line=lineno,
-            col_offset=col + m.end(),
-        )
+        equations[name] = _as_expr(parse_arithmetic(
+            stmt[m.end():], value_of, line=lineno, col_offset=col + m.end()
+        ))
 
     if variables is None:
         raise ParseError("missing vars declaration")

@@ -30,11 +30,6 @@ def is_rational(value: object) -> bool:
     return isinstance(value, (int, Rat)) and not isinstance(value, bool)
 
 
-def rat_from_str(text: str) -> Rat:
-    """Parse ``"p"`` or ``"p/q"`` with optional sign and whitespace."""
-    return Rat(text.strip())
-
-
 def rat_str(value: Rat) -> str:
     """Canonical text form: ``"p/q"`` in lowest terms, ``"p"`` for integers."""
     return str(Rat(value))

@@ -67,10 +67,12 @@ class SimulationPlan:
     ):
         if mode not in _MODES:
             raise ValueError(f"unknown simulation mode {mode!r}")
-        if not (step > 0):
-            raise TableauError("step size must be positive")
-        if not (t_max > 0):
-            raise TableauError("t_max must be positive")
+        if not (math.isfinite(step) and step > 0):
+            raise TableauError("step size must be finite and positive")
+        if not (math.isfinite(t_max) and t_max > 0):
+            raise TableauError("t_max must be finite and positive")
+        if not math.isfinite(t_max / step):
+            raise TableauError(f"t_max / step overflows: t_max = {t_max!r}, step = {step!r}")
         if len(initial) != system.dimension:
             raise TableauError(
                 f"initial point has {len(initial)} components, "

@@ -33,7 +33,6 @@ from .coefficients import (
     coeff_print,
     coeff_sub,
     coeff_symbols,
-    symbol,
 )
 from .errors import TableauError
 from .rationals import Rat, rat
@@ -191,8 +190,9 @@ def builtin_tableau(name: str) -> ButcherTableau:
     """Look up a built-in method.
 
     ``euler``, ``midpoint``, ``rk4``, and the one-parameter second-order
-    family ``rk22(alpha)`` — the argument may be a parameter name (symbolic
-    family member) or a rational value such as ``rk22(3/4)``.
+    family ``rk22(alpha)`` — the argument is any coefficient text: a
+    parameter name (symbolic family member), a rational value such as
+    ``rk22(3/4)``, or an expression such as ``rk22(alpha+1)``.
     """
     key = name.strip()
     if key == "euler":
@@ -216,8 +216,7 @@ def builtin_tableau(name: str) -> ButcherTableau:
         )
     m = _RK22_RE.match(key)
     if m is not None:
-        arg = m.group(1)
-        alpha: Coefficient = symbol(arg) if re.match(r"[A-Za-z_]", arg) else coeff_parse(arg)
+        alpha = coeff_parse(m.group(1))
         if coeff_is_zero(alpha):
             raise TableauError("rk22 parameter must be nonzero")
         z = rat(0)

@@ -179,17 +179,14 @@ def _check_order(n: int) -> None:
         raise InvalidTreeError(f"order {n} exceeds the maximum of {MAX_ORDER}")
 
 
-def trees_of_order(n: int, *, include_empty: bool = False) -> Iterator[RootedTree]:
+def trees_of_order(n: int) -> Iterator[RootedTree]:
     """All canonical trees with n nodes, lexicographically decreasing.
 
     The first tree is the chain ``[0, 1, ..., n-1]`` and the last is the
-    bush ``[0, 1, 1, ..., 1]``.  ``n == 0`` yields nothing unless
-    ``include_empty`` is set, in which case it yields :data:`EMPTY_TREE`.
+    bush ``[0, 1, 1, ..., 1]``.  ``n == 0`` yields nothing.
     """
     _check_order(n)
     if n == 0:
-        if include_empty:
-            yield EMPTY_TREE  # type: ignore[misc]
         return
     current: bytes | None = bytes(range(n))
     while current is not None:

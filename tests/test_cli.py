@@ -66,7 +66,7 @@ def test_trees_usage_errors():
     assert run_cli("trees", "0").returncode == 2
     proc = run_cli("trees", "3", "--format", "latex")
     assert proc.returncode == 2
-    assert "text and json" in proc.stderr
+    assert "invalid choice: 'latex'" in proc.stderr
 
 
 def test_splits_text_tables():
@@ -317,10 +317,23 @@ def test_order_with_bindings():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("value", ["2^-1", " -(1/4 - 3/4) ", "1/(1+1)"])
+def test_bind_reads_the_coefficient_grammar(value):
+    out = run_ok("order", "--tableau", "rk22(alpha)", "--max", "4", "--bind", f"alpha={value}")
+    assert out == "2\n"
+
+
+@pytest.mark.parametrize("value", ["0.5", "1e3", "1/0", ""])
+def test_bind_refuses_what_tableau_entries_refuse(value):
+    proc = run_cli("order", "--tableau", "rk22(alpha)", "--max", "4", "--bind", f"alpha={value}")
+    assert proc.returncode == 2
+    assert "is not a rational number" in proc.stderr
+
+
 def test_order_refuses_latex():
     proc = run_cli("order", "--tableau", "rk4", "--max", "5", "--format", "latex")
     assert proc.returncode == 2
-    assert "order supports text and json output" in proc.stderr
+    assert "invalid choice: 'latex'" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -434,6 +447,10 @@ def test_simulate_overflow_is_a_numeric_failure():
         ("--reference", "--modified-order", "2"),
         ("--modifying-integrator",),
         ("--step", "0"),
+        ("--step", "nan"),
+        ("--step", "inf"),
+        ("--t-max", "inf"),
+        ("--t-max", "-1"),
         ("--format", "json"),
     ],
 )
@@ -447,6 +464,17 @@ def test_simulate_usage_errors(extra):
     base += ["--t-max", "1"]
     proc = run_cli(*base, *extra)
     assert proc.returncode == 2, proc.stderr
+
+
+def test_simulate_refuses_a_grid_too_fine_to_count():
+    proc = run_cli(
+        "simulate", "--tableau", "euler", "--ode-text", "vars y\ny' = y\n",
+        "--step", "1e-300", "--t-max", "1e300", "--initial", "1",
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and "overflows" in line
 
 
 def test_simulate_input_errors():
@@ -507,3 +535,37 @@ def test_implicit_tableau_cannot_be_simulated(tmp_path):
     )
     assert proc.returncode == 3
     assert "not explicit" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# numbers too long for Python's integer-to-text limit
+# ---------------------------------------------------------------------------
+
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "args,fragment",
+    [
+        (("bseries", "--tableau", f"rk22({_LONG})", "--order", "1"), "5000 digits"),
+        (
+            ("simulate", "--tableau", "euler", "--ode-text", f"vars x; x' = {_LONG}*x",
+             "--step", "0.5", "--t-max", "1", "--initial", "1"),
+            "line 1, column 14",
+        ),
+        (
+            ("modified-equation", "--tableau", "euler", "--order", "2",
+             "--ode-text", "vars x; param a = 10^5000; x' = a*x"),
+            "digits",
+        ),
+        (("modified-equation", "--tableau", "rk22(10^5000)", "--order", "3"),
+         "digits"),
+    ],
+    ids=["literal-rk22", "literal-ode", "param-power", "rk22-power"],
+)
+def test_over_long_integers_are_input_errors(args, fragment):
+    proc = run_cli(*args)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and fragment in line

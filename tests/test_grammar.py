@@ -1,0 +1,139 @@
+"""One grammar for exact input, checked against Python's own parser.
+
+Coefficients, ODE right-hand sides, ``param`` values and ``--bind`` values
+are all read by ``coefficients.parse_arithmetic``.  Random texts built from
+integers, names, ``+ - * / ^``, unary minus and parentheses are evaluated
+at random rational points three ways (``coeff_parse`` + ``coeff_eval``,
+``parse_ode`` + exact ``eval_expression``, and ``parse_rational`` when the
+text has no names) and compared with Python evaluating the same text over
+``Fraction`` literals, where ``^`` is ``**``.  Python and the grammar agree
+on precedence: unary minus binds looser than a power (``-3^2 == -9``), and
+``*`` and ``/`` bind left to right.
+"""
+
+import re
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from bsharp.coefficients import coeff_eval, coeff_parse, parse_rational
+from bsharp.errors import ParseError
+from bsharp.expressions import eval_expression
+from bsharp.odes import parse_ode
+from bsharp.series import series_to_json_dict
+from bsharp.tableaux import builtin_tableau, rk_series
+
+NAMES = ("a", "b_1")
+
+_ATOM_RE = re.compile(r"\d+|[A-Za-z_]\w*")
+
+
+def _power(base: str, exponent: int, spelling: int) -> str:
+    # the base of ^ is an atom; the exponent an integer literal, maybe
+    # negative, maybe parenthesized
+    if not _ATOM_RE.fullmatch(base):
+        base = f"({base})"
+    text = str(exponent)
+    return f"{base}^({text})" if spelling else f"{base}^{text}"
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds("{} {} {}".format, children, st.sampled_from("+-*/"), children),
+        st.builds("-{}".format, children),
+        st.builds("({})".format, children),
+        st.builds(_power, children, st.integers(-3, 3), st.integers(0, 1)),
+    )
+
+
+texts = st.recursive(
+    st.one_of(st.integers(0, 12).map(str), st.sampled_from(NAMES)),
+    _grow,
+    max_leaves=8,
+)
+points = st.fixed_dictionaries(
+    {name: st.fractions(min_value=-5, max_value=5, max_denominator=7) for name in NAMES}
+)
+
+_PY_TOKEN_RE = re.compile(r"\d+|[A-Za-z_]\w*|\^|[^\s]")
+
+
+def python_value(text: str, point: dict):
+    """``text`` evaluated by Python: integers as Fractions, ``^`` as ``**``."""
+    out = []
+    for tok in _PY_TOKEN_RE.findall(text):
+        if tok.isdigit():
+            out.append(f"F({int(tok)})")
+        elif tok in NAMES:
+            out.append(f"V[{tok!r}]")
+        else:
+            out.append("**" if tok == "^" else tok)
+    return eval(" ".join(out), {"F": Fraction, "V": point})
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts, points)
+def test_every_reader_agrees_with_python(text, point):
+    try:
+        expected = python_value(text, point)
+    except ZeroDivisionError:
+        assume(False)
+
+    assert coeff_eval(coeff_parse(text), point) == expected
+
+    system = parse_ode(f"vars a, b_1; a' = {text}; b_1' = 0")
+    assert eval_expression(system.rhs[0], (point["a"], point["b_1"])) == expected
+
+    if not any(name in text for name in NAMES):
+        assert parse_rational(text) == expected
+        assert parse_ode(f"vars y; param k = {text}; y' = k").parameters["k"] == expected
+
+
+_FUZZ = st.text(alphabet="0123ab_+-*/^() .#@", max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FUZZ)
+def test_malformed_text_raises_only_parse_errors(text):
+    # no exponent of three or more digits: 3^333 is valid and slow to print
+    assume(not re.search(r"\d{3}", text))
+    for read in (
+        coeff_parse,
+        parse_rational,
+        lambda t: parse_ode(f"vars a, b_; a' = {t}; b_' = 1"),
+    ):
+        try:
+            read(text)
+        except ParseError:
+            pass
+
+
+def test_rk22_takes_any_coefficient_text():
+    def series(spec):
+        return series_to_json_dict(rk_series(builtin_tableau(spec), 4))
+
+    assert series("rk22(alpha+1)") == series("rk22(1+alpha)")
+    assert series("rk22(2^-1)") == series("rk22(1/2)")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.5", "1e3", "a", "1/0", "0^-1", "", "1" * 5000],
+    ids=["decimal", "exponent", "name", "div0", "pow0", "empty", "long"],
+)
+def test_parse_rational_refuses_what_coefficients_refuse(text):
+    with pytest.raises(ParseError):
+        parse_rational(text)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+def test_over_long_literals_are_refused_with_a_position():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError, match=f"{limit + 1} digits") as exc_info:
+        coeff_parse("2 + " + "9" * (limit + 1))
+    assert exc_info.value.column == 5
+    # at the limit a literal still reads
+    assert coeff_parse("1" * limit) == int("1" * limit)

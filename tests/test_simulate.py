@@ -49,6 +49,14 @@ def test_plan_rejects_bad_inputs():
         plan(step=-0.5)
     with pytest.raises(TableauError, match="t_max"):
         plan(t_max=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(TableauError, match="step size"):
+            plan(step=bad)
+        with pytest.raises(TableauError, match="t_max"):
+            plan(t_max=bad)
+    # finite inputs whose row count does not fit in a float
+    with pytest.raises(TableauError, match="overflows"):
+        plan(step=1e-300, t_max=1e300)
     with pytest.raises(TableauError, match="components"):
         plan(initial=(1.0, 2.0))
     with pytest.raises(TableauError, match="series order"):

@@ -270,6 +270,5 @@ def test_count_trees_matches_enumeration_and_a000081():
 def test_order_zero_is_the_empty_enumeration():
     assert count_trees(0) == 0
     assert list(trees_of_order(0)) == []
-    assert list(trees_of_order(0, include_empty=True)) == [EMPTY_TREE]
     with pytest.raises(InvalidTreeError):
         count_trees(-1)
