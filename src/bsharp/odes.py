@@ -25,6 +25,7 @@ derivatives and subtree results across calls.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Optional
 
 from .coefficients import NAME, parse_arithmetic, parse_rational
@@ -172,9 +173,22 @@ def parse_ode(text: str) -> ODESystem:
             raise ParseError(
                 f"duplicate equation for {name!r}", line=lineno, column=col + 1
             )
-        equations[name] = _as_expr(parse_arithmetic(
-            stmt[m.end():], value_of, line=lineno, col_offset=col + m.end()
-        ))
+        try:
+            equations[name] = _as_expr(parse_arithmetic(
+                stmt[m.end():], value_of, line=lineno, col_offset=col + m.end()
+            ))
+        except ParseError:
+            raise
+        except ValueError as exc:
+            # a constant node is keyed by its text, which CPython refuses to
+            # write for an integer longer than its digit limit
+            if "integer string conversion" not in str(exc):
+                raise
+            raise ParseError(
+                f"a number has more than {sys.get_int_max_str_digits()} digits",
+                line=lineno,
+                column=col + m.end() + 1,
+            ) from None
 
     if variables is None:
         raise ParseError("missing vars declaration")

@@ -30,11 +30,17 @@ exp of the Lie derivative ∂_v, whose action on a tree sums over its
 |τ| - 1 single-edge cuts, so the solve is polynomial in the order.
 :func:`modifying_integrator_series` finds ``v`` with
 substitute(v, method) = exact flow, over the distinct partition splits.
-Both :func:`substitute` and that solve read the cached partition tables of
-:mod:`bsharp.splits`, which are built from each tree's children without
-enumerating edge subsets.  A series keeps one dict keyed by canonical
-level sequence, the key of every split-table row: ``b""`` (the empty
-coefficient) first, then the trees in ``all_trees_up_to`` order.
+Both :func:`substitute` and that solve read the cached partition id tables
+of :mod:`bsharp.splits`, which are built from each tree's children without
+enumerating edge subsets.  Their rows name trees by int id and a forest by
+one int multiset key, so the solves put coefficients into lists indexed by
+id and keep, for one call, a memo from forest key to Π v(component).  A
+new entry peels the highest id off its key, which costs one product, so a
+forest is multiplied out once per call, not once per row; a forest with a
+zero factor is skipped, never multiplied.  A series keeps one dict keyed
+by canonical level sequence, the key of the subtree and edge-cut rows:
+``b""`` (the empty coefficient) first, then the trees in
+``all_trees_up_to`` order.
 
 Display convention: a coefficient table is presented as
 Σ coeff(τ)/σ(τ) · h^{|τ| − reduce} · F(τ), where σ is the tree symmetry and
@@ -62,7 +68,14 @@ from .coefficients import (
 )
 from .errors import SeriesError, SingularMethodError
 from .rationals import rat
-from .splits import edge_cut_table, partition_split_table, subtree_split_table
+from .splits import (
+    by_id,
+    edge_cut_table,
+    partition_id_table,
+    split_top,
+    subtree_split_table,
+    tree_id,
+)
 from .trees import EMPTY_TREE, RootedTree, all_trees_up_to, parse_tree, trees_of_order
 
 # Instrumentation: the operations skip whole split terms with a factor that
@@ -219,6 +232,47 @@ def _zero_levels(series: TruncatedBSeries) -> set[bytes]:
     return {s for s, c in series._coeffs.items() if coeff_is_zero(c)}
 
 
+def _partition_tables(max_order: int) -> list[tuple[RootedTree, int, tuple]]:
+    """(tree, its id, its partition id table) for every tree up to
+    ``max_order``.  Building the tables indexes every tree their rows name,
+    so lists made by :func:`bsharp.splits.by_id` afterwards cover them all.
+    """
+    return [
+        (t, tree_id(t._levels), partition_id_table(t._levels))
+        for t in all_trees_up_to(max_order)
+    ]
+
+
+def _zero_ids(coeffs: list) -> set[int]:
+    """Ids of the zero entries of a list made by ``by_id``."""
+    return {i for i, c in enumerate(coeffs) if c is not None and coeff_is_zero(c)}
+
+
+_UNSET = object()
+
+
+def _forest_product(
+    products: dict[int, Coefficient | None], forest: int, factors: list, zero: set[int]
+) -> Coefficient | None:
+    """Π factors[id] over the multiset key ``forest``, memoised in
+    ``products``: a new entry peels off the highest id and costs one
+    product.  ``None`` when a factor's id is in ``zero``; such a product is
+    never multiplied out."""
+    p = products.get(forest, _UNSET)
+    if p is _UNSET:
+        top, rest = split_top(forest)
+        if top in zero:
+            p = None
+        elif rest:
+            p = _forest_product(products, rest, factors, zero)
+            if p is not None:
+                p = coeff_mul(p, factors[top])
+        else:
+            p = factors[top]
+        products[forest] = p
+    return p
+
+
 def compose(
     inner: TruncatedBSeries,
     outer: TruncatedBSeries,
@@ -269,28 +323,34 @@ def substitute(
 
     coeff(τ) = Σ over partition splits of outer(skeleton) · Π flow(component),
     each distinct split weighted by its multiplicity.  The empty coefficient
-    is ``outer``'s.
+    is ``outer``'s.  ``skip_zero`` drops split terms whose skeleton weight
+    (or any component coefficient) is zero; it never changes the result.
     """
     global _zero_skips
     _require_same_order(flow, outer, "substitution")
     if not coeff_is_zero(flow.empty):
         raise SeriesError("substitution needs a flow-kind inner series (empty coefficient 0)")
 
-    flow_coeffs = flow._coeffs
-    outer_coeffs = outer._coeffs
-    zero_outer = _zero_levels(outer) if skip_zero else set()
+    tables = _partition_tables(flow.max_order)
+    factors = by_id(flow._coeffs)
+    outer_coeffs = by_id(outer._coeffs)
+    zero_outer = _zero_ids(outer_coeffs) if skip_zero else set()
+    zero_flow = _zero_ids(factors) if skip_zero else set()
+    products: dict[int, Coefficient | None] = {}
     coeffs = {b"": outer.empty}
-    for tree in all_trees_up_to(flow.max_order):
+    for tree, _, rows in tables:
         total: Coefficient = rat(0)
-        for skeleton, components, k in partition_split_table(tree):
+        for skeleton, forest, k in rows:
             if skeleton in zero_outer:
+                _zero_skips += 1
+                continue
+            p = _forest_product(products, forest, factors, zero_flow)
+            if p is None:
                 _zero_skips += 1
                 continue
             o = outer_coeffs[skeleton]
             term = o if k == 1 else coeff_mul(o, k)
-            for component in components:
-                term = coeff_mul(term, flow_coeffs[component])
-            total = coeff_add(total, term)
+            total = coeff_add(total, coeff_mul(term, p))
         coeffs[tree._levels] = total
     return TruncatedBSeries._from_levels(flow.max_order, coeffs)
 
@@ -349,43 +409,45 @@ def modifying_integrator_series(
     tree by tree over the distinct partition splits, each term weighted by
     its multiplicity: v(τ) = (1/γ(τ) - Σ k·method(skeleton)·Π v(component))
     / method(•), the sum over every split but the no-edges-removed one.
-    ``skip_zero`` drops split terms whose skeleton weight (or any component
-    coefficient) is zero — a pure optimization.
+    Each term is (k·method(skeleton))·Π, with Π from the call's forest
+    memo.  ``skip_zero`` drops split terms whose skeleton weight (or any
+    component coefficient) is zero — a pure optimization.
     """
     global _zero_skips
     if not coeff_eq(method.empty, 1):
         raise SeriesError("modifying integrator needs a map-kind method series")
-    weights = method._coeffs
     u1: Coefficient = rat(1)
     if method.max_order >= 1:
-        u1 = weights[b"\x00"]
+        u1 = method._coeffs[b"\x00"]
         if coeff_is_zero(u1):
             raise SingularMethodError(
                 "method coefficient of the one-node tree is zero; the triangular "
                 "solve would divide by it"
             )
-    zero_weights = _zero_levels(method) if skip_zero else set()
-    zero_solved: set[bytes] = set()
+    tables = _partition_tables(method.max_order)
+    weights = by_id(method._coeffs)
+    zero_weights = _zero_ids(weights) if skip_zero else set()
+    zero_solved: set[int] = set()
+    solved: list = [None] * len(weights)
+    products: dict[int, Coefficient | None] = {}
     v: dict[bytes, Coefficient] = {b"": rat(0)}
-    for tree in all_trees_up_to(method.max_order):
+    for tree, i, rows in tables:
         total: Coefficient = rat(1, tree.density())
-        for skeleton, components, k in partition_split_table(tree)[1:]:
+        for skeleton, forest, k in islice(rows, 1, None):
             if skeleton in zero_weights:
+                _zero_skips += 1
+                continue
+            p = _forest_product(products, forest, solved, zero_solved)
+            if p is None:
                 _zero_skips += 1
                 continue
             term: Coefficient = weights[skeleton]
             if k != 1:
                 term = coeff_mul(term, k)
-            for component in components:
-                if component in zero_solved:
-                    _zero_skips += 1
-                    break
-                term = coeff_mul(term, v[component])
-            else:
-                total = coeff_sub(total, term)
-        c = v[tree._levels] = coeff_div(total, u1)
+            total = coeff_sub(total, coeff_mul(term, p))
+        c = v[tree._levels] = solved[i] = coeff_div(total, u1)
         if skip_zero and coeff_is_zero(c):
-            zero_solved.add(tree._levels)
+            zero_solved.add(i)
     return TruncatedBSeries._from_levels(method.max_order, v)
 
 

@@ -20,20 +20,26 @@ They are the only place that wraps splits in :class:`RootedTree` and
 :class:`Forest`.  The ``*_table`` functions materialize and cache whole
 tables keyed by tree; series operations use those, so the cost is paid
 once per tree shape and only for the small orders a truncated series
-actually contains.  Every table row holds canonical level sequences
-(``bytes``), the key a series stores its coefficients under, with ``b""``
-for the empty tree.  The partition and edge-cut tables merge equal splits
-into one row that carries its integer multiplicity; the subtree table
-holds the rows of :func:`ordered_subtrees`, one per subset, from the same
-row generator.
+actually contains.  The subtree and edge-cut tables hold canonical level
+sequences (``bytes``), the key a series stores its coefficients under,
+with ``b""`` for the empty tree.  The partition and edge-cut tables merge
+equal splits into one row that carries its integer multiplicity; the
+subtree table holds the rows of :func:`ordered_subtrees`, one per subset,
+from the same row generator.
 
 Partition tables never walk the 2**(order-1) edge subsets.  They are built
 from the children's tables (the coproduct recursion of Calaque,
 Ebrahimi-Fard and Manchon, "Two interacting Hopf algebras of trees",
 2011): the edge from the root to each child is either kept or cut, and
-equal partial results are merged as they arise.  The tables of subtrees
-met as a child are memoised by canonical level sequence;
-:func:`clear_split_caches` drops every table and memo.
+equal partial results are merged as they arise.  The recursion runs over
+dense int tree ids from one lazily grown tree index, and a multiset of
+trees is one int with a count field per id, so the union of two
+multisets is one ``+`` and grafting a root onto a multiset is one dict
+lookup.  :func:`partition_id_table` gives a tree's rows as (skeleton id,
+forest key, multiplicity), which the substitution solves read;
+:func:`partition_split_table` is the same table with ids spelled as level
+sequences.  The tables of subtrees met as a child are memoised by id;
+:func:`clear_split_caches` drops every table, memo and the index.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
-from .trees import EMPTY_TREE, RootedTree, _canon, _children, _EmptyTree
+from .trees import EMPTY_TREE, MAX_ORDER, RootedTree, _canon, _children, _EmptyTree
 
 
 class Forest(tuple):
@@ -220,14 +226,81 @@ def subtree_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, ...
     return (*_subtree_rows(tree._levels), (b"", (tree._levels,)))
 
 
+# -- tree index and multiset keys --------------------------------------------
+#
+# Partition tables are built over dense int tree ids.  A tree gets its id the
+# first time a table meets it, after its children.  A solve builds the tables
+# of all trees up to its order in ``all_trees_up_to`` order and every row of a
+# tree names only smaller trees and the tree itself, so from an empty index
+# the ids follow that order; a single large tree registers only the trees its
+# table names, never every tree of its order.
+#
+# A multiset of trees is one int, its *multiset key*: the count of id i sits
+# in bits [_BITS*i, _BITS*(i+1)).  A table of a tree of order n holds no
+# multiset with more than n members (the all-cut row of the bush has n
+# one-node components), and n <= MAX_ORDER < 2**_BITS, so no count carries
+# into its neighbour: a union is one ``+`` and the one-tree multiset of id i
+# is ``1 << _BITS*i``.
+
+_BITS = MAX_ORDER.bit_length()
+
+_ids: dict[bytes, int] = {}         # canonical level sequence -> id
+_seqs: list[bytes] = []             # id -> canonical level sequence
+_kids: list[tuple[int, ...]] = []   # id -> children's ids, in level-sequence order
+_grafts: dict[int, int] = {}        # multiset key of a root's children -> id
+
+
+def tree_id(seq: bytes) -> int:
+    """Id of the tree with canonical level sequence ``seq``."""
+    i = _ids.get(seq)
+    if i is None:
+        kids = tuple(map(tree_id, _children(seq)))
+        i = _ids[seq] = len(_seqs)
+        _seqs.append(seq)
+        _kids.append(kids)
+        _grafts[sum(1 << _BITS * k for k in kids)] = i
+    return i
+
+
+def split_top(key: int) -> tuple[int, int]:
+    """(highest id in the non-empty multiset ``key``, the rest of it)."""
+    top = (key.bit_length() - 1) // _BITS
+    return top, key - (1 << _BITS * top)
+
+
+def _members(key: int) -> list[int]:
+    """The ids of the multiset ``key``, highest first, with repeats."""
+    out: list[int] = []
+    while key:
+        top = (key.bit_length() - 1) // _BITS
+        count = key >> _BITS * top
+        out += [top] * count
+        key -= count << _BITS * top
+    return out
+
+
+def _graft(children: int) -> int:
+    """Id of a root carrying the multiset ``children``."""
+    i = _grafts.get(children)
+    if i is None:  # a tree met first as a skeleton or a component
+        members = sorted((_seqs[k] for k in _members(children)), reverse=True)
+        i = tree_id(b"\x00" + b"".join(bytes(lvl + 1 for lvl in m) for m in members))
+    return i
+
+
+def by_id(coefficients: dict[bytes, object]) -> list:
+    """``coefficients`` (keyed by level sequence) as a list indexed by id,
+    ``None`` for the indexed trees it lacks."""
+    return list(map(coefficients.get, _seqs))
+
+
 # -- partition tables by the children recursion ------------------------------
 #
-# A *rooted state* of a tree with some edges removed is the triple
-# (children of the root component, children of the skeleton root, the other
-# components), each a multiset of canonical level sequences kept as a tuple
-# in descending order.  A tree's rooted table maps each state to the number
-# of edge subsets that give it.  Children are joined one at a time, in
-# level-sequence order; the edge to a child is either kept or cut.
+# A *rooted state* of a tree with some edges removed is the triple of
+# multiset keys (children of the root component, children of the skeleton
+# root, the other components).  A tree's rooted table maps each state to
+# the number of edge subsets that give it.  Children are joined one at a
+# time, in level-sequence order; the edge to a child is either kept or cut.
 #
 # No masks are stored.  A child's edges are the bits above those of the
 # children joined before it, and the edge to the child is the bit just
@@ -237,30 +310,14 @@ def subtree_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, ...
 # order.  Insertion order therefore stays the order of least masks, which
 # is the order of first appearance in :func:`partitions`.
 
-_DEEPER = bytes(range(1, 256)) + b"\xff"    # translate table: level + 1
-_ROOT_ONLY = ((), (), ())
+_ROOT_ONLY = (0, 0, 0)
 
-# canonical level sequence -> rooted table, only for trees met as a child
-_rooted_tables: dict[bytes, dict[tuple, int]] = {}
-# descending tuple of canonical children -> level sequence of their root
-_grafts: dict[tuple[bytes, ...], bytes] = {}
-
-
-def _graft(children: tuple[bytes, ...]) -> bytes:
-    """Canonical level sequence of a root carrying ``children``."""
-    seq = _grafts.get(children)
-    if seq is None:
-        seq = _grafts[children] = b"\x00" + b"".join(c.translate(_DEEPER) for c in children)
-    return seq
-
-
-def _merge(a: tuple[bytes, ...], b: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """Multiset union of two descending tuples."""
-    if not b:
-        return a
-    if not a:
-        return b
-    return tuple(sorted(a + b, reverse=True))
+# id -> rooted table, only for trees met as a child
+_rooted_tables: dict[int, dict[tuple[int, int, int], int]] = {}
+# id -> partition rows (skeleton id, forest key, multiplicity)
+_id_tables: dict[int, tuple[tuple[int, int, int], ...]] = {}
+# forest key -> its level sequences, for partition_split_table only
+_forests: dict[int, tuple[bytes, ...]] = {}
 
 
 def _join(partial: dict[tuple, int], child: dict[tuple, int]) -> dict[tuple, int]:
@@ -270,33 +327,58 @@ def _join(partial: dict[tuple, int], child: dict[tuple, int]) -> dict[tuple, int
     get = out.get
     states = list(partial.items())
     for (c_comp, c_skel, c_others), ck in child.items():
+        try:
+            kept, cut_skel = 1 << _BITS * _grafts[c_comp], 1 << _BITS * _grafts[c_skel]
+        except KeyError:
+            kept, cut_skel = 1 << _BITS * _graft(c_comp), 1 << _BITS * _graft(c_skel)
         # keep the edge: the child's root component hangs under ours and
         # its skeleton root merges into ours
-        kept = (_graft(c_comp),)
         for (comp, skel, others), k in states:
-            key = (_merge(comp, kept), _merge(skel, c_skel), _merge(others, c_others))
+            key = (comp + kept, skel + c_skel, others + c_others)
             out[key] = get(key, 0) + k * ck
         # cut the edge: the child's root component is one more component
         # and its whole skeleton hangs under our skeleton root
-        cut_skel = (_graft(c_skel),)
-        cut_others = _merge(c_others, kept)
+        cut_others = c_others + kept
         for (comp, skel, others), k in states:
-            key = (comp, _merge(skel, cut_skel), _merge(others, cut_others))
+            key = (comp, skel + cut_skel, others + cut_others)
             out[key] = get(key, 0) + k * ck
     return out
 
 
-def _build_rooted(seq: bytes) -> dict[tuple, int]:
+def _build_rooted(i: int) -> dict[tuple, int]:
     table = {_ROOT_ONLY: 1}
-    for child in _children(seq):
+    for child in _kids[i]:
         table = _join(table, _rooted_table(child))
     return table
 
 
-def _rooted_table(seq: bytes) -> dict[tuple, int]:
-    table = _rooted_tables.get(seq)
+def _rooted_table(i: int) -> dict[tuple, int]:
+    table = _rooted_tables.get(i)
     if table is None:
-        table = _rooted_tables[seq] = _build_rooted(seq)
+        table = _rooted_tables[i] = _build_rooted(i)
+    return table
+
+
+def partition_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
+    """Distinct partition splits of the tree ``seq`` over tree ids, cached.
+
+    Rows are (skeleton id, forest multiset key, multiplicity), in the order
+    of :func:`partition_split_table`; the first is (id of the one-node
+    tree, the one-tree multiset of ``seq``, 1).
+    """
+    i = tree_id(seq)
+    table = _id_tables.get(i)
+    if table is None:
+        rows: dict[tuple[int, int], int] = {}
+        get = rows.get
+        # the tree's own rooted table is folded here, not cached
+        for (comp, skel, others), k in _build_rooted(i).items():
+            try:
+                key = (_grafts[skel], others + (1 << _BITS * _grafts[comp]))
+            except KeyError:
+                key = (_graft(skel), others + (1 << _BITS * _graft(comp)))
+            rows[key] = get(key, 0) + k
+        table = _id_tables[i] = tuple([(s, f, k) for (s, f), k in rows.items()])
     return table
 
 
@@ -309,19 +391,19 @@ def partition_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, .
     forest sorted by (order, level sequence).  Each distinct split appears
     once, in the order of its first appearance in :func:`partitions`, and
     the multiplicities sum to 2**(order-1).  The first entry is always
-    (one-node tree, (tree,), 1).
+    (one-node tree, (tree,), 1).  This is a view of
+    :func:`partition_id_table` with ids spelled as level sequences; the
+    solves read the id table.
     """
-    rows: dict[tuple[bytes, tuple[bytes, ...]], int] = {}
-    get = rows.get
-    # the tree's own rooted table is folded here, not cached
-    for (comp, skel, others), k in _build_rooted(tree._levels).items():
-        key = (_graft(skel), _merge(others, (_graft(comp),)))
-        rows[key] = get(key, 0) + k
-    # forests are descending; a stable sort by length of the reversed tuple
-    # gives (order, level sequence) order
-    return tuple(
-        (skel, tuple(sorted(forest[::-1], key=len)), k) for (skel, forest), k in rows.items()
-    )
+    rows = []
+    for s, f, k in partition_id_table(tree._levels):
+        forest = _forests.get(f)
+        if forest is None:
+            members = sorted(map(_seqs.__getitem__, _members(f)))
+            members.sort(key=len)  # stable: (order, level sequence)
+            forest = _forests[f] = tuple(members)
+        rows.append((_seqs[s], forest, k))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -352,4 +434,9 @@ def clear_split_caches() -> None:
     partition_split_table.cache_clear()
     edge_cut_table.cache_clear()
     _rooted_tables.clear()
+    _id_tables.clear()
+    _forests.clear()
+    _ids.clear()
+    _seqs.clear()
+    _kids.clear()
     _grafts.clear()

@@ -17,7 +17,6 @@ the weight is Φ(τ) = Σ_i b_i Ψ_i(τ).  A method has order p exactly when
 
 from __future__ import annotations
 
-import re
 import warnings
 from typing import Mapping, Sequence
 
@@ -183,16 +182,14 @@ def order_of_accuracy(
 # built-in tableaux and JSON I/O
 # ---------------------------------------------------------------------------
 
-_RK22_RE = re.compile(r"rk22\(\s*([^)]+?)\s*\)\Z")
-
-
 def builtin_tableau(name: str) -> ButcherTableau:
     """Look up a built-in method.
 
     ``euler``, ``midpoint``, ``rk4``, and the one-parameter second-order
     family ``rk22(alpha)`` — the argument is any coefficient text: a
     parameter name (symbolic family member), a rational value such as
-    ``rk22(3/4)``, or an expression such as ``rk22(alpha+1)``.
+    ``rk22(3/4)``, or an expression such as ``rk22(alpha+1)`` or
+    ``rk22((1+alpha)/2)``.
     """
     key = name.strip()
     if key == "euler":
@@ -214,9 +211,8 @@ def builtin_tableau(name: str) -> ButcherTableau:
             [rat(1, 6), rat(1, 3), rat(1, 3), rat(1, 6)],
             [z, h, h, rat(1)],
         )
-    m = _RK22_RE.match(key)
-    if m is not None:
-        alpha = coeff_parse(m.group(1))
+    if key.startswith("rk22(") and key.endswith(")"):
+        alpha = coeff_parse(key[5:-1])
         if coeff_is_zero(alpha):
             raise TableauError("rk22 parameter must be nonzero")
         z = rat(0)

@@ -286,6 +286,108 @@ def modifying_integrator_bruteforce(method, max_order: int, one) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# partition tables over bytes states, and the per-row solves that read them
+# ---------------------------------------------------------------------------
+#
+# The children recursion as it stood before tree ids: a rooted state is
+# (children of the root component, children of the skeleton root, the other
+# components), each a descending tuple of canonical level sequences, and a
+# union re-sorts.  Same loop order as the package's builder, so the rows
+# come out in the same order with the same multiplicities.
+
+def _level_children(seq: bytes) -> list[bytes]:
+    """Canonical level sequences of the root's children, in order."""
+    starts = [i for i in range(1, len(seq)) if seq[i] == 1] + [len(seq)]
+    return [bytes(x - 1 for x in seq[s:e]) for s, e in zip(starts, starts[1:])]
+
+
+def _bytes_graft(children: tuple[bytes, ...]) -> bytes:
+    return b"\x00" + b"".join(bytes(x + 1 for x in c) for c in children)
+
+
+def _bytes_merge(a: tuple[bytes, ...], b: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    return tuple(sorted(a + b, reverse=True))
+
+
+def _bytes_join(partial: dict, child: dict) -> dict:
+    out: dict = {}
+    states = list(partial.items())
+    for (c_comp, c_skel, c_others), ck in child.items():
+        kept = (_bytes_graft(c_comp),)
+        for (comp, skel, others), k in states:
+            key = (_bytes_merge(comp, kept), _bytes_merge(skel, c_skel),
+                   _bytes_merge(others, c_others))
+            out[key] = out.get(key, 0) + k * ck
+        cut_skel = (_bytes_graft(c_skel),)
+        cut_others = _bytes_merge(c_others, kept)
+        for (comp, skel, others), k in states:
+            key = (comp, _bytes_merge(skel, cut_skel), _bytes_merge(others, cut_others))
+            out[key] = out.get(key, 0) + k * ck
+    return out
+
+
+@lru_cache(maxsize=None)
+def _bytes_rooted(seq: bytes) -> dict:
+    table = {((), (), ()): 1}
+    for child in _level_children(seq):
+        table = _bytes_join(table, _bytes_rooted(child))
+    return table
+
+
+def partition_table_bytes_states(seq: bytes) -> tuple:
+    """(skeleton, forest, multiplicity) rows of the canonical level sequence
+    ``seq``, forests sorted by (order, level sequence), rows in the order of
+    first appearance."""
+    rows: dict = {}
+    for (comp, skel, others), k in _bytes_rooted(seq).items():
+        key = (_bytes_graft(skel), _bytes_merge(others, (_bytes_graft(comp),)))
+        rows[key] = rows.get(key, 0) + k
+    return tuple(
+        (skel, tuple(sorted(forest[::-1], key=len)), k) for (skel, forest), k in rows.items()
+    )
+
+
+def modifying_integrator_rows(method: dict, max_order: int, trees) -> dict:
+    """The modifying-integrator solve one row at a time, each row's
+    product multiplied out in full: ``method`` maps level sequences (``b""``
+    included) to coefficients, ``trees`` lists the level sequences up to
+    ``max_order`` in solve order."""
+    from bsharp.coefficients import coeff_div, coeff_mul, coeff_sub
+
+    v = {b"": rat(0)}
+    for seq in trees:
+        total = rat(1, density_direct(seq))
+        for skeleton, components, k in partition_table_bytes_states(seq)[1:]:
+            term = method[skeleton]
+            if k != 1:
+                term = coeff_mul(term, k)
+            for component in components:
+                term = coeff_mul(term, v[component])
+            total = coeff_sub(total, term)
+        v[seq] = coeff_div(total, method[b"\x00"])
+    return v
+
+
+def substitute_rows(flow: dict, outer: dict, trees) -> dict:
+    """coeff(τ) = Σ outer(skeleton)·k·Π flow(component), one row at a time;
+    inputs as for :func:`modifying_integrator_rows`."""
+    from bsharp.coefficients import coeff_add, coeff_mul
+
+    out = {b"": outer[b""]}
+    for seq in trees:
+        total = rat(0)
+        for skeleton, components, k in partition_table_bytes_states(seq):
+            term = outer[skeleton]
+            if k != 1:
+                term = coeff_mul(term, k)
+            for component in components:
+                term = coeff_mul(term, flow[component])
+            total = coeff_add(total, term)
+        out[seq] = total
+    return out
+
+
+# ---------------------------------------------------------------------------
 # elementary differentials, no caching, no index sorting
 # ---------------------------------------------------------------------------
 

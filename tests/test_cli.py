@@ -288,6 +288,13 @@ def test_perturbation_without_system_emits_series_json():
     assert data["coefficients"] == {"[0]": "1", "[0,1]": "-1/2"}
 
 
+def test_rk22_unbalanced_argument_is_an_input_error():
+    proc = run_cli("bseries", "--tableau", "rk22(()", "--order", "2")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+
+
 def test_ode_error_positions_reach_stderr():
     proc = run_cli(
         "modified-equation", "--tableau", "euler", "--order", "2",

@@ -117,6 +117,14 @@ def test_rk22_takes_any_coefficient_text():
 
     assert series("rk22(alpha+1)") == series("rk22(1+alpha)")
     assert series("rk22(2^-1)") == series("rk22(1/2)")
+    # the argument is everything between "rk22(" and the last ")"
+    assert series("rk22((1+alpha)/2)") == series("rk22(1/2+alpha/2)")
+
+
+@pytest.mark.parametrize("spec", ["rk22(()", "rk22()", "rk22(1))"])
+def test_rk22_argument_errors_are_parse_errors(spec):
+    with pytest.raises(ParseError):
+        builtin_tableau(spec)
 
 
 @pytest.mark.parametrize(
@@ -137,3 +145,20 @@ def test_over_long_literals_are_refused_with_a_position():
     assert exc_info.value.column == 5
     # at the limit a literal still reads
     assert coeff_parse("1" * limit) == int("1" * limit)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        ("vars x; param a = 10^5000; x' = a*x", 1, 32),
+        ("vars x; x' = 10^5000", 1, 13),
+        ("vars x\nx' = x*10^5000 + 1", 2, 5),
+    ],
+    ids=["param", "constant", "product"],
+)
+def test_constants_too_long_to_print_are_parse_errors(text, line, column):
+    # a valid value whose integer has more digits than CPython writes out
+    with pytest.raises(ParseError, match="digits") as exc_info:
+        parse_ode(text)
+    assert (exc_info.value.line, exc_info.value.column) == (line, column)

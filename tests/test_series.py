@@ -27,6 +27,7 @@ from bsharp.series import (
     truncated,
     zero_skip_count,
 )
+from bsharp import series, splits
 from bsharp.splits import clear_split_caches, edge_cut_table, partition_split_table
 from bsharp.tableaux import ButcherTableau, builtin_tableau, rk_series, tableau_from_json_dict
 from bsharp.trees import EMPTY_TREE, RootedTree, all_trees_up_to, parse_tree
@@ -35,8 +36,10 @@ from oracles import (
     levels_to_shape,
     modified_equation_bruteforce,
     modifying_integrator_bruteforce,
+    modifying_integrator_rows,
     partition_splits_bruteforce,
     subtree_splits_bruteforce,
+    substitute_rows,
 )
 
 T = parse_tree
@@ -343,9 +346,75 @@ def test_modified_equation_builds_no_partition_table():
     for n in range(1, 12):
         assert v[RootedTree(range(n))] == rat((-1) ** (n + 1), n)
     assert partition_split_table.cache_info().currsize == 0
+    assert not splits._id_tables and not splits._rooted_tables and not splits._seqs
     assert edge_cut_table.cache_info().currsize > 0
     clear_split_caches()
     assert edge_cut_table.cache_info().currsize == 0
+
+
+# b = (1, beta): the solve divides by method(•) = 1 + beta, so coefficients
+# get denominators that are not monomials and are summed unreduced
+_PARTITION_ORACLE_TABLEAUX = {
+    "midpoint": builtin_tableau("midpoint"),
+    "rk4": builtin_tableau("rk4"),
+    "rk22(alpha)": builtin_tableau("rk22(alpha)"),
+    "two-parameter": tableau_from_json_dict(
+        {"A": [["0", "0", "0"], ["p", "0", "0"], ["0", "q", "0"]],
+         "b": ["1/6", "2/3", "1/6"], "c": ["0", "p", "q"], "symbols": ["p", "q"]}
+    ),
+    "b=(1,beta)": tableau_from_json_dict(
+        {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2"],
+         "symbols": ["beta"]}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PARTITION_ORACLE_TABLEAUX))
+def test_partition_solves_print_like_the_row_by_row_oracle(name):
+    # printed forms, not just equal values: unreduced rational functions
+    # print by their summation order, which the id tables keep
+    def printed(coeffs, keys):
+        return [coeff_print(coeffs[key]) for key in keys]
+
+    method = rk_series(_PARTITION_ORACLE_TABLEAUX[name], 5)
+    trees = [t._levels for t in all_trees_up_to(5)]
+    v = modifying_integrator_series(method)
+    keys = list(v._coeffs)
+    assert printed(v._coeffs, keys) == printed(
+        modifying_integrator_rows(method._coeffs, 5, trees), keys
+    )
+    for flow, outer in ((v, method), (modified_equation_series(method), exact_series(5))):
+        assert printed(substitute(flow, outer)._coeffs, keys) == printed(
+            substitute_rows(flow._coeffs, outer._coeffs, trees), keys
+        )
+
+
+def test_solves_index_trees_in_enumeration_order():
+    # from an empty index a solve meets every tree in all_trees_up_to
+    # order, so ids are positions in that order
+    clear_split_caches()
+    modifying_integrator_series(rk_series(builtin_tableau("rk4"), 7))
+    assert splits._seqs == [t._levels for t in all_trees_up_to(7)]
+    clear_split_caches()
+
+
+@pytest.mark.parametrize("name,bound", [("midpoint", 2289), ("rk4", 2367)])
+def test_modifying_integrator_multiplies_each_forest_once(monkeypatch, name, bound):
+    # a count of coefficient products, not a time: one product per distinct
+    # forest and one or two per row (products per row of every component
+    # took 7,251 and 26,299)
+    calls = 0
+    mul = series.coeff_mul
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    method = rk_series(builtin_tableau(name), 8)
+    monkeypatch.setattr(series, "coeff_mul", counting)
+    modifying_integrator_series(method)
+    assert 0 < calls <= bound
 
 
 def test_modified_equation_frozen_second_order_family():

@@ -28,6 +28,7 @@ from oracles import (
     edge_cuts_bruteforce,
     levels_to_shape,
     partition_splits_bruteforce,
+    partition_table_bytes_states,
     subtree_splits_bruteforce,
 )
 from test_trees import level_sequences
@@ -224,14 +225,36 @@ def test_partition_table_matches_bruteforce():
         assert ours == partition_splits_bruteforce(tree.levels)
 
 
+def test_partition_view_matches_the_bytes_state_builder():
+    # same rows, in the same order, with the same multiplicities
+    for tree in all_trees_up_to(8):
+        assert partition_split_table(tree) == partition_table_bytes_states(tree._levels), tree
+
+
+def test_multiset_counts_fit_their_field():
+    # the all-cut row of the bush of the top order has MAX_ORDER one-node
+    # components, the largest count any multiset key holds
+    assert 2**splits._BITS > MAX_ORDER
+    splits.clear_split_caches()
+    bush = RootedTree([0] + [1] * (MAX_ORDER - 1))
+    table = partition_split_table(bush)
+    assert table[-1] == (bush._levels, (b"\x00",) * MAX_ORDER, 1)
+    assert sum(k for _, _, k in table) == 2 ** (MAX_ORDER - 1)
+    assert all(sum(map(len, forest)) == MAX_ORDER for _, forest, _ in table)
+    # the index holds only the trees the table names: the bushes
+    assert sorted(splits._seqs) == sorted(bytes([0] + [1] * n) for n in range(MAX_ORDER))
+    splits.clear_split_caches()
+
+
 def test_clear_split_caches_empties_every_cache():
     def caches():
-        # every module-level memo: the lru-cached tables and plain dicts
+        # every module-level memo: the lru-cached tables, plain dicts and
+        # the lists of the tree index
         return {
             name: obj.cache_info().currsize if hasattr(obj, "cache_info") else len(obj)
             for name, obj in vars(splits).items()
             if not name.startswith("__")
-            and (hasattr(obj, "cache_info") or isinstance(obj, dict))
+            and (hasattr(obj, "cache_info") or isinstance(obj, (dict, list)))
         }
 
     for tree in all_trees_up_to(6):
@@ -241,7 +264,7 @@ def test_clear_split_caches_empties_every_cache():
     filled = caches()
     assert {
         "subtree_split_table", "partition_split_table", "edge_cut_table",
-        "_rooted_tables", "_grafts",
+        "_rooted_tables", "_id_tables", "_forests", "_ids", "_seqs", "_kids", "_grafts",
     } <= filled.keys()
     assert all(size > 0 for size in filled.values()), filled
     splits.clear_split_caches()
