@@ -423,10 +423,6 @@ def coeff_mul(a: Coefficient, b: Coefficient) -> Coefficient:
     return a * b
 
 
-def coeff_neg(a: Coefficient) -> Coefficient:
-    return -a
-
-
 def coeff_div(a: Coefficient, b: Coefficient) -> Coefficient:
     if coeff_is_zero(b):
         raise CoefficientError("division by zero coefficient")

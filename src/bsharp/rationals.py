@@ -22,7 +22,6 @@ def rat(numerator: RatLike = 0, denominator: RatLike = 1) -> Rat:
     return Rat(numerator, denominator) if denominator != 1 else Rat(numerator)
 
 ZERO = rat(0)
-ONE = rat(1)
 
 
 def is_rational(value: object) -> bool:

@@ -30,16 +30,18 @@ exp of the Lie derivative ∂_v, whose action on a tree sums over its
 |τ| - 1 single-edge cuts, so the solve is polynomial in the order.
 :func:`modifying_integrator_series` finds ``v`` with
 substitute(v, method) = exact flow, over the distinct partition splits.
-Both :func:`substitute` and that solve read the cached partition id tables
-of :mod:`bsharp.splits`, which are built from each tree's children without
-enumerating edge subsets.  Their rows name trees by int id and a forest by
-one int multiset key, so the solves put coefficients into lists indexed by
-id and keep, for one call, a memo from forest key to Π v(component).  A
-new entry peels the highest id off its key, which costs one product, so a
-forest is multiplied out once per call, not once per row; a forest with a
-zero factor is skipped, never multiplied.  A series keeps one dict keyed
-by canonical level sequence, the key of the subtree and edge-cut rows:
-``b""`` (the empty coefficient) first, then the trees in
+
+Every solve reads the cached id tables of :mod:`bsharp.splits` (subtree,
+partition or edge-cut), whose rows name trees by int id and a forest by
+one int multiset key, and puts coefficients into lists indexed by id.
+:func:`compose`, :func:`substitute` and the modifying integrator share one
+fold over (head, forest, k) rows: total ± (k·H[head])·Π F[forest].  For
+one call a memo maps each forest key to its Π; a new entry peels the
+highest id off its key, which costs one product, so a forest is
+multiplied out once per call, not once per row.  A row whose head or
+forest has a zero factor is skipped before any product.  Level sequences
+appear only at the boundary: a series keeps one dict keyed by canonical
+level sequence, ``b""`` (the empty coefficient) first, then the trees in
 ``all_trees_up_to`` order.
 
 Display convention: a coefficient table is presented as
@@ -51,6 +53,7 @@ field).  JSON files store raw coefficients, never the σ-divided form.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -70,13 +73,13 @@ from .errors import SeriesError, SingularMethodError
 from .rationals import rat
 from .splits import (
     by_id,
-    edge_cut_table,
+    edge_cut_id_table,
     partition_id_table,
     split_top,
-    subtree_split_table,
+    subtree_id_table,
     tree_id,
 )
-from .trees import EMPTY_TREE, RootedTree, all_trees_up_to, parse_tree, trees_of_order
+from .trees import EMPTY_TREE, RootedTree, all_trees_up_to, count_trees, parse_tree, trees_of_order
 
 # Instrumentation: the operations skip whole split terms with a factor that
 # is exactly zero.  The counter lets tests verify both that the skip fires
@@ -111,10 +114,12 @@ class TruncatedBSeries:
     ):
         if not isinstance(max_order, int) or isinstance(max_order, bool) or max_order < 0:
             raise SeriesError(f"max_order must be a non-negative integer, got {max_order!r}")
-        expected = tuple(all_trees_up_to(max_order))
-        if len(coefficients) != len(expected) or any(t not in coefficients for t in expected):
+        # compare sizes before enumerating, so a large max_order fails fast
+        count = sum(map(count_trees, range(1, max_order + 1)))
+        expected = tuple(all_trees_up_to(max_order)) if len(coefficients) == count else None
+        if expected is None or any(t not in coefficients for t in expected):
             raise SeriesError(
-                f"coefficient table must cover exactly the {len(expected)} trees "
+                f"coefficient table must cover exactly the {count} trees "
                 f"of order 1..{max_order}"
             )
         self.max_order = max_order
@@ -227,20 +232,11 @@ def scale_step(series: TruncatedBSeries, mu: Coefficient) -> TruncatedBSeries:
     )
 
 
-def _zero_levels(series: TruncatedBSeries) -> set[bytes]:
-    """Keys of the zero coefficients, found once per tree, not once per row."""
-    return {s for s, c in series._coeffs.items() if coeff_is_zero(c)}
-
-
-def _partition_tables(max_order: int) -> list[tuple[RootedTree, int, tuple]]:
-    """(tree, its id, its partition id table) for every tree up to
-    ``max_order``.  Building the tables indexes every tree their rows name,
-    so lists made by :func:`bsharp.splits.by_id` afterwards cover them all.
-    """
-    return [
-        (t, tree_id(t._levels), partition_id_table(t._levels))
-        for t in all_trees_up_to(max_order)
-    ]
+def _tables(max_order: int, table: Callable[[bytes], tuple]) -> list[tuple]:
+    """(tree, its id, ``table`` of it) for every tree up to ``max_order``.
+    Building the tables indexes every tree their rows name, so lists made
+    by :func:`bsharp.splits.by_id` afterwards cover them all."""
+    return [(t, tree_id(t._levels), table(t._levels)) for t in all_trees_up_to(max_order)]
 
 
 def _zero_ids(coeffs: list) -> set[int]:
@@ -252,25 +248,47 @@ _UNSET = object()
 
 
 def _forest_product(
-    products: dict[int, Coefficient | None], forest: int, factors: list, zero: set[int]
+    products: dict[int, Coefficient | None], factors: list, zero: set[int], forest: int
 ) -> Coefficient | None:
-    """Π factors[id] over the multiset key ``forest``, memoised in
-    ``products``: a new entry peels off the highest id and costs one
-    product.  ``None`` when a factor's id is in ``zero``; such a product is
-    never multiplied out."""
+    """Π factors[id] over the non-empty multiset key ``forest``, memoised in
+    ``products`` for one call: a new entry peels off the highest id and
+    costs one product.  ``None`` when a factor's id is in ``zero``; such a
+    product is never multiplied out."""
     p = products.get(forest, _UNSET)
     if p is _UNSET:
         top, rest = split_top(forest)
         if top in zero:
             p = None
         elif rest:
-            p = _forest_product(products, rest, factors, zero)
+            p = _forest_product(products, factors, zero, rest)
             if p is not None:
                 p = coeff_mul(p, factors[top])
         else:
             p = factors[top]
         products[forest] = p
     return p
+
+
+def _fold(total: Coefficient, rows, op, heads: list, zero_heads: set[int], product) -> Coefficient:
+    """``total`` op (k·heads[head])·product(forest) over the (head, forest,
+    k) rows, in row order; ``product`` is :func:`_forest_product` bound to
+    one call's memo.  A row whose head or forest has a zero factor is
+    skipped before any product; the empty forest (key 0) is the factor 1."""
+    global _zero_skips
+    for head, forest, k in rows:
+        if head in zero_heads:
+            _zero_skips += 1
+            continue
+        if forest:
+            p = product(forest)
+            if p is None:
+                _zero_skips += 1
+                continue
+        term = heads[head]
+        if k != 1:
+            term = coeff_mul(term, k)
+        total = op(total, coeff_mul(term, p) if forest else term)
+    return total
 
 
 def compose(
@@ -285,6 +303,8 @@ def compose(
     ``inner`` must be map-kind (its output state feeds ``outer``).  With
     ``normalize_stepsize`` both factors are first rescaled to half steps, so
     composing a method with itself keeps h the full-step width.
+    ``skip_zero`` drops split terms with a zero factor; it never changes
+    the result.
     """
     global _zero_skips
     _require_same_order(inner, outer, "composition")
@@ -295,20 +315,21 @@ def compose(
         inner = scale_step(inner, half)
         outer = scale_step(outer, half)
 
-    inner_coeffs = inner._coeffs
-    outer_coeffs = outer._coeffs
-    zero_outer = _zero_levels(outer) if skip_zero else set()
+    tables = _tables(inner.max_order, subtree_id_table)
+    factors = by_id(inner._coeffs)
+    outer_coeffs = by_id(outer._coeffs)
+    zero_outer = _zero_ids(outer_coeffs) if skip_zero else set()
+    zero_inner = _zero_ids(factors) if skip_zero else set()
+    skip_empty = skip_zero and coeff_is_zero(outer.empty)
+    product = partial(_forest_product, {}, factors, zero_inner)
     coeffs = {b"": outer.empty}
-    for tree in all_trees_up_to(inner.max_order):
-        total: Coefficient = rat(0)
-        for kept, branches in subtree_split_table(tree):
-            if kept in zero_outer:
-                _zero_skips += 1
-                continue
-            term = outer_coeffs[kept]
-            for branch in branches:
-                term = coeff_mul(term, inner_coeffs[branch])
-            total = coeff_add(total, term)
+    for tree, i, rows in tables:
+        total = _fold(rat(0), rows, coeff_add, outer_coeffs, zero_outer, product)
+        # the empty split: nothing kept, the whole tree cut off
+        if skip_empty or i in zero_inner:
+            _zero_skips += 1
+        else:
+            total = coeff_add(total, coeff_mul(outer.empty, factors[i]))
         coeffs[tree._levels] = total
     return TruncatedBSeries._from_levels(inner.max_order, coeffs)
 
@@ -326,32 +347,18 @@ def substitute(
     is ``outer``'s.  ``skip_zero`` drops split terms whose skeleton weight
     (or any component coefficient) is zero; it never changes the result.
     """
-    global _zero_skips
     _require_same_order(flow, outer, "substitution")
     if not coeff_is_zero(flow.empty):
         raise SeriesError("substitution needs a flow-kind inner series (empty coefficient 0)")
 
-    tables = _partition_tables(flow.max_order)
+    tables = _tables(flow.max_order, partition_id_table)
     factors = by_id(flow._coeffs)
     outer_coeffs = by_id(outer._coeffs)
     zero_outer = _zero_ids(outer_coeffs) if skip_zero else set()
-    zero_flow = _zero_ids(factors) if skip_zero else set()
-    products: dict[int, Coefficient | None] = {}
+    product = partial(_forest_product, {}, factors, _zero_ids(factors) if skip_zero else set())
     coeffs = {b"": outer.empty}
     for tree, _, rows in tables:
-        total: Coefficient = rat(0)
-        for skeleton, forest, k in rows:
-            if skeleton in zero_outer:
-                _zero_skips += 1
-                continue
-            p = _forest_product(products, forest, factors, zero_flow)
-            if p is None:
-                _zero_skips += 1
-                continue
-            o = outer_coeffs[skeleton]
-            term = o if k == 1 else coeff_mul(o, k)
-            total = coeff_add(total, coeff_mul(term, p))
-        coeffs[tree._levels] = total
+        coeffs[tree._levels] = _fold(rat(0), rows, coeff_add, outer_coeffs, zero_outer, product)
     return TruncatedBSeries._from_levels(flow.max_order, coeffs)
 
 
@@ -372,14 +379,16 @@ def modified_equation_series(
     global _zero_skips
     if not coeff_eq(method.empty, 1):
         raise SeriesError("modified equation needs a map-kind method series")
-    v: dict[bytes, Coefficient] = {b"": rat(0)}
-    # lie[τ][j - 1] = c_j(τ) for j = 1..|τ|; c_j(τ) = 0 whenever j > |τ|
-    lie: dict[bytes, list[Coefficient]] = {}
+    tables = _tables(method.max_order, edge_cut_id_table)
+    weights = by_id(method._coeffs)
+    # v[id] and lie[id][j - 1] = c_j(τ) for j = 1..|τ|; c_j(τ) = 0 whenever j > |τ|
+    v: list = [None] * len(weights)
+    lie: list = [None] * len(weights)
     inverse_factorials = [rat(1, math.factorial(j)) for j in range(2, method.max_order + 1)]
-    for tree in all_trees_up_to(method.max_order):
-        seq = tree._levels
-        higher: list[Coefficient] = [rat(0)] * (len(seq) - 1)  # c_2 .. c_|τ|
-        for trunk, branch, k in edge_cut_table(tree):
+    coeffs: dict[bytes, Coefficient] = {b"": rat(0)}
+    for tree, i, rows in tables:
+        higher: list[Coefficient] = [rat(0)] * (tree.order - 1)  # c_2 .. c_|τ|
+        for trunk, branch, k in rows:
             w = v[branch]
             if skip_zero and coeff_is_zero(w):
                 _zero_skips += 1
@@ -391,12 +400,12 @@ def modified_equation_series(
                     _zero_skips += 1
                     continue
                 higher[j] = coeff_add(higher[j], coeff_mul(c, w))
-        total: Coefficient = method._coeffs[seq]
+        total: Coefficient = weights[i]
         for c, inverse in zip(higher, inverse_factorials):
             total = coeff_sub(total, coeff_mul(c, inverse))
-        v[seq] = total
-        lie[seq] = [total] + higher
-    return TruncatedBSeries._from_levels(method.max_order, v)
+        coeffs[tree._levels] = v[i] = total
+        lie[i] = [total] + higher
+    return TruncatedBSeries._from_levels(method.max_order, coeffs)
 
 
 def modifying_integrator_series(
@@ -409,11 +418,9 @@ def modifying_integrator_series(
     tree by tree over the distinct partition splits, each term weighted by
     its multiplicity: v(τ) = (1/γ(τ) - Σ k·method(skeleton)·Π v(component))
     / method(•), the sum over every split but the no-edges-removed one.
-    Each term is (k·method(skeleton))·Π, with Π from the call's forest
-    memo.  ``skip_zero`` drops split terms whose skeleton weight (or any
+    ``skip_zero`` drops split terms whose skeleton weight (or any
     component coefficient) is zero — a pure optimization.
     """
-    global _zero_skips
     if not coeff_eq(method.empty, 1):
         raise SeriesError("modifying integrator needs a map-kind method series")
     u1: Coefficient = rat(1)
@@ -424,27 +431,16 @@ def modifying_integrator_series(
                 "method coefficient of the one-node tree is zero; the triangular "
                 "solve would divide by it"
             )
-    tables = _partition_tables(method.max_order)
+    tables = _tables(method.max_order, partition_id_table)
     weights = by_id(method._coeffs)
     zero_weights = _zero_ids(weights) if skip_zero else set()
     zero_solved: set[int] = set()
     solved: list = [None] * len(weights)
-    products: dict[int, Coefficient | None] = {}
+    product = partial(_forest_product, {}, solved, zero_solved)
     v: dict[bytes, Coefficient] = {b"": rat(0)}
     for tree, i, rows in tables:
-        total: Coefficient = rat(1, tree.density())
-        for skeleton, forest, k in islice(rows, 1, None):
-            if skeleton in zero_weights:
-                _zero_skips += 1
-                continue
-            p = _forest_product(products, forest, solved, zero_solved)
-            if p is None:
-                _zero_skips += 1
-                continue
-            term: Coefficient = weights[skeleton]
-            if k != 1:
-                term = coeff_mul(term, k)
-            total = coeff_sub(total, coeff_mul(term, p))
+        rest = islice(rows, 1, None)  # all but the no-edges-removed split
+        total = _fold(rat(1, tree.density()), rest, coeff_sub, weights, zero_weights, product)
         c = v[tree._levels] = solved[i] = coeff_div(total, u1)
         if skip_zero and coeff_is_zero(c):
             zero_solved.add(i)

@@ -17,34 +17,35 @@ The lazy iterators yield one split per subset, so equal-shaped splits
 appear as often as the series laws count them (a tree of order 40 has
 ~2**39 edge subsets; taking the first few must not enumerate them all).
 They are the only place that wraps splits in :class:`RootedTree` and
-:class:`Forest`.  The ``*_table`` functions materialize and cache whole
-tables keyed by tree; series operations use those, so the cost is paid
-once per tree shape and only for the small orders a truncated series
-actually contains.  The subtree and edge-cut tables hold canonical level
-sequences (``bytes``), the key a series stores its coefficients under,
-with ``b""`` for the empty tree.  The partition and edge-cut tables merge
-equal splits into one row that carries its integer multiplicity; the
-subtree table holds the rows of :func:`ordered_subtrees`, one per subset,
-from the same row generator.
+:class:`Forest`.
+
+The ``*_id_table`` functions materialize and cache a tree's whole table,
+so the cost is paid once per tree shape and only for the small orders a
+truncated series actually contains.  Their rows name a tree by a dense int
+id from one lazily grown tree index and a forest by one int *multiset key*
+with a count field per id, so every table has the same row shape.
+:func:`subtree_id_table` gives (kept id, forest key, 1), one row per
+subset in the order of :func:`ordered_subtrees`, without the empty split;
+:func:`partition_id_table` gives (skeleton id, forest key, multiplicity)
+and :func:`edge_cut_id_table` gives (trunk id, branch id, multiplicity),
+each distinct split once, in the order of its first appearance.  The
+solves in :mod:`bsharp.series` read only these, with coefficients put
+into lists indexed by id by :func:`by_id`.
 
 Partition tables never walk the 2**(order-1) edge subsets.  They are built
 from the children's tables (the coproduct recursion of Calaque,
 Ebrahimi-Fard and Manchon, "Two interacting Hopf algebras of trees",
 2011): the edge from the root to each child is either kept or cut, and
-equal partial results are merged as they arise.  The recursion runs over
-dense int tree ids from one lazily grown tree index, and a multiset of
-trees is one int with a count field per id, so the union of two
+equal partial results are merged as they arise.  The union of two
 multisets is one ``+`` and grafting a root onto a multiset is one dict
-lookup.  :func:`partition_id_table` gives a tree's rows as (skeleton id,
-forest key, multiplicity), which the substitution solves read;
-:func:`partition_split_table` is the same table with ids spelled as level
-sequences.  The tables of subtrees met as a child are memoised by id;
-:func:`clear_split_caches` drops every table, memo and the index.
+lookup.  :func:`partition_split_table` is the partition table with ids
+spelled as level sequences (``bytes``).  The tables of subtrees met as a
+child are memoised by id; :func:`clear_split_caches` drops every table,
+memo and the index.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
@@ -114,10 +115,6 @@ def _subtree_end(levels: bytes, i: int) -> int:
     return j
 
 
-def _forest_key(member: bytes) -> tuple[int, bytes]:
-    return (len(member), member)
-
-
 def _closed_masks(parents: bytes) -> Iterator[int]:
     # depth-first over node indices, exclude branch first; bit 0 always set
     n = len(parents)
@@ -133,7 +130,7 @@ def _closed_masks(parents: bytes) -> Iterator[int]:
     return rec(1, 1)
 
 
-def _subtree_rows(levels: bytes) -> Iterator[tuple[bytes, tuple[bytes, ...]]]:
+def _subtree_rows(levels: bytes) -> Iterator[tuple[bytes, list[bytes]]]:
     """(kept subtree, cut-away forest) for each parent-closed mask, root-only
     first.
 
@@ -156,13 +153,10 @@ def _subtree_rows(levels: bytes) -> Iterator[tuple[bytes, tuple[bytes, ...]]]:
                 base = levels[i]
                 forest.append(_canon(bytes(lvl - base for lvl in levels[i:end])))
                 i = end
-        forest.sort(key=_forest_key)
-        yield _canon(bytes(sub)), tuple(forest)
+        yield _canon(bytes(sub)), forest
 
 
-def _partition_split(
-    levels: bytes, parents: bytes, mask: int
-) -> tuple[bytes, tuple[bytes, ...]]:
+def _partition_split(levels: bytes, parents: bytes, mask: int) -> tuple[bytes, list[bytes]]:
     """Remove the masked edges: (contracted skeleton, component forest)."""
     n = len(levels)
     comp = bytearray(n)       # comp[i] = index of the root of i's component
@@ -186,8 +180,7 @@ def _partition_split(
             if comp[j] == r:
                 mem.append(levels[j] - base)
         members.append(_canon(bytes(mem)))
-    members.sort(key=_forest_key)
-    return _canon(bytes(skel)), tuple(members)
+    return _canon(bytes(skel)), members
 
 
 def ordered_subtrees(tree: RootedTree) -> Iterator[SubtreeSplit]:
@@ -215,22 +208,11 @@ def partitions(tree: RootedTree) -> Iterator[PartitionSplit]:
         yield PartitionSplit(RootedTree._wrap(skel), Forest(tuple(map(RootedTree._wrap, forest))))
 
 
-@lru_cache(maxsize=None)
-def subtree_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, ...]], ...]:
-    """All ordered-subtree splits of ``tree`` as a cached flat table.
-
-    Entries are (kept subtree, forest) as canonical level sequences, with
-    ``b""`` as the kept part of the empty split.  Same order as
-    :func:`ordered_subtrees`.
-    """
-    return (*_subtree_rows(tree._levels), (b"", (tree._levels,)))
-
-
 # -- tree index and multiset keys --------------------------------------------
 #
-# Partition tables are built over dense int tree ids.  A tree gets its id the
-# first time a table meets it, after its children.  A solve builds the tables
-# of all trees up to its order in ``all_trees_up_to`` order and every row of a
+# The id tables name trees by dense int ids.  A tree gets its id the first
+# time a table meets it, after its children.  A solve builds the tables of
+# all trees up to its order in ``all_trees_up_to`` order and every row of a
 # tree names only smaller trees and the tree itself, so from an empty index
 # the ids follow that order; a single large tree registers only the trees its
 # table names, never every tree of its order.
@@ -406,35 +388,59 @@ def partition_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, .
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def edge_cut_table(tree: RootedTree) -> tuple[tuple[bytes, bytes, int], ...]:
-    """Distinct single-edge cuts of ``tree`` as a cached flat table.
+# -- subtree and edge-cut tables, read off the level sequence -----------------
 
-    Entries are (trunk, branch, multiplicity) with canonical level
-    sequences for the trunk and the branch, in the order of the cut
+_subtree_tables: dict[int, tuple] = {}  # id -> rows (kept id, forest key, 1)
+_cut_tables: dict[int, tuple] = {}      # id -> rows (trunk id, branch id, multiplicity)
+
+
+def subtree_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
+    """Ordered-subtree splits of the tree ``seq`` over tree ids, cached.
+
+    Rows are (kept subtree id, forest multiset key, 1), one per
+    parent-closed subset of nodes, in the order of :func:`ordered_subtrees`
+    without its final empty split; equal rows are not merged.  The
+    whole-tree row has the empty forest, key 0.
+    """
+    i = tree_id(seq)
+    table = _subtree_tables.get(i)
+    if table is None:
+        table = _subtree_tables[i] = tuple([
+            (tree_id(kept), sum([1 << _BITS * tree_id(m) for m in forest]), 1)
+            for kept, forest in _subtree_rows(seq)
+        ])
+    return table
+
+
+def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
+    """Distinct single-edge cuts of the tree ``seq`` over tree ids, cached.
+
+    Rows are (trunk id, branch id, multiplicity), in the order of the cut
     node's first appearance in the level sequence; the multiplicities sum
     to order - 1.  The one-node tree has no cuts.
     """
-    levels = tree._levels
-    counts: Counter = Counter()
-    for i in range(1, len(levels)):
-        base = levels[i]
-        end = _subtree_end(levels, i)
-        # removing the contiguous span of node i's subtree leaves a valid
-        # depth-first sequence of the trunk
-        trunk = _canon(levels[:i] + levels[end:])
-        branch = _canon(bytes(lvl - base for lvl in levels[i:end]))
-        counts[trunk, branch] += 1
-    return tuple((trunk, branch, k) for (trunk, branch), k in counts.items())
+    i = tree_id(seq)
+    table = _cut_tables.get(i)
+    if table is None:
+        rows: dict[tuple[int, int], int] = {}
+        for j in range(1, len(seq)):
+            end = _subtree_end(seq, j)
+            # removing the contiguous span of node j's subtree leaves a valid
+            # depth-first sequence of the trunk
+            trunk = tree_id(_canon(seq[:j] + seq[end:]))
+            key = trunk, tree_id(_canon(bytes(lvl - seq[j] for lvl in seq[j:end])))
+            rows[key] = rows.get(key, 0) + 1
+        table = _cut_tables[i] = tuple([(t, b, k) for (t, b), k in rows.items()])
+    return table
 
 
 def clear_split_caches() -> None:
     """Drop every cached split table and the memos behind them."""
-    subtree_split_table.cache_clear()
     partition_split_table.cache_clear()
-    edge_cut_table.cache_clear()
     _rooted_tables.clear()
     _id_tables.clear()
+    _subtree_tables.clear()
+    _cut_tables.clear()
     _forests.clear()
     _ids.clear()
     _seqs.clear()

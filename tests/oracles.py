@@ -387,6 +387,28 @@ def substitute_rows(flow: dict, outer: dict, trees) -> dict:
     return out
 
 
+def compose_rows(inner: dict, outer: dict, trees) -> dict:
+    """coeff(τ) = Σ outer(kept)·Π inner(branch) over the ordered-subtree
+    splits, one per subset in :func:`bsharp.splits.ordered_subtrees` order
+    (the empty split, kept part ``b""``, last), the branches multiplied in
+    (order, level sequence) order; inputs as for
+    :func:`modifying_integrator_rows`."""
+    from bsharp.coefficients import coeff_add, coeff_mul
+    from bsharp.splits import ordered_subtrees
+    from bsharp.trees import RootedTree
+
+    out = {b"": outer[b""]}
+    for seq in trees:
+        total = rat(0)
+        for kept, branches in ordered_subtrees(RootedTree._wrap(seq)):
+            term = outer[b"" if kept.is_empty else kept._levels]
+            for branch in branches:
+                term = coeff_mul(term, inner[branch._levels])
+            total = coeff_add(total, term)
+        out[seq] = total
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elementary differentials, no caching, no index sorting
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from bsharp.coefficients import (
     coeff_eval,
     coeff_is_zero,
     coeff_mul,
-    coeff_neg,
     coeff_parse,
     coeff_pow,
     coeff_print,
@@ -65,8 +64,8 @@ def test_ring_axioms(a, b, c):
         coeff_mul(a, coeff_add(b, c)),
         coeff_add(coeff_mul(a, b), coeff_mul(a, c)),
     )
-    assert coeff_is_zero(coeff_add(a, coeff_neg(a)))
-    assert coeff_eq(coeff_sub(a, b), coeff_add(a, coeff_neg(b)))
+    assert coeff_is_zero(coeff_add(a, -a))
+    assert coeff_eq(coeff_sub(a, b), coeff_add(a, -b))
 
 
 @given(coefficients(), coefficients())

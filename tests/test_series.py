@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bsharp.coefficients import coeff_eq, coeff_print, symbol
-from bsharp.errors import SeriesError, SingularMethodError
+from bsharp.errors import InvalidTreeError, SeriesError, SingularMethodError
 from bsharp.rationals import rat
 from bsharp.series import (
     SeriesTerm,
@@ -28,11 +28,12 @@ from bsharp.series import (
     zero_skip_count,
 )
 from bsharp import series, splits
-from bsharp.splits import clear_split_caches, edge_cut_table, partition_split_table
+from bsharp.splits import clear_split_caches, partition_split_table
 from bsharp.tableaux import ButcherTableau, builtin_tableau, rk_series, tableau_from_json_dict
 from bsharp.trees import EMPTY_TREE, RootedTree, all_trees_up_to, parse_tree
 
 from oracles import (
+    compose_rows,
     levels_to_shape,
     modified_equation_bruteforce,
     modifying_integrator_bruteforce,
@@ -73,6 +74,20 @@ def test_series_must_cover_exactly_the_tree_range():
         TruncatedBSeries(-1, rat(1), {})
     with pytest.raises(SeriesError, match="non-negative integer"):
         TruncatedBSeries(True, rat(1), {T("[0]"): rat(1)})
+
+
+def test_series_size_is_checked_before_trees_are_enumerated(monkeypatch):
+    # a table far too small for its max_order fails on the tree count
+    # alone; enumerating the 1,011,311 trees up to order 17 takes seconds
+    def no_enumeration(max_order):
+        raise AssertionError("enumerated trees before comparing the table size")
+
+    monkeypatch.setattr(series, "all_trees_up_to", no_enumeration)
+    data = {"kind": "map", "max_order": 17, "empty": "1", "coefficients": {"[0]": "1"}}
+    with pytest.raises(SeriesError, match="cover exactly the 1[0-9]+ trees of order 1..17"):
+        series_from_json_dict(data)
+    with pytest.raises(InvalidTreeError, match="exceeds the maximum"):
+        series_from_json_dict({**data, "max_order": 63})
 
 
 def test_kind_classification():
@@ -341,15 +356,15 @@ def test_modified_equation_builds_no_partition_table():
     # Euler's step is 1 + x on the linear chain trees, so the modified
     # field there is log(1 + x): weight (-1)^(n+1)/n on the n-chain
     clear_split_caches()
-    assert edge_cut_table.cache_info().currsize == 0
     v = modified_equation_series(rk_series(builtin_tableau("euler"), 11))
     for n in range(1, 12):
         assert v[RootedTree(range(n))] == rat((-1) ** (n + 1), n)
     assert partition_split_table.cache_info().currsize == 0
-    assert not splits._id_tables and not splits._rooted_tables and not splits._seqs
-    assert edge_cut_table.cache_info().currsize > 0
+    assert not splits._id_tables and not splits._rooted_tables
+    # it indexes trees for its edge-cut tables, and nothing more
+    assert len(splits._cut_tables) == len(splits._seqs) == len(list(all_trees_up_to(11)))
     clear_split_caches()
-    assert edge_cut_table.cache_info().currsize == 0
+    assert not splits._cut_tables and not splits._seqs
 
 
 # b = (1, beta): the solve divides by method(•) = 1 + beta, so coefficients
@@ -389,6 +404,21 @@ def test_partition_solves_print_like_the_row_by_row_oracle(name):
         )
 
 
+@pytest.mark.parametrize("name", list(_PARTITION_ORACLE_TABLEAUX))
+def test_compose_prints_like_the_row_by_row_oracle(name):
+    # both argument orders, against a symbolic second factor
+    def printed(coeffs):
+        return [coeff_print(c) for c in coeffs.values()]
+
+    method = rk_series(_PARTITION_ORACLE_TABLEAUX[name], 5)
+    other = rk_series(builtin_tableau("rk22(alpha)"), 5)
+    trees = [t._levels for t in all_trees_up_to(5)]
+    for inner, outer in ((method, other), (other, method)):
+        assert printed(compose(inner, outer)._coeffs) == printed(
+            compose_rows(inner._coeffs, outer._coeffs, trees)
+        )
+
+
 def test_solves_index_trees_in_enumeration_order():
     # from an empty index a solve meets every tree in all_trees_up_to
     # order, so ids are positions in that order
@@ -398,11 +428,8 @@ def test_solves_index_trees_in_enumeration_order():
     clear_split_caches()
 
 
-@pytest.mark.parametrize("name,bound", [("midpoint", 2289), ("rk4", 2367)])
-def test_modifying_integrator_multiplies_each_forest_once(monkeypatch, name, bound):
-    # a count of coefficient products, not a time: one product per distinct
-    # forest and one or two per row (products per row of every component
-    # took 7,251 and 26,299)
+def _count_products(monkeypatch, solve, *args):
+    """Number of ``series.coeff_mul`` calls ``solve(*args)`` makes."""
     calls = 0
     mul = series.coeff_mul
 
@@ -411,10 +438,33 @@ def test_modifying_integrator_multiplies_each_forest_once(monkeypatch, name, bou
         calls += 1
         return mul(a, b)
 
-    method = rk_series(builtin_tableau(name), 8)
     monkeypatch.setattr(series, "coeff_mul", counting)
-    modifying_integrator_series(method)
-    assert 0 < calls <= bound
+    solve(*args)
+    return calls
+
+
+@pytest.mark.parametrize("name,bound", [("midpoint", 2289), ("rk4", 2367)])
+def test_modifying_integrator_multiplies_each_forest_once(monkeypatch, name, bound):
+    # a count of coefficient products, not a time: one product per distinct
+    # forest and one or two per row (products per row of every component
+    # took 7,251 and 26,299)
+    method = rk_series(builtin_tableau(name), 8)
+    assert 0 < _count_products(monkeypatch, modifying_integrator_series, method) <= bound
+
+
+@pytest.mark.parametrize("name,bound", [("midpoint", 43869), ("rk4", 29268)])
+def test_modified_equation_product_count_at_order_10(monkeypatch, name, bound):
+    # one product per nonzero (cut, Lie term) pair plus one per factorial
+    method = rk_series(builtin_tableau(name), 10)
+    assert 0 < _count_products(monkeypatch, modified_equation_series, method) <= bound
+
+
+@pytest.mark.parametrize("inner,bound", [("midpoint", 3788), ("rk4", 4614)])
+def test_compose_multiplies_each_forest_once(monkeypatch, inner, bound):
+    # compose(inner, rk4) at order 8; multiplying every branch of every
+    # row took 10,693 products in both cases
+    a, b = rk_series(builtin_tableau(inner), 8), rk_series(builtin_tableau("rk4"), 8)
+    assert 0 < _count_products(monkeypatch, compose, a, b) <= bound
 
 
 def test_modified_equation_frozen_second_order_family():
@@ -460,6 +510,12 @@ def test_zero_skipping_is_observable_but_harmless():
     assert modifying_integrator_series(method, skip_zero=False) == (
         modifying_integrator_series(method)
     )
+    assert zero_skip_count() > before
+    # Euler's series is zero on every tree but [0]; the exact flow has no
+    # zero, so every skip is of a zero inner factor
+    euler, exact = rk_series(builtin_tableau("euler"), 6), exact_series(6)
+    before = zero_skip_count()
+    assert compose(euler, exact, skip_zero=False) == compose(euler, exact)
     assert zero_skip_count() > before
     reset_zero_skip_count()
     assert zero_skip_count() == 0

@@ -9,11 +9,11 @@ from bsharp.splits import (
     Forest,
     PartitionSplit,
     SubtreeSplit,
-    edge_cut_table,
+    edge_cut_id_table,
     ordered_subtrees,
     partition_split_table,
     partitions,
-    subtree_split_table,
+    subtree_id_table,
 )
 from bsharp.trees import (
     EMPTY_TREE,
@@ -34,6 +34,12 @@ from oracles import (
 from test_trees import level_sequences
 
 T = parse_tree  # shorthand for the fixtures below
+
+
+def _forest_seqs(key):
+    """The members of a forest multiset key as level sequences."""
+    return Counter(splits._seqs[i] for i in splits._members(key))
+
 
 # frozen: all 16 partition splits of [0,1,2,1,2], as (forest, skeleton, count)
 PARTITION_FIXTURE = [
@@ -199,12 +205,17 @@ def test_tables_agree_with_iterators():
     assert len(trees) == 200
     for tree in trees:
         _assert_table_matches_iterator(tree)
+        # one subtree row per subset, in iterator order, the empty split left out
         assert [
-            (sub._levels, tuple(m._levels for m in forest))
+            (sub._levels, Counter(m._levels for m in forest), 1)
             for sub, forest in ordered_subtrees(tree)
-        ] == list(subtree_split_table(tree))
+        ][:-1] == [
+            (splits._seqs[kept], _forest_seqs(forest), k)
+            for kept, forest, k in subtree_id_table(tree._levels)
+        ]
         # cached: same object on the second call
         assert partition_split_table(tree) is partition_split_table(tree)
+        assert subtree_id_table(tree._levels) is subtree_id_table(tree._levels)
 
 
 @given(level_sequences(max_nodes=11))
@@ -259,12 +270,12 @@ def test_clear_split_caches_empties_every_cache():
 
     for tree in all_trees_up_to(6):
         partition_split_table(tree)
-        subtree_split_table(tree)
-        edge_cut_table(tree)
+        subtree_id_table(tree._levels)
+        edge_cut_id_table(tree._levels)
     filled = caches()
     assert {
-        "subtree_split_table", "partition_split_table", "edge_cut_table",
-        "_rooted_tables", "_id_tables", "_forests", "_ids", "_seqs", "_kids", "_grafts",
+        "partition_split_table", "_rooted_tables", "_id_tables", "_forests",
+        "_subtree_tables", "_cut_tables", "_ids", "_seqs", "_kids", "_grafts",
     } <= filled.keys()
     assert all(size > 0 for size in filled.values()), filled
     splits.clear_split_caches()
@@ -280,33 +291,42 @@ def test_order_cap_matches_mask_width():
 
 def test_edge_cut_table_matches_bruteforce():
     for tree in all_trees_up_to(7):
-        table = edge_cut_table(tree)
+        table = edge_cut_id_table(tree._levels)
         ours = Counter()
         for trunk, branch, k in table:
+            trunk, branch = splits._seqs[trunk], splits._seqs[branch]
             assert len(trunk) + len(branch) == tree.order
             ours[levels_to_shape(trunk), levels_to_shape(branch)] += k
         assert len(ours) == len(table)  # rows are distinct
         assert ours == edge_cuts_bruteforce(tree.levels)
-        assert edge_cut_table(tree) is table
-    assert edge_cut_table(T("[0]")) == ()
+        assert edge_cut_id_table(tree._levels) is table
+    assert edge_cut_id_table(b"\x00") == ()
 
 
-def test_every_table_row_holds_level_sequences():
-    def is_levels(x):
-        return type(x) is bytes
+def test_edge_cut_rows_follow_the_cut_nodes():
+    # [0,1,2,1,1]: one row per distinct cut, in the order of the first node
+    # that gives it: node 1 (branch [0,1]), node 2 (a leaf off [0,1,1,1]),
+    # nodes 3 and 4 (a leaf off [0,1,2,1], twice)
+    table = edge_cut_id_table(T("[0,1,2,1,1]")._levels)
+    assert [(splits._seqs[t], splits._seqs[b], k) for t, b, k in table] == [
+        (bytes([0, 1, 1]), bytes([0, 1]), 1),
+        (bytes([0, 1, 1, 1]), bytes([0]), 1),
+        (bytes([0, 1, 2, 1]), bytes([0]), 2),
+    ]
+
+
+def test_every_id_table_row_names_indexed_trees():
+    # rows hold only ints: ids of the index, and forest keys whose members
+    # are ids of the index
+    def indexed(*ids):
+        return all(type(i) is int and 0 <= i < len(splits._seqs) for i in ids)
 
     for tree in all_trees_up_to(6):
-        subtree = subtree_split_table(tree)
-        assert all(is_levels(kept) and all(map(is_levels, forest)) for kept, forest in subtree)
-        assert subtree[-1] == (b"", (tree._levels,))
-        assert all(
-            is_levels(skel) and all(map(is_levels, forest)) and type(k) is int
-            for skel, forest, k in partition_split_table(tree)
-        )
-        assert all(
-            is_levels(trunk) and is_levels(branch) and type(k) is int
-            for trunk, branch, k in edge_cut_table(tree)
-        )
+        seq = tree._levels
+        for head, forest, k in subtree_id_table(seq) + splits.partition_id_table(seq):
+            assert indexed(head, *splits._members(forest)) and type(k) is int
+        for trunk, branch, k in edge_cut_id_table(seq):
+            assert indexed(trunk, branch) and type(k) is int
 
 
 def test_forest_sorts_and_prints():
