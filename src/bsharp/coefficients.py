@@ -4,19 +4,25 @@ A coefficient is either a rational number (``int`` or
 :class:`fractions.Fraction`) or a :class:`RationalFunction` — a quotient of
 multivariate polynomials in named parameters such as ``alpha``.
 
-The numerator and denominator of a rational function hold Python ``int``
-coefficients.  Every arithmetic result passes through one normalizer,
-:func:`_normalize`, which brings it to this normal form:
+A rational function is one sorted tuple of symbol names and two term
+dicts over it, numerator and denominator, each mapping an exponent vector
+(one entry per symbol) to a nonzero Python ``int``.  Every arithmetic
+result passes through one normalizer, :func:`_normalize`, which brings it
+to this normal form:
 
 * numerator and denominator have no common integer factor (one
   ``math.gcd`` pass, exact ``//`` division) and no common monomial factor;
 * the graded-lex leading coefficient of the denominator is positive;
+* every symbol in the tuple is used by the numerator or the denominator;
 * a constant over a constant collapses to a plain rational.
 
-Scalars enter the arithmetic as their numerator and denominator, so no
-polynomial operation ever builds a ``Fraction``.  A public
-:class:`MultiPoly` may still hold rational coefficients; the public
-:class:`RationalFunction` constructor clears them to integers once.
+A binary operation aligns its operands once: nothing to do when their
+symbol tuples are equal, a constant term dict for a rational operand, and
+otherwise both are widened to the sorted union.  Scalars enter the
+arithmetic as their numerator and denominator, so no polynomial operation
+ever builds a ``Fraction``.  :class:`MultiPoly` is only the public input
+of ``RationalFunction(num, den)``; it may hold rational coefficients,
+which that constructor clears to integers once.
 
 Rational functions are deliberately *not* reduced by a polynomial GCD:
 the common monomial step already cancels monomial denominators, the only
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import re
 import sys
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Mapping, Union
 
@@ -57,12 +63,13 @@ _NAME_RE = re.compile(NAME + r"\Z")
 
 
 class MultiPoly:
-    """Multivariate polynomial over the rationals.
+    """Multivariate polynomial over the rationals, the public input of
+    :class:`RationalFunction`.
 
-    ``symbols`` is a sorted tuple of names; ``terms`` maps exponent vectors
-    (one entry per symbol) to nonzero coefficients, held as ``int`` wherever
-    they are integral.  Symbols that no term actually uses are pruned, so a
-    constant polynomial always has an empty symbol tuple.
+    ``symbols`` is a tuple of names; ``terms`` maps exponent vectors (one
+    entry per symbol) to nonzero coefficients, held as ``int`` wherever
+    they are integral.  Symbols that no term uses are pruned, so a constant
+    polynomial has an empty symbol tuple.
     """
 
     __slots__ = ("symbols", "terms")
@@ -72,106 +79,46 @@ class MultiPoly:
             e: c.numerator if c.denominator == 1 else c
             for e, c in terms.items() if c != 0
         }
-        self.symbols, self.terms = _prune(symbols, terms)
+        self.symbols, self.terms, _ = _prune(symbols if terms else (), terms, {})
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
         return cls((), {(): rat(value)})
 
-    @classmethod
-    def symbol(cls, name: str) -> "MultiPoly":
-        return _poly((name,), {(1,): 1})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.symbols
-
-    def constant_value(self) -> Rat:
-        return rat(self.terms.get((), 0))
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
-        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
-
-    def eval(self, bindings: Mapping[str, Rat]) -> Rat:
-        for name in self.symbols:
-            if name not in bindings:
-                raise UnboundSymbolError(f"no value bound for symbol '{name}'")
-        total = rat(0)
-        for exps, c in self.terms.items():
-            value = rat(c)
-            for name, e in zip(self.symbols, exps):
-                if e:
-                    value *= rat(bindings[name]) ** e
-            total += value
-        return total
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        symbols = _union(self, other)
-        return _terms(self, symbols) == _terms(other, symbols)
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
-        return f"<MultiPoly {_poly_text(self)}>"
-
-
-def _poly(symbols: tuple[str, ...], terms: dict) -> MultiPoly:
-    """A MultiPoly from pruned symbols and nonzero terms, taken as they are."""
-    p = object.__new__(MultiPoly)
-    p.symbols = symbols
-    p.terms = terms
-    return p
-
-
-def _const(value: int) -> MultiPoly:
-    return _poly((), {(): value} if value else {})
+        return f"<MultiPoly {_poly_render(self.symbols, self.terms, False)}>"
 
 
 def _grlex(exps: tuple[int, ...]):
     return sum(exps), exps
 
 
-def _prune(symbols: tuple[str, ...], terms: dict) -> tuple[tuple[str, ...], dict]:
-    """Drop the symbols that no term uses: all of them if there are no terms."""
-    if not terms:
-        return (), terms
-    used = tuple(map(any, zip(*terms)))
+def _prune(symbols: tuple[str, ...], num: dict, den: dict) -> tuple[tuple[str, ...], dict, dict]:
+    """Drop the symbols that neither ``num`` nor ``den`` uses."""
+    used = tuple(map(any, zip(*num, *den)))
     if all(used):
-        return symbols, terms
+        return symbols, num, den
     keep = [i for i, u in enumerate(used) if u]
     return (
         tuple(symbols[i] for i in keep),
-        {tuple(e[i] for i in keep): c for e, c in terms.items()},
+        {tuple(e[i] for i in keep): c for e, c in num.items()},
+        {tuple(e[i] for i in keep): c for e, c in den.items()},
     )
 
 
-def _union(*polys: MultiPoly) -> tuple[str, ...]:
-    """The sorted symbols of all ``polys`` together."""
-    symbols: tuple[str, ...] = ()
-    for p in polys:
-        if p.symbols and p.symbols != symbols:
-            if symbols:
-                return tuple(sorted({s for q in polys for s in q.symbols}))
-            symbols = p.symbols
-    return symbols
-
-
-def _terms(p: MultiPoly, symbols: tuple[str, ...]) -> dict:
-    """The terms of ``p`` with exponent vectors over ``symbols``, a superset
-    of its own."""
-    if p.symbols == symbols:
-        return p.terms
-    idx = [symbols.index(s) for s in p.symbols]
-    width = len(symbols)
+def _widen(symbols: tuple[str, ...], terms: dict, wider: tuple[str, ...]) -> dict:
+    """``terms`` over ``symbols`` rewritten over ``wider``, which holds
+    every one of them."""
+    if symbols == wider:
+        return terms
+    idx = [wider.index(s) for s in symbols]
     out = {}
-    for exps, c in p.terms.items():
-        vec = [0] * width
+    for exps, c in terms.items():
+        vec = [0] * len(wider)
         for k, e in zip(idx, exps):
             vec[k] = e
         out[tuple(vec)] = c
@@ -217,9 +164,17 @@ def _poly_mul(ta: dict, tb: dict) -> dict:
 
 
 def _poly_pow(t: dict, k: int, width: int) -> dict:
+    """``t`` to the power ``k >= 0`` by repeated squaring."""
+    if len(t) == 1:
+        (e, c), = t.items()
+        return {tuple(x * k for x in e): c ** k}
     result = {(0,) * width: 1}
-    for _ in range(k):
-        result = _poly_mul(result, t)
+    while k:
+        if k & 1:
+            result = _poly_mul(result, t)
+        k >>= 1
+        if k:
+            t = _poly_mul(t, t)
     return result
 
 
@@ -239,85 +194,102 @@ def _normalize(symbols: tuple[str, ...], num: dict, den: dict) -> Coefficient:
     if g != 1:
         num = {e: c // g for e, c in num.items()}
         den = {e: c // g for e, c in den.items()}
-    num_symbols, num = _prune(symbols, num)
-    den_symbols, den = _prune(symbols, den)
-    if not (num_symbols or den_symbols):
+    symbols, num, den = _prune(symbols, num, den)
+    if not symbols:
         return Rat(num[()], den[()])
     rf = object.__new__(RationalFunction)
-    rf.num = _poly(num_symbols, num)
-    rf.den = _poly(den_symbols, den)
+    rf.symbols, rf.num, rf.den = symbols, num, den
     return rf
 
 
-def _parts(value) -> tuple[MultiPoly, MultiPoly] | None:
-    """Numerator and denominator of an operand, or None for a non-coefficient."""
-    if isinstance(value, RationalFunction):
-        return value.num, value.den
-    if is_rational(value):
-        return _const(value.numerator), _const(value.denominator)
+def _aligned(a: "RationalFunction", b):
+    """``(symbols, a.num, a.den, b_num, b_den)`` with all four term dicts
+    over one symbol tuple, or None if ``b`` is not a coefficient."""
+    if isinstance(b, RationalFunction):
+        if a.symbols == b.symbols:
+            return a.symbols, a.num, a.den, b.num, b.den
+        symbols = tuple(sorted({*a.symbols, *b.symbols}))
+        return (
+            symbols,
+            _widen(a.symbols, a.num, symbols), _widen(a.symbols, a.den, symbols),
+            _widen(b.symbols, b.num, symbols), _widen(b.symbols, b.den, symbols),
+        )
+    if is_rational(b):
+        one = (0,) * len(a.symbols)
+        return a.symbols, a.num, a.den, {one: b.numerator} if b else {}, {one: b.denominator}
     return None
 
 
-def _quotient_sum(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly) -> Coefficient:
+def _negated(t: dict) -> dict:
+    return {e: -c for e, c in t.items()}
+
+
+def _sum(symbols: tuple[str, ...], a: dict, b: dict, c: dict, d: dict) -> Coefficient:
     """``a/b + c/d``."""
-    symbols = _union(a, b, c, d)
-    ta, tb, tc, td = (_terms(p, symbols) for p in (a, b, c, d))
-    num = _poly_add(_poly_mul(ta, td), _poly_mul(tc, tb))
-    return _normalize(symbols, num, _poly_mul(tb, td))
+    return _normalize(symbols, _poly_add(_poly_mul(a, d), _poly_mul(c, b)), _poly_mul(b, d))
 
 
-def _quotient_product(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly) -> Coefficient:
+def _product(symbols: tuple[str, ...], a: dict, b: dict, c: dict, d: dict) -> Coefficient:
     """``(a/b) * (c/d)``."""
-    symbols = _union(a, b, c, d)
-    ta, tb, tc, td = (_terms(p, symbols) for p in (a, b, c, d))
-    return _normalize(symbols, _poly_mul(ta, tc), _poly_mul(tb, td))
-
-
-def _negated(p: MultiPoly) -> MultiPoly:
-    return _poly(p.symbols, {e: -c for e, c in p.terms.items()})
+    return _normalize(symbols, _poly_mul(a, c), _poly_mul(b, d))
 
 
 class RationalFunction:
-    """Quotient of two integer polynomials, normalized up to content and a
-    common monomial only."""
+    """Quotient of two integer polynomials over one sorted symbol tuple,
+    normalized up to content and a common monomial only (no polynomial GCD:
+    see the module docstring).
 
-    __slots__ = ("num", "den")
+    ``symbols`` is the tuple; ``num`` and ``den`` are term dicts over it,
+    mapping exponent vectors to nonzero ints.
+    """
+
+    __slots__ = ("symbols", "num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero:
             raise CoefficientError("zero denominator in rational function")
-        symbols = _union(num, den)
-        tn, td = _terms(num, symbols), _terms(den, symbols)
+        symbols = tuple(sorted({*num.symbols, *den.symbols}))
+        tn = _widen(num.symbols, num.terms, symbols)
+        td = _widen(den.symbols, den.terms, symbols)
         scale = lcm(*(c.denominator for t in (tn, td) for c in t.values()))
         tn = {e: c.numerator * (scale // c.denominator) for e, c in tn.items()}
         td = {e: c.numerator * (scale // c.denominator) for e, c in td.items()}
         value = _normalize(symbols, tn, td)
         if isinstance(value, RationalFunction):
-            self.num, self.den = value.num, value.den
+            self.symbols, self.num, self.den = value.symbols, value.num, value.den
         else:
-            self.num, self.den = _const(value.numerator), _const(value.denominator)
-
-    @property
-    def symbols(self) -> frozenset[str]:
-        return frozenset(self.num.symbols) | frozenset(self.den.symbols)
+            n = value.numerator
+            self.symbols, self.num, self.den = (), {(): n} if n else {}, {(): value.denominator}
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def eval(self, bindings: Mapping[str, Rat]) -> Rat:
-        den = self.den.eval(bindings)
+        for name in self.symbols:
+            if name not in bindings:
+                raise UnboundSymbolError(f"no value bound for symbol '{name}'")
+        values = [rat(bindings[name]) for name in self.symbols]
+
+        def at(terms: dict) -> Rat:
+            return sum(
+                (c * prod(v ** e for v, e in zip(values, exps) if e) for exps, c in terms.items()),
+                rat(0),
+            )
+
+        den = at(self.den)
         if den == 0:
             raise CoefficientError("denominator vanishes at the evaluation point")
-        return self.num.eval(bindings) / den
+        return at(self.num) / den
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        return _quotient_sum(self.num, self.den, *parts)
+        ops = _aligned(self, other)
+        return NotImplemented if ops is None else _sum(*ops)
 
     __radd__ = __add__
 
@@ -325,70 +297,61 @@ class RationalFunction:
         return self * -1
 
     def __sub__(self, other):
-        parts = _parts(other)
-        if parts is None:
+        ops = _aligned(self, other)
+        if ops is None:
             return NotImplemented
-        c, d = parts
-        return _quotient_sum(self.num, self.den, _negated(c), d)
+        symbols, a, b, c, d = ops
+        return _sum(symbols, a, b, _negated(c), d)
 
     def __rsub__(self, other):
-        parts = _parts(other)
-        if parts is None:
+        ops = _aligned(self, other)
+        if ops is None:
             return NotImplemented
-        c, d = parts
-        return _quotient_sum(c, d, _negated(self.num), self.den)
+        symbols, a, b, c, d = ops
+        return _sum(symbols, c, d, _negated(a), b)
 
     def __mul__(self, other):
-        parts = _parts(other)
-        if parts is None:
-            return NotImplemented
-        return _quotient_product(self.num, self.den, *parts)
+        ops = _aligned(self, other)
+        return NotImplemented if ops is None else _product(*ops)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        parts = _parts(other)
-        if parts is None:
+        ops = _aligned(self, other)
+        if ops is None:
             return NotImplemented
-        c, d = parts
-        if c.is_zero:
+        symbols, a, b, c, d = ops
+        if not c:
             raise CoefficientError("division by zero coefficient")
-        return _quotient_product(self.num, self.den, d, c)
+        return _product(symbols, a, b, d, c)
 
     def __rtruediv__(self, other):
-        parts = _parts(other)
-        if parts is None:
+        ops = _aligned(self, other)
+        if ops is None:
             return NotImplemented
-        if self.num.is_zero:
+        symbols, a, b, c, d = ops
+        if not a:
             raise CoefficientError("division by zero coefficient")
-        c, d = parts
-        return _quotient_product(c, d, self.den, self.num)
+        return _product(symbols, c, d, b, a)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         num, den = self.num, self.den
         if k < 0:
-            if num.is_zero:
+            if not num:
                 raise CoefficientError("zero coefficient raised to a negative power")
             num, den, k = den, num, -k
-        symbols = _union(num, den)
-        width = len(symbols)
-        return _normalize(
-            symbols,
-            _poly_pow(_terms(num, symbols), k, width),
-            _poly_pow(_terms(den, symbols), k, width),
-        )
+        width = len(self.symbols)
+        return _normalize(self.symbols, _poly_pow(num, k, width), _poly_pow(den, k, width))
 
     def __eq__(self, other: object) -> bool:
-        parts = _parts(other)
-        if parts is None:
+        ops = _aligned(self, other)
+        if ops is None:
             return NotImplemented
-        c, d = parts
         # cross-multiplication: no GCDs anywhere
-        symbols = _union(self.num, self.den, c, d)
-        ta, tb, tc, td = (_terms(p, symbols) for p in (self.num, self.den, c, d))
-        return _poly_mul(ta, td) == _poly_mul(tc, tb)
+        _, a, b, c, d = ops
+        return _poly_mul(a, d) == _poly_mul(c, b)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -424,7 +387,7 @@ def coeff_mul(a: Coefficient, b: Coefficient) -> Coefficient:
 
 
 def coeff_div(a: Coefficient, b: Coefficient) -> Coefficient:
-    if coeff_is_zero(b):
+    if not b:
         raise CoefficientError("division by zero coefficient")
     if isinstance(a, RationalFunction) or isinstance(b, RationalFunction):
         return a / b
@@ -440,17 +403,11 @@ def coeff_pow(c: Coefficient, k: int) -> Coefficient:
 
 
 def coeff_is_zero(c: Coefficient) -> bool:
-    if isinstance(c, RationalFunction):
-        return c.is_zero
-    return c == 0
+    return not c
 
 
 def coeff_eq(a: Coefficient, b: Coefficient) -> bool:
-    if isinstance(a, RationalFunction):
-        return a == b
-    if isinstance(b, RationalFunction):
-        return b == a
-    return rat(a) == rat(b)
+    return a == b
 
 
 def coeff_eval(c: Coefficient, bindings: Mapping[str, Rat]) -> Rat:
@@ -462,7 +419,7 @@ def coeff_eval(c: Coefficient, bindings: Mapping[str, Rat]) -> Rat:
 
 def coeff_symbols(c: Coefficient) -> frozenset[str]:
     if isinstance(c, RationalFunction):
-        return c.symbols
+        return frozenset(c.symbols)
     return frozenset()
 
 
@@ -534,12 +491,12 @@ def _term_body(exps, coeff_abs: Rat, symbols, latex: bool) -> str:
     return body
 
 
-def _poly_render(p: MultiPoly, latex: bool) -> str:
-    if p.is_zero:
+def _poly_render(symbols: tuple[str, ...], terms: dict, latex: bool) -> str:
+    if not terms:
         return "0"
     parts = []
-    for exps, c in p.sorted_terms():
-        body = _term_body(exps, abs(c), p.symbols, latex)
+    for exps, c in sorted(terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True):
+        body = _term_body(exps, abs(c), symbols, latex)
         if not parts:
             parts.append(f"-{body}" if c < 0 else body)
         else:
@@ -547,38 +504,32 @@ def _poly_render(p: MultiPoly, latex: bool) -> str:
     return "".join(parts)
 
 
-def _poly_text(p: MultiPoly) -> str:
-    return _poly_render(p, latex=False)
-
-
-def _is_atomic_poly(p: MultiPoly) -> bool:
-    # renders without any operator: a bare integer or a bare symbol
-    if len(p.terms) != 1:
+def _is_atomic(den: dict) -> bool:
+    # renders without any operator: a bare integer or a bare symbol (the
+    # leading coefficient of a denominator is positive)
+    if len(den) != 1:
         return False
-    (exps, c), = p.terms.items()
-    if not any(exps):
-        return c >= 0 and rat(c).denominator == 1
-    return c == 1 and sum(exps) == 1
+    (exps, c), = den.items()
+    return not any(exps) or (c == 1 and sum(exps) == 1)
 
 
 def _rf_text(rf: RationalFunction) -> str:
-    num, den = rf.num, rf.den
-    if den.is_constant and den.constant_value() == 1:
-        return _poly_text(num)
-    num_str = _poly_text(num)
-    if len(num.terms) > 1:
+    num_str = _poly_render(rf.symbols, rf.num, False)
+    if rf.den == {(0,) * len(rf.symbols): 1}:
+        return num_str
+    if len(rf.num) > 1:
         num_str = f"({num_str})"
-    den_str = _poly_text(den)
-    if not _is_atomic_poly(den):
+    den_str = _poly_render(rf.symbols, rf.den, False)
+    if not _is_atomic(rf.den):
         den_str = f"({den_str})"
     return f"{num_str}/{den_str}"
 
 
 def _rf_latex(rf: RationalFunction) -> str:
-    num, den = rf.num, rf.den
-    if den.is_constant and den.constant_value() == 1:
-        return _poly_render(num, latex=True)
-    return f"\\frac{{{_poly_render(num, latex=True)}}}{{{_poly_render(den, latex=True)}}}"
+    num_str = _poly_render(rf.symbols, rf.num, True)
+    if rf.den == {(0,) * len(rf.symbols): 1}:
+        return num_str
+    return f"\\frac{{{num_str}}}{{{_poly_render(rf.symbols, rf.den, True)}}}"
 
 
 def coeff_print(c: Coefficient, fmt: str = "text") -> str:

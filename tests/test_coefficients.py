@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import bsharp.coefficients as coefficients_module
 from bsharp.coefficients import (
     MultiPoly,
     RationalFunction,
@@ -131,19 +132,23 @@ def test_symbols_and_eval():
 
 # An operand is a bare symbol, a rational scalar, or a polynomial with more
 # than one term (so that denominators stop being monomials).
-operands = st.one_of(
-    st.tuples(st.just("symbol"), st.sampled_from(["alpha", "beta"])),
-    st.tuples(st.just("scalar"), st.integers(-9, 9), st.integers(1, 6)),
-    st.tuples(
-        st.just("binomial"), st.sampled_from(["alpha", "beta"]),
-        st.integers(1, 2), st.integers(-3, 3).filter(bool),
-    ),
-)
+def operands_over(names):
+    return st.one_of(
+        st.tuples(st.just("symbol"), st.sampled_from(names)),
+        st.tuples(st.just("scalar"), st.integers(-9, 9), st.integers(1, 6)),
+        st.tuples(
+            st.just("binomial"), st.sampled_from(names),
+            st.integers(1, 2), st.integers(-3, 3).filter(bool),
+        ),
+    )
 
-steps = st.one_of(
-    st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), operands, st.booleans()),
-    st.tuples(st.just("pow"), st.integers(-2, 3), st.just(False)),
-)
+
+def chains_over(names):
+    steps = st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), operands_over(names), st.booleans()),
+        st.tuples(st.just("pow"), st.integers(-2, 3), st.just(False)),
+    )
+    return st.tuples(operands_over(names), st.lists(steps, max_size=6))
 
 
 def _operand(spec, sym, scalar):
@@ -184,7 +189,8 @@ def run_chain(start, chain):
         yield new, old
 
 
-chains = st.tuples(operands, st.lists(steps, max_size=6))
+# with three symbols, operands over different symbol tuples meet more often
+chains = st.one_of(chains_over(["alpha", "beta"]), chains_over(["alpha", "beta", "gamma"]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -203,19 +209,19 @@ def _leading(terms):
 
 
 def assert_normal_form(rf):
-    num, den = rf.num, rf.den
-    coeffs = list(num.terms.values()) + list(den.terms.values())
+    symbols, num, den = rf.symbols, rf.num, rf.den
+    coeffs = list(num.values()) + list(den.values())
     assert all(type(c) is int for c in coeffs)
     assert gcd(*coeffs) == 1
-    assert _leading(den.terms) > 0
-    for name in set(num.symbols) & set(den.symbols):
-        i, j = num.symbols.index(name), den.symbols.index(name)
-        assert min(e[i] for e in num.terms) == 0 or min(e[j] for e in den.terms) == 0
-    for p in (num, den):
-        # symbols are sorted and every one of them is used
-        assert list(p.symbols) == sorted(p.symbols)
-        assert all(any(e[i] for e in p.terms) for i in range(len(p.symbols)))
-    assert num.symbols or den.symbols  # constant over constant collapses
+    assert _leading(den) > 0
+    # one sorted symbol tuple, each symbol used by the numerator or the
+    # denominator, and both term dicts over all of it
+    assert list(symbols) == sorted(set(symbols))
+    assert all(len(e) == len(symbols) for e in [*num, *den])
+    assert all(any(e[i] for e in [*num, *den]) for i in range(len(symbols)))
+    for i in range(len(symbols)):  # no common monomial
+        assert min(e[i] for e in num) == 0 or min(e[i] for e in den) == 0
+    assert symbols  # constant over constant collapses
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,12 +236,12 @@ def test_every_result_is_in_integer_normal_form(chain):
 
 def test_results_share_no_term_dict_with_an_operand():
     x = coeff_div(coeff_add(ALPHA, BETA), coeff_add(ALPHA, rat(1)))
-    held = [dict(x.num.terms), dict(x.den.terms)]
+    held = [dict(x.num), dict(x.den)]
     for y in (x * 1, 1 * x, x / 1, x ** 1, x + 0, x - 0, coeff_mul(x, ALPHA / ALPHA)):
-        assert y.num.terms is not x.num.terms and y.den.terms is not x.den.terms
-        y.num.terms.clear()
-        y.den.terms.clear()
-    assert [x.num.terms, x.den.terms] == held
+        assert y.num is not x.num and y.den is not x.den
+        y.num.clear()
+        y.den.clear()
+    assert [x.num, x.den] == held
 
 
 def test_public_constructors_accept_rational_coefficients():
@@ -252,9 +258,61 @@ def test_public_constructors_accept_rational_coefficients():
     assert_normal_form(rf)
     # constant over constant stays a RationalFunction when built directly
     pair = RationalFunction(third, MultiPoly.constant(Fraction(2, 5)))
-    assert (pair.num.terms, pair.den.terms) == ({(): 5}, {(): 6})
+    assert (pair.symbols, pair.num, pair.den) == ((), {(): 5}, {(): 6})
     assert coeff_eq(pair, rat(5, 6))
     assert RationalFunction(MultiPoly(("a",), {}), third).is_zero
+
+
+def test_truth_value_and_equality_across_scalar_types():
+    zero = RationalFunction(MultiPoly(("a",), {}), MultiPoly.constant(3))
+    assert not zero and zero.is_zero and coeff_is_zero(zero)
+    half = RationalFunction(MultiPoly.constant(Fraction(1, 2)), MultiPoly.constant(1))
+    one = RationalFunction(MultiPoly.constant(2), MultiPoly.constant(2))
+    assert half and one and ALPHA
+    values = [
+        (0, "0"), (Fraction(0), "0"), (zero, "0"),
+        (1, "1"), (Fraction(1), "1"), (one, "1"),
+        (Fraction(1, 2), "1/2"), (half, "1/2"),
+        (ALPHA, "alpha"), (coeff_parse("alpha^2/alpha"), "alpha"),
+        (coeff_parse("(alpha^2 - 1)/(alpha - 1)"), "alpha + 1"), (ALPHA + 1, "alpha + 1"),
+        (BETA, "beta"),
+    ]
+    for a, key_a in values:
+        assert coeff_is_zero(a) == (key_a == "0")
+        for b, key_b in values:
+            assert coeff_eq(a, b) is coeff_eq(b, a) is (key_a == key_b)
+
+
+@pytest.mark.parametrize(
+    "build,k",
+    [
+        (lambda s: s("alpha") + s("beta"), 100),
+        (lambda s: (s("alpha") - 2 * s("beta")) / s("alpha"), 77),
+        (lambda s: 1 / (s("alpha") + 1), -45),
+        (lambda s: (s("alpha") + 1) / 3, 1),
+        (lambda s: s("alpha") - 1, 0),
+        (lambda s: s("alpha"), 3000000),
+    ],
+)
+def test_powers_are_taken_by_repeated_squaring(monkeypatch, build, k):
+    # at most 2*k.bit_length() term-dict products: multiplying k times made
+    # coeff_parse("alpha^3000000") take seconds
+    value = build(symbol)
+    calls = 0
+    mul = coefficients_module._poly_mul
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(coefficients_module, "_poly_mul", counting)
+    got = coeff_pow(value, k)
+    assert calls <= 2 * k.bit_length()
+    if k < 1000:
+        assert coeff_print(got) == oracles.oracle_print(build(oracles.oracle_symbol) ** k)
+    else:
+        assert coeff_print(got) == f"alpha^{k}"
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from bsharp.series import (
     truncated,
     zero_skip_count,
 )
-from bsharp import series, splits
+from bsharp import coefficients, series, splits
 from bsharp.splits import clear_split_caches, partition_split_table
 from bsharp.tableaux import ButcherTableau, builtin_tableau, rk_series, tableau_from_json_dict
 from bsharp.trees import EMPTY_TREE, RootedTree, all_trees_up_to, parse_tree
@@ -465,6 +465,27 @@ def test_compose_multiplies_each_forest_once(monkeypatch, inner, bound):
     # row took 10,693 products in both cases
     a, b = rk_series(builtin_tableau(inner), 8), rk_series(builtin_tableau("rk4"), 8)
     assert 0 < _count_products(monkeypatch, compose, a, b) <= bound
+
+
+def test_rk22_solves_never_widen_a_term_dict(monkeypatch):
+    # every rk22(alpha) coefficient is over the one symbol tuple ("alpha",),
+    # so no operation of its solves rewrites a term dict over more symbols
+    widened = []
+    widen = coefficients._widen
+
+    def recording(symbols, terms, wider):
+        if symbols != wider:
+            widened.append((symbols, wider))
+        return widen(symbols, terms, wider)
+
+    monkeypatch.setattr(coefficients, "_widen", recording)
+    symbol("alpha") + symbol("beta")  # the hook sees a widening when there is one
+    assert (("alpha",), ("alpha", "beta")) in widened
+    widened.clear()
+    method = rk_series(builtin_tableau("rk22(alpha)"), 6)
+    modified_equation_series(method)
+    modifying_integrator_series(method)
+    assert widened == []
 
 
 def test_modified_equation_frozen_second_order_family():
