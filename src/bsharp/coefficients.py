@@ -68,8 +68,8 @@ class MultiPoly:
 
     ``symbols`` is a tuple of names; ``terms`` maps exponent vectors (one
     entry per symbol) to nonzero coefficients, held as ``int`` wherever
-    they are integral.  Symbols that no term uses are pruned, so a constant
-    polynomial has an empty symbol tuple.
+    they are integral.  Symbols are kept as given, in any order;
+    :class:`RationalFunction` prunes those that no term uses.
     """
 
     __slots__ = ("symbols", "terms")
@@ -79,7 +79,7 @@ class MultiPoly:
             e: c.numerator if c.denominator == 1 else c
             for e, c in terms.items() if c != 0
         }
-        self.symbols, self.terms, _ = _prune(symbols if terms else (), terms, {})
+        self.symbols, self.terms = symbols, terms
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
@@ -165,9 +165,6 @@ def _poly_mul(ta: dict, tb: dict) -> dict:
 
 def _poly_pow(t: dict, k: int, width: int) -> dict:
     """``t`` to the power ``k >= 0`` by repeated squaring."""
-    if len(t) == 1:
-        (e, c), = t.items()
-        return {tuple(x * k for x in e): c ** k}
     result = {(0,) * width: 1}
     while k:
         if k & 1:
@@ -260,10 +257,6 @@ class RationalFunction:
         else:
             n = value.numerator
             self.symbols, self.num, self.den = (), {(): n} if n else {}, {(): value.denominator}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __bool__(self) -> bool:
         return bool(self.num)

@@ -260,12 +260,17 @@ def test_public_constructors_accept_rational_coefficients():
     pair = RationalFunction(third, MultiPoly.constant(Fraction(2, 5)))
     assert (pair.symbols, pair.num, pair.den) == ((), {(): 5}, {(): 6})
     assert coeff_eq(pair, rat(5, 6))
-    assert RationalFunction(MultiPoly(("a",), {}), third).is_zero
+    assert coeff_is_zero(RationalFunction(MultiPoly(("a",), {}), third))
+    # symbols no term uses are pruned by the RationalFunction, not the MultiPoly
+    unused = MultiPoly(("c", "b", "a"), {(0, 0, 1): 1})
+    assert unused.symbols == ("c", "b", "a")
+    only_a = RationalFunction(unused, MultiPoly(("b",), {(0,): 2}))
+    assert (only_a.symbols, only_a.num, only_a.den) == (("a",), {(1,): 1}, {(0,): 2})
 
 
 def test_truth_value_and_equality_across_scalar_types():
     zero = RationalFunction(MultiPoly(("a",), {}), MultiPoly.constant(3))
-    assert not zero and zero.is_zero and coeff_is_zero(zero)
+    assert not zero and coeff_is_zero(zero)
     half = RationalFunction(MultiPoly.constant(Fraction(1, 2)), MultiPoly.constant(1))
     one = RationalFunction(MultiPoly.constant(2), MultiPoly.constant(2))
     assert half and one and ALPHA
@@ -295,20 +300,25 @@ def test_truth_value_and_equality_across_scalar_types():
     ],
 )
 def test_powers_are_taken_by_repeated_squaring(monkeypatch, build, k):
-    # at most 2*k.bit_length() term-dict products: multiplying k times made
-    # coeff_parse("alpha^3000000") take seconds
+    # numerator and denominator each take at most 2*k.bit_length() term-dict
+    # products: multiplying k times made coeff_parse("alpha^3000000") take
+    # seconds
     value = build(symbol)
-    calls = 0
-    mul = coefficients_module._poly_mul
+    calls = []
+    mul, power = coefficients_module._poly_mul, coefficients_module._poly_pow
 
-    def counting(a, b):
-        nonlocal calls
-        calls += 1
+    def counting_mul(a, b):
+        calls[-1] += 1
         return mul(a, b)
 
-    monkeypatch.setattr(coefficients_module, "_poly_mul", counting)
+    def counting_pow(t, k, width):
+        calls.append(0)
+        return power(t, k, width)
+
+    monkeypatch.setattr(coefficients_module, "_poly_mul", counting_mul)
+    monkeypatch.setattr(coefficients_module, "_poly_pow", counting_pow)
     got = coeff_pow(value, k)
-    assert calls <= 2 * k.bit_length()
+    assert len(calls) == 2 and max(calls) <= 2 * k.bit_length()
     if k < 1000:
         assert coeff_print(got) == oracles.oracle_print(build(oracles.oracle_symbol) ** k)
     else:
