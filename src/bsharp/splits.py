@@ -17,7 +17,9 @@ The lazy iterators yield one split per subset, so equal-shaped splits
 appear as often as the series laws count them (a tree of order 40 has
 ~2**39 edge subsets; taking the first few must not enumerate them all).
 They are the only place that wraps splits in :class:`RootedTree` and
-:class:`Forest`.
+:class:`Forest`.  :func:`partitions` is the one per-mask path: it walks
+the edge masks over the level sequence.  :func:`ordered_subtrees` spells
+out the lazy recursion that :func:`subtree_id_table` stores.
 
 The ``*_id_table`` functions materialize and cache a tree's whole table,
 so the cost is paid once per tree shape and only for the small orders a
@@ -32,16 +34,18 @@ each distinct split once, in the order of its first appearance.  The
 solves in :mod:`bsharp.series` read only these, with coefficients put
 into lists indexed by id by :func:`by_id`.
 
-Partition tables never walk the 2**(order-1) edge subsets.  They are built
-from the children's tables (the coproduct recursion of Calaque,
-Ebrahimi-Fard and Manchon, "Two interacting Hopf algebras of trees",
-2011): the edge from the root to each child is either kept or cut, and
-equal partial results are merged as they arise.  The union of two
-multisets is one ``+`` and grafting a root onto a multiset is one dict
-lookup.  :func:`partition_split_table` is the partition table with ids
-spelled as level sequences (``bytes``).  The tables of subtrees met as a
-child are memoised by id; :func:`clear_split_caches` drops every table,
-memo and the index.
+No table walks the 2**(order-1) subsets or canonicalizes a level
+sequence: each is built over ids from the tables of the root's children
+(the coproduct recursion of Calaque, Ebrahimi-Fard and Manchon, "Two
+interacting Hopf algebras of trees", 2011).  For a partition the edge to
+each child is kept or cut, and equal partial results are merged as they
+arise; for a subtree split each child is cut off or kept in one of its own
+subtree splits; an edge cut removes the edge to a child or one of the
+child's cuts.  The union of two multisets is one ``+`` and grafting a root
+onto a multiset is one dict lookup.  :func:`partition_split_table` is the
+partition table with ids spelled as level sequences (``bytes``).  The
+tables of subtrees met as a child are memoised by id;
+:func:`clear_split_caches` drops every table, memo and the index.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
+from .errors import InvalidTreeError
 from .trees import EMPTY_TREE, MAX_ORDER, RootedTree, _canon, _children, _EmptyTree
 
 
@@ -87,11 +92,10 @@ class PartitionSplit(NamedTuple):
     forest: Forest
 
 
-# -- per-subset splits ------------------------------------------------------
+# -- per-subset partition splits ----------------------------------------------
 #
-# Subtree masks: bit i set means node i is kept; masks are parent-closed and
-# always contain bit 0 (the root).  Partition masks: bit i - 1 set means the
-# edge from parent(i) to node i is removed.
+# Bit i - 1 of a partition mask set means the edge from parent(i) to node i
+# is removed.
 
 
 def _parents(levels: bytes) -> bytes:
@@ -113,47 +117,6 @@ def _subtree_end(levels: bytes, i: int) -> int:
     while j < n and levels[j] > base:
         j += 1
     return j
-
-
-def _closed_masks(parents: bytes) -> Iterator[int]:
-    # depth-first over node indices, exclude branch first; bit 0 always set
-    n = len(parents)
-
-    def rec(i: int, mask: int) -> Iterator[int]:
-        if i == n:
-            yield mask
-            return
-        yield from rec(i + 1, mask)
-        if (mask >> parents[i]) & 1:
-            yield from rec(i + 1, mask | (1 << i))
-
-    return rec(1, 1)
-
-
-def _subtree_rows(levels: bytes) -> Iterator[tuple[bytes, list[bytes]]]:
-    """(kept subtree, cut-away forest) for each parent-closed mask, root-only
-    first.
-
-    The kept nodes, in their original order, already form a depth-first
-    traversal of the kept subtree, each at its original level.  Every
-    maximal unkept branch is a contiguous span that falls off intact.
-    """
-    n = len(levels)
-    parents = _parents(levels)
-    for mask in _closed_masks(parents):
-        sub = bytearray()
-        forest: list[bytes] = []
-        i = 0
-        while i < n:
-            if (mask >> i) & 1:
-                sub.append(levels[i])
-                i += 1
-            else:  # first unkept node of a branch: its parent is kept
-                end = _subtree_end(levels, i)
-                base = levels[i]
-                forest.append(_canon(bytes(lvl - base for lvl in levels[i:end])))
-                i = end
-        yield _canon(bytes(sub)), forest
 
 
 def _partition_split(levels: bytes, parents: bytes, mask: int) -> tuple[bytes, list[bytes]]:
@@ -189,8 +152,11 @@ def ordered_subtrees(tree: RootedTree) -> Iterator[SubtreeSplit]:
     Root-only split first, whole-tree split last but one, then the empty
     split.  The number of splits is (number of parent-closed subsets) + 1.
     """
-    for sub, forest in _subtree_rows(tree._levels):
-        yield SubtreeSplit(RootedTree._wrap(sub), Forest(tuple(map(RootedTree._wrap, forest))))
+    if tree.is_empty:
+        raise InvalidTreeError("the empty tree has no ordered-subtree splits")
+    for kept, forest in _kept(tree_id(tree._levels)):
+        members = [RootedTree._wrap(_seqs[m]) for m in _members(forest)]
+        yield SubtreeSplit(RootedTree._wrap(_seqs[_graft(kept)]), Forest(tuple(members)))
     yield SubtreeSplit(EMPTY_TREE, Forest((tree,)))
 
 
@@ -201,6 +167,8 @@ def partitions(tree: RootedTree) -> Iterator[PartitionSplit]:
     tree) comes first; the all-edges-removed split (forest of single nodes,
     skeleton shaped like the tree itself) comes last.
     """
+    if tree.is_empty:
+        raise InvalidTreeError("the empty tree has no partition splits")
     levels = tree._levels
     parents = _parents(levels)
     for mask in range(1 << (tree.order - 1)):
@@ -264,7 +232,7 @@ def _members(key: int) -> list[int]:
 def _graft(children: int) -> int:
     """Id of a root carrying the multiset ``children``."""
     i = _grafts.get(children)
-    if i is None:  # a tree met first as a skeleton or a component
+    if i is None:  # met first as a skeleton, component, kept subtree or trunk
         members = sorted((_seqs[k] for k in _members(children)), reverse=True)
         i = tree_id(b"\x00" + b"".join(bytes(lvl + 1 for lvl in m) for m in members))
     return i
@@ -388,10 +356,30 @@ def partition_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, .
     return tuple(rows)
 
 
-# -- subtree and edge-cut tables, read off the level sequence -----------------
+# -- subtree and edge-cut tables by the children recursion --------------------
 
 _subtree_tables: dict[int, tuple] = {}  # id -> rows (kept id, forest key, 1)
 _cut_tables: dict[int, tuple] = {}      # id -> rows (trunk id, branch id, multiplicity)
+
+
+def _kept(i: int, j: int = 0) -> Iterator[tuple[int, int]]:
+    """(multiset key of the kept root's children, forest key) for each
+    subtree split of tree ``i`` that keeps its root, over its children from
+    the ``j``-th on, lazily.  Each child is cut off whole or kept in one of
+    its own splits, cut first; earlier children vary more slowly, so along
+    the level sequence each node's choice varies more slowly than the next."""
+    kids = _kids[i]
+    if j == len(kids):
+        yield 0, 0
+        return
+    child = kids[j]
+    cut = 1 << _BITS * child
+    for kept, forest in _kept(i, j + 1):
+        yield kept, forest + cut
+    for c_kept, c_forest in _kept(child):
+        graft = 1 << _BITS * _graft(c_kept)
+        for kept, forest in _kept(i, j + 1):
+            yield kept + graft, forest + c_forest
 
 
 def subtree_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
@@ -405,10 +393,7 @@ def subtree_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
     i = tree_id(seq)
     table = _subtree_tables.get(i)
     if table is None:
-        table = _subtree_tables[i] = tuple([
-            (tree_id(kept), sum([1 << _BITS * tree_id(m) for m in forest]), 1)
-            for kept, forest in _subtree_rows(seq)
-        ])
+        table = _subtree_tables[i] = tuple([(_graft(k), f, 1) for k, f in _kept(i)])
     return table
 
 
@@ -423,13 +408,15 @@ def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
     table = _cut_tables.get(i)
     if table is None:
         rows: dict[tuple[int, int], int] = {}
-        for j in range(1, len(seq)):
-            end = _subtree_end(seq, j)
-            # removing the contiguous span of node j's subtree leaves a valid
-            # depth-first sequence of the trunk
-            trunk = tree_id(_canon(seq[:j] + seq[end:]))
-            key = trunk, tree_id(_canon(bytes(lvl - seq[j] for lvl in seq[j:end])))
+        kids = _kids[i]
+        children = sum([1 << _BITS * c for c in kids])
+        for c in kids:
+            rest = children - (1 << _BITS * c)
+            key = _graft(rest), c  # the edge to c
             rows[key] = rows.get(key, 0) + 1
+            for t, b, k in edge_cut_id_table(_seqs[c]):  # an edge inside c
+                key = _graft(rest + (1 << _BITS * t)), b
+                rows[key] = rows.get(key, 0) + k
         table = _cut_tables[i] = tuple([(t, b, k) for (t, b), k in rows.items()])
     return table
 

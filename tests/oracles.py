@@ -231,6 +231,78 @@ def edge_cuts_bruteforce(levels) -> Counter:
 
 
 # ---------------------------------------------------------------------------
+# subtree and edge-cut rows by node masks and sequence slices
+# ---------------------------------------------------------------------------
+#
+# The builders as they stood before the children recursion: kept subtrees
+# walk the parent-closed node masks over the level sequence, and edge cuts
+# slice the sequence; every piece is canonicalized as bytes.  Rows come out
+# in the order the package promises.
+
+def _canonical(seq: bytes) -> bytes:
+    """Lexicographically greatest level sequence of the tree ``seq``,
+    keeping its base level."""
+    starts = [i for i in range(1, len(seq)) if seq[i] == seq[0] + 1] + [len(seq)]
+    kids = sorted((_canonical(seq[s:e]) for s, e in zip(starts, starts[1:])), reverse=True)
+    return seq[:1] + b"".join(kids)
+
+
+def _span_end(seq: bytes, i: int) -> int:
+    """One past the last node of the subtree rooted at node ``i``."""
+    j = i + 1
+    while j < len(seq) and seq[j] > seq[i]:
+        j += 1
+    return j
+
+
+def _rebased(seq: bytes) -> bytes:
+    return _canonical(bytes(x - seq[0] for x in seq))
+
+
+def subtree_rows_by_masks(seq: bytes) -> list:
+    """(kept subtree, forest) for each parent-closed node set of the
+    canonical level sequence ``seq`` that holds the root, the forest sorted
+    by (order, level sequence).  Node 1's bit varies slowest, unkept first,
+    the order of :func:`bsharp.splits.ordered_subtrees`."""
+    n = len(seq)
+    parent = parents_from_levels(seq)
+
+    def masks(i: int, mask: int):
+        if i == n:
+            yield mask
+            return
+        yield from masks(i + 1, mask)
+        if mask >> parent[i] & 1:
+            yield from masks(i + 1, mask | 1 << i)
+
+    rows = []
+    for mask in masks(1, 1):
+        kept, forest, i = bytearray(), [], 0
+        while i < n:
+            if mask >> i & 1:
+                kept.append(seq[i])
+                i += 1
+            else:  # the first node of a branch that falls off intact
+                end = _span_end(seq, i)
+                forest.append(_rebased(seq[i:end]))
+                i = end
+        rows.append((_canonical(bytes(kept)), tuple(sorted(sorted(forest), key=len))))
+    return rows
+
+
+def edge_cut_rows_by_slices(seq: bytes) -> list:
+    """Distinct (trunk, branch, multiplicity) single-edge cuts of the
+    canonical level sequence ``seq``, in the order of the cut node's first
+    appearance: removing node j's contiguous span leaves the trunk."""
+    rows: dict = {}
+    for j in range(1, len(seq)):
+        end = _span_end(seq, j)
+        key = _canonical(seq[:j] + seq[end:]), _rebased(seq[j:end])
+        rows[key] = rows.get(key, 0) + 1
+    return [(t, b, k) for (t, b), k in rows.items()]
+
+
+# ---------------------------------------------------------------------------
 # series solves, by partition multisets
 # ---------------------------------------------------------------------------
 

@@ -105,6 +105,14 @@ def test_splits_rejects_bad_tree():
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("kind", ["subtrees", "partitions"])
+def test_splits_rejects_the_empty_tree(kind):
+    proc = run_cli("splits", "{}", "--kind", kind)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:") and "empty tree" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # series commands
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@ from collections import Counter
 from itertools import islice
 from time import perf_counter
 
+import pytest
 from hypothesis import given, settings
 
 from bsharp import splits
+from bsharp.errors import InvalidTreeError
 from bsharp.splits import (
     Forest,
     PartitionSplit,
@@ -25,10 +27,12 @@ from bsharp.trees import (
 )
 
 from oracles import (
+    edge_cut_rows_by_slices,
     edge_cuts_bruteforce,
     levels_to_shape,
     partition_splits_bruteforce,
     partition_table_bytes_states,
+    subtree_rows_by_masks,
     subtree_splits_bruteforce,
 )
 from test_trees import level_sequences
@@ -37,8 +41,9 @@ T = parse_tree  # shorthand for the fixtures below
 
 
 def _forest_seqs(key):
-    """The members of a forest multiset key as level sequences."""
-    return Counter(splits._seqs[i] for i in splits._members(key))
+    """The members of a forest multiset key as level sequences, sorted by
+    (order, level sequence) like a :class:`Forest`."""
+    return tuple(sorted(sorted(splits._seqs[i] for i in splits._members(key)), key=len))
 
 
 # frozen: all 16 partition splits of [0,1,2,1,2], as (forest, skeleton, count)
@@ -162,11 +167,23 @@ def test_subtree_endpoints():
 def test_iterators_are_lazy():
     # a 40-chain has 2**39 edge subsets; taking a few must be instant
     chain = RootedTree(range(40))
+    splits.clear_split_caches()
     start = perf_counter()
     head = list(islice(partitions(chain), 5))
     head += list(islice(ordered_subtrees(chain), 5))
     assert perf_counter() - start < 1.0
     assert head[0].skeleton == T("[0]")
+    # the subtree splits index the chains they name, not the tree's splits
+    assert len(splits._seqs) <= 45
+    splits.clear_split_caches()
+
+
+def test_the_empty_tree_has_no_splits():
+    splits.clear_split_caches()
+    for iterate in (ordered_subtrees, partitions):
+        with pytest.raises(InvalidTreeError, match="empty tree"):
+            list(iterate(EMPTY_TREE))
+    assert not splits._seqs  # raised before the tree index saw it
 
 
 def test_iteration_is_deterministic():
@@ -200,19 +217,32 @@ def _assert_table_matches_iterator(tree):
     assert table[0] == (b"\x00", (tree._levels,), 1)
 
 
+def _assert_matches_mask_and_slice_oracles(tree):
+    # the subtree table and iterator come from one children recursion over
+    # ids, the edge-cut table from the children's tables; the oracles walk
+    # node masks and slice the level sequence, row for row, order included
+    seq = tree._levels
+    expected = subtree_rows_by_masks(seq)
+    assert [
+        (splits._seqs[kept], _forest_seqs(forest), k)
+        for kept, forest, k in subtree_id_table(seq)
+    ] == [(kept, forest, 1) for kept, forest in expected]
+    assert [
+        (sub._levels, tuple(m._levels for m in forest))
+        for sub, forest in ordered_subtrees(tree)
+    ] == expected + [(b"", (seq,))]
+    assert [
+        (splits._seqs[trunk], splits._seqs[branch], k)
+        for trunk, branch, k in edge_cut_id_table(seq)
+    ] == edge_cut_rows_by_slices(seq)
+
+
 def test_tables_agree_with_iterators():
     trees = list(all_trees_up_to(8))
     assert len(trees) == 200
     for tree in trees:
         _assert_table_matches_iterator(tree)
-        # one subtree row per subset, in iterator order, the empty split left out
-        assert [
-            (sub._levels, Counter(m._levels for m in forest), 1)
-            for sub, forest in ordered_subtrees(tree)
-        ][:-1] == [
-            (splits._seqs[kept], _forest_seqs(forest), k)
-            for kept, forest, k in subtree_id_table(tree._levels)
-        ]
+        _assert_matches_mask_and_slice_oracles(tree)
         # cached: same object on the second call
         assert partition_split_table(tree) is partition_split_table(tree)
         assert subtree_id_table(tree._levels) is subtree_id_table(tree._levels)
@@ -222,6 +252,12 @@ def test_tables_agree_with_iterators():
 @settings(max_examples=40, deadline=None)
 def test_partition_table_matches_iterator_on_random_trees(levels):
     _assert_table_matches_iterator(canonicalize(levels))
+
+
+@given(level_sequences(max_nodes=12))
+@settings(max_examples=40, deadline=None)
+def test_subtree_and_cut_splits_match_the_oracles_on_random_trees(levels):
+    _assert_matches_mask_and_slice_oracles(canonicalize(levels))
 
 
 def test_partition_table_matches_bruteforce():
@@ -272,6 +308,9 @@ def test_clear_split_caches_empties_every_cache():
         partition_split_table(tree)
         subtree_id_table(tree._levels)
         edge_cut_id_table(tree._levels)
+    # the iterator indexes the trees it names: a 7-chain's kept subtrees
+    list(ordered_subtrees(RootedTree(range(7))))
+    assert bytes(range(7)) in splits._ids
     filled = caches()
     assert {
         "partition_split_table", "_rooted_tables", "_id_tables", "_forests",
