@@ -17,9 +17,10 @@ The lazy iterators yield one split per subset, so equal-shaped splits
 appear as often as the series laws count them (a tree of order 40 has
 ~2**39 edge subsets; taking the first few must not enumerate them all).
 They are the only place that wraps splits in :class:`RootedTree` and
-:class:`Forest`.  :func:`partitions` is the one per-mask path: it walks
-the edge masks over the level sequence.  :func:`ordered_subtrees` spells
-out the lazy recursion that :func:`subtree_id_table` stores.
+:class:`Forest`.  Each spells out, lazily and over ids, the recursion a
+table stores: :func:`partitions` the one of :func:`partition_id_table`,
+through the same join step, and :func:`ordered_subtrees` the one of
+:func:`subtree_id_table`.
 
 The ``*_id_table`` functions materialize and cache a tree's whole table,
 so the cost is paid once per tree shape and only for the small orders a
@@ -34,18 +35,19 @@ each distinct split once, in the order of its first appearance.  The
 solves in :mod:`bsharp.series` read only these, with coefficients put
 into lists indexed by id by :func:`by_id`.
 
-No table walks the 2**(order-1) subsets or canonicalizes a level
-sequence: each is built over ids from the tables of the root's children
-(the coproduct recursion of Calaque, Ebrahimi-Fard and Manchon, "Two
-interacting Hopf algebras of trees", 2011).  For a partition the edge to
-each child is kept or cut, and equal partial results are merged as they
-arise; for a subtree split each child is cut off or kept in one of its own
-subtree splits; an edge cut removes the edge to a child or one of the
-child's cuts.  The union of two multisets is one ``+`` and grafting a root
-onto a multiset is one dict lookup.  :func:`partition_split_table` is the
-partition table with ids spelled as level sequences (``bytes``).  The
-tables of subtrees met as a child are memoised by id;
-:func:`clear_split_caches` drops every table, memo and the index.
+No table walks the 2**(order-1) subsets, and nothing here walks a mask
+or canonicalizes a level sequence: each table is built over ids from the
+tables of the root's children (the coproduct recursion of Calaque,
+Ebrahimi-Fard and Manchon, "Two interacting Hopf algebras of trees",
+2011).  For a partition the edge to each child is kept or cut, and equal
+partial results are merged as they arise; for a subtree split each child
+is cut off or kept in one of its own subtree splits; an edge cut removes
+the edge to a child or one of the child's cuts.  The union of two
+multisets is one ``+`` and grafting a root onto a multiset is one dict
+lookup.  :func:`partition_split_table` is the partition table with ids
+spelled as level sequences (``bytes``).  The tables of subtrees met as a
+child are memoised by id; :func:`clear_split_caches` drops every table,
+memo and the index.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
 from .errors import InvalidTreeError
-from .trees import EMPTY_TREE, MAX_ORDER, RootedTree, _canon, _children, _EmptyTree
+from .trees import EMPTY_TREE, MAX_ORDER, RootedTree, _children, _EmptyTree
 
 
 class Forest(tuple):
@@ -92,68 +94,12 @@ class PartitionSplit(NamedTuple):
     forest: Forest
 
 
-# -- per-subset partition splits ----------------------------------------------
-#
-# Bit i - 1 of a partition mask set means the edge from parent(i) to node i
-# is removed.
-
-
-def _parents(levels: bytes) -> bytes:
-    """parent[i] = index of the parent of node i (parent[0] is 0)."""
-    parent = bytearray(len(levels))
-    last_at = bytearray(len(levels))  # last node seen at each level
-    for i in range(1, len(levels)):
-        lvl = levels[i]
-        parent[i] = last_at[lvl - 1]
-        last_at[lvl] = i
-    return bytes(parent)
-
-
-def _subtree_end(levels: bytes, i: int) -> int:
-    """One past the last node of the subtree rooted at node ``i``."""
-    n = len(levels)
-    base = levels[i]
-    j = i + 1
-    while j < n and levels[j] > base:
-        j += 1
-    return j
-
-
-def _partition_split(levels: bytes, parents: bytes, mask: int) -> tuple[bytes, list[bytes]]:
-    """Remove the masked edges: (contracted skeleton, component forest)."""
-    n = len(levels)
-    comp = bytearray(n)       # comp[i] = index of the root of i's component
-    skel_level = bytearray(n)  # level in the skeleton, indexed by component root
-    skel = bytearray((0,))
-    roots = [0]
-    for i in range(1, n):
-        if (mask >> (i - 1)) & 1:
-            comp[i] = i
-            lvl = skel_level[comp[parents[i]]] + 1
-            skel_level[i] = lvl
-            skel.append(lvl)
-            roots.append(i)
-        else:
-            comp[i] = comp[parents[i]]
-    members: list[bytes] = []
-    for r in roots:
-        base = levels[r]
-        mem = bytearray()
-        for j in range(r, _subtree_end(levels, r)):
-            if comp[j] == r:
-                mem.append(levels[j] - base)
-        members.append(_canon(bytes(mem)))
-    return _canon(bytes(skel)), members
-
-
 def ordered_subtrees(tree: RootedTree) -> Iterator[SubtreeSplit]:
     """Lazily enumerate every ordered-subtree split of ``tree``.
 
     Root-only split first, whole-tree split last but one, then the empty
     split.  The number of splits is (number of parent-closed subsets) + 1.
     """
-    if tree.is_empty:
-        raise InvalidTreeError("the empty tree has no ordered-subtree splits")
     for kept, forest in _kept(tree_id(tree._levels)):
         members = [RootedTree._wrap(_seqs[m]) for m in _members(forest)]
         yield SubtreeSplit(RootedTree._wrap(_seqs[_graft(kept)]), Forest(tuple(members)))
@@ -167,13 +113,10 @@ def partitions(tree: RootedTree) -> Iterator[PartitionSplit]:
     tree) comes first; the all-edges-removed split (forest of single nodes,
     skeleton shaped like the tree itself) comes last.
     """
-    if tree.is_empty:
-        raise InvalidTreeError("the empty tree has no partition splits")
-    levels = tree._levels
-    parents = _parents(levels)
-    for mask in range(1 << (tree.order - 1)):
-        skel, forest = _partition_split(levels, parents, mask)
-        yield PartitionSplit(RootedTree._wrap(skel), Forest(tuple(map(RootedTree._wrap, forest))))
+    for comp, skel, others in _states(tree_id(tree._levels)):
+        forest = others + (1 << _BITS * _graft(comp))
+        members = [RootedTree._wrap(_seqs[m]) for m in _members(forest)]
+        yield PartitionSplit(RootedTree._wrap(_seqs[_graft(skel)]), Forest(tuple(members)))
 
 
 # -- tree index and multiset keys --------------------------------------------
@@ -204,6 +147,8 @@ def tree_id(seq: bytes) -> int:
     """Id of the tree with canonical level sequence ``seq``."""
     i = _ids.get(seq)
     if i is None:
+        if not seq:
+            raise InvalidTreeError("the empty tree has no splits")
         kids = tuple(map(tree_id, _children(seq)))
         i = _ids[seq] = len(_seqs)
         _seqs.append(seq)
@@ -258,7 +203,9 @@ def by_id(coefficients: dict[bytes, object]) -> list:
 # then over the states joined so far (inner) produces each combination in
 # ascending order of its least mask, given that both tables are in that
 # order.  Insertion order therefore stays the order of least masks, which
-# is the order of first appearance in :func:`partitions`.
+# is the order of first appearance in :func:`partitions`: that iterator
+# reads :func:`_states`, which hangs one child state at a time through the
+# same :func:`_join`, so it yields one state per edge subset, masks ascending.
 
 _ROOT_ONLY = (0, 0, 0)
 
@@ -307,6 +254,20 @@ def _rooted_table(i: int) -> dict[tuple, int]:
     if table is None:
         table = _rooted_tables[i] = _build_rooted(i)
     return table
+
+
+def _states(i: int, j: int = 0) -> Iterator[tuple[int, int, int]]:
+    """Rooted state of tree ``i`` with only its children from the ``j``-th
+    on, for each subset of their edges, lazily and in ascending mask order:
+    each later child's states vary more slowly, and each child's edge is
+    kept, then cut."""
+    kids = _kids[i]
+    if j == len(kids):
+        yield _ROOT_ONLY
+        return
+    for rest in _states(i, j + 1):
+        for state in _states(kids[j]):
+            yield from _join({rest: 1}, {state: 1})
 
 
 def partition_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:

@@ -5,10 +5,8 @@ depth-first traversal: node levels in visit order, root at level 0.  Among
 all depth-first orderings of the same tree the lexicographically greatest
 sequence is the canonical representative, so equal trees compare equal as
 plain sequences.  Orders above 62 are rejected, which keeps every sequence
-one cache line wide (stored as ``bytes``), the edge masks of
-:func:`bsharp.splits.partitions` inside a machine word, and the count
-fields of the multiset keys in :mod:`bsharp.splits` at
-``MAX_ORDER.bit_length()`` bits.
+one cache line wide (stored as ``bytes``) and the count fields of the
+multiset keys in :mod:`bsharp.splits` at ``MAX_ORDER.bit_length()`` bits.
 
 Canonicalization sorts the child subsequences of every node in descending
 order, which makes the concatenation lexicographically greatest; results

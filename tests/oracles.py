@@ -231,13 +231,13 @@ def edge_cuts_bruteforce(levels) -> Counter:
 
 
 # ---------------------------------------------------------------------------
-# subtree and edge-cut rows by node masks and sequence slices
+# split rows by edge and node masks and by sequence slices
 # ---------------------------------------------------------------------------
 #
-# The builders as they stood before the children recursion: kept subtrees
-# walk the parent-closed node masks over the level sequence, and edge cuts
-# slice the sequence; every piece is canonicalized as bytes.  Rows come out
-# in the order the package promises.
+# The builders as they stood before the children recursion: partitions walk
+# the edge masks and kept subtrees the parent-closed node masks over the
+# level sequence, and edge cuts slice the sequence; every piece is
+# canonicalized as bytes.  Rows come out in the order the package promises.
 
 def _canonical(seq: bytes) -> bytes:
     """Lexicographically greatest level sequence of the tree ``seq``,
@@ -287,6 +287,33 @@ def subtree_rows_by_masks(seq: bytes) -> list:
                 forest.append(_rebased(seq[i:end]))
                 i = end
         rows.append((_canonical(bytes(kept)), tuple(sorted(sorted(forest), key=len))))
+    return rows
+
+
+def partition_rows_by_masks(seq: bytes) -> list:
+    """(skeleton, forest) for each edge subset of the canonical level
+    sequence ``seq``, the forest sorted by (order, level sequence).  Bit
+    i - 1 of the mask removes the edge to node i; masks ascend, the order
+    of :func:`bsharp.splits.partitions`."""
+    n = len(seq)
+    parent = parents_from_levels(seq)
+    rows = []
+    for mask in range(1 << (n - 1)):
+        comp = list(range(n))  # comp[i] = the root of i's component
+        depth = [0] * n        # skeleton level, by component root
+        roots = [0]
+        for i in range(1, n):
+            if mask >> (i - 1) & 1:
+                depth[i] = depth[comp[parent[i]]] + 1
+                roots.append(i)
+            else:
+                comp[i] = comp[parent[i]]
+        forest = [
+            _rebased(bytes(seq[j] for j in range(r, _span_end(seq, r)) if comp[j] == r))
+            for r in roots
+        ]
+        skeleton = _canonical(bytes(depth[r] for r in roots))
+        rows.append((skeleton, tuple(sorted(sorted(forest), key=len))))
     return rows
 
 

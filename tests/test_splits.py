@@ -30,6 +30,7 @@ from oracles import (
     edge_cut_rows_by_slices,
     edge_cuts_bruteforce,
     levels_to_shape,
+    partition_rows_by_masks,
     partition_splits_bruteforce,
     partition_table_bytes_states,
     subtree_rows_by_masks,
@@ -169,6 +170,12 @@ def test_iterators_are_lazy():
     chain = RootedTree(range(40))
     splits.clear_split_caches()
     start = perf_counter()
+    list(islice(partitions(chain), 5))
+    assert perf_counter() - start < 1.0
+    # alone, the partitions index only the chains they name
+    assert len(splits._seqs) <= 45
+    splits.clear_split_caches()
+    start = perf_counter()
     head = list(islice(partitions(chain), 5))
     head += list(islice(ordered_subtrees(chain), 5))
     assert perf_counter() - start < 1.0
@@ -186,6 +193,23 @@ def test_the_empty_tree_has_no_splits():
     assert not splits._seqs  # raised before the tree index saw it
 
 
+def test_the_empty_tree_has_no_split_tables():
+    # b"" is not a tree: indexing it would take the graft key 0 from the
+    # one-node tree, and the one-edge tree would keep b"" as a subtree
+    splits.clear_split_caches()
+    edge_cut_id_table(b"\x00")
+    seqs, grafts = list(splits._seqs), dict(splits._grafts)
+    for table in (subtree_id_table, edge_cut_id_table, splits.partition_id_table):
+        with pytest.raises(InvalidTreeError, match="empty tree"):
+            table(b"")
+        assert splits._seqs == seqs and splits._grafts == grafts
+    assert [
+        (splits._seqs[kept], _forest_seqs(forest), k)
+        for kept, forest, k in subtree_id_table(b"\x00\x01")
+    ] == [(b"\x00", (b"\x00",), 1), (b"\x00\x01", (), 1)]
+    splits.clear_split_caches()
+
+
 def test_iteration_is_deterministic():
     tree = T("[0,1,2,1,1]")
     assert list(partitions(tree)) == list(partitions(tree))
@@ -193,13 +217,14 @@ def test_iteration_is_deterministic():
 
 
 def _assert_table_matches_iterator(tree):
-    # the lazy iterator goes through the per-mask kernel, one split per
-    # edge subset in ascending mask order; the table is built by the
-    # children recursion
-    raw = [
+    # the lazy iterator and the table hang each child through one join
+    # step over ids; the oracle walks the edge masks over the level
+    # sequence, one split per edge subset in ascending mask order
+    raw = partition_rows_by_masks(tree._levels)
+    assert [
         (skel._levels, tuple(m._levels for m in forest))
         for skel, forest in partitions(tree)
-    ]
+    ] == raw
     table = partition_split_table(tree)
     rows = [(skel, forest) for skel, forest, _ in table]
     assert all(
@@ -319,13 +344,6 @@ def test_clear_split_caches_empties_every_cache():
     assert all(size > 0 for size in filled.values()), filled
     splits.clear_split_caches()
     assert all(size == 0 for size in caches().values()), caches()
-
-
-def test_order_cap_matches_mask_width():
-    # masks are built in machine words; the cap keeps 2**(order-1) in range
-    assert MAX_ORDER == 62
-    chain = bytes(range(MAX_ORDER))
-    assert splits._parents(chain)[-1] == MAX_ORDER - 2
 
 
 def test_edge_cut_table_matches_bruteforce():
