@@ -4,142 +4,68 @@ Rooted trees, their split tables, truncated B-series with exact (optionally
 symbolic) coefficients, composition and substitution, modified equations and
 modifying integrators, elementary differentials of concrete ODE systems, and
 a small fixed-step simulation harness.
+
+Importing the package loads none of its modules.  Each exported name is
+imported from its home module the first time it is read (PEP 562), so
+``from bsharp import trees_of_order`` loads ``trees`` and nothing else, and
+each CLI command loads only the layers it runs.  To see what a command
+loads and compiles::
+
+    PYTHONDONTWRITEBYTECODE=1 python -X importtime -m bsharp trees 1
 """
 
-from .errors import (
-    BSharpError,
-    CoefficientError,
-    InvalidTreeError,
-    NumericFailureError,
-    ParseError,
-    SeriesError,
-    SingularMethodError,
-    TableauError,
-    UnboundSymbolError,
-)
-from .rationals import Rat, rat
-from .trees import (
-    EMPTY_TREE,
-    RootedTree,
-    all_trees_up_to,
-    canonicalize,
-    count_trees,
-    parse_tree,
-    trees_of_order,
-)
-from .splits import Forest, ordered_subtrees, partitions
-from .coefficients import (
-    MultiPoly,
-    RationalFunction,
-    coeff_eq,
-    coeff_eval,
-    coeff_parse,
-    coeff_print,
-    symbol,
-)
-from .series import (
-    TruncatedBSeries,
-    compose,
-    display_terms,
-    exact_series,
-    format_series,
-    identity_series,
-    modified_equation_series,
-    modifying_integrator_series,
-    scale_step,
-    series_from_json_dict,
-    series_order_of_accuracy,
-    series_to_json_dict,
-    substitute,
-    truncated,
-)
-from .tableaux import (
-    ButcherTableau,
-    builtin_tableau,
-    elementary_weight,
-    order_of_accuracy,
-    rk_series,
-    tableau_from_json_dict,
-    tableau_to_json_dict,
-)
-from .expressions import (
-    Expression,
-    differentiate,
-    eval_expression,
-    format_expression,
-)
-from .odes import (
-    DiffCache,
-    ODESystem,
-    elementary_differential,
-    parse_ode,
-    series_vector_field,
-)
-from .simulate import SimulationPlan, iterate_rows, run_simulation
+from importlib import import_module
+
+# home module -> the names it exports
+_EXPORTS = {
+    "errors": (
+        "BSharpError", "CoefficientError", "InvalidTreeError", "NumericFailureError",
+        "ParseError", "SeriesError", "SingularMethodError", "TableauError",
+        "UnboundSymbolError",
+    ),
+    "rationals": ("Rat", "rat"),
+    "trees": (
+        "EMPTY_TREE", "RootedTree", "all_trees_up_to", "canonicalize", "count_trees",
+        "parse_tree", "trees_of_order",
+    ),
+    "splits": ("Forest", "ordered_subtrees", "partitions"),
+    "coefficients": (
+        "MultiPoly", "RationalFunction", "coeff_eq", "coeff_eval", "coeff_parse",
+        "coeff_print", "symbol",
+    ),
+    "series": (
+        "TruncatedBSeries", "compose", "display_terms", "exact_series", "format_series",
+        "identity_series", "modified_equation_series", "modifying_integrator_series",
+        "scale_step", "series_from_json_dict", "series_order_of_accuracy",
+        "series_to_json_dict", "substitute", "truncated",
+    ),
+    "tableaux": (
+        "ButcherTableau", "builtin_tableau", "elementary_weight", "order_of_accuracy",
+        "rk_series", "tableau_from_json_dict", "tableau_to_json_dict",
+    ),
+    "expressions": ("Expression", "differentiate", "eval_expression", "format_expression"),
+    "odes": (
+        "DiffCache", "ODESystem", "elementary_differential", "parse_ode",
+        "series_vector_field",
+    ),
+    "simulate": ("SimulationPlan", "iterate_rows", "run_simulation"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BSharpError",
-    "ButcherTableau",
-    "CoefficientError",
-    "DiffCache",
-    "EMPTY_TREE",
-    "Expression",
-    "Forest",
-    "InvalidTreeError",
-    "MultiPoly",
-    "NumericFailureError",
-    "ODESystem",
-    "ParseError",
-    "Rat",
-    "RationalFunction",
-    "RootedTree",
-    "SeriesError",
-    "SimulationPlan",
-    "SingularMethodError",
-    "TableauError",
-    "TruncatedBSeries",
-    "UnboundSymbolError",
-    "all_trees_up_to",
-    "builtin_tableau",
-    "canonicalize",
-    "coeff_eq",
-    "coeff_eval",
-    "coeff_parse",
-    "coeff_print",
-    "compose",
-    "count_trees",
-    "differentiate",
-    "display_terms",
-    "elementary_differential",
-    "elementary_weight",
-    "eval_expression",
-    "exact_series",
-    "format_expression",
-    "format_series",
-    "identity_series",
-    "iterate_rows",
-    "modified_equation_series",
-    "modifying_integrator_series",
-    "order_of_accuracy",
-    "ordered_subtrees",
-    "parse_ode",
-    "parse_tree",
-    "partitions",
-    "rat",
-    "rk_series",
-    "run_simulation",
-    "scale_step",
-    "series_from_json_dict",
-    "series_order_of_accuracy",
-    "series_to_json_dict",
-    "series_vector_field",
-    "substitute",
-    "symbol",
-    "tableau_from_json_dict",
-    "tableau_to_json_dict",
-    "trees_of_order",
-    "truncated",
-    "__version__",
-]
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -18,33 +18,17 @@ import math
 import os
 import sys
 from itertools import chain, count
-from typing import Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
-from .coefficients import latex_name, parse_rational
 from .errors import BSharpError, NumericFailureError, ParseError
-from .expressions import add_all, format_expression, mul_all, power, variable
-from .odes import DiffCache, ODESystem, parse_ode, series_vector_field
-from .rationals import Rat, rat, rat_str
-from .series import (
-    TruncatedBSeries,
-    compose,
-    format_series,
-    modified_equation_series,
-    modifying_integrator_series,
-    series_from_json_dict,
-    series_to_json_dict,
-    substitute,
-)
-from .simulate import SimulationPlan, iterate_rows
-from .splits import ordered_subtrees, partitions
-from .tableaux import (
-    ButcherTableau,
-    builtin_tableau,
-    order_of_accuracy,
-    rk_series,
-    tableau_from_json_dict,
-)
-from .trees import parse_tree, trees_of_order
+
+# Each command imports the layers it runs when it is entered, so a cold
+# start loads (and, without cached bytecode, compiles) nothing else.
+if TYPE_CHECKING:
+    from .odes import ODESystem
+    from .rationals import Rat
+    from .series import TruncatedBSeries
+    from .tableaux import ButcherTableau
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +45,22 @@ def _load_json(path: str) -> dict:
 
 def _load_tableau(spec: str) -> ButcherTableau:
     """A tableau argument is a JSON file path or a built-in name."""
+    from .tableaux import builtin_tableau, tableau_from_json_dict
+
     if os.path.exists(spec) or spec.endswith(".json"):
         return tableau_from_json_dict(_load_json(spec))
     return builtin_tableau(spec)
 
 
 def _load_series(path: str) -> TruncatedBSeries:
+    from .series import series_from_json_dict
+
     return series_from_json_dict(_load_json(path))
 
 
 def _load_system(args) -> ODESystem:
+    from .odes import parse_ode
+
     if getattr(args, "ode_text", None) is not None:
         return parse_ode(args.ode_text)
     with open(args.ode, "r", encoding="utf-8") as fh:
@@ -78,6 +68,8 @@ def _load_system(args) -> ODESystem:
 
 
 def _parse_bindings(pairs: Sequence[str], parser) -> dict[str, Rat]:
+    from .coefficients import parse_rational
+
     bindings: dict[str, Rat] = {}
     for pair in pairs:
         name, eq, value = pair.partition("=")
@@ -113,6 +105,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_series(args, series: TruncatedBSeries, fmt: str) -> int:
+    from .series import format_series, series_to_json_dict
+
     if fmt == "json":
         if args.reduce_order_by:
             args.subparser.error("--reduce-order-by applies to text/latex output only")
@@ -127,6 +121,9 @@ def _emit_series(args, series: TruncatedBSeries, fmt: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trees(args) -> int:
+    from .rationals import rat, rat_str
+    from .trees import trees_of_order
+
     if args.order < 1:
         args.subparser.error("order must be at least 1")
     rows = []
@@ -162,6 +159,9 @@ def cmd_trees(args) -> int:
 
 
 def cmd_splits(args) -> int:
+    from .splits import ordered_subtrees, partitions
+    from .trees import parse_tree
+
     tree = parse_tree(args.tree)
     if args.kind == "subtrees":
         label = "subtree"
@@ -183,11 +183,15 @@ def cmd_splits(args) -> int:
 
 
 def cmd_bseries(args) -> int:
+    from .tableaux import rk_series
+
     tab = _load_tableau(args.tableau)
     return _emit_series(args, rk_series(tab, args.order), args.format)
 
 
 def cmd_compose(args) -> int:
+    from .series import compose
+
     inner = _load_series(args.inner)
     outer = _load_series(args.outer)
     result = compose(inner, outer, normalize_stepsize=args.normalize_stepsize)
@@ -195,12 +199,17 @@ def cmd_compose(args) -> int:
 
 
 def cmd_substitute(args) -> int:
+    from .series import substitute
+
     flow = _load_series(args.flow)
     outer = _load_series(args.outer)
     return _emit_series(args, substitute(flow, outer), args.format)
 
 
 def _perturbed_flow(args) -> TruncatedBSeries:
+    from .series import modified_equation_series, modifying_integrator_series
+    from .tableaux import rk_series
+
     tab = _load_tableau(args.tableau)
     series = rk_series(tab, args.order)
     if args.variant == "modified":
@@ -223,6 +232,10 @@ def cmd_perturbed(args) -> int:
 
     if args.reduce_order_by:
         args.subparser.error("--reduce-order-by does not apply to --ode output")
+    from .coefficients import latex_name
+    from .expressions import add_all, format_expression, mul_all, power, variable
+    from .odes import DiffCache, series_vector_field
+
     system = _load_system(args)
     terms = series_vector_field(flow, system, DiffCache(system))
     step_name = _step_symbol(system.variables)
@@ -264,6 +277,8 @@ def cmd_perturbed(args) -> int:
 
 
 def cmd_order(args) -> int:
+    from .tableaux import order_of_accuracy
+
     tab = _load_tableau(args.tableau)
     bindings = _parse_bindings(args.bind, args.subparser) if args.bind else None
     p = order_of_accuracy(tab, args.max, bindings)
@@ -275,6 +290,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import SimulationPlan, iterate_rows
+
     if args.modifying_integrator and args.modified_order is None:
         args.subparser.error("--modifying-integrator requires --modified-order")
     if args.reference and args.modified_order is not None:

@@ -28,7 +28,7 @@ import re
 import sys
 from typing import Optional
 
-from .coefficients import NAME, parse_arithmetic, parse_rational
+from .coefficients import NAME, coeff_eval, coeff_is_zero, parse_arithmetic, parse_rational
 from .errors import ParseError
 from .expressions import (
     _ZERO,
@@ -37,12 +37,13 @@ from .expressions import (
     add_all,
     const,
     differentiate,
+    format_expression,
     mul_all,
     variable,
 )
 from .rationals import Rat, rat
 from .series import TruncatedBSeries
-from .trees import RootedTree
+from .trees import RootedTree, trees_of_order
 
 _PARAM_RE = re.compile(rf"param\s+({NAME})\s*=\s*(.+)")
 _HEAD_RE = re.compile(rf"({NAME})\s*'\s*=")
@@ -77,8 +78,6 @@ class ODESystem:
         return len(self.variables)
 
     def rhs_text(self) -> tuple[str, ...]:
-        from .expressions import format_expression
-
         return tuple(format_expression(e, self.variables) for e in self.rhs)
 
 
@@ -306,9 +305,6 @@ def series_vector_field(
     system's parameters first; a symbol with no binding raises
     :class:`UnboundSymbolError`.
     """
-    from .coefficients import coeff_eval, coeff_is_zero
-    from .trees import trees_of_order
-
     if cache is None:
         cache = DiffCache(system)
     elif cache.system is not system:
