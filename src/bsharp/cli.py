@@ -290,8 +290,6 @@ def cmd_order(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import SimulationPlan, iterate_rows
-
     if args.modifying_integrator and args.modified_order is None:
         args.subparser.error("--modifying-integrator requires --modified-order")
     if args.reference and args.modified_order is not None:
@@ -302,6 +300,7 @@ def cmd_simulate(args) -> int:
         args.subparser.error("--t-max must be finite and positive")
     if args.modified_order is not None and args.modified_order < 1:
         args.subparser.error("--modified-order must be at least 1")
+    from .simulate import SimulationPlan, iterate_rows
 
     tab = _load_tableau(args.tableau)
     system = _load_system(args)
