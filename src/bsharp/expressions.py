@@ -24,8 +24,11 @@ shared nodes that later occurrences still await.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Mapping, Sequence
+
+# hashlib.blake2b is this built-in one; importing hashlib would also load
+# OpenSSL's _hashlib, which nothing here uses
+from _blake2 import blake2b
 
 from .coefficients import _rat_latex, latex_name
 from .errors import CoefficientError
@@ -116,7 +119,7 @@ class Power(Expression):
 
 
 def _digest(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=16).digest()
+    return blake2b(payload, digest_size=16).digest()
 
 
 def _intern_node(key, build):

@@ -13,11 +13,19 @@ assignments.  It is computed by the standard bottom-up recursion: with
 Ψ_i(τ) = Π over children τ_k of (A·Ψ(τ_k))_i and Ψ_i(single node) = 1,
 the weight is Φ(τ) = Σ_i b_i Ψ_i(τ).  A method has order p exactly when
 Φ(τ) = 1/γ(τ) for every tree with at most p nodes.
+
+When every entry of A and b is rational, the recursion runs over ints:
+with d the LCM of their denominators, d·A and d·b are int matrices, and
+Φ(τ) and A·Ψ(τ) carry exactly one entry per node, so d^|τ|·Φ(τ) is an
+int.  It becomes ``Fraction(value, d^|τ|)`` once per tree.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .coefficients import (
@@ -34,9 +42,9 @@ from .coefficients import (
     coeff_symbols,
 )
 from .errors import TableauError
-from .rationals import Rat, rat
+from .rationals import Rat, is_rational, rat
 from .series import TruncatedBSeries, series_order_of_accuracy
-from .trees import RootedTree, _children, all_trees_up_to
+from .trees import RootedTree, _children
 
 
 class RowSumWarning(UserWarning):
@@ -46,7 +54,7 @@ class RowSumWarning(UserWarning):
 class ButcherTableau:
     """Immutable Runge-Kutta tableau with exact entries."""
 
-    __slots__ = ("A", "b", "c", "_psi_cache")
+    __slots__ = ("A", "b", "c", "_scaled", "_psi_cache")
 
     def __init__(
         self,
@@ -67,6 +75,7 @@ class ButcherTableau:
         self.A = A
         self.b = b
         self.c = c
+        self._scaled = _scaled_entries(A, b)
         self._psi_cache: dict[bytes, tuple[Coefficient, ...]] = {}
         for i, row in enumerate(A):
             row_sum: Coefficient = rat(0)
@@ -112,52 +121,54 @@ class ButcherTableau:
         return f"<ButcherTableau {self.stages} stages>"
 
 
+def _scaled_entries(A, b) -> tuple:
+    """(d·A, d·b, d) as ints when every entry is rational, d the LCM of
+    their denominators; (A, b, None) otherwise."""
+    entries = [*b, *(a for row in A for a in row)]
+    if not all(map(is_rational, entries)):
+        return A, b, None
+    d = lcm(*(x.denominator for x in entries))
+    return (
+        tuple(tuple(a.numerator * (d // a.denominator) for a in row) for row in A),
+        tuple(x.numerator * (d // x.denominator) for x in b),
+        d,
+    )
+
+
 def _propagated(tab: ButcherTableau, seq: bytes) -> tuple[Coefficient, ...]:
-    """(A·Ψ(τ))_i for each stage i, τ given by its level sequence; cached."""
+    """(A·Ψ(τ))_i for each stage i, τ given by its level sequence; cached.
+    For a rational tableau, ints scaled by d^|τ|."""
     cached = tab._psi_cache.get(seq)
     if cached is not None:
         return cached
-    child_vectors = [_propagated(tab, child) for child in _children(seq)]
-    psi = []
-    for j in range(tab.stages):
-        value: Coefficient = rat(1)
-        for vec in child_vectors:
-            value = coeff_mul(value, vec[j])
-        psi.append(value)
-    out = []
-    for i in range(tab.stages):
-        total: Coefficient = rat(0)
-        for j, a in enumerate(tab.A[i]):
-            if coeff_is_zero(a):
-                continue
-            total = coeff_add(total, coeff_mul(a, psi[j]))
-        out.append(total)
-    result = tuple(out)
+    A, _, d = tab._scaled
+    psi = [rat(1) if d is None else 1] * tab.stages
+    for child in _children(seq):
+        psi = list(map(mul, psi, _propagated(tab, child)))
+    zero = rat(0) if d is None else 0
+    result = tuple(sum([a * p for a, p in zip(row, psi) if a], zero) for row in A)
     tab._psi_cache[seq] = result
     return result
 
 
 def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
     """Φ(tree): the coefficient of the method's B-series at ``tree``."""
+    _, b, d = tab._scaled
     child_vectors = [_propagated(tab, child) for child in _children(tree._levels)]
-    total: Coefficient = rat(0)
-    for i, bi in enumerate(tab.b):
-        if coeff_is_zero(bi):
+    total: Coefficient = rat(0) if d is None else 0
+    for i, bi in enumerate(b):
+        if not bi:
             continue
         term = bi
         for vec in child_vectors:
-            term = coeff_mul(term, vec[i])
-        total = coeff_add(total, term)
-    return total
+            term = term * vec[i]
+        total = total + term
+    return total if d is None else Rat(total, d ** len(tree._levels))
 
 
 def rk_series(tab: ButcherTableau, max_order: int) -> TruncatedBSeries:
     """The method's map-kind B-series truncated at ``max_order``."""
-    return TruncatedBSeries(
-        max_order,
-        rat(1),
-        {t: elementary_weight(tab, t) for t in all_trees_up_to(max_order)},
-    )
+    return TruncatedBSeries.from_function(max_order, rat(1), partial(elementary_weight, tab))
 
 
 def order_of_accuracy(

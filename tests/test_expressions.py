@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bsharp import expressions
 from bsharp.errors import CoefficientError
 from bsharp.expressions import (
     Const,
@@ -37,6 +39,14 @@ def fmt(expr, fmt="text"):
 # ---------------------------------------------------------------------------
 # construction and interning
 # ---------------------------------------------------------------------------
+
+@given(st.binary(max_size=200))
+def test_node_digests_are_hashlibs_blake2b(payload):
+    # the digest comes from the private built-in _blake2 module, which
+    # hashlib.blake2b is; it is part of every node's sort key, so a build
+    # where the two differ would reorder the terms of printed fields
+    assert expressions._digest(payload) == hashlib.blake2b(payload, digest_size=16).digest()
+
 
 def test_nodes_are_interned():
     assert variable(0) is P

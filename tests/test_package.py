@@ -109,15 +109,17 @@ LOADED = (
     "sys.stdout = io.StringIO()\n"
     "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
     "loaded = sorted(m[7:] for m in sys.modules if m.startswith('bsharp.'))\n"
-    "print(json.dumps([codes, loaded]), file=sys.__stdout__)\n"
+    "print(json.dumps([codes, loaded, '_hashlib' in sys.modules]), file=sys.__stdout__)\n"
 )
 
 
 def _loaded_by(*argvs: list[str]) -> list[str]:
     """The bsharp modules a fresh interpreter has loaded after running the
-    CLI on each argv in turn."""
-    codes, loaded = _fresh(LOADED, json.dumps(argvs))
+    CLI on each argv in turn.  No command loads OpenSSL (``_hashlib``): the
+    node digests use the built-in ``_blake2``."""
+    codes, loaded, openssl = _fresh(LOADED, json.dumps(argvs))
     assert codes == [0] * len(argvs)
+    assert not openssl
     return loaded
 
 

@@ -1,7 +1,11 @@
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bsharp.coefficients import coeff_eq, coeff_print, symbol
 from bsharp.errors import InvalidTreeError, SeriesError, SingularMethodError
@@ -29,11 +33,18 @@ from bsharp.series import (
 )
 from bsharp import coefficients, series, splits
 from bsharp.splits import clear_split_caches, partition_split_table
-from bsharp.tableaux import ButcherTableau, builtin_tableau, rk_series, tableau_from_json_dict
+from bsharp.tableaux import (
+    ButcherTableau,
+    RowSumWarning,
+    builtin_tableau,
+    rk_series,
+    tableau_from_json_dict,
+)
 from bsharp.trees import EMPTY_TREE, RootedTree, all_trees_up_to, parse_tree
 
 from oracles import (
     compose_rows,
+    elementary_weight_bruteforce,
     levels_to_shape,
     modified_equation_bruteforce,
     modifying_integrator_bruteforce,
@@ -352,6 +363,86 @@ def test_symbolic_modifying_integrator_matches_partition_oracle():
     assert all(coeff_eq(got[shape], expected[shape]) for shape in expected)
 
 
+# Rational tableaux whose denominators have primes above the order (7, 11
+# and 13 against order 5) and whose Σb = method(•) is neither 0 nor 1, so
+# the graded integer solves meet primes that only the input brings in and
+# divide by a u1 with a numerator.
+_entries = st.builds(
+    rat, st.integers(-6, 6), st.sampled_from((1, 2, 3, 7, 11, 13, 14, 22, 39))
+)
+
+
+@st.composite
+def _rational_tableaux(draw):
+    stages = draw(st.integers(1, 3))
+    explicit = draw(st.booleans())
+    A = [
+        [rat(0) if explicit and j >= i else draw(_entries) for j in range(stages)]
+        for i in range(stages)
+    ]
+    b = [draw(_entries) for _ in range(stages)]
+    assume(sum(b) not in (0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RowSumWarning)
+        return ButcherTableau(A, b, [rat(0)] * stages)
+
+
+@given(_rational_tableaux())
+@settings(max_examples=30, deadline=None)
+def test_integer_solves_match_the_brute_force_on_random_rational_tableaux(tab):
+    method = rk_series(tab, 5)
+    for tree, c in method.items():
+        assert c == elementary_weight_bruteforce(tab.A, tab.b, tree.levels)
+    by_shape = _by_shape(method)
+    assert _by_shape(modified_equation_series(method)) == (
+        modified_equation_bruteforce(by_shape, 5, rat(1))
+    )
+    assert _by_shape(modifying_integrator_series(method)) == (
+        modifying_integrator_bruteforce(by_shape, 5, rat(1))
+    )
+
+
+def _radical(n):
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            out *= p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out
+
+
+@pytest.mark.parametrize("solve", [modified_equation_series, modifying_integrator_series])
+def test_a_too_small_scale_restarts_to_the_same_result(monkeypatch, solve):
+    # Start from the radical of the derived scale: every prime of every true
+    # denominator, each once.  With u1 = 7/2, v(•) = 7/2 puts 2^3 into the
+    # denominator of v([•]) = a([•]) - v(•)^2/2, and the modifying
+    # integrator's v([•]) has 7^3 in its denominator, but λ^2 holds only 2^2
+    # and 7^2.
+    tab = ButcherTableau(
+        [[rat(0), rat(0)], [rat(1), rat(0)]], [rat(3), rat(1, 2)], [rat(0), rat(1)]
+    )
+    method = rk_series(tab, 5)
+    expected = solve(method)
+    start, exact = series._initial_scale, series._exact
+    remainders = []
+
+    def checked(a, b):
+        try:
+            return exact(a, b)
+        except series._Inexact:
+            remainders.append((a, b))
+            raise
+
+    monkeypatch.setattr(series, "_initial_scale", lambda *args: _radical(start(*args)))
+    monkeypatch.setattr(series, "_exact", checked)
+    got = solve(method)
+    assert remainders  # the first scale was too small, and the solve started over
+    assert got == expected
+    assert all(type(c) is Fraction for _, c in got.items())
+
+
 def test_modified_equation_builds_no_partition_table():
     # Euler's step is 1 + x on the linear chain trees, so the modified
     # field there is log(1 + x): weight (-1)^(n+1)/n on the n-chain
@@ -443,20 +534,37 @@ def _count_products(monkeypatch, solve, *args):
     return calls
 
 
-@pytest.mark.parametrize("name,bound", [("midpoint", 2289), ("rk4", 2367)])
+# Rational series are solved over ints and call no ``series.coeff_*``; the
+# symbolic family rk22(alpha) still goes through them, so the two product
+# counts below are taken on it.
+
+@pytest.mark.parametrize("name,bound", [("rk22(alpha)", 2762)])
 def test_modifying_integrator_multiplies_each_forest_once(monkeypatch, name, bound):
     # a count of coefficient products, not a time: one product per distinct
-    # forest and one or two per row (products per row of every component
-    # took 7,251 and 26,299)
+    # forest and one or two per row
     method = rk_series(builtin_tableau(name), 8)
     assert 0 < _count_products(monkeypatch, modifying_integrator_series, method) <= bound
 
 
-@pytest.mark.parametrize("name,bound", [("midpoint", 43869), ("rk4", 29268)])
-def test_modified_equation_product_count_at_order_10(monkeypatch, name, bound):
+@pytest.mark.parametrize("name,bound", [("rk22(alpha)", 14422)])
+def test_modified_equation_product_count_at_order_9(monkeypatch, name, bound):
     # one product per nonzero (cut, Lie term) pair plus one per factorial
-    method = rk_series(builtin_tableau(name), 10)
+    method = rk_series(builtin_tableau(name), 9)
     assert 0 < _count_products(monkeypatch, modified_equation_series, method) <= bound
+
+
+@pytest.mark.parametrize(
+    "solve,order,skips",
+    [(modified_equation_series, 9, 2842), (modifying_integrator_series, 8, 7356)],
+)
+def test_rational_solves_skip_the_zero_terms_of_the_coefficient_path(solve, order, skips):
+    # the integer path walks the same rows and skips the same zero factors
+    # as the series.coeff_* path does
+    method = rk_series(builtin_tableau("midpoint"), order)
+    reset_zero_skip_count()
+    solve(method)
+    assert zero_skip_count() == skips
+    reset_zero_skip_count()
 
 
 @pytest.mark.parametrize("inner,bound", [("midpoint", 3788), ("rk4", 4614)])
