@@ -534,16 +534,36 @@ def _count_products(monkeypatch, solve, *args):
     return calls
 
 
-# Rational series are solved over ints and call no ``series.coeff_*``; the
-# symbolic family rk22(alpha) still goes through them, so the two product
-# counts below are taken on it.
+def _count_coefficient_products(monkeypatch, solve, method):
+    """``_count_products`` with the graded integer path turned off, so a
+    rational series is solved through ``series.coeff_*`` as a symbolic
+    one is."""
+    monkeypatch.setattr(series, "_graded_denominator", lambda coeffs: None)
+    return _count_products(monkeypatch, solve, method)
 
-@pytest.mark.parametrize("name,bound", [("rk22(alpha)", 2762)])
+
+# Rational series are solved over ints and call no ``series.coeff_*``; the
+# counts below are of the coefficient path, which symbolic series such as
+# rk22(alpha) take and the rational ones take with the integer path off.
+
+@pytest.mark.parametrize(
+    "name,bound", [("midpoint", 2289), ("rk4", 2367), ("rk22(alpha)", 2762)]
+)
 def test_modifying_integrator_multiplies_each_forest_once(monkeypatch, name, bound):
     # a count of coefficient products, not a time: one product per distinct
-    # forest and one or two per row
+    # forest and one or two per row (products per row of every component
+    # took 7,251 and 26,299 for midpoint and rk4)
     method = rk_series(builtin_tableau(name), 8)
-    assert 0 < _count_products(monkeypatch, modifying_integrator_series, method) <= bound
+    count = _count_coefficient_products(monkeypatch, modifying_integrator_series, method)
+    assert 0 < count <= bound
+
+
+@pytest.mark.parametrize("name,bound", [("midpoint", 43869), ("rk4", 29268)])
+def test_modified_equation_product_count_at_order_10(monkeypatch, name, bound):
+    # one product per nonzero (cut, Lie term) pair plus one per factorial
+    method = rk_series(builtin_tableau(name), 10)
+    count = _count_coefficient_products(monkeypatch, modified_equation_series, method)
+    assert 0 < count <= bound
 
 
 @pytest.mark.parametrize("name,bound", [("rk22(alpha)", 14422)])
