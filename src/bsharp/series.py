@@ -53,7 +53,6 @@ field).  JSON files store raw coefficients, never the σ-divided form.
 from __future__ import annotations
 
 import math
-import operator
 from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple
@@ -71,7 +70,7 @@ from .coefficients import (
     coeff_sub,
 )
 from .errors import SeriesError, SingularMethodError
-from .rationals import Rat, is_rational, rat
+from .rationals import is_rational, rat
 from .splits import (
     by_id,
     edge_cut_id_table,
@@ -384,7 +383,7 @@ def modified_equation_series(
     only smaller trees, so v(τ) = method(τ) - Σ_{j=2}^{|τ|} c_j(τ)/j! is
     solved tree by tree.  ``skip_zero`` drops cut terms with a zero factor
     instead of multiplying them through; it never changes the result.  A
-    rational series is solved over graded ints (see below).
+    rational series is solved over graded ints by :mod:`bsharp.graded`.
     """
     global _zero_skips
     if not coeff_eq(method.empty, 1):
@@ -393,8 +392,9 @@ def modified_equation_series(
     weights = by_id(method._coeffs)
     d = _graded_denominator(method._coeffs)
     if d is not None:
-        solve = partial(_modified_equation_ints, tables, weights, skip_zero)
-        return _graded(solve, method.max_order, d)
+        from . import graded
+
+        return _counted(graded.modified_equation(tables, weights, method.max_order, d, skip_zero))
     # v[id] and lie[id][j - 1] = c_j(τ) for j = 1..|τ|; c_j(τ) = 0 whenever j > |τ|
     v: list = [None] * len(weights)
     lie: list = [None] * len(weights)
@@ -434,7 +434,7 @@ def modifying_integrator_series(
     / method(•), the sum over every split but the no-edges-removed one.
     ``skip_zero`` drops split terms whose skeleton weight (or any
     component coefficient) is zero — a pure optimization.  A rational
-    series is solved over graded ints (see below).
+    series is solved over graded ints by :mod:`bsharp.graded`.
     """
     if not coeff_eq(method.empty, 1):
         raise SeriesError("modifying integrator needs a map-kind method series")
@@ -449,10 +449,11 @@ def modifying_integrator_series(
     tables = _tables(method.max_order, partition_id_table)
     d = _graded_denominator(method._coeffs)
     if d is not None:
-        solve = partial(
-            _modifying_integrator_ints, tables, method._coeffs, method.max_order, d, u1, skip_zero
+        from . import graded
+
+        return _counted(
+            graded.modifying_integrator(tables, method._coeffs, method.max_order, d, u1, skip_zero)
         )
-        return _graded(solve, method.max_order, d, u1.numerator)
     weights = by_id(method._coeffs)
     zero_weights = _zero_ids(weights) if skip_zero else set()
     zero_solved: set[int] = set()
@@ -466,35 +467,6 @@ def modifying_integrator_series(
         if skip_zero and coeff_is_zero(c):
             zero_solved.add(i)
     return TruncatedBSeries._from_levels(method.max_order, v)
-
-
-# -- graded integer solves ---------------------------------------------------
-#
-# When every coefficient of the method series is rational, the modified
-# equation and the modifying integrator run over plain ints: the value of a
-# tree τ is held as an int scaled by λ^|τ|, a *graded* scale.  A product of
-# the values of trees whose orders add up to |τ| (a Lie term
-# c_{j-1}(trunk)·v(branch), or Π v(component) over a partition) then
-# carries exactly λ^|τ|, so products are exact without rescaling, and each
-# tree's value becomes ``Fraction(value, λ^|τ|)`` once, at the end.  This is
-# fraction-free elimination (Bareiss, Math. Comp. 22, 1968) applied to the
-# triangular solves.  Every division is checked by :func:`_exact`; a
-# remainder means that λ is too small, and :func:`_graded` squares λ and
-# starts over.  That terminates: every prime of a true denominator divides
-# the starting λ (see :func:`_initial_scale`), and squaring doubles each
-# prime's power.
-
-
-class _Inexact(ArithmeticError):
-    """A scaled division left a remainder: the scale λ is too small."""
-
-
-def _exact(a: int, b: int) -> int:
-    """``a / b``, which must be an int."""
-    q, r = divmod(a, b)
-    if r:
-        raise _Inexact
-    return q
 
 
 def _graded_denominator(coeffs: dict[bytes, Coefficient]) -> int | None:
@@ -515,113 +487,12 @@ def _graded_denominator(coeffs: dict[bytes, Coefficient]) -> int | None:
     return d
 
 
-def _initial_scale(max_order: int, d: int, divisor: int) -> int:
-    """The λ a graded solve starts from: d·lcm(1..N)·divisor².  A true
-    denominator has only the primes of d (the input's), those up to N (of
-    j! and γ(τ)) and those of ``divisor``, the numerator of the u1 the
-    modifying integrator divides by, which the denominator of v(τ) can
-    hold up to 2|τ| - 1 times."""
-    return d * math.lcm(*range(1, max_order + 1)) * divisor**2
-
-
-def _graded(solve, max_order: int, d: int, divisor: int = 1) -> TruncatedBSeries:
-    """Run ``solve(λ)``, the coefficients keyed by level sequence and the
-    number of zero skips, squaring λ until every division is exact."""
+def _counted(solved: tuple[TruncatedBSeries, int]) -> TruncatedBSeries:
+    """The series of a graded solve, its zero skips added to the count."""
     global _zero_skips
-    scale = _initial_scale(max_order, d, divisor)
-    while True:
-        try:
-            coeffs, skips = solve(scale)
-        except _Inexact:
-            scale *= scale
-        else:
-            _zero_skips += skips
-            return TruncatedBSeries._from_levels(max_order, coeffs)
-
-
-def _modified_equation_ints(tables, weights: list, skip_zero: bool, scale: int):
-    """:func:`modified_equation_series` over ints scaled by λ^|τ|, λ =
-    ``scale``: v(τ)·λ^|τ| = a(τ)·λ^|τ| - (Σ_j c_j(τ)·λ^|τ|·|τ|!/j!) / |τ|!."""
-    skips = 0
-    v: list = [None] * len(weights)
-    lie: list = [None] * len(weights)
-    coeffs: dict[bytes, Coefficient] = {b"": rat(0)}
-    order = 0
-    for tree, i, rows in tables:
-        n = len(tree._levels)
-        if n != order:
-            order, power, whole = n, scale**n, math.factorial(n)
-            ratios = [whole // math.factorial(j) for j in range(2, n + 1)]  # n!/j!
-        higher = [0] * (n - 1)  # c_2 .. c_n, scaled
-        for trunk, branch, k in rows:
-            w = v[branch]
-            if skip_zero and not w:
-                skips += 1
-                continue
-            w *= k
-            for j, c in enumerate(lie[trunk]):
-                if skip_zero and not c:
-                    skips += 1
-                    continue
-                higher[j] += c * w
-        a = weights[i]
-        lies = _exact(sum(map(operator.mul, higher, ratios)), whole)
-        v[i] = value = a.numerator * _exact(power, a.denominator) - lies
-        lie[i] = [value] + higher
-        coeffs[tree._levels] = Rat(value, power)
-    return coeffs, skips
-
-
-def _product_ints(products: dict[int, int], factors: list, forest: int) -> int:
-    """Π factors[id] over the non-empty multiset key ``forest``, memoised
-    in ``products``; a new entry costs one product."""
-    p = products.get(forest)
-    if p is None:
-        top, rest = split_top(forest)
-        p = factors[top] * _product_ints(products, factors, rest) if rest else factors[top]
-        products[forest] = p
-    return p
-
-
-def _modifying_integrator_ints(
-    tables, coeffs: dict[bytes, Coefficient], max_order: int, d: int, u1: Rat,
-    skip_zero: bool, scale: int,
-):
-    """:func:`modifying_integrator_series` over ints.  A solved value is
-    scaled by λ^|τ| (λ = ``scale``) and every skeleton weight by d^N, N =
-    ``max_order``, so a row k·a(skeleton)·Π v(component) of a tree τ has
-    the scale d^N·λ^|τ| of the tree's total, which is then divided by
-    d^N·u1."""
-    skips = 0
-    d_top = d**max_order
-    heads = by_id({seq: c.numerator * _exact(d_top, c.denominator) for seq, c in coeffs.items()})
-    divisor = d_top * u1.numerator  # total / (d^N·u1) = total·u1.denominator / divisor
-    solved: list = [None] * len(heads)
-    products: dict[int, int] = {}
-    known = products.get
-    out: dict[bytes, Coefficient] = {b"": rat(0)}
-    order = 0
-    for tree, i, rows in tables:
-        n = len(tree._levels)
-        if n != order:
-            order, power = n, scale**n
-            one = d_top * power  # 1, scaled
-        total = _exact(one, tree.density())
-        for head, forest, k in islice(rows, 1, None):  # all but the no-edges-removed split
-            w = heads[head]
-            if skip_zero and not w:
-                skips += 1
-                continue
-            p = known(forest)
-            if p is None:
-                p = _product_ints(products, solved, forest)
-            if skip_zero and not p:
-                skips += 1
-                continue
-            total -= w * p * k
-        solved[i] = value = _exact(total * u1.denominator, divisor)
-        out[tree._levels] = Rat(value, power)
-    return out, skips
+    series, skips = solved
+    _zero_skips += skips
+    return series
 
 
 def series_order_of_accuracy(series: TruncatedBSeries, max_check: int | None = None) -> int:

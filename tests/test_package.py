@@ -146,11 +146,11 @@ ODE = "vars p, q\np' = -q\nq' = p\n"
         ([["trees", "1"]], ["rationals", "trees"]),
         ([["splits", "[0,1,1]", "--kind", "partitions"]], ["splits", "trees"]),
         ([["order", "--tableau", "rk4", "--max", "4"]], SOLVE),
-        ([["modified-equation", "--tableau", "midpoint", "--order", "3"]], SOLVE),
-        ([["modifying-integrator", "--tableau", "midpoint", "--order", "3"]], SOLVE),
+        ([["modified-equation", "--tableau", "midpoint", "--order", "3"]], SOLVE + ["graded"]),
+        ([["modifying-integrator", "--tableau", "midpoint", "--order", "3"]], SOLVE + ["graded"]),
         (
             [["modified-equation", "--tableau", "midpoint", "--order", "3", "--ode-text", ODE]],
-            SOLVE + ["expressions", "odes"],
+            SOLVE + ["expressions", "graded", "odes"],
         ),
         (
             [[
@@ -173,4 +173,4 @@ def test_series_file_commands_load_only_the_solve_layers(tmp_path):
         ["modified-equation", "--tableau", "midpoint", "--order", "3", "--output", flow],
         ["compose", method, method],
         ["substitute", flow, method],
-    ) == sorted(["cli", "errors", *SOLVE])
+    ) == sorted(["cli", "errors", "graded", *SOLVE])

@@ -31,7 +31,7 @@ from bsharp.series import (
     truncated,
     zero_skip_count,
 )
-from bsharp import coefficients, series, splits
+from bsharp import coefficients, graded, series, splits
 from bsharp.splits import clear_split_caches, partition_split_table
 from bsharp.tableaux import (
     ButcherTableau,
@@ -425,18 +425,18 @@ def test_a_too_small_scale_restarts_to_the_same_result(monkeypatch, solve):
     )
     method = rk_series(tab, 5)
     expected = solve(method)
-    start, exact = series._initial_scale, series._exact
+    start, exact = graded._initial_scale, graded._exact
     remainders = []
 
     def checked(a, b):
         try:
             return exact(a, b)
-        except series._Inexact:
+        except graded._Inexact:
             remainders.append((a, b))
             raise
 
-    monkeypatch.setattr(series, "_initial_scale", lambda *args: _radical(start(*args)))
-    monkeypatch.setattr(series, "_exact", checked)
+    monkeypatch.setattr(graded, "_initial_scale", lambda *args: _radical(start(*args)))
+    monkeypatch.setattr(graded, "_exact", checked)
     got = solve(method)
     assert remainders  # the first scale was too small, and the solve started over
     assert got == expected
@@ -542,21 +542,23 @@ def _count_coefficient_products(monkeypatch, solve, method):
     return _count_products(monkeypatch, solve, method)
 
 
-# Rational series are solved over ints and call no ``series.coeff_*``; the
-# counts below are of the coefficient path, which symbolic series such as
-# rk22(alpha) take and the rational ones take with the integer path off.
-
 @pytest.mark.parametrize(
     "name,bound", [("midpoint", 2289), ("rk4", 2367), ("rk22(alpha)", 2762)]
 )
 def test_modifying_integrator_multiplies_each_forest_once(monkeypatch, name, bound):
     # a count of coefficient products, not a time: one product per distinct
-    # forest and one or two per row (products per row of every component
-    # took 7,251 and 26,299 for midpoint and rk4)
+    # forest, plus one or two per row on the coefficient path that
+    # rk22(alpha) takes (products per row of every component took 7,251
+    # and 26,299 for midpoint and rk4); the integer path of midpoint and
+    # rk4 multiplies its rows out inline and only its forests through
+    # series.coeff_mul
     method = rk_series(builtin_tableau(name), 8)
-    count = _count_coefficient_products(monkeypatch, modifying_integrator_series, method)
-    assert 0 < count <= bound
+    assert 0 < _count_products(monkeypatch, modifying_integrator_series, method) <= bound
 
+
+# The integer path of the modified equation multiplies its Lie terms
+# inline, so the rational counts below are of the coefficient path, which
+# symbolic series take and rational ones take with the integer path off.
 
 @pytest.mark.parametrize("name,bound", [("midpoint", 43869), ("rk4", 29268)])
 def test_modified_equation_product_count_at_order_10(monkeypatch, name, bound):
