@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 import operator
 from functools import partial
-from itertools import islice
 
 from .rationals import Rat, rat
 from .series import _UNSET, TruncatedBSeries, _forest_product
-from .splits import by_id
+from .splits import by_id, partition_skeleton_table, tree_id
+from .trees import trees_of_order
 
 
 class _Inexact(ArithmeticError):
@@ -76,12 +76,16 @@ def modified_equation(
 
 
 def modifying_integrator(
-    tables, coeffs: dict, max_order: int, d: int, u1: Rat, skip_zero: bool
+    coeffs: dict, max_order: int, d: int, u1: Rat, skip_zero: bool
 ) -> tuple[TruncatedBSeries, int]:
     """The modifying integrator of the method with coefficients ``coeffs``
     (by level sequence), d^|τ|·c(τ) an int and c(•) = ``u1``, and its
     number of zero skips."""
-    solve = partial(_modifying_integrator_ints, tables, coeffs, max_order, d, u1, skip_zero)
+    levels = [
+        (n, [(t, tree_id(t._levels)) for t in trees_of_order(n)], partition_skeleton_table(n))
+        for n in range(1, max_order + 1)
+    ]
+    solve = partial(_modifying_integrator_ints, levels, coeffs, max_order, d, u1, skip_zero)
     return _solve(solve, max_order, d, u1.numerator)
 
 
@@ -119,46 +123,47 @@ def _modified_equation_ints(tables, weights: list, skip_zero: bool, scale: int):
 
 
 def _modifying_integrator_ints(
-    tables, coeffs: dict, max_order: int, d: int, u1: Rat,
-    skip_zero: bool, scale: int,
+    levels, coeffs: dict, max_order: int, d: int, u1: Rat, skip_zero: bool, scale: int
 ):
-    """The modifying integrator over ints.  A solved value is scaled by
-    λ^|τ| (λ = ``scale``) and every skeleton weight by d^N, N =
-    ``max_order``, so a row k·a(skeleton)·Π v(component) of a tree τ has
-    the scale d^N·λ^|τ| of the tree's total, which is then divided by
-    d^N·u1.  Zero terms are skipped as :func:`bsharp.series._fold` skips
-    them."""
+    """The modifying integrator over ints, one order at a time.  A solved
+    value is scaled by λ^|τ| (λ = ``scale``) and every skeleton weight by
+    d^N, N = ``max_order``, so a row k·a(skeleton)·Π v(component) of a
+    tree τ has the scale d^N·λ^|τ| of the tree's total, which is then
+    divided by d^N·u1.  Every component of a tree is of a lower order, so
+    the rows of one order are summed skeleton by skeleton, and a zero
+    skeleton weight skips all of its rows at once.  Zero terms are skipped
+    as :func:`bsharp.series._fold` skips them."""
     skips = 0
     d_top = d**max_order
     heads = by_id({seq: c.numerator * _exact(d_top, c.denominator) for seq, c in coeffs.items()})
     divisor = d_top * u1.numerator  # total / (d^N·u1) = total·u1.denominator / divisor
     solved: list = [None] * len(heads)
+    totals = [0] * len(heads)  # minus Σ over the rows of a tree, scaled
     zero_solved: set[int] = set()
     products: dict[int, int | None] = {}
     known = products.get
     product = partial(_forest_product, products, solved, zero_solved)
     out: dict = {b"": rat(0)}
-    order = 0
-    for tree, i, rows in tables:
-        n = len(tree._levels)
-        if n != order:
-            order, power = n, scale**n
-            one = d_top * power  # 1, scaled
-        total = _exact(one, tree.density())
-        for head, forest, k in islice(rows, 1, None):  # all but the no-edges-removed split
+    for n, trees, groups in levels:
+        power = scale**n
+        one = d_top * power  # 1, scaled
+        for head, rows in groups:
             w = heads[head]
             if skip_zero and not w:
-                skips += 1
+                skips += len(rows)
                 continue
-            p = known(forest, _UNSET)
-            if p is _UNSET:
-                p = product(forest)
-            if p is None:
-                skips += 1
-                continue
-            total -= w * k * p
-        solved[i] = value = _exact(total * u1.denominator, divisor)
-        if skip_zero and not value:
-            zero_solved.add(i)
-        out[tree._levels] = Rat(value, power)
+            for i, forest, k in rows:
+                p = known(forest, _UNSET)
+                if p is _UNSET:
+                    p = product(forest)
+                if p is None:
+                    skips += 1
+                    continue
+                totals[i] -= w * k * p
+        for tree, i in trees:
+            total = _exact(one, tree.density()) + totals[i]
+            solved[i] = value = _exact(total * u1.denominator, divisor)
+            if skip_zero and not value:
+                zero_solved.add(i)
+            out[tree._levels] = Rat(value, power)
     return out, skips

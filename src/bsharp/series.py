@@ -446,14 +446,14 @@ def modifying_integrator_series(
                 "method coefficient of the one-node tree is zero; the triangular "
                 "solve would divide by it"
             )
-    tables = _tables(method.max_order, partition_id_table)
     d = _graded_denominator(method._coeffs)
     if d is not None:
         from . import graded
 
         return _counted(
-            graded.modifying_integrator(tables, method._coeffs, method.max_order, d, u1, skip_zero)
+            graded.modifying_integrator(method._coeffs, method.max_order, d, u1, skip_zero)
         )
+    tables = _tables(method.max_order, partition_id_table)
     weights = by_id(method._coeffs)
     zero_weights = _zero_ids(weights) if skip_zero else set()
     zero_solved: set[int] = set()

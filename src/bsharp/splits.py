@@ -31,9 +31,11 @@ with a count field per id, so every table has the same row shape.
 subset in the order of :func:`ordered_subtrees`, without the empty split;
 :func:`partition_id_table` gives (skeleton id, forest key, multiplicity)
 and :func:`edge_cut_id_table` gives (trunk id, branch id, multiplicity),
-each distinct split once, in the order of its first appearance.  The
-solves in :mod:`bsharp.series` read only these, with coefficients put
-into lists indexed by id by :func:`by_id`.
+each distinct split once, in the order of its first appearance.
+:func:`partition_skeleton_table` holds the partition rows of all trees of
+one order, grouped by skeleton.  The solves in :mod:`bsharp.series` and
+:mod:`bsharp.graded` read only these, with coefficients put into lists
+indexed by id by :func:`by_id`.
 
 No table walks the 2**(order-1) subsets, and nothing here walks a mask
 or canonicalizes a level sequence: each table is built over ids from the
@@ -52,11 +54,12 @@ memo and the index.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
 from .errors import InvalidTreeError
-from .trees import EMPTY_TREE, MAX_ORDER, RootedTree, _children, _EmptyTree
+from .trees import EMPTY_TREE, MAX_ORDER, RootedTree, _children, _EmptyTree, trees_of_order
 
 
 class Forest(tuple):
@@ -213,6 +216,8 @@ _ROOT_ONLY = (0, 0, 0)
 _rooted_tables: dict[int, dict[tuple[int, int, int], int]] = {}
 # id -> partition rows (skeleton id, forest key, multiplicity)
 _id_tables: dict[int, tuple[tuple[int, int, int], ...]] = {}
+# order -> partition rows of its trees grouped by skeleton id
+_skeleton_tables: dict[int, tuple] = {}
 # forest key -> its level sequences, for partition_split_table only
 _forests: dict[int, tuple[bytes, ...]] = {}
 
@@ -280,17 +285,48 @@ def partition_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
     i = tree_id(seq)
     table = _id_tables.get(i)
     if table is None:
-        rows: dict[tuple[int, int], int] = {}
-        get = rows.get
-        # the tree's own rooted table is folded here, not cached
-        for (comp, skel, others), k in _build_rooted(i).items():
-            try:
-                key = (_grafts[skel], others + (1 << _BITS * _grafts[comp]))
-            except KeyError:
-                key = (_graft(skel), others + (1 << _BITS * _graft(comp)))
-            rows[key] = get(key, 0) + k
-        table = _id_tables[i] = tuple([(s, f, k) for (s, f), k in rows.items()])
+        table = _id_tables[i] = tuple([(s, f, k) for (s, f), k in _partition_rows(i).items()])
     return table
+
+
+def partition_skeleton_table(
+    order: int,
+) -> tuple[tuple[int, list[tuple[int, int, int]]], ...]:
+    """Partition splits of every tree of ``order`` over tree ids, grouped
+    by skeleton, cached.
+
+    Rows are (skeleton id, [(tree id, forest key, multiplicity), ...]):
+    the rows of :func:`partition_id_table` of every tree of the order but
+    its first (no-edges-removed) one, each skeleton once.  A solve that
+    walks one order at a time can pass over all rows of a skeleton with a
+    zero coefficient at once.
+    """
+    table = _skeleton_tables.get(order)
+    if table is None:
+        groups: defaultdict[int, list] = defaultdict(list)
+        for tree in trees_of_order(order):
+            i = tree_id(tree._levels)
+            rows = iter(_partition_rows(i).items())
+            next(rows)  # the no-edges-removed split
+            for (s, f), k in rows:
+                groups[s].append((i, f, k))
+        table = _skeleton_tables[order] = tuple(groups.items())
+    return table
+
+
+def _partition_rows(i: int) -> dict[tuple[int, int], int]:
+    """(skeleton id, forest key) -> multiplicity over the partition splits
+    of tree ``i``, in order of first appearance."""
+    rows: dict[tuple[int, int], int] = {}
+    get = rows.get
+    # the tree's own rooted table is folded here, not cached
+    for (comp, skel, others), k in _build_rooted(i).items():
+        try:
+            key = (_grafts[skel], others + (1 << _BITS * _grafts[comp]))
+        except KeyError:
+            key = (_graft(skel), others + (1 << _BITS * _graft(comp)))
+        rows[key] = get(key, 0) + k
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -387,6 +423,7 @@ def clear_split_caches() -> None:
     partition_split_table.cache_clear()
     _rooted_tables.clear()
     _id_tables.clear()
+    _skeleton_tables.clear()
     _subtree_tables.clear()
     _cut_tables.clear()
     _forests.clear()

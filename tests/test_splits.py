@@ -24,6 +24,7 @@ from bsharp.trees import (
     all_trees_up_to,
     canonicalize,
     parse_tree,
+    trees_of_order,
 )
 
 from oracles import (
@@ -333,6 +334,7 @@ def test_clear_split_caches_empties_every_cache():
         partition_split_table(tree)
         subtree_id_table(tree._levels)
         edge_cut_id_table(tree._levels)
+    splits.partition_skeleton_table(6)
     # the iterator indexes the trees it names: a 7-chain's kept subtrees
     list(ordered_subtrees(RootedTree(range(7))))
     assert bytes(range(7)) in splits._ids
@@ -344,6 +346,22 @@ def test_clear_split_caches_empties_every_cache():
     assert all(size > 0 for size in filled.values()), filled
     splits.clear_split_caches()
     assert all(size == 0 for size in caches().values()), caches()
+
+
+def test_skeleton_table_regroups_the_partition_rows_of_one_order():
+    for order in range(1, 8):
+        table = splits.partition_skeleton_table(order)
+        heads = [head for head, _ in table]
+        assert len(heads) == len(set(heads))  # each skeleton once
+        got = Counter((i, head, forest, k) for head, rows in table for i, forest, k in rows)
+        expected = Counter()
+        for tree in trees_of_order(order):
+            i = splits.tree_id(tree._levels)
+            # every row but the first, the no-edges-removed split
+            expected.update((i, head, forest, k) for head, forest, k in
+                            splits.partition_id_table(tree._levels)[1:])
+        assert got == expected
+        assert splits.partition_skeleton_table(order) is table
 
 
 def test_edge_cut_table_matches_bruteforce():
