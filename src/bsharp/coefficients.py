@@ -30,6 +30,11 @@ kind that ``rk22(alpha)`` produces, and a GCD reduction of the other
 denominators would change printed coefficients.
 So ``(alpha^2 - 1)/(alpha - 1)`` keeps its unreduced form.  Equality is
 decided by cross-multiplication, which sees that it equals ``alpha + 1``.
+A value with a monomial denominator is an integer Laurent polynomial over
+an integer, and its normal form does not depend on how it was summed;
+:mod:`bsharp.graded` uses that to solve such series over Laurent
+polynomials with one :func:`_normalize` per coefficient, and prints what
+this arithmetic prints.
 
 Term order everywhere (printing, leading coefficients) is graded
 lexicographic, highest degree first, with symbols sorted by name.

@@ -1,23 +1,28 @@
 """Triangular B-series solves over graded integers.
 
-When every coefficient of a method series is rational,
 :func:`bsharp.series.modified_equation_series` and
-:func:`bsharp.series.modifying_integrator_series` run here, over plain
-ints: the value of a tree τ is held as an int scaled by λ^|τ|, a *graded*
-scale.  A product of the values of trees whose orders add up to |τ| (a Lie
-term c_{j-1}(trunk)·v(branch), or Π v(component) over a partition) then
+:func:`bsharp.series.modifying_integrator_series` run here when every
+denominator of the method series is a monomial and the u1 = c(•) the
+modifying integrator divides by is rational
+(:func:`bsharp.series._graded_denominator` decides).  The value of a tree
+τ is held scaled by λ^|τ|, a *graded* scale: an int for a rational
+series, and for a symbolic one a :class:`_Laurent` polynomial.  A product
+of the values of trees whose orders add up to |τ| (a Lie term
+c_{j-1}(trunk)·v(branch), or Π v(component) over a partition) then
 carries exactly λ^|τ|, so products are exact without rescaling, and each
-tree's value becomes ``Fraction(value, λ^|τ|)`` once, at the end.  This is
-fraction-free elimination (Bareiss, Math. Comp. 22, 1968) applied to the
-triangular solves.  Every division is checked by :func:`_exact`; a
-remainder means that λ is too small, and :func:`_solve` squares λ and
-starts over.  That terminates: every prime of a true denominator divides
-the starting λ (see :func:`_initial_scale`), and squaring doubles each
-prime's power.
+tree's value becomes a coefficient once, at the end: ``Fraction(value,
+λ^|τ|)``, or the :func:`bsharp.coefficients._normalize` form of a Laurent
+value over λ^|τ|, which the ``series.coeff_*`` path reaches too, since a
+monomial denominator never grows into a sum.  This is fraction-free
+elimination (Bareiss, Math. Comp. 22, 1968) applied to the triangular
+solves.  Every division is checked by :func:`_exact`; a remainder means
+that λ is too small, and :func:`_solve` squares λ and starts over.  That
+terminates: every prime of a true denominator divides the starting λ (see
+:func:`_initial_scale`), and squaring doubles each prime's power.
 
 The solves walk the same rows as the ``series.coeff_*`` path, skip the
 same zero terms and return their number.  :mod:`bsharp.series` imports
-this module only when it solves a rational series.
+this module only when it solves such a series.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import math
 import operator
 from functools import partial
 
-from .rationals import Rat, rat
+from .coefficients import _normalize, _poly_add, _poly_mul, _widen
+from .rationals import Rat, is_rational, rat
 from .series import _UNSET, TruncatedBSeries, _forest_product
 from .splits import by_id, partition_skeleton_table, tree_id
 from .trees import trees_of_order
@@ -36,12 +42,90 @@ class _Inexact(ArithmeticError):
     """A scaled division left a remainder: the scale λ is too small."""
 
 
-def _exact(a: int, b: int) -> int:
-    """``a / b``, which must be an int."""
+def _exact(a, b: int):
+    """``a / b``, which must be an int (or a :class:`_Laurent` of ints)."""
     q, r = divmod(a, b)
     if r:
         raise _Inexact
     return q
+
+
+class _Laurent:
+    """An integer Laurent polynomial over the symbols of one solve: ``terms``
+    maps an exponent tuple, negative entries allowed, to a nonzero int.  It
+    adds, subtracts and multiplies with an int (a constant, which a solve
+    may hold as a value too) or with itself, is false without terms, and
+    divides by an int term by term with ``divmod``."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if not other:
+            return self
+        if not self.terms:
+            return other
+        if not isinstance(other, _Laurent):  # an int: a constant term
+            other = _Laurent({(0,) * len(next(iter(self.terms))): other})
+        return _Laurent(_poly_add(self.terms, other.terms))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __rsub__(self, other):
+        return self * -1 + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Laurent):
+            return _Laurent(_poly_mul(self.terms, other.terms))
+        if other == 1:
+            return self
+        return _Laurent({e: c * other for e, c in self.terms.items()} if other else {})
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other: int) -> tuple["_Laurent", "_Laurent"]:
+        pairs = [(e, divmod(c, other)) for e, c in self.terms.items()]
+        quotient = _Laurent({e: q for e, (q, _) in pairs if q})
+        return quotient, _Laurent({e: r for e, (_, r) in pairs if r})
+
+
+def _lift_int(c: Rat, scale: int) -> int:
+    """``scale``·c, which must be an int."""
+    return c.numerator * _exact(scale, c.denominator)
+
+
+def _lift_laurent(symbols: tuple[str, ...], c, scale: int):
+    """``scale``·c over ``symbols`` for a rational function c with a
+    one-term denominator; an int, a constant, for a rational c."""
+    if is_rational(c):
+        return _lift_int(c, scale)
+    (low, den), = _widen(c.symbols, c.den, symbols).items()
+    q = _exact(scale, den)
+    num = _widen(c.symbols, c.num, symbols)
+    return _Laurent({tuple(map(operator.sub, e, low)): k * q for e, k in num.items()})
+
+
+def _lower_laurent(symbols: tuple[str, ...], value, power: int):
+    """The coefficient ``value``/``power`` in its normal form."""
+    if isinstance(value, int):
+        return Rat(value, power)
+    return _normalize(symbols, value.terms, {(0,) * len(symbols): power})
+
+
+def _domain(symbols: tuple[str, ...]):
+    """``(lift, lower)`` of the solve's scalars: ints for a rational series
+    (no symbols), Laurent polynomials over ``symbols`` otherwise."""
+    if not symbols:
+        return _lift_int, Rat
+    return partial(_lift_laurent, symbols), partial(_lower_laurent, symbols)
 
 
 def _initial_scale(max_order: int, d: int, divisor: int) -> int:
@@ -68,29 +152,33 @@ def _solve(solve, max_order: int, d: int, divisor: int = 1) -> tuple[TruncatedBS
 
 
 def modified_equation(
-    tables, weights: list, max_order: int, d: int, skip_zero: bool
+    tables, weights: list, max_order: int, d: int, symbols: tuple[str, ...], skip_zero: bool
 ) -> tuple[TruncatedBSeries, int]:
     """The modified equation of the method with coefficients ``weights``
-    (by id), d^|τ|·weight an int, and its number of zero skips."""
-    return _solve(partial(_modified_equation_ints, tables, weights, skip_zero), max_order, d)
+    (by id) over ``symbols``, d^|τ|·weight an int or a Laurent polynomial,
+    and its number of zero skips."""
+    solve = partial(_modified_equation_ints, tables, weights, *_domain(symbols), skip_zero)
+    return _solve(solve, max_order, d)
 
 
 def modifying_integrator(
-    coeffs: dict, max_order: int, d: int, u1: Rat, skip_zero: bool
+    coeffs: dict, max_order: int, d: int, symbols: tuple[str, ...], u1: Rat, skip_zero: bool
 ) -> tuple[TruncatedBSeries, int]:
     """The modifying integrator of the method with coefficients ``coeffs``
-    (by level sequence), d^|τ|·c(τ) an int and c(•) = ``u1``, and its
-    number of zero skips."""
+    (by level sequence) over ``symbols``, d^|τ|·c(τ) an int or a Laurent
+    polynomial and c(•) = ``u1``, and its number of zero skips."""
     levels = [
         (n, [(t, tree_id(t._levels)) for t in trees_of_order(n)], partition_skeleton_table(n))
         for n in range(1, max_order + 1)
     ]
-    solve = partial(_modifying_integrator_ints, levels, coeffs, max_order, d, u1, skip_zero)
+    solve = partial(
+        _modifying_integrator_ints, levels, coeffs, max_order, d, u1, *_domain(symbols), skip_zero
+    )
     return _solve(solve, max_order, d, u1.numerator)
 
 
-def _modified_equation_ints(tables, weights: list, skip_zero: bool, scale: int):
-    """The modified equation over ints scaled by λ^|τ|, λ = ``scale``:
+def _modified_equation_ints(tables, weights: list, lift, lower, skip_zero: bool, scale: int):
+    """The modified equation over values scaled by λ^|τ|, λ = ``scale``:
     v(τ)·λ^|τ| = a(τ)·λ^|τ| - (Σ_j c_j(τ)·λ^|τ|·|τ|!/j!) / |τ|!."""
     skips = 0
     v: list = [None] * len(weights)
@@ -114,33 +202,33 @@ def _modified_equation_ints(tables, weights: list, skip_zero: bool, scale: int):
                     skips += 1
                     continue
                 higher[j] += c * w
-        a = weights[i]
         lies = _exact(sum(map(operator.mul, higher, ratios)), whole)
-        v[i] = value = a.numerator * _exact(power, a.denominator) - lies
+        v[i] = value = lift(weights[i], power) - lies
         lie[i] = [value] + higher
-        coeffs[tree._levels] = Rat(value, power)
+        coeffs[tree._levels] = lower(value, power)
     return coeffs, skips
 
 
 def _modifying_integrator_ints(
-    levels, coeffs: dict, max_order: int, d: int, u1: Rat, skip_zero: bool, scale: int
+    levels, coeffs: dict, max_order: int, d: int, u1: Rat, lift, lower, skip_zero: bool,
+    scale: int,
 ):
-    """The modifying integrator over ints, one order at a time.  A solved
-    value is scaled by λ^|τ| (λ = ``scale``) and every skeleton weight by
-    d^N, N = ``max_order``, so a row k·a(skeleton)·Π v(component) of a
-    tree τ has the scale d^N·λ^|τ| of the tree's total, which is then
+    """The modifying integrator over scaled values, one order at a time.  A
+    solved value is scaled by λ^|τ| (λ = ``scale``) and every skeleton
+    weight by d^N, N = ``max_order``, so a row k·a(skeleton)·Π v(component)
+    of a tree τ has the scale d^N·λ^|τ| of the tree's total, which is then
     divided by d^N·u1.  Every component of a tree is of a lower order, so
     the rows of one order are summed skeleton by skeleton, and a zero
     skeleton weight skips all of its rows at once.  Zero terms are skipped
     as :func:`bsharp.series._fold` skips them."""
     skips = 0
     d_top = d**max_order
-    heads = by_id({seq: c.numerator * _exact(d_top, c.denominator) for seq, c in coeffs.items()})
+    heads = by_id({seq: lift(c, d_top) for seq, c in coeffs.items()})
     divisor = d_top * u1.numerator  # total / (d^N·u1) = total·u1.denominator / divisor
     solved: list = [None] * len(heads)
     totals = [0] * len(heads)  # minus Σ over the rows of a tree, scaled
     zero_solved: set[int] = set()
-    products: dict[int, int | None] = {}
+    products: dict = {}
     known = products.get
     product = partial(_forest_product, products, solved, zero_solved)
     out: dict = {b"": rat(0)}
@@ -165,5 +253,5 @@ def _modifying_integrator_ints(
             solved[i] = value = _exact(total * u1.denominator, divisor)
             if skip_zero and not value:
                 zero_solved.add(i)
-            out[tree._levels] = Rat(value, power)
+            out[tree._levels] = lower(value, power)
     return out, skips

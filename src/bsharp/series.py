@@ -382,19 +382,22 @@ def modified_equation_series(
     (Hairer-Lubich-Wanner, GNI §IX.9).  Every c_j(τ) with j ≥ 2 involves
     only smaller trees, so v(τ) = method(τ) - Σ_{j=2}^{|τ|} c_j(τ)/j! is
     solved tree by tree.  ``skip_zero`` drops cut terms with a zero factor
-    instead of multiplying them through; it never changes the result.  A
-    rational series is solved over graded ints by :mod:`bsharp.graded`.
+    instead of multiplying them through; it never changes the result.
+    :mod:`bsharp.graded` solves a series whose denominators are monomials,
+    such as a rational one or ``rk22(alpha)``'s, with the same output.
     """
     global _zero_skips
     if not coeff_eq(method.empty, 1):
         raise SeriesError("modified equation needs a map-kind method series")
     tables = _tables(method.max_order, edge_cut_id_table)
     weights = by_id(method._coeffs)
-    d = _graded_denominator(method._coeffs)
-    if d is not None:
+    graded_scale = _graded_denominator(method._coeffs)
+    if graded_scale is not None:
         from . import graded
 
-        return _counted(graded.modified_equation(tables, weights, method.max_order, d, skip_zero))
+        return _counted(
+            graded.modified_equation(tables, weights, method.max_order, *graded_scale, skip_zero)
+        )
     # v[id] and lie[id][j - 1] = c_j(τ) for j = 1..|τ|; c_j(τ) = 0 whenever j > |τ|
     v: list = [None] * len(weights)
     lie: list = [None] * len(weights)
@@ -433,8 +436,9 @@ def modifying_integrator_series(
     its multiplicity: v(τ) = (1/γ(τ) - Σ k·method(skeleton)·Π v(component))
     / method(•), the sum over every split but the no-edges-removed one.
     ``skip_zero`` drops split terms whose skeleton weight (or any
-    component coefficient) is zero — a pure optimization.  A rational
-    series is solved over graded ints by :mod:`bsharp.graded`.
+    component coefficient) is zero — a pure optimization.
+    :mod:`bsharp.graded` solves, with the same output, a series whose
+    denominators are monomials and whose method(•) is rational.
     """
     if not coeff_eq(method.empty, 1):
         raise SeriesError("modifying integrator needs a map-kind method series")
@@ -446,13 +450,13 @@ def modifying_integrator_series(
                 "method coefficient of the one-node tree is zero; the triangular "
                 "solve would divide by it"
             )
-    d = _graded_denominator(method._coeffs)
-    if d is not None:
+    graded_scale = _graded_denominator(method._coeffs, u1)
+    if graded_scale is not None:
         from . import graded
 
-        return _counted(
-            graded.modifying_integrator(method._coeffs, method.max_order, d, u1, skip_zero)
-        )
+        return _counted(graded.modifying_integrator(
+            method._coeffs, method.max_order, *graded_scale, u1, skip_zero
+        ))
     tables = _tables(method.max_order, partition_id_table)
     weights = by_id(method._coeffs)
     zero_weights = _zero_ids(weights) if skip_zero else set()
@@ -469,22 +473,33 @@ def modifying_integrator_series(
     return TruncatedBSeries._from_levels(method.max_order, v)
 
 
-def _graded_denominator(coeffs: dict[bytes, Coefficient]) -> int | None:
-    """An int d with d^|τ|·c(τ) an int for every tree τ of ``coeffs`` (the
-    empty entry aside), found without factoring; None when a coefficient is
-    not rational.  Every prime of every denominator divides d."""
+def _graded_denominator(
+    coeffs: dict[bytes, Coefficient], divisor: Coefficient = 1
+) -> tuple[int, tuple[str, ...]] | None:
+    """``(d, symbols)`` with d^|τ|·c(τ) an int or an integer Laurent
+    polynomial over the sorted tuple ``symbols`` for every tree τ of
+    ``coeffs`` (the empty entry aside), found without factoring; None when
+    a denominator is not a monomial or ``divisor``, which the solve divides
+    by, is not rational.  Every prime of every denominator divides d."""
+    if not is_rational(divisor):
+        return None
     d = order = power = 1
+    symbols: set[str] = set()
     for seq, c in islice(coeffs.items(), 1, None):
-        if not is_rational(c):
+        if is_rational(c):
+            den = c.denominator
+        elif len(c.den) == 1:
+            (den,) = c.den.values()
+            symbols.update(c.symbols)
+        else:
             return None
         if len(seq) != order:
             order = len(seq)
             power = d**order
-        den = c.denominator
         if power % den:
             d *= den // math.gcd(power, den)  # now den divides d^|τ|
             power = d**order
-    return d
+    return d, tuple(sorted(symbols))
 
 
 def _counted(solved: tuple[TruncatedBSeries, int]) -> TruncatedBSeries:

@@ -38,6 +38,9 @@ _MODES = ("direct", "reference", "modified", "modifying")
 #: substeps per output row in the reference integrator
 _REFINE = 100
 
+#: the most rows one trajectory may have; a plan that asks for more is refused
+_MAX_ROWS = 10**7
+
 _RK4_A = (
     (0.0, 0.0, 0.0, 0.0),
     (0.5, 0.0, 0.0, 0.0),
@@ -73,6 +76,12 @@ class SimulationPlan:
             raise TableauError("t_max must be finite and positive")
         if not math.isfinite(t_max / step):
             raise TableauError(f"t_max / step overflows: t_max = {t_max!r}, step = {step!r}")
+        rows = _row_count(step, t_max)
+        if rows > _MAX_ROWS:
+            raise TableauError(
+                f"t_max / step asks for {rows} rows, more than the {_MAX_ROWS} "
+                "a simulation may write"
+            )
         if len(initial) != system.dimension:
             raise TableauError(
                 f"initial point has {len(initial)} components, "
@@ -91,7 +100,11 @@ class SimulationPlan:
 
     @property
     def rows(self) -> int:
-        return int(math.floor(self.t_max / self.step + 1e-9)) + 1
+        return _row_count(self.step, self.t_max)
+
+
+def _row_count(step: float, t_max: float) -> int:
+    return int(math.floor(t_max / step + 1e-9)) + 1
 
 
 def _float_tableau(tab: ButcherTableau):

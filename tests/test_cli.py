@@ -492,6 +492,17 @@ def test_simulate_refuses_a_grid_too_fine_to_count():
     assert line.startswith("error:") and "overflows" in line
 
 
+def test_simulate_refuses_more_rows_than_it_may_write():
+    proc = run_cli(
+        "simulate", "--tableau", "euler", "--ode-text", "vars y\ny' = y\n",
+        "--step", "1e-9", "--t-max", "1e9", "--initial", "1",
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and "1000000000000000001 rows" in line
+
+
 def test_simulate_input_errors():
     proc = run_cli(
         "simulate", "--tableau", "euler", "--ode-text", "vars y\ny' = y\n",

@@ -16,7 +16,7 @@ import pytest
 
 from bsharp import series
 from bsharp.cli import build_parser
-from bsharp.tableaux import builtin_tableau, rk_series
+from bsharp.tableaux import rk_series, tableau_from_json_dict
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 HARNESS = [PERFBENCH / name for name in ("run.py", "traced.py", "checks.py")]
@@ -72,9 +72,15 @@ def test_harness_name_exists(module, name):
 def test_series_solves_count_through_the_module_attributes(monkeypatch):
     """coefficients.ops counts the calls that go through ``series.coeff_*``;
     a solve that bound the helpers elsewhere would report zero.  Only
-    symbolic series take that path (rational ones are solved over ints), so
-    the count is taken on rk22(alpha)."""
-    method = rk_series(builtin_tableau("rk22(alpha)"), 4)
+    series with a denominator that is not a monomial take that path
+    (:mod:`bsharp.graded` solves the others), so the count is taken on a
+    tableau with a21 = 1/(1 + beta)."""
+    tab = tableau_from_json_dict(
+        {"A": [["0", "0"], ["1/(1 + beta)", "0"]], "b": ["1/2", "1/2"],
+         "c": ["0", "1/(1 + beta)"], "symbols": ["beta"]}
+    )
+    method = rk_series(tab, 4)
+    assert series._graded_denominator(method._coeffs) is None
     expected = series.modifying_integrator_series(method)
     calls = dict.fromkeys(COUNTED, 0)
 

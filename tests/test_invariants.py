@@ -9,6 +9,10 @@ equation), where the brute force in ``oracles.py`` cannot reach.
   b*_i = b_{s+1-i}, has both series equal to (-1)^(|τ|-1) times the
   method's (GNI §II.3 and §IX.2).
 * A method of order p has both series zero on the orders 2..p.
+* A symplectic method has a Hamiltonian modified field, so both series
+  satisfy b(u∘v) + b(v∘u) = 0 for every pair of trees, where u∘v is the
+  Butcher product that grafts v onto the root of u (GNI §VI.7 and §IX.9;
+  Calvo and Sanz-Serna 1994).
 """
 
 import pytest
@@ -16,6 +20,7 @@ import pytest
 from bsharp.rationals import rat
 from bsharp.series import modified_equation_series, modifying_integrator_series
 from bsharp.tableaux import ButcherTableau, builtin_tableau, rk_series
+from bsharp.trees import all_trees_up_to, canonicalize
 
 ORDER = 10
 SOLVES = pytest.mark.parametrize(
@@ -75,3 +80,25 @@ def test_rk4_series_vanish_on_orders_two_to_four(solve):
     v = solve(rk_series(builtin_tableau("rk4"), ORDER))
     assert all(c == (tree.order == 1) for tree, c in v.items() if tree.order <= 4)
     assert any(c for tree, c in v.items() if tree.order == 5)
+
+
+def butcher_product(u, v):
+    """u∘v: v grafted onto the root of u."""
+    return canonicalize(u.levels + tuple(level + 1 for level in v.levels))
+
+
+@SOLVES
+@pytest.mark.parametrize(
+    "tab,me,mi",
+    [(IMPLICIT_MIDPOINT, 0, 0), (TRAPEZOIDAL, 120, 566), (builtin_tableau("midpoint"), 1909, 1959)],
+    ids=["implicit-midpoint", "trapezoidal", "explicit-midpoint"],
+)
+def test_symplectic_methods_satisfy_the_butcher_product_condition(solve, tab, me, mi):
+    # only implicit midpoint is symplectic; the violations of the other two
+    # show that the check discriminates
+    v = solve(rk_series(tab, ORDER))
+    trees = list(all_trees_up_to(ORDER - 1))
+    pairs = [(u, w) for u in trees for w in trees if u.order + w.order <= ORDER]
+    assert len(pairs) == 2025
+    violations = sum(1 for u, w in pairs if v[butcher_product(u, w)] + v[butcher_product(w, u)])
+    assert violations == (me if solve is modified_equation_series else mi)

@@ -148,6 +148,8 @@ ODE = "vars p, q\np' = -q\nq' = p\n"
         ([["order", "--tableau", "rk4", "--max", "4"]], SOLVE),
         ([["modified-equation", "--tableau", "midpoint", "--order", "3"]], SOLVE + ["graded"]),
         ([["modifying-integrator", "--tableau", "midpoint", "--order", "3"]], SOLVE + ["graded"]),
+        ([["modified-equation", "--tableau", "rk22(alpha)", "--order", "3"]], SOLVE + ["graded"]),
+        ([["bseries", "--tableau", "rk22(alpha)", "--order", "3"]], SOLVE),
         (
             [["modified-equation", "--tableau", "midpoint", "--order", "3", "--ode-text", ODE]],
             SOLVE + ["expressions", "graded", "odes"],
@@ -160,7 +162,10 @@ ODE = "vars p, q\np' = -q\nq' = p\n"
             [m for m in MODULES if m not in ("__main__", "_kernels", "cli", "errors")],
         ),
     ],
-    ids=["help", "trees", "splits", "order", "me", "mi", "me-ode", "simulate"],
+    ids=[
+        "help", "trees", "splits", "order", "me", "mi", "me-symbolic", "bseries-symbolic",
+        "me-ode", "simulate",
+    ],
 )
 def test_each_command_loads_only_the_layers_it_runs(argvs, layers):
     assert _loaded_by(*argvs) == sorted(["cli", "errors", *layers])

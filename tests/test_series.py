@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bsharp.coefficients import coeff_eq, coeff_print, symbol
+from bsharp.coefficients import coeff_eq, coeff_eval, coeff_print, symbol
 from bsharp.errors import InvalidTreeError, SeriesError, SingularMethodError
 from bsharp.rationals import rat
 from bsharp.series import (
@@ -413,17 +413,37 @@ def _radical(n):
     return out
 
 
-@pytest.mark.parametrize("solve", [modified_equation_series, modifying_integrator_series])
-def test_a_too_small_scale_restarts_to_the_same_result(monkeypatch, solve):
-    # Start from the radical of the derived scale: every prime of every true
-    # denominator, each once.  With u1 = 7/2, v(•) = 7/2 puts 2^3 into the
-    # denominator of v([•]) = a([•]) - v(•)^2/2, and the modifying
-    # integrator's v([•]) has 7^3 in its denominator, but λ^2 holds only 2^2
-    # and 7^2.
-    tab = ButcherTableau(
+# With u1 = 7/2, v(•) = 7/2 puts 2^3 into the denominator of v([•]) =
+# a([•]) - v(•)^2/2, and the modifying integrator's v([•]) has 7^3 in its
+# denominator.  The second tableau is the first with a21 = alpha, so its
+# series are Laurent polynomials in alpha.
+_RESTART_TABLEAUX = {
+    "rational": ButcherTableau(
         [[rat(0), rat(0)], [rat(1), rat(0)]], [rat(3), rat(1, 2)], [rat(0), rat(1)]
-    )
-    method = rk_series(tab, 5)
+    ),
+    "symbolic": tableau_from_json_dict(
+        {"A": [["0", "0"], ["alpha", "0"]], "b": ["3", "1/2"], "c": ["0", "alpha"],
+         "symbols": ["alpha"]}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "solve,name",
+    [
+        (solve, name)
+        for name in _RESTART_TABLEAUX
+        for solve in (modified_equation_series, modifying_integrator_series)
+    ],
+    ids=[
+        "modified_equation_series", "modifying_integrator_series",
+        "modified_equation_series-symbolic", "modifying_integrator_series-symbolic",
+    ],
+)
+def test_a_too_small_scale_restarts_to_the_same_result(monkeypatch, solve, name):
+    # Start from the radical of the derived scale: every prime of every true
+    # denominator, each once, so λ^2 holds only 2^2 and 7^2.
+    method = rk_series(_RESTART_TABLEAUX[name], 5)
     expected = solve(method)
     start, exact = graded._initial_scale, graded._exact
     remainders = []
@@ -440,7 +460,36 @@ def test_a_too_small_scale_restarts_to_the_same_result(monkeypatch, solve):
     got = solve(method)
     assert remainders  # the first scale was too small, and the solve started over
     assert got == expected
-    assert all(type(c) is Fraction for _, c in got.items())
+    assert [coeff_print(c) for _, c in got.items()] == [coeff_print(c) for _, c in expected.items()]
+    assert all(type(c) is type(expected[t]) for t, c in got.items())
+    assert all(type(c) is Fraction for _, c in got.items()) == (name == "rational")
+
+
+# a two-parameter family of the kind the symbolic benchmark jobs use
+_TWO_PARAMETER_FAMILY = tableau_from_json_dict(
+    {"A": [["0", "0"], ["3/7*p", "0"]], "b": ["1 - q", "q"], "c": ["0", "3/7*p"],
+     "symbols": ["p", "q"]}
+)
+
+
+@pytest.mark.parametrize("solve", [modified_equation_series, modifying_integrator_series])
+@pytest.mark.parametrize(
+    "tab", [builtin_tableau("rk22(alpha)"), _TWO_PARAMETER_FAMILY],
+    ids=["rk22(alpha)", "two-parameter"],
+)
+def test_laurent_solves_bind_to_the_integer_solves_at_order_9(solve, tab):
+    # the symbolic solve over Laurent polynomials, evaluated at a point,
+    # against the integer solve of the tableau bound at that point
+    method = rk_series(tab, 9)
+    assert series._graded_denominator(method._coeffs, method[T("[0]")])[1] == tuple(
+        sorted(tab.symbols)
+    )
+    symbolic = solve(method)
+    rng = random.Random(9)
+    for _ in range(3):
+        point = {name: rat(rng.randint(1, 9), rng.randint(2, 11)) for name in tab.symbols}
+        bound = solve(rk_series(tab.bind(point), 9))
+        assert all(coeff_eval(c, point) == bound[t] for t, c in symbolic.items())
 
 
 def test_modified_equation_builds_no_partition_table():
@@ -510,6 +559,56 @@ def test_compose_prints_like_the_row_by_row_oracle(name):
         )
 
 
+_SYMBOLIC_TABLEAUX = {
+    **{name: tab for name, tab in _PARTITION_ORACLE_TABLEAUX.items() if tab.symbols},
+    # u1 = Σb = 5/4: the modifying integrator divides by a rational u1 ≠ 1
+    "u1=5/4": tableau_from_json_dict(
+        {"A": [["0", "0"], ["theta", "0"]], "b": ["1/2", "3/4"], "c": ["0", "theta"],
+         "symbols": ["theta"]}
+    ),
+}
+
+
+def _without_graded_path(monkeypatch):
+    monkeypatch.setattr(series, "_graded_denominator", lambda coeffs, divisor=1: None)
+
+
+@pytest.mark.parametrize("name", list(_SYMBOLIC_TABLEAUX))
+@pytest.mark.parametrize("solve", [modified_equation_series, modifying_integrator_series])
+def test_laurent_solves_print_like_the_coefficient_path(monkeypatch, solve, name):
+    # a monomial denominator stays one, so both paths reach one normal form;
+    # b = (1, beta) divides by the non-monomial 1 + beta and keeps the
+    # coefficient path for the modifying integrator, whose order-7 solve
+    # there is too slow to run twice
+    method = rk_series(_SYMBOLIC_TABLEAUX[name], 7)
+    u1 = method[T("[0]")] if solve is modifying_integrator_series else 1
+    graded_path = series._graded_denominator(method._coeffs, u1) is not None
+    assert graded_path == (name != "b=(1,beta)" or solve is modified_equation_series)
+    if not graded_path:
+        return
+    got = [coeff_print(c) for c in solve(method)._coeffs.values()]
+    _without_graded_path(monkeypatch)
+    assert got == [coeff_print(c) for c in solve(method)._coeffs.values()]
+
+
+@pytest.mark.parametrize("solve", [modified_equation_series, modifying_integrator_series])
+def test_laurent_solves_skip_the_zero_terms_of_the_coefficient_path(monkeypatch, solve):
+    # the same skips as the coefficient path, and none of them changes a
+    # printed coefficient
+    method = rk_series(builtin_tableau("rk22(alpha)"), 7)
+    reset_zero_skip_count()
+    printed = [coeff_print(c) for c in solve(method)._coeffs.values()]
+    laurent = zero_skip_count()
+    eager = solve(method, skip_zero=False)
+    assert zero_skip_count() == laurent
+    assert [coeff_print(c) for c in eager._coeffs.values()] == printed
+    _without_graded_path(monkeypatch)
+    reset_zero_skip_count()
+    solve(method)
+    assert zero_skip_count() == laurent > 0
+    reset_zero_skip_count()
+
+
 def test_solves_index_trees_in_enumeration_order():
     # from an empty index a solve meets every tree in all_trees_up_to
     # order, so ids are positions in that order
@@ -535,10 +634,9 @@ def _count_products(monkeypatch, solve, *args):
 
 
 def _count_coefficient_products(monkeypatch, solve, method):
-    """``_count_products`` with the graded integer path turned off, so a
-    rational series is solved through ``series.coeff_*`` as a symbolic
-    one is."""
-    monkeypatch.setattr(series, "_graded_denominator", lambda coeffs: None)
+    """``_count_products`` with the graded path turned off, so the series
+    is solved through ``series.coeff_*``."""
+    _without_graded_path(monkeypatch)
     return _count_products(monkeypatch, solve, method)
 
 
@@ -547,18 +645,19 @@ def _count_coefficient_products(monkeypatch, solve, method):
 )
 def test_modifying_integrator_multiplies_each_forest_once(monkeypatch, name, bound):
     # a count of coefficient products, not a time: one product per distinct
-    # forest, plus one or two per row on the coefficient path that
-    # rk22(alpha) takes (products per row of every component took 7,251
-    # and 26,299 for midpoint and rk4); the integer path of midpoint and
-    # rk4 multiplies its rows out inline and only its forests through
-    # series.coeff_mul
+    # forest, plus one or two per row on the coefficient path, counted on
+    # rk22(alpha) with the graded path off (products per row of every
+    # component took 7,251 and 26,299 for midpoint and rk4); the graded
+    # path of midpoint and rk4 multiplies its rows out inline and only its
+    # forests through series.coeff_mul
+    count = _count_coefficient_products if name == "rk22(alpha)" else _count_products
     method = rk_series(builtin_tableau(name), 8)
-    assert 0 < _count_products(monkeypatch, modifying_integrator_series, method) <= bound
+    assert 0 < count(monkeypatch, modifying_integrator_series, method) <= bound
 
 
-# The integer path of the modified equation multiplies its Lie terms
-# inline, so the rational counts below are of the coefficient path, which
-# symbolic series take and rational ones take with the integer path off.
+# The graded paths of the modified equation multiply their Lie terms
+# inline, so the counts below are of the coefficient path, taken with the
+# graded path off.
 
 @pytest.mark.parametrize("name,bound", [("midpoint", 43869), ("rk4", 29268)])
 def test_modified_equation_product_count_at_order_10(monkeypatch, name, bound):
@@ -572,7 +671,27 @@ def test_modified_equation_product_count_at_order_10(monkeypatch, name, bound):
 def test_modified_equation_product_count_at_order_9(monkeypatch, name, bound):
     # one product per nonzero (cut, Lie term) pair plus one per factorial
     method = rk_series(builtin_tableau(name), 9)
-    assert 0 < _count_products(monkeypatch, modified_equation_series, method) <= bound
+    count = _count_coefficient_products(monkeypatch, modified_equation_series, method)
+    assert 0 < count <= bound
+
+
+def test_laurent_modified_equation_product_count_at_order_9(monkeypatch):
+    # the Laurent path's own products, held to the coefficient path's bound;
+    # a product by 1 returns its operand and builds nothing
+    calls = 0
+    mul = graded._Laurent.__mul__
+
+    def counting(a, b):
+        nonlocal calls
+        product = mul(a, b)
+        calls += product is not a
+        return product
+
+    monkeypatch.setattr(graded._Laurent, "__mul__", counting)
+    monkeypatch.setattr(graded._Laurent, "__rmul__", counting)
+    method = rk_series(builtin_tableau("rk22(alpha)"), 9)
+    assert _count_products(monkeypatch, modified_equation_series, method) == 0
+    assert 0 < calls <= 14422
 
 
 @pytest.mark.parametrize(
@@ -599,7 +718,8 @@ def test_compose_multiplies_each_forest_once(monkeypatch, inner, bound):
 
 def test_rk22_solves_never_widen_a_term_dict(monkeypatch):
     # every rk22(alpha) coefficient is over the one symbol tuple ("alpha",),
-    # so no operation of its solves rewrites a term dict over more symbols
+    # so no operation of its solves rewrites a term dict over more symbols,
+    # on the Laurent path or on the coefficient path
     widened = []
     widen = coefficients._widen
 
@@ -609,10 +729,14 @@ def test_rk22_solves_never_widen_a_term_dict(monkeypatch):
         return widen(symbols, terms, wider)
 
     monkeypatch.setattr(coefficients, "_widen", recording)
+    monkeypatch.setattr(graded, "_widen", recording)
     symbol("alpha") + symbol("beta")  # the hook sees a widening when there is one
     assert (("alpha",), ("alpha", "beta")) in widened
     widened.clear()
     method = rk_series(builtin_tableau("rk22(alpha)"), 6)
+    modified_equation_series(method)
+    modifying_integrator_series(method)
+    _without_graded_path(monkeypatch)
     modified_equation_series(method)
     modifying_integrator_series(method)
     assert widened == []

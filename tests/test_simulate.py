@@ -57,6 +57,9 @@ def test_plan_rejects_bad_inputs():
     # finite inputs whose row count does not fit in a float
     with pytest.raises(TableauError, match="overflows"):
         plan(step=1e-300, t_max=1e300)
+    # a row count that fits in a float but not in any run
+    with pytest.raises(TableauError, match="asks for 1000000000000000001 rows"):
+        plan(step=1e-9, t_max=1e9)
     with pytest.raises(TableauError, match="components"):
         plan(initial=(1.0, 2.0))
     with pytest.raises(TableauError, match="series order"):
