@@ -30,9 +30,12 @@ kind that ``rk22(alpha)`` produces, and a GCD reduction of the other
 denominators would change printed coefficients.
 So ``(alpha^2 - 1)/(alpha - 1)`` keeps its unreduced form.  Equality is
 decided by cross-multiplication, which sees that it equals ``alpha + 1``.
+An unreduced sum prints the same whatever the order of its terms, and
+when its terms are scaled by an integer that then divides the sum (the
+modified equation's Σ c_j·(n!/j!) / n!); merging equal terms (2·x for
+x + x) or a partial sum that is exactly zero changes the printed form.
 A value with a monomial denominator is an integer Laurent polynomial over
-an integer, and its normal form does not depend on how it was summed;
-:mod:`bsharp.graded` uses that to solve such series over Laurent
+an integer, so :mod:`bsharp.graded` solves such series over Laurent
 polynomials with one :func:`_normalize` per coefficient, and prints what
 this arithmetic prints.
 

@@ -1,28 +1,28 @@
-"""Triangular B-series solves over graded integers.
+"""The modified equation and the modifying integrator: one loop each.
 
 :func:`bsharp.series.modified_equation_series` and
-:func:`bsharp.series.modifying_integrator_series` run here when every
-denominator of the method series is a monomial and the u1 = c(•) the
-modifying integrator divides by is rational
-(:func:`bsharp.series._graded_denominator` decides).  The value of a tree
-τ is held scaled by λ^|τ|, a *graded* scale: an int for a rational
-series, and for a symbolic one a :class:`_Laurent` polynomial.  A product
-of the values of trees whose orders add up to |τ| (a Lie term
-c_{j-1}(trunk)·v(branch), or Π v(component) over a partition) then
-carries exactly λ^|τ|, so products are exact without rescaling, and each
-tree's value becomes a coefficient once, at the end: ``Fraction(value,
+:func:`bsharp.series.modifying_integrator_series` run here.  The value of
+a tree τ is held scaled by λ^|τ|, a *graded* scale, in the scalar domain
+that :func:`bsharp.series._graded_denominator` picks: an int when every
+coefficient is rational; a :class:`_Laurent` polynomial when every
+denominator is a monomial and the u1 = c(•) the modifying integrator
+divides by is rational, as for ``rk22(alpha)``; and otherwise a plain
+coefficient (``Fraction`` or ``RationalFunction``) at λ = 1.  A product of
+the values of trees whose orders add up to |τ| (a Lie term
+c_{j-1}(trunk)·v(branch), or Π v(component) over a partition) carries
+exactly λ^|τ|, so products are exact without rescaling, and each tree's
+value becomes a coefficient once, at the end: ``Fraction(value,
 λ^|τ|)``, or the :func:`bsharp.coefficients._normalize` form of a Laurent
-value over λ^|τ|, which the ``series.coeff_*`` path reaches too, since a
-monomial denominator never grows into a sum.  This is fraction-free
-elimination (Bareiss, Math. Comp. 22, 1968) applied to the triangular
-solves.  Every division is checked by :func:`_exact`; a remainder means
-that λ is too small, and :func:`_solve` squares λ and starts over.  That
-terminates: every prime of a true denominator divides the starting λ (see
-:func:`_initial_scale`), and squaring doubles each prime's power.
-
-The solves walk the same rows as the ``series.coeff_*`` path, skip the
-same zero terms and return their number.  :mod:`bsharp.series` imports
-this module only when it solves such a series.
+value over λ^|τ|, which plain arithmetic reaches too, since a monomial
+denominator never grows into a sum.  This is fraction-free elimination
+(Bareiss, Math. Comp. 22, 1968) applied to the triangular solves.  On
+ints and Laurent values every division is checked by :func:`_exact`; a
+remainder means that λ is too small, and :func:`_solve` squares λ and
+starts over.  That terminates: every prime of a true denominator divides
+the starting λ (see :func:`_initial_scale`), and squaring doubles each
+prime's power.  Plain coefficients divide exactly and never restart.
+Every domain skips the same zero terms, and no loop multiplies by a
+multiplicity or a denominator of 1.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 import operator
 from functools import partial
 
-from .coefficients import _normalize, _poly_add, _poly_mul, _widen
+from .coefficients import _normalize, _poly_add, _poly_mul, _widen, coeff_div
 from .rationals import Rat, is_rational, rat
 from .series import _UNSET, TruncatedBSeries, _forest_product
 from .splits import by_id, partition_skeleton_table, tree_id
@@ -120,12 +120,22 @@ def _lower_laurent(symbols: tuple[str, ...], value, power: int):
     return _normalize(symbols, value.terms, {(0,) * len(symbols): power})
 
 
-def _domain(symbols: tuple[str, ...]):
-    """``(lift, lower)`` of the solve's scalars: ints for a rational series
-    (no symbols), Laurent polynomials over ``symbols`` otherwise."""
+def _plain(value, scale: int):
+    """A plain coefficient, lifted or lowered at λ = 1: itself."""
+    return value
+
+
+def _domain(graded):
+    """``(lift, lower, div)`` for the ``(d, symbols)`` of a graded series:
+    ints with no symbols, Laurent polynomials over ``symbols`` otherwise,
+    both divided by :func:`_exact`; plain coefficients, lifted and lowered
+    as they are and divided as coefficients, for ``graded`` None."""
+    if graded is None:
+        return _plain, _plain, coeff_div
+    symbols = graded[1]
     if not symbols:
-        return _lift_int, Rat
-    return partial(_lift_laurent, symbols), partial(_lower_laurent, symbols)
+        return _lift_int, Rat, _exact
+    return partial(_lift_laurent, symbols), partial(_lower_laurent, symbols), _exact
 
 
 def _initial_scale(max_order: int, d: int, divisor: int) -> int:
@@ -137,11 +147,13 @@ def _initial_scale(max_order: int, d: int, divisor: int) -> int:
     return d * math.lcm(*range(1, max_order + 1)) * divisor**2
 
 
-def _solve(solve, max_order: int, d: int, divisor: int = 1) -> tuple[TruncatedBSeries, int]:
+def _solve(solve, max_order: int, graded, divisor=1) -> tuple[TruncatedBSeries, int]:
     """Run ``solve(λ)``, which gives the coefficients keyed by level
-    sequence and the number of zero skips, squaring λ until every division
-    is exact."""
-    scale = _initial_scale(max_order, d, divisor)
+    sequence and the number of zero skips.  λ starts at 1 for plain
+    coefficients (``graded`` None) and at :func:`_initial_scale` for the
+    ``(d, symbols)`` of a graded domain, and is squared until every
+    division is exact."""
+    scale = 1 if graded is None else _initial_scale(max_order, graded[0], divisor)
     while True:
         try:
             coeffs, skips = solve(scale)
@@ -152,32 +164,36 @@ def _solve(solve, max_order: int, d: int, divisor: int = 1) -> tuple[TruncatedBS
 
 
 def modified_equation(
-    tables, weights: list, max_order: int, d: int, symbols: tuple[str, ...], skip_zero: bool
+    tables, weights: list, max_order: int, graded, skip_zero: bool
 ) -> tuple[TruncatedBSeries, int]:
     """The modified equation of the method with coefficients ``weights``
-    (by id) over ``symbols``, d^|τ|·weight an int or a Laurent polynomial,
-    and its number of zero skips."""
-    solve = partial(_modified_equation_ints, tables, weights, *_domain(symbols), skip_zero)
-    return _solve(solve, max_order, d)
+    (by id), and its number of zero skips.  ``graded`` is the ``(d,
+    symbols)`` of :func:`bsharp.series._graded_denominator`, d^|τ|·weight
+    an int or a Laurent polynomial over ``symbols``, or None for plain
+    coefficients."""
+    solve = partial(_modified_equation_ints, tables, weights, *_domain(graded), skip_zero)
+    return _solve(solve, max_order, graded)
 
 
 def modifying_integrator(
-    coeffs: dict, max_order: int, d: int, symbols: tuple[str, ...], u1: Rat, skip_zero: bool
+    coeffs: dict, max_order: int, graded, u1, skip_zero: bool
 ) -> tuple[TruncatedBSeries, int]:
     """The modifying integrator of the method with coefficients ``coeffs``
-    (by level sequence) over ``symbols``, d^|τ|·c(τ) an int or a Laurent
-    polynomial and c(•) = ``u1``, and its number of zero skips."""
+    (by level sequence) and c(•) = ``u1``, and its number of zero skips;
+    ``graded`` as for :func:`modified_equation`."""
     levels = [
         (n, [(t, tree_id(t._levels)) for t in trees_of_order(n)], partition_skeleton_table(n))
         for n in range(1, max_order + 1)
     ]
+    d_top = 1 if graded is None else graded[0] ** max_order
+    num, den = (u1.numerator, u1.denominator) if is_rational(u1) else (u1, 1)
     solve = partial(
-        _modifying_integrator_ints, levels, coeffs, max_order, d, u1, *_domain(symbols), skip_zero
+        _modifying_integrator_ints, levels, coeffs, d_top, num, den, *_domain(graded), skip_zero
     )
-    return _solve(solve, max_order, d, u1.numerator)
+    return _solve(solve, max_order, graded, num)
 
 
-def _modified_equation_ints(tables, weights: list, lift, lower, skip_zero: bool, scale: int):
+def _modified_equation_ints(tables, weights: list, lift, lower, div, skip_zero: bool, scale: int):
     """The modified equation over values scaled by λ^|τ|, λ = ``scale``:
     v(τ)·λ^|τ| = a(τ)·λ^|τ| - (Σ_j c_j(τ)·λ^|τ|·|τ|!/j!) / |τ|!."""
     skips = 0
@@ -196,13 +212,14 @@ def _modified_equation_ints(tables, weights: list, lift, lower, skip_zero: bool,
             if skip_zero and not w:
                 skips += 1
                 continue
-            w *= k
+            if k != 1:
+                w *= k
             for j, c in enumerate(lie[trunk]):
                 if skip_zero and not c:
                     skips += 1
                     continue
                 higher[j] += c * w
-        lies = _exact(sum(map(operator.mul, higher, ratios)), whole)
+        lies = div(sum(map(operator.mul, higher, ratios)), whole)
         v[i] = value = lift(weights[i], power) - lies
         lie[i] = [value] + higher
         coeffs[tree._levels] = lower(value, power)
@@ -210,21 +227,19 @@ def _modified_equation_ints(tables, weights: list, lift, lower, skip_zero: bool,
 
 
 def _modifying_integrator_ints(
-    levels, coeffs: dict, max_order: int, d: int, u1: Rat, lift, lower, skip_zero: bool,
-    scale: int,
+    levels, coeffs: dict, d_top: int, num, den, lift, lower, div, skip_zero: bool, scale: int
 ):
     """The modifying integrator over scaled values, one order at a time.  A
     solved value is scaled by λ^|τ| (λ = ``scale``) and every skeleton
-    weight by d^N, N = ``max_order``, so a row k·a(skeleton)·Π v(component)
-    of a tree τ has the scale d^N·λ^|τ| of the tree's total, which is then
-    divided by d^N·u1.  Every component of a tree is of a lower order, so
-    the rows of one order are summed skeleton by skeleton, and a zero
-    skeleton weight skips all of its rows at once.  Zero terms are skipped
-    as :func:`bsharp.series._fold` skips them."""
+    weight by ``d_top`` = d^N, so a row k·a(skeleton)·Π v(component) of a
+    tree τ has the scale d^N·λ^|τ| of the tree's total, which is then
+    divided by d^N·u1, u1 = ``num``/``den``.  Every component of a tree is
+    of a lower order, so the rows of one order are summed skeleton by
+    skeleton, and a zero skeleton weight skips all of its rows at once.
+    Zero terms are skipped as :func:`bsharp.series._fold` skips them."""
     skips = 0
-    d_top = d**max_order
     heads = by_id({seq: lift(c, d_top) for seq, c in coeffs.items()})
-    divisor = d_top * u1.numerator  # total / (d^N·u1) = total·u1.denominator / divisor
+    divisor = d_top * num  # total / (d^N·u1) = total·den / divisor
     solved: list = [None] * len(heads)
     totals = [0] * len(heads)  # minus Σ over the rows of a tree, scaled
     zero_solved: set[int] = set()
@@ -247,10 +262,10 @@ def _modifying_integrator_ints(
                 if p is None:
                     skips += 1
                     continue
-                totals[i] -= w * k * p
+                totals[i] -= (w if k == 1 else w * k) * p
         for tree, i in trees:
-            total = _exact(one, tree.density()) + totals[i]
-            solved[i] = value = _exact(total * u1.denominator, divisor)
+            total = div(one, tree.density()) + totals[i]
+            solved[i] = value = div(total if den == 1 else total * den, divisor)
             if skip_zero and not value:
                 zero_solved.add(i)
             out[tree._levels] = lower(value, power)

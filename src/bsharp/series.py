@@ -30,19 +30,21 @@ exp of the Lie derivative ∂_v, whose action on a tree sums over its
 |τ| - 1 single-edge cuts, so the solve is polynomial in the order.
 :func:`modifying_integrator_series` finds ``v`` with
 substitute(v, method) = exact flow, over the distinct partition splits.
+Each solve is one loop of :mod:`bsharp.graded`, over ints, Laurent
+polynomials or plain coefficients, as :func:`_graded_denominator` picks.
 
-Every solve reads the cached id tables of :mod:`bsharp.splits` (subtree,
-partition or edge-cut), whose rows name trees by int id and a forest by
-one int multiset key, and puts coefficients into lists indexed by id.
-:func:`compose`, :func:`substitute` and the modifying integrator share one
-fold over (head, forest, k) rows: total ± (k·H[head])·Π F[forest].  For
-one call a memo maps each forest key to its Π; a new entry peels the
-highest id off its key, which costs one product, so a forest is
-multiplied out once per call, not once per row.  A row whose head or
-forest has a zero factor is skipped before any product.  Level sequences
-appear only at the boundary: a series keeps one dict keyed by canonical
-level sequence, ``b""`` (the empty coefficient) first, then the trees in
-``all_trees_up_to`` order.
+Every operation reads the cached id tables of :mod:`bsharp.splits`
+(subtree, partition or edge-cut), whose rows name trees by int id and a
+forest by one int multiset key, and puts coefficients into lists indexed
+by id.  :func:`compose` and :func:`substitute` share one fold over (head,
+forest, k) rows: Σ (k·H[head])·Π F[forest].  For one call a memo maps
+each forest key to its Π (:func:`_forest_product`, which the modifying
+integrator uses too); a new entry peels the highest id off its key, which
+costs one product, so a forest is multiplied out once per call, not once
+per row.  A row whose head or forest has a zero factor is skipped before
+any product.  Level sequences appear only at the boundary: a series keeps
+one dict keyed by canonical level sequence, ``b""`` (the empty
+coefficient) first, then the trees in ``all_trees_up_to`` order.
 
 Display convention: a coefficient table is presented as
 Σ coeff(τ)/σ(τ) · h^{|τ| − reduce} · F(τ), where σ is the tree symmetry and
@@ -277,12 +279,13 @@ def _forest_product(
     return p
 
 
-def _fold(total: Coefficient, rows, op, heads: list, zero_heads: set[int], product) -> Coefficient:
-    """``total`` op (k·heads[head])·product(forest) over the (head, forest,
-    k) rows, in row order; ``product`` is :func:`_forest_product` bound to
-    one call's memo.  A row whose head or forest has a zero factor is
-    skipped before any product; the empty forest (key 0) is the factor 1."""
+def _fold(rows, heads: list, zero_heads: set[int], product) -> Coefficient:
+    """Σ (k·heads[head])·product(forest) over the (head, forest, k) rows,
+    in row order; ``product`` is :func:`_forest_product` bound to one
+    call's memo.  A row whose head or forest has a zero factor is skipped
+    before any product; the empty forest (key 0) is the factor 1."""
     global _zero_skips
+    total: Coefficient = rat(0)
     for head, forest, k in rows:
         if head in zero_heads:
             _zero_skips += 1
@@ -295,7 +298,7 @@ def _fold(total: Coefficient, rows, op, heads: list, zero_heads: set[int], produ
         term = heads[head]
         if k != 1:
             term = coeff_mul(term, k)
-        total = op(total, coeff_mul(term, p) if forest else term)
+        total = coeff_add(total, coeff_mul(term, p) if forest else term)
     return total
 
 
@@ -332,7 +335,7 @@ def compose(
     product = partial(_forest_product, {}, factors, zero_inner)
     coeffs = {b"": outer.empty}
     for tree, i, rows in tables:
-        total = _fold(rat(0), rows, coeff_add, outer_coeffs, zero_outer, product)
+        total = _fold(rows, outer_coeffs, zero_outer, product)
         # the empty split: nothing kept, the whole tree cut off
         if skip_empty or i in zero_inner:
             _zero_skips += 1
@@ -366,7 +369,7 @@ def substitute(
     product = partial(_forest_product, {}, factors, _zero_ids(factors) if skip_zero else set())
     coeffs = {b"": outer.empty}
     for tree, _, rows in tables:
-        coeffs[tree._levels] = _fold(rat(0), rows, coeff_add, outer_coeffs, zero_outer, product)
+        coeffs[tree._levels] = _fold(rows, outer_coeffs, zero_outer, product)
     return TruncatedBSeries._from_levels(flow.max_order, coeffs)
 
 
@@ -381,48 +384,18 @@ def modified_equation_series(
     derivative c_j(τ) = Σ over single-edge cuts of c_{j-1}(trunk)·v(branch)
     (Hairer-Lubich-Wanner, GNI §IX.9).  Every c_j(τ) with j ≥ 2 involves
     only smaller trees, so v(τ) = method(τ) - Σ_{j=2}^{|τ|} c_j(τ)/j! is
-    solved tree by tree.  ``skip_zero`` drops cut terms with a zero factor
+    solved tree by tree, in one :mod:`bsharp.graded` loop for all three
+    scalar domains.  ``skip_zero`` drops cut terms with a zero factor
     instead of multiplying them through; it never changes the result.
-    :mod:`bsharp.graded` solves a series whose denominators are monomials,
-    such as a rational one or ``rk22(alpha)``'s, with the same output.
     """
-    global _zero_skips
     if not coeff_eq(method.empty, 1):
         raise SeriesError("modified equation needs a map-kind method series")
-    tables = _tables(method.max_order, edge_cut_id_table)
-    weights = by_id(method._coeffs)
-    graded_scale = _graded_denominator(method._coeffs)
-    if graded_scale is not None:
-        from . import graded
+    from . import graded
 
-        return _counted(
-            graded.modified_equation(tables, weights, method.max_order, *graded_scale, skip_zero)
-        )
-    # v[id] and lie[id][j - 1] = c_j(τ) for j = 1..|τ|; c_j(τ) = 0 whenever j > |τ|
-    v: list = [None] * len(weights)
-    lie: list = [None] * len(weights)
-    inverse_factorials = [rat(1, math.factorial(j)) for j in range(2, method.max_order + 1)]
-    coeffs: dict[bytes, Coefficient] = {b"": rat(0)}
-    for tree, i, rows in tables:
-        higher: list[Coefficient] = [rat(0)] * (tree.order - 1)  # c_2 .. c_|τ|
-        for trunk, branch, k in rows:
-            w = v[branch]
-            if skip_zero and coeff_is_zero(w):
-                _zero_skips += 1
-                continue
-            if k != 1:
-                w = coeff_mul(w, k)
-            for j, c in enumerate(lie[trunk]):
-                if skip_zero and coeff_is_zero(c):
-                    _zero_skips += 1
-                    continue
-                higher[j] = coeff_add(higher[j], coeff_mul(c, w))
-        total: Coefficient = weights[i]
-        for c, inverse in zip(higher, inverse_factorials):
-            total = coeff_sub(total, coeff_mul(c, inverse))
-        coeffs[tree._levels] = v[i] = total
-        lie[i] = [total] + higher
-    return TruncatedBSeries._from_levels(method.max_order, coeffs)
+    return _counted(graded.modified_equation(
+        _tables(method.max_order, edge_cut_id_table), by_id(method._coeffs), method.max_order,
+        _graded_denominator(method._coeffs), skip_zero,
+    ))
 
 
 def modifying_integrator_series(
@@ -434,11 +407,10 @@ def modifying_integrator_series(
     exactly through the truncation order.  Requires method(•) ≠ 0.  Solved
     tree by tree over the distinct partition splits, each term weighted by
     its multiplicity: v(τ) = (1/γ(τ) - Σ k·method(skeleton)·Π v(component))
-    / method(•), the sum over every split but the no-edges-removed one.
+    / method(•), the sum over every split but the no-edges-removed one, in
+    one :mod:`bsharp.graded` loop for all three scalar domains.
     ``skip_zero`` drops split terms whose skeleton weight (or any
     component coefficient) is zero — a pure optimization.
-    :mod:`bsharp.graded` solves, with the same output, a series whose
-    denominators are monomials and whose method(•) is rational.
     """
     if not coeff_eq(method.empty, 1):
         raise SeriesError("modifying integrator needs a map-kind method series")
@@ -450,37 +422,22 @@ def modifying_integrator_series(
                 "method coefficient of the one-node tree is zero; the triangular "
                 "solve would divide by it"
             )
-    graded_scale = _graded_denominator(method._coeffs, u1)
-    if graded_scale is not None:
-        from . import graded
+    from . import graded
 
-        return _counted(graded.modifying_integrator(
-            method._coeffs, method.max_order, *graded_scale, u1, skip_zero
-        ))
-    tables = _tables(method.max_order, partition_id_table)
-    weights = by_id(method._coeffs)
-    zero_weights = _zero_ids(weights) if skip_zero else set()
-    zero_solved: set[int] = set()
-    solved: list = [None] * len(weights)
-    product = partial(_forest_product, {}, solved, zero_solved)
-    v: dict[bytes, Coefficient] = {b"": rat(0)}
-    for tree, i, rows in tables:
-        rest = islice(rows, 1, None)  # all but the no-edges-removed split
-        total = _fold(rat(1, tree.density()), rest, coeff_sub, weights, zero_weights, product)
-        c = v[tree._levels] = solved[i] = coeff_div(total, u1)
-        if skip_zero and coeff_is_zero(c):
-            zero_solved.add(i)
-    return TruncatedBSeries._from_levels(method.max_order, v)
+    return _counted(graded.modifying_integrator(
+        method._coeffs, method.max_order, _graded_denominator(method._coeffs, u1), u1, skip_zero
+    ))
 
 
 def _graded_denominator(
     coeffs: dict[bytes, Coefficient], divisor: Coefficient = 1
 ) -> tuple[int, tuple[str, ...]] | None:
-    """``(d, symbols)`` with d^|τ|·c(τ) an int or an integer Laurent
-    polynomial over the sorted tuple ``symbols`` for every tree τ of
-    ``coeffs`` (the empty entry aside), found without factoring; None when
-    a denominator is not a monomial or ``divisor``, which the solve divides
-    by, is not rational.  Every prime of every denominator divides d."""
+    """The scalar domain of a solve of ``coeffs``: ``(d, symbols)`` with
+    d^|τ|·c(τ) an int or an integer Laurent polynomial over the sorted
+    tuple ``symbols`` for every tree τ (the empty entry aside), found
+    without factoring; None, plain coefficients, when a denominator is not
+    a monomial or ``divisor``, which the solve divides by, is not rational.
+    Every prime of every denominator divides d."""
     if not is_rational(divisor):
         return None
     d = order = power = 1
@@ -503,7 +460,7 @@ def _graded_denominator(
 
 
 def _counted(solved: tuple[TruncatedBSeries, int]) -> TruncatedBSeries:
-    """The series of a graded solve, its zero skips added to the count."""
+    """The series of a solve, its zero skips added to the count."""
     global _zero_skips
     series, skips = solved
     _zero_skips += skips

@@ -385,7 +385,7 @@ def modifying_integrator_bruteforce(method, max_order: int, one) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# partition tables over bytes states, and the per-row solves that read them
+# partition tables over bytes states, and the row-by-row solves
 # ---------------------------------------------------------------------------
 #
 # The children recursion as it stood before tree ids: a rooted state is
@@ -444,6 +444,31 @@ def partition_table_bytes_states(seq: bytes) -> tuple:
     return tuple(
         (skel, tuple(sorted(forest[::-1], key=len)), k) for (skel, forest), k in rows.items()
     )
+
+
+def modified_equation_rows(method: dict, max_order: int, trees) -> dict:
+    """The modified-equation solve over plain coefficients, as the package
+    ran it before one loop served every scalar domain: the Lie terms
+    c_2..c_|τ| of a tree summed cut by cut over
+    :func:`edge_cut_rows_by_slices`, then subtracted from method(τ) one by
+    one as c_j·(1/j!); inputs as for :func:`modifying_integrator_rows`."""
+    from bsharp.coefficients import coeff_add, coeff_mul, coeff_sub
+
+    inverse_factorials = [rat(1, math.factorial(j)) for j in range(2, max_order + 1)]
+    v = {b"": rat(0)}
+    lie: dict = {}  # lie[seq][j - 1] = c_j(τ) for j = 1..|τ|
+    for seq in trees:
+        higher = [rat(0)] * (len(seq) - 1)  # c_2 .. c_|τ|
+        for trunk, branch, k in edge_cut_rows_by_slices(seq):
+            w = coeff_mul(v[branch], k)
+            for j, c in enumerate(lie[trunk]):
+                higher[j] = coeff_add(higher[j], coeff_mul(c, w))
+        total = method[seq]
+        for c, inverse in zip(higher, inverse_factorials):
+            total = coeff_sub(total, coeff_mul(c, inverse))
+        v[seq] = total
+        lie[seq] = [total] + higher
+    return v
 
 
 def modifying_integrator_rows(method: dict, max_order: int, trees) -> dict:

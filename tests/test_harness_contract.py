@@ -2,7 +2,8 @@
 
 The harness drives bsharp through its modules as well as its CLI:
 ``run.py`` records backend constants, ``traced.py`` calls each layer and
-counts coefficient operations by rebinding ``series.coeff_*``, and
+counts coefficient operations by rebinding ``series.coeff_*`` (which
+``compose`` and ``substitute`` call, and the two solves do not), and
 ``checks.py`` evaluates printed fields.  perfbench's own tests are not in
 this suite, so these tests keep a cleanup of bsharp from breaking the
 harness unseen.
@@ -69,19 +70,19 @@ def test_harness_name_exists(module, name):
     assert hasattr(importlib.import_module(module), name)
 
 
-def test_series_solves_count_through_the_module_attributes(monkeypatch):
+def test_series_folds_count_through_the_module_attributes(monkeypatch):
     """coefficients.ops counts the calls that go through ``series.coeff_*``;
-    a solve that bound the helpers elsewhere would report zero.  Only
-    series with a denominator that is not a monomial take that path
-    (:mod:`bsharp.graded` solves the others), so the count is taken on a
-    tableau with a21 = 1/(1 + beta)."""
+    a fold that bound the helpers elsewhere would report zero.  The two
+    solves run in :mod:`bsharp.graded` and make no such call, so the
+    count is taken on ``compose`` and ``substitute``, which fold through
+    these names, on a tableau with a21 = 1/(1 + beta)."""
     tab = tableau_from_json_dict(
         {"A": [["0", "0"], ["1/(1 + beta)", "0"]], "b": ["1/2", "1/2"],
          "c": ["0", "1/(1 + beta)"], "symbols": ["beta"]}
     )
     method = rk_series(tab, 4)
-    assert series._graded_denominator(method._coeffs) is None
-    expected = series.modifying_integrator_series(method)
+    flow = series.modified_equation_series(method)
+    expected = series.compose(method, method), series.substitute(flow, method)
     calls = dict.fromkeys(COUNTED, 0)
 
     def counting(name, fn):
@@ -92,10 +93,11 @@ def test_series_solves_count_through_the_module_attributes(monkeypatch):
 
     for name in COUNTED:
         monkeypatch.setattr(series, name, counting(name, getattr(series, name)))
-    assert series.modifying_integrator_series(method) == expected
-    assert calls["coeff_mul"] > 0
-    series.modified_equation_series(method)
-    assert calls["coeff_mul"] > 0 and calls["coeff_add"] + calls["coeff_sub"] > 0
+    assert series.compose(method, method) == expected[0]
+    assert calls["coeff_mul"] > 0 and calls["coeff_add"] > 0
+    counted = dict(calls)
+    assert series.substitute(flow, method) == expected[1]
+    assert calls["coeff_mul"] > counted["coeff_mul"] and calls["coeff_add"] > counted["coeff_add"]
 
 
 @pytest.mark.parametrize(

@@ -137,6 +137,10 @@ COMMANDS = (
 )
 SOLVE = ["coefficients", "rationals", "series", "splits", "tableaux", "trees"]
 ODE = "vars p, q\np' = -q\nq' = p\n"
+# b = (1, beta): the modifying integrator divides by 1 + beta, so it runs
+# over plain coefficients, in graded.py like every other solve
+B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2"],
+            "symbols": ["beta"]}
 
 
 @pytest.mark.parametrize(
@@ -149,6 +153,10 @@ ODE = "vars p, q\np' = -q\nq' = p\n"
         ([["modified-equation", "--tableau", "midpoint", "--order", "3"]], SOLVE + ["graded"]),
         ([["modifying-integrator", "--tableau", "midpoint", "--order", "3"]], SOLVE + ["graded"]),
         ([["modified-equation", "--tableau", "rk22(alpha)", "--order", "3"]], SOLVE + ["graded"]),
+        (
+            [["modifying-integrator", "--tableau", "b_1_beta.json", "--order", "3"]],
+            SOLVE + ["graded"],
+        ),
         ([["bseries", "--tableau", "rk22(alpha)", "--order", "3"]], SOLVE),
         (
             [["modified-equation", "--tableau", "midpoint", "--order", "3", "--ode-text", ODE]],
@@ -163,11 +171,13 @@ ODE = "vars p, q\np' = -q\nq' = p\n"
         ),
     ],
     ids=[
-        "help", "trees", "splits", "order", "me", "mi", "me-symbolic", "bseries-symbolic",
-        "me-ode", "simulate",
+        "help", "trees", "splits", "order", "me", "mi", "me-symbolic", "mi-plain",
+        "bseries-symbolic", "me-ode", "simulate",
     ],
 )
-def test_each_command_loads_only_the_layers_it_runs(argvs, layers):
+def test_each_command_loads_only_the_layers_it_runs(monkeypatch, tmp_path, argvs, layers):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b_1_beta.json").write_text(json.dumps(B_1_BETA), encoding="utf-8")
     assert _loaded_by(*argvs) == sorted(["cli", "errors", *layers])
 
 

@@ -47,6 +47,7 @@ from oracles import (
     elementary_weight_bruteforce,
     levels_to_shape,
     modified_equation_bruteforce,
+    modified_equation_rows,
     modifying_integrator_bruteforce,
     modifying_integrator_rows,
     partition_splits_bruteforce,
@@ -544,6 +545,41 @@ def test_partition_solves_print_like_the_row_by_row_oracle(name):
         )
 
 
+# Tableaux whose series have denominators that are not monomials, so the
+# modified equation runs over plain coefficients, summed unreduced; b = (1,
+# beta) has monomial denominators and runs over Laurent polynomials.
+_NON_MONOMIAL_TABLEAUX = {
+    "a21=1/(1+beta)": tableau_from_json_dict(
+        {"A": [["0", "0"], ["1/(1 + beta)", "0"]], "b": ["1/2", "1/2"],
+         "c": ["0", "1/(1 + beta)"], "symbols": ["beta"]}
+    ),
+    "1/(p+q)": tableau_from_json_dict(
+        {"A": [["0", "0", "0"], ["1/(p + q)", "0", "0"], ["0", "p", "0"]],
+         "b": ["1/6", "2/3", "1/6"], "c": ["0", "1/(p + q)", "p"], "symbols": ["p", "q"]}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "tab,order,plain",
+    [
+        (_PARTITION_ORACLE_TABLEAUX["b=(1,beta)"], 6, False),
+        *((tab, 5, True) for tab in _NON_MONOMIAL_TABLEAUX.values()),
+    ],
+    ids=["b=(1,beta)", *_NON_MONOMIAL_TABLEAUX],
+)
+def test_modified_equation_prints_like_the_row_by_row_oracle(tab, order, plain):
+    # printed forms, not just equal values: the one loop sums the Lie terms
+    # of a tree as Σ c_j·(n!/j!) / n!, the oracle as Σ c_j·(1/j!), and an
+    # unreduced sum's normal form does not depend on that
+    method = rk_series(tab, order)
+    assert (series._graded_denominator(method._coeffs) is None) == plain
+    trees = [t._levels for t in all_trees_up_to(order)]
+    got = modified_equation_series(method)._coeffs
+    expected = modified_equation_rows(method._coeffs, order, trees)
+    assert [coeff_print(c) for c in got.values()] == [coeff_print(expected[k]) for k in got]
+
+
 @pytest.mark.parametrize("name", list(_PARTITION_ORACLE_TABLEAUX))
 def test_compose_prints_like_the_row_by_row_oracle(name):
     # both argument orders, against a symbolic second factor
@@ -570,16 +606,18 @@ _SYMBOLIC_TABLEAUX = {
 
 
 def _without_graded_path(monkeypatch):
+    """Turn the graded domains off: each solve then runs its loop over
+    plain coefficients."""
     monkeypatch.setattr(series, "_graded_denominator", lambda coeffs, divisor=1: None)
 
 
 @pytest.mark.parametrize("name", list(_SYMBOLIC_TABLEAUX))
 @pytest.mark.parametrize("solve", [modified_equation_series, modifying_integrator_series])
 def test_laurent_solves_print_like_the_coefficient_path(monkeypatch, solve, name):
-    # a monomial denominator stays one, so both paths reach one normal form;
-    # b = (1, beta) divides by the non-monomial 1 + beta and keeps the
-    # coefficient path for the modifying integrator, whose order-7 solve
-    # there is too slow to run twice
+    # a monomial denominator stays one, so the Laurent and the plain domain
+    # reach one normal form; b = (1, beta) divides by the non-monomial
+    # 1 + beta, so its modifying integrator runs over plain coefficients
+    # anyway, and its order-7 solve is too slow to run twice
     method = rk_series(_SYMBOLIC_TABLEAUX[name], 7)
     u1 = method[T("[0]")] if solve is modifying_integrator_series else 1
     graded_path = series._graded_denominator(method._coeffs, u1) is not None
@@ -593,7 +631,7 @@ def test_laurent_solves_print_like_the_coefficient_path(monkeypatch, solve, name
 
 @pytest.mark.parametrize("solve", [modified_equation_series, modifying_integrator_series])
 def test_laurent_solves_skip_the_zero_terms_of_the_coefficient_path(monkeypatch, solve):
-    # the same skips as the coefficient path, and none of them changes a
+    # the same skips as over plain coefficients, and none of them changes a
     # printed coefficient
     method = rk_series(builtin_tableau("rk22(alpha)"), 7)
     reset_zero_skip_count()
@@ -606,6 +644,30 @@ def test_laurent_solves_skip_the_zero_terms_of_the_coefficient_path(monkeypatch,
     reset_zero_skip_count()
     solve(method)
     assert zero_skip_count() == laurent > 0
+    reset_zero_skip_count()
+
+
+@pytest.mark.parametrize(
+    "solve,tab",
+    [
+        (modified_equation_series, builtin_tableau("rk22(1 + beta)")),
+        (modifying_integrator_series, _PARTITION_ORACLE_TABLEAUX["b=(1,beta)"]),
+    ],
+    ids=["modified_equation_series-rk22(1+beta)", "modifying_integrator_series-b=(1,beta)"],
+)
+def test_plain_solves_skip_zero_terms_without_changing_a_printed_coefficient(solve, tab):
+    # both series run over plain coefficients: b2 = 1/(2 + 2*beta), and the
+    # modifying integrator of b = (1, beta) divides by 1 + beta.  The
+    # modified equation of b = (1, beta) has no zero factor to skip, but
+    # rk22(1 + beta) is of order 2, so v([0,1]) = 0
+    method = rk_series(tab, 5)
+    u1 = method[T("[0]")] if solve is modifying_integrator_series else 1
+    assert series._graded_denominator(method._coeffs, u1) is None
+    reset_zero_skip_count()
+    eager = [coeff_print(c) for c in solve(method, skip_zero=False)._coeffs.values()]
+    assert zero_skip_count() == 0
+    assert [coeff_print(c) for c in solve(method)._coeffs.values()] == eager
+    assert zero_skip_count() > 0
     reset_zero_skip_count()
 
 
@@ -633,11 +695,28 @@ def _count_products(monkeypatch, solve, *args):
     return calls
 
 
-def _count_coefficient_products(monkeypatch, solve, method):
-    """``_count_products`` with the graded path turned off, so the series
-    is solved through ``series.coeff_*``."""
+def _count_plain_products(monkeypatch, solve, method):
+    """Number of ``Fraction`` and ``RationalFunction`` products
+    ``solve(method)`` makes with the graded domains turned off, so that its
+    loop in :mod:`bsharp.graded` runs over plain coefficients.  A product
+    of two ints is not counted, nor a call that returns NotImplemented to
+    let the other operand multiply."""
     _without_graded_path(monkeypatch)
-    return _count_products(monkeypatch, solve, method)
+    calls = 0
+
+    def counting(mul):
+        def wrapper(a, b):
+            nonlocal calls
+            product = mul(a, b)
+            calls += product is not NotImplemented
+            return product
+        return wrapper
+
+    for cls in (Fraction, coefficients.RationalFunction):
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    solve(method)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -645,25 +724,25 @@ def _count_coefficient_products(monkeypatch, solve, method):
 )
 def test_modifying_integrator_multiplies_each_forest_once(monkeypatch, name, bound):
     # a count of coefficient products, not a time: one product per distinct
-    # forest, plus one or two per row on the coefficient path, counted on
-    # rk22(alpha) with the graded path off (products per row of every
-    # component took 7,251 and 26,299 for midpoint and rk4); the graded
-    # path of midpoint and rk4 multiplies its rows out inline and only its
-    # forests through series.coeff_mul
-    count = _count_coefficient_products if name == "rk22(alpha)" else _count_products
+    # forest, plus one or two per row over plain coefficients, counted on
+    # rk22(alpha) with the graded domains off (products per row of every
+    # component took 7,251 and 26,299 for midpoint and rk4); the integer
+    # domain of midpoint and rk4 multiplies its rows out inline and only
+    # its forests through series.coeff_mul
+    count = _count_plain_products if name == "rk22(alpha)" else _count_products
     method = rk_series(builtin_tableau(name), 8)
     assert 0 < count(monkeypatch, modifying_integrator_series, method) <= bound
 
 
-# The graded paths of the modified equation multiply their Lie terms
-# inline, so the counts below are of the coefficient path, taken with the
-# graded path off.
+# The graded domains of the modified equation multiply their Lie terms
+# inline, so the counts below are of the same loop over plain
+# coefficients, taken with the graded domains off.
 
 @pytest.mark.parametrize("name,bound", [("midpoint", 43869), ("rk4", 29268)])
 def test_modified_equation_product_count_at_order_10(monkeypatch, name, bound):
     # one product per nonzero (cut, Lie term) pair plus one per factorial
     method = rk_series(builtin_tableau(name), 10)
-    count = _count_coefficient_products(monkeypatch, modified_equation_series, method)
+    count = _count_plain_products(monkeypatch, modified_equation_series, method)
     assert 0 < count <= bound
 
 
@@ -671,12 +750,12 @@ def test_modified_equation_product_count_at_order_10(monkeypatch, name, bound):
 def test_modified_equation_product_count_at_order_9(monkeypatch, name, bound):
     # one product per nonzero (cut, Lie term) pair plus one per factorial
     method = rk_series(builtin_tableau(name), 9)
-    count = _count_coefficient_products(monkeypatch, modified_equation_series, method)
+    count = _count_plain_products(monkeypatch, modified_equation_series, method)
     assert 0 < count <= bound
 
 
 def test_laurent_modified_equation_product_count_at_order_9(monkeypatch):
-    # the Laurent path's own products, held to the coefficient path's bound;
+    # the Laurent domain's own products, held to the plain domain's bound;
     # a product by 1 returns its operand and builds nothing
     calls = 0
     mul = graded._Laurent.__mul__
@@ -699,8 +778,8 @@ def test_laurent_modified_equation_product_count_at_order_9(monkeypatch):
     [(modified_equation_series, 9, 2842), (modifying_integrator_series, 8, 7356)],
 )
 def test_rational_solves_skip_the_zero_terms_of_the_coefficient_path(solve, order, skips):
-    # the integer path walks the same rows and skips the same zero factors
-    # as the series.coeff_* path does
+    # the integer domain walks the same rows and skips the same zero
+    # factors as the plain one does
     method = rk_series(builtin_tableau("midpoint"), order)
     reset_zero_skip_count()
     solve(method)
@@ -719,7 +798,7 @@ def test_compose_multiplies_each_forest_once(monkeypatch, inner, bound):
 def test_rk22_solves_never_widen_a_term_dict(monkeypatch):
     # every rk22(alpha) coefficient is over the one symbol tuple ("alpha",),
     # so no operation of its solves rewrites a term dict over more symbols,
-    # on the Laurent path or on the coefficient path
+    # over Laurent polynomials or over plain coefficients
     widened = []
     widen = coefficients._widen
 
