@@ -23,15 +23,13 @@ _EXPORTS = {
         "ParseError", "SeriesError", "SingularMethodError", "TableauError",
         "UnboundSymbolError",
     ),
-    "rationals": ("Rat", "rat"),
     "trees": (
         "EMPTY_TREE", "RootedTree", "all_trees_up_to", "canonicalize", "count_trees",
         "parse_tree", "trees_of_order",
     ),
     "splits": ("Forest", "ordered_subtrees", "partitions"),
     "coefficients": (
-        "MultiPoly", "RationalFunction", "coeff_eq", "coeff_eval", "coeff_parse",
-        "coeff_print", "symbol",
+        "RationalFunction", "coeff_eval", "coeff_parse", "coeff_print", "symbol",
     ),
     "series": (
         "TruncatedBSeries", "compose", "display_terms", "exact_series", "format_series",

@@ -25,8 +25,9 @@ from .errors import BSharpError, NumericFailureError, ParseError
 # Each command imports the layers it runs when it is entered, so a cold
 # start loads (and, without cached bytecode, compiles) nothing else.
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .odes import ODESystem
-    from .rationals import Rat
     from .series import TruncatedBSeries
     from .tableaux import ButcherTableau
 
@@ -67,10 +68,10 @@ def _load_system(args) -> ODESystem:
         return parse_ode(fh.read())
 
 
-def _parse_bindings(pairs: Sequence[str], parser) -> dict[str, Rat]:
+def _parse_bindings(pairs: Sequence[str], parser) -> dict[str, Fraction]:
     from .coefficients import parse_rational
 
-    bindings: dict[str, Rat] = {}
+    bindings: dict[str, Fraction] = {}
     for pair in pairs:
         name, eq, value = pair.partition("=")
         name = name.strip()
@@ -121,7 +122,8 @@ def _emit_series(args, series: TruncatedBSeries, fmt: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trees(args) -> int:
-    from .rationals import rat, rat_str
+    from fractions import Fraction
+
     from .trees import trees_of_order
 
     if args.order < 1:
@@ -138,7 +140,7 @@ def cmd_trees(args) -> int:
                     "order": t.order,
                     "sigma": sigma,
                     "gamma": gamma,
-                    "inverse_gamma": rat_str(rat(1, gamma)),
+                    "inverse_gamma": str(Fraction(1, gamma)),
                 }
                 for t, sigma, gamma in rows
             ],
@@ -150,7 +152,7 @@ def cmd_trees(args) -> int:
         if args.properties:
             lines.append(
                 f"{tree}: order={tree.order}, sigma={sigma}, gamma={gamma}, "
-                f"1/gamma={rat_str(rat(1, gamma))}"
+                f"1/gamma={Fraction(1, gamma)}"
             )
         else:
             lines.append(str(tree))
@@ -349,11 +351,22 @@ def cmd_simulate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """A non-negative integer argument; argparse names the flag in its error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_reduce_order(p: argparse.ArgumentParser) -> None:
     """Only the commands that print a series offer the display shift."""
     p.add_argument(
         "--reduce-order-by",
-        type=int,
+        type=_count,
         default=0,
         metavar="N",
         help="display convention: lower every h exponent by N (text/latex)",
@@ -411,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = new("bseries", "series of a Runge-Kutta method", series_formats, "json")
     _add_reduce_order(p)
     p.add_argument("--tableau", required=True, metavar="SPEC", help="built-in name or JSON file")
-    p.add_argument("--order", type=int, required=True, help="truncation order")
+    p.add_argument("--order", type=_count, required=True, help="truncation order")
     p.set_defaults(func=cmd_bseries)
 
     p = new("compose", "compose two series (INNER first, then OUTER)", series_formats, "json")
@@ -437,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_reduce_order(p)
     p.add_argument("--tableau", required=True, metavar="SPEC")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_count, required=True)
     _add_ode_flags(p, required=False)
     p.set_defaults(func=cmd_perturbed, variant="modified")
 
@@ -447,13 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_reduce_order(p)
     p.add_argument("--tableau", required=True, metavar="SPEC")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_count, required=True)
     _add_ode_flags(p, required=False)
     p.set_defaults(func=cmd_perturbed, variant="modifying")
 
     p = new("order", "order of accuracy of a method")
     p.add_argument("--tableau", required=True, metavar="SPEC")
-    p.add_argument("--max", type=int, required=True, help="highest order to check")
+    p.add_argument("--max", type=_count, required=True, help="highest order to check")
     p.add_argument(
         "--bind",
         action="append",

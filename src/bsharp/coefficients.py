@@ -20,9 +20,10 @@ A binary operation aligns its operands once: nothing to do when their
 symbol tuples are equal, a constant term dict for a rational operand, and
 otherwise both are widened to the sorted union.  Scalars enter the
 arithmetic as their numerator and denominator, so no polynomial operation
-ever builds a ``Fraction``.  :class:`MultiPoly` is only the public input
-of ``RationalFunction(num, den)``; it may hold rational coefficients,
-which that constructor clears to integers once.
+ever builds a ``Fraction``.  The public constructor
+``RationalFunction(symbols, num, den)`` takes term dicts over one tuple of
+symbols, in any order, with int or ``Fraction`` coefficients; it clears
+them to integers once and normalizes.
 
 Rational functions are deliberately *not* reduced by a polynomial GCD:
 the common monomial step already cancels monomial denominators, the only
@@ -43,7 +44,7 @@ Term order everywhere (printing, leading coefficients) is graded
 lexicographic, highest degree first, with symbols sorted by name.
 
 Every exact value the package reads from text goes through one grammar,
-:func:`parse_arithmetic`: integer literals (as :class:`Rat`), names,
+:func:`parse_arithmetic`: integer literals (as ``Fraction``), names,
 ``+ - * / ^`` with integer-literal exponents, unary minus and parentheses.
 Values combine with Python's own operators, so one parser serves every
 value type; the caller only says what a name means.  :func:`coeff_parse`
@@ -56,49 +57,23 @@ from __future__ import annotations
 
 import re
 import sys
+from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Mapping, Union
 
 from .errors import CoefficientError, ParseError, UnboundSymbolError
-from .rationals import ZERO, Rat, is_rational, rat, rat_str
 
-Coefficient = Union[int, Rat, "RationalFunction"]
+Coefficient = Union[int, Fraction, "RationalFunction"]
 
 #: how a name is spelled: a coefficient symbol, an ODE variable or parameter
 NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _NAME_RE = re.compile(NAME + r"\Z")
 
 
-class MultiPoly:
-    """Multivariate polynomial over the rationals, the public input of
-    :class:`RationalFunction`.
-
-    ``symbols`` is a tuple of names; ``terms`` maps exponent vectors (one
-    entry per symbol) to nonzero coefficients, held as ``int`` wherever
-    they are integral.  Symbols are kept as given, in any order;
-    :class:`RationalFunction` prunes those that no term uses.
-    """
-
-    __slots__ = ("symbols", "terms")
-
-    def __init__(self, symbols: tuple[str, ...], terms: dict[tuple[int, ...], Rat]):
-        terms = {
-            e: c.numerator if c.denominator == 1 else c
-            for e, c in terms.items() if c != 0
-        }
-        self.symbols, self.terms = symbols, terms
-
-    @classmethod
-    def constant(cls, value) -> "MultiPoly":
-        return cls((), {(): rat(value)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self) -> str:
-        return f"<MultiPoly {_poly_render(self.symbols, self.terms, False)}>"
+def is_rational(value: object) -> bool:
+    """True for ints and Fractions, the rational coefficients."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def _grlex(exps: tuple[int, ...]):
@@ -187,7 +162,7 @@ def _normalize(symbols: tuple[str, ...], num: dict, den: dict) -> Coefficient:
     """The normal form of ``num/den``: integer term dicts over ``symbols``
     with no zero coefficient, ``den`` not empty."""
     if not num:
-        return ZERO
+        return Fraction(0)
     shift = tuple(map(min, map(min, zip(*num)), map(min, zip(*den))))
     if any(shift):
         num = {tuple(map(sub, e, shift)): c for e, c in num.items()}
@@ -201,7 +176,7 @@ def _normalize(symbols: tuple[str, ...], num: dict, den: dict) -> Coefficient:
         den = {e: c // g for e, c in den.items()}
     symbols, num, den = _prune(symbols, num, den)
     if not symbols:
-        return Rat(num[()], den[()])
+        return Fraction(num[()], den[()])
     rf = object.__new__(RationalFunction)
     rf.symbols, rf.num, rf.den = symbols, num, den
     return rf
@@ -250,16 +225,23 @@ class RationalFunction:
 
     __slots__ = ("symbols", "num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly):
-        if den.is_zero:
+    def __init__(self, symbols: tuple[str, ...], num: Mapping, den: Mapping):
+        """``num/den``, term dicts over ``symbols`` (any order) with int or
+        ``Fraction`` coefficients; zero terms are dropped."""
+        num = {e: c for e, c in num.items() if c}
+        den = {e: c for e, c in den.items() if c}
+        if not den:
             raise CoefficientError("zero denominator in rational function")
-        symbols = tuple(sorted({*num.symbols, *den.symbols}))
-        tn = _widen(num.symbols, num.terms, symbols)
-        td = _widen(den.symbols, den.terms, symbols)
-        scale = lcm(*(c.denominator for t in (tn, td) for c in t.values()))
-        tn = {e: c.numerator * (scale // c.denominator) for e, c in tn.items()}
-        td = {e: c.numerator * (scale // c.denominator) for e, c in td.items()}
-        value = _normalize(symbols, tn, td)
+        ordered = tuple(sorted(symbols))
+        if len(set(ordered)) != len(ordered):
+            raise CoefficientError(f"repeated symbol in {symbols!r}")
+        num, den = _widen(symbols, num, ordered), _widen(symbols, den, ordered)
+        scale = lcm(*(c.denominator for t in (num, den) for c in t.values()))
+        value = _normalize(
+            ordered,
+            {e: c.numerator * (scale // c.denominator) for e, c in num.items()},
+            {e: c.numerator * (scale // c.denominator) for e, c in den.items()},
+        )
         if isinstance(value, RationalFunction):
             self.symbols, self.num, self.den = value.symbols, value.num, value.den
         else:
@@ -269,16 +251,16 @@ class RationalFunction:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def eval(self, bindings: Mapping[str, Rat]) -> Rat:
+    def eval(self, bindings: Mapping[str, Fraction]) -> Fraction:
         for name in self.symbols:
             if name not in bindings:
                 raise UnboundSymbolError(f"no value bound for symbol '{name}'")
-        values = [rat(bindings[name]) for name in self.symbols]
+        values = [Fraction(bindings[name]) for name in self.symbols]
 
-        def at(terms: dict) -> Rat:
+        def at(terms: dict) -> Fraction:
             return sum(
                 (c * prod(v ** e for v, e in zip(values, exps) if e) for exps, c in terms.items()),
-                rat(0),
+                Fraction(0),
             )
 
         den = at(self.den)
@@ -371,20 +353,8 @@ def symbol(name: str) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-level helpers (work on int | Rat | RationalFunction)
+# coefficient-level helpers (work on int | Fraction | RationalFunction)
 # ---------------------------------------------------------------------------
-
-
-def coeff_add(a: Coefficient, b: Coefficient) -> Coefficient:
-    return a + b
-
-
-def coeff_sub(a: Coefficient, b: Coefficient) -> Coefficient:
-    return a - b
-
-
-def coeff_mul(a: Coefficient, b: Coefficient) -> Coefficient:
-    return a * b
 
 
 def coeff_div(a: Coefficient, b: Coefficient) -> Coefficient:
@@ -392,7 +362,7 @@ def coeff_div(a: Coefficient, b: Coefficient) -> Coefficient:
         raise CoefficientError("division by zero coefficient")
     if isinstance(a, RationalFunction) or isinstance(b, RationalFunction):
         return a / b
-    return rat(a) / rat(b)
+    return Fraction(a) / b
 
 
 def coeff_pow(c: Coefficient, k: int) -> Coefficient:
@@ -400,22 +370,14 @@ def coeff_pow(c: Coefficient, k: int) -> Coefficient:
         return c ** k
     if k < 0 and c == 0:
         raise CoefficientError("zero coefficient raised to a negative power")
-    return rat(c) ** k
+    return Fraction(c) ** k
 
 
-def coeff_is_zero(c: Coefficient) -> bool:
-    return not c
-
-
-def coeff_eq(a: Coefficient, b: Coefficient) -> bool:
-    return a == b
-
-
-def coeff_eval(c: Coefficient, bindings: Mapping[str, Rat]) -> Rat:
+def coeff_eval(c: Coefficient, bindings: Mapping[str, Fraction]) -> Fraction:
     """Evaluate to an exact rational; every symbol must be bound."""
     if isinstance(c, RationalFunction):
         return c.eval(bindings)
-    return rat(c)
+    return Fraction(c)
 
 
 def coeff_symbols(c: Coefficient) -> frozenset[str]:
@@ -459,37 +421,24 @@ def _literal_underscores(text: str) -> str:
     return text.replace("_", r"\_")
 
 
-def _rat_text(value: Rat) -> str:
-    return rat_str(rat(value))
-
-
-def _rat_latex(value: Rat) -> str:
-    value = rat(value)
+def _rat_latex(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value)
     sign = "-" if value < 0 else ""
     return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
-def _term_body(exps, coeff_abs: Rat, symbols, latex: bool) -> str:
+def _term_body(exps, coeff_abs: int, symbols, latex: bool) -> str:
     if latex:
         factors = [
             latex_name(s) + (f"^{{{e}}}" if e > 1 else "")
             for s, e in zip(symbols, exps) if e
         ]
-        if not factors:
-            return _rat_latex(coeff_abs)
-        body = " ".join(factors)
-        if coeff_abs != 1:
-            body = f"{_rat_latex(coeff_abs)} {body}"
-        return body
-    factors = [f"{s}^{e}" if e > 1 else s for s, e in zip(symbols, exps) if e]
-    if not factors:
-        return _rat_text(coeff_abs)
-    body = "*".join(factors)
-    if coeff_abs != 1:
-        body = f"{_rat_text(coeff_abs)}*{body}"
-    return body
+    else:
+        factors = [f"{s}^{e}" if e > 1 else s for s, e in zip(symbols, exps) if e]
+    if coeff_abs != 1 or not factors:
+        factors.insert(0, str(coeff_abs))
+    return (" " if latex else "*").join(factors)
 
 
 def _poly_render(symbols: tuple[str, ...], terms: dict, latex: bool) -> str:
@@ -542,7 +491,7 @@ def coeff_print(c: Coefficient, fmt: str = "text") -> str:
         raise ValueError(f"unknown coefficient format {fmt!r}")
     if isinstance(c, RationalFunction):
         return _rf_text(c) if fmt == "text" else _rf_latex(c)
-    return _rat_text(c) if fmt == "text" else _rat_latex(c)
+    return str(Fraction(c)) if fmt == "text" else _rat_latex(c)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +537,7 @@ def tokenize(text: str, *, line: int | None = None, col_offset: int = 0):
 class _Parser:
     """Precedence-climbing parser.
 
-    Integer literals become :class:`Rat`; values combine with Python's own
+    Integer literals become Fractions; values combine with Python's own
     ``+ - * / **`` and unary minus, so the result is whatever the operands'
     types make of it.  ``name(text, line, column)`` gives each name its
     value.  Exponents are integer literals only.
@@ -689,7 +638,7 @@ class _Parser:
     def atom(self):
         kind, text, col = self.next()
         if kind == "int":
-            return Rat(int(text))
+            return Fraction(int(text))
         if kind == "name":
             return self.name(text, self.line, col)
         if kind == "op" and text == "(":
@@ -720,7 +669,7 @@ def _no_names(name: str, line: int | None, column: int):
     raise ParseError(f"expected a rational number, found {name!r}", line=line, column=column)
 
 
-def parse_rational(text: str, *, line: int | None = None, col_offset: int = 0) -> Rat:
+def parse_rational(text: str, *, line: int | None = None, col_offset: int = 0) -> Fraction:
     """Parse a rational such as ``"3/4"`` or ``"2^-1 - 1/3"``: the grammar
     of :func:`coeff_parse` without names."""
     return parse_arithmetic(text, _no_names, line=line, col_offset=col_offset)

@@ -24,15 +24,15 @@ shared nodes that later occurrences still await.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 # hashlib.blake2b is this built-in one; importing hashlib would also load
 # OpenSSL's _hashlib, which nothing here uses
 from _blake2 import blake2b
 
-from .coefficients import _rat_latex, latex_name
+from .coefficients import _rat_latex, is_rational, latex_name
 from .errors import CoefficientError
-from .rationals import Rat, is_rational, rat, rat_str
 
 _intern: dict = {}
 
@@ -87,7 +87,7 @@ class Const(Expression):
     __slots__ = ("value",)
 
     def __repr__(self) -> str:
-        return f"Const({rat_str(self.value)})"
+        return f"Const({self.value})"
 
 
 class Var(Expression):
@@ -131,14 +131,14 @@ def _intern_node(key, build):
 
 
 def const(value) -> Const:
-    value = rat(value)
+    value = Fraction(value)
     key = ("c", value)
 
     def build():
         node = Const.__new__(Const)
         node.value = value
         node._rank = 0
-        node._digest = _digest(b"c" + rat_str(value).encode())
+        node._digest = _digest(b"c" + str(value).encode())
         return node
 
     return _intern_node(key, build)
@@ -174,11 +174,11 @@ def _as_expr(value):
 
 def add_all(parts: Sequence[Expression]) -> Expression:
     """Sum with flattening, constant folding, and like-term collection."""
-    constant = rat(0)
-    collected: dict[Expression, Rat] = {}
+    constant = Fraction(0)
+    collected: dict[Expression, Fraction] = {}
     order: list[Expression] = []
 
-    def absorb(part: Expression, scale: Rat) -> None:
+    def absorb(part: Expression, scale: Fraction) -> None:
         nonlocal constant
         if isinstance(part, Const):
             constant += scale * part.value
@@ -201,7 +201,7 @@ def add_all(parts: Sequence[Expression]) -> Expression:
             order.append(body)
 
     for part in parts:
-        absorb(part, rat(1))
+        absorb(part, Fraction(1))
 
     terms: list[Expression] = []
     for body in order:
@@ -252,7 +252,7 @@ def _raw_prod(factors: tuple[Expression, ...]) -> Expression:
 
 def mul_all(parts: Sequence[Expression]) -> Expression:
     """Product with flattening, folding, and power collection."""
-    constant = rat(1)
+    constant = Fraction(1)
     powers: dict[Expression, int] = {}
     order: list[Expression] = []
 
@@ -318,7 +318,7 @@ def power(base: Expression, exponent: int) -> Expression:
     if isinstance(base, Const):
         if base.value == 0 and exponent < 0:
             raise CoefficientError("zero raised to a negative power")
-        return const(rat(base.value) ** exponent)
+        return const(base.value ** exponent)
     if isinstance(base, Power):
         return power(base.base, base.exponent * exponent)
     if isinstance(base, Prod):
@@ -383,7 +383,7 @@ def eval_expression(expr: Expression, values: Sequence) -> object:
         if out is not None:
             return out
         if isinstance(node, Const):
-            out = rat(node.value) if exact else float(node.value)
+            out = node.value if exact else float(node.value)
         elif isinstance(node, Var):
             if node.index >= len(values):
                 raise IndexError(
@@ -520,7 +520,7 @@ def format_expression(
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown expression format {fmt!r}")
     latex = fmt == "latex"
-    number = _rat_latex if latex else rat_str
+    number = _rat_latex if latex else str
     sep = " " if latex else "*"
 
     # uses of each distinct node: one per occurrence among the operands of a

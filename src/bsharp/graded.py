@@ -4,7 +4,8 @@
 :func:`bsharp.series.modifying_integrator_series` run here.  The value of
 a tree τ is held scaled by λ^|τ|, a *graded* scale, in the scalar domain
 that :func:`bsharp.series._graded_denominator` picks: an int when every
-coefficient is rational; a :class:`_Laurent` polynomial when every
+coefficient is rational, which the Laurent lift and lower over no
+symbols give; a :class:`_Laurent` polynomial when every
 denominator is a monomial and the u1 = c(•) the modifying integrator
 divides by is rational, as for ``rk22(alpha)``; and otherwise a plain
 coefficient (``Fraction`` or ``RationalFunction``) at λ = 1.  A product of
@@ -29,10 +30,10 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from functools import partial
 
-from .coefficients import _normalize, _poly_add, _poly_mul, _widen, coeff_div
-from .rationals import Rat, is_rational, rat
+from .coefficients import _normalize, _poly_add, _poly_mul, _widen, coeff_div, is_rational
 from .series import _UNSET, TruncatedBSeries, _forest_product
 from .splits import by_id, partition_skeleton_table, tree_id
 from .trees import trees_of_order
@@ -97,16 +98,12 @@ class _Laurent:
         return quotient, _Laurent({e: r for e, (_, r) in pairs if r})
 
 
-def _lift_int(c: Rat, scale: int) -> int:
-    """``scale``·c, which must be an int."""
-    return c.numerator * _exact(scale, c.denominator)
-
-
 def _lift_laurent(symbols: tuple[str, ...], c, scale: int):
     """``scale``·c over ``symbols`` for a rational function c with a
-    one-term denominator; an int, a constant, for a rational c."""
+    one-term denominator; an int, a constant, for a rational c.  Either
+    must be exact."""
     if is_rational(c):
-        return _lift_int(c, scale)
+        return c.numerator * _exact(scale, c.denominator)
     (low, den), = _widen(c.symbols, c.den, symbols).items()
     q = _exact(scale, den)
     num = _widen(c.symbols, c.num, symbols)
@@ -116,7 +113,7 @@ def _lift_laurent(symbols: tuple[str, ...], c, scale: int):
 def _lower_laurent(symbols: tuple[str, ...], value, power: int):
     """The coefficient ``value``/``power`` in its normal form."""
     if isinstance(value, int):
-        return Rat(value, power)
+        return Fraction(value, power)
     return _normalize(symbols, value.terms, {(0,) * len(symbols): power})
 
 
@@ -127,14 +124,12 @@ def _plain(value, scale: int):
 
 def _domain(graded):
     """``(lift, lower, div)`` for the ``(d, symbols)`` of a graded series:
-    ints with no symbols, Laurent polynomials over ``symbols`` otherwise,
-    both divided by :func:`_exact`; plain coefficients, lifted and lowered
-    as they are and divided as coefficients, for ``graded`` None."""
+    Laurent polynomials over ``symbols``, which are ints when ``symbols``
+    is empty, divided by :func:`_exact`; plain coefficients, lifted and
+    lowered as they are and divided as coefficients, for ``graded`` None."""
     if graded is None:
         return _plain, _plain, coeff_div
     symbols = graded[1]
-    if not symbols:
-        return _lift_int, Rat, _exact
     return partial(_lift_laurent, symbols), partial(_lower_laurent, symbols), _exact
 
 
@@ -199,7 +194,7 @@ def _modified_equation_ints(tables, weights: list, lift, lower, div, skip_zero: 
     skips = 0
     v: list = [None] * len(weights)
     lie: list = [None] * len(weights)
-    coeffs: dict = {b"": rat(0)}
+    coeffs: dict = {b"": Fraction(0)}
     order = 0
     for tree, i, rows in tables:
         n = len(tree._levels)
@@ -246,7 +241,7 @@ def _modifying_integrator_ints(
     products: dict = {}
     known = products.get
     product = partial(_forest_product, products, solved, zero_solved)
-    out: dict = {b"": rat(0)}
+    out: dict = {b"": Fraction(0)}
     for n, trees, groups in levels:
         power = scale**n
         one = d_top * power  # 1, scaled

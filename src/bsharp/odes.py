@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import re
 import sys
+from fractions import Fraction
 from typing import Optional
 
-from .coefficients import NAME, coeff_eval, coeff_is_zero, parse_arithmetic, parse_rational
+from .coefficients import NAME, coeff_eval, parse_arithmetic, parse_rational
 from .errors import ParseError
 from .expressions import (
     _ZERO,
@@ -41,7 +42,6 @@ from .expressions import (
     mul_all,
     variable,
 )
-from .rationals import Rat, rat
 from .series import TruncatedBSeries
 from .trees import RootedTree, trees_of_order
 
@@ -64,7 +64,7 @@ class ODESystem:
         self,
         variables: tuple[str, ...],
         rhs: tuple[Expression, ...],
-        parameters: Optional[dict[str, Rat]] = None,
+        parameters: Optional[dict[str, Fraction]] = None,
     ):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "rhs", rhs)
@@ -97,7 +97,7 @@ def _statements(text: str):
 def parse_ode(text: str) -> ODESystem:
     """Parse the declaration language into an :class:`ODESystem`."""
     variables: Optional[tuple[str, ...]] = None
-    params: dict[str, Rat] = {}
+    params: dict[str, Fraction] = {}
     equations: dict[str, Expression] = {}
     indices: dict[str, int] = {}
 
@@ -310,7 +310,7 @@ def series_vector_field(
     elif cache.system is not system:
         raise ValueError("cache belongs to a different system")
 
-    bindings = {name: rat(v) for name, v in system.parameters.items()}
+    bindings = {name: Fraction(v) for name, v in system.parameters.items()}
     out: list[list[tuple[int, Expression]]] = [[] for _ in system.variables]
 
     empty = coeff_eval(series.empty, bindings)
@@ -322,9 +322,9 @@ def series_vector_field(
         buckets: list[list[Expression]] = [[] for _ in system.variables]
         for tree in trees_of_order(order):
             c = coeff_eval(series[tree], bindings)
-            if coeff_is_zero(c):
+            if not c:
                 continue
-            weight = const(rat(c) / rat(tree.symmetry()))
+            weight = const(c / tree.symmetry())
             diff = cache.elementary(tree)
             for j in range(system.dimension):
                 buckets[j].append(mul_all((weight, diff[j])))

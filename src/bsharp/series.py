@@ -55,24 +55,21 @@ field).  JSON files store raw coefficients, never the σ-divided form.
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .coefficients import (
     Coefficient,
-    coeff_add,
     coeff_div,
-    coeff_eq,
-    coeff_is_zero,
-    coeff_mul,
     coeff_parse,
     coeff_pow,
     coeff_print,
-    coeff_sub,
+    is_rational,
 )
 from .errors import SeriesError, SingularMethodError
-from .rationals import is_rational, rat
 from .splits import (
     by_id,
     edge_cut_id_table,
@@ -82,6 +79,10 @@ from .splits import (
     tree_id,
 )
 from .trees import EMPTY_TREE, RootedTree, all_trees_up_to, count_trees, parse_tree, trees_of_order
+
+# This module's coefficient arithmetic goes through these names and
+# coeff_div, so a caller can rebind them to count coefficient operations.
+coeff_add, coeff_sub, coeff_mul = operator.add, operator.sub, operator.mul
 
 # Instrumentation: the operations skip whole split terms with a factor that
 # is exactly zero.  The counter lets tests verify both that the skip fires
@@ -151,9 +152,9 @@ class TruncatedBSeries:
     @property
     def kind(self) -> str:
         """"map", "flow", or "general", by the empty coefficient."""
-        if coeff_eq(self.empty, 1):
+        if self.empty == 1:
             return "map"
-        if coeff_is_zero(self.empty):
+        if not self.empty:
             return "flow"
         return "general"
 
@@ -199,7 +200,7 @@ def _require_same_order(a: TruncatedBSeries, b: TruncatedBSeries, op: str) -> No
 
 def series_eq(a: TruncatedBSeries, b: TruncatedBSeries) -> bool:
     _require_same_order(a, b, "series equality")
-    return all(coeff_eq(ca, cb) for ca, cb in zip(a._coeffs.values(), b._coeffs.values()))
+    return all(ca == cb for ca, cb in zip(a._coeffs.values(), b._coeffs.values()))
 
 
 def series_sub(a: TruncatedBSeries, b: TruncatedBSeries) -> TruncatedBSeries:
@@ -225,12 +226,14 @@ def truncated(series: TruncatedBSeries, max_order: int) -> TruncatedBSeries:
 
 def exact_series(max_order: int) -> TruncatedBSeries:
     """Expansion of the exact time-h flow: empty 1, coeff(τ) = 1/γ(τ)."""
-    return TruncatedBSeries.from_function(max_order, rat(1), lambda t: rat(1, t.density()))
+    return TruncatedBSeries.from_function(
+        max_order, Fraction(1), lambda t: Fraction(1, t.density())
+    )
 
 
 def identity_series(max_order: int) -> TruncatedBSeries:
     """Expansion of the identity map: empty 1, every tree coefficient 0."""
-    return TruncatedBSeries.from_function(max_order, rat(1), lambda t: rat(0))
+    return TruncatedBSeries.from_function(max_order, Fraction(1), lambda t: Fraction(0))
 
 
 def scale_step(series: TruncatedBSeries, mu: Coefficient) -> TruncatedBSeries:
@@ -251,7 +254,7 @@ def _tables(max_order: int, table: Callable[[bytes], tuple]) -> list[tuple]:
 
 def _zero_ids(coeffs: list) -> set[int]:
     """Ids of the zero entries of a list made by ``by_id``."""
-    return {i for i, c in enumerate(coeffs) if c is not None and coeff_is_zero(c)}
+    return {i for i, c in enumerate(coeffs) if c is not None and not c}
 
 
 _UNSET = object()
@@ -285,7 +288,7 @@ def _fold(rows, heads: list, zero_heads: set[int], product) -> Coefficient:
     call's memo.  A row whose head or forest has a zero factor is skipped
     before any product; the empty forest (key 0) is the factor 1."""
     global _zero_skips
-    total: Coefficient = rat(0)
+    total: Coefficient = Fraction(0)
     for head, forest, k in rows:
         if head in zero_heads:
             _zero_skips += 1
@@ -319,10 +322,10 @@ def compose(
     """
     global _zero_skips
     _require_same_order(inner, outer, "composition")
-    if not coeff_eq(inner.empty, 1):
+    if inner.empty != 1:
         raise SeriesError("composition needs a map-kind inner series (empty coefficient 1)")
     if normalize_stepsize:
-        half = rat(1, 2)
+        half = Fraction(1, 2)
         inner = scale_step(inner, half)
         outer = scale_step(outer, half)
 
@@ -331,7 +334,7 @@ def compose(
     outer_coeffs = by_id(outer._coeffs)
     zero_outer = _zero_ids(outer_coeffs) if skip_zero else set()
     zero_inner = _zero_ids(factors) if skip_zero else set()
-    skip_empty = skip_zero and coeff_is_zero(outer.empty)
+    skip_empty = skip_zero and not outer.empty
     product = partial(_forest_product, {}, factors, zero_inner)
     coeffs = {b"": outer.empty}
     for tree, i, rows in tables:
@@ -359,7 +362,7 @@ def substitute(
     (or any component coefficient) is zero; it never changes the result.
     """
     _require_same_order(flow, outer, "substitution")
-    if not coeff_is_zero(flow.empty):
+    if flow.empty:
         raise SeriesError("substitution needs a flow-kind inner series (empty coefficient 0)")
 
     tables = _tables(flow.max_order, partition_id_table)
@@ -388,7 +391,7 @@ def modified_equation_series(
     scalar domains.  ``skip_zero`` drops cut terms with a zero factor
     instead of multiplying them through; it never changes the result.
     """
-    if not coeff_eq(method.empty, 1):
+    if method.empty != 1:
         raise SeriesError("modified equation needs a map-kind method series")
     from . import graded
 
@@ -412,12 +415,12 @@ def modifying_integrator_series(
     ``skip_zero`` drops split terms whose skeleton weight (or any
     component coefficient) is zero — a pure optimization.
     """
-    if not coeff_eq(method.empty, 1):
+    if method.empty != 1:
         raise SeriesError("modifying integrator needs a map-kind method series")
-    u1: Coefficient = rat(1)
+    u1: Coefficient = Fraction(1)
     if method.max_order >= 1:
         u1 = method._coeffs[b"\x00"]
-        if coeff_is_zero(u1):
+        if not u1:
             raise SingularMethodError(
                 "method coefficient of the one-node tree is zero; the triangular "
                 "solve would divide by it"
@@ -478,11 +481,11 @@ def series_order_of_accuracy(series: TruncatedBSeries, max_check: int | None = N
         raise SeriesError(
             f"cannot verify order {limit} from a series truncated at {series.max_order}"
         )
-    if not coeff_eq(series.empty, 1):
+    if series.empty != 1:
         return 0
     order = 0
     for n in range(1, limit + 1):
-        if all(coeff_eq(series[t], rat(1, t.density())) for t in trees_of_order(n)):
+        if all(series[t] == Fraction(1, t.density()) for t in trees_of_order(n)):
             order = n
         else:
             break
@@ -509,7 +512,7 @@ def display_terms(series: TruncatedBSeries, reduce_order_by: int = 0) -> list[Se
     if reduce_order_by < 0:
         raise SeriesError("reduce_order_by must be non-negative")
     terms: list[SeriesTerm] = []
-    if not coeff_is_zero(series.empty):
+    if series.empty:
         if reduce_order_by > 0:
             raise SeriesError(
                 "cannot lower the h-grading of a series with a nonzero empty "
@@ -517,7 +520,7 @@ def display_terms(series: TruncatedBSeries, reduce_order_by: int = 0) -> list[Se
             )
         terms.append(SeriesTerm(EMPTY_TREE, series.empty, 0))
     for tree, c in series.items():
-        if coeff_is_zero(c):
+        if not c:
             continue
         power = tree.order - reduce_order_by
         if power < 0:
@@ -600,7 +603,7 @@ def series_from_json_dict(data: dict) -> TruncatedBSeries:
     if not isinstance(max_order, int) or isinstance(max_order, bool):
         raise SeriesError("max_order must be an integer")
     empty = coeff_parse(str(data["empty"]))
-    if not coeff_eq(empty, 1 if kind == "map" else 0):
+    if empty != (1 if kind == "map" else 0):
         raise SeriesError(f'empty coefficient {data["empty"]!r} contradicts kind "{kind}"')
     raw = data["coefficients"]
     if not isinstance(raw, dict):

@@ -23,6 +23,7 @@ int.  It becomes ``Fraction(value, d^|τ|)`` once per tree.
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 from functools import partial
 from math import lcm
 from operator import mul
@@ -30,19 +31,14 @@ from typing import Mapping, Sequence
 
 from .coefficients import (
     Coefficient,
-    coeff_add,
     coeff_div,
-    coeff_eq,
     coeff_eval,
-    coeff_is_zero,
-    coeff_mul,
     coeff_parse,
     coeff_print,
-    coeff_sub,
     coeff_symbols,
+    is_rational,
 )
 from .errors import TableauError
-from .rationals import Rat, is_rational, rat
 from .series import TruncatedBSeries, series_order_of_accuracy
 from .trees import RootedTree, _children
 
@@ -78,10 +74,8 @@ class ButcherTableau:
         self._scaled = _scaled_entries(A, b)
         self._psi_cache: dict[bytes, tuple[Coefficient, ...]] = {}
         for i, row in enumerate(A):
-            row_sum: Coefficient = rat(0)
-            for a in row:
-                row_sum = coeff_add(row_sum, a)
-            if not coeff_eq(row_sum, c[i]):
+            row_sum = sum(row, Fraction(0))
+            if row_sum != c[i]:
                 warnings.warn(
                     f"row {i} of A sums to {coeff_print(row_sum)} but c[{i}] is "
                     f"{coeff_print(c[i])}",
@@ -95,9 +89,7 @@ class ButcherTableau:
 
     @property
     def is_explicit(self) -> bool:
-        return all(
-            coeff_is_zero(a) for i, row in enumerate(self.A) for a in row[i:]
-        )
+        return not any(a for i, row in enumerate(self.A) for a in row[i:])
 
     @property
     def symbols(self) -> frozenset[str]:
@@ -109,7 +101,7 @@ class ButcherTableau:
             names |= coeff_symbols(v)
         return names
 
-    def bind(self, bindings: Mapping[str, Rat]) -> "ButcherTableau":
+    def bind(self, bindings: Mapping[str, Fraction]) -> "ButcherTableau":
         """Numeric tableau with every symbol replaced by its binding."""
         return ButcherTableau(
             [[coeff_eval(a, bindings) for a in row] for row in self.A],
@@ -142,10 +134,10 @@ def _propagated(tab: ButcherTableau, seq: bytes) -> tuple[Coefficient, ...]:
     if cached is not None:
         return cached
     A, _, d = tab._scaled
-    psi = [rat(1) if d is None else 1] * tab.stages
+    psi = [Fraction(1) if d is None else 1] * tab.stages
     for child in _children(seq):
         psi = list(map(mul, psi, _propagated(tab, child)))
-    zero = rat(0) if d is None else 0
+    zero = Fraction(0) if d is None else 0
     result = tuple(sum([a * p for a, p in zip(row, psi) if a], zero) for row in A)
     tab._psi_cache[seq] = result
     return result
@@ -155,7 +147,7 @@ def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
     """Φ(tree): the coefficient of the method's B-series at ``tree``."""
     _, b, d = tab._scaled
     child_vectors = [_propagated(tab, child) for child in _children(tree._levels)]
-    total: Coefficient = rat(0) if d is None else 0
+    total: Coefficient = Fraction(0) if d is None else 0
     for i, bi in enumerate(b):
         if not bi:
             continue
@@ -163,16 +155,16 @@ def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
         for vec in child_vectors:
             term = term * vec[i]
         total = total + term
-    return total if d is None else Rat(total, d ** len(tree._levels))
+    return total if d is None else Fraction(total, d ** len(tree._levels))
 
 
 def rk_series(tab: ButcherTableau, max_order: int) -> TruncatedBSeries:
     """The method's map-kind B-series truncated at ``max_order``."""
-    return TruncatedBSeries.from_function(max_order, rat(1), partial(elementary_weight, tab))
+    return TruncatedBSeries.from_function(max_order, Fraction(1), partial(elementary_weight, tab))
 
 
 def order_of_accuracy(
-    tab: ButcherTableau, max_check: int, bindings: Mapping[str, Rat] | None = None
+    tab: ButcherTableau, max_check: int, bindings: Mapping[str, Fraction] | None = None
 ) -> int:
     """Largest order ≤ max_check whose conditions all hold.
 
@@ -203,36 +195,24 @@ def builtin_tableau(name: str) -> ButcherTableau:
     ``rk22((1+alpha)/2)``.
     """
     key = name.strip()
+    z, h, one = Fraction(0), Fraction(1, 2), Fraction(1)
     if key == "euler":
-        return ButcherTableau([[rat(0)]], [rat(1)], [rat(0)])
+        return ButcherTableau([[z]], [one], [z])
     if key == "midpoint":
-        half = rat(1, 2)
-        return ButcherTableau(
-            [[rat(0), rat(0)], [half, rat(0)]], [rat(0), rat(1)], [rat(0), half]
-        )
+        return ButcherTableau([[z, z], [h, z]], [z, one], [z, h])
     if key == "rk4":
-        z, h = rat(0), rat(1, 2)
+        sixth, third = Fraction(1, 6), Fraction(1, 3)
         return ButcherTableau(
-            [
-                [z, z, z, z],
-                [h, z, z, z],
-                [z, h, z, z],
-                [z, z, rat(1), z],
-            ],
-            [rat(1, 6), rat(1, 3), rat(1, 3), rat(1, 6)],
-            [z, h, h, rat(1)],
+            [[z, z, z, z], [h, z, z, z], [z, h, z, z], [z, z, one, z]],
+            [sixth, third, third, sixth],
+            [z, h, h, one],
         )
     if key.startswith("rk22(") and key.endswith(")"):
         alpha = coeff_parse(key[5:-1])
-        if coeff_is_zero(alpha):
+        if not alpha:
             raise TableauError("rk22 parameter must be nonzero")
-        z = rat(0)
-        half_inv = coeff_div(rat(1), coeff_mul(rat(2), alpha))
-        return ButcherTableau(
-            [[z, z], [half_inv, z]],
-            [coeff_sub(rat(1), alpha), alpha],
-            [z, half_inv],
-        )
+        half_inv = coeff_div(1, 2 * alpha)
+        return ButcherTableau([[z, z], [half_inv, z]], [1 - alpha, alpha], [z, half_inv])
     raise TableauError(
         f"unknown tableau {name!r}; built-ins are euler, midpoint, rk4, rk22(<alpha>)"
     )

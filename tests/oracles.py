@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
 from bsharp.coefficients import latex_name
 from bsharp.errors import CoefficientError, UnboundSymbolError
-from bsharp.rationals import is_rational, rat, rat_str
+
+
+def is_rational(value: object) -> bool:
+    """True for ints and Fractions (not bools)."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 # A "shape" is the canonical nested-tuple form of a rooted tree: every node
 # is the tuple of its children's shapes, sorted.  The single-node tree is ().
@@ -353,8 +358,8 @@ def modified_equation_bruteforce(method, max_order: int, one) -> dict:
                     continue
                 term = one / density_direct(shape_to_levels(skeleton)) * count
                 for component in forest:
-                    term = term * v[component]
-                total = total - term
+                    term *= v[component]
+                total -= term
             v[shape] = total
     return v
 
@@ -378,8 +383,8 @@ def modifying_integrator_bruteforce(method, max_order: int, one) -> dict:
                     continue
                 term = method[skeleton] * count
                 for component in forest:
-                    term = term * v[component]
-                total = total - term
+                    term *= v[component]
+                total -= term
             v[shape] = total / method[LEAF]
     return v
 
@@ -452,20 +457,18 @@ def modified_equation_rows(method: dict, max_order: int, trees) -> dict:
     c_2..c_|τ| of a tree summed cut by cut over
     :func:`edge_cut_rows_by_slices`, then subtracted from method(τ) one by
     one as c_j·(1/j!); inputs as for :func:`modifying_integrator_rows`."""
-    from bsharp.coefficients import coeff_add, coeff_mul, coeff_sub
-
-    inverse_factorials = [rat(1, math.factorial(j)) for j in range(2, max_order + 1)]
-    v = {b"": rat(0)}
+    inverse_factorials = [Fraction(1, math.factorial(j)) for j in range(2, max_order + 1)]
+    v = {b"": Fraction(0)}
     lie: dict = {}  # lie[seq][j - 1] = c_j(τ) for j = 1..|τ|
     for seq in trees:
-        higher = [rat(0)] * (len(seq) - 1)  # c_2 .. c_|τ|
+        higher = [Fraction(0)] * (len(seq) - 1)  # c_2 .. c_|τ|
         for trunk, branch, k in edge_cut_rows_by_slices(seq):
-            w = coeff_mul(v[branch], k)
+            w = v[branch] * k
             for j, c in enumerate(lie[trunk]):
-                higher[j] = coeff_add(higher[j], coeff_mul(c, w))
+                higher[j] += c * w
         total = method[seq]
         for c, inverse in zip(higher, inverse_factorials):
-            total = coeff_sub(total, coeff_mul(c, inverse))
+            total -= c * inverse
         v[seq] = total
         lie[seq] = [total] + higher
     return v
@@ -476,18 +479,18 @@ def modifying_integrator_rows(method: dict, max_order: int, trees) -> dict:
     product multiplied out in full: ``method`` maps level sequences (``b""``
     included) to coefficients, ``trees`` lists the level sequences up to
     ``max_order`` in solve order."""
-    from bsharp.coefficients import coeff_div, coeff_mul, coeff_sub
+    from bsharp.coefficients import coeff_div
 
-    v = {b"": rat(0)}
+    v = {b"": Fraction(0)}
     for seq in trees:
-        total = rat(1, density_direct(seq))
+        total = Fraction(1, density_direct(seq))
         for skeleton, components, k in partition_table_bytes_states(seq)[1:]:
             term = method[skeleton]
             if k != 1:
-                term = coeff_mul(term, k)
+                term *= k
             for component in components:
-                term = coeff_mul(term, v[component])
-            total = coeff_sub(total, term)
+                term *= v[component]
+            total -= term
         v[seq] = coeff_div(total, method[b"\x00"])
     return v
 
@@ -495,18 +498,16 @@ def modifying_integrator_rows(method: dict, max_order: int, trees) -> dict:
 def substitute_rows(flow: dict, outer: dict, trees) -> dict:
     """coeff(τ) = Σ outer(skeleton)·k·Π flow(component), one row at a time;
     inputs as for :func:`modifying_integrator_rows`."""
-    from bsharp.coefficients import coeff_add, coeff_mul
-
     out = {b"": outer[b""]}
     for seq in trees:
-        total = rat(0)
+        total = Fraction(0)
         for skeleton, components, k in partition_table_bytes_states(seq):
             term = outer[skeleton]
             if k != 1:
-                term = coeff_mul(term, k)
+                term *= k
             for component in components:
-                term = coeff_mul(term, flow[component])
-            total = coeff_add(total, term)
+                term *= flow[component]
+            total += term
         out[seq] = total
     return out
 
@@ -517,18 +518,17 @@ def compose_rows(inner: dict, outer: dict, trees) -> dict:
     (the empty split, kept part ``b""``, last), the branches multiplied in
     (order, level sequence) order; inputs as for
     :func:`modifying_integrator_rows`."""
-    from bsharp.coefficients import coeff_add, coeff_mul
     from bsharp.splits import ordered_subtrees
     from bsharp.trees import RootedTree
 
     out = {b"": outer[b""]}
     for seq in trees:
-        total = rat(0)
+        total = Fraction(0)
         for kept, branches in ordered_subtrees(RootedTree._wrap(seq)):
             term = outer[b"" if kept.is_empty else kept._levels]
             for branch in branches:
-                term = coeff_mul(term, inner[branch._levels])
-            total = coeff_add(total, term)
+                term *= inner[branch._levels]
+            total += term
         out[seq] = total
     return out
 
@@ -664,7 +664,6 @@ def format_expression_tree_walk(expr, names, fmt="text"):
     again, in its context."""
     from bsharp.coefficients import latex_name
     from bsharp.expressions import Const, Power, Prod, Sum, Var, _paren, const
-    from bsharp.rationals import rat, rat_str
 
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown expression format {fmt!r}")
@@ -683,9 +682,9 @@ def format_expression_tree_walk(expr, names, fmt="text"):
 
                 s = _rat_latex(node.value)
             else:
-                s = rat_str(node.value)
+                s = str(node.value)
             needs = node.value < 0 and context >= 1
-            if context == 2 and rat(node.value).denominator != 1:
+            if context == 2 and Fraction(node.value).denominator != 1:
                 needs = True
             return _paren(s, needs, latex)
         if isinstance(node, Var):
@@ -700,7 +699,7 @@ def format_expression_tree_walk(expr, names, fmt="text"):
             neg = False
             if isinstance(factors[0], Const) and factors[0].value < 0:
                 neg = True
-                c = -rat(factors[0].value)
+                c = -Fraction(factors[0].value)
                 factors = factors[1:] if c == 1 else (const(c),) + factors[1:]
             sep = " " if latex else "*"
             s = sep.join(render(f, 1) for f in factors)
@@ -745,7 +744,7 @@ class MultiPoly:
 
     __slots__ = ("symbols", "terms")
 
-    def __init__(self, symbols: tuple[str, ...], terms: dict[tuple[int, ...], Rat]):
+    def __init__(self, symbols: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]):
         terms = {e: c for e, c in terms.items() if c != 0}
         if symbols and terms:
             used = [any(e[i] for e in terms) for i in range(len(symbols))]
@@ -760,12 +759,12 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
-        value = rat(value)
+        value = Fraction(value)
         return cls((), {(): value} if value != 0 else {})
 
     @classmethod
     def symbol(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): rat(1)})
+        return cls((name,), {(1,): Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
@@ -775,30 +774,30 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return not self.symbols
 
-    def constant_value(self) -> Rat:
-        return self.terms.get((), rat(0))
+    def constant_value(self) -> Fraction:
+        return self.terms.get((), Fraction(0))
 
-    def scaled(self, factor: Rat) -> "MultiPoly":
+    def scaled(self, factor: Fraction) -> "MultiPoly":
         return MultiPoly(self.symbols, {e: c * factor for e, c in self.terms.items()})
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    def leading_coefficient(self) -> Rat:
+    def leading_coefficient(self) -> Fraction:
         if not self.terms:
-            return rat(0)
+            return Fraction(0)
         return self.sorted_terms()[0][1]
 
-    def eval(self, bindings: Mapping[str, Rat]) -> Rat:
+    def eval(self, bindings: Mapping[str, Fraction]) -> Fraction:
         for name in self.symbols:
             if name not in bindings:
                 raise UnboundSymbolError(f"no value bound for symbol '{name}'")
-        total = rat(0)
+        total = Fraction(0)
         for exps, c in self.terms.items():
-            value = rat(c)
+            value = Fraction(c)
             for name, e in zip(self.symbols, exps):
                 if e:
-                    value *= rat(bindings[name]) ** e
+                    value *= Fraction(bindings[name]) ** e
             total += value
         return total
 
@@ -821,7 +820,7 @@ def _align(a: MultiPoly, b: MultiPoly):
     return symbols, _embed(a, symbols), _embed(b, symbols)
 
 
-def _embed(p: MultiPoly, symbols: tuple[str, ...]) -> dict[tuple[int, ...], Rat]:
+def _embed(p: MultiPoly, symbols: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
     if p.symbols == symbols:
         return p.terms
     idx = [symbols.index(s) for s in p.symbols]
@@ -839,7 +838,7 @@ def _poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     symbols, ta, tb = _align(a, b)
     out = dict(ta)
     for e, c in tb.items():
-        out[e] = out.get(e, rat(0)) + c
+        out[e] = out.get(e, Fraction(0)) + c
     return MultiPoly(symbols, out)
 
 
@@ -849,11 +848,11 @@ def _poly_neg(a: MultiPoly) -> MultiPoly:
 
 def _poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     symbols, ta, tb = _align(a, b)
-    out: dict[tuple[int, ...], Rat] = {}
+    out: dict[tuple[int, ...], Fraction] = {}
     for ea, ca in ta.items():
         for eb, cb in tb.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, rat(0)) + ca * cb
+            out[e] = out.get(e, Fraction(0)) + ca * cb
     return MultiPoly(symbols, out)
 
 
@@ -887,7 +886,7 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def eval(self, bindings: Mapping[str, Rat]) -> Rat:
+    def eval(self, bindings: Mapping[str, Fraction]) -> Fraction:
         den = self.den.eval(bindings)
         if den == 0:
             raise CoefficientError("denominator vanishes at the evaluation point")
@@ -1009,7 +1008,7 @@ def _clear_content(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly
     gcd = 0
     for c in coeffs:
         gcd = math.gcd(gcd, abs(int(c.numerator)) * (lcm // int(c.denominator)))
-    scale = rat(lcm, gcd)
+    scale = Fraction(lcm, gcd)
     if den.leading_coefficient() < 0:
         scale = -scale
     return num.scaled(scale), den.scaled(scale)
@@ -1029,19 +1028,19 @@ def _as_rf(value) -> RationalFunction | None:
     return None
 
 
-def _rat_text(value: Rat) -> str:
-    return rat_str(rat(value))
+def _rat_text(value: Fraction) -> str:
+    return str(Fraction(value))
 
 
-def _rat_latex(value: Rat) -> str:
-    value = rat(value)
+def _rat_latex(value: Fraction) -> str:
+    value = Fraction(value)
     if value.denominator == 1:
         return str(value)
     sign = "-" if value < 0 else ""
     return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
-def _term_body(exps, coeff_abs: Rat, symbols, latex: bool) -> str:
+def _term_body(exps, coeff_abs: Fraction, symbols, latex: bool) -> str:
     if latex:
         factors = [
             latex_name(s) + (f"^{{{e}}}" if e > 1 else "")
@@ -1085,7 +1084,7 @@ def _is_atomic_poly(p: MultiPoly) -> bool:
         return False
     (exps, c), = p.terms.items()
     if not any(exps):
-        return c >= 0 and rat(c).denominator == 1
+        return c >= 0 and Fraction(c).denominator == 1
     return c == 1 and sum(exps) == 1
 
 

@@ -7,12 +7,13 @@ part of the criterion.  conftest.py turns the results into a
 per-criterion PASS/FAIL summary at the end of the run.
 """
 
+from collections import Counter
+from contextlib import contextmanager
+from fractions import Fraction
 import math
 import random
 import time
 import warnings
-from collections import Counter
-from contextlib import contextmanager
 
 from bsharp import (
     ButcherTableau,
@@ -20,7 +21,6 @@ from bsharp import (
     TruncatedBSeries,
     builtin_tableau,
     canonicalize,
-    coeff_eq,
     coeff_parse,
     compose,
     count_trees,
@@ -33,7 +33,6 @@ from bsharp import (
     modifying_integrator_series,
     parse_ode,
     parse_tree,
-    rat,
     rk_series,
     run_simulation,
     scale_step,
@@ -42,7 +41,6 @@ from bsharp import (
     substitute,
     trees_of_order,
 )
-from bsharp.coefficients import coeff_is_zero
 from bsharp.odes import DiffCache
 from bsharp.series import reset_zero_skip_count, zero_skip_count
 from bsharp.splits import clear_split_caches, ordered_subtrees, partitions
@@ -69,7 +67,7 @@ def random_rational_tableau(stages, seed):
     rng = random.Random(seed)
 
     def entry():
-        return rat(rng.randint(-3, 6), rng.randint(1, 4))
+        return Fraction(rng.randint(-3, 6), rng.randint(1, 4))
 
     A = [[entry() for _ in range(stages)] for _ in range(stages)]
     b = [entry() for _ in range(stages)]
@@ -82,17 +80,17 @@ def flow_value(rows, point, h):
     the step weight h**(d-1), the grading of a perturbed right-hand side."""
     out = []
     for comp in rows:
-        acc = rat(0)
+        acc = Fraction(0)
         for degree, expr in comp:
             if degree == 0:
                 continue
-            acc += rat(eval_expression(expr, point)) * h ** (degree - 1)
+            acc += Fraction(eval_expression(expr, point)) * h ** (degree - 1)
         out.append(acc)
     return tuple(out)
 
 
 def positive_point(rng):
-    return rat(rng.randint(1, 9), rng.randint(1, 7))
+    return Fraction(rng.randint(1, 9), rng.randint(1, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +221,12 @@ def test_criterion_04_two_stage_family_series():
         series = rk_series(builtin_tableau("rk22(alpha)"), 5)
         assert series.kind == "map"
         terms = {t.tree: t for t in display_terms(series)}
-        assert coeff_eq(terms[EMPTY_TREE].coefficient, 1)
+        assert terms[EMPTY_TREE].coefficient == 1
         # exactly the five listed terms are nonzero
         assert len(terms) == len(TWO_STAGE_DISPLAY) + 1
         for text, value, power in TWO_STAGE_DISPLAY:
             term = terms[T(text)]
-            assert coeff_eq(term.coefficient, coeff_parse(value))
+            assert term.coefficient == coeff_parse(value)
             assert term.h_power == power
 
 
@@ -242,13 +240,10 @@ def test_criterion_05_composition_of_half_steps():
         outer = rk_series(builtin_tableau("rk22(alpha2)"), 3)
         composite = compose(inner, outer, normalize_stepsize=True)
         disp = {t.tree: t.coefficient for t in display_terms(composite)}
-        assert coeff_eq(disp[T("[0]")], 1)
-        assert coeff_eq(disp[T("[0,1]")], coeff_parse("1/2"))
-        assert coeff_eq(disp[T("[0,1,2]")], coeff_parse("1/8"))
-        assert coeff_eq(
-            disp[T("[0,1,1]")],
-            coeff_parse("1/8 + 1/(64*alpha1) + 1/(64*alpha2)"),
-        )
+        assert disp[T("[0]")] == 1
+        assert disp[T("[0,1]")] == coeff_parse("1/2")
+        assert disp[T("[0,1,2]")] == coeff_parse("1/8")
+        assert disp[T("[0,1,1]")] == coeff_parse("1/8 + 1/(64*alpha1) + 1/(64*alpha2)")
         # the chain coefficient 1/8 differs from the exact flow's 1/6 no
         # matter how the parameters are chosen, so the order stays two
         assert series_order_of_accuracy(composite) == 2
@@ -277,7 +272,7 @@ def test_criterion_06_two_stage_modified_equation():
         by_tree = {t.tree: t for t in terms}
         for text, value, power in TWO_STAGE_MODIFIED:
             term = by_tree[T(text)]
-            assert coeff_eq(term.coefficient, coeff_parse(value))
+            assert term.coefficient == coeff_parse(value)
             assert term.h_power == power
 
 
@@ -292,9 +287,9 @@ def test_criterion_07_euler_predator_prey_modified_equation():
         rows = series_vector_field(series, system)
         rng = random.Random(7)
         for _ in range(5):
-            p = rat(rng.randint(-9, 9), rng.randint(1, 7))
-            q = rat(rng.randint(-9, 9), rng.randint(1, 7))
-            h = rat(rng.randint(1, 9), rng.randint(1, 7))
+            p = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            h = Fraction(rng.randint(1, 9), rng.randint(1, 7))
             # the hand-expanded first-order correction of the field
             want_p = p * (h * (q * (p - 1) - (q - 2) ** 2) - 2 * q + 4) / 2
             want_q = q * (h * (p * (q - 2) - (p - 1) ** 2) + 2 * p - 2) / 2
@@ -312,15 +307,15 @@ def test_criterion_08_midpoint_oscillator_modified_equation():
         series = modified_equation_series(rk_series(builtin_tableau("midpoint"), 9))
         rows = series_vector_field(series, system, DiffCache(system))
         scale = [
-            rat(1),
-            rat(0),
-            rat(-1, 12),
-            rat(0),
-            rat(1, 80),
-            rat(0),
-            rat(-1, 448),
-            rat(0),
-            rat(1, 2304),
+            Fraction(1),
+            Fraction(0),
+            Fraction(-1, 12),
+            Fraction(0),
+            Fraction(1, 80),
+            Fraction(0),
+            Fraction(-1, 448),
+            Fraction(0),
+            Fraction(1, 2304),
         ]
         rng = random.Random(8)
         for _ in range(5):
@@ -354,18 +349,18 @@ def test_criterion_09_midpoint_oscillator_modifying_integrator():
             low = tuple(
                 sum(
                     (
-                        rat(eval_expression(expr, (p, q))) * h ** (d - 1)
+                        Fraction(eval_expression(expr, (p, q))) * h ** (d - 1)
                         for d, expr in comp
                         if 1 <= d <= 5
                     ),
-                    start=rat(0),
+                    start=Fraction(0),
                 )
                 for comp in rows
             )
             assert low == (f[0] * low_factor, f[1] * low_factor)
 
             # degrees 6..8 extend the scaling and add a radial component
-            factor = low_factor + rat(127, 2016) * z**6
+            factor = low_factor + Fraction(127, 2016) * z**6
             radial = h**5 / (48 * s**6) + 31 * h**7 / (640 * s**8)
             want = (f[0] * factor + p * radial, f[1] * factor + q * radial)
             assert flow_value(rows, (p, q), h) == want
@@ -382,7 +377,7 @@ def test_criterion_10_fifth_power_cancellation():
         series = modified_equation_series(rk_series(builtin_tableau("midpoint"), 6))
         order6 = list(trees_of_order(6))
         assert len(order6) == 20
-        nonzero = [t for t in order6 if not coeff_is_zero(series[t])]
+        nonzero = [t for t in order6 if series[t]]
         assert len(nonzero) == 16
         rows = series_vector_field(series, system, DiffCache(system))
         rng = random.Random(10)
@@ -391,7 +386,7 @@ def test_criterion_10_fifth_power_cancellation():
             for comp in rows:
                 degree, expr = comp[6]
                 assert degree == 6
-                assert rat(eval_expression(expr, point)) == 0
+                assert Fraction(eval_expression(expr, point)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +398,7 @@ def test_criterion_11_round_trips_and_group_laws():
         e6 = exact_series(6)
         ident = identity_series(6)
         unit = TruncatedBSeries.from_function(
-            6, rat(0), lambda t: rat(1) if t.order == 1 else rat(0)
+            6, Fraction(0), lambda t: Fraction(1) if t.order == 1 else Fraction(0)
         )
 
         checked = 0
@@ -414,7 +409,7 @@ def test_criterion_11_round_trips_and_group_laws():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RowSumWarning)
                 tab = random_rational_tableau(rng.randint(1, 4), seed * 31)
-            if sum(tab.b, start=rat(0)) == 0:
+            if sum(tab.b, start=Fraction(0)) == 0:
                 # the modifying construction divides by the single-node
                 # coefficient; reroll the rare degenerate draw
                 continue
@@ -431,7 +426,7 @@ def test_criterion_11_round_trips_and_group_laws():
         assert substitute(v, unit) == v
 
         # unequal splits of the exact flow compose back to the exact flow
-        for a in (rat(1, 2), rat(1, 3), rat(2, 5)):
+        for a in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
             assert compose(scale_step(e6, a), scale_step(e6, 1 - a)) == e6
 
 
@@ -445,8 +440,8 @@ def test_criterion_12_scalar_linear_oracles():
     modifying = modifying_integrator_series(euler6)
 
     # x^n coefficient of log(1+x), and x^(n-1) coefficient of (e^x - 1)/x
-    log_series = {n: rat((-1) ** (n + 1), n) for n in range(1, 7)}
-    exp_shifted = {n: rat(1, math.factorial(n)) for n in range(1, 7)}
+    log_series = {n: Fraction((-1) ** (n + 1), n) for n in range(1, 7)}
+    exp_shifted = {n: Fraction(1, math.factorial(n)) for n in range(1, 7)}
 
     for n in range(1, 7):
         tall = T("[" + ",".join(str(k) for k in range(n)) + "]")
@@ -457,15 +452,15 @@ def test_criterion_12_scalar_linear_oracles():
     # each degree slot of the expanded field collapses to the tall-tree
     # coefficient times lam^n
     system = parse_ode("vars y; param lam = 3/7; y' = lam*y")
-    lam = rat(3, 7)
+    lam = Fraction(3, 7)
     rows_modified = series_vector_field(modified, system)
     rows_modifying = series_vector_field(modifying, system)
     for n in range(1, 7):
         degree, expr = rows_modified[0][n]
         assert degree == n
-        assert rat(eval_expression(expr, (rat(1),))) == log_series[n] * lam**n
+        assert Fraction(eval_expression(expr, (Fraction(1),))) == log_series[n] * lam**n
         degree, expr = rows_modifying[0][n]
-        assert rat(eval_expression(expr, (rat(1),))) == exp_shifted[n] * lam**n
+        assert Fraction(eval_expression(expr, (Fraction(1),))) == exp_shifted[n] * lam**n
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +502,9 @@ def test_criterion_14_order_nine_runtime():
     start = time.perf_counter()
     series9 = rk_series(mid, 9)
     modified = modified_equation_series(series9)
-    total = sum((c for _, c in modified.items()), start=rat(0))
+    total = sum((c for _, c in modified.items()), start=Fraction(0))
     cold = time.perf_counter() - start
-    assert total == rat(19063, 26880)
+    assert total == Fraction(19063, 26880)
     assert cold < 5.0, f"cold run took {cold:.2f}s"
 
     def best_of(fn, repeats=3):

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from bsharp.rationals import rat
 from bsharp.series import exact_series, series_from_json_dict, series_to_json_dict
 from bsharp.tableaux import builtin_tableau, rk_series
 
@@ -350,6 +349,35 @@ def test_order_refuses_latex():
     assert proc.returncode == 2
     assert "invalid choice: 'latex'" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("bseries", "--tableau", "rk4", "--order", "-2"), "--order"),
+        (("modified-equation", "--tableau", "rk4", "--order", "-1"), "--order"),
+        (("modifying-integrator", "--tableau", "rk4", "--order", "-1"), "--order"),
+        (("order", "--tableau", "rk4", "--max", "-2"), "--max"),
+        (
+            ("modified-equation", "--tableau", "rk4", "--order", "3", "--format", "text",
+             "--reduce-order-by", "-1"),
+            "--reduce-order-by",
+        ),
+        (("bseries", "--tableau", "rk4", "--order", "two"), "--order"),
+    ],
+    ids=["bseries", "me", "mi", "order", "reduce-order-by", "not-a-number"],
+)
+def test_negative_counts_are_usage_errors_naming_the_flag(argv, flag):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert f"argument {flag}: expected a non-negative integer" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_order_zero_is_valid():
+    series = json.loads(run_ok("modified-equation", "--tableau", "rk4", "--order", "0"))
+    assert (series["max_order"], series["coefficients"]) == (0, {})
+    assert run_ok("order", "--tableau", "rk4", "--max", "0") == "0\n"
 
 
 # ---------------------------------------------------------------------------

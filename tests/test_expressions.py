@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -24,7 +25,6 @@ from bsharp.expressions import (
     power,
     variable,
 )
-from bsharp.rationals import rat
 
 from oracles import format_expression_tree_walk
 
@@ -50,7 +50,7 @@ def test_node_digests_are_hashlibs_blake2b(payload):
 
 def test_nodes_are_interned():
     assert variable(0) is P
-    assert const(1) is const(rat(1))
+    assert const(1) is const(Fraction(1))
     assert add_all([P, Q]) is add_all([Q, P])
     assert mul_all([P, Q]) is mul_all([Q, P])
     assert power(P, 3) is power(P, 3)
@@ -135,8 +135,8 @@ def test_derivatives_commute():
 def test_eval_is_exact_on_rationals():
     s = add_all([power(P, 2), power(Q, 2)])
     d = differentiate(power(s, -1), 0)
-    out = eval_expression(d, (rat(1), rat(2)))
-    assert out == rat(-2, 25)
+    out = eval_expression(d, (Fraction(1), Fraction(2)))
+    assert out == Fraction(-2, 25)
 
 
 def test_eval_floats_give_floats():
@@ -146,9 +146,9 @@ def test_eval_floats_give_floats():
 
 def test_eval_errors():
     with pytest.raises(ZeroDivisionError):
-        eval_expression(power(P, -1), (rat(0),))
+        eval_expression(power(P, -1), (Fraction(0),))
     with pytest.raises(IndexError):
-        eval_expression(Q, (rat(1),))
+        eval_expression(Q, (Fraction(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +222,11 @@ def test_compiled_failures_match_the_interpreter():
 
 
 def test_compiled_outputs_and_empty_components():
-    f = compile_float([const(rat(1, 3)), [], P, [(2.0, const(rat(1, 3))), (0.5, P)]], 1)
+    f = compile_float([const(Fraction(1, 3)), [], P, [(2.0, const(Fraction(1, 3))), (0.5, P)]], 1)
     assert f([4.0]) == [1 / 3, 0.0, 4.0, (0.0 + 2.0 * (1 / 3)) + 0.5 * 4.0]
 
 
-_LEAVES = [P, Q, variable(2), const(2), const(rat(-1, 3)), const(rat(7, 5))]
+_LEAVES = [P, Q, variable(2), const(2), const(Fraction(-1, 3)), const(Fraction(7, 5))]
 
 
 @st.composite
@@ -284,9 +284,9 @@ def test_power_rendering_round_trip_shape():
 
 
 def test_constant_rendering():
-    assert fmt(const(rat(1, 2))) == "1/2"
-    assert fmt(mul_all([const(rat(-1, 2)), P])) == "-1/2*p"
-    assert fmt(power(const(rat(1, 2)), 2)) == "1/4"
+    assert fmt(const(Fraction(1, 2))) == "1/2"
+    assert fmt(mul_all([const(Fraction(-1, 2)), P])) == "-1/2*p"
+    assert fmt(power(const(Fraction(1, 2)), 2)) == "1/4"
 
 
 def test_latex_rendering():
@@ -299,8 +299,10 @@ def test_latex_rendering():
     assert format_expression(P, ("alpha",), "latex") == r"\alpha"
 
 
-_SIGNED = [const(-1), const(-2), const(rat(-1, 3)), const(rat(-7, 2))]
-_PRINT_LEAVES = [P, Q, variable(2), const(1), const(2), const(rat(1, 2)), const(rat(7, 5))] + _SIGNED
+_SIGNED = [const(-1), const(-2), const(Fraction(-1, 3)), const(Fraction(-7, 2))]
+_PRINT_LEAVES = [
+    P, Q, variable(2), const(1), const(2), const(Fraction(1, 2)), const(Fraction(7, 5)), *_SIGNED
+]
 
 
 @st.composite

@@ -4,13 +4,14 @@ The harness drives bsharp through its modules as well as its CLI:
 ``run.py`` records backend constants, ``traced.py`` calls each layer and
 counts coefficient operations by rebinding ``series.coeff_*`` (which
 ``compose`` and ``substitute`` call, and the two solves do not), and
-``checks.py`` evaluates printed fields.  perfbench's own tests are not in
-this suite, so these tests keep a cleanup of bsharp from breaking the
-harness unseen.
+``checks.py`` evaluates printed fields against ``tests/oracles.py``, which
+it loads at import.  perfbench's own tests are not in this suite, so these
+tests keep a cleanup of bsharp from breaking the harness unseen.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,20 @@ def test_the_scan_sees_the_harness():
 @pytest.mark.parametrize("module,name", NAMES, ids=[f"{m}.{n}" for m, n in NAMES])
 def test_harness_name_exists(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_checks_load_the_oracles(monkeypatch):
+    """``run.py`` imports ``checks`` with ``perfbench/`` on ``sys.path``, and
+    ``checks`` runs ``tests/oracles.py`` at import: an import there that
+    fails would fail every benchmark check."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "checks", raising=False)
+    checks = importlib.import_module("checks")
+    try:
+        assert Path(checks.oracles.__file__) == PERFBENCH.parent / "tests" / "oracles.py"
+        assert [len(checks.oracles.shapes_of_order(n)) for n in range(1, 6)] == [1, 1, 2, 4, 9]
+    finally:
+        sys.modules.pop("checks", None)
 
 
 def test_series_folds_count_through_the_module_attributes(monkeypatch):

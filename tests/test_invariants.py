@@ -15,9 +15,10 @@ equation), where the brute force in ``oracles.py`` cannot reach.
   Calvo and Sanz-Serna 1994).
 """
 
+from fractions import Fraction
+
 import pytest
 
-from bsharp.rationals import rat
 from bsharp.series import modified_equation_series, modifying_integrator_series
 from bsharp.tableaux import ButcherTableau, builtin_tableau, rk_series
 from bsharp.trees import all_trees_up_to, canonicalize
@@ -27,9 +28,10 @@ SOLVES = pytest.mark.parametrize(
     "solve", [modified_equation_series, modifying_integrator_series], ids=["ME", "MI"]
 )
 
-IMPLICIT_MIDPOINT = ButcherTableau([[rat(1, 2)]], [rat(1)], [rat(1, 2)])
+HALF = Fraction(1, 2)
+IMPLICIT_MIDPOINT = ButcherTableau([[HALF]], [Fraction(1)], [HALF])
 TRAPEZOIDAL = ButcherTableau(
-    [[rat(0), rat(0)], [rat(1, 2), rat(1, 2)]], [rat(1, 2), rat(1, 2)], [rat(0), rat(1)]
+    [[Fraction(0), Fraction(0)], [HALF, HALF]], [HALF, HALF], [Fraction(0), Fraction(1)]
 )
 SYMMETRIC = pytest.mark.parametrize(
     "tab", [IMPLICIT_MIDPOINT, TRAPEZOIDAL], ids=["implicit-midpoint", "trapezoidal"]
@@ -39,7 +41,7 @@ SYMMETRIC = pytest.mark.parametrize(
 def adjoint(tab):
     s = tab.stages
     A = [[tab.b[s - 1 - j] - tab.A[s - 1 - i][s - 1 - j] for j in range(s)] for i in range(s)]
-    return ButcherTableau(A, tab.b[::-1], [sum(row, rat(0)) for row in A])
+    return ButcherTableau(A, tab.b[::-1], [sum(row, Fraction(0)) for row in A])
 
 
 @SOLVES

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,6 @@ from bsharp.expressions import (
     variable,
 )
 from bsharp.odes import DiffCache, elementary_differential, parse_ode, series_vector_field
-from bsharp.rationals import rat
 from bsharp.series import modified_equation_series
 from bsharp.tableaux import builtin_tableau, rk_series
 from bsharp.trees import all_trees_up_to, parse_tree
@@ -59,13 +59,13 @@ def test_parse_semicolons_comments_params():
         "p' = a*p; q' = -b*q\n"
     )
     sys = parse_ode(text)
-    assert sys.parameters == {"a": rat(3, 4), "b": rat(4)}
+    assert sys.parameters == {"a": Fraction(3, 4), "b": Fraction(4)}
     assert sys.rhs_text() == ("3/4*p", "-4*q")
 
 
 def test_params_substitute_into_equations():
     sys = parse_ode("vars y\nparam lam = -2/3\ny' = lam*y\n")
-    assert eval_expression(sys.rhs[0], (rat(3),)) == rat(-2)
+    assert eval_expression(sys.rhs[0], (Fraction(3),)) == Fraction(-2)
 
 
 @pytest.mark.parametrize(
@@ -111,7 +111,7 @@ def test_variable_named_varsx_is_fine():
 def _random_points(seed, count, dim):
     rng = random.Random(seed)
     return [
-        tuple(rat(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(dim))
+        tuple(Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(dim))
         for _ in range(count)
     ]
 
@@ -210,22 +210,22 @@ def test_linear_system_collapses_to_log_series():
     system = parse_ode("vars y\nparam lam = 3/7\ny' = lam*y\n")
     series = modified_equation_series(rk_series(builtin_tableau("euler"), 6))
     terms = series_vector_field(series, system)[0]
-    lam = rat(3, 7)
+    lam = Fraction(3, 7)
     for degree, expr in terms:
-        value = eval_expression(expr, (rat(1),))
+        value = eval_expression(expr, (Fraction(1),))
         if degree == 0:
             assert value == 0
         else:
-            assert value == rat((-1) ** (degree + 1)) * lam**degree / degree
+            assert value == Fraction((-1) ** (degree + 1)) * lam**degree / degree
 
 
 def test_map_series_gets_identity_part():
     system = parse_ode("vars y\ny' = y\n")
     series = rk_series(builtin_tableau("euler"), 2)
     terms = series_vector_field(series, system)[0]
-    assert eval_expression(terms[0][1], (rat(5),)) == rat(5)  # empty-tree slot
-    assert eval_expression(terms[1][1], (rat(5),)) == rat(5)
-    assert eval_expression(terms[2][1], (rat(5),)) == 0
+    assert eval_expression(terms[0][1], (Fraction(5),)) == Fraction(5)  # empty-tree slot
+    assert eval_expression(terms[1][1], (Fraction(5),)) == Fraction(5)
+    assert eval_expression(terms[2][1], (Fraction(5),)) == 0
 
 
 def test_unbound_tableau_symbol_is_an_error():
@@ -295,14 +295,14 @@ def _reachable(root):
 def test_field_printing_formats_each_constant_once(monkeypatch):
     names, fields = step_fields(CUBIC4, 6)
     calls = 0
-    rat_str = expressions.rat_str
+    text = Fraction.__str__
 
     def counted(value):
         nonlocal calls
         calls += 1
-        return rat_str(value)
+        return text(value)
 
-    monkeypatch.setattr(expressions, "rat_str", counted)
+    monkeypatch.setattr(Fraction, "__str__", counted)
     for field in fields:
         nodes = _reachable(field)
         constants = sum(isinstance(node, Const) for node in nodes)

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bsharp.coefficients import coeff_eq, coeff_eval, coeff_print, symbol
+from bsharp.coefficients import coeff_eval, coeff_print, symbol
 from bsharp.errors import InvalidTreeError, SeriesError, SingularMethodError
-from bsharp.rationals import rat
 from bsharp.series import (
     SeriesTerm,
     TruncatedBSeries,
@@ -61,14 +60,14 @@ T = parse_tree
 def random_map_series(max_order, seed):
     rng = random.Random(seed)
     return TruncatedBSeries.from_function(
-        max_order, rat(1), lambda t: rat(rng.randint(-9, 9), rng.randint(1, 9))
+        max_order, Fraction(1), lambda t: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     )
 
 
 def random_flow_series(max_order, seed):
     rng = random.Random(seed)
     return TruncatedBSeries.from_function(
-        max_order, rat(0), lambda t: rat(rng.randint(-9, 9), rng.randint(1, 9))
+        max_order, Fraction(0), lambda t: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     )
 
 
@@ -78,14 +77,14 @@ def random_flow_series(max_order, seed):
 
 def test_series_must_cover_exactly_the_tree_range():
     with pytest.raises(SeriesError, match="cover exactly"):
-        TruncatedBSeries(2, rat(1), {T("[0]"): rat(1)})
-    extra = {t: rat(1) for t in all_trees_up_to(3)}
+        TruncatedBSeries(2, Fraction(1), {T("[0]"): Fraction(1)})
+    extra = {t: Fraction(1) for t in all_trees_up_to(3)}
     with pytest.raises(SeriesError, match="cover exactly"):
-        TruncatedBSeries(2, rat(1), extra)
+        TruncatedBSeries(2, Fraction(1), extra)
     with pytest.raises(SeriesError):
-        TruncatedBSeries(-1, rat(1), {})
+        TruncatedBSeries(-1, Fraction(1), {})
     with pytest.raises(SeriesError, match="non-negative integer"):
-        TruncatedBSeries(True, rat(1), {T("[0]"): rat(1)})
+        TruncatedBSeries(True, Fraction(1), {T("[0]"): Fraction(1)})
 
 
 def test_series_size_is_checked_before_trees_are_enumerated(monkeypatch):
@@ -106,13 +105,14 @@ def test_kind_classification():
     assert exact_series(2).kind == "map"
     assert identity_series(2).kind == "map"
     assert modified_equation_series(exact_series(2)).kind == "flow"
-    assert TruncatedBSeries.from_function(1, rat(1, 2), lambda t: rat(0)).kind == "general"
+    general = TruncatedBSeries.from_function(1, Fraction(1, 2), lambda t: Fraction(0))
+    assert general.kind == "general"
 
 
 def test_lookup_and_iteration_order():
     s = exact_series(4)
-    assert s[EMPTY_TREE] == rat(1)
-    assert s[T("[0,1,1]")] == rat(1, 3)
+    assert s[EMPTY_TREE] == Fraction(1)
+    assert s[T("[0,1,1]")] == Fraction(1, 3)
     assert list(s.trees()) == list(all_trees_up_to(4))
     with pytest.raises(SeriesError, match="outside this series"):
         s[T("[0,1,2,3,4]")]
@@ -153,15 +153,15 @@ def test_series_sub_gives_residuals():
     residual = series_sub(method, exact_series(3))
     assert residual[T("[0]")] == 0
     assert residual[T("[0,1]")] == 0
-    assert residual[T("[0,1,1]")] == rat(1, 4) - rat(1, 3)
+    assert residual[T("[0,1,1]")] == Fraction(1, 4) - Fraction(1, 3)
 
 
 def test_scale_step_grades_by_order():
     s = random_map_series(4, 5)
-    mu = rat(3)
+    mu = Fraction(3)
     scaled = scale_step(s, mu)
     for tree, c in s.items():
-        assert scaled[tree] == c * rat(3) ** tree.order
+        assert scaled[tree] == c * Fraction(3) ** tree.order
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +175,16 @@ def test_composition_witness_values():
     euler_then_exact = compose(e, x)
     bushy, chain = T("[0,1,1]"), T("[0,1,2]")
     # order matters on the bushy tree...
-    assert exact_then_euler[bushy] == rat(4, 3)
-    assert euler_then_exact[bushy] == rat(7, 3)
+    assert exact_then_euler[bushy] == Fraction(4, 3)
+    assert euler_then_exact[bushy] == Fraction(7, 3)
     # ...but happens to agree on the chain
-    assert exact_then_euler[chain] == rat(2, 3)
-    assert euler_then_exact[chain] == rat(2, 3)
+    assert exact_then_euler[chain] == Fraction(2, 3)
+    assert euler_then_exact[chain] == Fraction(2, 3)
     # shared low-order values
     for s in (exact_then_euler, euler_then_exact):
         assert s.kind == "map"
         assert s[T("[0]")] == 2
-        assert s[T("[0,1]")] == rat(3, 2)
+        assert s[T("[0,1]")] == Fraction(3, 2)
 
 
 def test_composition_identity_laws():
@@ -263,7 +263,7 @@ def test_substituting_the_unit_field_changes_nothing():
     # the field series with coefficient 1 on the one-node tree and 0
     # elsewhere is the substitution unit
     unit = TruncatedBSeries.from_function(
-        5, rat(0), lambda t: rat(1) if t.order == 1 else rat(0)
+        5, Fraction(0), lambda t: Fraction(1) if t.order == 1 else Fraction(0)
     )
     s = random_map_series(5, 50)
     assert substitute(unit, s) == s
@@ -297,7 +297,7 @@ def test_modifying_integrator_round_trip():
 def test_modified_equation_of_the_exact_flow_is_the_field():
     v = modified_equation_series(exact_series(5))
     for tree, c in v.items():
-        assert c == (rat(1) if tree.order == 1 else rat(0))
+        assert c == (Fraction(1) if tree.order == 1 else Fraction(0))
 
 
 def test_euler_perturbations_have_harmonic_tall_tree_weights():
@@ -307,8 +307,8 @@ def test_euler_perturbations_have_harmonic_tall_tree_weights():
     w = modifying_integrator_series(rk_series(builtin_tableau("euler"), 6))
     for n in range(1, 7):
         chain = T("[" + ",".join(str(i) for i in range(n)) + "]")
-        assert v[chain] == rat((-1) ** (n + 1), n)
-        assert w[chain] == rat(1, math.factorial(n))
+        assert v[chain] == Fraction((-1) ** (n + 1), n)
+        assert w[chain] == Fraction(1, math.factorial(n))
 
 
 def _by_shape(series):
@@ -318,11 +318,14 @@ def _by_shape(series):
 def _random_rational_tableau(stages, seed):
     rng = random.Random(seed)
     A = [
-        [rat(rng.randint(-3, 4), rng.randint(1, 4)) if j < i else rat(0) for j in range(stages)]
+        [
+            Fraction(rng.randint(-3, 4), rng.randint(1, 4)) if j < i else Fraction(0)
+            for j in range(stages)
+        ]
         for i in range(stages)
     ]
-    b = [rat(rng.choice((-1, 0, 1, 2)), rng.randint(1, 3)) for _ in range(stages)]
-    return ButcherTableau(A, b, [sum(row, rat(0)) for row in A])
+    b = [Fraction(rng.choice((-1, 0, 1, 2)), rng.randint(1, 3)) for _ in range(stages)]
+    return ButcherTableau(A, b, [sum(row, Fraction(0)) for row in A])
 
 
 @pytest.mark.parametrize(
@@ -332,16 +335,16 @@ def _random_rational_tableau(stages, seed):
 )
 def test_modified_equation_matches_partition_oracle(tab):
     method = rk_series(tab, 7)
-    expected = modified_equation_bruteforce(_by_shape(method), 7, rat(1))
+    expected = modified_equation_bruteforce(_by_shape(method), 7, Fraction(1))
     assert _by_shape(modified_equation_series(method)) == expected
 
 
 def test_symbolic_modified_equation_matches_partition_oracle():
     method = rk_series(builtin_tableau("rk22(alpha)"), 6)
-    expected = modified_equation_bruteforce(_by_shape(method), 6, rat(1))
+    expected = modified_equation_bruteforce(_by_shape(method), 6, Fraction(1))
     got = _by_shape(modified_equation_series(method))
     assert got.keys() == expected.keys()
-    assert all(coeff_eq(got[shape], expected[shape]) for shape in expected)
+    assert all(got[shape] == expected[shape] for shape in expected)
 
 
 @pytest.mark.parametrize(
@@ -352,16 +355,16 @@ def test_symbolic_modified_equation_matches_partition_oracle():
 )
 def test_modifying_integrator_matches_partition_oracle(tab):
     method = rk_series(tab, 7)
-    expected = modifying_integrator_bruteforce(_by_shape(method), 7, rat(1))
+    expected = modifying_integrator_bruteforce(_by_shape(method), 7, Fraction(1))
     assert _by_shape(modifying_integrator_series(method)) == expected
 
 
 def test_symbolic_modifying_integrator_matches_partition_oracle():
     method = rk_series(builtin_tableau("rk22(alpha)"), 6)
-    expected = modifying_integrator_bruteforce(_by_shape(method), 6, rat(1))
+    expected = modifying_integrator_bruteforce(_by_shape(method), 6, Fraction(1))
     got = _by_shape(modifying_integrator_series(method))
     assert got.keys() == expected.keys()
-    assert all(coeff_eq(got[shape], expected[shape]) for shape in expected)
+    assert all(got[shape] == expected[shape] for shape in expected)
 
 
 # Rational tableaux whose denominators have primes above the order (7, 11
@@ -369,7 +372,7 @@ def test_symbolic_modifying_integrator_matches_partition_oracle():
 # the graded integer solves meet primes that only the input brings in and
 # divide by a u1 with a numerator.
 _entries = st.builds(
-    rat, st.integers(-6, 6), st.sampled_from((1, 2, 3, 7, 11, 13, 14, 22, 39))
+    Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 7, 11, 13, 14, 22, 39))
 )
 
 
@@ -378,14 +381,14 @@ def _rational_tableaux(draw):
     stages = draw(st.integers(1, 3))
     explicit = draw(st.booleans())
     A = [
-        [rat(0) if explicit and j >= i else draw(_entries) for j in range(stages)]
+        [Fraction(0) if explicit and j >= i else draw(_entries) for j in range(stages)]
         for i in range(stages)
     ]
     b = [draw(_entries) for _ in range(stages)]
     assume(sum(b) not in (0, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RowSumWarning)
-        return ButcherTableau(A, b, [rat(0)] * stages)
+        return ButcherTableau(A, b, [Fraction(0)] * stages)
 
 
 @given(_rational_tableaux())
@@ -396,10 +399,10 @@ def test_integer_solves_match_the_brute_force_on_random_rational_tableaux(tab):
         assert c == elementary_weight_bruteforce(tab.A, tab.b, tree.levels)
     by_shape = _by_shape(method)
     assert _by_shape(modified_equation_series(method)) == (
-        modified_equation_bruteforce(by_shape, 5, rat(1))
+        modified_equation_bruteforce(by_shape, 5, Fraction(1))
     )
     assert _by_shape(modifying_integrator_series(method)) == (
-        modifying_integrator_bruteforce(by_shape, 5, rat(1))
+        modifying_integrator_bruteforce(by_shape, 5, Fraction(1))
     )
 
 
@@ -420,7 +423,9 @@ def _radical(n):
 # series are Laurent polynomials in alpha.
 _RESTART_TABLEAUX = {
     "rational": ButcherTableau(
-        [[rat(0), rat(0)], [rat(1), rat(0)]], [rat(3), rat(1, 2)], [rat(0), rat(1)]
+        [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]],
+        [Fraction(3), Fraction(1, 2)],
+        [Fraction(0), Fraction(1)],
     ),
     "symbolic": tableau_from_json_dict(
         {"A": [["0", "0"], ["alpha", "0"]], "b": ["3", "1/2"], "c": ["0", "alpha"],
@@ -488,7 +493,7 @@ def test_laurent_solves_bind_to_the_integer_solves_at_order_9(solve, tab):
     symbolic = solve(method)
     rng = random.Random(9)
     for _ in range(3):
-        point = {name: rat(rng.randint(1, 9), rng.randint(2, 11)) for name in tab.symbols}
+        point = {name: Fraction(rng.randint(1, 9), rng.randint(2, 11)) for name in tab.symbols}
         bound = solve(rk_series(tab.bind(point), 9))
         assert all(coeff_eval(c, point) == bound[t] for t, c in symbolic.items())
 
@@ -499,7 +504,7 @@ def test_modified_equation_builds_no_partition_table():
     clear_split_caches()
     v = modified_equation_series(rk_series(builtin_tableau("euler"), 11))
     for n in range(1, 12):
-        assert v[RootedTree(range(n))] == rat((-1) ** (n + 1), n)
+        assert v[RootedTree(range(n))] == Fraction((-1) ** (n + 1), n)
     assert partition_split_table.cache_info().currsize == 0
     assert not splits._id_tables and not splits._rooted_tables
     # it indexes trees for its edge-cut tables, and nothing more
@@ -903,10 +908,10 @@ def test_order_of_accuracy_edges():
 def test_display_terms_convention():
     s = rk_series(builtin_tableau("midpoint"), 3)
     terms = display_terms(s)
-    assert terms[0] == SeriesTerm(EMPTY_TREE, rat(1), 0)
+    assert terms[0] == SeriesTerm(EMPTY_TREE, Fraction(1), 0)
     by_tree = {str(t): (c, p) for t, c, p in terms}
     # coefficient of the bushy tree is 1/4; displayed over sigma=2 as 1/8
-    assert by_tree["[0,1,1]"] == (rat(1, 8), 3)
+    assert by_tree["[0,1,1]"] == (Fraction(1, 8), 3)
     # the order-3 chain weight is 0 for this method and is not displayed
     assert "[0,1,2]" not in by_tree
 
@@ -941,7 +946,7 @@ def test_format_series_latex_snapshot():
 
 
 def test_format_series_empty_and_unknown():
-    zero = TruncatedBSeries.from_function(2, rat(0), lambda t: rat(0))
+    zero = TruncatedBSeries.from_function(2, Fraction(0), lambda t: Fraction(0))
     assert format_series(zero) == "0"
     with pytest.raises(ValueError):
         format_series(exact_series(2), "html")
@@ -964,7 +969,7 @@ def test_json_round_trip_map_and_flow():
 
 
 def test_json_rejects_general_kind():
-    s = TruncatedBSeries.from_function(1, rat(1, 2), lambda t: rat(0))
+    s = TruncatedBSeries.from_function(1, Fraction(1, 2), lambda t: Fraction(0))
     with pytest.raises(SeriesError, match="map-kind .* and flow-kind"):
         series_to_json_dict(s)
 
@@ -999,10 +1004,7 @@ def test_json_rejects_two_spellings_of_one_tree():
 
 
 def test_json_accepts_symbolic_coefficients():
-    from bsharp.coefficients import coeff_div, coeff_mul
-
     data = series_to_json_dict(rk_series(builtin_tableau("rk22(alpha)"), 3))
     assert data["coefficients"]["[0,1,1]"] == "1/(4*alpha)"
     restored = series_from_json_dict(data)
-    expected = coeff_div(rat(1), coeff_mul(rat(4), symbol("alpha")))
-    assert coeff_eq(restored[T("[0,1,1]")], expected)
+    assert restored[T("[0,1,1]")] == 1 / (4 * symbol("alpha"))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from bsharp import simulate
 from bsharp.errors import NumericFailureError, TableauError
 from bsharp.odes import DiffCache, parse_ode, series_vector_field
-from bsharp.rationals import rat
 from bsharp.series import modified_equation_series, modifying_integrator_series
 from bsharp.simulate import SimulationPlan, iterate_rows, run_simulation
 from bsharp.tableaux import ButcherTableau, builtin_tableau, rk_series
@@ -82,7 +82,7 @@ def test_plan_defaults_and_read_only_attributes():
 
 
 def test_implicit_tableaux_cannot_run():
-    implicit = ButcherTableau([[rat(1, 2)]], [rat(1)], [rat(1, 2)])
+    implicit = ButcherTableau([[Fraction(1, 2)]], [Fraction(1)], [Fraction(1, 2)])
     with pytest.raises(TableauError, match="not explicit"):
         run_simulation(plan(tableau=implicit))
 
