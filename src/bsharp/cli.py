@@ -310,6 +310,8 @@ def cmd_simulate(args) -> int:
         initial = tuple(float(v) for v in args.initial.split(","))
     except ValueError:
         args.subparser.error(f"--initial must be comma-separated numbers, got {args.initial!r}")
+    if not all(map(math.isfinite, initial)):
+        args.subparser.error(f"--initial must be finite, got {args.initial!r}")
 
     if args.reference:
         mode = "reference"

@@ -1,29 +1,32 @@
-"""The modified equation and the modifying integrator: one loop each.
+"""Graded scaling: the one home of the scalar domains of exact weights
+and solves.
 
+:func:`bsharp.tableaux.elementary_weight` and the two solves,
 :func:`bsharp.series.modified_equation_series` and
-:func:`bsharp.series.modifying_integrator_series` run here.  The value of
-a tree τ is held scaled by λ^|τ|, a *graded* scale, in the scalar domain
-that :func:`bsharp.series._graded_denominator` picks: an int when every
-coefficient is rational, which the Laurent lift and lower over no
-symbols give; a :class:`_Laurent` polynomial when every
+:func:`bsharp.series.modifying_integrator_series`, hold the value of a
+tree τ scaled by λ^|τ|, a *graded* scale, in the domain that
+:func:`_graded_denominator` picks from (order, coefficient) pairs (a
+tableau entry is of order 1, a series' c(τ) of order |τ|): an int when
+every coefficient is rational; a :class:`_Laurent` polynomial when every
 denominator is a monomial and the u1 = c(•) the modifying integrator
 divides by is rational, as for ``rk22(alpha)``; and otherwise a plain
 coefficient (``Fraction`` or ``RationalFunction``) at λ = 1.  A product of
-the values of trees whose orders add up to |τ| (a Lie term
-c_{j-1}(trunk)·v(branch), or Π v(component) over a partition) carries
-exactly λ^|τ|, so products are exact without rescaling, and each tree's
-value becomes a coefficient once, at the end: ``Fraction(value,
+the values of trees whose orders add up to |τ| (a stage product, a Lie
+term c_{j-1}(trunk)·v(branch), or Π v(component) over a partition)
+carries exactly λ^|τ|, so products are exact without rescaling, and each
+tree's value becomes a coefficient once, at the end: ``Fraction(value,
 λ^|τ|)``, or the :func:`bsharp.coefficients._normalize` form of a Laurent
 value over λ^|τ|, which plain arithmetic reaches too, since a monomial
-denominator never grows into a sum.  This is fraction-free elimination
-(Bareiss, Math. Comp. 22, 1968) applied to the triangular solves.  On
-ints and Laurent values every division is checked by :func:`_exact`; a
-remainder means that λ is too small, and :func:`_solve` squares λ and
-starts over.  That terminates: every prime of a true denominator divides
-the starting λ (see :func:`_initial_scale`), and squaring doubles each
-prime's power.  Plain coefficients divide exactly and never restart.
-Every domain skips the same zero terms, and no loop multiplies by a
-multiplicity or a denominator of 1.
+denominator never grows into a sum.  A tableau is lifted once, by the d
+of its entries, and its weights never divide.  The solves are
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968): on ints and
+Laurent values every division is checked by :func:`_exact`; a remainder
+means that λ is too small, and :func:`_solve` squares λ and starts over.
+That terminates: every prime of a true denominator divides the starting
+λ (see :func:`_initial_scale`), and squaring doubles each prime's power.
+Plain coefficients divide exactly and never restart.  Every domain skips
+the same zero terms, and no loop multiplies by a multiplicity or a
+denominator of 1.
 """
 
 from __future__ import annotations
@@ -118,19 +121,59 @@ def _lower_laurent(symbols: tuple[str, ...], value, power: int):
 
 
 def _plain(value, scale: int):
-    """A plain coefficient, lifted or lowered at λ = 1: itself."""
-    return value
+    """A plain coefficient, lifted or lowered at λ = 1: itself, an empty sum's 0 a Fraction."""
+    return value or Fraction(0)
+
+
+def _graded_denominator(pairs, divisor=1) -> tuple[int, tuple[str, ...]] | None:
+    """The scalar domain of the (order n, coefficient c) ``pairs``, in
+    ascending order: ``(d, symbols)`` with d^n·c an int or an integer
+    Laurent polynomial over the sorted tuple ``symbols`` for every pair,
+    found without factoring; None, plain coefficients, when a denominator
+    is not a monomial or ``divisor``, which a solve divides by, is not
+    rational.  Every prime of every denominator divides d."""
+    if not is_rational(divisor):
+        return None
+    d = order = power = 1
+    symbols: set[str] = set()
+    for n, c in pairs:
+        if is_rational(c):
+            den = c.denominator
+        elif len(c.den) == 1:
+            (den,) = c.den.values()
+            symbols.update(c.symbols)
+        else:
+            return None
+        if n != order:
+            order = n
+            power = d**order
+        if power % den:
+            d *= den // math.gcd(power, den)  # now den divides d^n
+            power = d**order
+    return d, tuple(sorted(symbols))
 
 
 def _domain(graded):
-    """``(lift, lower, div)`` for the ``(d, symbols)`` of a graded series:
-    Laurent polynomials over ``symbols``, which are ints when ``symbols``
-    is empty, divided by :func:`_exact`; plain coefficients, lifted and
-    lowered as they are and divided as coefficients, for ``graded`` None."""
+    """``(lift, lower, div)`` for the ``(d, symbols)`` of
+    :func:`_graded_denominator`: Laurent polynomials over ``symbols``,
+    which are ints when ``symbols`` is empty, divided by :func:`_exact`;
+    plain coefficients, lifted and lowered as they are and divided as
+    coefficients, for ``graded`` None."""
     if graded is None:
         return _plain, _plain, coeff_div
     symbols = graded[1]
     return partial(_lift_laurent, symbols), partial(_lower_laurent, symbols), _exact
+
+
+def lift_tableau(A, b) -> tuple:
+    """``(d·A, d·b, lower, d)``: the entries of a tableau, each of order 1,
+    lifted by d into their domain, in which d^|τ|·Φ(τ) is a value whose
+    ``lower(value, d^|τ|)`` is Φ(τ); d = 1 for plain coefficients."""
+    graded = _graded_denominator((1, x) for row in (b, *A) for x in row)
+    lift, lower, _ = _domain(graded)
+    d = 1 if graded is None else graded[0]
+    lifted = [tuple(lift(x, d) for x in row) for row in (b, *A)]
+    return tuple(lifted[1:]), lifted[0], lower, d
 
 
 def _initial_scale(max_order: int, d: int, divisor: int) -> int:
@@ -159,23 +202,23 @@ def _solve(solve, max_order: int, graded, divisor=1) -> tuple[TruncatedBSeries, 
 
 
 def modified_equation(
-    tables, weights: list, max_order: int, graded, skip_zero: bool
+    method: TruncatedBSeries, tables, skip_zero: bool
 ) -> tuple[TruncatedBSeries, int]:
-    """The modified equation of the method with coefficients ``weights``
-    (by id), and its number of zero skips.  ``graded`` is the ``(d,
-    symbols)`` of :func:`bsharp.series._graded_denominator`, d^|τ|·weight
-    an int or a Laurent polynomial over ``symbols``, or None for plain
-    coefficients."""
+    """The modified equation of ``method`` over its edge-cut ``tables``,
+    and its number of zero skips."""
+    graded = _graded_denominator((t.order, c) for t, c in method.items())
+    weights = by_id(method._coeffs)
     solve = partial(_modified_equation_ints, tables, weights, *_domain(graded), skip_zero)
-    return _solve(solve, max_order, graded)
+    return _solve(solve, method.max_order, graded)
 
 
 def modifying_integrator(
-    coeffs: dict, max_order: int, graded, u1, skip_zero: bool
+    method: TruncatedBSeries, u1, skip_zero: bool
 ) -> tuple[TruncatedBSeries, int]:
-    """The modifying integrator of the method with coefficients ``coeffs``
-    (by level sequence) and c(•) = ``u1``, and its number of zero skips;
-    ``graded`` as for :func:`modified_equation`."""
+    """The modifying integrator of ``method``, whose c(•) is ``u1``, and its
+    number of zero skips."""
+    max_order = method.max_order
+    graded = _graded_denominator(((t.order, c) for t, c in method.items()), u1)
     levels = [
         (n, [(t, tree_id(t._levels)) for t in trees_of_order(n)], partition_skeleton_table(n))
         for n in range(1, max_order + 1)
@@ -183,7 +226,8 @@ def modifying_integrator(
     d_top = 1 if graded is None else graded[0] ** max_order
     num, den = (u1.numerator, u1.denominator) if is_rational(u1) else (u1, 1)
     solve = partial(
-        _modifying_integrator_ints, levels, coeffs, d_top, num, den, *_domain(graded), skip_zero
+        _modifying_integrator_ints, levels, method._coeffs, d_top, num, den, *_domain(graded),
+        skip_zero,
     )
     return _solve(solve, max_order, graded, num)
 

@@ -30,8 +30,8 @@ exp of the Lie derivative ∂_v, whose action on a tree sums over its
 |τ| - 1 single-edge cuts, so the solve is polynomial in the order.
 :func:`modifying_integrator_series` finds ``v`` with
 substitute(v, method) = exact flow, over the distinct partition splits.
-Each solve is one loop of :mod:`bsharp.graded`, over ints, Laurent
-polynomials or plain coefficients, as :func:`_graded_denominator` picks.
+Each solve is one loop of :mod:`bsharp.graded`, which picks its scalar
+domain (ints, Laurent polynomials or plain coefficients) from the method.
 
 Every operation reads the cached id tables of :mod:`bsharp.splits`
 (subtree, partition or edge-cut), whose rows name trees by int id and a
@@ -54,7 +54,6 @@ field).  JSON files store raw coefficients, never the σ-divided form.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from functools import partial
@@ -63,11 +62,11 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .coefficients import (
     Coefficient,
+    RationalFunction,
     coeff_div,
     coeff_parse,
     coeff_pow,
     coeff_print,
-    is_rational,
 )
 from .errors import SeriesError, SingularMethodError
 from .splits import (
@@ -395,10 +394,8 @@ def modified_equation_series(
         raise SeriesError("modified equation needs a map-kind method series")
     from . import graded
 
-    return _counted(graded.modified_equation(
-        _tables(method.max_order, edge_cut_id_table), by_id(method._coeffs), method.max_order,
-        _graded_denominator(method._coeffs), skip_zero,
-    ))
+    tables = _tables(method.max_order, edge_cut_id_table)
+    return _counted(graded.modified_equation(method, tables, skip_zero))
 
 
 def modifying_integrator_series(
@@ -427,39 +424,7 @@ def modifying_integrator_series(
             )
     from . import graded
 
-    return _counted(graded.modifying_integrator(
-        method._coeffs, method.max_order, _graded_denominator(method._coeffs, u1), u1, skip_zero
-    ))
-
-
-def _graded_denominator(
-    coeffs: dict[bytes, Coefficient], divisor: Coefficient = 1
-) -> tuple[int, tuple[str, ...]] | None:
-    """The scalar domain of a solve of ``coeffs``: ``(d, symbols)`` with
-    d^|τ|·c(τ) an int or an integer Laurent polynomial over the sorted
-    tuple ``symbols`` for every tree τ (the empty entry aside), found
-    without factoring; None, plain coefficients, when a denominator is not
-    a monomial or ``divisor``, which the solve divides by, is not rational.
-    Every prime of every denominator divides d."""
-    if not is_rational(divisor):
-        return None
-    d = order = power = 1
-    symbols: set[str] = set()
-    for seq, c in islice(coeffs.items(), 1, None):
-        if is_rational(c):
-            den = c.denominator
-        elif len(c.den) == 1:
-            (den,) = c.den.values()
-            symbols.update(c.symbols)
-        else:
-            return None
-        if len(seq) != order:
-            order = len(seq)
-            power = d**order
-        if power % den:
-            d *= den // math.gcd(power, den)  # now den divides d^|τ|
-            power = d**order
-    return d, tuple(sorted(symbols))
+    return _counted(graded.modifying_integrator(method, u1, skip_zero))
 
 
 def _counted(solved: tuple[TruncatedBSeries, int]) -> TruncatedBSeries:
@@ -552,7 +517,9 @@ def format_series(
         parts = []
         for tree, c, power in terms:
             cs = coeff_print(c, "latex")
-            if cs == "1":
+            if isinstance(c, RationalFunction) and len(c.num) > 1 and not cs.startswith(r"\frac"):
+                cs = rf"\left({cs}\right)"  # a sum of terms, grouped as one factor
+            elif cs == "1":
                 cs = ""
             elif cs == "-1":
                 cs = "-"

@@ -87,6 +87,8 @@ class SimulationPlan:
                 f"initial point has {len(initial)} components, "
                 f"system has {system.dimension}"
             )
+        if not all(map(math.isfinite, initial)):
+            raise TableauError(f"initial point {initial!r} is not finite")
         if mode in ("modified", "modifying") and series_order < 1:
             raise TableauError("series order must be at least 1")
         for name, value in (

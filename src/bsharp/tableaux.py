@@ -14,10 +14,11 @@ assignments.  It is computed by the standard bottom-up recursion: with
 the weight is Φ(τ) = Σ_i b_i Ψ_i(τ).  A method has order p exactly when
 Φ(τ) = 1/γ(τ) for every tree with at most p nodes.
 
-When every entry of A and b is rational, the recursion runs over ints:
-with d the LCM of their denominators, d·A and d·b are int matrices, and
-Φ(τ) and A·Ψ(τ) carry exactly one entry per node, so d^|τ|·Φ(τ) is an
-int.  It becomes ``Fraction(value, d^|τ|)`` once per tree.
+The recursion runs over the scalar domain (ints, Laurent polynomials or
+plain coefficients) that :mod:`bsharp.graded` picks for A and b and lifts
+them into once, scaled by a d of theirs.  Φ(τ) and A·Ψ(τ) carry one entry
+per node, so d^|τ|·Φ(τ) is a value of the domain, which its ``lower``
+turns into a coefficient once per tree.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -36,9 +36,9 @@ from .coefficients import (
     coeff_parse,
     coeff_print,
     coeff_symbols,
-    is_rational,
 )
 from .errors import TableauError
+from .graded import lift_tableau
 from .series import TruncatedBSeries, series_order_of_accuracy
 from .trees import RootedTree, _children
 
@@ -50,7 +50,7 @@ class RowSumWarning(UserWarning):
 class ButcherTableau:
     """Immutable Runge-Kutta tableau with exact entries."""
 
-    __slots__ = ("A", "b", "c", "_scaled", "_psi_cache")
+    __slots__ = ("A", "b", "c", "_lifted", "_psi_cache")
 
     def __init__(
         self,
@@ -71,8 +71,8 @@ class ButcherTableau:
         self.A = A
         self.b = b
         self.c = c
-        self._scaled = _scaled_entries(A, b)
-        self._psi_cache: dict[bytes, tuple[Coefficient, ...]] = {}
+        self._lifted = lift_tableau(A, b)
+        self._psi_cache: dict[bytes, tuple] = {}
         for i, row in enumerate(A):
             row_sum = sum(row, Fraction(0))
             if row_sum != c[i]:
@@ -113,41 +113,25 @@ class ButcherTableau:
         return f"<ButcherTableau {self.stages} stages>"
 
 
-def _scaled_entries(A, b) -> tuple:
-    """(d·A, d·b, d) as ints when every entry is rational, d the LCM of
-    their denominators; (A, b, None) otherwise."""
-    entries = [*b, *(a for row in A for a in row)]
-    if not all(map(is_rational, entries)):
-        return A, b, None
-    d = lcm(*(x.denominator for x in entries))
-    return (
-        tuple(tuple(a.numerator * (d // a.denominator) for a in row) for row in A),
-        tuple(x.numerator * (d // x.denominator) for x in b),
-        d,
-    )
-
-
-def _propagated(tab: ButcherTableau, seq: bytes) -> tuple[Coefficient, ...]:
-    """(A·Ψ(τ))_i for each stage i, τ given by its level sequence; cached.
-    For a rational tableau, ints scaled by d^|τ|."""
+def _propagated(tab: ButcherTableau, seq: bytes) -> tuple:
+    """d^|τ|·(A·Ψ(τ))_i for each stage i, lifted, τ given by its level
+    sequence; cached."""
     cached = tab._psi_cache.get(seq)
     if cached is not None:
         return cached
-    A, _, d = tab._scaled
-    psi = [Fraction(1) if d is None else 1] * tab.stages
+    psi = [1] * tab.stages
     for child in _children(seq):
         psi = list(map(mul, psi, _propagated(tab, child)))
-    zero = Fraction(0) if d is None else 0
-    result = tuple(sum([a * p for a, p in zip(row, psi) if a], zero) for row in A)
+    result = tuple(sum([a * p for a, p in zip(row, psi) if a], 0) for row in tab._lifted[0])
     tab._psi_cache[seq] = result
     return result
 
 
 def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
     """Φ(tree): the coefficient of the method's B-series at ``tree``."""
-    _, b, d = tab._scaled
+    _, b, lower, d = tab._lifted
     child_vectors = [_propagated(tab, child) for child in _children(tree._levels)]
-    total: Coefficient = Fraction(0) if d is None else 0
+    total = 0
     for i, bi in enumerate(b):
         if not bi:
             continue
@@ -155,7 +139,7 @@ def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
         for vec in child_vectors:
             term = term * vec[i]
         total = total + term
-    return total if d is None else Fraction(total, d ** len(tree._levels))
+    return lower(total, d ** len(tree._levels))
 
 
 def rk_series(tab: ButcherTableau, max_order: int) -> TruncatedBSeries:

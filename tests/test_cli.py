@@ -509,6 +509,17 @@ def test_simulate_usage_errors(extra):
     assert proc.returncode == 2, proc.stderr
 
 
+@pytest.mark.parametrize("initial", ["nan", "inf", "-inf"])
+def test_simulate_refuses_a_non_finite_initial_point(initial):
+    proc = run_cli(
+        "simulate", "--tableau", "euler", "--ode-text", "vars y\ny' = y\n",
+        "--step", "0.5", "--t-max", "1", f"--initial={initial}",
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--initial must be finite" in proc.stderr
+
+
 def test_simulate_refuses_a_grid_too_fine_to_count():
     proc = run_cli(
         "simulate", "--tableau", "euler", "--ode-text", "vars y\ny' = y\n",

@@ -135,7 +135,8 @@ COMMANDS = (
     "trees", "splits", "bseries", "compose", "substitute", "modified-equation",
     "modifying-integrator", "order", "simulate",
 )
-SOLVE = ["coefficients", "series", "splits", "tableaux", "trees"]
+# every tableau lifts its entries through graded.py, and every solve runs there
+SOLVE = ["coefficients", "graded", "series", "splits", "tableaux", "trees"]
 ODE = "vars p, q\np' = -q\nq' = p\n"
 # b = (1, beta): the modifying integrator divides by 1 + beta, so it runs
 # over plain coefficients, in graded.py like every other solve
@@ -150,24 +151,24 @@ B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2
         ([["trees", "1"]], ["trees"]),
         ([["splits", "[0,1,1]", "--kind", "partitions"]], ["splits", "trees"]),
         ([["order", "--tableau", "rk4", "--max", "4"]], SOLVE),
-        ([["modified-equation", "--tableau", "midpoint", "--order", "3"]], SOLVE + ["graded"]),
-        ([["modifying-integrator", "--tableau", "midpoint", "--order", "3"]], SOLVE + ["graded"]),
-        ([["modified-equation", "--tableau", "rk22(alpha)", "--order", "3"]], SOLVE + ["graded"]),
+        ([["modified-equation", "--tableau", "midpoint", "--order", "3"]], SOLVE),
+        ([["modifying-integrator", "--tableau", "midpoint", "--order", "3"]], SOLVE),
+        ([["modified-equation", "--tableau", "rk22(alpha)", "--order", "3"]], SOLVE),
         (
             [["modifying-integrator", "--tableau", "b_1_beta.json", "--order", "3"]],
-            SOLVE + ["graded"],
+            SOLVE,
         ),
         ([["bseries", "--tableau", "rk22(alpha)", "--order", "3"]], SOLVE),
         (
             [["modified-equation", "--tableau", "midpoint", "--order", "3", "--ode-text", ODE]],
-            SOLVE + ["expressions", "graded", "odes"],
+            SOLVE + ["expressions", "odes"],
         ),
         (
             [[
                 "simulate", "--tableau", "midpoint", "--ode-text", ODE, "--step", "0.5",
                 "--t-max", "1", "--initial", "1,0", "--modified-order", "2",
             ]],
-            SOLVE + ["expressions", "graded", "odes", "simulate"],
+            SOLVE + ["expressions", "odes", "simulate"],
         ),
     ],
     ids=[
@@ -188,4 +189,4 @@ def test_series_file_commands_load_only_the_solve_layers(tmp_path):
         ["modified-equation", "--tableau", "midpoint", "--order", "3", "--output", flow],
         ["compose", method, method],
         ["substitute", flow, method],
-    ) == sorted(["cli", "errors", "graded", *SOLVE])
+    ) == sorted(["cli", "errors", *SOLVE])

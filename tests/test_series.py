@@ -417,6 +417,12 @@ def _radical(n):
     return out
 
 
+def _grading(method, divisor=1):
+    """The ``(d, symbols)`` of the graded domain a solve of ``method`` that
+    divides by ``divisor`` runs over, or None for plain coefficients."""
+    return graded._graded_denominator(((t.order, c) for t, c in method.items()), divisor)
+
+
 # With u1 = 7/2, v(•) = 7/2 puts 2^3 into the denominator of v([•]) =
 # a([•]) - v(•)^2/2, and the modifying integrator's v([•]) has 7^3 in its
 # denominator.  The second tableau is the first with a21 = alpha, so its
@@ -487,7 +493,7 @@ def test_laurent_solves_bind_to_the_integer_solves_at_order_9(solve, tab):
     # the symbolic solve over Laurent polynomials, evaluated at a point,
     # against the integer solve of the tableau bound at that point
     method = rk_series(tab, 9)
-    assert series._graded_denominator(method._coeffs, method[T("[0]")])[1] == tuple(
+    assert _grading(method, method[T("[0]")])[1] == tuple(
         sorted(tab.symbols)
     )
     symbolic = solve(method)
@@ -578,7 +584,7 @@ def test_modified_equation_prints_like_the_row_by_row_oracle(tab, order, plain):
     # of a tree as Σ c_j·(n!/j!) / n!, the oracle as Σ c_j·(1/j!), and an
     # unreduced sum's normal form does not depend on that
     method = rk_series(tab, order)
-    assert (series._graded_denominator(method._coeffs) is None) == plain
+    assert (_grading(method) is None) == plain
     trees = [t._levels for t in all_trees_up_to(order)]
     got = modified_equation_series(method)._coeffs
     expected = modified_equation_rows(method._coeffs, order, trees)
@@ -611,27 +617,34 @@ _SYMBOLIC_TABLEAUX = {
 
 
 def _without_graded_path(monkeypatch):
-    """Turn the graded domains off: each solve then runs its loop over
-    plain coefficients."""
-    monkeypatch.setattr(series, "_graded_denominator", lambda coeffs, divisor=1: None)
+    """Turn the graded domains off: each solve then runs its loop, and a
+    tableau made afterwards its weights, over plain coefficients."""
+    monkeypatch.setattr(graded, "_graded_denominator", lambda pairs, divisor=1: None)
 
 
 @pytest.mark.parametrize("name", list(_SYMBOLIC_TABLEAUX))
 @pytest.mark.parametrize("solve", [modified_equation_series, modifying_integrator_series])
 def test_laurent_solves_print_like_the_coefficient_path(monkeypatch, solve, name):
     # a monomial denominator stays one, so the Laurent and the plain domain
-    # reach one normal form; b = (1, beta) divides by the non-monomial
-    # 1 + beta, so its modifying integrator runs over plain coefficients
-    # anyway, and its order-7 solve is too slow to run twice
-    method = rk_series(_SYMBOLIC_TABLEAUX[name], 7)
+    # reach one normal form, for the weights of rk_series as for the solves;
+    # b = (1, beta) divides by the non-monomial 1 + beta, so its modifying
+    # integrator runs over plain coefficients anyway, and its order-7 solve
+    # is too slow to run twice
+    def printed(result):
+        return [coeff_print(c) for c in result._coeffs.values()]
+
+    tab = _SYMBOLIC_TABLEAUX[name]
+    method = rk_series(tab, 7)
     u1 = method[T("[0]")] if solve is modifying_integrator_series else 1
-    graded_path = series._graded_denominator(method._coeffs, u1) is not None
+    graded_path = _grading(method, u1) is not None
     assert graded_path == (name != "b=(1,beta)" or solve is modified_equation_series)
-    if not graded_path:
-        return
-    got = [coeff_print(c) for c in solve(method)._coeffs.values()]
+    got = printed(solve(method)) if graded_path else None
     _without_graded_path(monkeypatch)
-    assert got == [coeff_print(c) for c in solve(method)._coeffs.values()]
+    plain = ButcherTableau(tab.A, tab.b, tab.c)
+    assert plain._lifted[2] is graded._plain  # its weights are plain coefficients
+    assert printed(rk_series(plain, 7)) == printed(method)
+    if graded_path:
+        assert got == printed(solve(method))
 
 
 @pytest.mark.parametrize("solve", [modified_equation_series, modifying_integrator_series])
@@ -667,7 +680,7 @@ def test_plain_solves_skip_zero_terms_without_changing_a_printed_coefficient(sol
     # rk22(1 + beta) is of order 2, so v([0,1]) = 0
     method = rk_series(tab, 5)
     u1 = method[T("[0]")] if solve is modifying_integrator_series else 1
-    assert series._graded_denominator(method._coeffs, u1) is None
+    assert _grading(method, u1) is None
     reset_zero_skip_count()
     eager = [coeff_print(c) for c in solve(method, skip_zero=False)._coeffs.values()]
     assert zero_skip_count() == 0
@@ -943,6 +956,25 @@ def test_format_series_latex_snapshot():
         r"F([0]) - \frac{1}{2} h F([0,1]) + \frac{1}{3} h^{2} F([0,1,2])"
         r" + \frac{1}{12} h^{2} F([0,1,1])"
     )
+
+
+@pytest.mark.parametrize(
+    "b,order,expected",
+    [
+        (["1 - beta", "0"], 1, r"y + \left(-\beta + 1\right) h F([0])"),
+        (
+            ["1", "beta"], 2,
+            r"y + \left(\beta + 1\right) h F([0]) + \frac{\beta}{2} h^{2} F([0,1])",
+        ),
+    ],
+    ids=["b=(1-beta,0)", "b=(1,beta)"],
+)
+def test_format_series_latex_groups_a_sum_coefficient(b, order, expected):
+    # a coefficient of two or more terms is one factor of its term
+    tab = tableau_from_json_dict(
+        {"A": [["0", "0"], ["1/2", "0"]], "b": b, "c": ["0", "1/2"], "symbols": ["beta"]}
+    )
+    assert format_series(rk_series(tab, order), "latex") == expected
 
 
 def test_format_series_empty_and_unknown():

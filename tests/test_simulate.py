@@ -62,6 +62,9 @@ def test_plan_rejects_bad_inputs():
         plan(step=1e-9, t_max=1e9)
     with pytest.raises(TableauError, match="components"):
         plan(initial=(1.0, 2.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(TableauError, match="not finite"):
+            plan(initial=(bad,))
     with pytest.raises(TableauError, match="series order"):
         plan(mode="modified", series_order=0)
     # a non-positive series order is fine when no series is built

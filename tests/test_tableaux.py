@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bsharp.coefficients import coeff_eval, coeff_print, symbol
+from bsharp.coefficients import RationalFunction, coeff_eval, coeff_print, symbol
 from bsharp.errors import TableauError
 from bsharp.series import series_eq
 from bsharp.tableaux import (
@@ -42,12 +42,33 @@ def random_tableau(stages, seed, explicit=False):
 # elementary weights
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("seed,explicit", [(1, False), (2, True), (3, False)])
-def test_weights_match_assignment_sum(seed, explicit):
-    tab = random_tableau(3, seed, explicit)
+# one tableau per scalar domain of the weights: rational entries (ints),
+# one-term denominators (Laurent polynomials) and a denominator that is a
+# sum (plain coefficients)
+_WEIGHT_TABLEAUX = {
+    "1-False": random_tableau(3, 1),
+    "2-True": random_tableau(3, 2, True),
+    "3-False": random_tableau(3, 3),
+    "rk22(alpha)": builtin_tableau("rk22(alpha)"),
+    "two-parameter": tableau_from_json_dict(
+        {"A": [["0", "0"], ["3/7*p", "0"]], "b": ["1 - q", "q"], "c": ["0", "3/7*p"],
+         "symbols": ["p", "q"]}
+    ),
+    "a21=1/(1+beta)": tableau_from_json_dict(
+        {"A": [["0", "0"], ["1/(1 + beta)", "0"]], "b": ["1/2", "1/2"],
+         "c": ["0", "1/(1 + beta)"], "symbols": ["beta"]}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_WEIGHT_TABLEAUX))
+def test_weights_match_assignment_sum(name):
+    tab = _WEIGHT_TABLEAUX[name]
     for tree in all_trees_up_to(5):
-        expected = elementary_weight_bruteforce(tab.A, tab.b, tree.levels)
-        assert elementary_weight(tab, tree) == expected
+        weight = elementary_weight(tab, tree)
+        assert weight == elementary_weight_bruteforce(tab.A, tab.b, tree.levels)
+        # rational weights stay Fractions; no domain value leaks out
+        assert type(weight) in ((Fraction, RationalFunction) if tab.symbols else (Fraction,))
 
 
 def test_weights_never_read_c():
