@@ -209,14 +209,15 @@ def cmd_substitute(args) -> int:
 
 
 def _perturbed_flow(args) -> TruncatedBSeries:
-    from .series import modified_equation_series, modifying_integrator_series
-    from .tableaux import rk_series
-
     tab = _load_tableau(args.tableau)
-    series = rk_series(tab, args.order)
     if args.variant == "modified":
-        return modified_equation_series(series)
-    return modifying_integrator_series(series)
+        from .series import modified_equation_series
+        from .tableaux import rk_series
+
+        return modified_equation_series(rk_series(tab, args.order))
+    from .graded import modifying_integrator_of_tableau
+
+    return modifying_integrator_of_tableau(tab, args.order)
 
 
 def _step_symbol(variables: tuple[str, ...]) -> str:
@@ -330,11 +331,12 @@ def cmd_simulate(args) -> int:
         series_order=args.modified_order if args.modified_order is not None else 2,
     )
 
+    rows = iterate_rows(plan)  # refuses a plan before any output
     out = _open_output(args)
     try:
         out.write("t," + ",".join(system.variables) + "\n")
         try:
-            for t, y in iterate_rows(plan):
+            for t, y in rows:
                 out.write(f"{t!r}," + ",".join(repr(v) for v in y) + "\n")
         except NumericFailureError as exc:
             out.flush()

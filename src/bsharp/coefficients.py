@@ -111,12 +111,13 @@ def _widen(symbols: tuple[str, ...], terms: dict, wider: tuple[str, ...]) -> dic
 # Term-dict arithmetic.  Both sides are over the same symbols; results hold
 # no zero coefficient and are new dicts, never an operand's own.
 
-def _poly_add(ta: dict, tb: dict) -> dict:
-    if len(ta) < len(tb):
+def _poly_add(ta: dict, tb: dict, negate: bool = False) -> dict:
+    """The terms of ``ta + tb``, or of ``ta - tb`` with ``negate``."""
+    if len(ta) < len(tb) and not negate:
         ta, tb = tb, ta
     out = dict(ta)
     for e, c in tb.items():
-        c += out.get(e, 0)
+        c = out.get(e, 0) - c if negate else c + out.get(e, 0)
         if c:
             out[e] = c
         else:

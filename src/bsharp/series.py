@@ -32,6 +32,11 @@ exp of the Lie derivative ∂_v, whose action on a tree sums over its
 substitute(v, method) = exact flow, over the distinct partition splits.
 Each solve is one loop of :mod:`bsharp.graded`, which picks its scalar
 domain (ints, Laurent polynomials or plain coefficients) from the method.
+The ``modifying-integrator`` command and ``simulate`` do not call
+:func:`modifying_integrator_series` for a tableau whose domain is ints or
+Laurent polynomials: :func:`bsharp.graded.modifying_integrator_of_tableau`
+solves its stages over edge cuts, in polynomial time, and falls back to
+this partition solve of the method's series for plain coefficients.
 
 Every operation reads the cached id tables of :mod:`bsharp.splits`
 (subtree, partition or edge-cut), whose rows name trees by int id and a
@@ -416,15 +421,20 @@ def modifying_integrator_series(
         raise SeriesError("modifying integrator needs a map-kind method series")
     u1: Coefficient = Fraction(1)
     if method.max_order >= 1:
-        u1 = method._coeffs[b"\x00"]
-        if not u1:
-            raise SingularMethodError(
-                "method coefficient of the one-node tree is zero; the triangular "
-                "solve would divide by it"
-            )
+        u1 = _check_u1(method._coeffs[b"\x00"])
     from . import graded
 
     return _counted(graded.modifying_integrator(method, u1, skip_zero))
+
+
+def _check_u1(u1: Coefficient) -> Coefficient:
+    """u1 = method(•), which the modifying integrator divides by, if nonzero."""
+    if not u1:
+        raise SingularMethodError(
+            "method coefficient of the one-node tree is zero; the triangular "
+            "solve would divide by it"
+        )
+    return u1
 
 
 def _counted(solved: tuple[TruncatedBSeries, int]) -> TruncatedBSeries:

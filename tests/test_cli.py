@@ -602,6 +602,24 @@ def test_implicit_tableau_cannot_be_simulated(tmp_path):
     assert "not explicit" in proc.stderr
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_a_refused_simulate_writes_nothing(tmp_path, to_file):
+    # the plan is checked and its field built before the header is written
+    # or the output file opened
+    tab = tmp_path / "implicit.json"
+    tab.write_text(json.dumps({"A": [["1/2"]], "b": ["1"], "c": ["1/2"]}))
+    out = tmp_path / "out.csv"
+    proc = run_cli(
+        "simulate", "--tableau", str(tab), "--ode-text", "vars p, q\np' = -q\nq' = p\n",
+        "--step", "0.1", "--t-max", "1", "--initial=1,0",
+        *(("--output", str(out)) if to_file else ()),
+    )
+    assert proc.returncode == 3
+    assert "not explicit" in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # numbers too long for Python's integer-to-text limit
 # ---------------------------------------------------------------------------

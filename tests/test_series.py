@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -445,17 +446,29 @@ _RESTART_TABLEAUX = {
     [
         (solve, name)
         for name in _RESTART_TABLEAUX
-        for solve in (modified_equation_series, modifying_integrator_series)
+        for solve in (
+            modified_equation_series, modifying_integrator_series,
+            graded.modifying_integrator_of_tableau,
+        )
     ],
     ids=[
         "modified_equation_series", "modifying_integrator_series",
+        "modifying_integrator_of_tableau",
         "modified_equation_series-symbolic", "modifying_integrator_series-symbolic",
+        "modifying_integrator_of_tableau-symbolic",
     ],
 )
 def test_a_too_small_scale_restarts_to_the_same_result(monkeypatch, solve, name):
     # Start from the radical of the derived scale: every prime of every true
-    # denominator, each once, so λ^2 holds only 2^2 and 7^2.
-    method = rk_series(_RESTART_TABLEAUX[name], 5)
+    # denominator, each once, so λ^2 holds only 2^2 and 7^2.  The stage
+    # recursion of the modifying integrator reads the tableau, not its
+    # series, and restarts to the partition solve's result.
+    tab = _RESTART_TABLEAUX[name]
+    if solve is graded.modifying_integrator_of_tableau:
+        solve, method = partial(solve, max_order=5), tab
+        assert solve(tab) == modifying_integrator_series(rk_series(tab, 5))
+    else:
+        method = rk_series(tab, 5)
     expected = solve(method)
     start, exact = graded._initial_scale, graded._exact
     remainders = []
@@ -475,6 +488,30 @@ def test_a_too_small_scale_restarts_to_the_same_result(monkeypatch, solve, name)
     assert [coeff_print(c) for _, c in got.items()] == [coeff_print(c) for _, c in expected.items()]
     assert all(type(c) is type(expected[t]) for t, c in got.items())
     assert all(type(c) is Fraction for _, c in got.items()) == (name == "rational")
+
+
+def test_laurent_difference_is_the_sum_with_the_negation():
+    # a - b equals a + b·(-1) term for term, down to no terms at all, with
+    # an int (a constant) on either side
+    def laurent(*terms):
+        return graded._Laurent({graded._pack(e): c for e, c in terms})
+
+    def terms(value):
+        if isinstance(value, graded._Laurent):
+            return value.terms
+        return {0: value} if value else {}
+
+    a = laurent(((0, 0), 3), ((1, -1), 2), ((0, 2), -5))
+    b = laurent(((1, -1), 2), ((2, 0), 7))
+    three = laurent(((0, 0), 3))
+    for x, y in [
+        (a, b), (b, a), (a, a), (a, 3), (3, a), (a, 0), (0, a), (three, 3), (3, three),
+        (laurent(), a), (a, laurent()), (laurent(), 3),
+    ]:
+        assert terms(x - y) == terms(x + y * -1), (x, y)
+    assert terms(a - a) == terms(three - 3) == {}
+    expected = (((0, 0), 3), ((0, 2), -5), ((2, 0), -7))
+    assert terms(a - b) == {graded._pack(e): c for e, c in expected}
 
 
 # a two-parameter family of the kind the symbolic benchmark jobs use
