@@ -4,9 +4,12 @@ A tiny CAS: constants (exact rationals), numbered variables, n-ary sums and
 products, and integer powers (negative powers stand for division).  Every
 node is hash-consed — structurally equal expressions are the *same object* —
 so equality is ``is``, dictionaries keyed by subexpressions are cheap, and
-evaluation/differentiation memoize by identity.  The intern table lives for
-the process; at the scale this package works at (vector fields of small ODE
-systems differentiated a handful of times) that is the right trade.
+evaluation/differentiation memoize by identity.  Each kind has an intern
+table for the process, keyed so that no lookup hashes a ``Fraction``: a
+constant by (numerator, denominator), a variable by its index, a sum by its
+term tuple, a product by its factor tuple and a power by (base, exponent);
+a tuple of nodes hashes by identity.  At the scale this package works at
+(vector fields of small ODE systems) keeping them is the right trade.
 
 Normalization at construction keeps the DAG small and canonical: sums and
 products flatten and fold their constants, like terms in a sum collect
@@ -25,7 +28,9 @@ shared nodes that later occurrences still await.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from math import prod
+from operator import attrgetter
+from typing import Callable, Optional, Sequence
 
 # hashlib.blake2b is this built-in one; importing hashlib would also load
 # OpenSSL's _hashlib, which nothing here uses
@@ -34,16 +39,14 @@ from _blake2 import blake2b
 from .coefficients import _rat_latex, is_rational, latex_name
 from .errors import CoefficientError
 
-_intern: dict = {}
+# the intern tables, one per kind, keyed as the module docstring says
+_consts, _vars, _sums, _prods, _powers = {}, {}, {}, {}, {}
 
 
 class Expression:
     """Base class; instances are interned, compare by identity."""
 
     __slots__ = ("_digest", "_rank")
-
-    def _key(self):
-        return (self._rank, self._digest)
 
     # arithmetic sugar; every route funnels into the normalizing builders
     def __add__(self, other):
@@ -122,41 +125,42 @@ def _digest(payload: bytes) -> bytes:
     return blake2b(payload, digest_size=16).digest()
 
 
-def _intern_node(key, build):
-    node = _intern.get(key)
-    if node is None:
-        node = build()
-        _intern[key] = node
+def _new(kind: type, rank: int, payload: bytes) -> Expression:
+    node = object.__new__(kind)
+    node._rank = rank
+    node._digest = _digest(payload)
     return node
 
 
+#: the order of a normalized node's children: by kind, then by digest
+_order = attrgetter("_rank", "_digest")
+
+
 def const(value) -> Const:
-    value = Fraction(value)
-    key = ("c", value)
-
-    def build():
-        node = Const.__new__(Const)
+    if type(value) is int:
+        key = (value, 1)
+    else:
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        key = (value.numerator, value.denominator)
+    node = _consts.get(key)
+    if node is None:
+        value = Fraction(value)
+        node = _new(Const, 0, b"c" + str(value).encode())
         node.value = value
-        node._rank = 0
-        node._digest = _digest(b"c" + str(value).encode())
-        return node
-
-    return _intern_node(key, build)
+        _consts[key] = node
+    return node
 
 
 def variable(index: int) -> Var:
-    if index < 0:
-        raise ValueError("variable index must be non-negative")
-    key = ("v", index)
-
-    def build():
-        node = Var.__new__(Var)
+    node = _vars.get(index)
+    if node is None:
+        if index < 0:
+            raise ValueError("variable index must be non-negative")
+        node = _new(Var, 1, b"v%d" % index)
         node.index = index
-        node._rank = 1
-        node._digest = _digest(b"v%d" % index)
-        return node
-
-    return _intern_node(key, build)
+        _vars[index] = node
+    return node
 
 
 _ZERO = const(0)
@@ -174,63 +178,60 @@ def _as_expr(value):
 
 def add_all(parts: Sequence[Expression]) -> Expression:
     """Sum with flattening, constant folding, and like-term collection."""
-    constant = Fraction(0)
-    collected: dict[Expression, Fraction] = {}
-    order: list[Expression] = []
-
-    def absorb(part: Expression, scale: Fraction) -> None:
-        nonlocal constant
-        if isinstance(part, Const):
-            constant += scale * part.value
-            return
-        if isinstance(part, Sum):
-            for term in part.terms:
-                absorb(term, scale)
-            return
-        if isinstance(part, Prod) and isinstance(part.factors[0], Const):
-            coeff = scale * part.factors[0].value
-            rest = part.factors[1:]
-            body = rest[0] if len(rest) == 1 else _raw_prod(rest)
-        else:
-            coeff = scale
-            body = part
-        if body in collected:
-            collected[body] += coeff
-        else:
-            collected[body] = coeff
-            order.append(body)
-
+    scalars: list[Const] = []
+    # the terms of each like-term body, in first-seen order; a body is keyed
+    # by itself, or by its factor tuple when it is a product
+    groups: dict[object, list[Expression]] = {}
     for part in parts:
-        absorb(part, Fraction(1))
+        for term in part.terms if type(part) is Sum else (part,):
+            kind = type(term)
+            if kind is Const:
+                scalars.append(term)
+                continue
+            if kind is Prod:
+                key = term.factors
+                if type(key[0]) is Const:
+                    key = key[1] if len(key) == 2 else key[1:]
+            else:
+                key = term
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [term]
+            else:
+                group.append(term)
 
     terms: list[Expression] = []
-    for body in order:
-        coeff = collected[body]
+    for key, group in groups.items():
+        if len(group) == 1:  # a lone term is already its own normal form
+            terms.append(group[0])
+            continue
+        coeff = sum(
+            t.factors[0].value if type(t) is Prod and type(t.factors[0]) is Const else 1
+            for t in group
+        )
         if coeff == 0:
             continue
-        if coeff == 1:
-            terms.append(body)
-        elif isinstance(body, Prod):
-            terms.append(_raw_prod((const(coeff),) + body.factors))
-        else:
-            terms.append(_raw_prod((const(coeff), body)))
-    terms.sort(key=lambda t: t._key())
-    if constant != 0:
-        terms.append(const(constant))  # constants read best last: "p - 1"
-    if not terms:
-        return _ZERO
+        body = key if type(key) is tuple else (key,)
+        terms.append(_raw_prod(body) if coeff == 1 else _raw_prod((const(coeff),) + body))
+    terms.sort(key=_order)
+    if scalars:
+        constant = scalars[0] if len(scalars) == 1 else const(sum(c.value for c in scalars))
+        if constant is not _ZERO:
+            terms.append(constant)  # constants read best last: "p - 1"
+    return _raw_sum(tuple(terms)) if terms else _ZERO
+
+
+def _raw_sum(terms: tuple[Expression, ...]) -> Expression:
+    """Intern an already-normalized term tuple (no nested Sum, like terms
+    collected, sorted, at most one trailing Const)."""
     if len(terms) == 1:
         return terms[0]
-    key = ("s", tuple(terms))
-
-    def build():
-        node = Sum.__new__(Sum)
-        node.terms = tuple(terms)
-        node._rank = 4
-        node._digest = _digest(b"s" + b"".join(t._digest for t in terms))
-        return node
-
-    return _intern_node(key, build)
+    node = _sums.get(terms)
+    if node is None:
+        node = _new(Sum, 4, b"s" + b"".join([t._digest for t in terms]))
+        node.terms = terms
+        _sums[terms] = node
+    return node
 
 
 def _raw_prod(factors: tuple[Expression, ...]) -> Expression:
@@ -238,76 +239,50 @@ def _raw_prod(factors: tuple[Expression, ...]) -> Expression:
     invariants: no nested Prod, at most one leading Const, sorted rest)."""
     if len(factors) == 1:
         return factors[0]
-    key = ("p", factors)
-
-    def build():
-        node = Prod.__new__(Prod)
+    node = _prods.get(factors)
+    if node is None:
+        node = _new(Prod, 3, b"p" + b"".join([f._digest for f in factors]))
         node.factors = factors
-        node._rank = 3
-        node._digest = _digest(b"p" + b"".join(f._digest for f in factors))
-        return node
-
-    return _intern_node(key, build)
+        _prods[factors] = node
+    return node
 
 
 def mul_all(parts: Sequence[Expression]) -> Expression:
     """Product with flattening, folding, and power collection."""
-    constant = Fraction(1)
-    powers: dict[Expression, int] = {}
-    order: list[Expression] = []
-
-    def absorb(part: Expression) -> None:
-        nonlocal constant
-        if isinstance(part, Const):
-            constant *= part.value
-            return
-        if isinstance(part, Prod):
-            for factor in part.factors:
-                absorb(factor)
-            return
-        if isinstance(part, Power):
-            base, e = part.base, part.exponent
-        else:
-            base, e = part, 1
-        if base in powers:
-            powers[base] += e
-        else:
-            powers[base] = e
-            order.append(base)
-
+    scalars: list[Const] = []
+    powers: dict[Expression, int] = {}  # base -> exponent, in first-seen order
     for part in parts:
-        absorb(part)
-    if constant == 0:
-        return _ZERO
+        for factor in part.factors if type(part) is Prod else (part,):
+            kind = type(factor)
+            if kind is Const:
+                if factor is _ZERO:
+                    return _ZERO
+                if factor is not _ONE:
+                    scalars.append(factor)
+            elif kind is Power:
+                base = factor.base
+                powers[base] = powers.get(base, 0) + factor.exponent
+            else:
+                powers[factor] = powers.get(factor, 0) + 1
 
-    factors: list[Expression] = []
-    for base in order:
-        e = powers[base]
-        if e == 0:
-            continue
-        factors.append(base if e == 1 else _raw_power(base, e))
-    factors.sort(key=lambda f: f._key())
-    if constant != 1:
-        factors.insert(0, const(constant))
-    if not factors:
-        return _ONE
-    if len(factors) == 1:
-        return factors[0]
-    return _raw_prod(tuple(factors))
+    factors = [base if e == 1 else _raw_power(base, e) for base, e in powers.items() if e]
+    factors.sort(key=_order)
+    if scalars:
+        constant = scalars[0] if len(scalars) == 1 else const(prod([c.value for c in scalars]))
+        if constant is not _ONE:
+            factors.insert(0, constant)
+    return _raw_prod(tuple(factors)) if factors else _ONE
 
 
 def _raw_power(base: Expression, exponent: int) -> Expression:
-    key = ("w", base, exponent)
-
-    def build():
-        node = Power.__new__(Power)
+    key = (base, exponent)
+    node = _powers.get(key)
+    if node is None:
+        node = _new(Power, 2, b"w" + base._digest + b"%d" % exponent)
         node.base = base
         node.exponent = exponent
-        node._rank = 2
-        node._digest = _digest(b"w" + base._digest + b"%d" % exponent)
-        return node
-
-    return _intern_node(key, build)
+        _powers[key] = node
+    return node
 
 
 def power(base: Expression, exponent: int) -> Expression:
@@ -316,7 +291,7 @@ def power(base: Expression, exponent: int) -> Expression:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        if base.value == 0 and exponent < 0:
+        if base is _ZERO and exponent < 0:
             raise CoefficientError("zero raised to a negative power")
         return const(base.value ** exponent)
     if isinstance(base, Power):
@@ -330,13 +305,15 @@ def power(base: Expression, exponent: int) -> Expression:
 # calculus and evaluation
 # ---------------------------------------------------------------------------
 
-_diff_memo: dict[tuple[Expression, int], Expression] = {}
-
-
-def differentiate(expr: Expression, index: int) -> Expression:
-    """Partial derivative with respect to variable ``index``."""
+def differentiate(
+    expr: Expression, index: int, memo: Optional[dict] = None
+) -> Expression:
+    """Partial derivative with respect to variable ``index``.  ``memo`` maps
+    (node, index) to derivatives already taken; without one, a fresh dict."""
+    if memo is None:
+        memo = {}
     key = (expr, index)
-    out = _diff_memo.get(key)
+    out = memo.get(key)
     if out is not None:
         return out
     if isinstance(expr, Const):
@@ -344,18 +321,18 @@ def differentiate(expr: Expression, index: int) -> Expression:
     elif isinstance(expr, Var):
         out = _ONE if expr.index == index else _ZERO
     elif isinstance(expr, Sum):
-        out = add_all([differentiate(t, index) for t in expr.terms])
+        out = add_all([differentiate(t, index, memo) for t in expr.terms])
     elif isinstance(expr, Prod):
         pieces = []
         for i, factor in enumerate(expr.factors):
-            d = differentiate(factor, index)
+            d = differentiate(factor, index, memo)
             if d is _ZERO:
                 continue
             rest = expr.factors[:i] + expr.factors[i + 1:]
             pieces.append(mul_all(rest + (d,)))
         out = add_all(pieces)
     elif isinstance(expr, Power):
-        d = differentiate(expr.base, index)
+        d = differentiate(expr.base, index, memo)
         if d is _ZERO:
             out = _ZERO
         else:
@@ -364,7 +341,7 @@ def differentiate(expr: Expression, index: int) -> Expression:
             )
     else:  # pragma: no cover
         raise TypeError(f"not an expression: {expr!r}")
-    _diff_memo[key] = out
+    memo[key] = out
     return out
 
 
@@ -416,7 +393,7 @@ _FOLD_WIDTH = 64
 
 
 def compile_float(
-    outputs: Sequence, dimension: int
+    outputs: Sequence, dimension: int, labels: Sequence[str] = ()
 ) -> Callable[[Sequence[float]], list[float]]:
     """Lower the float evaluation of several outputs into one function.
 
@@ -431,7 +408,10 @@ def compile_float(
     gives at a float point, bit for bit, and a failure raises the same
     exception: ``ZeroDivisionError`` for a zero base with a negative
     exponent, ``OverflowError`` from ``**``.  A variable outside
-    ``dimension`` raises ``IndexError`` here, not at call time.
+    ``dimension`` raises ``IndexError`` here, not at call time, and a
+    constant or weight beyond the range of a double raises
+    :class:`CoefficientError`, naming the output by its label in
+    ``labels`` (by its index when it has none).
     """
     namespace: dict[str, object] = {}
     names: dict[Expression, str] = {}
@@ -477,14 +457,20 @@ def compile_float(
 
     results: list[str] = []
     for i, output in enumerate(outputs):
-        if isinstance(output, Expression):
-            results.append(name_of(output))
-            continue
-        terms = ["0.0"]
-        for weight, expr in output:
-            w = f"w{len(namespace)}"
-            namespace[w] = float(weight)
-            terms.append(f"{w} * {name_of(expr)}")
+        try:
+            if isinstance(output, Expression):
+                results.append(name_of(output))
+                continue
+            terms = ["0.0"]
+            for weight, expr in output:
+                w = f"w{len(namespace)}"
+                namespace[w] = float(weight)
+                terms.append(f"{w} * {name_of(expr)}")
+        except OverflowError:  # float() of a number past the double range
+            label = labels[i] if i < len(labels) else i
+            raise CoefficientError(
+                f"component {label} has a constant that does not fit a double"
+            ) from None
         fold(f"o{i}", terms, " + ")
         results.append(f"o{i}")
 
@@ -508,20 +494,22 @@ def format_expression(
     Text output uses ``*`` and ``^`` and parses back through the ODE
     expression grammar; LaTeX uses ``\\frac`` for fractional constants.
 
-    A node prints the same *core* text wherever it occurs; only the
-    parentheses around it depend on whether it stands in a sum, a product
-    or under a power.  One pass counts how often each distinct node is
-    used, then each core is built once, bottom up, and wrapped at every
-    use.  The cost is linear in the number of distinct nodes plus the
-    length of the output.  A core is kept only while a later use still
-    awaits it, so beyond its result the call holds just the shared texts
-    not yet consumed.
+    A node prints the same text wherever it occurs; only the parentheses
+    around it depend on whether it stands in a sum, a product or under a
+    power.  One pass counts how often each distinct node is used; the
+    second writes the output as a list of fragments, joined once at the
+    end, and joins the text of a node used more than once into one string
+    that its later uses reuse.  So the cost is linear in the number of
+    distinct nodes plus the length of the output, and only shared texts
+    are copied before the final join.  A shared text is kept only while a
+    later use still awaits it.
     """
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown expression format {fmt!r}")
     latex = fmt == "latex"
     number = _rat_latex if latex else str
     sep = " " if latex else "*"
+    left, right = ("\\left(", "\\right)") if latex else ("(", ")")
 
     # uses of each distinct node: one per occurrence among the operands of a
     # distinct parent, plus one for the root
@@ -535,77 +523,85 @@ def format_expression(
                 uses[child] = 1
                 stack.append(child)
 
-    shared: dict[Expression, str] = {}  # cores of nodes with uses still due
-    cores: list[str] = []  # operand cores awaiting their parent
-    work: list = [(expr, False)]
+    # The text goes out as fragments, joined once.  The work stack holds, in
+    # reverse output order: nodes, literal strings, (term, None) for a sum
+    # term after the first, k for the sign of the term after the " + " at
+    # out[k], and (node, start) where a shared node's text ends.
+    out: list[str] = []
+    shared: dict[Expression, str] = {}  # texts of nodes with uses still due
+    work: list = [expr]
     while work:
-        node, expanded = work.pop()
-        if not expanded:
-            core = shared.get(node)
-            if core is None:
-                work.append((node, True))
-                work.extend((child, False) for child in reversed(_operands(node)))
-                continue
-            if uses[node] == 1:
-                del shared[node]
+        item = work.pop()
+        kind = type(item)
+        if kind is str:
+            out.append(item)
+        elif kind is int:  # a term's leading "-" becomes the operator
+            text = out[item + 1]
+            if text[:1] == "-":
+                out[item] = " - "
+                out[item + 1] = text[1:]
+        elif kind is tuple:
+            node, start = item
+            if start is None:
+                work += (len(out), node)
+                out.append(" + ")
             else:
+                text = "".join(out[start:])
+                out[start:] = [text]
+                shared[node] = text
                 uses[node] -= 1
-            cores.append(core)
-            continue
-        operands = _operands(node)
-        count = len(operands)
-        parts = cores[len(cores) - count:]
-        del cores[len(cores) - count:]
-        if isinstance(node, Const):
-            core = number(node.value)
-        elif isinstance(node, Var):
-            index = node.index
-            if index >= len(names):
-                core = f"y{index}"
+        elif item in shared:
+            out.append(shared[item])
+            if uses[item] == 1:
+                del shared[item]
             else:
-                core = latex_name(names[index]) if latex else names[index]
-        elif isinstance(node, Power):
-            base = _paren(parts[0], _needs_paren(operands[0], 2), latex)
-            core = f"{base}^{{{node.exponent}}}" if latex else f"{base}^{node.exponent}"
-        elif isinstance(node, Prod):
-            factors = [
-                _paren(part, _needs_paren(f, 1), latex)
-                for part, f in zip(parts, operands)
-            ]
-            if _signed(node):
-                magnitude = -node.factors[0].value
-                if magnitude != 1:
-                    factors.insert(0, number(magnitude))
-                core = "-" + sep.join(factors)
-            else:
-                core = sep.join(factors)
-        elif isinstance(node, Sum):
-            terms = [parts[0]]
-            for body in parts[1:]:
-                if body.startswith("-"):
-                    terms.append(f" - {body[1:]}")
+                uses[item] -= 1
+        else:
+            node = item
+            if uses[node] > 1:
+                work.append((node, len(out)))
+            if kind is Sum:
+                terms = node.terms
+                work += [(term, None) for term in reversed(terms[1:])]
+                work.append(terms[0])
+            elif kind is Prod:
+                factors = _operands(node)
+                if len(factors) < len(node.factors):  # signed: "-" in front
+                    out.append("-")
+                    if node.factors[0] is not _MINUS_ONE:
+                        out += (number(-node.factors[0].value), sep)
+                pieces: list = []
+                for factor in factors:
+                    pieces += (left, factor, right, sep) if _needs_paren(factor, 1) else (factor, sep)
+                pieces.pop()
+                work += reversed(pieces)
+            elif kind is Power:
+                base = node.base
+                tail = f"^{{{node.exponent}}}" if latex else f"^{node.exponent}"
+                work += (tail, right, base, left) if _needs_paren(base, 2) else (tail, base)
+            elif kind is Const:
+                out.append(number(node.value))
+            elif kind is Var:
+                index = node.index
+                if index >= len(names):
+                    out.append(f"y{index}")
                 else:
-                    terms.append(f" + {body}")
-            core = "".join(terms)
-        else:  # pragma: no cover
-            raise TypeError(f"not an expression: {node!r}")
-        if uses[node] > 1:
-            uses[node] -= 1
-            shared[node] = core
-        cores.append(core)
-    return cores[0]  # the root stands in a sum context: never parenthesized
+                    out.append(latex_name(names[index]) if latex else names[index])
+            else:  # pragma: no cover
+                raise TypeError(f"not an expression: {node!r}")
+    return "".join(out)  # the root stands in a sum context: never parenthesized
 
 
 def _signed(node: Prod) -> bool:
     """Whether a product leads with a negative constant.  It prints its
     sign in front and the constant's magnitude (unless 1) in place."""
     first = node.factors[0]
-    return isinstance(first, Const) and first.value < 0
+    return isinstance(first, Const) and first.value.numerator < 0
 
 
 def _operands(node: Expression) -> tuple:
-    """The children whose texts a node's core text joins (a signed
-    product's constant is printed by the product itself)."""
+    """The children whose texts a node's text joins (a signed product's
+    constant is printed by the product itself)."""
     if isinstance(node, Sum):
         return node.terms
     if isinstance(node, Prod):
@@ -616,19 +612,14 @@ def _operands(node: Expression) -> tuple:
 
 
 def _needs_paren(node: Expression, context: int) -> bool:
-    """Whether a node's core text needs parentheses in a context: 0 a sum
-    term, 1 a product factor, 2 a power base."""
+    """Whether a node's text needs parentheses in a context: 0 a sum term,
+    1 a product factor, 2 a power base."""
     if isinstance(node, Const):
         value = node.value
-        return (value < 0 and context >= 1) or (context == 2 and value.denominator != 1)
+        return (value.numerator < 0 and context >= 1) or (context == 2 and value.denominator != 1)
     if isinstance(node, Prod):
         return context == 2 or (context == 1 and _signed(node))
     if isinstance(node, Sum):
         return context >= 1
     return False
 
-
-def _paren(s: str, needed: bool, latex: bool) -> str:
-    if not needed:
-        return s
-    return f"\\left({s}\\right)" if latex else f"({s})"

@@ -179,8 +179,8 @@ def parse_ode(text: str) -> ODESystem:
         except ParseError:
             raise
         except ValueError as exc:
-            # a constant node is keyed by its text, which CPython refuses to
-            # write for an integer longer than its digit limit
+            # a constant node's digest hashes its text, which CPython refuses
+            # to write for an integer longer than its digit limit
             if "integer string conversion" not in str(exc):
                 raise
             raise ParseError(
@@ -221,6 +221,7 @@ class DiffCache:
     def __init__(self, system: ODESystem):
         self.system = system
         self._partials: dict[tuple[int, tuple[int, ...]], Expression] = {}
+        self._derivatives: dict = {}  # differentiate's memo for this system
         self._trees: dict[bytes, tuple[Expression, ...]] = {}
         self.tensor_builds = 0
         self.tree_builds = 0
@@ -233,7 +234,7 @@ class DiffCache:
         if out is None:
             if indices:
                 prefix = self.partial(component, indices[:-1])
-                out = differentiate(prefix, indices[-1])
+                out = differentiate(prefix, indices[-1], self._derivatives)
             else:
                 out = self.system.rhs[component]
             self.tensor_builds += 1
@@ -251,6 +252,7 @@ class DiffCache:
         if not children:
             out = self.system.rhs
         else:
+            partials = self._partials
             child_vals = [self.elementary(child) for child in children]
             components = []
             for j in range(n):
@@ -265,12 +267,13 @@ class DiffCache:
                             if value is _ZERO:
                                 continue
                             extended = tuple(sorted(indices + (k,)))
-                            if self.partial(j, extended) is _ZERO:
+                            # partial() only on a miss: it re-sorts the indices
+                            if (partials.get((j, extended)) or self.partial(j, extended)) is _ZERO:
                                 continue
                             grown.append((extended, factors + [value]))
                     branches = grown
                 components.append(add_all([
-                    mul_all([self.partial(j, indices)] + factors)
+                    mul_all([partials[j, indices]] + factors)
                     for indices, factors in branches
                 ]))
             out = tuple(components)

@@ -130,7 +130,7 @@ def _require_explicit(tab: ButcherTableau) -> None:
 
 def system_field(system: ODESystem) -> Field:
     """The right-hand side as a compiled float field."""
-    return compile_float(system.rhs, system.dimension)
+    return compile_float(system.rhs, system.dimension, system.variables)
 
 
 def graded_field(
@@ -149,7 +149,7 @@ def graded_field(
         [(step ** (degree - 1), expr) for degree, expr in component if degree != 0]
         for component in terms
     ]
-    return compile_float(weighted, system.dimension)
+    return compile_float(weighted, system.dimension, system.variables)
 
 
 def _rk_step(

@@ -655,6 +655,127 @@ class DiffCacheProductExpansion:
 
 
 # ---------------------------------------------------------------------------
+# expression normalization, by recursive absorption over Fractions
+# ---------------------------------------------------------------------------
+
+def const_by_fraction(value):
+    """The (value, digest) that ``expressions.const`` gave a constant when
+    it interned it under its ``Fraction``: every input is read as a
+    Fraction first, and the digest hashes that Fraction's text."""
+    from bsharp.expressions import _digest
+
+    value = Fraction(value)
+    return value, _digest(b"c" + str(value).encode())
+
+
+def _by_kind_and_digest(node):
+    return (node._rank, node._digest)
+
+
+def add_all_by_absorbing(parts):
+    """``expressions.add_all`` as it was before its flatten loop: a
+    recursive ``absorb`` with a Fraction scale, like terms collected by
+    body and constants folded in Fraction arithmetic.  Nodes come from the
+    module's constructors, so a result is the interned node itself."""
+    from bsharp.expressions import Const, Prod, Sum, _raw_prod, _raw_sum, const
+
+    constant = Fraction(0)
+    collected = {}
+    order = []
+
+    def absorb(part, scale):
+        nonlocal constant
+        if isinstance(part, Const):
+            constant += scale * part.value
+            return
+        if isinstance(part, Sum):
+            for term in part.terms:
+                absorb(term, scale)
+            return
+        if isinstance(part, Prod) and isinstance(part.factors[0], Const):
+            coeff = scale * part.factors[0].value
+            rest = part.factors[1:]
+            body = rest[0] if len(rest) == 1 else _raw_prod(rest)
+        else:
+            coeff = scale
+            body = part
+        if body in collected:
+            collected[body] += coeff
+        else:
+            collected[body] = coeff
+            order.append(body)
+
+    for part in parts:
+        absorb(part, Fraction(1))
+
+    terms = []
+    for body in order:
+        coeff = collected[body]
+        if coeff == 0:
+            continue
+        if coeff == 1:
+            terms.append(body)
+        elif isinstance(body, Prod):
+            terms.append(_raw_prod((const(coeff),) + body.factors))
+        else:
+            terms.append(_raw_prod((const(coeff), body)))
+    terms.sort(key=_by_kind_and_digest)
+    if constant != 0:
+        terms.append(const(constant))
+    if not terms:
+        return const(0)
+    return _raw_sum(tuple(terms))
+
+
+def mul_all_by_absorbing(parts):
+    """``expressions.mul_all`` as it was before its flatten loop: a
+    recursive ``absorb`` that multiplies constants as Fractions and sums
+    the exponents of each base."""
+    from bsharp.expressions import Const, Power, Prod, _raw_power, _raw_prod, const
+
+    constant = Fraction(1)
+    powers = {}
+    order = []
+
+    def absorb(part):
+        nonlocal constant
+        if isinstance(part, Const):
+            constant *= part.value
+            return
+        if isinstance(part, Prod):
+            for factor in part.factors:
+                absorb(factor)
+            return
+        if isinstance(part, Power):
+            base, e = part.base, part.exponent
+        else:
+            base, e = part, 1
+        if base in powers:
+            powers[base] += e
+        else:
+            powers[base] = e
+            order.append(base)
+
+    for part in parts:
+        absorb(part)
+    if constant == 0:
+        return const(0)
+
+    factors = []
+    for base in order:
+        e = powers[base]
+        if e == 0:
+            continue
+        factors.append(base if e == 1 else _raw_power(base, e))
+    factors.sort(key=_by_kind_and_digest)
+    if constant != 1:
+        factors.insert(0, const(constant))
+    if not factors:
+        return const(1)
+    return _raw_prod(tuple(factors))
+
+
+# ---------------------------------------------------------------------------
 # expression printing, as a tree walk
 # ---------------------------------------------------------------------------
 
@@ -663,11 +784,16 @@ def format_expression_tree_walk(expr, names, fmt="text"):
     once: a recursive walk that renders every occurrence of a shared node
     again, in its context."""
     from bsharp.coefficients import latex_name
-    from bsharp.expressions import Const, Power, Prod, Sum, Var, _paren, const
+    from bsharp.expressions import Const, Power, Prod, Sum, Var, const
 
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown expression format {fmt!r}")
     latex = fmt == "latex"
+
+    def paren(s: str, needed: bool) -> str:
+        if not needed:
+            return s
+        return f"\\left({s}\\right)" if latex else f"({s})"
 
     def name_of(index: int) -> str:
         if index < len(names):
@@ -686,7 +812,7 @@ def format_expression_tree_walk(expr, names, fmt="text"):
             needs = node.value < 0 and context >= 1
             if context == 2 and Fraction(node.value).denominator != 1:
                 needs = True
-            return _paren(s, needs, latex)
+            return paren(s, needs)
         if isinstance(node, Var):
             return name_of(node.index)
         if isinstance(node, Power):
@@ -705,7 +831,7 @@ def format_expression_tree_walk(expr, names, fmt="text"):
             s = sep.join(render(f, 1) for f in factors)
             if neg:
                 s = "-" + s
-            return _paren(s, context == 2 or (neg and context == 1), latex)
+            return paren(s, context == 2 or (neg and context == 1))
         if isinstance(node, Sum):
             parts = []
             for term in node.terms:
@@ -716,7 +842,7 @@ def format_expression_tree_walk(expr, names, fmt="text"):
                     parts.append(f" - {body[1:]}")
                 else:
                     parts.append(f" + {body}")
-            return _paren("".join(parts), context >= 1, latex)
+            return paren("".join(parts), context >= 1)
         raise TypeError(f"not an expression: {node!r}")  # pragma: no cover
 
     return render(expr, 0)

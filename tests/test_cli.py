@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -542,6 +543,37 @@ def test_simulate_refuses_more_rows_than_it_may_write():
     assert line.startswith("error:") and "1000000000000000001 rows" in line
 
 
+@pytest.mark.parametrize(
+    "ode, extra",
+    [
+        ("x' = 10^400*x", ()),
+        ("x' = 10^400*x", ("--reference",)),
+        ("x' = 10^400*x", ("--modified-order", "2")),
+        ("x' = 10^400*x", ("--modified-order", "2", "--modifying-integrator")),
+        # the field fits, but its order-3 modified field has constants past 10^400
+        ("x' = 10^200*x^2", ("--modified-order", "3")),
+    ],
+)
+def test_simulate_refuses_a_constant_past_the_double_range(tmp_path, ode, extra):
+    target = tmp_path / "rows.csv"
+    proc = run_cli(
+        "simulate", "--tableau", "midpoint", "--ode-text", f"vars y, x; y' = -y; {ode}",
+        "--step", "0.1", "--t-max", "0.2", "--initial", "0,1e-210",
+        "--output", str(target), *extra,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == "" and not target.exists()
+    assert proc.stderr == "error: component x has a constant that does not fit a double\n"
+
+
+def test_simulate_runs_a_field_whose_constants_fit():
+    out = run_ok(
+        "simulate", "--tableau", "midpoint", "--ode-text", "vars x; x' = 10^200*x^2",
+        "--step", "0.1", "--t-max", "0.2", "--initial", "1e-210",
+    )
+    assert out.splitlines()[0] == "t,x" and len(out.splitlines()) == 4
+
+
 def test_simulate_input_errors():
     proc = run_cli(
         "simulate", "--tableau", "euler", "--ode-text", "vars y\ny' = y\n",
@@ -568,6 +600,60 @@ def test_simulate_modified_order_mode_runs():
         "--modified-order", "3",
     )
     assert len(out.splitlines()) == 4  # header + 3 grid points... 0, .5, 1
+
+
+# ---------------------------------------------------------------------------
+# vector-field output, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+_CUBIC3 = "vars u, v, w; u' = 1/2*v - 1/3*u*w*v; v' = -1/2*w + 1/3*v*u; w' = 1/2*u - 1/3*w*v"
+_QUAD4 = (
+    "vars a, b, c, d; a' = 1/2*b - 1/3*a*c; b' = -1/2*c + 1/3*b*d; "
+    "c' = 1/2*d - 1/3*c*a; d' = -1/2*a + 1/3*d*b"
+)
+_QUAD3 = "vars u, v, w; u' = 1/2*v - 1/3*u*w; v' = -1/2*w + 1/3*v*u; w' = 1/2*u - 1/3*w*v"
+_CUBIC4 = (
+    "vars a, b, c, d; a' = 1/2*b - 1/3*a*c*b; b' = -1/2*c + 1/3*b*d; "
+    "c' = 1/2*d - 1/3*c*a; d' = -1/2*a + 1/3*d*b"
+)
+
+# sha256 of stdout at order 6 for the four job kinds of the perfbench
+# field_text workload, recorded before the expression builders and the
+# printer were rewritten for speed; the DAG and its text must not change
+_FIELD_DIGESTS = {
+    ("modified-equation", "midpoint", _CUBIC3): {
+        "text": "4c7fc68136f8f4716b62fb8b04e66eafc307ba71e1248e7b86310a1af79dbe7a",
+        "json": "f465f4ec2cdad4b6bc2b52d4fbc65f945c2e5c0a56defed3a77e0f00c51b8603",
+        "latex": "407c018a715d4ae5aacbab692f7043be4a4bb8af239ce60f3b86567c72e82f6b",
+    },
+    ("modifying-integrator", "rk4", _QUAD4): {
+        "text": "8f77373f6c53a2cb289ac3097a3a50241fa9204b1f11844af03d6fc756718a13",
+        "json": "f3c02302a2711a2f84d9e7c56b4a1f8aad38710b414944eeaf09a884a45957da",
+        "latex": "2f000f62fa25e9d76ee94bb00dc4017ffdd2c825fe97159e0d985eb5eb7db063",
+    },
+    ("modifying-integrator", "rk4", _QUAD3): {
+        "text": "d90e3218d6e360bab27771c8d67c8d9ab5978c9d7e8f2128bc9c0df245800dd9",
+        "json": "f00646163e735834ef0070a880bb21b3532fb9320601431e66fafd2a78ce597c",
+        "latex": "9ad5f77bd6ba5c5d7fcd640a201dcecaa1434c4e4db9fe13b386485dfeb53315",
+    },
+    ("modified-equation", "midpoint", _CUBIC4): {
+        "text": "1d42ed250c470f5fda2e0595e3bdd81acd0bc60a5b8a2e39af6fbcddda49181e",
+        "json": "01a3569b89168ed5f3381708ca1fc72e64627a70785fc165a25a52af49888144",
+        "latex": "23342e9340dced138ba85301dbdaef96ccf81c9b436940ea93e3d232bb799aaa",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", list(_FIELD_DIGESTS))
+def test_field_output_is_byte_identical(kind, capsys):
+    from bsharp.cli import main
+
+    command, tableau, ode = kind
+    for fmt, digest in _FIELD_DIGESTS[kind].items():
+        argv = [command, "--tableau", tableau, "--order", "6", "--ode-text", ode, "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, tableau, fmt)
 
 
 # ---------------------------------------------------------------------------

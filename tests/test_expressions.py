@@ -26,7 +26,12 @@ from bsharp.expressions import (
     variable,
 )
 
-from oracles import format_expression_tree_walk
+from oracles import (
+    add_all_by_absorbing,
+    const_by_fraction,
+    format_expression_tree_walk,
+    mul_all_by_absorbing,
+)
 
 P, Q = variable(0), variable(1)
 NAMES = ("p", "q")
@@ -83,6 +88,79 @@ def test_power_folds_and_distributes():
         power(const(0), -1)
 
 
+@given(st.one_of(
+    st.integers(-(10**40), 10**40),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+    st.fractions().map(str),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+))
+def test_constants_intern_by_their_fraction(value):
+    # a constant is keyed by (numerator, denominator); the node must be the
+    # one its Fraction names, with the value and digest it always had
+    node = const(value)
+    fraction, digest = const_by_fraction(value)
+    assert type(node.value) is Fraction and node.value == fraction
+    assert node._digest == digest
+    assert const(fraction) is node
+    assert const(Fraction(fraction.numerator * 3, fraction.denominator * 3)) is node
+
+
+_SHAPE_LEAVES = [
+    P, Q, variable(2), const(0), const(1), const(-1), const(3),
+    const(Fraction(-3, 2)), const(Fraction(1, 3)), power(P, -1), power(Q, 2),
+    mul_all([const(-1), P]), mul_all([const(Fraction(2, 5)), P, Q]), add_all([P, const(1)]),
+]
+
+
+@st.composite
+def operand_lists(draw):
+    """Operands drawn from a pool that grows by the builders' own results:
+    nested sums and products, negative exponents, negative and fractional
+    constants.  Half of the list may come back negated or inverted, so sums
+    cancel to 0 and products to 1."""
+    pool = list(_SHAPE_LEAVES)
+    for _ in range(draw(st.integers(0, 8))):
+        picks = draw(st.lists(st.sampled_from(pool), max_size=4))
+        kind = draw(st.sampled_from(["add", "mul", "pow"]))
+        if kind == "add":
+            pool.append(add_all(picks))
+        elif kind == "mul":
+            pool.append(mul_all(picks))
+        else:
+            try:
+                pool.append(power(add_all(picks), draw(st.sampled_from([-2, -1, 2, 3]))))
+            except CoefficientError:  # a zero base with a negative exponent
+                pass
+    operands = draw(st.lists(st.sampled_from(pool), max_size=6))
+    mirror = draw(st.sampled_from(["none", "negate", "invert"]))
+    if mirror == "negate":
+        operands += [mul_all([const(-1), op]) for op in operands[::2]]
+    elif mirror == "invert":
+        operands += [power(op, -1) for op in operands[::2] if op is not const(0)]
+    return operands
+
+
+@given(operand_lists())
+def test_builders_return_the_nodes_absorption_gives(operands):
+    assert add_all(operands) is add_all_by_absorbing(operands)
+    assert mul_all(operands) is mul_all_by_absorbing(operands)
+
+
+def test_builders_cancel_to_zero_and_one():
+    s = add_all([P, power(Q, -2), const(Fraction(-1, 2))])
+    for x in (P, power(Q, -2), mul_all([const(Fraction(-2, 3)), P, power(Q, -1)])):
+        negated = [x, mul_all([const(-1), x])]
+        assert add_all(negated) is const(0) is add_all_by_absorbing(negated)
+    # products do not expand over sums: a sum cancels term by term
+    negated = [s] + [mul_all([const(-1), t]) for t in s.terms]
+    assert add_all(negated) is const(0) is add_all_by_absorbing(negated)
+    for x in (P, s, mul_all([const(Fraction(-2, 3)), P, power(Q, -1)])):
+        inverted = [x, power(x, -1)]
+        assert mul_all(inverted) is const(1) is mul_all_by_absorbing(inverted)
+
+
 def test_node_kinds():
     assert isinstance(const(2), Const)
     assert isinstance(P, Var)
@@ -119,6 +197,15 @@ def test_power_and_chain_rule():
     d = differentiate(inv, 0)
     assert d is mul_all([const(-2), P, power(s, -2)])
     assert differentiate(power(P, 3), 0) is mul_all([const(3), power(P, 2)])
+
+
+def test_derivative_memo_belongs_to_the_caller():
+    s = power(add_all([power(P, 2), Q]), -2)
+    memo = {}
+    d = differentiate(s, 0, memo)
+    assert memo[s, 0] is d and len(memo) > 1
+    assert differentiate(s, 0) is d  # a call without a memo starts a fresh one
+    assert differentiate(s, 0, memo) is d
 
 
 def test_derivatives_commute():

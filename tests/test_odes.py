@@ -292,6 +292,14 @@ def _reachable(root):
     return seen
 
 
+def test_order8_cubic_field_keeps_its_dag():
+    # the distinct nodes of the order-8 midpoint field of CUBIC4, which a
+    # traced perfbench field_text job reads as expressions.dag_nodes; a
+    # builder that normalizes differently builds a different DAG
+    names, fields = step_fields(CUBIC4, 8)
+    assert len(set().union(*map(_reachable, fields))) == 2164
+
+
 def test_field_printing_formats_each_constant_once(monkeypatch):
     names, fields = step_fields(CUBIC4, 6)
     calls = 0
