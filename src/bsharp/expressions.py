@@ -21,7 +21,7 @@ same computation prints the same way in every run.
 Printing walks the DAG, not the tree it stands for: each distinct node's
 text is built once and reused at every occurrence, so
 :func:`format_expression` costs time linear in the distinct nodes plus the
-length of the output, and holds beyond its result only the texts of
+length of their texts, and holds beyond its result only the texts of
 shared nodes that later occurrences still await.
 """
 
@@ -182,11 +182,17 @@ def add_all(parts: Sequence[Expression]) -> Expression:
     # the terms of each like-term body, in first-seen order; a body is keyed
     # by itself, or by its factor tuple when it is a product
     groups: dict[object, list[Expression]] = {}
+    # a sum may hold a sum (like terms c*S that collect to coefficient 1 leave
+    # the sum S itself), so the loop also visits the sums met among the terms
+    parts = list(parts)
     for part in parts:
         for term in part.terms if type(part) is Sum else (part,):
             kind = type(term)
             if kind is Const:
                 scalars.append(term)
+                continue
+            if kind is Sum:
+                parts.append(term)
                 continue
             if kind is Prod:
                 key = term.factors
@@ -405,13 +411,14 @@ def compile_float(
     it; constants and weights become floats once and reach the code
     through its namespace.  Sums and products fold left and a power stays
     ``base ** exponent``, so the results are the floats ``eval_expression``
-    gives at a float point, bit for bit, and a failure raises the same
-    exception: ``ZeroDivisionError`` for a zero base with a negative
-    exponent, ``OverflowError`` from ``**``.  A variable outside
-    ``dimension`` raises ``IndexError`` here, not at call time, and a
-    constant or weight beyond the range of a double raises
-    :class:`CoefficientError`, naming the output by its label in
-    ``labels`` (by its index when it has none).
+    gives at a float point, bit for bit, and a failure at call time raises
+    the same exception: ``ZeroDivisionError`` for a zero base with a
+    negative exponent, ``OverflowError`` from ``**``.  Two failures come
+    here, when the function is built, and not at call time: a variable
+    outside ``dimension`` raises ``IndexError``, and a constant or weight
+    beyond the range of a double raises :class:`CoefficientError`, naming
+    the output by its label in ``labels`` (by its index when it has none),
+    where ``eval_expression`` raises ``OverflowError`` from ``float()``.
     """
     namespace: dict[str, object] = {}
     names: dict[Expression, str] = {}
@@ -494,15 +501,14 @@ def format_expression(
     Text output uses ``*`` and ``^`` and parses back through the ODE
     expression grammar; LaTeX uses ``\\frac`` for fractional constants.
 
-    A node prints the same text wherever it occurs; only the parentheses
-    around it depend on whether it stands in a sum, a product or under a
-    power.  One pass counts how often each distinct node is used; the
-    second writes the output as a list of fragments, joined once at the
-    end, and joins the text of a node used more than once into one string
-    that its later uses reuse.  So the cost is linear in the number of
-    distinct nodes plus the length of the output, and only shared texts
-    are copied before the final join.  A shared text is kept only while a
-    later use still awaits it.
+    A node prints the same *core* text wherever it occurs; only the
+    parentheses around it depend on whether it stands in a sum, a product
+    or under a power.  One pass counts how often each distinct node is
+    used, then each core is built once, bottom up, by one join of its
+    operands' cores.  The cost is linear in the number of distinct nodes
+    plus the length of their cores.  A core is kept only while a later use
+    still awaits it, so beyond its result the call holds just the shared
+    texts not yet consumed.
     """
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown expression format {fmt!r}")
@@ -511,85 +517,84 @@ def format_expression(
     sep = " " if latex else "*"
     left, right = ("\\left(", "\\right)") if latex else ("(", ")")
 
-    # uses of each distinct node: one per occurrence among the operands of a
-    # distinct parent, plus one for the root
+    # the operands of each distinct node, and its uses: one per occurrence
+    # among the operands of a distinct parent, plus one for the root
+    operands: dict[Expression, tuple] = {}
     uses: dict[Expression, int] = {expr: 1}
     stack = [expr]
     while stack:
-        for child in _operands(stack.pop()):
+        node = stack.pop()
+        children = operands[node] = _operands(node)
+        for child in children:
             if child in uses:
                 uses[child] += 1
             else:
                 uses[child] = 1
                 stack.append(child)
 
-    # The text goes out as fragments, joined once.  The work stack holds, in
-    # reverse output order: nodes, literal strings, (term, None) for a sum
-    # term after the first, k for the sign of the term after the " + " at
-    # out[k], and (node, start) where a shared node's text ends.
-    out: list[str] = []
-    shared: dict[Expression, str] = {}  # texts of nodes with uses still due
-    work: list = [expr]
+    shared: dict[Expression, str] = {}  # cores of nodes with uses still due
+    cores: list[str] = []  # operand cores awaiting their parent
+    work: list = [(expr, False)]
     while work:
-        item = work.pop()
-        kind = type(item)
-        if kind is str:
-            out.append(item)
-        elif kind is int:  # a term's leading "-" becomes the operator
-            text = out[item + 1]
-            if text[:1] == "-":
-                out[item] = " - "
-                out[item + 1] = text[1:]
-        elif kind is tuple:
-            node, start = item
-            if start is None:
-                work += (len(out), node)
-                out.append(" + ")
+        node, expanded = work.pop()
+        if not expanded:
+            core = shared.get(node)
+            if core is None:
+                work.append((node, True))
+                work.extend([(child, False) for child in reversed(operands[node])])
+                continue
+            if uses[node] == 1:
+                del shared[node]
             else:
-                text = "".join(out[start:])
-                out[start:] = [text]
-                shared[node] = text
                 uses[node] -= 1
-        elif item in shared:
-            out.append(shared[item])
-            if uses[item] == 1:
-                del shared[item]
-            else:
-                uses[item] -= 1
-        else:
-            node = item
-            if uses[node] > 1:
-                work.append((node, len(out)))
-            if kind is Sum:
-                terms = node.terms
-                work += [(term, None) for term in reversed(terms[1:])]
-                work.append(terms[0])
-            elif kind is Prod:
-                factors = _operands(node)
-                if len(factors) < len(node.factors):  # signed: "-" in front
-                    out.append("-")
-                    if node.factors[0] is not _MINUS_ONE:
-                        out += (number(-node.factors[0].value), sep)
-                pieces: list = []
-                for factor in factors:
-                    pieces += (left, factor, right, sep) if _needs_paren(factor, 1) else (factor, sep)
-                pieces.pop()
-                work += reversed(pieces)
-            elif kind is Power:
-                base = node.base
-                tail = f"^{{{node.exponent}}}" if latex else f"^{node.exponent}"
-                work += (tail, right, base, left) if _needs_paren(base, 2) else (tail, base)
-            elif kind is Const:
-                out.append(number(node.value))
-            elif kind is Var:
-                index = node.index
-                if index >= len(names):
-                    out.append(f"y{index}")
+            cores.append(core)
+            continue
+        children = operands[node]
+        count = len(children)
+        parts = cores[len(cores) - count:]
+        del cores[len(cores) - count:]
+        kind = type(node)
+        if kind is Sum:
+            pieces = [parts[0]]
+            for body in parts[1:]:
+                if body[0] == "-":
+                    pieces += (" - ", body[1:])
                 else:
-                    out.append(latex_name(names[index]) if latex else names[index])
-            else:  # pragma: no cover
-                raise TypeError(f"not an expression: {node!r}")
-    return "".join(out)  # the root stands in a sum context: never parenthesized
+                    pieces += (" + ", body)
+            core = "".join(pieces)
+        elif kind is Prod:
+            pieces = []
+            if count < len(node.factors):  # signed: print the sign in front
+                pieces.append("-")
+                if node.factors[0] is not _MINUS_ONE:
+                    pieces += (number(-node.factors[0].value), sep)
+            for part, child in zip(parts, children):
+                if _needs_paren(child, 1):
+                    pieces += (left, part, right, sep)
+                else:
+                    pieces += (part, sep)
+            pieces.pop()
+            core = "".join(pieces)
+        elif kind is Power:
+            base = parts[0]
+            if _needs_paren(children[0], 2):
+                base = f"{left}{base}{right}"
+            core = f"{base}^{{{node.exponent}}}" if latex else f"{base}^{node.exponent}"
+        elif kind is Const:
+            core = number(node.value)
+        elif kind is Var:
+            index = node.index
+            if index >= len(names):
+                core = f"y{index}"
+            else:
+                core = latex_name(names[index]) if latex else names[index]
+        else:  # pragma: no cover
+            raise TypeError(f"not an expression: {node!r}")
+        if uses[node] > 1:
+            uses[node] -= 1
+            shared[node] = core
+        cores.append(core)
+    return cores[0]  # the root stands in a sum context: never parenthesized
 
 
 def _signed(node: Prod) -> bool:

@@ -617,29 +617,47 @@ _CUBIC4 = (
     "c' = 1/2*d - 1/3*c*a; d' = -1/2*a + 1/3*d*b"
 )
 
+# a field whose like terms 2*S - S leave a sum S inside a sum: summed again,
+# the inner sum must flatten so that its terms collect with the outer ones
+_NESTED_SUMS = (
+    "vars p, q, r; p' = 2*(p+q) + r - (p+q); q' = p*(2*(p+q) + r - (p+q)) - q; "
+    "r' = (p+q)^2 - 2*(p+q)*(p+q) + p"
+)
+
 # sha256 of stdout at order 6 for the four job kinds of the perfbench
-# field_text workload, recorded before the expression builders and the
-# printer were rewritten for speed; the DAG and its text must not change
+# field_text workload, and at order 3 for the nested sums, recorded before
+# the expression builders and the printer were rewritten for speed; the
+# DAG and its text must not change
 _FIELD_DIGESTS = {
-    ("modified-equation", "midpoint", _CUBIC3): {
+    ("modified-equation", "midpoint", 6, _CUBIC3): {
         "text": "4c7fc68136f8f4716b62fb8b04e66eafc307ba71e1248e7b86310a1af79dbe7a",
         "json": "f465f4ec2cdad4b6bc2b52d4fbc65f945c2e5c0a56defed3a77e0f00c51b8603",
         "latex": "407c018a715d4ae5aacbab692f7043be4a4bb8af239ce60f3b86567c72e82f6b",
     },
-    ("modifying-integrator", "rk4", _QUAD4): {
+    ("modifying-integrator", "rk4", 6, _QUAD4): {
         "text": "8f77373f6c53a2cb289ac3097a3a50241fa9204b1f11844af03d6fc756718a13",
         "json": "f3c02302a2711a2f84d9e7c56b4a1f8aad38710b414944eeaf09a884a45957da",
         "latex": "2f000f62fa25e9d76ee94bb00dc4017ffdd2c825fe97159e0d985eb5eb7db063",
     },
-    ("modifying-integrator", "rk4", _QUAD3): {
+    ("modifying-integrator", "rk4", 6, _QUAD3): {
         "text": "d90e3218d6e360bab27771c8d67c8d9ab5978c9d7e8f2128bc9c0df245800dd9",
         "json": "f00646163e735834ef0070a880bb21b3532fb9320601431e66fafd2a78ce597c",
         "latex": "9ad5f77bd6ba5c5d7fcd640a201dcecaa1434c4e4db9fe13b386485dfeb53315",
     },
-    ("modified-equation", "midpoint", _CUBIC4): {
+    ("modified-equation", "midpoint", 6, _CUBIC4): {
         "text": "1d42ed250c470f5fda2e0595e3bdd81acd0bc60a5b8a2e39af6fbcddda49181e",
         "json": "01a3569b89168ed5f3381708ca1fc72e64627a70785fc165a25a52af49888144",
         "latex": "23342e9340dced138ba85301dbdaef96ccf81c9b436940ea93e3d232bb799aaa",
+    },
+    ("modified-equation", "midpoint", 3, _NESTED_SUMS): {
+        "text": "877124d6930877dea5143fe444bb999906e152d8239646d69a30656554de9451",
+        "json": "2c1ee2257ee5a23c5ac6409a3887f5539447c0bbd38328f8dfa9635fa44d20c9",
+        "latex": "af6d25bc70d6f6d3d07ebbe6cd22b897be296a71f8d2bb7c87fbe9a2f087082f",
+    },
+    ("modifying-integrator", "midpoint", 3, _NESTED_SUMS): {
+        "text": "ccf03736ae1fa89b63b352be528f02a013e2a3799351a3df5140f363cc51d6ee",
+        "json": "2763716bc0a2eb4a1c5fa34b26150add620f5f17d92309bc38642a8741b01ac9",
+        "latex": "c85c7f0285334718ce9b7b23d6dfc17e1f4fc225a06ddf2e97eddbf60242d888",
     },
 }
 
@@ -648,9 +666,9 @@ _FIELD_DIGESTS = {
 def test_field_output_is_byte_identical(kind, capsys):
     from bsharp.cli import main
 
-    command, tableau, ode = kind
+    command, tableau, order, ode = kind
     for fmt, digest in _FIELD_DIGESTS[kind].items():
-        argv = [command, "--tableau", tableau, "--order", "6", "--ode-text", ode, "--format", fmt]
+        argv = [command, "--tableau", tableau, "--order", str(order), "--ode-text", ode, "--format", fmt]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, tableau, fmt)

@@ -107,10 +107,16 @@ def test_constants_intern_by_their_fraction(value):
     assert const(Fraction(fraction.numerator * 3, fraction.denominator * 3)) is node
 
 
+# like terms 2*S - S of a sum S collect to S itself: a sum that holds a sum
+_NESTED = add_all([
+    mul_all([const(2), add_all([P, Q])]), variable(2), mul_all([const(-1), add_all([P, Q])]),
+])
+
 _SHAPE_LEAVES = [
     P, Q, variable(2), const(0), const(1), const(-1), const(3),
     const(Fraction(-3, 2)), const(Fraction(1, 3)), power(P, -1), power(Q, 2),
     mul_all([const(-1), P]), mul_all([const(Fraction(2, 5)), P, Q]), add_all([P, const(1)]),
+    _NESTED,
 ]
 
 
@@ -146,6 +152,13 @@ def operand_lists(draw):
 def test_builders_return_the_nodes_absorption_gives(operands):
     assert add_all(operands) is add_all_by_absorbing(operands)
     assert mul_all(operands) is mul_all_by_absorbing(operands)
+
+
+def test_a_sum_held_by_a_sum_flattens_when_summed_again():
+    assert _NESTED.terms == (variable(2), add_all([P, Q]))
+    assert add_all([_NESTED]) is add_all([P, Q, variable(2)]) is add_all_by_absorbing([_NESTED])
+    assert add_all([_NESTED, -P]) is add_all([Q, variable(2)])
+    assert add_all([const(1), _NESTED, _NESTED]) is add_all_by_absorbing([const(1), _NESTED, _NESTED])
 
 
 def test_builders_cancel_to_zero_and_one():
