@@ -28,9 +28,8 @@ _EXPORTS = {
         "parse_tree", "trees_of_order",
     ),
     "splits": ("Forest", "ordered_subtrees", "partitions"),
-    "coefficients": (
-        "RationalFunction", "coeff_eval", "coeff_parse", "coeff_print", "symbol",
-    ),
+    "coefficients": ("coeff_eval", "coeff_parse", "coeff_print"),
+    "symbolic": ("RationalFunction", "symbol"),
     "series": (
         "TruncatedBSeries", "compose", "display_terms", "exact_series", "format_series",
         "identity_series", "modified_equation_series", "modifying_integrator_series",

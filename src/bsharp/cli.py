@@ -13,7 +13,6 @@ domain errors), 4 numeric failure during simulation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -23,7 +22,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 from .errors import BSharpError, NumericFailureError, ParseError
 
 # Each command imports the layers it runs when it is entered, so a cold
-# start loads (and, without cached bytecode, compiles) nothing else.
+# start loads (and, without cached bytecode, compiles) nothing else; json
+# is imported only by the branches that read or write JSON.
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -37,6 +37,8 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 def _load_json(path: str) -> dict:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -105,13 +107,19 @@ def _emit(args, text: str) -> None:
             out.close()
 
 
+def _emit_json(args, data, indent: int | None = 2) -> None:
+    import json
+
+    _emit(args, json.dumps(data, indent=indent))
+
+
 def _emit_series(args, series: TruncatedBSeries, fmt: str) -> int:
     from .series import format_series, series_to_json_dict
 
     if fmt == "json":
         if args.reduce_order_by:
             args.subparser.error("--reduce-order-by applies to text/latex output only")
-        _emit(args, json.dumps(series_to_json_dict(series), indent=2))
+        _emit_json(args, series_to_json_dict(series))
     else:
         _emit(args, format_series(series, fmt, args.reduce_order_by))
     return 0
@@ -133,19 +141,16 @@ def cmd_trees(args) -> int:
         sigma, gamma = tree.symmetry(), tree.density()
         rows.append((tree, sigma, gamma))
     if args.format == "json":
-        _emit(args, json.dumps(
-            [
-                {
-                    "tree": str(t),
-                    "order": t.order,
-                    "sigma": sigma,
-                    "gamma": gamma,
-                    "inverse_gamma": str(Fraction(1, gamma)),
-                }
-                for t, sigma, gamma in rows
-            ],
-            indent=2,
-        ))
+        _emit_json(args, [
+            {
+                "tree": str(t),
+                "order": t.order,
+                "sigma": sigma,
+                "gamma": gamma,
+                "inverse_gamma": str(Fraction(1, gamma)),
+            }
+            for t, sigma, gamma in rows
+        ])
         return 0
     lines = []
     for tree, sigma, gamma in rows:
@@ -172,13 +177,10 @@ def cmd_splits(args) -> int:
         label = "skeleton"
         pairs = [(s.skeleton, s.forest) for s in partitions(tree)]
     if args.format == "json":
-        _emit(args, json.dumps(
-            [
-                {label: str(kept), "forest": [str(t) for t in forest]}
-                for kept, forest in pairs
-            ],
-            indent=2,
-        ))
+        _emit_json(args, [
+            {label: str(kept), "forest": [str(t) for t in forest]}
+            for kept, forest in pairs
+        ])
         return 0
     _emit(args, "\n".join(f"{skel} ; {forest}" for skel, forest in pairs))
     return 0
@@ -215,7 +217,7 @@ def _perturbed_flow(args) -> TruncatedBSeries:
         from .tableaux import rk_series
 
         return modified_equation_series(rk_series(tab, args.order))
-    from .graded import modifying_integrator_of_tableau
+    from .modifying import modifying_integrator_of_tableau
 
     return modifying_integrator_of_tableau(tab, args.order)
 
@@ -256,17 +258,14 @@ def cmd_perturbed(args) -> int:
 
     fmt = args.format or "text"
     if fmt == "json":
-        _emit(args, json.dumps(
-            {
-                "variables": list(system.variables),
-                "step_symbol": step_name,
-                "equations": {
-                    name: format_expression(f, names)
-                    for name, f in zip(system.variables, fields)
-                },
+        _emit_json(args, {
+            "variables": list(system.variables),
+            "step_symbol": step_name,
+            "equations": {
+                name: format_expression(f, names)
+                for name, f in zip(system.variables, fields)
             },
-            indent=2,
-        ))
+        })
         return 0
     lines = []
     for name, f in zip(system.variables, fields):
@@ -286,7 +285,7 @@ def cmd_order(args) -> int:
     bindings = _parse_bindings(args.bind, args.subparser) if args.bind else None
     p = order_of_accuracy(tab, args.max, bindings)
     if args.format == "json":
-        _emit(args, json.dumps({"order": p}))
+        _emit_json(args, {"order": p}, indent=None)
     else:
         _emit(args, str(p))
     return 0

@@ -356,8 +356,9 @@ _ZERO_BASE = "zero base with negative exponent"
 
 def eval_expression(expr: Expression, values: Sequence) -> object:
     """Evaluate at a point.  Exact when every value is rational (ints and
-    ``Fraction``); floating otherwise.  Division by zero raises
-    ``ZeroDivisionError`` either way."""
+    ``Fraction``); floating otherwise, where a constant beyond the range of
+    a double raises :class:`CoefficientError`, as :func:`compile_float`
+    does.  Division by zero raises ``ZeroDivisionError`` either way."""
     exact = all(not isinstance(v, float) for v in values)
     memo: dict[Expression, object] = {}
 
@@ -366,7 +367,7 @@ def eval_expression(expr: Expression, values: Sequence) -> object:
         if out is not None:
             return out
         if isinstance(node, Const):
-            out = node.value if exact else float(node.value)
+            out = node.value if exact else _double(node.value)
         elif isinstance(node, Var):
             if node.index >= len(values):
                 raise IndexError(
@@ -393,9 +394,26 @@ def eval_expression(expr: Expression, values: Sequence) -> object:
     return rec(expr)
 
 
+def _double(value) -> float:
+    """A constant as a float; one beyond the range of a double is refused."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise CoefficientError("a constant does not fit a double") from None
+
+
 #: most operands one generated statement folds; a longer one-line fold
 #: nests too deep for ``compile()`` (RecursionError at a few thousand)
 _FOLD_WIDTH = 64
+
+
+def _fold(target: str, operands: list[str], op: str) -> list[str]:
+    """Statements that set ``target`` to the left fold of ``operands``
+    under ``op``, at most :data:`_FOLD_WIDTH` operands a statement."""
+    lines = [f"{target} = {op.join(operands[:_FOLD_WIDTH])}"]
+    for i in range(_FOLD_WIDTH, len(operands), _FOLD_WIDTH - 1):
+        lines.append(f"{target} = {op.join([target] + operands[i:i + _FOLD_WIDTH - 1])}")
+    return lines
 
 
 def compile_float(
@@ -418,16 +436,12 @@ def compile_float(
     outside ``dimension`` raises ``IndexError``, and a constant or weight
     beyond the range of a double raises :class:`CoefficientError`, naming
     the output by its label in ``labels`` (by its index when it has none),
-    where ``eval_expression`` raises ``OverflowError`` from ``float()``.
+    where ``eval_expression`` raises :class:`CoefficientError` when it
+    reaches the constant.
     """
     namespace: dict[str, object] = {}
     names: dict[Expression, str] = {}
     body: list[str] = []
-
-    def fold(target: str, operands: list[str], op: str) -> None:
-        body.append(f"{target} = {op.join(operands[:_FOLD_WIDTH])}")
-        for i in range(_FOLD_WIDTH, len(operands), _FOLD_WIDTH - 1):
-            body.append(f"{target} = {op.join([target] + operands[i:i + _FOLD_WIDTH - 1])}")
 
     def name_of(node: Expression) -> str:
         name = names.get(node)
@@ -446,11 +460,11 @@ def compile_float(
         elif isinstance(node, Sum):
             operands = [name_of(t) for t in node.terms]
             name = f"t{len(names)}"
-            fold(name, operands, " + ")
+            body.extend(_fold(name, operands, " + "))
         elif isinstance(node, Prod):
             operands = [name_of(f) for f in node.factors]
             name = f"t{len(names)}"
-            fold(name, operands, " * ")
+            body.extend(_fold(name, operands, " * "))
         elif isinstance(node, Power):
             base = name_of(node.base)
             name = f"t{len(names)}"
@@ -478,7 +492,7 @@ def compile_float(
             raise CoefficientError(
                 f"component {label} has a constant that does not fit a double"
             ) from None
-        fold(f"o{i}", terms, " + ")
+        body.extend(_fold(f"o{i}", terms, " + "))
         results.append(f"o{i}")
 
     params = ", ".join(f"y{i}" for i in range(dimension))

@@ -30,11 +30,13 @@ exp of the Lie derivative ∂_v, whose action on a tree sums over its
 |τ| - 1 single-edge cuts, so the solve is polynomial in the order.
 :func:`modifying_integrator_series` finds ``v`` with
 substitute(v, method) = exact flow, over the distinct partition splits.
-Each solve is one loop of :mod:`bsharp.graded`, which picks its scalar
-domain (ints, Laurent polynomials or plain coefficients) from the method.
+Each solve is one loop over the scalar domains of :mod:`bsharp.graded`
+(ints, Laurent polynomials or plain coefficients), which picks one from
+the method; the modifying integrator's loop lives in
+:mod:`bsharp.modifying`, which this module imports only when it runs.
 The ``modifying-integrator`` command and ``simulate`` do not call
 :func:`modifying_integrator_series` for a tableau whose domain is ints or
-Laurent polynomials: :func:`bsharp.graded.modifying_integrator_of_tableau`
+Laurent polynomials: :func:`bsharp.modifying.modifying_integrator_of_tableau`
 solves its stages over edge cuts, in polynomial time, and falls back to
 this partition solve of the method's series for plain coefficients.
 
@@ -65,14 +67,7 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .coefficients import (
-    Coefficient,
-    RationalFunction,
-    coeff_div,
-    coeff_parse,
-    coeff_pow,
-    coeff_print,
-)
+from .coefficients import Coefficient, coeff_div, coeff_parse, coeff_pow, coeff_print, is_rational
 from .errors import SeriesError, SingularMethodError
 from .splits import (
     by_id,
@@ -413,7 +408,7 @@ def modifying_integrator_series(
     tree by tree over the distinct partition splits, each term weighted by
     its multiplicity: v(τ) = (1/γ(τ) - Σ k·method(skeleton)·Π v(component))
     / method(•), the sum over every split but the no-edges-removed one, in
-    one :mod:`bsharp.graded` loop for all three scalar domains.
+    one loop of :mod:`bsharp.modifying` for all three scalar domains.
     ``skip_zero`` drops split terms whose skeleton weight (or any
     component coefficient) is zero — a pure optimization.
     """
@@ -422,9 +417,9 @@ def modifying_integrator_series(
     u1: Coefficient = Fraction(1)
     if method.max_order >= 1:
         u1 = _check_u1(method._coeffs[b"\x00"])
-    from . import graded
+    from .modifying import modifying_integrator
 
-    return _counted(graded.modifying_integrator(method, u1, skip_zero))
+    return _counted(modifying_integrator(method, u1, skip_zero))
 
 
 def _check_u1(u1: Coefficient) -> Coefficient:
@@ -527,7 +522,7 @@ def format_series(
         parts = []
         for tree, c, power in terms:
             cs = coeff_print(c, "latex")
-            if isinstance(c, RationalFunction) and len(c.num) > 1 and not cs.startswith(r"\frac"):
+            if not is_rational(c) and len(c.num) > 1 and not cs.startswith(r"\frac"):
                 cs = rf"\left({cs}\right)"  # a sum of terms, grouped as one factor
             elif cs == "1":
                 cs = ""

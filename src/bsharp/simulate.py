@@ -17,6 +17,13 @@ every degree) into one straight-line function that computes each shared
 node once.  It keeps the interpreter's order of operations, so the floats,
 and the CSV, are the ones a node-by-node
 :func:`~bsharp.expressions.eval_expression` gives.
+The stepping is generated once per run too: :func:`_row_function` writes
+one function that advances one output row, one step of the method's
+float tableau for ``direct`` and 100 RK4 substeps otherwise.  It holds
+the state and the stages in scalar locals, h·a_ij and h·b_i as float
+constants with the zero entries left out, and calls the field once per
+stage with a list; it makes the float operations of a loop over the
+tableau, in the same order, so the rows are the same to the last bit.
 A step that produces a non-finite value aborts the run via
 :class:`NumericFailureError`, which carries the time of the last good row.
 """
@@ -28,8 +35,7 @@ from typing import Callable, Iterator, Sequence
 
 from .coefficients import coeff_eval
 from .errors import NumericFailureError, TableauError
-from .expressions import compile_float
-from .graded import modifying_integrator_of_tableau
+from .expressions import _fold, compile_float
 from .odes import DiffCache, ODESystem, series_vector_field
 from .series import modified_equation_series
 # perfbench/traced.py wraps this solve by name, though a tableau's
@@ -152,30 +158,48 @@ def graded_field(
     return compile_float(weighted, system.dimension, system.variables)
 
 
-def _rk_step(
-    a, b, f: Field, y: list[float], h: float
-) -> list[float]:
-    stages: list[list[float]] = []
-    n = len(y)
+def _row_function(a, b, h: float, substeps: int, dimension: int, field: Field):
+    """The function that advances a state tuple by ``substeps`` steps of
+    the explicit method (``a``, ``b``) with step ``h`` on ``field``.
+
+    Stage i is the field at y + Σ_j (h·a_ij)·k_j, and the step
+    y + Σ_i (h·b_i)·k_i, each sum folded left over the nonzero entries in
+    index order, which is what a loop over the tableau computes.  Every
+    stage calls ``field`` once, with a list, whether or not its value is
+    used, and the state is returned as a tuple."""
+    namespace: dict[str, object] = {"f": field}
+    ys = [f"y{m}" for m in range(dimension)]
+    step: list[str] = []
+
+    def weights(row, count: int, prefix: str) -> list[tuple[str, int]]:
+        terms = []
+        for j in range(count):
+            if row[j] != 0.0:
+                name = f"{prefix}{j}"
+                namespace[name] = h * row[j]
+                terms.append((name, j))
+        return terms
+
+    def accumulate(target: str, m: int, terms: list[tuple[str, int]]) -> None:
+        step.extend(_fold(target, [ys[m]] + [f"{w} * k{j}_{m}" for w, j in terms], " + "))
+
+    points = ", ".join(f"p{m}" for m in range(dimension))
     for i in range(len(b)):
-        yi = list(y)
-        row = a[i]
-        for j in range(i):
-            aij = row[j]
-            if aij == 0.0:
-                continue
-            kj = stages[j]
-            for m in range(n):
-                yi[m] += h * aij * kj[m]
-        stages.append(f(yi))
-    out = list(y)
-    for i, bi in enumerate(b):
-        if bi == 0.0:
-            continue
-        ki = stages[i]
-        for m in range(n):
-            out[m] += h * bi * ki[m]
-    return out
+        terms = weights(a[i], i, f"a{i}_")
+        for m in range(dimension):
+            accumulate(f"p{m}", m, terms)
+        stage = ", ".join(f"k{i}_{m}" for m in range(dimension))
+        step.append(f"[{stage}] = f([{points}])")
+    terms = weights(b, len(b), "b")
+    for m in range(dimension):
+        accumulate(ys[m], m, terms)
+    state = ", ".join(ys)
+    source = "\n".join([
+        "def row(y):", f"    [{state}] = y", f"    for _ in range({substeps}):",
+        *(f"        {line}" for line in step), f"    return ({state},)",
+    ])
+    exec(compile(source, "<bsharp rk row>", "exec"), namespace)
+    return namespace["row"]
 
 
 def _build_field(plan: SimulationPlan) -> Field:
@@ -184,6 +208,8 @@ def _build_field(plan: SimulationPlan) -> Field:
     if plan.mode == "modified":
         flow = modified_equation_series(rk_series(plan.tableau, plan.series_order))
     else:
+        from .modifying import modifying_integrator_of_tableau
+
         flow = modifying_integrator_of_tableau(plan.tableau, plan.series_order)
     cache = DiffCache(plan.system)
     terms = series_vector_field(flow, plan.system, cache)
@@ -212,14 +238,14 @@ def _rows(plan: SimulationPlan, field: Field) -> Iterator[tuple[float, tuple[flo
     else:
         a, b = _RK4_A, _RK4_B
         substeps, h_sub = _REFINE, plan.step / _REFINE
+    row = _row_function(a, b, h_sub, substeps, plan.system.dimension, field)
 
-    y = [float(v) for v in plan.initial]
-    yield 0.0, tuple(y)
+    y = tuple(float(v) for v in plan.initial)
+    yield 0.0, y
     for i in range(1, plan.rows):
         last_t = (i - 1) * plan.step
         try:
-            for _ in range(substeps):
-                y = _rk_step(a, b, field, y, h_sub)
+            y = row(y)
         except (ZeroDivisionError, OverflowError) as exc:
             raise NumericFailureError(
                 f"numeric failure during step to t = {i * plan.step!r}: {exc}",
@@ -230,7 +256,7 @@ def _rows(plan: SimulationPlan, field: Field) -> Iterator[tuple[float, tuple[flo
                 f"non-finite state during step to t = {i * plan.step!r}",
                 last_valid_t=last_t,
             )
-        yield i * plan.step, tuple(y)
+        yield i * plan.step, y
 
 
 def run_simulation(plan: SimulationPlan) -> list[tuple[float, tuple[float, ...]]]:

@@ -609,6 +609,63 @@ def graded_field_interpreted(terms, step):
 
 
 # ---------------------------------------------------------------------------
+# fixed-step trajectories, one loop over the tableau per step
+# ---------------------------------------------------------------------------
+
+#: classical RK4 as doubles, the method of every run but ``direct``
+RK4_FLOAT = (
+    ((0.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)),
+    (1 / 6, 1 / 3, 1 / 3, 1 / 6),
+)
+
+
+def rk_step_loop(a, b, f, y, h):
+    """One explicit Runge-Kutta step, a loop over the float tableau that
+    skips its zero entries: the stepping ``simulate`` generates code for."""
+    stages = []
+    n = len(y)
+    for i in range(len(b)):
+        yi = list(y)
+        row = a[i]
+        for j in range(i):
+            aij = row[j]
+            if aij == 0.0:
+                continue
+            kj = stages[j]
+            for m in range(n):
+                yi[m] += h * aij * kj[m]
+        stages.append(f(yi))
+    out = list(y)
+    for i, bi in enumerate(b):
+        if bi == 0.0:
+            continue
+        ki = stages[i]
+        for m in range(n):
+            out[m] += h * bi * ki[m]
+    return out
+
+
+def stepped_rows(a, b, field, initial, step, rows, substeps):
+    """The rows (t, y) of a trajectory of ``rows`` rows, each ``substeps``
+    steps of ``rk_step_loop`` with step ``step``/``substeps``, and the time
+    of the last row before a numeric failure (a ZeroDivisionError or
+    OverflowError, or a non-finite state), None without one."""
+    h = step / substeps
+    y = [float(v) for v in initial]
+    out = [(0.0, tuple(y))]
+    for i in range(1, rows):
+        try:
+            for _ in range(substeps):
+                y = rk_step_loop(a, b, field, y, h)
+        except (ZeroDivisionError, OverflowError):
+            return out, (i - 1) * step
+        if not all(math.isfinite(v) for v in y):
+            return out, (i - 1) * step
+        out.append((i * step, tuple(y)))
+    return out, None
+
+
+# ---------------------------------------------------------------------------
 # elementary differentials, every index assignment expanded
 # ---------------------------------------------------------------------------
 

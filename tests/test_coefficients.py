@@ -7,18 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import bsharp.coefficients as coefficients_module
+import bsharp.symbolic as symbolic_module
 from bsharp.coefficients import (
-    RationalFunction,
     coeff_div,
     coeff_eval,
     coeff_parse,
     coeff_pow,
     coeff_print,
     coeff_symbols,
-    symbol,
 )
 from bsharp.errors import CoefficientError, ParseError, UnboundSymbolError
+from bsharp.symbolic import RationalFunction, symbol
 
 ALPHA = symbol("alpha")
 BETA = symbol("beta")
@@ -292,7 +291,7 @@ def test_powers_are_taken_by_repeated_squaring(monkeypatch, build, k):
     # seconds
     value = build(symbol)
     calls = []
-    mul, power = coefficients_module._poly_mul, coefficients_module._poly_pow
+    mul, power = symbolic_module._poly_mul, symbolic_module._poly_pow
 
     def counting_mul(a, b):
         calls[-1] += 1
@@ -302,8 +301,8 @@ def test_powers_are_taken_by_repeated_squaring(monkeypatch, build, k):
         calls.append(0)
         return power(t, k, width)
 
-    monkeypatch.setattr(coefficients_module, "_poly_mul", counting_mul)
-    monkeypatch.setattr(coefficients_module, "_poly_pow", counting_pow)
+    monkeypatch.setattr(symbolic_module, "_poly_mul", counting_mul)
+    monkeypatch.setattr(symbolic_module, "_poly_pow", counting_pow)
     got = coeff_pow(value, k)
     assert len(calls) == 2 and max(calls) <= 2 * k.bit_length()
     if k < 1000:

@@ -321,6 +321,18 @@ def test_compiled_failures_match_the_interpreter():
         compile_float([add_all([P, Q])], 1)
 
 
+@pytest.mark.parametrize("value", [10**400, Fraction(-(10**401), 3)], ids=["int", "fraction"])
+def test_a_constant_past_the_double_range_is_refused_by_both(value):
+    # compile_float refuses it when the field is built, the interpreter
+    # when it reaches it at a float point; at a rational point it is exact
+    big = mul_all([const(value), P])
+    with pytest.raises(CoefficientError, match="component p has a constant"):
+        compile_float([big], 1, ["p"])
+    with pytest.raises(CoefficientError, match="does not fit a double"):
+        eval_expression(big, [1.0])
+    assert eval_expression(big, [Fraction(1)]) == value
+
+
 def test_compiled_outputs_and_empty_components():
     f = compile_float([const(Fraction(1, 3)), [], P, [(2.0, const(Fraction(1, 3))), (0.5, P)]], 1)
     assert f([4.0]) == [1 / 3, 0.0, 4.0, (0.0 + 2.0 * (1 / 3)) + 0.5 * 4.0]

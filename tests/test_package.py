@@ -78,9 +78,9 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(bsharp, "no_such_name")
 
 
-def _fresh(code: str, *args: str):
+def _fresh(code: str, *args: str, read=json.loads):
     """Run ``code`` in a new interpreter that imports this checkout's
-    package and return what it prints, read as JSON."""
+    package and return what it prints, read as JSON (or by ``read``)."""
     path = os.environ.get("PYTHONPATH")
     src = str(SOURCE.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
@@ -88,7 +88,7 @@ def _fresh(code: str, *args: str):
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return read(proc.stdout)
 
 
 def test_star_import_and_submodule_import_work_in_a_fresh_interpreter():
@@ -103,23 +103,28 @@ def test_star_import_and_submodule_import_work_in_a_fresh_interpreter():
     assert names == sorted(bsharp.__all__)
 
 
+# reads and writes Python literals, so that json is loaded only if bsharp loads it
 LOADED = (
-    "import io, json, sys\n"
+    "import ast, io, sys\n"
     "from bsharp.cli import main\n"
     "sys.stdout = io.StringIO()\n"
-    "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+    "codes = [main(argv) for argv in ast.literal_eval(sys.argv[1])]\n"
     "loaded = sorted(m[7:] for m in sys.modules if m.startswith('bsharp.'))\n"
-    "print(json.dumps([codes, loaded, '_hashlib' in sys.modules]), file=sys.__stdout__)\n"
+    "state = [codes, loaded, '_hashlib' in sys.modules, 'json' in sys.modules]\n"
+    "print(repr(state), file=sys.__stdout__)\n"
 )
 
 
-def _loaded_by(*argvs: list[str]) -> list[str]:
+def _loaded_by(*argvs: list[str], uses_json: bool = True) -> list[str]:
     """The bsharp modules a fresh interpreter has loaded after running the
-    CLI on each argv in turn.  No command loads OpenSSL (``_hashlib``): the
-    node digests use the built-in ``_blake2``."""
-    codes, loaded, openssl = _fresh(LOADED, json.dumps(argvs))
+    CLI on each argv in turn; json is loaded only if ``uses_json``.  No
+    command loads OpenSSL (``_hashlib``): the node digests use the
+    built-in ``_blake2``."""
+    codes, loaded, openssl, json_loaded = _fresh(LOADED, repr(argvs), read=ast.literal_eval)
     assert codes == [0] * len(argvs)
     assert not openssl
+    if not uses_json:
+        assert not json_loaded
     return loaded
 
 
@@ -137,49 +142,60 @@ COMMANDS = (
 )
 # every tableau lifts its entries through graded.py, and every solve runs there
 SOLVE = ["coefficients", "graded", "series", "splits", "tableaux", "trees"]
+# the modifying integrator and symbols load their own layers
+MI, SYMBOLIC = ["modifying"], ["symbolic"]
 ODE = "vars p, q\np' = -q\nq' = p\n"
+SIMULATE = [
+    "simulate", "--tableau", "midpoint", "--ode-text", ODE, "--step", "0.5",
+    "--t-max", "1", "--initial", "1,0", "--modified-order", "2",
+]
 # b = (1, beta): the modifying integrator divides by 1 + beta, so it runs
-# over plain coefficients, in graded.py like every other solve
+# over plain coefficients, in graded.py's domains like every other solve
 B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2"],
             "symbols": ["beta"]}
 
 
+# a series prints as JSON by default; trees, splits, order, a field and
+# simulate print text, and json is not loaded for them
 @pytest.mark.parametrize(
-    "argvs,layers",
+    "argvs,layers,uses_json",
     [
-        ([[command, "--help"] for command in COMMANDS], []),
-        ([["trees", "1"]], ["trees"]),
-        ([["splits", "[0,1,1]", "--kind", "partitions"]], ["splits", "trees"]),
-        ([["order", "--tableau", "rk4", "--max", "4"]], SOLVE),
-        ([["modified-equation", "--tableau", "midpoint", "--order", "3"]], SOLVE),
-        ([["modifying-integrator", "--tableau", "midpoint", "--order", "3"]], SOLVE),
-        ([["modified-equation", "--tableau", "rk22(alpha)", "--order", "3"]], SOLVE),
+        ([[command, "--help"] for command in COMMANDS], [], False),
+        ([["trees", "1"]], ["trees"], False),
+        ([["splits", "[0,1,1]", "--kind", "partitions"]], ["splits", "trees"], False),
+        ([["order", "--tableau", "rk4", "--max", "4"]], SOLVE, False),
+        ([["modified-equation", "--tableau", "midpoint", "--order", "3"]], SOLVE, True),
+        ([["modifying-integrator", "--tableau", "midpoint", "--order", "3"]], SOLVE + MI, True),
+        (
+            [["modified-equation", "--tableau", "rk22(alpha)", "--order", "3"]],
+            SOLVE + SYMBOLIC, True,
+        ),
         (
             [["modifying-integrator", "--tableau", "b_1_beta.json", "--order", "3"]],
-            SOLVE,
+            SOLVE + MI + SYMBOLIC, True,
         ),
-        ([["bseries", "--tableau", "rk22(alpha)", "--order", "3"]], SOLVE),
+        ([["bseries", "--tableau", "rk22(alpha)", "--order", "3"]], SOLVE + SYMBOLIC, True),
         (
             [["modified-equation", "--tableau", "midpoint", "--order", "3", "--ode-text", ODE]],
-            SOLVE + ["expressions", "odes"],
+            SOLVE + ["expressions", "odes"], False,
         ),
+        ([SIMULATE], SOLVE + ["expressions", "odes", "simulate"], False),
         (
-            [[
-                "simulate", "--tableau", "midpoint", "--ode-text", ODE, "--step", "0.5",
-                "--t-max", "1", "--initial", "1,0", "--modified-order", "2",
-            ]],
-            SOLVE + ["expressions", "odes", "simulate"],
+            [SIMULATE + ["--modifying-integrator"]],
+            SOLVE + MI + ["expressions", "odes", "simulate"], False,
         ),
     ],
     ids=[
         "help", "trees", "splits", "order", "me", "mi", "me-symbolic", "mi-plain",
-        "bseries-symbolic", "me-ode", "simulate",
+        "bseries-symbolic", "me-ode", "simulate", "simulate-mi",
     ],
 )
-def test_each_command_loads_only_the_layers_it_runs(monkeypatch, tmp_path, argvs, layers):
+def test_each_command_loads_only_the_layers_it_runs(
+    monkeypatch, tmp_path, argvs, layers, uses_json
+):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "b_1_beta.json").write_text(json.dumps(B_1_BETA), encoding="utf-8")
-    assert _loaded_by(*argvs) == sorted(["cli", "errors", *layers])
+    assert _loaded_by(*argvs, uses_json=uses_json) == sorted(["cli", "errors", *layers])
 
 
 def test_series_file_commands_load_only_the_solve_layers(tmp_path):

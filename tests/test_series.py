@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bsharp.coefficients import coeff_eval, coeff_print, symbol
+from bsharp.coefficients import coeff_eval, coeff_print
 from bsharp.errors import InvalidTreeError, SeriesError, SingularMethodError
 from bsharp.series import (
     SeriesTerm,
@@ -31,8 +31,9 @@ from bsharp.series import (
     truncated,
     zero_skip_count,
 )
-from bsharp import coefficients, graded, series, splits
+from bsharp import graded, modifying, series, splits, symbolic
 from bsharp.splits import clear_split_caches, partition_split_table
+from bsharp.symbolic import symbol
 from bsharp.tableaux import (
     ButcherTableau,
     RowSumWarning,
@@ -448,7 +449,7 @@ _RESTART_TABLEAUX = {
         for name in _RESTART_TABLEAUX
         for solve in (
             modified_equation_series, modifying_integrator_series,
-            graded.modifying_integrator_of_tableau,
+            modifying.modifying_integrator_of_tableau,
         )
     ],
     ids=[
@@ -464,7 +465,7 @@ def test_a_too_small_scale_restarts_to_the_same_result(monkeypatch, solve, name)
     # recursion of the modifying integrator reads the tableau, not its
     # series, and restarts to the partition solve's result.
     tab = _RESTART_TABLEAUX[name]
-    if solve is graded.modifying_integrator_of_tableau:
+    if solve is modifying.modifying_integrator_of_tableau:
         solve, method = partial(solve, max_order=5), tab
         assert solve(tab) == modifying_integrator_series(rk_series(tab, 5))
     else:
@@ -494,10 +495,10 @@ def test_laurent_difference_is_the_sum_with_the_negation():
     # a - b equals a + b·(-1) term for term, down to no terms at all, with
     # an int (a constant) on either side
     def laurent(*terms):
-        return graded._Laurent({graded._pack(e): c for e, c in terms})
+        return symbolic._Laurent({symbolic._pack(e): c for e, c in terms})
 
     def terms(value):
-        if isinstance(value, graded._Laurent):
+        if isinstance(value, symbolic._Laurent):
             return value.terms
         return {0: value} if value else {}
 
@@ -511,7 +512,7 @@ def test_laurent_difference_is_the_sum_with_the_negation():
         assert terms(x - y) == terms(x + y * -1), (x, y)
     assert terms(a - a) == terms(three - 3) == {}
     expected = (((0, 0), 3), ((0, 2), -5), ((2, 0), -7))
-    assert terms(a - b) == {graded._pack(e): c for e, c in expected}
+    assert terms(a - b) == {symbolic._pack(e): c for e, c in expected}
 
 
 # a two-parameter family of the kind the symbolic benchmark jobs use
@@ -656,7 +657,8 @@ _SYMBOLIC_TABLEAUX = {
 def _without_graded_path(monkeypatch):
     """Turn the graded domains off: each solve then runs its loop, and a
     tableau made afterwards its weights, over plain coefficients."""
-    monkeypatch.setattr(graded, "_graded_denominator", lambda pairs, divisor=1: None)
+    for module in (graded, modifying):
+        monkeypatch.setattr(module, "_graded_denominator", lambda pairs, divisor=1: None)
 
 
 @pytest.mark.parametrize("name", list(_SYMBOLIC_TABLEAUX))
@@ -753,7 +755,8 @@ def _count_products(monkeypatch, solve, *args):
 def _count_plain_products(monkeypatch, solve, method):
     """Number of ``Fraction`` and ``RationalFunction`` products
     ``solve(method)`` makes with the graded domains turned off, so that its
-    loop in :mod:`bsharp.graded` runs over plain coefficients.  A product
+    loop in :mod:`bsharp.graded` or :mod:`bsharp.modifying` runs over plain
+    coefficients.  A product
     of two ints is not counted, nor a call that returns NotImplemented to
     let the other operand multiply."""
     _without_graded_path(monkeypatch)
@@ -767,7 +770,7 @@ def _count_plain_products(monkeypatch, solve, method):
             return product
         return wrapper
 
-    for cls in (Fraction, coefficients.RationalFunction):
+    for cls in (Fraction, symbolic.RationalFunction):
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
     solve(method)
@@ -813,7 +816,7 @@ def test_laurent_modified_equation_product_count_at_order_9(monkeypatch):
     # the Laurent domain's own products, held to the plain domain's bound;
     # a product by 1 returns its operand and builds nothing
     calls = 0
-    mul = graded._Laurent.__mul__
+    mul = symbolic._Laurent.__mul__
 
     def counting(a, b):
         nonlocal calls
@@ -821,8 +824,8 @@ def test_laurent_modified_equation_product_count_at_order_9(monkeypatch):
         calls += product is not a
         return product
 
-    monkeypatch.setattr(graded._Laurent, "__mul__", counting)
-    monkeypatch.setattr(graded._Laurent, "__rmul__", counting)
+    monkeypatch.setattr(symbolic._Laurent, "__mul__", counting)
+    monkeypatch.setattr(symbolic._Laurent, "__rmul__", counting)
     method = rk_series(builtin_tableau("rk22(alpha)"), 9)
     assert _count_products(monkeypatch, modified_equation_series, method) == 0
     assert 0 < calls <= 14422
@@ -855,15 +858,14 @@ def test_rk22_solves_never_widen_a_term_dict(monkeypatch):
     # so no operation of its solves rewrites a term dict over more symbols,
     # over Laurent polynomials or over plain coefficients
     widened = []
-    widen = coefficients._widen
+    widen = symbolic._widen
 
     def recording(symbols, terms, wider):
         if symbols != wider:
             widened.append((symbols, wider))
         return widen(symbols, terms, wider)
 
-    monkeypatch.setattr(coefficients, "_widen", recording)
-    monkeypatch.setattr(graded, "_widen", recording)
+    monkeypatch.setattr(symbolic, "_widen", recording)
     symbol("alpha") + symbol("beta")  # the hook sees a widening when there is one
     assert (("alpha",), ("alpha", "beta")) in widened
     widened.clear()

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,12 @@ from bsharp.series import modified_equation_series, modifying_integrator_series
 from bsharp.simulate import SimulationPlan, iterate_rows, run_simulation
 from bsharp.tableaux import ButcherTableau, builtin_tableau, rk_series
 
-from oracles import graded_field_interpreted, system_field_interpreted
+from oracles import (
+    RK4_FLOAT,
+    graded_field_interpreted,
+    stepped_rows,
+    system_field_interpreted,
+)
 
 DECAY = parse_ode("vars y\ny' = -y\n")
 GROWTH = parse_ode("vars y\ny' = y\n")
@@ -308,3 +314,124 @@ def test_trajectories_match_the_interpreted_field(monkeypatch, mode, order):
     assert [(repr(t), reprs(y)) for t, y in compiled] == [
         (repr(t), reprs(y)) for t, y in interpreted
     ]
+
+
+# ---------------------------------------------------------------------------
+# the generated row function against a loop over the tableau, bit for bit
+# ---------------------------------------------------------------------------
+
+CUBIC1 = parse_ode("vars y\ny' = y/2 - y^3 + 1/4\n")
+
+
+def seeded_tableau(seed):
+    """An explicit 4-stage tableau of small rationals with one zero a_ij
+    below the diagonal, one zero b_i and Σb ≠ 0."""
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9)) or Fraction(1, 2)
+
+    A = [[Fraction(0)] * 4 for _ in range(4)]
+    below = [(i, j) for i in range(4) for j in range(i)]
+    zero = rng.choice(below)
+    for i, j in below:
+        A[i][j] = Fraction(0) if (i, j) == zero else entry()
+    b = [entry() for _ in range(4)]
+    b[rng.randrange(4)] = Fraction(0)
+    if not sum(b):
+        b[next(i for i, x in enumerate(b) if x)] *= 2
+    return ButcherTableau(A, b, [sum(row) for row in A])
+
+
+def wide_tableau(stages):
+    """An explicit tableau with more stages than one generated statement
+    folds (``expressions._FOLD_WIDTH``)."""
+    A = [[Fraction(1, 4 * stages) if j < i else Fraction(0) for j in range(stages)]
+         for i in range(stages)]
+    return ButcherTableau(A, [Fraction(1, stages)] * stages, [sum(row) for row in A])
+
+
+METHODS = {
+    "euler": builtin_tableau("euler"),
+    "midpoint": builtin_tableau("midpoint"),
+    "rk4": builtin_tableau("rk4"),
+    "seeded": seeded_tableau(5),
+    "wide": wide_tableau(70),
+}
+SYSTEMS = {1: (CUBIC1, (0.5,)), 2: (CUBIC2, (0.5, -0.25)), 3: (CUBIC3, (0.5, -0.25, 0.125))}
+
+
+def outcome(p):
+    """The rows of ``p`` and the last_valid_t of its failure (None without one)."""
+    rows = []
+    try:
+        for row in iterate_rows(p):
+            rows.append(row)
+    except NumericFailureError as exc:
+        return rows, exc.last_valid_t
+    return rows, None
+
+
+def looped(p):
+    """The rows of ``p`` stepped by ``oracles.rk_step_loop`` on its own field."""
+    field = simulate._build_field(p)
+    if p.mode == "direct":
+        a, b = simulate._float_tableau(p.tableau)
+        return stepped_rows(a, b, field, p.initial, p.step, p.rows, 1)
+    return stepped_rows(*RK4_FLOAT, field, p.initial, p.step, p.rows, 100)
+
+
+def exact_reprs(result):
+    rows, last_valid_t = result
+    return [(repr(t), reprs(y)) for t, y in rows], repr(last_valid_t)
+
+
+def test_seeded_tableau_has_its_zero_entries():
+    tab = METHODS["seeded"]
+    assert tab.is_explicit and sum(tab.b)
+    assert any(not tab.A[i][j] for i in range(4) for j in range(i))
+    assert any(not x for x in tab.b)
+
+
+@pytest.mark.parametrize("mode", ["direct", "reference", "modified", "modifying"])
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_generated_rows_match_the_tableau_loop(mode, method):
+    for dimension, (system, initial) in SYSTEMS.items():
+        p = plan(
+            tableau=METHODS[method], system=system, initial=initial, step=0.1, t_max=0.4,
+            mode=mode, series_order=3,
+        )
+        got = outcome(p)
+        assert len(got[0]) == 5 and got[1] is None, dimension
+        assert exact_reprs(got) == exact_reprs(looped(p)), dimension
+
+
+@pytest.mark.parametrize("mode", ["direct", "reference"])
+def test_generated_rows_fail_mid_row_like_the_tableau_loop(monkeypatch, mode):
+    # u' = 1 from u = -5/8: the second stage of midpoint's third step
+    # reads 1/u at u = 0 exactly, after the first stage's field call
+    calls = 0
+    compiled = simulate.system_field
+
+    def counted(system):
+        field = compiled(system)
+
+        def f(y):
+            nonlocal calls
+            calls += 1
+            return field(y)
+
+        return f
+
+    monkeypatch.setattr(simulate, "system_field", counted)
+    p = plan(
+        tableau=builtin_tableau("midpoint"),
+        system=parse_ode("vars u, v\nu' = 1\nv' = 1/u\n"),
+        initial=(-0.625, 0.0), step=0.25, t_max=2.0, mode=mode,
+    )
+    got, got_calls = outcome(p), calls
+    calls = 0
+    assert exact_reprs(got) == exact_reprs(looped(p))
+    assert got_calls == calls  # one call per stage, the failing one included
+    if mode == "direct":
+        assert [t for t, _ in got[0]] == [0.0, 0.25, 0.5] and got[1] == 0.5 and calls == 6

@@ -1,6 +1,6 @@
 """The modifying integrator of a tableau by its stage recursion.
 
-:func:`bsharp.graded.modifying_integrator_of_tableau` solves the stages
+:func:`bsharp.modifying.modifying_integrator_of_tableau` solves the stages
 K_i = v∘Y_i tree by tree over edge-cut tables.  Its oracle is the
 partition solve :func:`bsharp.series.modifying_integrator_series` of the
 method's series, which stays the path for plain coefficients.
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from bsharp import cli, graded, splits
 from bsharp.errors import SingularMethodError
-from bsharp.graded import modifying_integrator_of_tableau
+from bsharp.modifying import modifying_integrator_of_tableau
 from bsharp.series import (
     modifying_integrator_series,
     reset_zero_skip_count,
@@ -265,8 +265,8 @@ def test_stage_recursion_product_count_at_order_10(monkeypatch):
     # start as counted ints lifted from the tableau, and every product one
     # of them takes part in is counted, by a multiplicity or a factorial
     # ratio too; midpoint at order 10 made 50,429 (and no λ restart)
-    lift = graded._lift_laurent
-    monkeypatch.setattr(graded, "_lift_laurent", lambda *args: _Counted(lift(*args)))
+    lift = graded._lift_int
+    monkeypatch.setattr(graded, "_lift_int", lambda *args: _Counted(lift(*args)))
     _Counted.products = 0
     tab = builtin_tableau("midpoint")
     got = modifying_integrator_of_tableau(tab, 10)

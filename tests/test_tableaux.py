@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from bsharp.coefficients import RationalFunction, coeff_eval, coeff_print, symbol
+from bsharp.coefficients import coeff_eval, coeff_print
 from bsharp.errors import TableauError
 from bsharp.series import series_eq
+from bsharp.symbolic import RationalFunction, symbol
 from bsharp.tableaux import (
     ButcherTableau,
     RowSumWarning,
