@@ -70,7 +70,7 @@ def _load_system(args) -> ODESystem:
         return parse_ode(fh.read())
 
 
-def _parse_bindings(pairs: Sequence[str], parser) -> dict[str, Fraction]:
+def _parse_bindings(pairs: Sequence[str], parser, symbols) -> dict[str, Fraction]:
     from .coefficients import parse_rational
 
     bindings: dict[str, Fraction] = {}
@@ -79,6 +79,10 @@ def _parse_bindings(pairs: Sequence[str], parser) -> dict[str, Fraction]:
         name = name.strip()
         if not eq or not name:
             parser.error(f"--bind expects name=value, got {pair!r}")
+        if name in bindings:
+            parser.error(f"--bind {name} is given twice")
+        if name not in symbols:
+            parser.error(f"--bind {name}: the tableau has no symbol {name!r}")
         try:
             bindings[name] = parse_rational(value)
         except ParseError:
@@ -282,7 +286,7 @@ def cmd_order(args) -> int:
     from .tableaux import order_of_accuracy
 
     tab = _load_tableau(args.tableau)
-    bindings = _parse_bindings(args.bind, args.subparser) if args.bind else None
+    bindings = _parse_bindings(args.bind, args.subparser, tab.symbols) if args.bind else None
     p = order_of_accuracy(tab, args.max, bindings)
     if args.format == "json":
         _emit_json(args, {"order": p}, indent=None)

@@ -1,10 +1,10 @@
 """Graded scaling: the one home of the scalar domains of exact weights
 and solves, the modified equation, and the Lie kernel.
 
-:func:`bsharp.tableaux.elementary_weight` and the solves,
+:func:`bsharp.tableaux.elementary_weight`, the solves and the passes,
 :func:`bsharp.series.modified_equation_series` and the modifying
-integrators of :mod:`bsharp.modifying`, hold the value of a tree τ
-scaled by λ^|τ|, a *graded* scale, in the domain that
+integrators, compose and substitute of :mod:`bsharp.modifying`, hold
+the value of a tree τ scaled by λ^|τ|, a *graded* scale, in the domain that
 :func:`_graded_denominator` picks from (order, coefficient) pairs (a
 tableau entry is of order 1, a series' c(τ) of order |τ|):
 
@@ -146,7 +146,7 @@ def _solve(solve, max_order: int, graded, divisor=1) -> tuple[TruncatedBSeries, 
     """Run ``solve(λ)``, which gives the coefficients keyed by level
     sequence and the number of zero skips.  λ starts at 1 for plain
     coefficients (``graded`` None) and at :func:`_initial_scale` for the
-    ``(d, symbols)`` of a graded domain, and is squared until every
+    d = ``graded[0]`` of a graded domain, and is squared until every
     division is exact."""
     scale = 1 if graded is None else _initial_scale(max_order, graded[0], divisor)
     while True:

@@ -1,5 +1,7 @@
 """The modifying integrator: the flow-kind series v with which a method
-applied to the field h·v is the exact flow of the original field.
+applied to the field h·v is the exact flow of the original field; and the
+one pass over grouped split tables, which its partition solve shares with
+composition and substitution.
 
 Two solves, both over the scalar domains of :mod:`bsharp.graded`:
 
@@ -18,9 +20,17 @@ Two solves, both over the scalar domains of :mod:`bsharp.graded`:
   whose domain is plain coefficients (a denominator that is not a
   monomial, or Σb not rational) takes this solve of its series.
 
-Only the commands that need a modifying integrator load this module:
-``modifying-integrator``, ``simulate --modifying-integrator`` and
-:func:`bsharp.series.modifying_integrator_series`, each when it runs.
+:func:`_pass` is the only code that sums a grouped split table
+(head, [(tree id, forest key, k), ...]) into the totals Σ k·head·Π
+factor(forest) of its trees: one order at a time in the partition solve,
+and for :func:`bsharp.series.compose` and :func:`bsharp.series.substitute`
+in :func:`compose` and :func:`substitute` here, over the domain
+that :func:`bsharp.graded._graded_denominator` picks for both operands;
+neither divides, so they run once, at λ = d.  Ints and Laurent values
+have unique normal forms; a plain sum prints the same in any order of its
+terms unless a partial sum is exactly 0 (see :mod:`bsharp.symbolic`).
+Only the commands that run one of these load this module, when they run
+it.
 """
 
 from __future__ import annotations
@@ -29,10 +39,12 @@ import math
 import operator
 from fractions import Fraction
 from functools import partial
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
+from . import graded
 from .coefficients import is_rational
-from .graded import _domain, _graded_denominator, _lie, _ratios, _solve, _top_order
+from .graded import _domain, _graded_denominator, _lie, _plain, _ratios, _solve, _top_order
 from .series import (
     _UNSET,
     TruncatedBSeries,
@@ -43,7 +55,7 @@ from .series import (
     _tables,
     modifying_integrator_series,
 )
-from .splits import by_id, edge_cut_id_table, partition_skeleton_table, tree_id
+from .splits import by_id, edge_cut_id_table, partition_skeleton_table, subtree_table, tree_id
 from .trees import trees_of_order
 
 if TYPE_CHECKING:
@@ -56,18 +68,19 @@ def modifying_integrator(
     """The modifying integrator of ``method``, whose c(•) is ``u1``, and its
     number of zero skips."""
     max_order = method.max_order
-    graded = _graded_denominator(((t.order, c) for t, c in method.items()), u1)
+    domain = _graded_denominator(((t.order, c) for t, c in method.items()), u1)
     levels = [
         (n, [(t, tree_id(t._levels)) for t in trees_of_order(n)], partition_skeleton_table(n))
         for n in range(1, max_order + 1)
     ]
-    d_top = 1 if graded is None else graded[0] ** max_order
+    lift, lower, div = _domain(domain)
+    d = 1 if domain is None else domain[0]
+    heads = _lifted(method._coeffs, lift, d, max_order)
     num, den = (u1.numerator, u1.denominator) if is_rational(u1) else (u1, 1)
     solve = partial(
-        _modifying_integrator_ints, levels, method._coeffs, d_top, num, den, *_domain(graded),
-        skip_zero,
+        _modifying_integrator_ints, levels, heads, d**max_order, num, den, lower, div, skip_zero
     )
-    return _solve(solve, max_order, graded, num)
+    return _solve(solve, max_order, domain, num)
 
 
 def modifying_integrator_of_tableau(
@@ -77,10 +90,10 @@ def modifying_integrator_of_tableau(
     flow-kind series v, truncated at ``max_order``, with which the method
     applied to the field h·v is the exact flow of the original field.
 
-    Over the int and Laurent domains, v is solved from the stages by
-    :func:`_modifying_integrator_stages`, which reads edge-cut tables only.
-    When :func:`bsharp.graded._graded_denominator` finds plain coefficients (a
-    denominator that is not a monomial, or Σb not rational), it is the
+    Over the int and Laurent domains, v is solved from the stages over
+    edge cuts and the entries the tableau lifted when it was built
+    (:func:`_modifying_integrator_stages`).  For plain coefficients (a
+    denominator that is not a monomial) or an irrational Σb, it is the
     partition solve :func:`bsharp.series.modifying_integrator_series` of
     the method's series.  Requires Σb ≠ 0.
     """
@@ -89,19 +102,15 @@ def modifying_integrator_of_tableau(
         return TruncatedBSeries._from_levels(0, {b"": Fraction(0)})
     u1 = sum(tab.b, Fraction(0))
     _check_u1(u1)
-    graded = _graded_denominator(((1, x) for row in (tab.b, *tab.A) for x in row), u1)
-    if graded is None:
+    A, b, lower, d = tab._lifted
+    if lower is _plain or not is_rational(u1):
         from .tableaux import rk_series
 
         return modifying_integrator_series(rk_series(tab, max_order), skip_zero=skip_zero)
-    lift, lower, div = _domain(graded)
-    d = graded[0]
-    A = [[lift(x, d) for x in row] for row in tab.A]
-    b = [lift(x, d) for x in tab.b]
     tables = _tables(max_order, edge_cut_id_table)
-    num, den = u1.numerator, u1.denominator
+    num, den, div = u1.numerator, u1.denominator, graded._exact
     solve = partial(_modifying_integrator_stages, tables, A, b, d, num, den, lower, div, skip_zero)
-    return _counted(_solve(solve, max_order, graded, num))
+    return _counted(_solve(solve, max_order, (d,), num))
 
 
 def _modifying_integrator_stages(
@@ -170,46 +179,130 @@ def _modifying_integrator_stages(
 
 
 def _modifying_integrator_ints(
-    levels, coeffs: dict, d_top: int, num, den, lift, lower, div, skip_zero: bool, scale: int
+    levels, heads: list, d_top: int, num, den, lower, div, skip_zero: bool, scale: int
 ):
-    """The modifying integrator over scaled values, one order at a time.  A
-    solved value is scaled by λ^|τ| (λ = ``scale``) and every skeleton
-    weight by ``d_top`` = d^N, so a row k·a(skeleton)·Π v(component) of a
-    tree τ has the scale d^N·λ^|τ| of the tree's total, which is then
-    divided by d^N·u1, u1 = ``num``/``den``.  Every component of a tree is
-    of a lower order, so the rows of one order are summed skeleton by
-    skeleton, and a zero skeleton weight skips all of its rows at once.
-    Zero terms are skipped as :func:`bsharp.series._fold` skips them."""
+    """The modifying integrator over scaled values, one :func:`_pass` per
+    order.  A solved value is scaled by λ^|τ| (λ = ``scale``) and each
+    skeleton weight, in ``heads``, by ``d_top`` = d^N, so a row of τ has
+    the scale d^N·λ^|τ| of its total, 1/γ(τ) less the rows, which is then
+    divided by d^N·u1, u1 = ``num``/``den``."""
     skips = 0
-    heads = by_id({seq: lift(c, d_top) for seq, c in coeffs.items()})
     divisor = d_top * num  # total / (d^N·u1) = total·den / divisor
     solved: list = [None] * len(heads)
-    totals = [0] * len(heads)  # minus Σ over the rows of a tree, scaled
+    totals = [0] * len(heads)  # Σ over the rows of a tree, scaled
     zero_solved: set[int] = set()
     products: dict = {}
-    known = products.get
     product = partial(_forest_product, products, solved, zero_solved)
     out: dict = {b"": Fraction(0)}
     for n, trees, groups in levels:
         power = scale**n
         one = d_top * power  # 1, scaled
-        for head, rows in groups:
-            w = heads[head]
-            if skip_zero and not w:
-                skips += len(rows)
-                continue
-            for i, forest, k in rows:
-                p = known(forest, _UNSET)
-                if p is _UNSET:
-                    p = product(forest)
-                if p is None:
-                    skips += 1
-                    continue
-                totals[i] -= (w if k == 1 else w * k) * p
+        skips += _pass(groups, heads, products, product, totals, skip_zero)
         for tree, i in trees:
-            total = div(one, tree.density()) + totals[i]
+            total = div(one, tree.density()) - totals[i]
             solved[i] = value = div(total if den == 1 else total * den, divisor)
             if skip_zero and not value:
                 zero_solved.add(i)
             out[tree._levels] = lower(value, power)
     return out, skips
+
+
+def _pass(groups, heads: list, products: dict, product, totals: list, skip_zero: bool) -> int:
+    """Add k·heads[head]·Π(forest) to totals[tree id] for every row of the
+    grouped split table ``groups``, and give the number of zero skips.
+    ``product`` is :func:`bsharp.series._forest_product` bound to the memo
+    ``products``.  A zero head skips all of its rows at once, and a forest
+    with a zero factor (``product`` gives None) skips its row."""
+    skips = 0
+    known = products.get
+    for head, rows in groups:
+        w = heads[head]
+        if skip_zero and not w:
+            skips += len(rows)
+            continue
+        for i, forest, k in rows:
+            p = known(forest, _UNSET)
+            if p is _UNSET:
+                p = product(forest)
+            if p is None:
+                skips += 1
+                continue
+            totals[i] += (w if k == 1 else w * k) * p
+    return skips
+
+
+def _lifted(coeffs: dict, lift, d: int, top: int = 0) -> list:
+    """The c(τ) of ``coeffs`` lifted by d^``top`` (d^|τ| for 0), by id."""
+    trees = islice(coeffs.items(), 1, None)
+    return by_id({seq: lift(c, d ** (top or len(seq))) for seq, c in trees})
+
+
+def _operands(inner: TruncatedBSeries, outer: TruncatedBSeries, top: int, skip_zero: bool):
+    """(heads, factors, zero factor ids, lower, d): outer's c(τ) lifted by
+    d^``top`` (d^|τ| for 0) and inner's by d^|τ|, in the domain of both."""
+    domain = _graded_denominator((t.order, c) for t, c in chain(inner.items(), outer.items()))
+    lift, lower, _ = _domain(domain)
+    d = 1 if domain is None else domain[0]
+    heads, factors = _lifted(outer._coeffs, lift, d, top), _lifted(inner._coeffs, lift, d)
+    zero = {i for i, c in enumerate(factors) if skip_zero and c is not None and not c}
+    return heads, factors, zero, lower, d
+
+
+def _passes(tables, heads, factors, zero, totals, skip_zero: bool) -> int:
+    """The zero skips of one :func:`_pass` per table, sharing one memo."""
+    products: dict = {}
+    product = partial(_forest_product, products, factors, zero)
+    return sum([_pass(groups, heads, products, product, totals, skip_zero) for groups in tables])
+
+
+def compose(
+    inner: TruncatedBSeries, outer: TruncatedBSeries, skip_zero: bool
+) -> tuple[TruncatedBSeries, int]:
+    """:func:`bsharp.series.compose` of ``inner`` then ``outer``, and its
+    number of zero skips.  A row outer(kept)·Π inner(member) of τ has the
+    scale d^|τ|; the tree's own row, the whole tree kept, adds outer(τ),
+    and the empty split outer(∅)·inner(τ) is added after lowering."""
+    tables = [subtree_table(n) for n in range(1, inner.max_order + 1)]  # index every tree
+    heads, factors, zero, lower, d = _operands(inner, outer, 0, skip_zero)
+    totals = [0] * len(heads)
+    skips = _passes(tables, heads, factors, zero, totals, skip_zero)
+    empty = outer.empty
+    coeffs = {b"": empty}
+    for seq, c in islice(inner._coeffs.items(), 1, None):
+        i = tree_id(seq)
+        total, whole = totals[i], heads[i]
+        if skip_zero and not whole:
+            skips += 1
+        else:
+            total += whole
+        total = lower(total, d ** len(seq))
+        if skip_zero and (not empty or i in zero):
+            skips += 1
+        else:
+            total += empty * c
+        coeffs[seq] = total
+    return TruncatedBSeries._from_levels(inner.max_order, coeffs), skips
+
+
+def substitute(
+    flow: TruncatedBSeries, outer: TruncatedBSeries, skip_zero: bool
+) -> tuple[TruncatedBSeries, int]:
+    """:func:`bsharp.series.substitute` of ``flow`` into ``outer``, and its
+    number of zero skips.  Skeleton weights are lifted by d^N and each
+    component by d^|component|, so every row of τ has the scale d^N·d^|τ|.
+    The row outer(•)·flow(τ), no edge removed, starts the total as in the
+    partition table: a plain sum prints by its partial sums that are 0."""
+    top = flow.max_order
+    tables = [partition_skeleton_table(n) for n in range(1, top + 1)]  # index every tree
+    heads, factors, zero, lower, d = _operands(flow, outer, top, skip_zero)
+    node = heads[tree_id(b"\x00")] if top else 0  # outer(•)
+    totals, skips = [0] * len(heads), 0
+    ids = [(seq, tree_id(seq)) for seq in islice(flow._coeffs, 1, None)]
+    for _, i in ids:
+        if skip_zero and (not node or i in zero):
+            skips += 1
+        else:
+            totals[i] = node * factors[i]
+    skips += _passes(tables, heads, factors, zero, totals, skip_zero)
+    coeffs = {b"": outer.empty, **{seq: lower(totals[i], d ** (top + len(seq))) for seq, i in ids}}
+    return TruncatedBSeries._from_levels(top, coeffs), skips

@@ -24,32 +24,21 @@ The two structural operations mirror the two ways of splitting a tree:
   u(skeleton)·Π v(component).
 
 Two triangular solves invert substitution.  :func:`modified_equation_series`
-finds the flow-kind ``v`` with substitute(v, exact flow) = method.  It does
-not walk the 2**(|τ|-1) partition splits: the exact flow of ``v`` is
-exp of the Lie derivative ∂_v, whose action on a tree sums over its
-|τ| - 1 single-edge cuts, so the solve is polynomial in the order.
-:func:`modifying_integrator_series` finds ``v`` with
-substitute(v, method) = exact flow, over the distinct partition splits.
-Each solve is one loop over the scalar domains of :mod:`bsharp.graded`
-(ints, Laurent polynomials or plain coefficients), which picks one from
-the method; the modifying integrator's loop lives in
-:mod:`bsharp.modifying`, which this module imports only when it runs.
-The ``modifying-integrator`` command and ``simulate`` do not call
-:func:`modifying_integrator_series` for a tableau whose domain is ints or
-Laurent polynomials: :func:`bsharp.modifying.modifying_integrator_of_tableau`
-solves its stages over edge cuts, in polynomial time, and falls back to
-this partition solve of the method's series for plain coefficients.
-
-Every operation reads the cached id tables of :mod:`bsharp.splits`
-(subtree, partition or edge-cut), whose rows name trees by int id and a
-forest by one int multiset key, and puts coefficients into lists indexed
-by id.  :func:`compose` and :func:`substitute` share one fold over (head,
-forest, k) rows: Σ (k·H[head])·Π F[forest].  For one call a memo maps
-each forest key to its Π (:func:`_forest_product`, which the modifying
-integrator uses too); a new entry peels the highest id off its key, which
-costs one product, so a forest is multiplied out once per call, not once
-per row.  A row whose head or forest has a zero factor is skipped before
-any product.  Level sequences appear only at the boundary: a series keeps
+finds the flow-kind ``v`` with substitute(v, exact flow) = method, over the
+|τ| - 1 single-edge cuts of each tree (the exact flow of ``v`` is exp of
+the Lie derivative ∂_v), so the solve is polynomial in the order.
+:func:`modifying_integrator_series` finds ``v`` with substitute(v, method)
+= exact flow, over the distinct partition splits.  No arithmetic loop
+lives here: every operation runs in :mod:`bsharp.graded` or
+:mod:`bsharp.modifying` (loaded only when it runs) over the scalar domain
+(ints, Laurent polynomials or plain coefficients) that
+:func:`bsharp.graded._graded_denominator` picks for its operands, and the
+sums over grouped split tables of compose, substitute and the modifying
+integrator are one pass, :func:`bsharp.modifying._pass`.  Its forest
+products come from :func:`_forest_product`: for one call a memo maps each
+forest key to its Π, and a new entry peels the highest id off its key,
+which costs one product, so a forest is multiplied out once per call, not
+once per row.  Level sequences appear only at the boundary: a series keeps
 one dict keyed by canonical level sequence, ``b""`` (the empty
 coefficient) first, then the trees in ``all_trees_up_to`` order.
 
@@ -63,24 +52,16 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .coefficients import Coefficient, coeff_div, coeff_parse, coeff_pow, coeff_print, is_rational
 from .errors import SeriesError, SingularMethodError
-from .splits import (
-    by_id,
-    edge_cut_id_table,
-    partition_id_table,
-    split_top,
-    subtree_id_table,
-    tree_id,
-)
+from .splits import edge_cut_id_table, split_top, tree_id
 from .trees import EMPTY_TREE, RootedTree, all_trees_up_to, count_trees, parse_tree, trees_of_order
 
-# This module's coefficient arithmetic goes through these names and
-# coeff_div, so a caller can rebind them to count coefficient operations.
+# This module's coefficient arithmetic goes through these names and coeff_div
+# (the passes add inline), so a caller can rebind them to count operations.
 coeff_add, coeff_sub, coeff_mul = operator.add, operator.sub, operator.mul
 
 # Instrumentation: the operations skip whole split terms with a factor that
@@ -251,11 +232,6 @@ def _tables(max_order: int, table: Callable[[bytes], tuple]) -> list[tuple]:
     return [(t, tree_id(t._levels), table(t._levels)) for t in all_trees_up_to(max_order)]
 
 
-def _zero_ids(coeffs: list) -> set[int]:
-    """Ids of the zero entries of a list made by ``by_id``."""
-    return {i for i, c in enumerate(coeffs) if c is not None and not c}
-
-
 _UNSET = object()
 
 
@@ -281,29 +257,6 @@ def _forest_product(
     return p
 
 
-def _fold(rows, heads: list, zero_heads: set[int], product) -> Coefficient:
-    """Σ (k·heads[head])·product(forest) over the (head, forest, k) rows,
-    in row order; ``product`` is :func:`_forest_product` bound to one
-    call's memo.  A row whose head or forest has a zero factor is skipped
-    before any product; the empty forest (key 0) is the factor 1."""
-    global _zero_skips
-    total: Coefficient = Fraction(0)
-    for head, forest, k in rows:
-        if head in zero_heads:
-            _zero_skips += 1
-            continue
-        if forest:
-            p = product(forest)
-            if p is None:
-                _zero_skips += 1
-                continue
-        term = heads[head]
-        if k != 1:
-            term = coeff_mul(term, k)
-        total = coeff_add(total, coeff_mul(term, p) if forest else term)
-    return total
-
-
 def compose(
     inner: TruncatedBSeries,
     outer: TruncatedBSeries,
@@ -319,7 +272,6 @@ def compose(
     ``skip_zero`` drops split terms with a zero factor; it never changes
     the result.
     """
-    global _zero_skips
     _require_same_order(inner, outer, "composition")
     if inner.empty != 1:
         raise SeriesError("composition needs a map-kind inner series (empty coefficient 1)")
@@ -327,24 +279,9 @@ def compose(
         half = Fraction(1, 2)
         inner = scale_step(inner, half)
         outer = scale_step(outer, half)
+    from . import modifying
 
-    tables = _tables(inner.max_order, subtree_id_table)
-    factors = by_id(inner._coeffs)
-    outer_coeffs = by_id(outer._coeffs)
-    zero_outer = _zero_ids(outer_coeffs) if skip_zero else set()
-    zero_inner = _zero_ids(factors) if skip_zero else set()
-    skip_empty = skip_zero and not outer.empty
-    product = partial(_forest_product, {}, factors, zero_inner)
-    coeffs = {b"": outer.empty}
-    for tree, i, rows in tables:
-        total = _fold(rows, outer_coeffs, zero_outer, product)
-        # the empty split: nothing kept, the whole tree cut off
-        if skip_empty or i in zero_inner:
-            _zero_skips += 1
-        else:
-            total = coeff_add(total, coeff_mul(outer.empty, factors[i]))
-        coeffs[tree._levels] = total
-    return TruncatedBSeries._from_levels(inner.max_order, coeffs)
+    return _counted(modifying.compose(inner, outer, skip_zero))
 
 
 def substitute(
@@ -363,16 +300,9 @@ def substitute(
     _require_same_order(flow, outer, "substitution")
     if flow.empty:
         raise SeriesError("substitution needs a flow-kind inner series (empty coefficient 0)")
+    from . import modifying
 
-    tables = _tables(flow.max_order, partition_id_table)
-    factors = by_id(flow._coeffs)
-    outer_coeffs = by_id(outer._coeffs)
-    zero_outer = _zero_ids(outer_coeffs) if skip_zero else set()
-    product = partial(_forest_product, {}, factors, _zero_ids(factors) if skip_zero else set())
-    coeffs = {b"": outer.empty}
-    for tree, _, rows in tables:
-        coeffs[tree._levels] = _fold(rows, outer_coeffs, zero_outer, product)
-    return TruncatedBSeries._from_levels(flow.max_order, coeffs)
+    return _counted(modifying.substitute(flow, outer, skip_zero))
 
 
 def modified_equation_series(

@@ -228,18 +228,17 @@ def iterate_rows(plan: SimulationPlan) -> Iterator[tuple[float, tuple[float, ...
     last row already yielded.
     """
     _require_explicit(plan.tableau)
-    return _rows(plan, _build_field(plan))
-
-
-def _rows(plan: SimulationPlan, field: Field) -> Iterator[tuple[float, tuple[float, ...]]]:
+    field = _build_field(plan)
     if plan.mode == "direct":
         a, b = _float_tableau(plan.tableau)
         substeps, h_sub = 1, plan.step
     else:
         a, b = _RK4_A, _RK4_B
         substeps, h_sub = _REFINE, plan.step / _REFINE
-    row = _row_function(a, b, h_sub, substeps, plan.system.dimension, field)
+    return _rows(plan, _row_function(a, b, h_sub, substeps, plan.system.dimension, field))
 
+
+def _rows(plan: SimulationPlan, row) -> Iterator[tuple[float, tuple[float, ...]]]:
     y = tuple(float(v) for v in plan.initial)
     yield 0.0, y
     for i in range(1, plan.rows):

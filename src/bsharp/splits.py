@@ -18,24 +18,20 @@ appear as often as the series laws count them (a tree of order 40 has
 ~2**39 edge subsets; taking the first few must not enumerate them all).
 They are the only place that wraps splits in :class:`RootedTree` and
 :class:`Forest`.  Each spells out, lazily and over ids, the recursion a
-table stores: :func:`partitions` the one of :func:`partition_id_table`,
-through the same join step, and :func:`ordered_subtrees` the one of
-:func:`subtree_id_table`.
+table stores: :func:`partitions` the partition rows, through the same
+join step, and :func:`ordered_subtrees` the one behind :func:`subtree_table`.
 
-The ``*_id_table`` functions materialize and cache a tree's whole table,
-so the cost is paid once per tree shape and only for the small orders a
-truncated series actually contains.  Their rows name a tree by a dense int
-id from one lazily grown tree index and a forest by one int *multiset key*
-with a count field per id, so every table has the same row shape.
-:func:`subtree_id_table` gives (kept id, forest key, 1), one row per
-subset in the order of :func:`ordered_subtrees`, without the empty split;
-:func:`partition_id_table` gives (skeleton id, forest key, multiplicity)
-and :func:`edge_cut_id_table` gives (trunk id, branch id, multiplicity),
-each distinct split once, in the order of its first appearance.
-:func:`partition_skeleton_table` holds the partition rows of all trees of
-one order, grouped by skeleton.  The solves in :mod:`bsharp.series` and
-:mod:`bsharp.graded` read only these, with coefficients put into lists
-indexed by id by :func:`by_id`.
+The tables are cached, so the cost is paid once per tree shape and only
+for the small orders a truncated series actually contains.  Their rows
+name a tree by a dense int id from one lazily grown tree index and a
+forest by one int *multiset key* with a count field per id, so every
+table has the same row shape.  :func:`edge_cut_id_table` gives the
+(trunk id, branch id, multiplicity) rows of one tree, each distinct cut
+once.  :func:`subtree_table` and :func:`partition_skeleton_table` give
+the rows of all trees of one order grouped by head, the kept subtree or
+the skeleton: (head, [(tree id, forest key, k), ...]), each head once,
+both made by one grouping function, :func:`_grouped`.  The solves read only
+these, with coefficients put into lists indexed by id by :func:`by_id`.
 
 No table walks the 2**(order-1) subsets, and nothing here walks a mask
 or canonicalizes a level sequence: each table is built over ids from the
@@ -56,6 +52,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, NamedTuple, Union
 
 from .errors import InvalidTreeError
@@ -214,8 +211,6 @@ _ROOT_ONLY = (0, 0, 0)
 
 # id -> rooted table, only for trees met as a child
 _rooted_tables: dict[int, dict[tuple[int, int, int], int]] = {}
-# id -> partition rows (skeleton id, forest key, multiplicity)
-_id_tables: dict[int, tuple[tuple[int, int, int], ...]] = {}
 # order -> partition rows of its trees grouped by skeleton id
 _skeleton_tables: dict[int, tuple] = {}
 # forest key -> its level sequences, for partition_split_table only
@@ -275,43 +270,27 @@ def _states(i: int, j: int = 0) -> Iterator[tuple[int, int, int]]:
             yield from _join({rest: 1}, {state: 1})
 
 
-def partition_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
-    """Distinct partition splits of the tree ``seq`` over tree ids, cached.
-
-    Rows are (skeleton id, forest multiset key, multiplicity), in the order
-    of :func:`partition_split_table`; the first is (id of the one-node
-    tree, the one-tree multiset of ``seq``, 1).
-    """
-    i = tree_id(seq)
-    table = _id_tables.get(i)
-    if table is None:
-        table = _id_tables[i] = tuple([(s, f, k) for (s, f), k in _partition_rows(i).items()])
-    return table
-
-
-def partition_skeleton_table(
-    order: int,
-) -> tuple[tuple[int, list[tuple[int, int, int]]], ...]:
-    """Partition splits of every tree of ``order`` over tree ids, grouped
-    by skeleton, cached.
-
-    Rows are (skeleton id, [(tree id, forest key, multiplicity), ...]):
-    the rows of :func:`partition_id_table` of every tree of the order but
-    its first (no-edges-removed) one, each skeleton once.  A solve that
-    walks one order at a time can pass over all rows of a skeleton with a
-    zero coefficient at once.
-    """
-    table = _skeleton_tables.get(order)
+def _grouped(order: int, cache: dict, rows_of) -> tuple[tuple[int, list], ...]:
+    """The ((head, forest key), k) rows ``rows_of(i)`` of every tree i of
+    ``order`` as (head, [(tree id, forest key, k), ...]), each head once,
+    cached in ``cache`` by order."""
+    table = cache.get(order)
     if table is None:
         groups: defaultdict[int, list] = defaultdict(list)
         for tree in trees_of_order(order):
             i = tree_id(tree._levels)
-            rows = iter(_partition_rows(i).items())
-            next(rows)  # the no-edges-removed split
-            for (s, f), k in rows:
-                groups[s].append((i, f, k))
-        table = _skeleton_tables[order] = tuple(groups.items())
+            for (head, forest), k in rows_of(i):
+                groups[head].append((i, forest, k))
+        table = cache[order] = tuple(groups.items())
     return table
+
+
+def partition_skeleton_table(order: int) -> tuple[tuple[int, list[tuple[int, int, int]]], ...]:
+    """Partition splits of every tree of ``order`` over tree ids, grouped
+    by skeleton, cached: (skeleton id, [(tree id, forest key,
+    multiplicity), ...]), every distinct split of each tree but its first,
+    no-edges-removed one, each skeleton once."""
+    return _grouped(order, _skeleton_tables, lambda i: islice(_partition_rows(i).items(), 1, None))
 
 
 def _partition_rows(i: int) -> dict[tuple[int, int], int]:
@@ -338,12 +317,12 @@ def partition_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, .
     forest sorted by (order, level sequence).  Each distinct split appears
     once, in the order of its first appearance in :func:`partitions`, and
     the multiplicities sum to 2**(order-1).  The first entry is always
-    (one-node tree, (tree,), 1).  This is a view of
-    :func:`partition_id_table` with ids spelled as level sequences; the
-    solves read the id table.
+    (one-node tree, (tree,), 1).  This is a view of the partition rows
+    over ids, spelled as level sequences; the solves read
+    :func:`partition_skeleton_table`.
     """
     rows = []
-    for s, f, k in partition_id_table(tree._levels):
+    for (s, f), k in _partition_rows(tree_id(tree._levels)).items():
         forest = _forests.get(f)
         if forest is None:
             members = sorted(map(_seqs.__getitem__, _members(f)))
@@ -355,7 +334,7 @@ def partition_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, .
 
 # -- subtree and edge-cut tables by the children recursion --------------------
 
-_subtree_tables: dict[int, tuple] = {}  # id -> rows (kept id, forest key, 1)
+_subtree_tables: dict[int, tuple] = {}  # order -> rows of its trees grouped by kept id
 _cut_tables: dict[int, tuple] = {}      # id -> rows (trunk id, branch id, multiplicity)
 
 
@@ -379,19 +358,18 @@ def _kept(i: int, j: int = 0) -> Iterator[tuple[int, int]]:
             yield kept + graft, forest + c_forest
 
 
-def subtree_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
-    """Ordered-subtree splits of the tree ``seq`` over tree ids, cached.
+def subtree_table(order: int) -> tuple[tuple[int, list[tuple[int, int, int]]], ...]:
+    """Ordered-subtree splits of every tree of ``order`` over tree ids,
+    grouped by kept subtree, cached: (kept id, [(tree id, forest key, 1),
+    ...]), one row per parent-closed subset of nodes but the whole tree,
+    equal rows unmerged, each kept subtree once."""
+    return _grouped(order, _subtree_tables, _subtree_rows)
 
-    Rows are (kept subtree id, forest multiset key, 1), one per
-    parent-closed subset of nodes, in the order of :func:`ordered_subtrees`
-    without its final empty split; equal rows are not merged.  The
-    whole-tree row has the empty forest, key 0.
-    """
-    i = tree_id(seq)
-    table = _subtree_tables.get(i)
-    if table is None:
-        table = _subtree_tables[i] = tuple([(_graft(k), f, 1) for k, f in _kept(i)])
-    return table
+
+def _subtree_rows(i: int) -> Iterator[tuple[tuple[int, int], int]]:
+    for kept, forest in _kept(i):
+        if forest:  # the whole tree alone has an empty forest
+            yield (_graft(kept), forest), 1
 
 
 def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
@@ -422,7 +400,6 @@ def clear_split_caches() -> None:
     """Drop every cached split table and the memos behind them."""
     partition_split_table.cache_clear()
     _rooted_tables.clear()
-    _id_tables.clear()
     _skeleton_tables.clear()
     _subtree_tables.clear()
     _cut_tables.clear()

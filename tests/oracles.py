@@ -451,6 +451,33 @@ def partition_table_bytes_states(seq: bytes) -> tuple:
     )
 
 
+# The per-tree split rows over tree ids, as the package built them before it
+# kept only the grouped tables of one order (bsharp.splits.subtree_table and
+# partition_skeleton_table): read straight off the package's recursions, in
+# their order, so the grouped tables and the lazy iterators are checked
+# against them row for row.
+
+def subtree_id_table(seq: bytes) -> tuple:
+    """(kept id, forest key, 1) for each ordered-subtree split of the tree
+    ``seq`` but the empty one, in the order of
+    :func:`bsharp.splits.ordered_subtrees`, equal rows unmerged; the
+    whole-tree row, last, has the empty forest, key 0."""
+    from bsharp import splits
+
+    rows = splits._kept(splits.tree_id(seq))
+    return tuple((splits._graft(kept), forest, 1) for kept, forest in rows)
+
+
+def partition_id_table(seq: bytes) -> tuple:
+    """(skeleton id, forest key, multiplicity) for each distinct partition
+    split of the tree ``seq``, in the order of first appearance; the first
+    is the no-edges-removed split."""
+    from bsharp import splits
+
+    rows = splits._partition_rows(splits.tree_id(seq))
+    return tuple((skeleton, forest, k) for (skeleton, forest), k in rows.items())
+
+
 def modified_equation_rows(method: dict, max_order: int, trees) -> dict:
     """The modified-equation solve over plain coefficients, as the package
     ran it before one loop served every scalar domain: the Lie terms

@@ -332,6 +332,22 @@ def test_order_with_bindings():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "tableau, binds, message",
+    [
+        ("rk4", ["zeta=1"], "--bind zeta: the tableau has no symbol 'zeta'"),
+        ("rk22(alpha)", ["zeta=1"], "--bind zeta: the tableau has no symbol 'zeta'"),
+        ("rk22(alpha)", ["alpha=1/2", "alpha=1"], "--bind alpha is given twice"),
+    ],
+)
+def test_order_refuses_a_binding_it_would_ignore(tableau, binds, message):
+    args = [arg for bind in binds for arg in ("--bind", bind)]
+    proc = run_cli("order", "--tableau", tableau, "--max", "4", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("value", ["2^-1", " -(1/4 - 3/4) ", "1/(1+1)"])
 def test_bind_reads_the_coefficient_grammar(value):
     out = run_ok("order", "--tableau", "rk22(alpha)", "--max", "4", "--bind", f"alpha={value}")
@@ -564,6 +580,19 @@ def test_simulate_refuses_a_constant_past_the_double_range(tmp_path, ode, extra)
     assert proc.returncode == 3
     assert proc.stdout == "" and not target.exists()
     assert proc.stderr == "error: component x has a constant that does not fit a double\n"
+
+
+@pytest.mark.parametrize("output", [False, True])
+def test_simulate_refuses_an_unbound_symbol_before_any_output(tmp_path, output):
+    target = tmp_path / "out.csv"
+    proc = run_cli(
+        "simulate", "--tableau", "rk22(alpha)", "--ode-text", "vars x; x' = x",
+        "--step", "0.5", "--t-max", "1", "--initial=1",
+        *(("--output", str(target)) if output else ()),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == "" and not target.exists()
+    assert proc.stderr.startswith("error:") and "alpha" in proc.stderr
 
 
 def test_simulate_runs_a_field_whose_constants_fit():

@@ -87,10 +87,10 @@ def test_checks_load_the_oracles(monkeypatch):
 
 def test_series_folds_count_through_the_module_attributes(monkeypatch):
     """coefficients.ops counts the calls that go through ``series.coeff_*``;
-    a fold that bound the helpers elsewhere would report zero.  The two
-    solves run in :mod:`bsharp.graded` and make no such call, so the
-    count is taken on ``compose`` and ``substitute``, which fold through
-    these names, on a tableau with a21 = 1/(1 + beta)."""
+    a fold that bound the helpers elsewhere would report zero.  Every pass
+    over a split table adds inline, but its forest products go through
+    ``series.coeff_mul``, so that count is taken on ``compose`` and
+    ``substitute``, on a tableau with a21 = 1/(1 + beta)."""
     tab = tableau_from_json_dict(
         {"A": [["0", "0"], ["1/(1 + beta)", "0"]], "b": ["1/2", "1/2"],
          "c": ["0", "1/(1 + beta)"], "symbols": ["beta"]}
@@ -109,10 +109,10 @@ def test_series_folds_count_through_the_module_attributes(monkeypatch):
     for name in COUNTED:
         monkeypatch.setattr(series, name, counting(name, getattr(series, name)))
     assert series.compose(method, method) == expected[0]
-    assert calls["coeff_mul"] > 0 and calls["coeff_add"] > 0
+    assert calls["coeff_mul"] > 0
     counted = dict(calls)
     assert series.substitute(flow, method) == expected[1]
-    assert calls["coeff_mul"] > counted["coeff_mul"] and calls["coeff_add"] > counted["coeff_add"]
+    assert calls["coeff_mul"] > counted["coeff_mul"]
 
 
 @pytest.mark.parametrize(

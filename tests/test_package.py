@@ -64,6 +64,43 @@ def test_no_module_imports_a_bsharp_module_twice(module):
     assert twice == []
 
 
+def _unused_imports(source: str) -> list[str]:
+    """The names bound by a module-level import of ``source`` (inside an
+    ``if`` too) that nothing in it reads, but for an import whose line
+    carries ``# noqa: F401``.  A string that is a name reads it, as a
+    forward reference does."""
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and isinstance(node.value, str) and node.value.isidentifier()}
+    imports, body = [], list(tree.body)
+    while body:
+        node = body.pop(0)
+        if isinstance(node, ast.If):
+            body += node.body + node.orelse
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            kept = "# noqa: F401" in lines[node.lineno - 1]
+            if not kept and getattr(node, "module", None) != "__future__":
+                imports += [(alias.asname or alias.name.split(".")[0], node) for alias in node.names]
+    return [f"{name} (line {node.lineno})" for name, node in imports if name not in read]
+
+
+def test_the_unused_import_scan_sees_every_kind():
+    source = (
+        "import os.path\nimport sys  # noqa: F401\nfrom a import (\n    b,\n    c as d,\n)\n"
+        "if TYPE_CHECKING:\n    from e import F, G\nfrom __future__ import annotations\n"
+        "def g(x: F) -> 'G':\n    import json\n    return d\n"
+    )
+    assert _unused_imports(source) == ["os (line 1)", "b (line 3)"]
+
+
+@pytest.mark.parametrize("module", ["__init__", *MODULES])
+def test_no_module_level_import_goes_unused(module):
+    # an import that nothing reads costs every command that loads its
+    # module; one kept for another reader says so with "# noqa: F401"
+    assert _unused_imports((SOURCE / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
 def test_every_export_is_its_home_modules_object():
     assert bsharp.__all__[-1] == "__version__"
     for name in bsharp.__all__[:-1]:
@@ -205,4 +242,4 @@ def test_series_file_commands_load_only_the_solve_layers(tmp_path):
         ["modified-equation", "--tableau", "midpoint", "--order", "3", "--output", flow],
         ["compose", method, method],
         ["substitute", flow, method],
-    ) == sorted(["cli", "errors", *SOLVE])
+    ) == sorted(["cli", "errors", *SOLVE, *MI])

@@ -550,7 +550,7 @@ def test_modified_equation_builds_no_partition_table():
     for n in range(1, 12):
         assert v[RootedTree(range(n))] == Fraction((-1) ** (n + 1), n)
     assert partition_split_table.cache_info().currsize == 0
-    assert not splits._id_tables and not splits._rooted_tables
+    assert not splits._rooted_tables
     # it indexes trees for its edge-cut tables, and nothing more
     assert len(splits._cut_tables) == len(splits._seqs) == len(list(all_trees_up_to(11)))
     clear_split_caches()
@@ -642,6 +642,54 @@ def test_compose_prints_like_the_row_by_row_oracle(name):
         assert printed(compose(inner, outer)._coeffs) == printed(
             compose_rows(inner._coeffs, outer._coeffs, trees)
         )
+
+
+def test_order_zero_compose_and_substitute_on_a_cleared_index():
+    # no tree up to order 0: only the empty coefficient, and no tree indexed
+    clear_split_caches()
+    method, flow = exact_series(0), TruncatedBSeries(0, Fraction(0), {})
+    assert compose(method, method)._coeffs == {b"": 1}
+    assert compose(method, flow, normalize_stepsize=True)._coeffs == {b"": 0}
+    assert substitute(flow, method)._coeffs == {b"": 1}
+    assert not splits._seqs
+
+
+@pytest.mark.parametrize("name", ["rk4", "midpoint", "rk22(alpha)"])
+def test_compose_and_substitute_pass_multiplies_no_coefficient(monkeypatch, name):
+    # the series are rational or have monomial denominators, so the pass
+    # runs over ints or Laurent polynomials; with the graded domains off it
+    # multiplies coefficients, which shows that the count sees them
+    method = rk_series(builtin_tableau(name), 6)
+    flow = modified_equation_series(method)
+    products, passes, running = [], [], []
+
+    def counted(cls, op):
+        fn = getattr(cls, op)
+
+        def wrapper(a, b):
+            if running:
+                products.append(cls)
+            return fn(a, b)
+        return wrapper
+
+    def tracked(*args):
+        passes.append(args)
+        running.append(True)
+        try:
+            return run_pass(*args)
+        finally:
+            running.pop()
+
+    for cls in (Fraction, symbolic.RationalFunction):
+        for op in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, op, counted(cls, op))
+    run_pass = modifying._pass
+    monkeypatch.setattr(modifying, "_pass", tracked)
+    expected = compose(method, method), substitute(flow, method)
+    assert passes and not products
+    _without_graded_path(monkeypatch)
+    assert (compose(method, method), substitute(flow, method)) == expected
+    assert products
 
 
 _SYMBOLIC_TABLEAUX = {

@@ -15,7 +15,6 @@ from bsharp.splits import (
     ordered_subtrees,
     partition_split_table,
     partitions,
-    subtree_id_table,
 )
 from bsharp.trees import (
     EMPTY_TREE,
@@ -31,9 +30,11 @@ from oracles import (
     edge_cut_rows_by_slices,
     edge_cuts_bruteforce,
     levels_to_shape,
+    partition_id_table,
     partition_rows_by_masks,
     partition_splits_bruteforce,
     partition_table_bytes_states,
+    subtree_id_table,
     subtree_rows_by_masks,
     subtree_splits_bruteforce,
 )
@@ -200,7 +201,7 @@ def test_the_empty_tree_has_no_split_tables():
     splits.clear_split_caches()
     edge_cut_id_table(b"\x00")
     seqs, grafts = list(splits._seqs), dict(splits._grafts)
-    for table in (subtree_id_table, edge_cut_id_table, splits.partition_id_table):
+    for table in (subtree_id_table, edge_cut_id_table, partition_id_table):
         with pytest.raises(InvalidTreeError, match="empty tree"):
             table(b"")
         assert splits._seqs == seqs and splits._grafts == grafts
@@ -271,7 +272,6 @@ def test_tables_agree_with_iterators():
         _assert_matches_mask_and_slice_oracles(tree)
         # cached: same object on the second call
         assert partition_split_table(tree) is partition_split_table(tree)
-        assert subtree_id_table(tree._levels) is subtree_id_table(tree._levels)
 
 
 @given(level_sequences(max_nodes=11))
@@ -332,15 +332,15 @@ def test_clear_split_caches_empties_every_cache():
 
     for tree in all_trees_up_to(6):
         partition_split_table(tree)
-        subtree_id_table(tree._levels)
         edge_cut_id_table(tree._levels)
     splits.partition_skeleton_table(6)
+    splits.subtree_table(6)
     # the iterator indexes the trees it names: a 7-chain's kept subtrees
     list(ordered_subtrees(RootedTree(range(7))))
     assert bytes(range(7)) in splits._ids
     filled = caches()
     assert {
-        "partition_split_table", "_rooted_tables", "_id_tables", "_forests",
+        "partition_split_table", "_rooted_tables", "_skeleton_tables", "_forests",
         "_subtree_tables", "_cut_tables", "_ids", "_seqs", "_kids", "_grafts",
     } <= filled.keys()
     assert all(size > 0 for size in filled.values()), filled
@@ -359,9 +359,26 @@ def test_skeleton_table_regroups_the_partition_rows_of_one_order():
             i = splits.tree_id(tree._levels)
             # every row but the first, the no-edges-removed split
             expected.update((i, head, forest, k) for head, forest, k in
-                            splits.partition_id_table(tree._levels)[1:])
+                            partition_id_table(tree._levels)[1:])
         assert got == expected
         assert splits.partition_skeleton_table(order) is table
+
+
+def test_subtree_table_regroups_the_subtree_rows_of_one_order():
+    for order in range(1, 8):
+        table = splits.subtree_table(order)
+        heads = [head for head, _ in table]
+        assert len(heads) == len(set(heads))  # each kept subtree once
+        got = Counter((i, head, forest, k) for head, rows in table for i, forest, k in rows)
+        expected = Counter()
+        for tree in trees_of_order(order):
+            i = splits.tree_id(tree._levels)
+            rows = subtree_id_table(tree._levels)
+            assert rows[-1] == (i, 0, 1)  # the whole tree kept, the one empty forest
+            # every row but that one, equal rows unmerged
+            expected.update((i, head, forest, k) for head, forest, k in rows[:-1])
+        assert got == expected
+        assert splits.subtree_table(order) is table
 
 
 def test_edge_cut_table_matches_bruteforce():
@@ -398,7 +415,7 @@ def test_every_id_table_row_names_indexed_trees():
 
     for tree in all_trees_up_to(6):
         seq = tree._levels
-        for head, forest, k in subtree_id_table(seq) + splits.partition_id_table(seq):
+        for head, forest, k in subtree_id_table(seq) + partition_id_table(seq):
             assert indexed(head, *splits._members(forest)) and type(k) is int
         for trunk, branch, k in edge_cut_id_table(seq):
             assert indexed(trunk, branch) and type(k) is int

@@ -198,7 +198,7 @@ def _cli_output(*argv: str) -> str:
 
 
 def _partition_tables_built() -> bool:
-    return bool(splits._skeleton_tables or splits._id_tables or splits._rooted_tables)
+    return bool(splits._skeleton_tables or splits._rooted_tables)
 
 
 @pytest.mark.parametrize("name", ["rk4", "rk22(alpha)"])
