@@ -52,6 +52,17 @@ def is_rational(value: object) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def check_power(base: Fraction, exponent: int, *, line=None, column=None) -> None:
+    """Refuse, before any work, a rational ``base ** exponent`` with more than
+    10·``sys.get_int_max_str_digits()`` digits (0: no limit), which starts to
+    take time (m-bit ints to the k have > (m - 1)·k·log10(2) digits)."""
+    limit = 10 * sys.get_int_max_str_digits()
+    bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
+    if limit and bits * abs(exponent) * 0.30103 > limit:
+        message = f"a power with exponent {exponent} has more than {limit} digits"
+        raise ParseError(message, line=line, column=column)
+
+
 def coeff_div(a: Coefficient, b: Coefficient) -> Coefficient:
     if not b:
         raise CoefficientError("division by zero coefficient")
@@ -251,6 +262,8 @@ class _Parser:
         if kind == "op" and text == "^":
             tok = self.next()
             exponent = self.exponent()
+            if is_rational(base):
+                check_power(base, exponent, line=self.line, column=tok[2])
             try:
                 return base ** exponent
             except (CoefficientError, ZeroDivisionError):
@@ -304,6 +317,14 @@ def coeff_parse(text: str) -> Coefficient:
     """Parse ``"1/2"``, ``"1 - alpha"``, ``"1/(8*alpha^2)"``, ...; every
     name is a :func:`bsharp.symbolic.symbol`."""
     return parse_arithmetic(text, _symbol)
+
+
+def coeff_from_json(value, where: str, error: type[Exception]) -> Coefficient:
+    """The coefficient of a JSON string or integer; ``error`` naming ``where`` otherwise."""
+    if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool):
+        return coeff_parse(str(value))
+    shown = "null" if value is None else str(value).lower() if isinstance(value, bool) else value
+    raise error(f"{where} must be a coefficient string or an integer, got {shown}")
 
 
 def _symbol(name: str, line: int | None, column: int):

@@ -172,7 +172,6 @@ def modified_equation(
     return _solve(solve, method.max_order, graded)
 
 
-
 # -- the Lie kernel -------------------------------------------------------------
 #
 # For a flow-kind series w and any series g, the Lie derivative is

@@ -1,36 +1,26 @@
 """The modifying integrator: the flow-kind series v with which a method
-applied to the field h·v is the exact flow of the original field; and the
-one pass over grouped split tables, which its partition solve shares with
-composition and substitution.
+applied to the field h·v is the exact flow of the original field; the one
+pass over grouped split tables; and composition.
 
 Two solves, both over the scalar domains of :mod:`bsharp.graded`:
-
-* :func:`modifying_integrator_of_tableau`, for a Runge-Kutta tableau, is
-  a stage recursion over single-edge cuts
-  (:func:`_modifying_integrator_stages`): each stage whose row of A is
-  not zero makes one pass of the Lie kernel :func:`bsharp.graded._lie`
-  per tree, which gives both of its Lie series, and no partition table
-  is built.  At the top order N each pass
-  costs one product per cut (the top-order shortcut,
-  :func:`bsharp.graded._top_order`).  It runs over ints and Laurent
-  polynomials only.
-* :func:`modifying_integrator`, for any map-kind series, solves
-  substitute(v, method) = exact flow over the distinct partition splits
-  (:func:`_modifying_integrator_ints`), in all three domains.  A tableau
-  whose domain is plain coefficients (a denominator that is not a
-  monomial, or Σb not rational) takes this solve of its series.
+:func:`modifying_integrator_of_tableau`, for a Runge-Kutta tableau, is a
+stage recursion over single-edge cuts, one pass of the Lie kernel
+:func:`bsharp.graded._lie` per tree and stage, over ints and Laurent
+polynomials; :func:`modifying_integrator`, for any map-kind series, solves
+substitute(v, method) = exact flow over the distinct partition splits, in
+all three domains, and takes a tableau whose domain is plain coefficients.
 
 :func:`_pass` is the only code that sums a grouped split table
 (head, [(tree id, forest key, k), ...]) into the totals Σ k·head·Π
 factor(forest) of its trees: one order at a time in the partition solve,
-and for :func:`bsharp.series.compose` and :func:`bsharp.series.substitute`
-in :func:`compose` and :func:`substitute` here, over the domain
-that :func:`bsharp.graded._graded_denominator` picks for both operands;
+and in :func:`substitute`.  :func:`compose` reads no table: one recursion
+over each tree's children merges the subtree splits that keep the same
+subtree as they arise.  Both run over the domain that
+:func:`bsharp.graded._graded_denominator` picks for their operands, and
 neither divides, so they run once, at λ = d.  Ints and Laurent values
 have unique normal forms; a plain sum prints the same in any order of its
 terms unless a partial sum is exactly 0 (see :mod:`bsharp.symbolic`).
-Only the commands that run one of these load this module, when they run
-it.
+Only the commands that run one of these load this module.
 """
 
 from __future__ import annotations
@@ -55,7 +45,7 @@ from .series import (
     _tables,
     modifying_integrator_series,
 )
-from .splits import by_id, edge_cut_id_table, partition_skeleton_table, subtree_table, tree_id
+from .splits import _kids, by_id, edge_cut_id_table, partition_skeleton_table, tree_id, with_child
 from .trees import trees_of_order
 
 if TYPE_CHECKING:
@@ -248,40 +238,50 @@ def _operands(inner: TruncatedBSeries, outer: TruncatedBSeries, top: int, skip_z
     return heads, factors, zero, lower, d
 
 
-def _passes(tables, heads, factors, zero, totals, skip_zero: bool) -> int:
-    """The zero skips of one :func:`_pass` per table, sharing one memo."""
-    products: dict = {}
-    product = partial(_forest_product, products, factors, zero)
-    return sum([_pass(groups, heads, products, product, totals, skip_zero) for groups in tables])
-
-
 def compose(
     inner: TruncatedBSeries, outer: TruncatedBSeries, skip_zero: bool
 ) -> tuple[TruncatedBSeries, int]:
     """:func:`bsharp.series.compose` of ``inner`` then ``outer``, and its
-    number of zero skips.  A row outer(kept)·Π inner(member) of τ has the
-    scale d^|τ|; the tree's own row, the whole tree kept, adds outer(τ),
-    and the empty split outer(∅)·inner(τ) is added after lowering."""
-    tables = [subtree_table(n) for n in range(1, inner.max_order + 1)]  # index every tree
+    number of zero skips.  A state maps a kept subtree s to V_s, Σ Π
+    inner(cut branch) over the splits that keep s, from {•: 1}; each child
+    c is cut (V·inner(c)) or kept in a split k of its own (V·V_c(k), k
+    grafted onto s).  compose(τ) = Σ outer(s)·V_s has the scale d^|τ|; the
+    empty split outer(∅)·inner(τ) is added after lowering."""
+    trees = [(seq, c, tree_id(seq)) for seq, c in islice(inner._coeffs.items(), 1, None)]
     heads, factors, zero, lower, d = _operands(inner, outer, 0, skip_zero)
-    totals = [0] * len(heads)
-    skips = _passes(tables, heads, factors, zero, totals, skip_zero)
-    empty = outer.empty
+    top = inner.max_order
+    kept: list = [None] * len(heads)  # id -> its (memo growing s by it, V) pairs
+    empty, skips = outer.empty, 0
     coeffs = {b"": empty}
-    for seq, c in islice(inner._coeffs.items(), 1, None):
-        i = tree_id(seq)
-        total, whole = totals[i], heads[i]
-        if skip_zero and not whole:
-            skips += 1
-        else:
-            total += whole
-        total = lower(total, d ** len(seq))
+    for seq, a, i in trees:
+        states: dict = {trees[0][2]: 1}  # the root alone
+        for c in _kids[i]:
+            f = factors[c]
+            cut = f or not skip_zero
+            skips += not cut
+            out: dict = {}
+            get = out.get
+            for s, v in states.items():
+                if skip_zero and not v:
+                    skips += 1
+                    continue
+                if cut:
+                    out[s] = get(s, 0) + v * f
+                for grown, w in kept[c]:
+                    t = grown[s]
+                    out[t] = get(t, 0) + v * w
+            states = out
+        terms = [heads[s] * v for s, v in states.items() if heads[s] and v or not skip_zero]
+        skips += len(states) - len(terms)
+        if len(seq) < top:
+            kept[i] = [(with_child[s], v) for s, v in states.items() if v or not skip_zero]
+        total = lower(sum(terms, 0), d ** len(seq))
         if skip_zero and (not empty or i in zero):
             skips += 1
         else:
-            total += empty * c
+            total += empty * a
         coeffs[seq] = total
-    return TruncatedBSeries._from_levels(inner.max_order, coeffs), skips
+    return TruncatedBSeries._from_levels(top, coeffs), skips
 
 
 def substitute(
@@ -303,6 +303,8 @@ def substitute(
             skips += 1
         else:
             totals[i] = node * factors[i]
-    skips += _passes(tables, heads, factors, zero, totals, skip_zero)
+    products: dict = {}
+    product = partial(_forest_product, products, factors, zero)
+    skips += sum([_pass(groups, heads, products, product, totals, skip_zero) for groups in tables])
     coeffs = {b"": outer.empty, **{seq: lower(totals[i], d ** (top + len(seq))) for seq, i in ids}}
     return TruncatedBSeries._from_levels(top, coeffs), skips

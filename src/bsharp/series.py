@@ -32,15 +32,16 @@ the Lie derivative ∂_v), so the solve is polynomial in the order.
 lives here: every operation runs in :mod:`bsharp.graded` or
 :mod:`bsharp.modifying` (loaded only when it runs) over the scalar domain
 (ints, Laurent polynomials or plain coefficients) that
-:func:`bsharp.graded._graded_denominator` picks for its operands, and the
-sums over grouped split tables of compose, substitute and the modifying
-integrator are one pass, :func:`bsharp.modifying._pass`.  Its forest
-products come from :func:`_forest_product`: for one call a memo maps each
-forest key to its Π, and a new entry peels the highest id off its key,
-which costs one product, so a forest is multiplied out once per call, not
-once per row.  Level sequences appear only at the boundary: a series keeps
-one dict keyed by canonical level sequence, ``b""`` (the empty
-coefficient) first, then the trees in ``all_trees_up_to`` order.
+:func:`bsharp.graded._graded_denominator` picks for its operands.
+Substitute and the modifying integrator sum grouped partition tables in
+one pass, :func:`bsharp.modifying._pass`, whose forest products come from
+:func:`_forest_product`: a memo for one call maps each forest key to its
+Π, and a new entry peels the highest id off its key for one product.
+Compose reads no table: it merges, tree by tree, the subtree splits that
+keep the same subtree as they arise.  Level sequences appear only at the
+boundary: a series keeps one dict keyed by canonical level sequence,
+``b""`` (the empty coefficient) first, then the trees in
+``all_trees_up_to`` order.
 
 Display convention: a coefficient table is presented as
 Σ coeff(τ)/σ(τ) · h^{|τ| − reduce} · F(τ), where σ is the tree symmetry and
@@ -55,7 +56,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .coefficients import Coefficient, coeff_div, coeff_parse, coeff_pow, coeff_print, is_rational
+from .coefficients import (
+    Coefficient, coeff_div, coeff_from_json, coeff_pow, coeff_print, is_rational
+)
 from .errors import SeriesError, SingularMethodError
 from .splits import edge_cut_id_table, split_top, tree_id
 from .trees import EMPTY_TREE, RootedTree, all_trees_up_to, count_trees, parse_tree, trees_of_order
@@ -504,7 +507,7 @@ def series_from_json_dict(data: dict) -> TruncatedBSeries:
     max_order = data["max_order"]
     if not isinstance(max_order, int) or isinstance(max_order, bool):
         raise SeriesError("max_order must be an integer")
-    empty = coeff_parse(str(data["empty"]))
+    empty = coeff_from_json(data["empty"], "empty", SeriesError)
     if empty != (1 if kind == "map" else 0):
         raise SeriesError(f'empty coefficient {data["empty"]!r} contradicts kind "{kind}"')
     raw = data["coefficients"]
@@ -517,5 +520,5 @@ def series_from_json_dict(data: dict) -> TruncatedBSeries:
             raise SeriesError("the empty tree belongs in the 'empty' field, not the table")
         if tree in coeffs:
             raise SeriesError(f"duplicate coefficient for tree {tree}")
-        coeffs[tree] = coeff_parse(str(value))
+        coeffs[tree] = coeff_from_json(value, f'coefficients["{key}"]', SeriesError)
     return TruncatedBSeries(max_order, empty, coeffs)

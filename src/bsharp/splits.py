@@ -3,7 +3,7 @@
 *Ordered-subtree splits* choose a parent-closed set of nodes containing the
 root (plus the empty choice).  The chosen nodes form the kept subtree; each
 maximal unchosen branch falls off intact, and together they form the
-complement forest.  These splits drive series composition.
+complement forest.  These splits define series composition.
 
 *Partition splits* choose a set of edges to remove.  The connected
 components left behind form the forest; contracting each component to a
@@ -13,39 +13,25 @@ single node gives the skeleton.  These splits drive series substitution.
 trunk, the part that falls off is the branch.  A tree of order n has n - 1
 of them; they drive the Lie-derivative recursion of the modified equation.
 
-The lazy iterators yield one split per subset, so equal-shaped splits
-appear as often as the series laws count them (a tree of order 40 has
-~2**39 edge subsets; taking the first few must not enumerate them all).
-They are the only place that wraps splits in :class:`RootedTree` and
-:class:`Forest`.  Each spells out, lazily and over ids, the recursion a
-table stores: :func:`partitions` the partition rows, through the same
-join step, and :func:`ordered_subtrees` the one behind :func:`subtree_table`.
+The lazy iterators :func:`ordered_subtrees` and :func:`partitions` yield
+one split per subset (a tree of order 40 has ~2**39 edge subsets; taking
+the first few must not enumerate them all), and are the only place that
+wraps splits in :class:`RootedTree` and :class:`Forest`.  The solves read
+cached tables over ids: :func:`edge_cut_id_table` of one tree, and
+:func:`partition_skeleton_table` of all trees of one order grouped by
+skeleton.  Composition reads no table: :func:`bsharp.modifying.compose`
+walks each tree's children itself, and :data:`with_child` grows a kept
+subtree by one root child in one dict lookup.
 
-The tables are cached, so the cost is paid once per tree shape and only
-for the small orders a truncated series actually contains.  Their rows
-name a tree by a dense int id from one lazily grown tree index and a
-forest by one int *multiset key* with a count field per id, so every
-table has the same row shape.  :func:`edge_cut_id_table` gives the
-(trunk id, branch id, multiplicity) rows of one tree, each distinct cut
-once.  :func:`subtree_table` and :func:`partition_skeleton_table` give
-the rows of all trees of one order grouped by head, the kept subtree or
-the skeleton: (head, [(tree id, forest key, k), ...]), each head once,
-both made by one grouping function, :func:`_grouped`.  The solves read only
-these, with coefficients put into lists indexed by id by :func:`by_id`.
-
-No table walks the 2**(order-1) subsets, and nothing here walks a mask
-or canonicalizes a level sequence: each table is built over ids from the
-tables of the root's children (the coproduct recursion of Calaque,
-Ebrahimi-Fard and Manchon, "Two interacting Hopf algebras of trees",
-2011).  For a partition the edge to each child is kept or cut, and equal
-partial results are merged as they arise; for a subtree split each child
-is cut off or kept in one of its own subtree splits; an edge cut removes
-the edge to a child or one of the child's cuts.  The union of two
-multisets is one ``+`` and grafting a root onto a multiset is one dict
-lookup.  :func:`partition_split_table` is the partition table with ids
-spelled as level sequences (``bytes``).  The tables of subtrees met as a
-child are memoised by id; :func:`clear_split_caches` drops every table,
-memo and the index.
+Nothing walks the 2**(order-1) subsets, a mask, or a level sequence to
+canonicalize: every split of a tree is built over ids from those of the
+root's children (the coproduct recursion of Calaque, Ebrahimi-Fard and
+Manchon, "Two interacting Hopf algebras of trees", 2011).  For a partition
+the edge to each child is kept or cut, and equal partial results are
+merged as they arise; for a subtree split each child is cut off or kept
+in one of its own subtree splits; an edge cut removes the edge to a child
+or one of the child's cuts.  :func:`clear_split_caches` drops every
+table, memo and the tree index.
 """
 
 from __future__ import annotations
@@ -102,7 +88,7 @@ def ordered_subtrees(tree: RootedTree) -> Iterator[SubtreeSplit]:
     """
     for kept, forest in _kept(tree_id(tree._levels)):
         members = [RootedTree._wrap(_seqs[m]) for m in _members(forest)]
-        yield SubtreeSplit(RootedTree._wrap(_seqs[_graft(kept)]), Forest(tuple(members)))
+        yield SubtreeSplit(RootedTree._wrap(_seqs[_grafts[kept]]), Forest(tuple(members)))
     yield SubtreeSplit(EMPTY_TREE, Forest((tree,)))
 
 
@@ -114,9 +100,9 @@ def partitions(tree: RootedTree) -> Iterator[PartitionSplit]:
     skeleton shaped like the tree itself) comes last.
     """
     for comp, skel, others in _states(tree_id(tree._levels)):
-        forest = others + (1 << _BITS * _graft(comp))
+        forest = others + (1 << _BITS * _grafts[comp])
         members = [RootedTree._wrap(_seqs[m]) for m in _members(forest)]
-        yield PartitionSplit(RootedTree._wrap(_seqs[_graft(skel)]), Forest(tuple(members)))
+        yield PartitionSplit(RootedTree._wrap(_seqs[_grafts[skel]]), Forest(tuple(members)))
 
 
 # -- tree index and multiset keys --------------------------------------------
@@ -137,10 +123,21 @@ def partitions(tree: RootedTree) -> Iterator[PartitionSplit]:
 
 _BITS = MAX_ORDER.bit_length()
 
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 _ids: dict[bytes, int] = {}         # canonical level sequence -> id
 _seqs: list[bytes] = []             # id -> canonical level sequence
 _kids: list[tuple[int, ...]] = []   # id -> children's ids, in level-sequence order
-_grafts: dict[int, int] = {}        # multiset key of a root's children -> id
 
 
 def tree_id(seq: bytes) -> int:
@@ -175,12 +172,13 @@ def _members(key: int) -> list[int]:
 
 
 def _graft(children: int) -> int:
-    """Id of a root carrying the multiset ``children``."""
-    i = _grafts.get(children)
-    if i is None:  # met first as a skeleton, component, kept subtree or trunk
-        members = sorted((_seqs[k] for k in _members(children)), reverse=True)
-        i = tree_id(b"\x00" + b"".join(bytes(lvl + 1 for lvl in m) for m in members))
-    return i
+    """Id of a root carrying the multiset ``children``, met first as a
+    skeleton, component, kept subtree or trunk; read through ``_grafts``."""
+    members = sorted((_seqs[k] for k in _members(children)), reverse=True)
+    return tree_id(b"\x00" + b"".join(bytes(lvl + 1 for lvl in m) for m in members))
+
+
+_grafts: dict[int, int] = _Memo(_graft)  # multiset key of a root's children -> id
 
 
 def by_id(coefficients: dict[bytes, object]) -> list:
@@ -209,8 +207,6 @@ def by_id(coefficients: dict[bytes, object]) -> list:
 
 _ROOT_ONLY = (0, 0, 0)
 
-# id -> rooted table, only for trees met as a child
-_rooted_tables: dict[int, dict[tuple[int, int, int], int]] = {}
 # order -> partition rows of its trees grouped by skeleton id
 _skeleton_tables: dict[int, tuple] = {}
 # forest key -> its level sequences, for partition_split_table only
@@ -224,10 +220,7 @@ def _join(partial: dict[tuple, int], child: dict[tuple, int]) -> dict[tuple, int
     get = out.get
     states = list(partial.items())
     for (c_comp, c_skel, c_others), ck in child.items():
-        try:
-            kept, cut_skel = 1 << _BITS * _grafts[c_comp], 1 << _BITS * _grafts[c_skel]
-        except KeyError:
-            kept, cut_skel = 1 << _BITS * _graft(c_comp), 1 << _BITS * _graft(c_skel)
+        kept, cut_skel = 1 << _BITS * _grafts[c_comp], 1 << _BITS * _grafts[c_skel]
         # keep the edge: the child's root component hangs under ours and
         # its skeleton root merges into ours
         for (comp, skel, others), k in states:
@@ -245,15 +238,12 @@ def _join(partial: dict[tuple, int], child: dict[tuple, int]) -> dict[tuple, int
 def _build_rooted(i: int) -> dict[tuple, int]:
     table = {_ROOT_ONLY: 1}
     for child in _kids[i]:
-        table = _join(table, _rooted_table(child))
+        table = _join(table, _rooted_tables[child])
     return table
 
 
-def _rooted_table(i: int) -> dict[tuple, int]:
-    table = _rooted_tables.get(i)
-    if table is None:
-        table = _rooted_tables[i] = _build_rooted(i)
-    return table
+# id -> rooted table, only for trees met as a child
+_rooted_tables: dict[int, dict[tuple[int, int, int], int]] = _Memo(_build_rooted)
 
 
 def _states(i: int, j: int = 0) -> Iterator[tuple[int, int, int]]:
@@ -270,27 +260,20 @@ def _states(i: int, j: int = 0) -> Iterator[tuple[int, int, int]]:
             yield from _join({rest: 1}, {state: 1})
 
 
-def _grouped(order: int, cache: dict, rows_of) -> tuple[tuple[int, list], ...]:
-    """The ((head, forest key), k) rows ``rows_of(i)`` of every tree i of
-    ``order`` as (head, [(tree id, forest key, k), ...]), each head once,
-    cached in ``cache`` by order."""
-    table = cache.get(order)
-    if table is None:
-        groups: defaultdict[int, list] = defaultdict(list)
-        for tree in trees_of_order(order):
-            i = tree_id(tree._levels)
-            for (head, forest), k in rows_of(i):
-                groups[head].append((i, forest, k))
-        table = cache[order] = tuple(groups.items())
-    return table
-
-
 def partition_skeleton_table(order: int) -> tuple[tuple[int, list[tuple[int, int, int]]], ...]:
     """Partition splits of every tree of ``order`` over tree ids, grouped
     by skeleton, cached: (skeleton id, [(tree id, forest key,
     multiplicity), ...]), every distinct split of each tree but its first,
     no-edges-removed one, each skeleton once."""
-    return _grouped(order, _skeleton_tables, lambda i: islice(_partition_rows(i).items(), 1, None))
+    table = _skeleton_tables.get(order)
+    if table is None:
+        groups: defaultdict[int, list] = defaultdict(list)
+        for tree in trees_of_order(order):
+            i = tree_id(tree._levels)
+            for (skeleton, forest), k in islice(_partition_rows(i).items(), 1, None):
+                groups[skeleton].append((i, forest, k))
+        table = _skeleton_tables[order] = tuple(groups.items())
+    return table
 
 
 def _partition_rows(i: int) -> dict[tuple[int, int], int]:
@@ -300,10 +283,7 @@ def _partition_rows(i: int) -> dict[tuple[int, int], int]:
     get = rows.get
     # the tree's own rooted table is folded here, not cached
     for (comp, skel, others), k in _build_rooted(i).items():
-        try:
-            key = (_grafts[skel], others + (1 << _BITS * _grafts[comp]))
-        except KeyError:
-            key = (_graft(skel), others + (1 << _BITS * _graft(comp)))
+        key = (_grafts[skel], others + (1 << _BITS * _grafts[comp]))
         rows[key] = get(key, 0) + k
     return rows
 
@@ -332,11 +312,7 @@ def partition_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, .
     return tuple(rows)
 
 
-# -- subtree and edge-cut tables by the children recursion --------------------
-
-_subtree_tables: dict[int, tuple] = {}  # order -> rows of its trees grouped by kept id
-_cut_tables: dict[int, tuple] = {}      # id -> rows (trunk id, branch id, multiplicity)
-
+# -- subtree splits and edge-cut tables by the children recursion -------------
 
 def _kept(i: int, j: int = 0) -> Iterator[tuple[int, int]]:
     """(multiset key of the kept root's children, forest key) for each
@@ -353,23 +329,19 @@ def _kept(i: int, j: int = 0) -> Iterator[tuple[int, int]]:
     for kept, forest in _kept(i, j + 1):
         yield kept, forest + cut
     for c_kept, c_forest in _kept(child):
-        graft = 1 << _BITS * _graft(c_kept)
+        graft = 1 << _BITS * _grafts[c_kept]
         for kept, forest in _kept(i, j + 1):
             yield kept + graft, forest + c_forest
 
 
-def subtree_table(order: int) -> tuple[tuple[int, list[tuple[int, int, int]]], ...]:
-    """Ordered-subtree splits of every tree of ``order`` over tree ids,
-    grouped by kept subtree, cached: (kept id, [(tree id, forest key, 1),
-    ...]), one row per parent-closed subset of nodes but the whole tree,
-    equal rows unmerged, each kept subtree once."""
-    return _grouped(order, _subtree_tables, _subtree_rows)
+def _grow(child: int, s: int) -> int:
+    """Id of the tree ``s`` with one more root child, ``child``."""
+    return _grafts[sum([1 << _BITS * k for k in _kids[s]], 1 << _BITS * child)]
 
 
-def _subtree_rows(i: int) -> Iterator[tuple[tuple[int, int], int]]:
-    for kept, forest in _kept(i):
-        if forest:  # the whole tree alone has an empty forest
-            yield (_graft(kept), forest), 1
+# child id -> {tree id s: id of s with one more root child, the child}: how
+# compose grows a kept subtree by a child kept in one of its own splits
+with_child: dict[int, dict[int, int]] = _Memo(lambda child: _Memo(lambda s: _grow(child, s)))
 
 
 def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
@@ -379,32 +351,29 @@ def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
     node's first appearance in the level sequence; the multiplicities sum
     to order - 1.  The one-node tree has no cuts.
     """
-    i = tree_id(seq)
-    table = _cut_tables.get(i)
-    if table is None:
-        rows: dict[tuple[int, int], int] = {}
-        kids = _kids[i]
-        children = sum([1 << _BITS * c for c in kids])
-        for c in kids:
-            rest = children - (1 << _BITS * c)
-            key = _graft(rest), c  # the edge to c
-            rows[key] = rows.get(key, 0) + 1
-            for t, b, k in edge_cut_id_table(_seqs[c]):  # an edge inside c
-                key = _graft(rest + (1 << _BITS * t)), b
-                rows[key] = rows.get(key, 0) + k
-        table = _cut_tables[i] = tuple([(t, b, k) for (t, b), k in rows.items()])
-    return table
+    return _cut_tables[tree_id(seq)]
+
+
+def _cut_rows(i: int) -> tuple[tuple[int, int, int], ...]:
+    rows: dict[tuple[int, int], int] = {}
+    kids = _kids[i]
+    children = sum([1 << _BITS * c for c in kids])
+    for c in kids:
+        rest = children - (1 << _BITS * c)
+        key = _grafts[rest], c  # the edge to c
+        rows[key] = rows.get(key, 0) + 1
+        for t, b, k in _cut_tables[c]:  # an edge inside c
+            key = _grafts[rest + (1 << _BITS * t)], b
+            rows[key] = rows.get(key, 0) + k
+    return tuple([(t, b, k) for (t, b), k in rows.items()])
+
+
+_cut_tables: dict[int, tuple] = _Memo(_cut_rows)  # id -> rows (trunk id, branch id, multiplicity)
 
 
 def clear_split_caches() -> None:
     """Drop every cached split table and the memos behind them."""
     partition_split_table.cache_clear()
-    _rooted_tables.clear()
-    _skeleton_tables.clear()
-    _subtree_tables.clear()
-    _cut_tables.clear()
-    _forests.clear()
-    _ids.clear()
-    _seqs.clear()
-    _kids.clear()
-    _grafts.clear()
+    for memo in (_rooted_tables, _skeleton_tables, with_child, _cut_tables, _forests,
+                 _ids, _seqs, _kids, _grafts):
+        memo.clear()

@@ -33,6 +33,7 @@ from .coefficients import (
     Coefficient,
     coeff_div,
     coeff_eval,
+    coeff_from_json,
     coeff_parse,
     coeff_print,
     coeff_symbols,
@@ -219,8 +220,11 @@ def tableau_from_json_dict(data: dict) -> ButcherTableau:
         isinstance(declared, list) and all(isinstance(name, str) for name in declared)
     ):
         raise TableauError('tableau JSON "symbols" must be a list of names')
-    A = [[coeff_parse(str(v)) for v in row] for row in rows]
-    tab = ButcherTableau(A, [coeff_parse(str(v)) for v in b], [coeff_parse(str(v)) for v in c])
+    A = [[coeff_from_json(v, f"A[{i}][{j}]", TableauError) for j, v in enumerate(row)]
+         for i, row in enumerate(rows)]
+    b, c = ([coeff_from_json(v, f"{name}[{i}]", TableauError) for i, v in enumerate(entries)]
+            for name, entries in (("b", b), ("c", c)))
+    tab = ButcherTableau(A, b, c)
     if declared is not None:
         undeclared = tab.symbols - set(declared)
         if undeclared:

@@ -452,10 +452,10 @@ def partition_table_bytes_states(seq: bytes) -> tuple:
 
 
 # The per-tree split rows over tree ids, as the package built them before it
-# kept only the grouped tables of one order (bsharp.splits.subtree_table and
-# partition_skeleton_table): read straight off the package's recursions, in
-# their order, so the grouped tables and the lazy iterators are checked
-# against them row for row.
+# kept only the grouped partition tables of one order
+# (bsharp.splits.partition_skeleton_table) and composed without subtree
+# tables: read straight off the package's recursions, in their order, so the
+# grouped tables and the lazy iterators are checked against them row for row.
 
 def subtree_id_table(seq: bytes) -> tuple:
     """(kept id, forest key, 1) for each ordered-subtree split of the tree

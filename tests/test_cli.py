@@ -182,6 +182,32 @@ def test_compose_rejects_flow_inner(tmp_path):
     assert "map-kind" in proc.stderr
 
 
+def test_json_null_coefficients_are_input_errors(tmp_path):
+    # null once read as the symbol None: "None/2", and "2*None + 1"
+    tableau = tmp_path / "tableau.json"
+    tableau.write_text(json.dumps({"A": [["0", "0"], [None, "0"]], "b": ["1/2", "1/2"],
+                                   "c": ["0", "1"]}))
+    proc = run_cli("bseries", "--tableau", str(tableau), "--order", "2")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "A[1][0] must be a coefficient string or an integer, got null" in proc.stderr
+    assert "None" not in proc.stderr
+    series = tmp_path / "series.json"
+    data = series_to_json_dict(exact_series(2))
+    data["coefficients"]["[0,1]"] = None
+    series.write_text(json.dumps(data))
+    proc = run_cli("compose", str(series), str(series))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert 'coefficients["[0,1]"] must be a coefficient string or an integer' in proc.stderr
+
+
+def test_a_power_past_the_digit_limit_is_refused_before_it_is_computed(tmp_path):
+    tableau = tmp_path / "tableau.json"
+    tableau.write_text(json.dumps({"A": [["0"]], "b": ["2^99999999999"], "c": ["0"]}))
+    proc = run_cli("bseries", "--tableau", str(tableau), "--order", "1")
+    assert proc.returncode == 3
+    assert "exponent 99999999999 has more than" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # perturbed fields over a concrete system
 # ---------------------------------------------------------------------------

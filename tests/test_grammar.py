@@ -14,12 +14,13 @@ on precedence: unary minus binds looser than a power (``-3^2 == -9``), and
 import re
 import sys
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bsharp.coefficients import coeff_eval, coeff_parse, parse_rational
+from bsharp.coefficients import coeff_eval, coeff_parse, coeff_print, parse_rational
 from bsharp.errors import ParseError
 from bsharp.expressions import eval_expression
 from bsharp.odes import parse_ode
@@ -162,3 +163,41 @@ def test_constants_too_long_to_print_are_parse_errors(text, line, column):
     with pytest.raises(ParseError, match="digits") as exc_info:
         parse_ode(text)
     assert (exc_info.value.line, exc_info.value.column) == (line, column)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (coeff_parse, "2^99999999999"),
+        (coeff_parse, "1 + (3/2)^-99999999999"),
+        (parse_rational, "10^(99999999999)"),
+        (parse_ode, "vars y\nparam p = 2^99999999999\ny' = p*y"),
+        (parse_ode, "vars y\nparam p = 2\ny' = p^99999999999*y"),
+        (parse_ode, "vars y\ny' = (2*y)^99999999999"),
+    ],
+)
+def test_a_numeric_power_past_the_digit_limit_is_refused_before_it_is_computed(parse, text):
+    # computing 2^99999999999 runs for minutes; the refusal reads bit lengths
+    start = perf_counter()
+    with pytest.raises(ParseError, match="exponent -?99999999999 has more than"):
+        parse(text)
+    assert perf_counter() - start < 0.5
+
+
+def test_a_symbol_to_a_huge_power_is_still_read():
+    assert coeff_print(coeff_parse("alpha^99999999999")) == "alpha^99999999999"
+    assert coeff_parse("1^99999999999 + (-1)^99999999999") == 0
+
+
+def test_a_power_is_refused_past_ten_times_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        # 2^20000 has 6,021 digits, 2^22000 has 6,623: the first is computed
+        # (and refused where it is printed), the second never is
+        assert coeff_parse("2^20000") == 2**20000
+        with pytest.raises(ParseError, match="more than 6400 digits"):
+            coeff_parse("2^22000")
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,71 @@ def test_no_module_level_import_goes_unused(module):
     # an import that nothing reads costs every command that loads its
     # module; one kept for another reader says so with "# noqa: F401"
     assert _unused_imports((SOURCE / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names (``_x``, not ``__x__``) that the
+    modules ``sources`` (name -> source) define, by ``def``, ``class`` or
+    assignment (inside an ``if`` or ``try`` too), and that no code in any
+    of them reads outside the definition itself.  A name, an attribute and
+    a string that is the name read it; an import does not."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def reads(node: ast.AST) -> Counter:
+        found = Counter()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                found[sub.id] += 1
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                found[sub.attr] += 1
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                found[sub.value] += 1
+        return found
+
+    everywhere = sum(map(reads, trees.values()), Counter())
+    unread = []
+    for module, tree in trees.items():
+        body = list(tree.body)
+        while body:
+            node = body.pop(0)
+            if isinstance(node, (ast.If, ast.Try)):
+                body += node.body + node.orelse + getattr(node, "finalbody", [])
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [sub.id for target in targets for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name)]
+            else:
+                continue
+            own = reads(node)
+            unread += [
+                f"{module}.{name} (line {node.lineno})" for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and everywhere[name] == own[name]
+            ]
+    return unread
+
+
+def test_the_unread_private_name_scan_sees_every_kind():
+    sources = {
+        "a": "from b import _used\n_CONST = 1\n_cache: dict = {}\n"
+             "def _f():\n    return _f()\nclass _C:\n    pass\n"
+             "if TYPE_CHECKING:\n    _T = int\n_read = 2\n__all__ = []\n",
+        "b": "import a\ndef _used():\n    return a._read\nx = _other = 3\nprint(_other)\n",
+    }
+    assert _unread_private_names(sources) == [
+        "a._CONST (line 2)", "a._cache (line 3)", "a._f (line 4)", "a._C (line 6)",
+        "a._T (line 9)", "b._used (line 2)",
+    ]
+
+
+def test_no_private_name_goes_unread():
+    # a helper, class, constant or cache that no code reads any more is
+    # dead weight in the module that still defines it
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCE.glob("*.py")}
+    assert _unread_private_names(sources) == []
 
 
 def test_every_export_is_its_home_modules_object():

@@ -55,6 +55,7 @@ from oracles import (
     subtree_splits_bruteforce,
     substitute_rows,
 )
+from test_stages import _Counted
 
 T = parse_tree
 
@@ -644,6 +645,59 @@ def test_compose_prints_like_the_row_by_row_oracle(name):
         )
 
 
+@st.composite
+def _rational_compose_pairs(draw):
+    """(inner, outer) of one order up to 7: rational, zero coefficients
+    frequent, the inner map-kind and the outer's empty coefficient 0, 1 or 2."""
+    order = draw(st.integers(1, 7))
+    trees = list(all_trees_up_to(order))
+    coefficient = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+
+    def series(empty):
+        values = draw(st.lists(coefficient, min_size=len(trees), max_size=len(trees)))
+        return TruncatedBSeries(order, empty, dict(zip(trees, values)))
+
+    return series(Fraction(1)), series(draw(st.sampled_from([Fraction(k) for k in (0, 1, 2)])))
+
+
+@given(_rational_compose_pairs(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_compose_prints_like_the_row_by_row_oracle_on_random_series(pair, skip_zero):
+    inner, outer = pair
+    trees = [t._levels for t in all_trees_up_to(inner.max_order)]
+    got = compose(inner, outer, skip_zero=skip_zero)._coeffs
+    expected = compose_rows(inner._coeffs, outer._coeffs, trees)
+    assert list(got) == list(expected)
+    assert [coeff_print(c) for c in got.values()] == [coeff_print(c) for c in expected.values()]
+
+
+_A21 = tableau_from_json_dict(
+    {"A": [["0", "0"], ["1/(1 + beta)", "0"]], "b": ["1/2", "1/2"],
+     "c": ["0", "1/(1 + beta)"], "symbols": ["beta"]}
+)
+
+
+@given(
+    st.integers(1, 6),
+    st.sampled_from(["a21", "midpoint", "rk4", "rk22(alpha)"]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=12, deadline=None)
+def test_compose_with_a_non_monomial_denominator_equals_the_row_by_row_oracle(
+    order, partner, a21_first, skip_zero
+):
+    # plain coefficients: an unreduced sum prints by its summation order,
+    # so the values are compared, not the printed forms
+    a21 = rk_series(_A21, order)
+    other = a21 if partner == "a21" else rk_series(builtin_tableau(partner), order)
+    inner, outer = (a21, other) if a21_first else (other, a21)
+    trees = [t._levels for t in all_trees_up_to(order)]
+    assert compose(inner, outer, skip_zero=skip_zero)._coeffs == compose_rows(
+        inner._coeffs, outer._coeffs, trees
+    )
+
+
 def test_order_zero_compose_and_substitute_on_a_cleared_index():
     # no tree up to order 0: only the empty coefficient, and no tree indexed
     clear_split_caches()
@@ -893,12 +947,21 @@ def test_rational_solves_skip_the_zero_terms_of_the_coefficient_path(solve, orde
     reset_zero_skip_count()
 
 
-@pytest.mark.parametrize("inner,bound", [("midpoint", 3788), ("rk4", 4614)])
+@pytest.mark.parametrize("inner,bound", [("midpoint", 5143), ("rk4", 6128)])
 def test_compose_multiplies_each_forest_once(monkeypatch, inner, bound):
-    # compose(inner, rk4) at order 8; multiplying every branch of every
-    # row took 10,693 products in both cases
+    # compose(inner, rk4) at order 8, a count of the integer products of
+    # its recursion over each tree's children: its values start as counted
+    # ints lifted from both series, and every product one of them takes
+    # part in is counted; multiplying every branch of every subtree split
+    # took 10,693 products in both cases
     a, b = rk_series(builtin_tableau(inner), 8), rk_series(builtin_tableau("rk4"), 8)
-    assert 0 < _count_products(monkeypatch, compose, a, b) <= bound
+    lift = graded._lift_int
+    monkeypatch.setattr(graded, "_lift_int", lambda *args: _Counted(lift(*args)))
+    _Counted.products = 0
+    got = compose(a, b)
+    assert 0 < _Counted.products <= bound
+    monkeypatch.undo()
+    assert got == compose(a, b)
 
 
 def test_rk22_solves_never_widen_a_term_dict(monkeypatch):
@@ -1112,6 +1175,31 @@ def test_json_error_paths(mutate, fragment):
     mutate(data)
     with pytest.raises(SeriesError, match=fragment):
         series_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "mutate,fragment",
+    [
+        (lambda d: d["coefficients"].update({"[0,1]": None}),
+         r'coefficients\["\[0,1\]"\] must be a coefficient string or an integer, got null'),
+        (lambda d: d.update(empty=True), "empty must be .* got true"),
+        (lambda d: d["coefficients"].update({"[0]": False}), "got false"),
+        (lambda d: d["coefficients"].update({"[0]": 1.0}), "got 1.0"),
+        (lambda d: d["coefficients"].update({"[0]": {}}), "got {}"),
+    ],
+)
+def test_json_coefficients_are_strings_or_integers(mutate, fragment):
+    # null, true and false once read as the symbols None, True and False
+    data = series_to_json_dict(exact_series(3))
+    mutate(data)
+    with pytest.raises(SeriesError, match=fragment):
+        series_from_json_dict(data)
+
+
+def test_json_reads_integer_coefficients():
+    data = series_to_json_dict(exact_series(2))
+    data.update(empty=1, coefficients={"[0]": 1, "[0,1]": "1/2"})
+    assert series_from_json_dict(data) == exact_series(2)
 
 
 def test_json_rejects_two_spellings_of_one_tree():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from bsharp import splits
 from bsharp.errors import InvalidTreeError
+from bsharp.series import compose, exact_series
 from bsharp.splits import (
     Forest,
     PartitionSplit,
@@ -334,14 +335,14 @@ def test_clear_split_caches_empties_every_cache():
         partition_split_table(tree)
         edge_cut_id_table(tree._levels)
     splits.partition_skeleton_table(6)
-    splits.subtree_table(6)
+    compose(exact_series(6), exact_series(6))  # grows kept subtrees through splits.with_child
     # the iterator indexes the trees it names: a 7-chain's kept subtrees
     list(ordered_subtrees(RootedTree(range(7))))
     assert bytes(range(7)) in splits._ids
     filled = caches()
     assert {
         "partition_split_table", "_rooted_tables", "_skeleton_tables", "_forests",
-        "_subtree_tables", "_cut_tables", "_ids", "_seqs", "_kids", "_grafts",
+        "with_child", "_cut_tables", "_ids", "_seqs", "_kids", "_grafts",
     } <= filled.keys()
     assert all(size > 0 for size in filled.values()), filled
     splits.clear_split_caches()
@@ -362,23 +363,6 @@ def test_skeleton_table_regroups_the_partition_rows_of_one_order():
                             partition_id_table(tree._levels)[1:])
         assert got == expected
         assert splits.partition_skeleton_table(order) is table
-
-
-def test_subtree_table_regroups_the_subtree_rows_of_one_order():
-    for order in range(1, 8):
-        table = splits.subtree_table(order)
-        heads = [head for head, _ in table]
-        assert len(heads) == len(set(heads))  # each kept subtree once
-        got = Counter((i, head, forest, k) for head, rows in table for i, forest, k in rows)
-        expected = Counter()
-        for tree in trees_of_order(order):
-            i = splits.tree_id(tree._levels)
-            rows = subtree_id_table(tree._levels)
-            assert rows[-1] == (i, 0, 1)  # the whole tree kept, the one empty forest
-            # every row but that one, equal rows unmerged
-            expected.update((i, head, forest, k) for head, forest, k in rows[:-1])
-        assert got == expected
-        assert splits.subtree_table(order) is table
 
 
 def test_edge_cut_table_matches_bruteforce():

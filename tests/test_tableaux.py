@@ -216,6 +216,29 @@ def test_json_shape_errors(data, fragment):
         tableau_from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data,fragment",
+    [
+        ({"A": [["0", "0"], [None, "0"]], "b": ["1/2", "1/2"], "c": ["0", "1"]},
+         r"A\[1\]\[0\] must be a coefficient string or an integer, got null"),
+        ({"A": [["0"]], "b": [True], "c": ["0"]}, r"b\[0\] .* got true"),
+        ({"A": [["0"]], "b": ["1"], "c": [False]}, r"c\[0\] .* got false"),
+        ({"A": [["0"]], "b": [0.5], "c": ["0"]}, r"b\[0\] .* got 0.5"),
+        ({"A": [[["0"]]], "b": ["1"], "c": ["0"]}, r"A\[0\]\[0\] .* got \['0'\]"),
+    ],
+)
+def test_json_entries_are_strings_or_integers(data, fragment):
+    # null, true and false once read as the symbols None, True and False
+    with pytest.raises(TableauError, match=fragment):
+        tableau_from_json_dict(data)
+
+
+def test_json_integer_entries_read_as_integers():
+    tab = tableau_from_json_dict({"A": [[0, 0], [1, 0]], "b": ["1/2", "1/2"], "c": [0, 1]})
+    strings = {"A": [["0", "0"], ["1", "0"]], "b": ["1/2", "1/2"], "c": ["0", "1"]}
+    assert tableau_to_json_dict(tab) == strings
+
+
 def test_symbols_collects_all_slots():
     tab = ButcherTableau(
         [[symbol("a"), Fraction(0)], [Fraction(0), symbol("d") + 1]],
