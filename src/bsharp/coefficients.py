@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import comb, log10, prod
 from typing import TYPE_CHECKING, Mapping, Union
 
 from .errors import CoefficientError, ParseError
@@ -52,15 +53,28 @@ def is_rational(value: object) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_power(base: Fraction, exponent: int, *, line=None, column=None) -> None:
-    """Refuse, before any work, a rational ``base ** exponent`` with more than
-    10·``sys.get_int_max_str_digits()`` digits (0: no limit), which starts to
-    take time (m-bit ints to the k have > (m - 1)·k·log10(2) digits)."""
-    limit = 10 * sys.get_int_max_str_digits()
-    bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
-    if limit and bits * abs(exponent) * 0.30103 > limit:
-        message = f"a power with exponent {exponent} has more than {limit} digits"
-        raise ParseError(message, line=line, column=column)
+def check_power(base, exponent: int) -> None:
+    """Refuse, before any work, a power past 10·``sys.get_int_max_str_digits()``
+    (0: no limit), which starts to take time: a rational ``base`` to the k
+    with more digits (m-bit ints give > (m - 1)·k·log10(2)), or the term
+    dicts ``base`` of a numerator and a denominator to the k with more terms
+    (at most C(k + t - 1, t - 1) for t terms, and Π (k·(max - min) + 1) over
+    the exponents of each symbol) or a coefficient of more digits (at most
+    k·log10(Σ|c|))."""
+    limit, k = 10 * sys.get_int_max_str_digits(), abs(exponent)
+    if is_rational(base):
+        bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
+        large, verb = bits * k * 0.30103 > limit, "has"
+    else:
+        large, verb = False, "may have"
+        for t in filter(None, base):
+            spans = prod(k * (max(e) - min(e)) + 1 for e in zip(*t))
+            # spans > k when t > 1, so past the limit the costly C(...) can wait
+            terms = spans if k > limit else min(comb(k + len(t) - 1, len(t) - 1), spans)
+            size = log10(sum(map(abs, t.values())))
+            large = large or terms > limit or size and k > limit / size
+    if limit and large:
+        raise CoefficientError(f"a power with exponent {exponent} {verb} more than {limit} digits")
 
 
 def coeff_div(a: Coefficient, b: Coefficient) -> Coefficient:
@@ -76,6 +90,7 @@ def coeff_pow(c: Coefficient, k: int) -> Coefficient:
         return c ** k
     if k < 0 and c == 0:
         raise CoefficientError("zero coefficient raised to a negative power")
+    check_power(c, k)
     return Fraction(c) ** k
 
 
@@ -190,9 +205,11 @@ class _Parser:
     """Precedence-climbing parser.
 
     Integer literals become Fractions; values combine with Python's own
-    ``+ - * / **`` and unary minus, so the result is whatever the operands'
-    types make of it.  ``name(text, line, column)`` gives each name its
-    value.  Exponents are integer literals only.
+    ``+ - * /`` and unary minus, and ``^`` is :func:`coeff_pow`, so the
+    result is whatever the operands' types make of it.  A
+    :class:`CoefficientError` of a power, such as one too large to compute,
+    is a :class:`ParseError` at its ``^``.  ``name(text, line, column)``
+    gives each name its value.  Exponents are integer literals only.
     """
 
     def __init__(self, tokens, name, line):
@@ -261,13 +278,10 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             tok = self.next()
-            exponent = self.exponent()
-            if is_rational(base):
-                check_power(base, exponent, line=self.line, column=tok[2])
             try:
-                return base ** exponent
-            except (CoefficientError, ZeroDivisionError):
-                self.error("zero raised to a negative power", tok)
+                return coeff_pow(base, self.exponent())
+            except CoefficientError as exc:
+                self.error(str(exc), tok)
         return base
 
     def exponent(self) -> int:

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 # OpenSSL's _hashlib, which nothing here uses
 from _blake2 import blake2b
 
-from .coefficients import _rat_latex, check_power, is_rational, latex_name
+from .coefficients import _rat_latex, coeff_pow, is_rational, latex_name
 from .errors import CoefficientError
 
 # the intern tables, one per kind, keyed as the module docstring says
@@ -297,10 +297,7 @@ def power(base: Expression, exponent: int) -> Expression:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        if base is _ZERO and exponent < 0:
-            raise CoefficientError("zero raised to a negative power")
-        check_power(base.value, exponent)
-        return const(base.value ** exponent)
+        return const(coeff_pow(base.value, exponent))
     if isinstance(base, Power):
         return power(base.base, base.exponent * exponent)
     if isinstance(base, Prod):

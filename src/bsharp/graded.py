@@ -38,9 +38,7 @@ The modified equation, :func:`modified_equation`, is one pass per tree of
 the Lie kernel over single-edge cuts, :func:`_lie`, which the stage
 recursion of :func:`bsharp.modifying.modifying_integrator_of_tableau`
 shares.  At the top order N a pass costs one product per cut (the
-top-order shortcut, :func:`_top_order`).  Over plain coefficients an
-unreduced rational function prints by its summation order, so there the
-modified equation sums the top order without the shortcut, as below it.
+top-order shortcut, :func:`_top_order`), in every domain.
 """
 
 from __future__ import annotations
@@ -165,10 +163,7 @@ def modified_equation(
     and its number of zero skips."""
     graded = _graded_denominator((t.order, c) for t, c in method.items())
     weights = by_id(method._coeffs)
-    # an unreduced plain sum prints by its summation order, so over plain
-    # coefficients the top order is summed term by term, as below it
-    top = 0 if graded is None else method.max_order
-    solve = partial(_modified_equation_ints, tables, weights, top, *_domain(graded), skip_zero)
+    solve = partial(_modified_equation_ints, tables, weights, *_domain(graded), skip_zero)
     return _solve(solve, method.max_order, graded)
 
 
@@ -185,18 +180,13 @@ def modified_equation(
 # a solve needs only one weighted sum of the iterates of such a tree.  So
 # before the first of them each list is folded into that sum's share of
 # its trunk, by :func:`_top_order`, and a top-order tree costs one product
-# per cut.  The zero terms a fold drops are counted as skipped once per cut
-# that reads it, as the unfolded pass skips them, so the skip count does
-# not depend on the fold.
+# per cut, in every scalar domain.
 
 
-def _lie(
-    rows, branch: list, lists: list, width: int, skip_zero: bool, zeros: list | None = None
-) -> tuple[list, int]:
+def _lie(rows, branch: list, lists: list, width: int, skip_zero: bool) -> tuple[list, int]:
     """Σ over the edge-cut ``rows`` (trunk θ, branch β, k) of
     k·branch[β]·lists[θ][j], for each j < ``width``, and the number of
-    zero factors skipped.  ``zeros``, given with folded ``lists``, holds
-    the number of zero terms each fold dropped."""
+    zero factors skipped."""
     skips = 0
     higher = [0] * width
     for trunk, b, k in rows:
@@ -206,8 +196,6 @@ def _lie(
             continue
         if k != 1:
             w *= k
-        if zeros is not None and skip_zero:
-            skips += zeros[trunk]
         for j, c in enumerate(lists[trunk]):
             if skip_zero and not c:
                 skips += 1
@@ -216,19 +204,15 @@ def _lie(
     return higher, skips
 
 
-def _top_order(lists: list, weights: list, stride: int = 1) -> tuple[list, list]:
-    """The lists of ``lists`` folded for the top order: [Σ_j
-    lists[θ][stride·j]·weights[j]] over the nonzero terms, or [] when that
-    is zero, and the number of zero terms of each."""
+def _top_order(lists: list, weights: list, stride: int = 1) -> list:
+    """Each list of ``lists`` folded for the top order: [Σ_j lists[θ][stride·j]·weights[j]]
+    over its nonzero terms, or [] when that is zero."""
     folded: list = [None] * len(lists)
-    zeros = [0] * len(lists)
     for i, c in enumerate(lists):
         if c is not None:
-            terms = c[::stride]
-            total = sum([t * r for t, r in zip(terms, weights) if t], 0)
+            total = sum([t * r for t, r in zip(c[::stride], weights) if t], 0)
             folded[i] = [total] if total else []
-            zeros[i] = sum(1 for t in terms if not t)
-    return folded, zeros
+    return folded
 
 
 def _ratios(n: int) -> list[int]:
@@ -237,27 +221,26 @@ def _ratios(n: int) -> list[int]:
     return [whole // math.factorial(j) for j in range(1, n + 1)]
 
 
-def _modified_equation_ints(
-    tables, weights: list, top: int, lift, lower, div, skip_zero: bool, scale: int
-):
+def _modified_equation_ints(tables, weights: list, lift, lower, div, skip_zero: bool, scale: int):
     """The modified equation over values scaled by λ^|τ|, λ = ``scale``:
     v(τ)·λ^|τ| = a(τ)·λ^|τ| - (Σ_{j≥2} c_j(τ)·λ^|τ|·|τ|!/j!) / |τ|!, where
     c_1 = v and c_j = L_v c_{j-1}.  The list of a tree θ is
-    [c_1(θ), ..., c_|θ|(θ)], and at the order ``top``, if it is one, its
-    fold Σ_j c_j(θ)·N!/(j+1)!."""
+    [c_1(θ), ..., c_|θ|(θ)], and at the top order N its fold
+    Σ_j c_j(θ)·N!/(j+1)!."""
     skips = 0
     v: list = [None] * len(weights)
     lie: list = [None] * len(weights)
     coeffs: dict = {b"": Fraction(0)}
+    top = tables[-1][0].order if tables else 0
     order = 0
     for tree, i, rows in tables:
         n = len(tree._levels)
         if n != order:
             order, power, whole, ratios = n, scale**n, math.factorial(n), _ratios(n)[1:]
             if n == top:
-                lie, zeros = _top_order(lie, ratios)
+                lie = _top_order(lie, ratios)
         if n == top:
-            (total,), skipped = _lie(rows, v, lie, 1, skip_zero, zeros)
+            (total,), skipped = _lie(rows, v, lie, 1, skip_zero)
         else:
             higher, skipped = _lie(rows, v, lie, n - 1, skip_zero)
             total = sum(map(operator.mul, higher, ratios))

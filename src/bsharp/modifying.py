@@ -85,7 +85,9 @@ def modifying_integrator_of_tableau(
     (:func:`_modifying_integrator_stages`).  For plain coefficients (a
     denominator that is not a monomial) or an irrational Σb, it is the
     partition solve :func:`bsharp.series.modifying_integrator_series` of
-    the method's series.  Requires Σb ≠ 0.
+    the method's series: unreduced, the stages swell (47 s and 13.2 MB of
+    JSON for a21 = 1/(1 + beta) at order 6, against 0.3–0.6 s and 232 kB
+    over partitions, the coefficients equal by ``==``).  Requires Σb ≠ 0.
     """
     _check_max_order(max_order)
     if not max_order:
@@ -147,8 +149,7 @@ def _modifying_integrator_stages(
         lie, R = {}, {}  # the iterates, and n!·R_i(τ), of each active stage, scaled
         for i in active:
             if n == top:
-                folded, zeros = folds[i]
-                (R[i],), skipped = _lie(rows, w[i], folded, 1, skip_zero, zeros)
+                (R[i],), skipped = _lie(rows, w[i], folds[i], 1, skip_zero)
             else:
                 lie[i], skipped = _lie(rows, w[i], lists[i], 2 * n - 2, skip_zero)
                 R[i] = sum(map(operator.mul, lie[i][::2], ratios))

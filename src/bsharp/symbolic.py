@@ -56,7 +56,7 @@ from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Mapping
 
-from .coefficients import _NAME_RE, Coefficient, is_rational, latex_name
+from .coefficients import _NAME_RE, Coefficient, check_power, is_rational, latex_name
 from .errors import CoefficientError, UnboundSymbolError
 
 
@@ -306,6 +306,7 @@ class RationalFunction:
         if not isinstance(k, int):
             return NotImplemented
         num, den = self.num, self.den
+        check_power((num, den), k)
         if k < 0:
             if not num:
                 raise CoefficientError("zero coefficient raised to a negative power")

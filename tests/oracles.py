@@ -478,16 +478,36 @@ def partition_id_table(seq: bytes) -> tuple:
     return tuple((skeleton, forest, k) for (skeleton, forest), k in rows.items())
 
 
-def modified_equation_rows(method: dict, max_order: int, trees) -> dict:
+def modified_equation_rows(method: dict, max_order: int, trees, fold_top: bool = False) -> dict:
     """The modified-equation solve over plain coefficients, as the package
     ran it before one loop served every scalar domain: the Lie terms
     c_2..c_|τ| of a tree summed cut by cut over
     :func:`edge_cut_rows_by_slices`, then subtracted from method(τ) one by
-    one as c_j·(1/j!); inputs as for :func:`modifying_integrator_rows`."""
+    one as c_j·(1/j!); inputs as for :func:`modifying_integrator_rows`.
+
+    With ``fold_top``, a tree τ of the top order N sums its Lie terms as
+    the package does: each trunk θ's list is first folded into
+    F(θ) = Σ_j c_j(θ)·N!/(j+1)! over its nonzero terms, and then
+    v(τ) = method(τ) - (Σ over the cuts of F(θ)·(k·v(β))) / N!."""
     inverse_factorials = [Fraction(1, math.factorial(j)) for j in range(2, max_order + 1)]
+    whole = math.factorial(max_order)
+    top_ratios = [whole // math.factorial(j + 1) for j in range(1, max_order)]
     v = {b"": Fraction(0)}
     lie: dict = {}  # lie[seq][j - 1] = c_j(τ) for j = 1..|τ|
+    folded: dict = {}
     for seq in trees:
+        if fold_top and len(seq) == max_order:
+            if not folded:
+                for trunk, terms in lie.items():
+                    folded[trunk] = sum(
+                        [c * r for c, r in zip(terms, top_ratios) if c], Fraction(0)
+                    )
+            total = Fraction(0)
+            for trunk, branch, k in edge_cut_rows_by_slices(seq):
+                if folded[trunk] and v[branch]:
+                    total += folded[trunk] * (v[branch] * k)
+            v[seq] = method[seq] - total / whole
+            continue
         higher = [Fraction(0)] * (len(seq) - 1)  # c_2 .. c_|τ|
         for trunk, branch, k in edge_cut_rows_by_slices(seq):
             w = v[branch] * k

@@ -208,6 +208,12 @@ def test_a_power_past_the_digit_limit_is_refused_before_it_is_computed(tmp_path)
     assert "exponent 99999999999 has more than" in proc.stderr
 
 
+def test_a_symbolic_power_too_large_to_expand_is_refused_before_it_is_computed():
+    proc = run_cli("bseries", "--tableau", "rk22((1+alpha)^99999999999)", "--order", "2")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "exponent 99999999999 may have more than" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # perturbed fields over a concrete system
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import operator
+import sys
 from fractions import Fraction
 from math import gcd
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,33 @@ def test_truth_value_and_equality_across_scalar_types():
         assert (not a) == (key_a == "0")
         for b, key_b in values:
             assert (a == b) is (b == a) is (key_a == key_b)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+@pytest.mark.parametrize(
+    "base",
+    [2 * ALPHA, 1 + ALPHA, 1 / (ALPHA - BETA), (1 + ALPHA + BETA + symbol("gamma")) ** 12],
+    ids=["2*alpha", "1+alpha", "1/(alpha-beta)", "455 terms"],
+)
+def test_a_power_too_large_to_expand_is_refused_before_it_is_computed(base):
+    # the bound itself stays cheap: C(k + 454, 454) for a 4000-digit k took
+    # seconds to compute
+    start = perf_counter()
+    for k in (99999999999, -99999999999, 10**4000 - 1):
+        with pytest.raises(CoefficientError, match=f"exponent {k} may have more than"):
+            base**k
+    assert perf_counter() - start < 0.5
+
+
+def test_a_power_of_many_terms_in_few_symbols_is_still_computed():
+    # 28 terms to the 7 could give C(34, 7) = 5,379,616 terms, past the
+    # limit, but two symbols of degree up to 42 allow 43^2 at most
+    base = (ALPHA + BETA + 2) ** 6
+    assert len(base.num) == 28
+    assert base**7 == (ALPHA + BETA + 2) ** 42
+    # and the other way round: exponents 0..50,000 apart, but two terms to
+    # the 50 make 51
+    assert len(((ALPHA**1000 + 1) ** 50).num) == 51
 
 
 @pytest.mark.parametrize(

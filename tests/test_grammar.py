@@ -185,6 +185,40 @@ def test_a_numeric_power_past_the_digit_limit_is_refused_before_it_is_computed(p
     assert perf_counter() - start < 0.5
 
 
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        ("(2*alpha)^99999999999", 10),
+        ("(1 + alpha)^99999999999", 12),
+        ("1 + (alpha - beta)^-99999999999", 19),
+    ],
+)
+def test_a_symbolic_power_too_large_to_expand_is_refused_at_its_caret(text, column):
+    # the expansion is bounded from the base's terms before it is computed;
+    # each of these never returned
+    start = perf_counter()
+    with pytest.raises(ParseError, match="exponent -?[0-9]+ may have more than") as exc_info:
+        coeff_parse(text)
+    assert perf_counter() - start < 0.5
+    assert (exc_info.value.line, exc_info.value.column) == (None, column)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        ("vars y\nparam a = 2^99999999999\ny' = a*y", 12),
+        ("vars y\ny' = (2*y)^99999999999", 11),
+    ],
+    ids=["param", "right-hand side"],
+)
+def test_a_huge_constant_power_in_an_ode_is_refused_at_its_caret(text, column):
+    with pytest.raises(ParseError, match="exponent 99999999999 has more than") as exc_info:
+        parse_ode(text)
+    assert (exc_info.value.line, exc_info.value.column) == (2, column)
+
+
 def test_a_symbol_to_a_huge_power_is_still_read():
     assert coeff_print(coeff_parse("alpha^99999999999")) == "alpha^99999999999"
     assert coeff_parse("1^99999999999 + (-1)^99999999999") == 0

@@ -621,13 +621,16 @@ _NON_MONOMIAL_TABLEAUX = {
 def test_modified_equation_prints_like_the_row_by_row_oracle(tab, order, plain):
     # printed forms, not just equal values: the one loop sums the Lie terms
     # of a tree as Σ c_j·(n!/j!) / n!, the oracle as Σ c_j·(1/j!), and an
-    # unreduced sum's normal form does not depend on that
+    # unreduced sum's normal form does not depend on that; at the top order
+    # both fold each trunk's terms first, which an unreduced sum's printed
+    # form does depend on, so the unfolded sum is compared by value
     method = rk_series(tab, order)
     assert (_grading(method) is None) == plain
     trees = [t._levels for t in all_trees_up_to(order)]
     got = modified_equation_series(method)._coeffs
-    expected = modified_equation_rows(method._coeffs, order, trees)
+    expected = modified_equation_rows(method._coeffs, order, trees, fold_top=True)
     assert [coeff_print(c) for c in got.values()] == [coeff_print(expected[k]) for k in got]
+    assert got == modified_equation_rows(method._coeffs, order, trees)
 
 
 @pytest.mark.parametrize("name", list(_PARTITION_ORACLE_TABLEAUX))
@@ -667,6 +670,60 @@ def test_compose_prints_like_the_row_by_row_oracle_on_random_series(pair, skip_z
     trees = [t._levels for t in all_trees_up_to(inner.max_order)]
     got = compose(inner, outer, skip_zero=skip_zero)._coeffs
     expected = compose_rows(inner._coeffs, outer._coeffs, trees)
+    assert list(got) == list(expected)
+    assert [coeff_print(c) for c in got.values()] == [coeff_print(c) for c in expected.values()]
+
+
+_RANDOM_COEFFICIENT = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+
+
+def _random_series(draw, order: int, empty, node=_RANDOM_COEFFICIENT) -> TruncatedBSeries:
+    """A rational series of ``order``, zero coefficients frequent, its
+    c(•) drawn from ``node``."""
+    trees = list(all_trees_up_to(order))
+    values = draw(st.lists(_RANDOM_COEFFICIENT, min_size=len(trees), max_size=len(trees)))
+    values[0] = draw(node)
+    return TruncatedBSeries(order, empty, dict(zip(trees, values)))
+
+
+@st.composite
+def _rational_substitute_pairs(draw):
+    """(flow, outer) of one order up to 6: the flow flow-kind and the
+    outer's empty coefficient 0, 1 or 2; zero heads and zero factors
+    frequent."""
+    order = draw(st.integers(1, 6))
+    empty = draw(st.sampled_from([Fraction(k) for k in (0, 1, 2)]))
+    return _random_series(draw, order, Fraction(0)), _random_series(draw, order, empty)
+
+
+@st.composite
+def _rational_methods(draw):
+    """A map-kind series of an order up to 6 whose c(•), which the
+    modifying integrator divides by, is not 0; zero coefficients frequent
+    elsewhere."""
+    nonzero = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    return _random_series(draw, draw(st.integers(1, 6)), Fraction(1), nonzero)
+
+
+@given(_rational_substitute_pairs(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_substitute_prints_like_the_row_by_row_oracle_on_random_series(pair, skip_zero):
+    flow, outer = pair
+    trees = [t._levels for t in all_trees_up_to(flow.max_order)]
+    got = substitute(flow, outer, skip_zero=skip_zero)._coeffs
+    expected = substitute_rows(flow._coeffs, outer._coeffs, trees)
+    assert list(got) == list(expected)
+    assert [coeff_print(c) for c in got.values()] == [coeff_print(c) for c in expected.values()]
+
+
+@given(_rational_methods(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_modifying_integrator_prints_like_the_row_by_row_oracle_on_random_series(
+    method, skip_zero
+):
+    trees = [t._levels for t in all_trees_up_to(method.max_order)]
+    got = modifying_integrator_series(method, skip_zero=skip_zero)._coeffs
+    expected = modifying_integrator_rows(method._coeffs, method.max_order, trees)
     assert list(got) == list(expected)
     assert [coeff_print(c) for c in got.values()] == [coeff_print(c) for c in expected.values()]
 
@@ -935,15 +992,24 @@ def test_laurent_modified_equation_product_count_at_order_9(monkeypatch):
 
 @pytest.mark.parametrize(
     "solve,order,skips",
-    [(modified_equation_series, 9, 2842), (modifying_integrator_series, 8, 7356)],
+    [(modified_equation_series, 9, None), (modifying_integrator_series, 8, 7356)],
 )
-def test_rational_solves_skip_the_zero_terms_of_the_coefficient_path(solve, order, skips):
+def test_rational_solves_skip_the_zero_terms_of_the_coefficient_path(
+    monkeypatch, solve, order, skips
+):
     # the integer domain walks the same rows and skips the same zero
-    # factors as the plain one does
+    # factors as the plain one does; the modified equation's count, which
+    # depends on the zeros its top-order fold drops, is held to the plain one
     method = rk_series(builtin_tableau("midpoint"), order)
     reset_zero_skip_count()
     solve(method)
-    assert zero_skip_count() == skips
+    counted = zero_skip_count()
+    if skips is None:
+        _without_graded_path(monkeypatch)
+        reset_zero_skip_count()
+        solve(method)
+        skips = zero_skip_count()
+    assert counted == skips > 0
     reset_zero_skip_count()
 
 
