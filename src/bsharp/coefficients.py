@@ -64,7 +64,8 @@ def check_power(base, exponent: int) -> None:
     limit, k = 10 * sys.get_int_max_str_digits(), abs(exponent)
     if is_rational(base):
         bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
-        large, verb = bits * k * 0.30103 > limit, "has"
+        # bits·k·0.30103 in ints: bits·k overflows a float past 10^308
+        large, verb = bits * k * 30103 > limit * 100000, "has"
     else:
         large, verb = False, "may have"
         for t in filter(None, base):
@@ -74,7 +75,12 @@ def check_power(base, exponent: int) -> None:
             size = log10(sum(map(abs, t.values())))
             large = large or terms > limit or size and k > limit / size
     if limit and large:
-        raise CoefficientError(f"a power with exponent {exponent} {verb} more than {limit} digits")
+        shown = f"exponent {exponent}"
+        if k >= 10**40:  # a digit count, not the digits
+            digits = int(log10(k))  # floor(log10(k)), up to rounding
+            digits += (k >= 10 ** (digits + 1)) - (k < 10**digits) + 1
+            shown = f"a {'negative ' * (exponent < 0)}{digits}-digit exponent"
+        raise CoefficientError(f"a power with {shown} {verb} more than {limit} digits")
 
 
 def coeff_div(a: Coefficient, b: Coefficient) -> Coefficient:

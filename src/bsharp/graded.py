@@ -10,29 +10,31 @@ tableau entry is of order 1, a series' c(τ) of order |τ|):
 
 * an int when every coefficient is rational (:func:`_lift_int`, lowered
   by ``Fraction(value, λ^|τ|)``);
-* an integer Laurent polynomial, :class:`bsharp.symbolic._Laurent`, when
-  every denominator is a monomial and the u1 = c(•) the modifying
-  integrator divides by is rational, as for ``rk22(alpha)``; its lift and
-  lower live with the symbolic layer, which only such a solve loads;
-* otherwise a plain coefficient (``Fraction`` or ``RationalFunction``)
-  at λ = 1 (:func:`_plain`).
+* otherwise an integer Laurent polynomial,
+  :class:`bsharp.symbolic._Laurent`, over the parameters and one inverse
+  symbol for each distinct denominator factor Q that is not a monomial
+  (a21 = 1/(1 + beta), or the u1 = 1 + beta that the modifying integrator
+  divides by); its lift and lower live with the symbolic layer, which
+  only such a solve loads.
 
-:func:`_domain` gives the (lift, lower, div) of each.  A product of the
+:func:`_domain` gives the (lift, lower, d) of each.  A product of the
 values of trees whose orders add up to |τ| (a stage product, a Lie term
 c_{j-1}(trunk)·v(branch), or Π v(component) over a partition) carries
 exactly λ^|τ|, so products are exact without rescaling, and each tree's
 value becomes a coefficient once, at the end: ``Fraction(value,
-λ^|τ|)``, or the normal form of a Laurent value over λ^|τ|, which plain
-arithmetic reaches too, since a monomial denominator never grows into a
-sum.  A tableau is lifted once, by the d of its entries, and its weights
-never divide.  The solves are fraction-free elimination (Bareiss, Math.
-Comp. 22, 1968): on ints and Laurent values every division is checked by
-:func:`_exact`; a remainder means that λ is too small, and :func:`_solve`
-squares λ and starts over.  That terminates: every prime of a true
-denominator divides the starting λ (see :func:`_initial_scale`), and
-squaring doubles each prime's power.  Plain coefficients divide exactly
-and never restart.  Every domain skips the same zero terms, and no loop
-multiplies by a multiplicity or a denominator of 1.
+λ^|τ|)``, or the normal form of a Laurent value over λ^|τ|, with each
+1/Q put back.  When every denominator is a monomial that normal form is
+the one rational-function arithmetic reaches, since a monomial
+denominator never grows into a sum; otherwise it is a numerator over
+λ^|τ|·Π Q^K, reduced by no polynomial GCD.  A tableau is lifted once, by
+the d of its entries, and its weights never divide.  The solves are
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968): every
+division is checked by :func:`_exact`; a remainder means that λ is too
+small, and :func:`_solve` squares λ and starts over.  That terminates:
+every prime of a true denominator divides the starting λ (see
+:func:`_initial_scale`), and squaring doubles each prime's power.  Both
+domains skip the same zero terms, and no loop multiplies by a
+multiplicity or a denominator of 1.
 
 The modified equation, :func:`modified_equation`, is one pass per tree of
 the Lie kernel over single-edge cuts, :func:`_lie`, which the stage
@@ -47,6 +49,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from .coefficients import coeff_div, is_rational
 from .series import TruncatedBSeries
@@ -70,83 +73,91 @@ def _lift_int(c, scale: int) -> int:
     return c.numerator * _exact(scale, c.denominator)
 
 
-def _plain(value, scale: int):
-    """A plain coefficient, lifted or lowered at λ = 1: itself, an empty sum's 0 a Fraction."""
-    return value or Fraction(0)
-
-
-def _graded_denominator(pairs, divisor=1) -> tuple[int, tuple[str, ...]] | None:
+def _graded_denominator(pairs, divisor=1) -> tuple[int, tuple[str, ...], tuple[dict, ...]]:
     """The scalar domain of the (order n, coefficient c) ``pairs``, in
-    ascending order: ``(d, symbols)`` with d^n·c an int or an integer
-    Laurent polynomial over the sorted tuple ``symbols`` for every pair,
-    found without factoring; None, plain coefficients, when a denominator
-    is not a monomial or ``divisor``, which a solve divides by, is not
-    rational.  Every prime of every denominator divides d."""
-    if not is_rational(divisor):
-        return None
+    ascending order, and of 1/``divisor``, which a solve multiplies by:
+    ``(d, symbols, rests)`` with d^n·c an int or an integer Laurent
+    polynomial over the tuple ``symbols`` for every pair, found without
+    factoring.  A denominator is content·x^m·Q; every prime of every
+    content divides d, and each distinct Q that is not 1, in ``rests`` as
+    a term dict over the sorted parameters, has one more symbol, ``~k``
+    for ``rests[k]``, that stands for 1/Q and ends ``symbols``."""
     d = order = power = 1
     symbols: set[str] = set()
+    dens = []  # the coefficients whose denominators are not monomials
+    if not is_rational(divisor):  # a content of its numerator stays out of d
+        pairs = chain([(0, coeff_div(1, divisor))], pairs)
     for n, c in pairs:
         if is_rational(c):
             den = c.denominator
-        elif len(c.den) == 1:
-            (den,) = c.den.values()
-            symbols.update(c.symbols)
         else:
-            return None
+            symbols.update(c.symbols)
+            den = math.gcd(*c.den.values())  # its content
+            if len(c.den) > 1:
+                dens.append(c)
         if n != order:
             order = n
             power = d**order
-        if power % den:
+        if n and power % den:
             d *= den // math.gcd(power, den)  # now den divides d^n
             power = d**order
-    return d, tuple(sorted(symbols))
+    names = tuple(sorted(symbols))
+    rests: list[dict] = []
+    if dens:
+        from .symbolic import _rest, _widen
+
+        for rest in (_rest(_widen(c.symbols, c.den, names))[2] for c in dens):
+            if rest not in rests:
+                rests.append(rest)
+    return d, names + tuple(f"~{k}" for k in range(len(rests))), tuple(rests)
 
 
-def _domain(graded):
-    """``(lift, lower, div)`` for the ``(d, symbols)`` of
-    :func:`_graded_denominator`: ints when ``symbols`` is empty, and
-    otherwise Laurent polynomials over ``symbols``, which load the
-    symbolic layer, both divided by :func:`_exact`; plain coefficients,
-    lifted and lowered as they are and divided as coefficients, for
-    ``graded`` None."""
-    if graded is None:
-        return _plain, _plain, coeff_div
-    symbols = graded[1]
+def _domain(pairs, divisor=1) -> tuple:
+    """``(lift, lower, d)`` of the domain :func:`_graded_denominator`
+    gives: ints when it has no symbols, and otherwise Laurent polynomials,
+    which load the symbolic layer, both divided by :func:`_exact`."""
+    d, symbols, rests = _graded_denominator(pairs, divisor)
     if not symbols:
-        return _lift_int, Fraction, _exact
+        return _lift_int, Fraction, d
     from .symbolic import _lift_laurent, _lower_laurent
 
-    return partial(_lift_laurent, symbols, _exact), partial(_lower_laurent, symbols), _exact
+    return (
+        partial(_lift_laurent, symbols, rests, _exact), partial(_lower_laurent, symbols, rests), d
+    )
 
 
-def lift_tableau(A, b) -> tuple:
-    """``(d·A, d·b, lower, d)``: the entries of a tableau, each of order 1,
-    lifted by d into their domain, in which d^|τ|·Φ(τ) is a value whose
-    ``lower(value, d^|τ|)`` is Φ(τ); d = 1 for plain coefficients."""
-    graded = _graded_denominator((1, x) for row in (b, *A) for x in row)
-    lift, lower, _ = _domain(graded)
-    d = 1 if graded is None else graded[0]
+def _reciprocal(u1, lift) -> tuple:
+    """``(content, inverse)``: 1/``u1`` is ``inverse``/content, with
+    ``inverse`` lifted by ``lift`` of a domain made with ``u1`` as its
+    divisor, and content the int content of u1's numerator."""
+    r = coeff_div(1, u1)
+    content = r.denominator if is_rational(r) else math.gcd(*r.den.values())
+    return content, lift(r, content)
+
+
+def lift_tableau(A, b, divisor=1) -> tuple:
+    """``(d·A, d·b, lift, lower, d)``: the entries of a tableau, each of
+    order 1, lifted by d into their domain (made with ``divisor``), in
+    which d^|τ|·Φ(τ) is a value whose ``lower(value, d^|τ|)`` is Φ(τ)."""
+    lift, lower, d = _domain(((1, x) for row in (b, *A) for x in row), divisor)
     lifted = [tuple(lift(x, d) for x in row) for row in (b, *A)]
-    return tuple(lifted[1:]), lifted[0], lower, d
+    return tuple(lifted[1:]), lifted[0], lift, lower, d
 
 
 def _initial_scale(max_order: int, d: int, divisor: int) -> int:
     """The λ a graded solve starts from: d·lcm(1..N)·divisor².  A true
     denominator has only the primes of d (the input's), those up to N (of
-    j! and γ(τ)) and those of ``divisor``, the numerator of the u1 the
-    modifying integrator divides by, which the denominator of v(τ) can
-    hold up to 2|τ| - 1 times."""
+    j! and γ(τ)) and those of ``divisor``, the content of the numerator of
+    the u1 the modifying integrator divides by, which the denominator of
+    v(τ) can hold up to 2|τ| - 1 times."""
     return d * math.lcm(*range(1, max_order + 1)) * divisor**2
 
 
-def _solve(solve, max_order: int, graded, divisor=1) -> tuple[TruncatedBSeries, int]:
+def _solve(solve, max_order: int, d: int, divisor: int = 1) -> tuple[TruncatedBSeries, int]:
     """Run ``solve(λ)``, which gives the coefficients keyed by level
-    sequence and the number of zero skips.  λ starts at 1 for plain
-    coefficients (``graded`` None) and at :func:`_initial_scale` for the
-    d = ``graded[0]`` of a graded domain, and is squared until every
-    division is exact."""
-    scale = 1 if graded is None else _initial_scale(max_order, graded[0], divisor)
+    sequence and the number of zero skips.  λ starts at
+    :func:`_initial_scale` and is squared until every division is exact."""
+    scale = _initial_scale(max_order, d, divisor)
     while True:
         try:
             coeffs, skips = solve(scale)
@@ -161,10 +172,9 @@ def modified_equation(
 ) -> tuple[TruncatedBSeries, int]:
     """The modified equation of ``method`` over its edge-cut ``tables``,
     and its number of zero skips."""
-    graded = _graded_denominator((t.order, c) for t, c in method.items())
-    weights = by_id(method._coeffs)
-    solve = partial(_modified_equation_ints, tables, weights, *_domain(graded), skip_zero)
-    return _solve(solve, method.max_order, graded)
+    lift, lower, d = _domain((t.order, c) for t, c in method.items())
+    solve = partial(_modified_equation_ints, tables, by_id(method._coeffs), lift, lower, skip_zero)
+    return _solve(solve, method.max_order, d)
 
 
 # -- the Lie kernel -------------------------------------------------------------
@@ -221,7 +231,7 @@ def _ratios(n: int) -> list[int]:
     return [whole // math.factorial(j) for j in range(1, n + 1)]
 
 
-def _modified_equation_ints(tables, weights: list, lift, lower, div, skip_zero: bool, scale: int):
+def _modified_equation_ints(tables, weights: list, lift, lower, skip_zero: bool, scale: int):
     """The modified equation over values scaled by λ^|τ|, λ = ``scale``:
     v(τ)·λ^|τ| = a(τ)·λ^|τ| - (Σ_{j≥2} c_j(τ)·λ^|τ|·|τ|!/j!) / |τ|!, where
     c_1 = v and c_j = L_v c_{j-1}.  The list of a tree θ is
@@ -245,7 +255,7 @@ def _modified_equation_ints(tables, weights: list, lift, lower, div, skip_zero: 
             higher, skipped = _lie(rows, v, lie, n - 1, skip_zero)
             total = sum(map(operator.mul, higher, ratios))
         skips += skipped
-        v[i] = value = lift(weights[i], power) - div(total, whole)
+        v[i] = value = lift(weights[i], power) - _exact(total, whole)
         if n != top:
             lie[i] = [value] + higher
         coeffs[tree._levels] = lower(value, power)

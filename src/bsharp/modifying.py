@@ -5,10 +5,9 @@ pass over grouped split tables; and composition.
 Two solves, both over the scalar domains of :mod:`bsharp.graded`:
 :func:`modifying_integrator_of_tableau`, for a Runge-Kutta tableau, is a
 stage recursion over single-edge cuts, one pass of the Lie kernel
-:func:`bsharp.graded._lie` per tree and stage, over ints and Laurent
-polynomials; :func:`modifying_integrator`, for any map-kind series, solves
-substitute(v, method) = exact flow over the distinct partition splits, in
-all three domains, and takes a tableau whose domain is plain coefficients.
+:func:`bsharp.graded._lie` per tree and stage; :func:`modifying_integrator`,
+for any map-kind series, solves substitute(v, method) = exact flow over
+the distinct partition splits.
 
 :func:`_pass` is the only code that sums a grouped split table
 (head, [(tree id, forest key, k), ...]) into the totals Σ k·head·Π
@@ -17,9 +16,9 @@ and in :func:`substitute`.  :func:`compose` reads no table: one recursion
 over each tree's children merges the subtree splits that keep the same
 subtree as they arise.  Both run over the domain that
 :func:`bsharp.graded._graded_denominator` picks for their operands, and
-neither divides, so they run once, at λ = d.  Ints and Laurent values
-have unique normal forms; a plain sum prints the same in any order of its
-terms unless a partial sum is exactly 0 (see :mod:`bsharp.symbolic`).
+neither divides, so they run once, at λ = d.  The terms of a sum of ints
+or Laurent values, and so its printed form, do not depend on the order of
+its terms.
 Only the commands that run one of these load this module.
 """
 
@@ -34,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from . import graded
 from .coefficients import is_rational
-from .graded import _domain, _graded_denominator, _lie, _plain, _ratios, _solve, _top_order
+from .graded import _domain, _lie, _ratios, _reciprocal, _solve, _top_order, lift_tableau
 from .series import (
     _UNSET,
     TruncatedBSeries,
@@ -43,7 +42,6 @@ from .series import (
     _counted,
     _forest_product,
     _tables,
-    modifying_integrator_series,
 )
 from .splits import _kids, by_id, edge_cut_id_table, partition_skeleton_table, tree_id, with_child
 from .trees import trees_of_order
@@ -58,19 +56,17 @@ def modifying_integrator(
     """The modifying integrator of ``method``, whose c(•) is ``u1``, and its
     number of zero skips."""
     max_order = method.max_order
-    domain = _graded_denominator(((t.order, c) for t, c in method.items()), u1)
     levels = [
         (n, [(t, tree_id(t._levels)) for t in trees_of_order(n)], partition_skeleton_table(n))
         for n in range(1, max_order + 1)
     ]
-    lift, lower, div = _domain(domain)
-    d = 1 if domain is None else domain[0]
+    lift, lower, d = _domain(((t.order, c) for t, c in method.items()), u1)
+    content, inverse = _reciprocal(u1, lift)
     heads = _lifted(method._coeffs, lift, d, max_order)
-    num, den = (u1.numerator, u1.denominator) if is_rational(u1) else (u1, 1)
     solve = partial(
-        _modifying_integrator_ints, levels, heads, d**max_order, num, den, lower, div, skip_zero
+        _modifying_integrator_ints, levels, heads, d**max_order, content, inverse, lower, skip_zero
     )
-    return _solve(solve, max_order, domain, num)
+    return _solve(solve, max_order, d, content)
 
 
 def modifying_integrator_of_tableau(
@@ -80,33 +76,27 @@ def modifying_integrator_of_tableau(
     flow-kind series v, truncated at ``max_order``, with which the method
     applied to the field h·v is the exact flow of the original field.
 
-    Over the int and Laurent domains, v is solved from the stages over
-    edge cuts and the entries the tableau lifted when it was built
-    (:func:`_modifying_integrator_stages`).  For plain coefficients (a
-    denominator that is not a monomial) or an irrational Σb, it is the
-    partition solve :func:`bsharp.series.modifying_integrator_series` of
-    the method's series: unreduced, the stages swell (47 s and 13.2 MB of
-    JSON for a21 = 1/(1 + beta) at order 6, against 0.3–0.6 s and 232 kB
-    over partitions, the coefficients equal by ``==``).  Requires Σb ≠ 0.
+    v is solved from the stages over edge cuts
+    (:func:`_modifying_integrator_stages`) and the entries the tableau
+    lifted when it was built, or, for a symbolic Σb, lifted again with Σb
+    so that the domain holds 1/Σb.  Requires Σb ≠ 0.
     """
     _check_max_order(max_order)
     if not max_order:
         return TruncatedBSeries._from_levels(0, {b"": Fraction(0)})
     u1 = sum(tab.b, Fraction(0))
     _check_u1(u1)
-    A, b, lower, d = tab._lifted
-    if lower is _plain or not is_rational(u1):
-        from .tableaux import rk_series
-
-        return modifying_integrator_series(rk_series(tab, max_order), skip_zero=skip_zero)
+    A, b, lift, lower, d = tab._lifted if is_rational(u1) else lift_tableau(tab.A, tab.b, u1)
+    content, inverse = _reciprocal(u1, lift)
     tables = _tables(max_order, edge_cut_id_table)
-    num, den, div = u1.numerator, u1.denominator, graded._exact
-    solve = partial(_modifying_integrator_stages, tables, A, b, d, num, den, lower, div, skip_zero)
-    return _counted(_solve(solve, max_order, (d,), num))
+    solve = partial(
+        _modifying_integrator_stages, tables, A, b, d, content, inverse, lower, skip_zero
+    )
+    return _counted(_solve(solve, max_order, d, content))
 
 
 def _modifying_integrator_stages(
-    tables, A: list, b: list, d: int, num, den, lower, div, skip_zero: bool, scale: int
+    tables, A: list, b: list, d: int, content: int, inverse, lower, skip_zero: bool, scale: int
 ):
     """The modifying integrator of the tableau (``A``, ``b``), lifted by d,
     over values scaled by λ^|τ| (λ = ``scale``), one tree at a time.
@@ -114,7 +104,7 @@ def _modifying_integrator_stages(
     The stages of the method applied to h·v are K_i = v∘Y_i with
     Y_i = id + Σ_j a_ij K_j; with w_i = log Y_i, K_i = v + R_i and
     R_i = Σ_{j≥1} L_{w_i}^j v / j!, whose value at τ reads lower orders
-    only.  So, with u1 = Σb = ``num``/``den``:
+    only.  So, with u1 = Σb = ``content``/``inverse``:
 
     * v(τ) = (1/γ(τ) - Σ_i b_i R_i(τ)) / u1, as the step Σ_i b_i K_i is
       the exact flow;
@@ -155,7 +145,9 @@ def _modifying_integrator_stages(
                 R[i] = sum(map(operator.mul, lie[i][::2], ratios))
             skips += skipped
         total = one * (whole // tree.density()) - sum([b[i] * R[i] for i in active if b[i]], 0)
-        v[t] = value = div(total if den == 1 else total * den, d * whole * num)
+        v[t] = value = graded._exact(
+            total if inverse == 1 else total * inverse, d * whole * content
+        )
         out[tree._levels] = lower(value, power)
         if n == top:
             continue
@@ -164,21 +156,21 @@ def _modifying_integrator_stages(
         for i in active:
             Y = sum([a * k for a, k in zip(A[i], K) if a], 0)  # d·n!·Y_i(τ)
             lies = sum(map(operator.mul, lie[i][1::2], ratios[1:]))
-            w[i][t] = w_i = div(Y - d * lies, d * whole)
+            w[i][t] = w_i = graded._exact(Y - d * lies, d * whole)
             lists[i][t] = [value, w_i] + lie[i]
     return out, skips
 
 
 def _modifying_integrator_ints(
-    levels, heads: list, d_top: int, num, den, lower, div, skip_zero: bool, scale: int
+    levels, heads: list, d_top: int, content: int, inverse, lower, skip_zero: bool, scale: int
 ):
     """The modifying integrator over scaled values, one :func:`_pass` per
     order.  A solved value is scaled by λ^|τ| (λ = ``scale``) and each
     skeleton weight, in ``heads``, by ``d_top`` = d^N, so a row of τ has
     the scale d^N·λ^|τ| of its total, 1/γ(τ) less the rows, which is then
-    divided by d^N·u1, u1 = ``num``/``den``."""
+    divided by d^N·u1, u1 = ``content``/``inverse``."""
     skips = 0
-    divisor = d_top * num  # total / (d^N·u1) = total·den / divisor
+    divisor = d_top * content  # total / (d^N·u1) = total·inverse / divisor
     solved: list = [None] * len(heads)
     totals = [0] * len(heads)  # Σ over the rows of a tree, scaled
     zero_solved: set[int] = set()
@@ -190,8 +182,8 @@ def _modifying_integrator_ints(
         one = d_top * power  # 1, scaled
         skips += _pass(groups, heads, products, product, totals, skip_zero)
         for tree, i in trees:
-            total = div(one, tree.density()) - totals[i]
-            solved[i] = value = div(total if den == 1 else total * den, divisor)
+            total = graded._exact(one, tree.density()) - totals[i]
+            solved[i] = value = graded._exact(total if inverse == 1 else total * inverse, divisor)
             if skip_zero and not value:
                 zero_solved.add(i)
             out[tree._levels] = lower(value, power)
@@ -231,9 +223,7 @@ def _lifted(coeffs: dict, lift, d: int, top: int = 0) -> list:
 def _operands(inner: TruncatedBSeries, outer: TruncatedBSeries, top: int, skip_zero: bool):
     """(heads, factors, zero factor ids, lower, d): outer's c(τ) lifted by
     d^``top`` (d^|τ| for 0) and inner's by d^|τ|, in the domain of both."""
-    domain = _graded_denominator((t.order, c) for t, c in chain(inner.items(), outer.items()))
-    lift, lower, _ = _domain(domain)
-    d = 1 if domain is None else domain[0]
+    lift, lower, d = _domain((t.order, c) for t, c in chain(inner.items(), outer.items()))
     heads, factors = _lifted(outer._coeffs, lift, d, top), _lifted(inner._coeffs, lift, d)
     zero = {i for i, c in enumerate(factors) if skip_zero and c is not None and not c}
     return heads, factors, zero, lower, d
@@ -291,8 +281,7 @@ def substitute(
     """:func:`bsharp.series.substitute` of ``flow`` into ``outer``, and its
     number of zero skips.  Skeleton weights are lifted by d^N and each
     component by d^|component|, so every row of τ has the scale d^N·d^|τ|.
-    The row outer(•)·flow(τ), no edge removed, starts the total as in the
-    partition table: a plain sum prints by its partial sums that are 0."""
+    The row outer(•)·flow(τ), no edge removed, starts the total."""
     top = flow.max_order
     tables = [partition_skeleton_table(n) for n in range(1, top + 1)]  # index every tree
     heads, factors, zero, lower, d = _operands(flow, outer, top, skip_zero)

@@ -31,8 +31,8 @@ the Lie derivative ∂_v), so the solve is polynomial in the order.
 = exact flow, over the distinct partition splits.  No arithmetic loop
 lives here: every operation runs in :mod:`bsharp.graded` or
 :mod:`bsharp.modifying` (loaded only when it runs) over the scalar domain
-(ints, Laurent polynomials or plain coefficients) that
-:func:`bsharp.graded._graded_denominator` picks for its operands.
+(ints or Laurent polynomials) that :func:`bsharp.graded._graded_denominator`
+picks for its operands.
 Substitute and the modifying integrator sum grouped partition tables in
 one pass, :func:`bsharp.modifying._pass`, whose forest products come from
 :func:`_forest_product`: a memo for one call maps each forest key to its
@@ -319,8 +319,8 @@ def modified_equation_series(
     derivative c_j(τ) = Σ over single-edge cuts of c_{j-1}(trunk)·v(branch)
     (Hairer-Lubich-Wanner, GNI §IX.9).  Every c_j(τ) with j ≥ 2 involves
     only smaller trees, so v(τ) = method(τ) - Σ_{j=2}^{|τ|} c_j(τ)/j! is
-    solved tree by tree, in one :mod:`bsharp.graded` loop for all three
-    scalar domains.  ``skip_zero`` drops cut terms with a zero factor
+    solved tree by tree, in one :mod:`bsharp.graded` loop for both scalar
+    domains.  ``skip_zero`` drops cut terms with a zero factor
     instead of multiplying them through; it never changes the result.
     """
     if method.empty != 1:
@@ -341,7 +341,7 @@ def modifying_integrator_series(
     tree by tree over the distinct partition splits, each term weighted by
     its multiplicity: v(τ) = (1/γ(τ) - Σ k·method(skeleton)·Π v(component))
     / method(•), the sum over every split but the no-edges-removed one, in
-    one loop of :mod:`bsharp.modifying` for all three scalar domains.
+    one loop of :mod:`bsharp.modifying` for both scalar domains.
     ``skip_zero`` drops split terms whose skeleton weight (or any
     component coefficient) is zero — a pure optimization.
     """

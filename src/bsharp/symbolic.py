@@ -40,10 +40,12 @@ modified equation's Σ c_j·(n!/j!) / n!); merging equal terms (2·x for
 x + x) or a partial sum that is exactly zero changes the printed form.
 
 A value with a monomial denominator is an integer Laurent polynomial over
-an integer, so :mod:`bsharp.graded` solves such series over
+an integer, so :mod:`bsharp.graded` solves symbolic series over
 :class:`_Laurent` polynomials, lifted by :func:`_lift_laurent`, with one
 :func:`_normalize` per coefficient at the end (:func:`_lower_laurent`),
-and prints what this arithmetic prints.
+and prints what this arithmetic prints.  A denominator content·x^m·Q
+whose rest Q is not 1 lifts to one more Laurent symbol, named ``~k`` (no
+parameter name can be), that stands for 1/Q; lowering puts 1/Q back.
 
 Term order everywhere (printing, leading coefficients) is graded
 lexicographic, highest degree first, with symbols sorted by name.
@@ -499,24 +501,77 @@ def _unpack(key: int, width: int) -> tuple[int, ...]:
     return tuple(exponents)
 
 
-def _lift_laurent(symbols: tuple[str, ...], div, c, scale: int):
-    """``scale``·c over ``symbols`` for a rational function c with a
-    one-term denominator; an int, a constant, for a rational c.  Either
-    must be exact: ``div`` is the exact int division of the solve."""
+def _rest(den: dict) -> tuple[int, tuple[int, ...], dict]:
+    """The denominator ``den`` as content·x^low·Q: ``(content, low, Q)``,
+    Q with coprime integer coefficients, a positive lead and no symbol
+    dividing it; Q is 1 for a one-term ``den``."""
+    low = tuple(map(min, zip(*den)))
+    content = gcd(*den.values())
+    return content, low, {tuple(map(sub, e, low)): c // content for e, c in den.items()}
+
+
+def _quotient(num: dict, q: dict) -> dict | None:
+    """``num``/``q`` if ``q`` divides the polynomial ``num`` exactly, else
+    None: division by leading terms in graded-lex order."""
+    lead = max(q, key=_grlex)
+    out: dict = {}
+    while num:
+        e = max(num, key=_grlex)
+        shift = tuple(map(sub, e, lead))
+        if min(shift) < 0 or num[e] % q[lead]:
+            return None
+        out[shift] = factor = num[e] // q[lead]
+        num = _poly_add(num, _poly_scale(q, shift, factor), negate=True)
+    return out
+
+
+def _lift_laurent(symbols: tuple[str, ...], rests: tuple, div, c, scale: int):
+    """``scale``·c over ``symbols`` for a rational function c; an int, a
+    constant, for a rational c.  A denominator content·x^low·Q whose Q is
+    not 1 multiplies by the symbol of ``symbols`` that stands for 1/Q: Q is
+    in ``rests``, whose symbols end ``symbols``, in order.  Either must be
+    exact: ``div`` is the exact int division of the solve.  A numerator
+    that Q divides is divided instead."""
     if is_rational(c):
         return c.numerator * div(scale, c.denominator)
-    (low, den), = _widen(c.symbols, c.den, symbols).items()
-    q, shift = div(scale, den), _pack(low)
     num = _widen(c.symbols, c.num, symbols)
+    if len(c.den) == 1:
+        (low, den), = _widen(c.symbols, c.den, symbols).items()
+        shift = _pack(low)
+    else:
+        named = len(symbols) - len(rests)
+        den, low, rest = _rest(_widen(c.symbols, c.den, symbols[:named]))
+        shift = _pack(low)
+        quotient = _quotient(num, _widen(symbols[:named], rest, symbols))
+        if quotient is None:
+            shift -= 1 << _DIGIT * (named + rests.index(rest))
+        else:
+            num = quotient
+    q = div(scale, den)
     return _Laurent({_pack(e) - shift: k * q for e, k in num.items()})
 
 
-def _lower_laurent(symbols: tuple[str, ...], value, power: int):
-    """The coefficient ``value``/``power`` in its normal form."""
+def _lower_laurent(symbols: tuple[str, ...], rests: tuple, value, power: int):
+    """The coefficient ``value``/``power`` in its normal form.  With K_Q
+    the highest power of each inverse symbol 1/Q in ``value``, that is Σ
+    c·x^e·Π Q^(K_Q - e_Q) over its terms, divided by ``power``·Π Q^K_Q."""
     if isinstance(value, int):
         return Fraction(value, power)
     width = len(symbols)
     terms = {_unpack(e, width): c for e, c in value.terms.items()}
-    return _normalize(symbols, terms, {(0,) * width: power})
-
-
+    if not rests:
+        return _normalize(symbols, terms, {(0,) * width: power})
+    named = width - len(rests)
+    tops = tuple(map(max, zip(*terms)))[named:]
+    parts: dict = {}  # the terms of each inverse exponent vector
+    for e, c in terms.items():
+        parts.setdefault(e[named:], {})[e[:named]] = c
+    num: dict = {}
+    for inverse, part in parts.items():
+        for q, top, k in zip(rests, tops, inverse):
+            part = _poly_mul(part, _poly_pow(q, top - k, named))
+        num = _poly_add(num, part)
+    den = {(0,) * named: power}
+    for q, top in zip(rests, tops):
+        den = _poly_mul(den, _poly_pow(q, top, named))
+    return _normalize(symbols[:named], num, den)

@@ -14,11 +14,11 @@ assignments.  It is computed by the standard bottom-up recursion: with
 the weight is Φ(τ) = Σ_i b_i Ψ_i(τ).  A method has order p exactly when
 Φ(τ) = 1/γ(τ) for every tree with at most p nodes.
 
-The recursion runs over the scalar domain (ints, Laurent polynomials or
-plain coefficients) that :mod:`bsharp.graded` picks for A and b and lifts
-them into once, scaled by a d of theirs.  Φ(τ) and A·Ψ(τ) carry one entry
-per node, so d^|τ|·Φ(τ) is a value of the domain, which its ``lower``
-turns into a coefficient once per tree.
+The recursion runs over the scalar domain (ints or Laurent polynomials)
+that :mod:`bsharp.graded` picks for A and b and lifts them into once,
+scaled by a d of theirs.  Φ(τ) and A·Ψ(τ) carry one entry per node, so
+d^|τ|·Φ(τ) is a value of the domain, which its ``lower`` turns into a
+coefficient once per tree.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _propagated(tab: ButcherTableau, seq: bytes) -> tuple:
 
 def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
     """Φ(tree): the coefficient of the method's B-series at ``tree``."""
-    _, b, lower, d = tab._lifted
+    _, b, _, lower, d = tab._lifted
     child_vectors = [_propagated(tab, child) for child in _children(tree._levels)]
     total = 0
     for i, bi in enumerate(b):

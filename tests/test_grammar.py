@@ -205,6 +205,17 @@ def test_a_symbolic_power_too_large_to_expand_is_refused_at_its_caret(text, colu
 
 
 @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+@pytest.mark.parametrize("base,verb", [("(alpha + beta)", "may have"), ("2", "has")])
+def test_the_refusal_of_a_long_exponent_gives_its_digit_count(base, verb):
+    # the exponent itself would make a one-line message over 4 kB long; a
+    # float bound on 2^k overflowed for such a k
+    with pytest.raises(ParseError, match=f"a 4000-digit exponent {verb} more than") as exc_info:
+        coeff_parse(base + "^" + "9" * 4000)
+    assert len(str(exc_info.value)) < 200
+    assert exc_info.value.column == len(base) + 1  # at the caret
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
 @pytest.mark.parametrize(
     "text,column",
     [

@@ -1,12 +1,11 @@
 """The modifying integrator of a tableau by its stage recursion.
 
 :func:`bsharp.modifying.modifying_integrator_of_tableau` solves the stages
-K_i = v∘Y_i tree by tree over edge-cut tables.  Its oracle is the
-partition solve :func:`bsharp.series.modifying_integrator_series` of the
-method's series, which stays the path for plain coefficients.
+K_i = v∘Y_i tree by tree over edge-cut tables, for every tableau.  Its
+oracle is the partition solve
+:func:`bsharp.series.modifying_integrator_series` of the method's series.
 """
 
-import hashlib
 import importlib.util
 import io
 import json
@@ -210,22 +209,28 @@ def test_tableau_modifying_integrator_builds_no_partition_table(name):
     clear_split_caches()
 
 
-def test_plain_coefficients_keep_the_partition_solve(tmp_path):
-    # b = (1, beta): Σb = 1 + beta is not rational, so the solve divides by
-    # a coefficient and runs over the partition tables; the digest was taken
-    # when every tableau took the partition solve
-    path = tmp_path / "b1.json"
-    path.write_text(json.dumps(
-        {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2"],
-         "symbols": ["beta"]}
-    ))
-    clear_split_caches()
-    out = _cli_output("modifying-integrator", "--tableau", str(path), "--order", "5",
-                      "--format", "json")
-    assert _partition_tables_built()
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "144fa033bf3e49485e2f1fe416e8b7092ae17f2cb329c16f619723e44f2ad9eb"
-    )
+_SYMBOLIC_DENOMINATORS = {
+    # Σb = 1 + beta: the solve divides by a non-monomial
+    "b=(1,beta)": {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2"]},
+    # an entry with a non-monomial denominator
+    "a21=1/(1+beta)": {"A": [["0", "0"], ["1/(1 + beta)", "0"]], "b": ["1/2", "1/2"],
+                       "c": ["0", "1/(1 + beta)"]},
+    # Σb = beta, a monomial
+    "b=(0,beta)": {"A": [["0", "0"], ["1/2", "0"]], "b": ["0", "beta"], "c": ["0", "1/2"]},
+}
+
+
+@pytest.mark.parametrize("name", list(_SYMBOLIC_DENOMINATORS))
+def test_symbolic_denominators_take_the_stage_recursion(name):
+    tab = tableau_from_json_dict({**_SYMBOLIC_DENOMINATORS[name], "symbols": ["beta"]})
+    for order in (5, 6, 7):
+        clear_split_caches()
+        got = modifying_integrator_of_tableau(tab, order)
+        assert not _partition_tables_built()
+        expected = modifying_integrator_series(rk_series(tab, order))
+        assert got == expected
+        if name == "b=(1,beta)":  # the two solves print alike, too
+            assert _printed(got) == _printed(expected)
     clear_split_caches()
 
 
