@@ -16,8 +16,8 @@ import argparse
 import math
 import os
 import sys
-from itertools import chain, count
-from typing import TYPE_CHECKING, Optional, Sequence, TextIO
+from itertools import chain, count, islice
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .errors import BSharpError, NumericFailureError, ParseError
 
@@ -93,6 +93,22 @@ def _parse_bindings(pairs: Sequence[str], parser, symbols) -> dict[str, Fraction
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
+#
+# A command runs everything that can fail (validation, the solve, building
+# the expression DAG; only a simulation's numeric blow-up comes later)
+# before it opens its output, and then writes each piece
+# as soon as it exists: a field component right after it is formatted, a
+# tree, split or simulation row as it is enumerated, JSON chunk by chunk.
+# Such output is never held whole, so its memory grows with the largest
+# piece, not with several copies of everything printed; a series' text or
+# JSON dict and a JSON field's formatted components are still built whole
+# before they are written.  Pieces go out in batches of
+# about _BATCH characters, because an unbuffered stdout (PYTHONUNBUFFERED)
+# turns every write into a system call; a piece that large on its own is
+# written as it is, without another copy.
+
+_BATCH = 1 << 16
+
 
 def _open_output(args) -> TextIO:
     if args.output:
@@ -100,21 +116,66 @@ def _open_output(args) -> TextIO:
     return sys.stdout
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` in batches; what is batched when ``pieces`` raises
+    is written before the exception goes on."""
     out = _open_output(args)
+    batch: list[str] = []
+    size = 0
     try:
-        out.write(text)
-        if not text.endswith("\n"):
-            out.write("\n")
+        for piece in pieces:
+            if len(piece) >= _BATCH:
+                # taken out of the batch before it is written, so that a
+                # failed write is not repeated by the flush below
+                text, batch, size = "".join(batch), [], 0
+                if text:
+                    out.write(text)
+                out.write(piece)
+                continue
+            batch.append(piece)
+            size += len(piece)
+            if size >= _BATCH:
+                text, batch, size = "".join(batch), [], 0
+                out.write(text)
     finally:
-        if out is not sys.stdout:
-            out.close()
+        try:
+            if batch:
+                out.write("".join(batch))
+        finally:
+            if out is sys.stdout:
+                out.flush()
+            else:
+                out.close()
+
+
+def _primed(rows: Iterator) -> Iterator:
+    """``rows`` with its first item drawn now, so that whatever a generator
+    checks when it starts fails before the output is opened."""
+    first = list(islice(rows, 1))
+    return chain(first, rows)
 
 
 def _emit_json(args, data, indent: int | None = 2) -> None:
+    """``json.dumps(data, indent=indent)`` and a newline, chunk by chunk."""
     import json
 
-    _emit(args, json.dumps(data, indent=indent))
+    _emit(args, chain(json.JSONEncoder(indent=indent).iterencode(data), ("\n",)))
+
+
+def _json_list(items: Iterable) -> Iterator[str]:
+    """The text of ``json.dumps(list(items), indent=2)`` and a newline,
+    one element at a time.  An element's own text has no raw newline but
+    those of the layout (JSON escapes them in strings), so indenting it
+    one level is a replace."""
+    import json
+
+    encode = json.JSONEncoder(indent=2).encode
+    sep = "[\n  "
+    for item in items:
+        yield sep
+        yield encode(item).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
 def _emit_series(args, series: TruncatedBSeries, fmt: str) -> int:
@@ -125,7 +186,7 @@ def _emit_series(args, series: TruncatedBSeries, fmt: str) -> int:
             args.subparser.error("--reduce-order-by applies to text/latex output only")
         _emit_json(args, series_to_json_dict(series))
     else:
-        _emit(args, format_series(series, fmt, args.reduce_order_by))
+        _emit(args, (format_series(series, fmt, args.reduce_order_by), "\n"))
     return 0
 
 
@@ -140,12 +201,13 @@ def cmd_trees(args) -> int:
 
     if args.order < 1:
         args.subparser.error("order must be at least 1")
-    rows = []
-    for tree in trees_of_order(args.order):
-        sigma, gamma = tree.symmetry(), tree.density()
-        rows.append((tree, sigma, gamma))
+    trees = _primed(trees_of_order(args.order))
+    if not (args.properties or args.format == "json"):
+        _emit(args, (f"{tree}\n" for tree in trees))
+        return 0
+    rows = ((t, t.symmetry(), t.density()) for t in trees)
     if args.format == "json":
-        _emit_json(args, [
+        _emit(args, _json_list(
             {
                 "tree": str(t),
                 "order": t.order,
@@ -154,18 +216,12 @@ def cmd_trees(args) -> int:
                 "inverse_gamma": str(Fraction(1, gamma)),
             }
             for t, sigma, gamma in rows
-        ])
-        return 0
-    lines = []
-    for tree, sigma, gamma in rows:
-        if args.properties:
-            lines.append(
-                f"{tree}: order={tree.order}, sigma={sigma}, gamma={gamma}, "
-                f"1/gamma={Fraction(1, gamma)}"
-            )
-        else:
-            lines.append(str(tree))
-    _emit(args, "\n".join(lines))
+        ))
+    else:
+        _emit(args, (
+            f"{t}: order={t.order}, sigma={sigma}, gamma={gamma}, 1/gamma={Fraction(1, gamma)}\n"
+            for t, sigma, gamma in rows
+        ))
     return 0
 
 
@@ -175,18 +231,15 @@ def cmd_splits(args) -> int:
 
     tree = parse_tree(args.tree)
     if args.kind == "subtrees":
-        label = "subtree"
-        pairs = [(s.subtree, s.forest) for s in ordered_subtrees(tree)]
+        label, splits = "subtree", _primed(ordered_subtrees(tree))
     else:
-        label = "skeleton"
-        pairs = [(s.skeleton, s.forest) for s in partitions(tree)]
+        label, splits = "skeleton", _primed(partitions(tree))
     if args.format == "json":
-        _emit_json(args, [
-            {label: str(kept), "forest": [str(t) for t in forest]}
-            for kept, forest in pairs
-        ])
-        return 0
-    _emit(args, "\n".join(f"{skel} ; {forest}" for skel, forest in pairs))
+        _emit(args, _json_list(
+            {label: str(kept), "forest": [str(t) for t in forest]} for kept, forest in splits
+        ))
+    else:
+        _emit(args, (f"{kept} ; {forest}\n" for kept, forest in splits))
     return 0
 
 
@@ -246,19 +299,13 @@ def cmd_perturbed(args) -> int:
     from .odes import DiffCache, series_vector_field
 
     system = _load_system(args)
-    terms = series_vector_field(flow, system, DiffCache(system))
     step_name = _step_symbol(system.variables)
     h = variable(system.dimension)
     names = system.variables + (step_name,)
-
-    fields = []
-    for component in terms:
-        parts = [
-            mul_all((power(h, degree - 1), expr))
-            for degree, expr in component
-            if degree > 0
-        ]
-        fields.append(add_all(parts))
+    fields = [
+        add_all([mul_all((power(h, degree - 1), expr)) for degree, expr in component if degree > 0])
+        for component in series_vector_field(flow, system, DiffCache(system))
+    ]
 
     fmt = args.format or "text"
     if fmt == "json":
@@ -271,14 +318,14 @@ def cmd_perturbed(args) -> int:
             },
         })
         return 0
-    lines = []
-    for name, f in zip(system.variables, fields):
-        body = format_expression(f, names, fmt)
-        if fmt == "latex":
-            lines.append(f"\\dot{{{latex_name(name)}}} = {body}")
-        else:
-            lines.append(f"{name}' = {body}")
-    _emit(args, "\n".join(lines))
+
+    def lines():
+        for name, f in zip(system.variables, fields):
+            yield f"\\dot{{{latex_name(name)}}} = " if fmt == "latex" else f"{name}' = "
+            yield format_expression(f, names, fmt)
+            yield "\n"
+
+    _emit(args, lines())
     return 0
 
 
@@ -291,7 +338,7 @@ def cmd_order(args) -> int:
     if args.format == "json":
         _emit_json(args, {"order": p}, indent=None)
     else:
-        _emit(args, str(p))
+        _emit(args, (str(p), "\n"))
     return 0
 
 
@@ -335,22 +382,14 @@ def cmd_simulate(args) -> int:
     )
 
     rows = iterate_rows(plan)  # refuses a plan before any output
-    out = _open_output(args)
+    header = "t," + ",".join(system.variables) + "\n"
+    lines = (f"{t!r}," + ",".join(repr(v) for v in y) + "\n" for t, y in rows)
     try:
-        out.write("t," + ",".join(system.variables) + "\n")
-        try:
-            for t, y in rows:
-                out.write(f"{t!r}," + ",".join(repr(v) for v in y) + "\n")
-        except NumericFailureError as exc:
-            out.flush()
-            print(
-                f"error: {exc} (last valid t = {exc.last_valid_t!r})",
-                file=sys.stderr,
-            )
-            return 4
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        _emit(args, chain((header,), lines))
+    except NumericFailureError as exc:
+        # the rows before the failure are written
+        print(f"error: {exc} (last valid t = {exc.last_valid_t!r})", file=sys.stderr)
+        return 4
     return 0
 
 

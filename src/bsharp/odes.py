@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .coefficients import NAME, coeff_eval, parse_arithmetic, parse_rational
 from .errors import ParseError
@@ -42,8 +42,10 @@ from .expressions import (
     mul_all,
     variable,
 )
-from .series import TruncatedBSeries
-from .trees import RootedTree, trees_of_order
+
+if TYPE_CHECKING:
+    from .series import TruncatedBSeries
+    from .trees import RootedTree
 
 _PARAM_RE = re.compile(rf"param\s+({NAME})\s*=\s*(.+)")
 _HEAD_RE = re.compile(rf"({NAME})\s*'\s*=")
@@ -308,6 +310,8 @@ def series_vector_field(
     system's parameters first; a symbol with no binding raises
     :class:`UnboundSymbolError`.
     """
+    from .trees import trees_of_order
+
     if cache is None:
         cache = DiffCache(system)
     elif cache.system is not system:

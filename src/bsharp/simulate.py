@@ -31,16 +31,13 @@ A step that produces a non-finite value aborts the run via
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Iterator, Sequence
 
 from .coefficients import coeff_eval
 from .errors import NumericFailureError, TableauError
 from .expressions import _fold, compile_float
 from .odes import DiffCache, ODESystem, series_vector_field
-from .series import modified_equation_series
-# perfbench/traced.py wraps this solve by name, though a tableau's
-# modifying integrator no longer calls it
-from .series import modifying_integrator_series  # noqa: F401
 from .tableaux import ButcherTableau, rk_series
 
 _MODES = ("direct", "reference", "modified", "modifying")
@@ -60,6 +57,21 @@ _RK4_A = (
 _RK4_B = (1 / 6, 1 / 3, 1 / 3, 1 / 6)
 
 Field = Callable[[Sequence[float]], list[float]]
+
+# The series solves are attributes of this module, imported on first use
+# (PEP 562), so that a direct or reference run loads no series layer.
+# perfbench/traced.py wraps them by name, though a tableau's modifying
+# integrator no longer calls ``modifying_integrator_series``.
+_SOLVES = ("modified_equation_series", "modifying_integrator_series")
+
+
+def __getattr__(name: str):
+    if name not in _SOLVES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import series
+
+    value = globals()[name] = getattr(series, name)
+    return value
 
 
 class SimulationPlan:
@@ -206,7 +218,8 @@ def _build_field(plan: SimulationPlan) -> Field:
     if plan.mode in ("direct", "reference"):
         return system_field(plan.system)
     if plan.mode == "modified":
-        flow = modified_equation_series(rk_series(plan.tableau, plan.series_order))
+        solve = sys.modules[__name__].modified_equation_series  # see _SOLVES
+        flow = solve(rk_series(plan.tableau, plan.series_order))
     else:
         from .modifying import modifying_integrator_of_tableau
 

@@ -15,10 +15,11 @@ the weight is Φ(τ) = Σ_i b_i Ψ_i(τ).  A method has order p exactly when
 Φ(τ) = 1/γ(τ) for every tree with at most p nodes.
 
 The recursion runs over the scalar domain (ints or Laurent polynomials)
-that :mod:`bsharp.graded` picks for A and b and lifts them into once,
-scaled by a d of theirs.  Φ(τ) and A·Ψ(τ) carry one entry per node, so
-d^|τ|·Φ(τ) is a value of the domain, which its ``lower`` turns into a
-coefficient once per tree.
+that :mod:`bsharp.graded` picks for A and b and lifts them into once, on
+first use, scaled by a d of theirs; a tableau that only steps, as in a
+direct simulation, loads no series layer.  Φ(τ) and A·Ψ(τ) carry one
+entry per node, so d^|τ|·Φ(τ) is a value of the domain, which its
+``lower`` turns into a coefficient once per tree.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import warnings
 from fractions import Fraction
 from functools import partial
 from operator import mul
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .coefficients import (
     Coefficient,
@@ -39,9 +40,10 @@ from .coefficients import (
     coeff_symbols,
 )
 from .errors import TableauError
-from .graded import lift_tableau
-from .series import TruncatedBSeries, series_order_of_accuracy
-from .trees import RootedTree, _children
+
+if TYPE_CHECKING:
+    from .series import TruncatedBSeries
+    from .trees import RootedTree
 
 
 class RowSumWarning(UserWarning):
@@ -51,7 +53,7 @@ class RowSumWarning(UserWarning):
 class ButcherTableau:
     """Immutable Runge-Kutta tableau with exact entries."""
 
-    __slots__ = ("A", "b", "c", "_lifted", "_psi_cache")
+    __slots__ = ("A", "b", "c", "_lift", "_psi_cache")
 
     def __init__(
         self,
@@ -72,7 +74,7 @@ class ButcherTableau:
         self.A = A
         self.b = b
         self.c = c
-        self._lifted = lift_tableau(A, b)
+        self._lift: tuple | None = None
         self._psi_cache: dict[bytes, tuple] = {}
         for i, row in enumerate(A):
             row_sum = sum(row, Fraction(0))
@@ -83,6 +85,16 @@ class ButcherTableau:
                     RowSumWarning,
                     stacklevel=2,
                 )
+
+    @property
+    def _lifted(self) -> tuple:
+        """``(A, b, lift, lower, d)`` of :func:`bsharp.graded.lift_tableau`,
+        lifted on first use."""
+        if self._lift is None:
+            from .graded import lift_tableau
+
+            self._lift = lift_tableau(self.A, self.b)
+        return self._lift
 
     @property
     def stages(self) -> int:
@@ -114,24 +126,27 @@ class ButcherTableau:
         return f"<ButcherTableau {self.stages} stages>"
 
 
-def _propagated(tab: ButcherTableau, seq: bytes) -> tuple:
+# The tree layer is imported by the public entry points, once per call,
+# and its ``_children`` passed down, so that a tableau that only steps
+# loads no tree layer and a series of many trees imports it once.
+
+def _propagated(tab: ButcherTableau, children, seq: bytes) -> tuple:
     """d^|τ|·(A·Ψ(τ))_i for each stage i, lifted, τ given by its level
     sequence; cached."""
     cached = tab._psi_cache.get(seq)
     if cached is not None:
         return cached
     psi = [1] * tab.stages
-    for child in _children(seq):
-        psi = list(map(mul, psi, _propagated(tab, child)))
+    for child in children(seq):
+        psi = list(map(mul, psi, _propagated(tab, children, child)))
     result = tuple(sum([a * p for a, p in zip(row, psi) if a], 0) for row in tab._lifted[0])
     tab._psi_cache[seq] = result
     return result
 
 
-def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
-    """Φ(tree): the coefficient of the method's B-series at ``tree``."""
+def _weight(tab: ButcherTableau, children, tree: RootedTree) -> Coefficient:
     _, b, _, lower, d = tab._lifted
-    child_vectors = [_propagated(tab, child) for child in _children(tree._levels)]
+    child_vectors = [_propagated(tab, children, child) for child in children(tree._levels)]
     total = 0
     for i, bi in enumerate(b):
         if not bi:
@@ -143,9 +158,19 @@ def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
     return lower(total, d ** len(tree._levels))
 
 
+def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
+    """Φ(tree): the coefficient of the method's B-series at ``tree``."""
+    from .trees import _children
+
+    return _weight(tab, _children, tree)
+
+
 def rk_series(tab: ButcherTableau, max_order: int) -> TruncatedBSeries:
     """The method's map-kind B-series truncated at ``max_order``."""
-    return TruncatedBSeries.from_function(max_order, Fraction(1), partial(elementary_weight, tab))
+    from .series import TruncatedBSeries
+    from .trees import _children
+
+    return TruncatedBSeries.from_function(max_order, Fraction(1), partial(_weight, tab, _children))
 
 
 def order_of_accuracy(
@@ -156,6 +181,8 @@ def order_of_accuracy(
     Symbolic entries are compared as rational functions; pass ``bindings``
     to check a specific member of a method family instead.
     """
+    from .series import TruncatedBSeries, series_order_of_accuracy
+
     series = rk_series(tab, max_check)
     if bindings is not None:
         series = TruncatedBSeries(

@@ -1348,3 +1348,96 @@ def oracle_print(c, fmt: str = "text") -> str:
     if isinstance(c, RationalFunction):
         return _rf_text(c) if fmt == "text" else _rf_latex(c)
     return _rat_text(c) if fmt == "text" else _rat_latex(c)
+
+
+# ---------------------------------------------------------------------------
+# CLI output assembled whole
+# ---------------------------------------------------------------------------
+#
+# The CLI writes its output piece by piece as it is produced.  These build
+# the same texts the way it once did: every row in a list, joined at the
+# end or passed whole through json.dumps, and a newline added unless the
+# text ends with one.  They call the package for the rows themselves.
+
+def _whole(text: str) -> str:
+    return text if text.endswith("\n") else text + "\n"
+
+
+def trees_output_joined(order: int, fmt: str = "text", properties: bool = False) -> str:
+    """``bsharp trees ORDER [--properties] --format FMT``."""
+    import json
+
+    from bsharp.trees import trees_of_order
+
+    rows = [(tree, tree.symmetry(), tree.density()) for tree in trees_of_order(order)]
+    if fmt == "json":
+        return _whole(json.dumps([
+            {"tree": str(t), "order": t.order, "sigma": sigma, "gamma": gamma,
+             "inverse_gamma": str(Fraction(1, gamma))}
+            for t, sigma, gamma in rows
+        ], indent=2))
+    if properties:
+        return _whole("\n".join(
+            f"{t}: order={t.order}, sigma={sigma}, gamma={gamma}, 1/gamma={Fraction(1, gamma)}"
+            for t, sigma, gamma in rows
+        ))
+    return _whole("\n".join(str(t) for t, _, _ in rows))
+
+
+def splits_output_joined(tree_text: str, kind: str, fmt: str = "text") -> str:
+    """``bsharp splits TREE --kind KIND --format FMT``."""
+    import json
+
+    from bsharp.splits import ordered_subtrees, partitions
+    from bsharp.trees import parse_tree
+
+    tree = parse_tree(tree_text)
+    if kind == "subtrees":
+        label, pairs = "subtree", [(s.subtree, s.forest) for s in ordered_subtrees(tree)]
+    else:
+        label, pairs = "skeleton", [(s.skeleton, s.forest) for s in partitions(tree)]
+    if fmt == "json":
+        return _whole(json.dumps(
+            [{label: str(kept), "forest": [str(t) for t in forest]} for kept, forest in pairs],
+            indent=2,
+        ))
+    return _whole("\n".join(f"{kept} ; {forest}" for kept, forest in pairs))
+
+
+def field_output_joined(command: str, tableau: str, order: int, ode: str, fmt: str) -> str:
+    """``bsharp COMMAND --tableau TABLEAU --order ORDER --ode-text ODE
+    --format FMT`` for a built-in tableau."""
+    import json
+
+    from bsharp.expressions import add_all, format_expression, mul_all, power, variable
+    from bsharp.modifying import modifying_integrator_of_tableau
+    from bsharp.odes import DiffCache, parse_ode, series_vector_field
+    from bsharp.series import modified_equation_series
+    from bsharp.tableaux import builtin_tableau, rk_series
+
+    tab = builtin_tableau(tableau)
+    if command == "modified-equation":
+        flow = modified_equation_series(rk_series(tab, order))
+    else:
+        flow = modifying_integrator_of_tableau(tab, order)
+    system = parse_ode(ode)
+    step = next(name for name in ("h", "h_step", *(f"h_step{i}" for i in range(2, 99)))
+                if name not in system.variables)
+    names = system.variables + (step,)
+    h = variable(system.dimension)
+    fields = [
+        add_all([mul_all((power(h, d - 1), e)) for d, e in component if d > 0])
+        for component in series_vector_field(flow, system, DiffCache(system))
+    ]
+    if fmt == "json":
+        return _whole(json.dumps({
+            "variables": list(system.variables),
+            "step_symbol": step,
+            "equations": {n: format_expression(f, names) for n, f in zip(system.variables, fields)},
+        }, indent=2))
+    lines = []
+    for name, f in zip(system.variables, fields):
+        body = format_expression(f, names, fmt)
+        head = f"\\dot{{{latex_name(name)}}}" if fmt == "latex" else f"{name}'"
+        lines.append(f"{head} = {body}")
+    return _whole("\n".join(lines))

@@ -4,11 +4,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from bsharp.series import exact_series, series_from_json_dict, series_to_json_dict
 from bsharp.tableaux import builtin_tableau, rk_series
+from peak_rss import peak_rss
 
 LV = "vars p, q\np' = (2 - q)*p\nq' = (p - 1)*q\n"
 
@@ -817,3 +823,185 @@ def test_over_long_integers_are_input_errors(args, fragment):
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
     assert line.startswith("error:") and fragment in line
+
+
+# ---------------------------------------------------------------------------
+# output written as it is produced
+# ---------------------------------------------------------------------------
+
+def _chain(n: int) -> str:
+    return "[" + ",".join(map(str, range(n))) + "]"
+
+
+def _stdout_of(argv, capsys) -> str:
+    from bsharp.cli import main
+
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 8])
+def test_trees_output_matches_the_joined_form(order, capsys):
+    for fmt, flags in (("text", []), ("text", ["--properties"]), ("json", [])):
+        out = _stdout_of(["trees", str(order), "--format", fmt, *flags], capsys)
+        assert out == oracles.trees_output_joined(order, fmt, bool(flags)), (fmt, flags)
+
+
+@pytest.mark.parametrize("tree", ["[0]", "[0,1]", "[0,1,2,1,1]", "[0,1,2,2,1,2]", _chain(8)])
+def test_splits_output_matches_the_joined_form(tree, capsys):
+    for kind in ("subtrees", "partitions"):
+        for fmt in ("text", "json"):
+            out = _stdout_of(["splits", tree, "--kind", kind, "--format", fmt], capsys)
+            assert out == oracles.splits_output_joined(tree, kind, fmt), (kind, fmt)
+
+
+@pytest.mark.parametrize("kind", [
+    ("modified-equation", "midpoint", 5, _CUBIC4),
+    ("modifying-integrator", "rk4", 5, _QUAD3),
+    ("modified-equation", "euler", 3, "vars h, h_step; h' = h_step; h_step' = -h"),
+    ("modified-equation", "euler", 2, "vars theta_1, x_old; theta_1' = x_old; x_old' = 1"),
+])
+def test_field_output_matches_the_joined_form(kind, capsys):
+    command, tableau, order, ode = kind
+    for fmt in ("text", "latex", "json"):
+        argv = [command, "--tableau", tableau, "--order", str(order), "--ode-text", ode]
+        out = _stdout_of([*argv, "--format", fmt], capsys)
+        assert out == oracles.field_output_joined(*kind, fmt), fmt
+
+
+def test_a_large_output_file_matches_the_joined_form(tmp_path, monkeypatch):
+    # partition rows of the 11-node chain span many batches, and the order-7
+    # field has components longer than a batch, which go out whole
+    from bsharp import cli
+
+    target = tmp_path / "out.txt"
+    assert cli.main(["splits", _chain(11), "--kind", "partitions", "--output", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == oracles.splits_output_joined(
+        _chain(11), "partitions"
+    )
+    written = []
+    monkeypatch.setattr(cli, "_BATCH", 1000)
+    monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(write=written.append, flush=dict))
+    assert cli.main(["modified-equation", "--tableau", "midpoint", "--order", "7",
+                     "--ode-text", _CUBIC4]) == 0
+    assert "".join(written) == oracles.field_output_joined(
+        "modified-equation", "midpoint", 7, _CUBIC4, "text"
+    )
+    assert max(map(len, written)) > 1000 and len(written) < 20
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), _JSON) | st.lists(_JSON), st.integers(1, 80))
+def test_streamed_json_is_json_dumps(data, batch):
+    # quotes, backslashes, control and non-ASCII characters, empty
+    # containers and floats come out as json.dumps writes them, whatever
+    # the batch size
+    from bsharp import cli
+
+    written = []
+    out = SimpleNamespace(write=written.append, flush=dict)
+    with patch.object(cli, "_BATCH", batch), patch.object(cli.sys, "stdout", out):
+        cli._emit_json(SimpleNamespace(output=None), data)
+        whole = "".join(written)
+        written.clear()
+        cli._emit(SimpleNamespace(output=None), cli._json_list(iter(data)))
+    assert whole == json.dumps(data, indent=2) + "\n"
+    if isinstance(data, list):
+        assert "".join(written) == whole
+
+
+def test_a_piece_as_large_as_a_batch_is_written_uncopied(monkeypatch):
+    from bsharp import cli
+
+    written = []
+    monkeypatch.setattr(cli, "_BATCH", 10)
+    monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(write=written.append, flush=dict))
+    big = "x" * 10
+    cli._emit(SimpleNamespace(output=None), iter(["a", "bc", big, "d" * 9, "e", "f"]))
+    assert written == ["abc", big, "d" * 9 + "e", "f"]
+    assert written[1] is big
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 3])
+def test_a_failed_write_is_not_repeated(monkeypatch, fail_at):
+    # a write that raises (a full disk, a closed pipe) leaves what went
+    # out before it written once, and the batch it failed on is dropped
+    from bsharp import cli
+
+    attempts = []
+
+    def write(text):
+        attempts.append(text)
+        if len(attempts) == fail_at:
+            raise OSError("no space left")
+
+    monkeypatch.setattr(cli, "_BATCH", 10)
+    monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(write=write, flush=dict))
+    with pytest.raises(OSError):
+        cli._emit(SimpleNamespace(output=None), iter(["a", "bc", "x" * 10, "d" * 9, "e", "f"]))
+    assert attempts == ["abc", "x" * 10, "d" * 9 + "e", "f"][:fail_at]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (("modified-equation", "--tableau", "midpoint", "--order", "3",
+          "--ode-text", "vars x; param a = 10^4000; x' = a*x^2"), "digits"),
+        (("trees", "63"), "exceeds the maximum"),
+        (("splits", "[0,2]", "--kind", "partitions"), "level jumps"),
+        (("splits", "{}", "--kind", "subtrees"), "empty tree"),
+    ],
+    ids=["digit-limit", "trees-63", "malformed-tree", "empty-tree"],
+)
+def test_a_refused_command_writes_nothing(tmp_path, to_file, argv, fragment):
+    # what can fail runs before the output is opened
+    out = tmp_path / "out.txt"
+    proc = run_cli(*argv, *(("--output", str(out)) if to_file else ()))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert fragment in proc.stderr
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# memory: a command's own peak, read from a small launcher
+# ---------------------------------------------------------------------------
+
+def _own_peak_mb(*argv: str, tmp_path) -> float:
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
+    out = tmp_path / "out.txt"
+    code, mb, err = peak_rss([sys.executable, "-m", "bsharp", *argv], out, env)
+    assert code == 0, err
+    assert out.stat().st_size > 0
+    return mb
+
+
+def test_the_launcher_reads_the_commands_own_peak(tmp_path):
+    # this process is larger than a bare interpreter; the reading is not
+    fill = "x = bytearray(50 * 2**20); x[::4096] = b'1' * 12800"
+    code, mb, _ = peak_rss([sys.executable, "-c", fill])
+    assert code == 0 and 50 < mb < 90
+    code, bare, _ = peak_rss([sys.executable, "-S", "-c", "pass"])
+    assert code == 0 and bare < 30
+
+
+def test_a_large_field_is_written_without_whole_copies(tmp_path):
+    # order 9 of the 4-dim cubic system prints 9 MB; holding the text and
+    # its joined copies peaked at 51 MB
+    mb = _own_peak_mb("modified-equation", "--tableau", "midpoint", "--order", "9",
+                      "--ode-text", _CUBIC4, tmp_path=tmp_path)
+    assert mb <= 40
+
+
+def test_partition_rows_are_written_as_they_are_enumerated(tmp_path):
+    # the 16-node chain has 2^15 rows, 2.6 MB; listing them first peaked at 56 MB
+    mb = _own_peak_mb("splits", _chain(16), "--kind", "partitions", tmp_path=tmp_path)
+    assert mb <= 25

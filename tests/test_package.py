@@ -250,8 +250,10 @@ MI, SYMBOLIC = ["modifying"], ["symbolic"]
 ODE = "vars p, q\np' = -q\nq' = p\n"
 SIMULATE = [
     "simulate", "--tableau", "midpoint", "--ode-text", ODE, "--step", "0.5",
-    "--t-max", "1", "--initial", "1,0", "--modified-order", "2",
+    "--t-max", "1", "--initial", "1,0",
 ]
+# stepping a tableau lifts none of its entries and runs no series layer
+STEP = ["coefficients", "expressions", "odes", "simulate", "tableaux"]
 # b = (1, beta): the modifying integrator divides by 1 + beta, so it runs
 # over plain coefficients, in graded.py's domains like every other solve
 B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2"],
@@ -282,15 +284,21 @@ B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2
             [["modified-equation", "--tableau", "midpoint", "--order", "3", "--ode-text", ODE]],
             SOLVE + ["expressions", "odes"], False,
         ),
-        ([SIMULATE], SOLVE + ["expressions", "odes", "simulate"], False),
         (
-            [SIMULATE + ["--modifying-integrator"]],
+            [SIMULATE + ["--modified-order", "2"]],
+            SOLVE + ["expressions", "odes", "simulate"], False,
+        ),
+        (
+            [SIMULATE + ["--modified-order", "2", "--modifying-integrator"]],
             SOLVE + MI + ["expressions", "odes", "simulate"], False,
         ),
+        ([SIMULATE], STEP, False),
+        ([SIMULATE + ["--reference"]], STEP, False),
     ],
     ids=[
         "help", "trees", "splits", "order", "me", "mi", "me-symbolic", "mi-plain",
-        "bseries-symbolic", "me-ode", "simulate", "simulate-mi",
+        "bseries-symbolic", "me-ode", "simulate", "simulate-mi", "simulate-direct",
+        "simulate-reference",
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(
