@@ -20,7 +20,9 @@ Values combine with Python's own operators, so one parser serves every
 value type; the caller only says what a name means.  :func:`coeff_parse`
 reads names as symbols, :func:`parse_rational` refuses them, and
 :func:`bsharp.odes.parse_ode` reads them as variables and parameters.
-:data:`NAME` is the one spelling of a name.
+:data:`NAME` is the one spelling of a name.  The LaTeX spelling of names
+and rationals lives in :mod:`bsharp.coefficients_extra`, which only LaTeX
+output loads.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from fractions import Fraction
 from math import comb, log10, prod
 from typing import TYPE_CHECKING, Mapping, Union
 
+from . import _forward
 from .errors import CoefficientError, ParseError
+
+__getattr__ = _forward(globals(), "coefficients_extra", ("latex_name",))
 
 if TYPE_CHECKING:
     from .symbolic import RationalFunction
@@ -114,46 +119,8 @@ def coeff_symbols(c: Coefficient) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# printing
+# printing; the LaTeX spelling of names and rationals is in coefficients_extra
 # ---------------------------------------------------------------------------
-
-_GREEK = {
-    "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
-    "iota", "kappa", "lambda", "mu", "nu", "xi", "pi", "rho", "sigma",
-    "tau", "upsilon", "phi", "chi", "psi", "omega",
-}
-
-# a base that starts with a letter, then ``_rest`` or trailing digits
-_LATEX_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*?)(?:_(\w+)|(\d+))?\Z")
-
-
-def latex_name(name: str) -> str:
-    """LaTeX form of a symbol or variable name.
-
-    A Greek base becomes a command (``theta`` -> ``\\theta``), ``a_rest``
-    becomes ``a_{rest}`` and trailing digits a subscript (``x12`` ->
-    ``x_{12}``).  Every other underscore is a literal one, ``\\_``
-    (``a_b_c`` -> ``a_{b\\_c}``, ``y_`` -> ``y\\_``); so is each underscore
-    of a name that does not start with a letter (``_x`` -> ``\\_x``).
-    """
-    m = _LATEX_NAME_RE.match(name)
-    if m is None:
-        return _literal_underscores(name)
-    base, sub = m.group(1), m.group(2) or m.group(3)
-    out = f"\\{base}" if base in _GREEK else _literal_underscores(base)
-    return f"{out}_{{{_literal_underscores(sub)}}}" if sub else out
-
-
-def _literal_underscores(text: str) -> str:
-    return text.replace("_", r"\_")
-
-
-def _rat_latex(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
-
 
 def coeff_print(c: Coefficient, fmt: str = "text") -> str:
     """Render a coefficient; ``fmt`` is ``"text"`` or ``"latex"``.
@@ -162,9 +129,13 @@ def coeff_print(c: Coefficient, fmt: str = "text") -> str:
     """
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown coefficient format {fmt!r}")
-    if is_rational(c):
-        return str(Fraction(c)) if fmt == "text" else _rat_latex(c)
-    return str(c) if fmt == "text" else c._latex()
+    if fmt == "text":
+        return str(Fraction(c)) if is_rational(c) else str(c)
+    if not is_rational(c):
+        return c._latex()
+    from .coefficients_extra import _rat_latex
+
+    return _rat_latex(c)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,10 @@ annihilate/disappear.  Products do *not* expand over sums.  Child order is
 deterministic: nodes sort by kind and then by a structural digest, so the
 same computation prints the same way in every run.
 
-Printing walks the DAG, not the tree it stands for: each distinct node's
-text is built once and reused at every occurrence, so
-:func:`format_expression` costs time linear in the distinct nodes plus the
-length of their texts, and holds beyond its result only the texts of
-shared nodes that later occurrences still await.
+Printing (:func:`~bsharp.expressions_extra.format_expression`) and exact
+evaluation (:func:`~bsharp.expressions_extra.eval_expression`) live in
+:mod:`bsharp.expressions_extra`, which a simulation, the float path, never
+loads; their names are still read from here.
 """
 
 from __future__ import annotations
@@ -36,8 +35,11 @@ from typing import Callable, Optional, Sequence
 # OpenSSL's _hashlib, which nothing here uses
 from _blake2 import blake2b
 
-from .coefficients import _rat_latex, coeff_pow, is_rational, latex_name
+from . import _forward
+from .coefficients import coeff_pow, is_rational
 from .errors import CoefficientError
+
+__getattr__ = _forward(globals(), "expressions_extra", ("eval_expression", "format_expression"))
 
 # the intern tables, one per kind, keyed as the module docstring says
 _consts, _vars, _sums, _prods, _powers = {}, {}, {}, {}, {}
@@ -306,7 +308,7 @@ def power(base: Expression, exponent: int) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# calculus and evaluation
+# calculus and float evaluation
 # ---------------------------------------------------------------------------
 
 def differentiate(
@@ -350,54 +352,6 @@ def differentiate(
 
 
 _ZERO_BASE = "zero base with negative exponent"
-
-
-def eval_expression(expr: Expression, values: Sequence) -> object:
-    """Evaluate at a point.  Exact when every value is rational (ints and
-    ``Fraction``); floating otherwise, where a constant beyond the range of
-    a double raises :class:`CoefficientError`, as :func:`compile_float`
-    does.  Division by zero raises ``ZeroDivisionError`` either way."""
-    exact = all(not isinstance(v, float) for v in values)
-    memo: dict[Expression, object] = {}
-
-    def rec(node: Expression):
-        out = memo.get(node)
-        if out is not None:
-            return out
-        if isinstance(node, Const):
-            out = node.value if exact else _double(node.value)
-        elif isinstance(node, Var):
-            if node.index >= len(values):
-                raise IndexError(
-                    f"expression uses variable {node.index} but only "
-                    f"{len(values)} values were given"
-                )
-            out = values[node.index]
-        elif isinstance(node, Sum):
-            out = rec(node.terms[0])
-            for term in node.terms[1:]:
-                out = out + rec(term)
-        elif isinstance(node, Prod):
-            out = rec(node.factors[0])
-            for factor in node.factors[1:]:
-                out = out * rec(factor)
-        else:
-            base = rec(node.base)
-            if node.exponent < 0 and base == 0:
-                raise ZeroDivisionError(_ZERO_BASE)
-            out = base ** node.exponent
-        memo[node] = out
-        return out
-
-    return rec(expr)
-
-
-def _double(value) -> float:
-    """A constant as a float; one beyond the range of a double is refused."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise CoefficientError("a constant does not fit a double") from None
 
 
 #: most operands one generated statement folds; a longer one-line fold
@@ -499,144 +453,3 @@ def compile_float(
     )
     exec(compile(source, "<bsharp float field>", "exec"), namespace)
     return namespace["field"]
-
-
-# ---------------------------------------------------------------------------
-# printing
-# ---------------------------------------------------------------------------
-
-def format_expression(
-    expr: Expression, names: Sequence[str], fmt: str = "text"
-) -> str:
-    """Infix rendering; ``names`` supplies variable names by index.
-
-    Text output uses ``*`` and ``^`` and parses back through the ODE
-    expression grammar; LaTeX uses ``\\frac`` for fractional constants.
-
-    A node prints the same *core* text wherever it occurs; only the
-    parentheses around it depend on whether it stands in a sum, a product
-    or under a power.  One pass counts how often each distinct node is
-    used, then each core is built once, bottom up, by one join of its
-    operands' cores.  The cost is linear in the number of distinct nodes
-    plus the length of their cores.  A core is kept only while a later use
-    still awaits it, so beyond its result the call holds just the shared
-    texts not yet consumed.
-    """
-    if fmt not in ("text", "latex"):
-        raise ValueError(f"unknown expression format {fmt!r}")
-    latex = fmt == "latex"
-    number = _rat_latex if latex else str
-    sep = " " if latex else "*"
-    left, right = ("\\left(", "\\right)") if latex else ("(", ")")
-
-    # the operands of each distinct node, and its uses: one per occurrence
-    # among the operands of a distinct parent, plus one for the root
-    operands: dict[Expression, tuple] = {}
-    uses: dict[Expression, int] = {expr: 1}
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        children = operands[node] = _operands(node)
-        for child in children:
-            if child in uses:
-                uses[child] += 1
-            else:
-                uses[child] = 1
-                stack.append(child)
-
-    shared: dict[Expression, str] = {}  # cores of nodes with uses still due
-    cores: list[str] = []  # operand cores awaiting their parent
-    work: list = [(expr, False)]
-    while work:
-        node, expanded = work.pop()
-        if not expanded:
-            core = shared.get(node)
-            if core is None:
-                work.append((node, True))
-                work.extend([(child, False) for child in reversed(operands[node])])
-                continue
-            if uses[node] == 1:
-                del shared[node]
-            else:
-                uses[node] -= 1
-            cores.append(core)
-            continue
-        children = operands[node]
-        count = len(children)
-        parts = cores[len(cores) - count:]
-        del cores[len(cores) - count:]
-        kind = type(node)
-        if kind is Sum:
-            pieces = [parts[0]]
-            for body in parts[1:]:
-                if body[0] == "-":
-                    pieces += (" - ", body[1:])
-                else:
-                    pieces += (" + ", body)
-            core = "".join(pieces)
-        elif kind is Prod:
-            pieces = []
-            if count < len(node.factors):  # signed: print the sign in front
-                pieces.append("-")
-                if node.factors[0] is not _MINUS_ONE:
-                    pieces += (number(-node.factors[0].value), sep)
-            for part, child in zip(parts, children):
-                if _needs_paren(child, 1):
-                    pieces += (left, part, right, sep)
-                else:
-                    pieces += (part, sep)
-            pieces.pop()
-            core = "".join(pieces)
-        elif kind is Power:
-            base = parts[0]
-            if _needs_paren(children[0], 2):
-                base = f"{left}{base}{right}"
-            core = f"{base}^{{{node.exponent}}}" if latex else f"{base}^{node.exponent}"
-        elif kind is Const:
-            core = number(node.value)
-        elif kind is Var:
-            index = node.index
-            if index >= len(names):
-                core = f"y{index}"
-            else:
-                core = latex_name(names[index]) if latex else names[index]
-        else:  # pragma: no cover
-            raise TypeError(f"not an expression: {node!r}")
-        if uses[node] > 1:
-            uses[node] -= 1
-            shared[node] = core
-        cores.append(core)
-    return cores[0]  # the root stands in a sum context: never parenthesized
-
-
-def _signed(node: Prod) -> bool:
-    """Whether a product leads with a negative constant.  It prints its
-    sign in front and the constant's magnitude (unless 1) in place."""
-    first = node.factors[0]
-    return isinstance(first, Const) and first.value.numerator < 0
-
-
-def _operands(node: Expression) -> tuple:
-    """The children whose texts a node's text joins (a signed product's
-    constant is printed by the product itself)."""
-    if isinstance(node, Sum):
-        return node.terms
-    if isinstance(node, Prod):
-        return node.factors[1:] if _signed(node) else node.factors
-    if isinstance(node, Power):
-        return (node.base,)
-    return ()
-
-
-def _needs_paren(node: Expression, context: int) -> bool:
-    """Whether a node's text needs parentheses in a context: 0 a sum term,
-    1 a product factor, 2 a power base."""
-    if isinstance(node, Const):
-        value = node.value
-        return (value.numerator < 0 and context >= 1) or (context == 2 and value.denominator != 1)
-    if isinstance(node, Prod):
-        return context == 2 or (context == 1 and _signed(node))
-    if isinstance(node, Sum):
-        return context >= 1
-    return False
-

@@ -2,8 +2,8 @@
 and solves, the modified equation, and the Lie kernel.
 
 :func:`bsharp.tableaux.elementary_weight`, the solves and the passes,
-:func:`bsharp.series.modified_equation_series` and the modifying
-integrators, compose and substitute of :mod:`bsharp.modifying`, hold
+:func:`bsharp.series.modified_equation_series`, the modifying
+integrators, and compose and substitute of :mod:`bsharp.series_extra`, hold
 the value of a tree τ scaled by λ^|τ|, a *graded* scale, in the domain that
 :func:`_graded_denominator` picks from (order, coefficient) pairs (a
 tableau entry is of order 1, a series' c(τ) of order |τ|):
@@ -12,10 +12,11 @@ tableau entry is of order 1, a series' c(τ) of order |τ|):
   by ``Fraction(value, λ^|τ|)``);
 * otherwise an integer Laurent polynomial,
   :class:`bsharp.symbolic._Laurent`, over the parameters and one inverse
-  symbol for each distinct denominator factor Q that is not a monomial
-  (a21 = 1/(1 + beta), or the u1 = 1 + beta that the modifying integrator
-  divides by); its lift and lower live with the symbolic layer, which
-  only such a solve loads.
+  symbol for each denominator factor Q that is not a monomial and not a
+  product of those already registered (a21 = 1/(1 + beta), or the
+  u1 = 1 + beta that the modifying integrator divides by; 1/(1 + beta)^2
+  then lifts as the square of the symbol of 1 + beta); its lift and lower
+  live with the symbolic layer, which only such a solve loads.
 
 :func:`_domain` gives the (lift, lower, d) of each.  A product of the
 values of trees whose orders add up to |τ| (a stage product, a Lie term
@@ -79,9 +80,12 @@ def _graded_denominator(pairs, divisor=1) -> tuple[int, tuple[str, ...], tuple[d
     ``(d, symbols, rests)`` with d^n·c an int or an integer Laurent
     polynomial over the tuple ``symbols`` for every pair, found without
     factoring.  A denominator is content·x^m·Q; every prime of every
-    content divides d, and each distinct Q that is not 1, in ``rests`` as
-    a term dict over the sorted parameters, has one more symbol, ``~k``
-    for ``rests[k]``, that stands for 1/Q and ends ``symbols``."""
+    content divides d.  The distinct Q that are not 1 are taken lowest
+    degree first, and each is divided by the ``rests`` registered before
+    it (:func:`bsharp.symbolic._factors`); what is left, if not 1, joins
+    ``rests`` as a term dict over the sorted parameters and has one more
+    symbol, ``~k`` for ``rests[k]``, that stands for its reciprocal and
+    ends ``symbols``.  So Q and Q^2 share one symbol, of power 1 and 2."""
     d = order = power = 1
     symbols: set[str] = set()
     dens = []  # the coefficients whose denominators are not monomials
@@ -104,11 +108,16 @@ def _graded_denominator(pairs, divisor=1) -> tuple[int, tuple[str, ...], tuple[d
     names = tuple(sorted(symbols))
     rests: list[dict] = []
     if dens:
-        from .symbolic import _rest, _widen
+        from .symbolic import _degree, _factors, _rest, _widen
 
+        found: list[dict] = []
         for rest in (_rest(_widen(c.symbols, c.den, names))[2] for c in dens):
-            if rest not in rests:
-                rests.append(rest)
+            if rest not in found:
+                found.append(rest)
+        for rest in sorted(found, key=_degree):
+            _, left = _factors(rest, rests)
+            if _degree(left):
+                rests.append(left)
     return d, names + tuple(f"~{k}" for k in range(len(rests))), tuple(rests)
 
 

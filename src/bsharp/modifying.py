@@ -1,25 +1,14 @@
-"""The modifying integrator: the flow-kind series v with which a method
-applied to the field h·v is the exact flow of the original field; the one
-pass over grouped split tables; and composition.
+"""The modifying integrator of a Runge-Kutta tableau: the flow-kind series
+v with which the method applied to the field h·v is the exact flow of the
+original field.
 
-Two solves, both over the scalar domains of :mod:`bsharp.graded`:
-:func:`modifying_integrator_of_tableau`, for a Runge-Kutta tableau, is a
-stage recursion over single-edge cuts, one pass of the Lie kernel
-:func:`bsharp.graded._lie` per tree and stage; :func:`modifying_integrator`,
-for any map-kind series, solves substitute(v, method) = exact flow over
-the distinct partition splits.
-
-:func:`_pass` is the only code that sums a grouped split table
-(head, [(tree id, forest key, k), ...]) into the totals Σ k·head·Π
-factor(forest) of its trees: one order at a time in the partition solve,
-and in :func:`substitute`.  :func:`compose` reads no table: one recursion
-over each tree's children merges the subtree splits that keep the same
-subtree as they arise.  Both run over the domain that
-:func:`bsharp.graded._graded_denominator` picks for their operands, and
-neither divides, so they run once, at λ = d.  The terms of a sum of ints
-or Laurent values, and so its printed form, do not depend on the order of
-its terms.
-Only the commands that run one of these load this module.
+:func:`modifying_integrator_of_tableau` is a stage recursion over
+single-edge cuts, one pass of the Lie kernel :func:`bsharp.graded._lie`
+per tree and stage, over the scalar domains of :mod:`bsharp.graded`.  The
+modifying integrator of any map-kind series, which solves
+substitute(v, method) = exact flow over the distinct partition splits,
+is :func:`bsharp.series_extra.modifying_integrator_series`.  Only the
+commands that run one of these load this module.
 """
 
 from __future__ import annotations
@@ -28,45 +17,16 @@ import math
 import operator
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from . import graded
 from .coefficients import is_rational
-from .graded import _domain, _lie, _ratios, _reciprocal, _solve, _top_order, lift_tableau
-from .series import (
-    _UNSET,
-    TruncatedBSeries,
-    _check_max_order,
-    _check_u1,
-    _counted,
-    _forest_product,
-    _tables,
-)
-from .splits import _kids, by_id, edge_cut_id_table, partition_skeleton_table, tree_id, with_child
-from .trees import trees_of_order
+from .graded import _lie, _ratios, _reciprocal, _solve, _top_order, lift_tableau
+from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted, _tables
+from .splits import edge_cut_id_table
 
 if TYPE_CHECKING:
     from .tableaux import ButcherTableau
-
-
-def modifying_integrator(
-    method: TruncatedBSeries, u1, skip_zero: bool
-) -> tuple[TruncatedBSeries, int]:
-    """The modifying integrator of ``method``, whose c(•) is ``u1``, and its
-    number of zero skips."""
-    max_order = method.max_order
-    levels = [
-        (n, [(t, tree_id(t._levels)) for t in trees_of_order(n)], partition_skeleton_table(n))
-        for n in range(1, max_order + 1)
-    ]
-    lift, lower, d = _domain(((t.order, c) for t, c in method.items()), u1)
-    content, inverse = _reciprocal(u1, lift)
-    heads = _lifted(method._coeffs, lift, d, max_order)
-    solve = partial(
-        _modifying_integrator_ints, levels, heads, d**max_order, content, inverse, lower, skip_zero
-    )
-    return _solve(solve, max_order, d, content)
 
 
 def modifying_integrator_of_tableau(
@@ -159,142 +119,3 @@ def _modifying_integrator_stages(
             w[i][t] = w_i = graded._exact(Y - d * lies, d * whole)
             lists[i][t] = [value, w_i] + lie[i]
     return out, skips
-
-
-def _modifying_integrator_ints(
-    levels, heads: list, d_top: int, content: int, inverse, lower, skip_zero: bool, scale: int
-):
-    """The modifying integrator over scaled values, one :func:`_pass` per
-    order.  A solved value is scaled by λ^|τ| (λ = ``scale``) and each
-    skeleton weight, in ``heads``, by ``d_top`` = d^N, so a row of τ has
-    the scale d^N·λ^|τ| of its total, 1/γ(τ) less the rows, which is then
-    divided by d^N·u1, u1 = ``content``/``inverse``."""
-    skips = 0
-    divisor = d_top * content  # total / (d^N·u1) = total·inverse / divisor
-    solved: list = [None] * len(heads)
-    totals = [0] * len(heads)  # Σ over the rows of a tree, scaled
-    zero_solved: set[int] = set()
-    products: dict = {}
-    product = partial(_forest_product, products, solved, zero_solved)
-    out: dict = {b"": Fraction(0)}
-    for n, trees, groups in levels:
-        power = scale**n
-        one = d_top * power  # 1, scaled
-        skips += _pass(groups, heads, products, product, totals, skip_zero)
-        for tree, i in trees:
-            total = graded._exact(one, tree.density()) - totals[i]
-            solved[i] = value = graded._exact(total if inverse == 1 else total * inverse, divisor)
-            if skip_zero and not value:
-                zero_solved.add(i)
-            out[tree._levels] = lower(value, power)
-    return out, skips
-
-
-def _pass(groups, heads: list, products: dict, product, totals: list, skip_zero: bool) -> int:
-    """Add k·heads[head]·Π(forest) to totals[tree id] for every row of the
-    grouped split table ``groups``, and give the number of zero skips.
-    ``product`` is :func:`bsharp.series._forest_product` bound to the memo
-    ``products``.  A zero head skips all of its rows at once, and a forest
-    with a zero factor (``product`` gives None) skips its row."""
-    skips = 0
-    known = products.get
-    for head, rows in groups:
-        w = heads[head]
-        if skip_zero and not w:
-            skips += len(rows)
-            continue
-        for i, forest, k in rows:
-            p = known(forest, _UNSET)
-            if p is _UNSET:
-                p = product(forest)
-            if p is None:
-                skips += 1
-                continue
-            totals[i] += (w if k == 1 else w * k) * p
-    return skips
-
-
-def _lifted(coeffs: dict, lift, d: int, top: int = 0) -> list:
-    """The c(τ) of ``coeffs`` lifted by d^``top`` (d^|τ| for 0), by id."""
-    trees = islice(coeffs.items(), 1, None)
-    return by_id({seq: lift(c, d ** (top or len(seq))) for seq, c in trees})
-
-
-def _operands(inner: TruncatedBSeries, outer: TruncatedBSeries, top: int, skip_zero: bool):
-    """(heads, factors, zero factor ids, lower, d): outer's c(τ) lifted by
-    d^``top`` (d^|τ| for 0) and inner's by d^|τ|, in the domain of both."""
-    lift, lower, d = _domain((t.order, c) for t, c in chain(inner.items(), outer.items()))
-    heads, factors = _lifted(outer._coeffs, lift, d, top), _lifted(inner._coeffs, lift, d)
-    zero = {i for i, c in enumerate(factors) if skip_zero and c is not None and not c}
-    return heads, factors, zero, lower, d
-
-
-def compose(
-    inner: TruncatedBSeries, outer: TruncatedBSeries, skip_zero: bool
-) -> tuple[TruncatedBSeries, int]:
-    """:func:`bsharp.series.compose` of ``inner`` then ``outer``, and its
-    number of zero skips.  A state maps a kept subtree s to V_s, Σ Π
-    inner(cut branch) over the splits that keep s, from {•: 1}; each child
-    c is cut (V·inner(c)) or kept in a split k of its own (V·V_c(k), k
-    grafted onto s).  compose(τ) = Σ outer(s)·V_s has the scale d^|τ|; the
-    empty split outer(∅)·inner(τ) is added after lowering."""
-    trees = [(seq, c, tree_id(seq)) for seq, c in islice(inner._coeffs.items(), 1, None)]
-    heads, factors, zero, lower, d = _operands(inner, outer, 0, skip_zero)
-    top = inner.max_order
-    kept: list = [None] * len(heads)  # id -> its (memo growing s by it, V) pairs
-    empty, skips = outer.empty, 0
-    coeffs = {b"": empty}
-    for seq, a, i in trees:
-        states: dict = {trees[0][2]: 1}  # the root alone
-        for c in _kids[i]:
-            f = factors[c]
-            cut = f or not skip_zero
-            skips += not cut
-            out: dict = {}
-            get = out.get
-            for s, v in states.items():
-                if skip_zero and not v:
-                    skips += 1
-                    continue
-                if cut:
-                    out[s] = get(s, 0) + v * f
-                for grown, w in kept[c]:
-                    t = grown[s]
-                    out[t] = get(t, 0) + v * w
-            states = out
-        terms = [heads[s] * v for s, v in states.items() if heads[s] and v or not skip_zero]
-        skips += len(states) - len(terms)
-        if len(seq) < top:
-            kept[i] = [(with_child[s], v) for s, v in states.items() if v or not skip_zero]
-        total = lower(sum(terms, 0), d ** len(seq))
-        if skip_zero and (not empty or i in zero):
-            skips += 1
-        else:
-            total += empty * a
-        coeffs[seq] = total
-    return TruncatedBSeries._from_levels(top, coeffs), skips
-
-
-def substitute(
-    flow: TruncatedBSeries, outer: TruncatedBSeries, skip_zero: bool
-) -> tuple[TruncatedBSeries, int]:
-    """:func:`bsharp.series.substitute` of ``flow`` into ``outer``, and its
-    number of zero skips.  Skeleton weights are lifted by d^N and each
-    component by d^|component|, so every row of τ has the scale d^N·d^|τ|.
-    The row outer(•)·flow(τ), no edge removed, starts the total."""
-    top = flow.max_order
-    tables = [partition_skeleton_table(n) for n in range(1, top + 1)]  # index every tree
-    heads, factors, zero, lower, d = _operands(flow, outer, top, skip_zero)
-    node = heads[tree_id(b"\x00")] if top else 0  # outer(•)
-    totals, skips = [0] * len(heads), 0
-    ids = [(seq, tree_id(seq)) for seq in islice(flow._coeffs, 1, None)]
-    for _, i in ids:
-        if skip_zero and (not node or i in zero):
-            skips += 1
-        else:
-            totals[i] = node * factors[i]
-    products: dict = {}
-    product = partial(_forest_product, products, factors, zero)
-    skips += sum([_pass(groups, heads, products, product, totals, skip_zero) for groups in tables])
-    coeffs = {b"": outer.empty, **{seq: lower(totals[i], d ** (top + len(seq))) for seq, i in ids}}
-    return TruncatedBSeries._from_levels(top, coeffs), skips

@@ -38,7 +38,6 @@ from .expressions import (
     add_all,
     const,
     differentiate,
-    format_expression,
     mul_all,
     variable,
 )
@@ -80,6 +79,8 @@ class ODESystem:
         return len(self.variables)
 
     def rhs_text(self) -> tuple[str, ...]:
+        from .expressions_extra import format_expression
+
         return tuple(format_expression(e, self.variables) for e in self.rhs)
 
 

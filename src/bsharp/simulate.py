@@ -16,7 +16,7 @@ lowers the expression DAG of every component (and, for a series field,
 every degree) into one straight-line function that computes each shared
 node once.  It keeps the interpreter's order of operations, so the floats,
 and the CSV, are the ones a node-by-node
-:func:`~bsharp.expressions.eval_expression` gives.
+:func:`~bsharp.expressions_extra.eval_expression` gives.
 The stepping is generated once per run too: :func:`_row_function` writes
 one function that advances one output row, one step of the method's
 float tableau for ``direct`` and 100 RK4 substeps otherwise.  It holds
@@ -34,6 +34,7 @@ import math
 import sys
 from typing import Callable, Iterator, Sequence
 
+from . import _forward
 from .coefficients import coeff_eval
 from .errors import NumericFailureError, TableauError
 from .expressions import _fold, compile_float
@@ -58,20 +59,13 @@ _RK4_B = (1 / 6, 1 / 3, 1 / 3, 1 / 6)
 
 Field = Callable[[Sequence[float]], list[float]]
 
-# The series solves are attributes of this module, imported on first use
-# (PEP 562), so that a direct or reference run loads no series layer.
+# The series solves are attributes of this module, imported on first use,
+# so that a direct or reference run loads no series layer.
 # perfbench/traced.py wraps them by name, though a tableau's modifying
 # integrator no longer calls ``modifying_integrator_series``.
-_SOLVES = ("modified_equation_series", "modifying_integrator_series")
-
-
-def __getattr__(name: str):
-    if name not in _SOLVES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import series
-
-    value = globals()[name] = getattr(series, name)
-    return value
+__getattr__ = _forward(
+    globals(), "series", ("modified_equation_series", "modifying_integrator_series")
+)
 
 
 class SimulationPlan:
@@ -218,7 +212,7 @@ def _build_field(plan: SimulationPlan) -> Field:
     if plan.mode in ("direct", "reference"):
         return system_field(plan.system)
     if plan.mode == "modified":
-        solve = sys.modules[__name__].modified_equation_series  # see _SOLVES
+        solve = sys.modules[__name__].modified_equation_series  # see __getattr__
         flow = solve(rk_series(plan.tableau, plan.series_order))
     else:
         from .modifying import modifying_integrator_of_tableau

@@ -44,8 +44,10 @@ an integer, so :mod:`bsharp.graded` solves symbolic series over
 :class:`_Laurent` polynomials, lifted by :func:`_lift_laurent`, with one
 :func:`_normalize` per coefficient at the end (:func:`_lower_laurent`),
 and prints what this arithmetic prints.  A denominator content·x^m·Q
-whose rest Q is not 1 lifts to one more Laurent symbol, named ``~k`` (no
-parameter name can be), that stands for 1/Q; lowering puts 1/Q back.
+whose rest Q is not 1 lifts to a product of Laurent symbols, named ``~k``
+(no parameter name can be), each of which stands for the reciprocal of
+one of the factors of Q that :func:`bsharp.graded._graded_denominator`
+registered (:func:`_factors`); lowering puts them back.
 
 Term order everywhere (printing, leading coefficients) is graded
 lexicographic, highest degree first, with symbols sorted by name.
@@ -58,7 +60,7 @@ from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Mapping
 
-from .coefficients import _NAME_RE, Coefficient, check_power, is_rational, latex_name
+from .coefficients import _NAME_RE, Coefficient, check_power, is_rational
 from .errors import CoefficientError, UnboundSymbolError
 
 
@@ -349,11 +351,9 @@ def symbol(name: str) -> RationalFunction:
 
 
 def _term_body(exps, coeff_abs: int, symbols, latex: bool) -> str:
+    """A term's text; with ``latex``, ``symbols`` are the LaTeX names."""
     if latex:
-        factors = [
-            latex_name(s) + (f"^{{{e}}}" if e > 1 else "")
-            for s, e in zip(symbols, exps) if e
-        ]
+        factors = [s + (f"^{{{e}}}" if e > 1 else "") for s, e in zip(symbols, exps) if e]
     else:
         factors = [f"{s}^{e}" if e > 1 else s for s, e in zip(symbols, exps) if e]
     if coeff_abs != 1 or not factors:
@@ -396,10 +396,13 @@ def _rf_text(rf: RationalFunction) -> str:
 
 
 def _rf_latex(rf: RationalFunction) -> str:
-    num_str = _poly_render(rf.symbols, rf.num, True)
+    from .coefficients_extra import latex_name
+
+    names = tuple(map(latex_name, rf.symbols))
+    num_str = _poly_render(names, rf.num, True)
     if rf.den == {(0,) * len(rf.symbols): 1}:
         return num_str
-    return f"\\frac{{{num_str}}}{{{_poly_render(rf.symbols, rf.den, True)}}}"
+    return f"\\frac{{{num_str}}}{{{_poly_render(names, rf.den, True)}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +528,34 @@ def _quotient(num: dict, q: dict) -> dict | None:
     return out
 
 
+def _degree(terms: dict) -> int:
+    """The total degree of a polynomial."""
+    return max(map(sum, terms))
+
+
+def _factors(q: dict, rests) -> tuple[list[int], dict]:
+    """``([e_0, e_1, ...], left)`` with q = Π rests[k]^e_k · left: each
+    of ``rests`` in turn divided out of the polynomial ``q`` as often as
+    it goes in."""
+    exponents = []
+    for rest in rests:
+        e = 0
+        quotient = _quotient(q, rest)
+        while quotient is not None:
+            q, e = quotient, e + 1
+            quotient = _quotient(q, rest)
+        exponents.append(e)
+    return exponents, q
+
+
 def _lift_laurent(symbols: tuple[str, ...], rests: tuple, div, c, scale: int):
     """``scale``·c over ``symbols`` for a rational function c; an int, a
     constant, for a rational c.  A denominator content·x^low·Q whose Q is
-    not 1 multiplies by the symbol of ``symbols`` that stands for 1/Q: Q is
-    in ``rests``, whose symbols end ``symbols``, in order.  Either must be
+    not 1 is a product of ``rests`` (:func:`_factors`), each of which
+    multiplies by the symbol of ``symbols`` that stands for its reciprocal:
+    the symbols of ``rests`` end ``symbols``, in order.  Either must be
     exact: ``div`` is the exact int division of the solve.  A numerator
-    that Q divides is divided instead."""
+    that a factor divides is divided instead."""
     if is_rational(c):
         return c.numerator * div(scale, c.denominator)
     num = _widen(c.symbols, c.num, symbols)
@@ -542,11 +566,14 @@ def _lift_laurent(symbols: tuple[str, ...], rests: tuple, div, c, scale: int):
         named = len(symbols) - len(rests)
         den, low, rest = _rest(_widen(c.symbols, c.den, symbols[:named]))
         shift = _pack(low)
-        quotient = _quotient(num, _widen(symbols[:named], rest, symbols))
-        if quotient is None:
-            shift -= 1 << _DIGIT * (named + rests.index(rest))
-        else:
-            num = quotient
+        for k, e in enumerate(_factors(rest, rests)[0]):
+            factor = _widen(symbols[:named], rests[k], symbols)
+            for _ in range(e):
+                quotient = _quotient(num, factor)
+                if quotient is None:
+                    shift -= 1 << _DIGIT * (named + k)
+                else:
+                    num = quotient
     q = div(scale, den)
     return _Laurent({_pack(e) - shift: k * q for e, k in num.items()})
 

@@ -19,7 +19,9 @@ that :mod:`bsharp.graded` picks for A and b and lifts them into once, on
 first use, scaled by a d of theirs; a tableau that only steps, as in a
 direct simulation, loads no series layer.  Φ(τ) and A·Ψ(τ) carry one
 entry per node, so d^|τ|·Φ(τ) is a value of the domain, which its
-``lower`` turns into a coefficient once per tree.
+``lower`` turns into a coefficient once per tree.  The order check and
+JSON output live in :mod:`bsharp.tableaux_extra`, which only the
+commands that run them load; their names are still read from here.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from functools import partial
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from . import _forward
 from .coefficients import (
     Coefficient,
     coeff_div,
@@ -40,6 +43,8 @@ from .coefficients import (
     coeff_symbols,
 )
 from .errors import TableauError
+
+__getattr__ = _forward(globals(), "tableaux_extra", ("order_of_accuracy", "tableau_to_json_dict"))
 
 if TYPE_CHECKING:
     from .series import TruncatedBSeries
@@ -173,28 +178,8 @@ def rk_series(tab: ButcherTableau, max_order: int) -> TruncatedBSeries:
     return TruncatedBSeries.from_function(max_order, Fraction(1), partial(_weight, tab, _children))
 
 
-def order_of_accuracy(
-    tab: ButcherTableau, max_check: int, bindings: Mapping[str, Fraction] | None = None
-) -> int:
-    """Largest order ≤ max_check whose conditions all hold.
-
-    Symbolic entries are compared as rational functions; pass ``bindings``
-    to check a specific member of a method family instead.
-    """
-    from .series import TruncatedBSeries, series_order_of_accuracy
-
-    series = rk_series(tab, max_check)
-    if bindings is not None:
-        series = TruncatedBSeries(
-            max_check,
-            coeff_eval(series.empty, bindings),
-            {t: coeff_eval(c, bindings) for t, c in series.items()},
-        )
-    return series_order_of_accuracy(series)
-
-
 # ---------------------------------------------------------------------------
-# built-in tableaux and JSON I/O
+# built-in tableaux and JSON input
 # ---------------------------------------------------------------------------
 
 def builtin_tableau(name: str) -> ButcherTableau:
@@ -260,14 +245,3 @@ def tableau_from_json_dict(data: dict) -> ButcherTableau:
                 'to the "symbols" list'
             )
     return tab
-
-
-def tableau_to_json_dict(tab: ButcherTableau) -> dict:
-    out: dict = {
-        "A": [[coeff_print(a) for a in row] for row in tab.A],
-        "b": [coeff_print(v) for v in tab.b],
-        "c": [coeff_print(v) for v in tab.c],
-    }
-    if tab.symbols:
-        out["symbols"] = sorted(tab.symbols)
-    return out

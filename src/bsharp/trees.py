@@ -12,6 +12,9 @@ Canonicalization sorts the child subsequences of every node in descending
 order, which makes the concatenation lexicographically greatest; results
 are memoised by input sequence.  Enumeration steps from one canonical
 sequence to the next in constant amortized time, without canonicalizing.
+Parsing, validation, canonicalization and :func:`count_trees` live in
+:mod:`bsharp.trees_extra`, which a command that only enumerates trees
+never loads; their names are still read from here.
 
 The empty tree ``∅`` that indexes the constant term of a B-series is *not*
 an order-0 :class:`RootedTree`; it is the distinct sentinel
@@ -22,13 +25,16 @@ up or displayed.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 
+from . import _forward
 from .errors import InvalidTreeError
 
 MAX_ORDER = 62
 
-_canon_cache: dict[bytes, bytes] = {}
+__getattr__ = _forward(globals(), "trees_extra", ("canonicalize", "count_trees", "parse_tree"))
+
 _symmetry_cache: dict[bytes, int] = {}
 _density_cache: dict[bytes, int] = {}
 
@@ -47,8 +53,9 @@ class RootedTree:
     __slots__ = ("_levels", "_hash")
 
     def __init__(self, levels: Iterable[int]):
-        seq = _validate(levels)
-        self._levels = _canon(seq)
+        from .trees_extra import _canon, _validate
+
+        self._levels = _canon(_validate(levels))
         self._hash = hash(self._levels)
 
     @classmethod
@@ -139,37 +146,6 @@ class _EmptyTree:
 EMPTY_TREE = _EmptyTree()
 
 
-def _validate(levels: Iterable[int]) -> bytes:
-    seq = list(levels)
-    if not seq:
-        raise InvalidTreeError("empty level sequence (use EMPTY_TREE for the empty tree)")
-    if len(seq) > MAX_ORDER:
-        raise InvalidTreeError(f"tree order {len(seq)} exceeds the maximum of {MAX_ORDER}")
-    base = seq[0]
-    for i, lvl in enumerate(seq):
-        if not isinstance(lvl, int) or isinstance(lvl, bool):
-            raise InvalidTreeError(f"level sequence entries must be integers, got {lvl!r}")
-        if i == 0:
-            continue
-        if lvl <= base:
-            raise InvalidTreeError(
-                f"node {i} at level {lvl} is not below the root (a level sequence "
-                "describes a single tree, so only the first entry may sit at the "
-                "root level)"
-            )
-        if lvl > seq[i - 1] + 1:
-            raise InvalidTreeError(
-                f"level jumps from {seq[i - 1]} to {lvl} at position {i}; "
-                "depth may grow by at most one per step"
-            )
-    return bytes(lvl - base for lvl in seq)
-
-
-def canonicalize(levels: Iterable[int]) -> RootedTree:
-    """Validate a level sequence and return the canonical tree."""
-    return RootedTree(levels)
-
-
 def _check_order(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise InvalidTreeError(f"order must be an integer, got {n!r}")
@@ -194,39 +170,10 @@ def trees_of_order(n: int) -> Iterator[RootedTree]:
         current = _successor(current)
 
 
-def count_trees(n: int) -> int:
-    """Number of distinct rooted trees with n nodes (OEIS A000081), by
-    Otter's recurrence a(m+1) = Σ_{k=1..m} (Σ_{d|k} d·a(d))·a(m-k+1) / m."""
-    _check_order(n)
-    a = [0, 1]  # a[0] = 0: the empty tree is not counted
-    divisor_sums = [0]  # divisor_sums[k] = Σ_{d | k} d·a(d)
-    for m in range(1, n):
-        divisor_sums.append(sum(d * a[d] for d in range(1, m + 1) if m % d == 0))
-        a.append(sum(divisor_sums[k] * a[m - k + 1] for k in range(1, m + 1)) // m)
-    return a[n]
-
-
 def all_trees_up_to(max_order: int) -> Iterator[RootedTree]:
     """Trees of every order from 1 to max_order, in (order, sequence) order."""
     for n in range(1, max_order + 1):
         yield from trees_of_order(n)
-
-
-def parse_tree(text: str):
-    """Parse ``"[0,1,2,1]"`` (or ``"∅"`` / ``"{}"`` for the empty tree)."""
-    stripped = text.strip()
-    if stripped in ("∅", "{}"):
-        return EMPTY_TREE
-    if not (stripped.startswith("[") and stripped.endswith("]")):
-        raise InvalidTreeError(f"tree notation must look like [0,1,2,...], got {text!r}")
-    body = stripped[1:-1].strip()
-    if not body:
-        raise InvalidTreeError("empty brackets; use ∅ or {} for the empty tree")
-    try:
-        levels = [int(part) for part in body.split(",")]
-    except ValueError as exc:
-        raise InvalidTreeError(f"non-integer level in {text!r}") from exc
-    return RootedTree(levels)
 
 
 def _child_slices(seq: bytes) -> list[bytes]:
@@ -241,19 +188,6 @@ def _children(seq: bytes) -> list[bytes]:
     """Level sequences of the root's children, in order, each rebased to
     level 0 (canonical whenever ``seq`` is)."""
     return [child.translate(_SHALLOWER) for child in _child_slices(seq)]
-
-
-def _canon(seq: bytes) -> bytes:
-    """Canonical (lexicographically greatest) form of a valid level
-    sequence, keeping its base level."""
-    out = _canon_cache.get(seq)
-    if out is None:
-        if len(seq) <= 2:
-            out = seq  # a single node or a single edge is already canonical
-        else:
-            out = seq[:1] + b"".join(sorted(map(_canon, _child_slices(seq)), reverse=True))
-        _canon_cache[seq] = out
-    return out
 
 
 def _successor(levels: bytes) -> bytes | None:
@@ -310,6 +244,8 @@ def _density(seq: bytes) -> int:
 def clear_tree_caches() -> None:
     """Drop every module-level memo: canonical forms, symmetries and
     densities.  Trees already built stay valid."""
-    _canon_cache.clear()
     _symmetry_cache.clear()
     _density_cache.clear()
+    extra = sys.modules.get(f"{__name__}_extra")
+    if extra is not None:
+        extra._canon_cache.clear()

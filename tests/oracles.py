@@ -462,9 +462,9 @@ def subtree_id_table(seq: bytes) -> tuple:
     ``seq`` but the empty one, in the order of
     :func:`bsharp.splits.ordered_subtrees`, equal rows unmerged; the
     whole-tree row, last, has the empty forest, key 0."""
-    from bsharp import splits
+    from bsharp import splits, splits_extra
 
-    rows = splits._kept(splits.tree_id(seq))
+    rows = splits_extra._kept(splits.tree_id(seq))
     return tuple((splits._graft(kept), forest, 1) for kept, forest in rows)
 
 
@@ -472,9 +472,9 @@ def partition_id_table(seq: bytes) -> tuple:
     """(skeleton id, forest key, multiplicity) for each distinct partition
     split of the tree ``seq``, in the order of first appearance; the first
     is the no-edges-removed split."""
-    from bsharp import splits
+    from bsharp import splits, splits_extra
 
-    rows = splits._partition_rows(splits.tree_id(seq))
+    rows = splits_extra._partition_rows(splits.tree_id(seq))
     return tuple((skeleton, forest, k) for (skeleton, forest), k in rows.items())
 
 
@@ -908,7 +908,7 @@ def format_expression_tree_walk(expr, names, fmt="text"):
         # context: 0 sum, 1 product, 2 power-base
         if isinstance(node, Const):
             if latex:
-                from bsharp.coefficients import _rat_latex
+                from bsharp.coefficients_extra import _rat_latex
 
                 s = _rat_latex(node.value)
             else:

@@ -903,15 +903,16 @@ def test_streamed_json_is_json_dumps(data, batch):
     # quotes, backslashes, control and non-ASCII characters, empty
     # containers and floats come out as json.dumps writes them, whatever
     # the batch size
-    from bsharp import cli
+    from bsharp import cli, cli_json
 
     written = []
     out = SimpleNamespace(write=written.append, flush=dict)
     with patch.object(cli, "_BATCH", batch), patch.object(cli.sys, "stdout", out):
-        cli._emit_json(SimpleNamespace(output=None), data)
+        cli_json._emit_json(SimpleNamespace(output=None), data)
         whole = "".join(written)
         written.clear()
-        cli._emit(SimpleNamespace(output=None), cli._json_list(iter(data)))
+        texts = (cli_json._json_text(item, "\n  ") for item in data)
+        cli._emit(SimpleNamespace(output=None), cli_json._json_list(texts))
     assert whole == json.dumps(data, indent=2) + "\n"
     if isinstance(data, list):
         assert "".join(written) == whole
@@ -999,6 +1000,15 @@ def test_a_large_field_is_written_without_whole_copies(tmp_path):
     mb = _own_peak_mb("modified-equation", "--tableau", "midpoint", "--order", "9",
                       "--ode-text", _CUBIC4, tmp_path=tmp_path)
     assert mb <= 40
+
+
+def test_a_large_json_field_is_written_one_component_at_a_time(tmp_path):
+    # the same field as JSON: formatting every component before the first
+    # write, and escaping each again, peaked at 38.8 MB, against 27.5 MB
+    # for the text
+    mb = _own_peak_mb("modified-equation", "--tableau", "midpoint", "--order", "9",
+                      "--ode-text", _CUBIC4, "--format", "json", tmp_path=tmp_path)
+    assert mb <= 32
 
 
 def test_partition_rows_are_written_as_they_are_enumerated(tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bsharp import expressions
+from bsharp import expressions_extra
 from bsharp.errors import ParseError, UnboundSymbolError
 from bsharp.expressions import (
     Const,
@@ -330,7 +330,7 @@ def test_field_printing_keeps_nothing_but_its_result():
     names, fields = step_fields(OSC, 5)
     field = fields[0]
     format_expression(field, names)  # warm: imports, caches
-    own = [tracemalloc.Filter(True, expressions.__file__)]
+    own = [tracemalloc.Filter(True, expressions_extra.__file__)]
     gc.disable()
     tracemalloc.start()
     try:

@@ -51,7 +51,7 @@ def _bsharp_imports(node: ast.AST, in_function: bool = False):
 def test_the_import_scan_sees_both_kinds():
     tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
     found = set(_bsharp_imports(tree))
-    assert ("errors", False) in found and ("trees", True) in found
+    assert ("errors", False) in found and ("tableaux", True) in found
     assert ("tableaux", False) not in found  # only under TYPE_CHECKING
 
 
@@ -247,13 +247,19 @@ COMMANDS = (
 SOLVE = ["coefficients", "graded", "series", "splits", "tableaux", "trees"]
 # the modifying integrator and symbols load their own layers
 MI, SYMBOLIC = ["modifying"], ["symbolic"]
+# each command's arguments and handler live in its own module; only JSON
+# output loads cli_json, and only a series command's series printer
+TREES, SERIES, ORDER, SIMULATE_CLI = ["cli_trees"], ["cli_series"], ["cli_order"], ["cli_simulate"]
+JSON = ["cli_json"]
 ODE = "vars p, q\np' = -q\nq' = p\n"
 SIMULATE = [
     "simulate", "--tableau", "midpoint", "--ode-text", ODE, "--step", "0.5",
     "--t-max", "1", "--initial", "1,0",
 ]
 # stepping a tableau lifts none of its entries and runs no series layer
-STEP = ["coefficients", "expressions", "odes", "simulate", "tableaux"]
+STEP = ["coefficients", "expressions", "odes", "simulate", "tableaux", *SIMULATE_CLI]
+# a field is formatted by expressions_extra; a simulation compiles it instead
+FIELD, STEPPED = ["expressions", "expressions_extra", "odes"], ["expressions", "odes", "simulate"]
 # b = (1, beta): the modifying integrator divides by 1 + beta, so it runs
 # over plain coefficients, in graded.py's domains like every other solve
 B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2"],
@@ -265,32 +271,47 @@ B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2
 @pytest.mark.parametrize(
     "argvs,layers,uses_json",
     [
-        ([[command, "--help"] for command in COMMANDS], [], False),
-        ([["trees", "1"]], ["trees"], False),
-        ([["splits", "[0,1,1]", "--kind", "partitions"]], ["splits", "trees"], False),
-        ([["order", "--tableau", "rk4", "--max", "4"]], SOLVE, False),
-        ([["modified-equation", "--tableau", "midpoint", "--order", "3"]], SOLVE, True),
-        ([["modifying-integrator", "--tableau", "midpoint", "--order", "3"]], SOLVE + MI, True),
+        (
+            [[command, "--help"] for command in COMMANDS],
+            TREES + SERIES + ORDER + SIMULATE_CLI, False,
+        ),
+        ([["trees", "1"]], TREES + ["trees"], False),
+        (
+            [["splits", "[0,1,1]", "--kind", "partitions"]],
+            TREES + ["splits", "splits_extra", "trees", "trees_extra"], False,
+        ),
+        (
+            [["order", "--tableau", "rk4", "--max", "4"]],
+            SOLVE + ORDER + ["series_extra", "tableaux_extra"], False,
+        ),
+        (
+            [["modified-equation", "--tableau", "midpoint", "--order", "3"]],
+            SOLVE + SERIES + JSON, True,
+        ),
+        (
+            [["modifying-integrator", "--tableau", "midpoint", "--order", "3"]],
+            SOLVE + SERIES + JSON + MI, True,
+        ),
         (
             [["modified-equation", "--tableau", "rk22(alpha)", "--order", "3"]],
-            SOLVE + SYMBOLIC, True,
+            SOLVE + SERIES + JSON + SYMBOLIC, True,
         ),
         (
             [["modifying-integrator", "--tableau", "b_1_beta.json", "--order", "3"]],
-            SOLVE + MI + SYMBOLIC, True,
+            SOLVE + SERIES + JSON + MI + SYMBOLIC, True,
         ),
-        ([["bseries", "--tableau", "rk22(alpha)", "--order", "3"]], SOLVE + SYMBOLIC, True),
+        (
+            [["bseries", "--tableau", "rk22(alpha)", "--order", "3"]],
+            SOLVE + SERIES + JSON + SYMBOLIC, True,
+        ),
         (
             [["modified-equation", "--tableau", "midpoint", "--order", "3", "--ode-text", ODE]],
-            SOLVE + ["expressions", "odes"], False,
+            SOLVE + SERIES + FIELD, False,
         ),
-        (
-            [SIMULATE + ["--modified-order", "2"]],
-            SOLVE + ["expressions", "odes", "simulate"], False,
-        ),
+        ([SIMULATE + ["--modified-order", "2"]], SOLVE + SIMULATE_CLI + STEPPED, False),
         (
             [SIMULATE + ["--modified-order", "2", "--modifying-integrator"]],
-            SOLVE + MI + ["expressions", "odes", "simulate"], False,
+            SOLVE + SIMULATE_CLI + MI + STEPPED, False,
         ),
         ([SIMULATE], STEP, False),
         ([SIMULATE + ["--reference"]], STEP, False),
@@ -316,4 +337,35 @@ def test_series_file_commands_load_only_the_solve_layers(tmp_path):
         ["modified-equation", "--tableau", "midpoint", "--order", "3", "--output", flow],
         ["compose", method, method],
         ["substitute", flow, method],
-    ) == sorted(["cli", "errors", *SOLVE, *MI])
+    ) == sorted([
+        "cli", "errors", *SOLVE, *SERIES, *JSON, "series_extra", "splits_extra", "trees_extra"
+    ])
+
+
+# the bsharp source lines a cold command compiles: those of every bsharp
+# module it loaded (the package's too), read after main() returns
+COMPILED = (
+    "import ast, io, sys\n"
+    "from bsharp.cli import main\n"
+    "sys.stdout = io.StringIO()\n"
+    "assert main(ast.literal_eval(sys.argv[1])) == 0\n"
+    "lines = sum(open(m.__file__, encoding='utf-8').read().count('\\n')\n"
+    "            for name, m in sys.modules.items() if name.split('.')[0] == 'bsharp')\n"
+    "print(lines, file=sys.__stdout__)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        (SIMULATE + ["--modified-order", "3"], 3059),
+        (["modified-equation", "--tableau", "midpoint", "--order", "9"], 2169),
+    ],
+    ids=["simulate", "modified-equation"],
+)
+def test_a_cold_command_compiles_only_the_code_it_runs(argv, lines):
+    # a command loads the hot core of each layer it runs, and no other
+    # command's arguments or handler; code that only other commands run
+    # lives in companion modules.  The bound is the count when this test
+    # was written, plus 5 %.
+    assert _fresh(COMPILED, repr(argv), read=int) <= lines * 1.05

@@ -31,7 +31,7 @@ from bsharp.series import (
     truncated,
     zero_skip_count,
 )
-from bsharp import graded, modifying, series, splits, symbolic
+from bsharp import graded, modifying, series, series_extra, splits, splits_extra, symbolic
 from bsharp.splits import clear_split_caches, partition_split_table
 from bsharp.symbolic import symbol
 from bsharp.tableaux import (
@@ -592,7 +592,7 @@ def test_modified_equation_builds_no_partition_table():
     for n in range(1, 12):
         assert v[RootedTree(range(n))] == Fraction((-1) ** (n + 1), n)
     assert partition_split_table.cache_info().currsize == 0
-    assert not splits._rooted_tables
+    assert not splits_extra._rooted_tables
     # it indexes trees for its edge-cut tables, and nothing more
     assert len(splits._cut_tables) == len(splits._seqs) == len(list(all_trees_up_to(11)))
     clear_split_caches()
@@ -686,6 +686,40 @@ def test_modified_equation_prints_like_the_row_by_row_oracle(tab, order, plain):
     got = modified_equation_series(method)._coeffs
     _assert_like(got, modified_equation_rows(method._coeffs, order, trees, fold_top=True))
     assert got == modified_equation_rows(method._coeffs, order, trees)
+
+
+# a21 = 1/(1 + beta)^2 and b2 = beta/(2 + 2*beta): the rest 1 + beta of
+# the second denominator divides the first, and the series' denominators
+# are powers of it
+_SHARED_REST = tableau_from_json_dict(
+    {"A": [["0", "0"], ["1/(1 + beta)^2", "0"]], "b": ["1/2", "beta/(2 + 2*beta)"],
+     "c": ["0", "1/(1 + beta)^2"], "symbols": ["beta"]}
+)
+
+
+def test_a_power_of_a_denominator_factor_takes_its_inverse_symbol():
+    # one inverse symbol, for 1/(1 + beta), whose square lifts 1/(1 + beta)^2;
+    # the values are those of plain rational-function arithmetic, and the
+    # modified field prints over powers of 1 + beta, where one symbol per
+    # distinct denominator printed [0,1] over a degree-5 denominator
+    sympy = pytest.importorskip("sympy")
+    beta = sympy.Symbol("beta")
+    method = rk_series(_SHARED_REST, 4)
+    assert _grading(method)[1] == ("beta", "~0")
+    assert _SHARED_REST._lifted[2].args[0] == ("beta", "~0")
+    trees = [t._levels for t in all_trees_up_to(4)]
+    me = modified_equation_series(method)._coeffs
+    mi = modifying.modifying_integrator_of_tableau(_SHARED_REST, 4)._coeffs
+    rows = modifying_integrator_rows(method._coeffs, 4, trees)
+    assert modifying_integrator_series(method)._coeffs == rows
+    for got, expected in ((me, modified_equation_rows(method._coeffs, 4, trees)), (mi, rows)):
+        assert got == expected
+        for c, e in zip(got.values(), expected.values()):
+            difference = f"({c}) - ({e})".replace("^", "**")
+            assert sympy.cancel(sympy.sympify(difference, locals={"beta": beta})) == 0
+    assert coeff_print(me[b"\x00\x01"]) == (
+        "(-4*beta^3 - 8*beta^2 - beta - 1)/(8*beta^3 + 24*beta^2 + 24*beta + 8)"
+    )
 
 
 @pytest.mark.parametrize("name", list(_PARTITION_ORACLE_TABLEAUX))
@@ -847,8 +881,8 @@ def test_compose_and_substitute_pass_multiplies_no_coefficient(monkeypatch, name
     for cls in (Fraction, symbolic.RationalFunction):
         for op in ("__mul__", "__rmul__"):
             monkeypatch.setattr(cls, op, counted(cls, op))
-    run_pass = modifying._pass
-    monkeypatch.setattr(modifying, "_pass", tracked)
+    run_pass = series_extra._pass
+    monkeypatch.setattr(series_extra, "_pass", tracked)
     compose(method, method)
     substitute(flow, method)
     assert passes and not products

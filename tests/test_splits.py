@@ -5,7 +5,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings
 
-from bsharp import splits
+from bsharp import splits, splits_extra
 from bsharp.errors import InvalidTreeError
 from bsharp.series import compose, exact_series
 from bsharp.splits import (
@@ -322,11 +322,12 @@ def test_multiset_counts_fit_their_field():
 
 def test_clear_split_caches_empties_every_cache():
     def caches():
-        # every module-level memo: the lru-cached tables, plain dicts and
-        # the lists of the tree index
+        # every module-level memo of both modules: the lru-cached tables,
+        # plain dicts and the lists of the tree index
         return {
             name: obj.cache_info().currsize if hasattr(obj, "cache_info") else len(obj)
-            for name, obj in vars(splits).items()
+            for module in (splits, splits_extra)
+            for name, obj in vars(module).items()
             if not name.startswith("__")
             and (hasattr(obj, "cache_info") or isinstance(obj, (dict, list)))
         }

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bsharp import cli, graded, splits
+from bsharp import cli, graded, splits, splits_extra
 from bsharp.errors import SingularMethodError
 from bsharp.modifying import modifying_integrator_of_tableau
 from bsharp.series import (
@@ -197,7 +197,7 @@ def _cli_output(*argv: str) -> str:
 
 
 def _partition_tables_built() -> bool:
-    return bool(splits._skeleton_tables or splits._rooted_tables)
+    return bool(splits_extra._skeleton_tables or splits_extra._rooted_tables)
 
 
 @pytest.mark.parametrize("name", ["rk4", "rk22(alpha)"])

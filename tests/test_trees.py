@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsharp import trees
+from bsharp import trees, trees_extra
 from bsharp.errors import InvalidTreeError
 from bsharp.trees import (
     EMPTY_TREE,
@@ -159,10 +159,12 @@ def test_canonicalization_undoes_a_reversed_traversal():
 
 def test_clear_tree_caches_empties_every_cache():
     def caches():
-        # every module-level memo: lru-cached functions and plain dicts
+        # every module-level memo of both modules: lru-cached functions and
+        # plain dicts
         return {
             name: obj.cache_info().currsize if hasattr(obj, "cache_info") else len(obj)
-            for name, obj in vars(trees).items()
+            for module in (trees, trees_extra)
+            for name, obj in vars(module).items()
             if not name.startswith("__")
             and (hasattr(obj, "cache_info") or isinstance(obj, dict))
         }
