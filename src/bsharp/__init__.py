@@ -39,10 +39,9 @@ _EXPORTS = {
         "series_order_of_accuracy", "substitute", "truncated",
     ),
     "tableaux": (
-        "ButcherTableau", "builtin_tableau", "elementary_weight", "rk_series",
-        "tableau_from_json_dict",
+        "ButcherTableau", "builtin_tableau", "rk_series", "tableau_from_json_dict",
     ),
-    "tableaux_extra": ("order_of_accuracy", "tableau_to_json_dict"),
+    "tableaux_extra": ("elementary_weight", "order_of_accuracy", "tableau_to_json_dict"),
     "expressions": ("Expression", "differentiate"),
     "expressions_extra": ("eval_expression", "format_expression"),
     "odes": (

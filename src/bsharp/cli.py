@@ -12,8 +12,8 @@ domain errors), 4 numeric failure during simulation.
 Each command's arguments and handler live in a module of their own
 (:data:`COMMANDS`), which imports the layers it runs when the handler is
 entered; JSON output lives in :mod:`bsharp.cli_json`.  :func:`main`
-registers every command, so the top-level help and its errors list them
-all, but defines the arguments of the named command only, so a cold start
+registers and defines the named command alone, unless it comes after an
+option (the help, or an error that lists every command), so a cold start
 loads (and, without cached bytecode, compiles) that command's code and
 nothing else.  :func:`build_parser` defines every command's arguments.
 """
@@ -84,9 +84,8 @@ def _load_system(args) -> ODESystem:
 #
 # A command runs everything that can fail (validation, the solve, building
 # the expression DAG; only a simulation's numeric blow-up comes later)
-# before it opens its output, and then writes each piece
-# as soon as it exists: a field component right after it is formatted, a
-# tree, split or simulation row as it is enumerated, JSON member by member.
+# before it opens its output, and then writes each piece as soon as it
+# exists: a field component, a tree, split or simulation row, a JSON member.
 # Such output is never held whole, so its memory grows with the largest
 # piece, not with several copies of everything printed; a series' text and
 # its JSON dict are still built whole before they are written.  Pieces go
@@ -172,18 +171,18 @@ def _add_ode_flags(p: argparse.ArgumentParser, required: bool) -> None:
     )
 
 
-def _parser(defined: Collection[str]) -> argparse.ArgumentParser:
-    """The parser with every command registered and the arguments of the
-    commands in ``defined`` defined by their modules."""
+def _parser(defined: Collection[str], registered: Collection[str] = COMMANDS):
+    """The parser with the commands in ``registered`` registered and the
+    arguments of those in ``defined`` defined by their modules."""
     parser = argparse.ArgumentParser(
         prog="bsharp",
         description="Exact B-series computations for Runge-Kutta methods.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (module, help) in COMMANDS.items():
-        p = sub.add_parser(name, help=help)
+    for name in registered:
+        p = sub.add_parser(name, help=COMMANDS[name][1])
         if name in defined:
-            _load(module).define(name, p)
+            _load(COMMANDS[name][0]).define(name, p)
     return parser
 
 
@@ -200,7 +199,9 @@ def _command(argv: Sequence[str]) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _parser((_command(argv),))
+    command = _command(argv)
+    alone = command in COMMANDS and argv[0] == command  # else the help or an error lists all
+    parser = _parser((command,), (command,) if alone else COMMANDS)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -1,21 +1,25 @@
 """JSON output of the commands, written member by member.
 
 The text is ``json.dumps(data, indent=2)`` and a newline, byte for byte,
-built without the pure-Python encoder that ``indent`` selects: each
-string goes through the C escaper ``json.dumps`` uses (``ensure_ascii``,
-so ``∅`` is ``\\u2205``), each other scalar through ``json.dumps`` itself,
-and containers are laid out here.  Only the commands that write JSON
-load this module, and with it ``json``.
+built without the pure-Python encoder that ``indent`` selects, and
+without loading ``json``: each string goes through the C escaper of
+``_json``, which ``json.dumps`` uses (``ensure_ascii``, so ``∅`` is
+``\\u2205``), ints, ``true``, ``false`` and ``null`` are written here,
+``json.dumps`` writes any other scalar, and containers are laid out here.
+Only the commands that write JSON load this module.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator
 
 from .cli import _emit
+
+from _json import encode_basestring_ascii as _quote
+
+# the characters that JSON writes as they are: printable ASCII but " and \
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"").replace(b"\\", b"")
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -36,6 +40,12 @@ def _json_text(value, indent: str = "\n") -> str:
         inner = indent + "  "
         members = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(members) + indent + "]"
+    if isinstance(value, int):
+        return ("false", "true")[value] if isinstance(value, bool) else int.__repr__(value)
+    if value is None:
+        return "null"
+    import json
+
     return json.dumps(value)
 
 
@@ -66,7 +76,7 @@ def _json_pieces(value, indent: str, depth: int) -> Iterator[str]:
 def _json_string(text: str) -> tuple[str, ...]:
     """The JSON string of ``text``, in pieces: a text that needs no escape
     is not copied."""
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+    if text.isascii() and not text.encode().translate(None, _PLAIN):
         return '"', text, '"'
     return (_quote(text),)
 

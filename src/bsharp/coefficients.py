@@ -64,21 +64,27 @@ def check_power(base, exponent: int) -> None:
     with more digits (m-bit ints give > (m - 1)·k·log10(2)), or the term
     dicts ``base`` of a numerator and a denominator to the k with more terms
     (at most C(k + t - 1, t - 1) for t terms, and Π (k·(max - min) + 1) over
-    the exponents of each symbol) or a coefficient of more digits (at most
-    k·log10(Σ|c|))."""
+    the exponents of each symbol), a coefficient of more digits (at most
+    k·log10(Σ|c|)), or more than ten times the limit in all (terms times
+    digits, summed over both dicts)."""
     limit, k = 10 * sys.get_int_max_str_digits(), abs(exponent)
     if is_rational(base):
         bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
         # bits·k·0.30103 in ints: bits·k overflows a float past 10^308
         large, verb = bits * k * 30103 > limit * 100000, "has"
     else:
-        large, verb = False, "may have"
+        large, verb, total = False, "may have", 0.0
         for t in filter(None, base):
             spans = prod(k * (max(e) - min(e)) + 1 for e in zip(*t))
             # spans > k when t > 1, so past the limit the costly C(...) can wait
             terms = spans if k > limit else min(comb(k + len(t) - 1, len(t) - 1), spans)
             size = log10(sum(map(abs, t.values())))
             large = large or terms > limit or size and k > limit / size
+            if not large and size:
+                total += terms * k * size
+        if not large and total > 10 * limit:
+            limit *= 10
+            large, verb = True, "may have, in all,"
     if limit and large:
         shown = f"exponent {exponent}"
         if k >= 10**40:  # a digit count, not the digits
@@ -130,7 +136,7 @@ def coeff_print(c: Coefficient, fmt: str = "text") -> str:
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown coefficient format {fmt!r}")
     if fmt == "text":
-        return str(Fraction(c)) if is_rational(c) else str(c)
+        return str(c)  # an int prints as the Fraction of it does
     if not is_rational(c):
         return c._latex()
     from .coefficients_extra import _rat_latex

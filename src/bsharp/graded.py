@@ -54,7 +54,7 @@ from itertools import chain
 
 from .coefficients import coeff_div, is_rational
 from .series import TruncatedBSeries
-from .splits import by_id
+from .splits import _cut_tables, _seqs, cut_rows, orders_below, top_order
 
 
 class _Inexact(ArithmeticError):
@@ -176,14 +176,12 @@ def _solve(solve, max_order: int, d: int, divisor: int = 1) -> tuple[TruncatedBS
             return TruncatedBSeries._from_levels(max_order, coeffs), skips
 
 
-def modified_equation(
-    method: TruncatedBSeries, tables, skip_zero: bool
-) -> tuple[TruncatedBSeries, int]:
-    """The modified equation of ``method`` over its edge-cut ``tables``,
-    and its number of zero skips."""
-    lift, lower, d = _domain((t.order, c) for t, c in method.items())
-    solve = partial(_modified_equation_ints, tables, by_id(method._coeffs), lift, lower, skip_zero)
-    return _solve(solve, method.max_order, d)
+def modified_equation(method: TruncatedBSeries, skip_zero: bool) -> tuple[TruncatedBSeries, int]:
+    """The modified equation of ``method`` and its number of zero skips."""
+    coeffs, top = method._coeffs, method.max_order
+    lift, lower, d = _domain((len(seq), c) for seq, c in coeffs.items() if seq)
+    solve = partial(_modified_equation_ints, coeffs, top, lift, lower, skip_zero)
+    return _solve(solve, top, d)
 
 
 # -- the Lie kernel -------------------------------------------------------------
@@ -202,13 +200,13 @@ def modified_equation(
 # per cut, in every scalar domain.
 
 
-def _lie(rows, branch: list, lists: list, width: int, skip_zero: bool) -> tuple[list, int]:
-    """Σ over the edge-cut ``rows`` (trunk θ, branch β, k) of
+def _lie(rows: dict, branch: list, lists: list, width: int, skip_zero: bool) -> tuple[list, int]:
+    """Σ over the edge cuts ``rows``, {(trunk θ, branch β): k}, of
     k·branch[β]·lists[θ][j], for each j < ``width``, and the number of
     zero factors skipped."""
     skips = 0
     higher = [0] * width
-    for trunk, b, k in rows:
+    for (trunk, b), k in rows.items():
         w = branch[b]
         if skip_zero and not w:
             skips += 1
@@ -240,32 +238,35 @@ def _ratios(n: int) -> list[int]:
     return [whole // math.factorial(j) for j in range(1, n + 1)]
 
 
-def _modified_equation_ints(tables, weights: list, lift, lower, skip_zero: bool, scale: int):
-    """The modified equation over values scaled by λ^|τ|, λ = ``scale``:
-    v(τ)·λ^|τ| = a(τ)·λ^|τ| - (Σ_{j≥2} c_j(τ)·λ^|τ|·|τ|!/j!) / |τ|!, where
-    c_1 = v and c_j = L_v c_{j-1}.  The list of a tree θ is
-    [c_1(θ), ..., c_|θ|(θ)], and at the top order N its fold
-    Σ_j c_j(θ)·N!/(j+1)!."""
+def _modified_equation_ints(weights: dict, top: int, lift, lower, skip_zero: bool, scale: int):
+    """The modified equation of the coefficients ``weights`` (keyed by
+    level sequence) up to order ``top``, over values scaled by λ^|τ|,
+    λ = ``scale``: v(τ)·λ^|τ| = a(τ)·λ^|τ| - (Σ_{j≥2} c_j(τ)·λ^|τ|·|τ|!/j!) / |τ|!,
+    where c_1 = v and c_j = L_v c_{j-1}.  The list of a tree θ below the
+    top order is [c_1(θ), ..., c_|θ|(θ)], and at the top order N its fold
+    Σ_j c_j(θ)·N!/(j+1)!; each tree of order N is cut, solved and
+    dropped."""
     skips = 0
-    v: list = [None] * len(weights)
-    lie: list = [None] * len(weights)
     coeffs: dict = {b"": Fraction(0)}
-    top = tables[-1][0].order if tables else 0
-    order = 0
-    for tree, i, rows in tables:
-        n = len(tree._levels)
-        if n != order:
-            order, power, whole, ratios = n, scale**n, math.factorial(n), _ratios(n)[1:]
-            if n == top:
-                lie = _top_order(lie, ratios)
-        if n == top:
-            (total,), skipped = _lie(rows, v, lie, 1, skip_zero)
-        else:
-            higher, skipped = _lie(rows, v, lie, n - 1, skip_zero)
+    if not top:
+        return coeffs, skips
+    orders = orders_below(top)
+    v: list = [None] * len(_seqs)
+    lie: list = [None] * len(_seqs)
+    for n, ids in enumerate(orders, 1):
+        power, whole, ratios = scale**n, math.factorial(n), _ratios(n)[1:]
+        for i in ids:
+            higher, skipped = _lie(_cut_tables[i], v, lie, n - 1, skip_zero)
+            skips += skipped
+            seq = _seqs[i]
             total = sum(map(operator.mul, higher, ratios))
-        skips += skipped
-        v[i] = value = lift(weights[i], power) - _exact(total, whole)
-        if n != top:
+            v[i] = value = lift(weights[seq], power) - _exact(total, whole)
             lie[i] = [value] + higher
-        coeffs[tree._levels] = lower(value, power)
+            coeffs[seq] = lower(value, power)
+    power, whole = scale**top, math.factorial(top)
+    lie = _top_order(lie, _ratios(top)[1:])
+    for seq, kids in top_order(top):
+        (total,), skipped = _lie(cut_rows(kids), v, lie, 1, skip_zero)
+        skips += skipped
+        coeffs[seq] = lower(lift(weights[seq], power) - _exact(total, whole), power)
     return coeffs, skips

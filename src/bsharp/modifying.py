@@ -17,13 +17,14 @@ import math
 import operator
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import graded
 from .coefficients import is_rational
 from .graded import _lie, _ratios, _reciprocal, _solve, _top_order, lift_tableau
-from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted, _tables
-from .splits import edge_cut_id_table
+from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted
+from .splits import _cut_tables, _seqs, cut_rows, densities, orders_below, top_order
 
 if TYPE_CHECKING:
     from .tableaux import ButcherTableau
@@ -48,15 +49,14 @@ def modifying_integrator_of_tableau(
     _check_u1(u1)
     A, b, lift, lower, d = tab._lifted if is_rational(u1) else lift_tableau(tab.A, tab.b, u1)
     content, inverse = _reciprocal(u1, lift)
-    tables = _tables(max_order, edge_cut_id_table)
     solve = partial(
-        _modifying_integrator_stages, tables, A, b, d, content, inverse, lower, skip_zero
+        _modifying_integrator_stages, max_order, A, b, d, content, inverse, lower, skip_zero
     )
     return _counted(_solve(solve, max_order, d, content))
 
 
 def _modifying_integrator_stages(
-    tables, A: list, b: list, d: int, content: int, inverse, lower, skip_zero: bool, scale: int
+    top: int, A: list, b: list, d: int, content: int, inverse, lower, skip_zero: bool, scale: int
 ):
     """The modifying integrator of the tableau (``A``, ``b``), lifted by d,
     over values scaled by λ^|τ| (λ = ``scale``), one tree at a time.
@@ -79,18 +79,25 @@ def _modifying_integrator_stages(
     one :func:`bsharp.graded._lie` pass gives both; at the top order N no w_i is formed,
     and the list is folded into Σ_j (L^j v)(θ)·N!/(j+1)!.  Every division
     is one, by d·|τ|!·u1 for v and by d·|τ|! for w_i."""
-    size = 1 + max(i for _, i, _ in tables)
-    top = tables[-1][0].order
+    orders = orders_below(top)
+    gammas = densities()
     stages = range(len(b))
     active = [i for i in stages if any(A[i])]
-    v: list = [None] * size
-    w = {i: [None] * size for i in active}
-    lists = {i: [None] * size for i in active}
+    w = {i: [None] * len(_seqs) for i in active}
+    lists = {i: [None] * len(_seqs) for i in active}
     skips = 0
     out: dict = {b"": Fraction(0)}
     order = 0
-    for tree, t, rows in tables:
-        n = len(tree._levels)
+    # (order, level sequence, cut rows, γ, id) of each tree; the top order
+    # is cut as it is read and has no id
+    below = (
+        (n, _seqs[t], _cut_tables[t], gammas[t], t) for n, ids in enumerate(orders, 1) for t in ids
+    )
+    above = (
+        (top, seq, cut_rows(kids), math.prod(map(gammas.__getitem__, kids), start=top), None)
+        for seq, kids in top_order(top)
+    )
+    for n, seq, rows, gamma, t in chain(below, above):
         if n != order:
             order, power, whole, ratios = n, scale**n, math.factorial(n), _ratios(n)
             one = d * power  # d·1, scaled
@@ -104,11 +111,9 @@ def _modifying_integrator_stages(
                 lie[i], skipped = _lie(rows, w[i], lists[i], 2 * n - 2, skip_zero)
                 R[i] = sum(map(operator.mul, lie[i][::2], ratios))
             skips += skipped
-        total = one * (whole // tree.density()) - sum([b[i] * R[i] for i in active if b[i]], 0)
-        v[t] = value = graded._exact(
-            total if inverse == 1 else total * inverse, d * whole * content
-        )
-        out[tree._levels] = lower(value, power)
+        total = one * (whole // gamma) - sum([b[i] * R[i] for i in active if b[i]], 0)
+        value = graded._exact(total if inverse == 1 else total * inverse, d * whole * content)
+        out[seq] = lower(value, power)
         if n == top:
             continue
         base = whole * value

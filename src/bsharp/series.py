@@ -58,7 +58,7 @@ from typing import Callable, Iterator, Mapping
 from . import _forward
 from .coefficients import Coefficient, coeff_div, coeff_print  # noqa: F401 (coeff_div: see below)
 from .errors import SeriesError, SingularMethodError
-from .splits import edge_cut_id_table, tree_id
+from .splits import check_size
 from .trees import RootedTree, all_trees_up_to
 
 __getattr__ = _forward(globals(), "series_extra", (
@@ -171,13 +171,7 @@ class TruncatedBSeries:
 def _check_max_order(max_order) -> None:
     if not isinstance(max_order, int) or isinstance(max_order, bool) or max_order < 0:
         raise SeriesError(f"max_order must be a non-negative integer, got {max_order!r}")
-
-
-def _tables(max_order: int, table: Callable[[bytes], tuple]) -> list[tuple]:
-    """(tree, its id, ``table`` of it) for every tree up to ``max_order``.
-    Building the tables indexes every tree their rows name, so lists made
-    by :func:`bsharp.splits.by_id` afterwards cover them all."""
-    return [(t, tree_id(t._levels), table(t._levels)) for t in all_trees_up_to(max_order)]
+    check_size(max_order)
 
 
 def modified_equation_series(
@@ -199,8 +193,7 @@ def modified_equation_series(
         raise SeriesError("modified equation needs a map-kind method series")
     from . import graded
 
-    tables = _tables(method.max_order, edge_cut_id_table)
-    return _counted(graded.modified_equation(method, tables, skip_zero))
+    return _counted(graded.modified_equation(method, skip_zero))
 
 
 def _check_u1(u1: Coefficient) -> Coefficient:

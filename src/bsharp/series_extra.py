@@ -37,7 +37,7 @@ from .coefficients import Coefficient, coeff_from_json, coeff_pow, coeff_print, 
 from .errors import SeriesError
 from .graded import _domain, _reciprocal, _solve
 from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted
-from .splits import _kids, by_id, split_top, tree_id
+from .splits import _kids, _seqs, densities, orders_below, with_child
 from .trees import EMPTY_TREE, RootedTree, all_trees_up_to, trees_of_order
 
 
@@ -146,19 +146,20 @@ _UNSET = object()
 
 
 def _forest_product(
-    products: dict[int, Coefficient | None], factors: list, zero: set[int], forest: int
+    products: dict[int, Coefficient | None], factors: list, zero: set[int], split_top, forest: int
 ) -> Coefficient | None:
     """Π factors[id] over the non-empty multiset key ``forest``, memoised in
-    ``products`` for one call: a new entry peels off the highest id and
-    costs one product.  ``None`` when a factor's id is in ``zero``; such a
-    product is never multiplied out."""
+    ``products`` for one call: a new entry peels off the highest id
+    (``split_top`` of :mod:`bsharp.splits_extra`) and costs one product.
+    ``None`` when a factor's id is in ``zero``; such a product is never
+    multiplied out."""
     p = products.get(forest, _UNSET)
     if p is _UNSET:
         top, rest = split_top(forest)
         if top in zero:
             p = None
         elif rest:
-            p = _forest_product(products, factors, zero, rest)
+            p = _forest_product(products, factors, zero, split_top, rest)
             if p is not None:
                 p = series_module.coeff_mul(p, factors[top])
         else:
@@ -194,7 +195,7 @@ def _pass(groups, heads: list, products: dict, product, totals: list, skip_zero:
 def _lifted(coeffs: dict, lift, d: int, top: int = 0) -> list:
     """The c(τ) of ``coeffs`` lifted by d^``top`` (d^|τ| for 0), by id."""
     trees = islice(coeffs.items(), 1, None)
-    return by_id({seq: lift(c, d ** (top or len(seq))) for seq, c in trees})
+    return list(map({seq: lift(c, d ** (top or len(seq))) for seq, c in trees}.get, _seqs))
 
 
 def _operands(inner: TruncatedBSeries, outer: TruncatedBSeries, top: int, skip_zero: bool):
@@ -230,13 +231,12 @@ def compose(
     _require_same_order(inner, outer, "composition")
     if inner.empty != 1:
         raise SeriesError("composition needs a map-kind inner series (empty coefficient 1)")
-    from .splits_extra import with_child
-
     if normalize_stepsize:
         half = Fraction(1, 2)
         inner = scale_step(inner, half)
         outer = scale_step(outer, half)
-    trees = [(seq, c, tree_id(seq)) for seq, c in islice(inner._coeffs.items(), 1, None)]
+    ids = chain.from_iterable(orders_below(inner.max_order + 1))
+    trees = [(seq, c, i) for (seq, c), i in zip(islice(inner._coeffs.items(), 1, None), ids)]
     heads, factors, zero, lower, d = _operands(inner, outer, 0, skip_zero)
     top = inner.max_order
     kept: list = [None] * len(heads)  # id -> its (memo growing s by it, V) pairs
@@ -293,21 +293,21 @@ def substitute(
     _require_same_order(flow, outer, "substitution")
     if flow.empty:
         raise SeriesError("substitution needs a flow-kind inner series (empty coefficient 0)")
-    from .splits_extra import partition_skeleton_table
+    from .splits_extra import partition_skeleton_table, split_top
 
     top = flow.max_order
+    ids = list(zip(islice(flow._coeffs, 1, None), chain.from_iterable(orders_below(top + 1))))
     tables = [partition_skeleton_table(n) for n in range(1, top + 1)]  # index every tree
     heads, factors, zero, lower, d = _operands(flow, outer, top, skip_zero)
-    node = heads[tree_id(b"\x00")] if top else 0  # outer(•)
+    node = heads[ids[0][1]] if top else 0  # outer(•)
     totals, skips = [0] * len(heads), 0
-    ids = [(seq, tree_id(seq)) for seq in islice(flow._coeffs, 1, None)]
     for _, i in ids:
         if skip_zero and (not node or i in zero):
             skips += 1
         else:
             totals[i] = node * factors[i]
     products: dict = {}
-    product = partial(_forest_product, products, factors, zero)
+    product = partial(_forest_product, products, factors, zero, split_top)
     skips += sum([_pass(groups, heads, products, product, totals, skip_zero) for groups in tables])
     coeffs = {b"": outer.empty, **{seq: lower(totals[i], d ** (top + len(seq))) for seq, i in ids}}
     return _counted((TruncatedBSeries._from_levels(top, coeffs), skips))
@@ -334,24 +334,26 @@ def modifying_integrator_series(
     u1: Coefficient = Fraction(1)
     if method.max_order >= 1:
         u1 = _check_u1(method._coeffs[b"\x00"])
-    from .splits_extra import partition_skeleton_table
+    from .splits_extra import partition_skeleton_table, split_top
 
     max_order = method.max_order
     levels = [
-        (n, [(t, tree_id(t._levels)) for t in trees_of_order(n)], partition_skeleton_table(n))
-        for n in range(1, max_order + 1)
+        (n, ids, partition_skeleton_table(n))
+        for n, ids in enumerate(orders_below(max_order + 1), 1)
     ]
     lift, lower, d = _domain(((t.order, c) for t, c in method.items()), u1)
     content, inverse = _reciprocal(u1, lift)
     heads = _lifted(method._coeffs, lift, d, max_order)
     solve = partial(
-        _modifying_integrator_ints, levels, heads, d**max_order, content, inverse, lower, skip_zero
+        _modifying_integrator_ints, levels, heads, d**max_order, content, inverse, lower, skip_zero,
+        split_top,
     )
     return _counted(_solve(solve, max_order, d, content))
 
 
 def _modifying_integrator_ints(
-    levels, heads: list, d_top: int, content: int, inverse, lower, skip_zero: bool, scale: int
+    levels, heads: list, d_top: int, content: int, inverse, lower, skip_zero: bool, split_top,
+    scale: int,
 ):
     """The modifying integrator over scaled values, one :func:`_pass` per
     order.  A solved value is scaled by λ^|τ| (λ = ``scale``) and each
@@ -364,18 +366,19 @@ def _modifying_integrator_ints(
     totals = [0] * len(heads)  # Σ over the rows of a tree, scaled
     zero_solved: set[int] = set()
     products: dict = {}
-    product = partial(_forest_product, products, solved, zero_solved)
+    product = partial(_forest_product, products, solved, zero_solved, split_top)
+    gammas = densities()
     out: dict = {b"": Fraction(0)}
-    for n, trees, groups in levels:
+    for n, ids, groups in levels:
         power = scale**n
         one = d_top * power  # 1, scaled
         skips += _pass(groups, heads, products, product, totals, skip_zero)
-        for tree, i in trees:
-            total = graded._exact(one, tree.density()) - totals[i]
+        for i in ids:
+            total = graded._exact(one, gammas[i]) - totals[i]
             solved[i] = value = graded._exact(total if inverse == 1 else total * inverse, divisor)
             if skip_zero and not value:
                 zero_solved.add(i)
-            out[tree._levels] = lower(value, power)
+            out[_seqs[i]] = lower(value, power)
     return out, skips
 
 
@@ -406,7 +409,11 @@ def display_terms(series: TruncatedBSeries, reduce_order_by: int = 0) -> list[Se
                 "coefficient (its constant term would get a negative h power)"
             )
         terms.append(SeriesTerm(EMPTY_TREE, series.empty, 0))
-    for tree, c in series.items():
+    from .splits_extra import symmetries
+
+    ids = chain.from_iterable(orders_below(series.max_order + 1))
+    sigmas = symmetries()
+    for (tree, c), i in zip(series.items(), ids):
         if not c:
             continue
         power = tree.order - reduce_order_by
@@ -414,7 +421,7 @@ def display_terms(series: TruncatedBSeries, reduce_order_by: int = 0) -> list[Se
             raise SeriesError(
                 f"reduce_order_by={reduce_order_by} gives tree {tree} a negative h power"
             )
-        terms.append(SeriesTerm(tree, series_module.coeff_div(c, tree.symmetry()), power))
+        terms.append(SeriesTerm(tree, series_module.coeff_div(c, sigmas[i]), power))
     return terms
 
 
@@ -478,6 +485,7 @@ def series_from_json_dict(data: dict) -> TruncatedBSeries:
     max_order = data["max_order"]
     if not isinstance(max_order, int) or isinstance(max_order, bool):
         raise SeriesError("max_order must be an integer")
+    _check_max_order(max_order)  # before any coefficient is read
     empty = coeff_from_json(data["empty"], "empty", SeriesError)
     if empty != (1 if kind == "map" else 0):
         raise SeriesError(f'empty coefficient {data["empty"]!r} contradicts kind "{kind}"')

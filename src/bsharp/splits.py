@@ -1,75 +1,62 @@
-"""The ways to take a tree apart.
+"""The tree index, and the ways to take a tree apart.
 
-*Ordered-subtree splits* choose a parent-closed set of nodes containing the
-root (plus the empty choice).  The chosen nodes form the kept subtree; each
-maximal unchosen branch falls off intact, and together they form the
-complement forest.  These splits define series composition.
+An *ordered-subtree split* keeps a parent-closed set of nodes with the
+root (or nothing), and the branches it leaves fall off as a forest: these
+compose series.  A *partition split* removes a set of edges; the
+components form the forest, and contracting each gives the skeleton:
+these substitute series.  An *edge cut* removes one edge, leaving the
+trunk with the root and the branch; a tree of order n has n - 1 of them,
+and they drive the Lie-derivative recursion of the modified equation.
 
-*Partition splits* choose a set of edges to remove.  The connected
-components left behind form the forest; contracting each component to a
-single node gives the skeleton.  These splits drive series substitution.
-
-*Edge cuts* remove a single edge: the part that keeps the root is the
-trunk, the part that falls off is the branch.  A tree of order n has n - 1
-of them; they drive the Lie-derivative recursion of the modified equation.
-
-The solves read cached tables over tree ids.  This module holds the tree
-index and :func:`edge_cut_id_table` of one tree, which the modified
-equation and the modifying integrator of a tableau read.  Everything
-else lives in :mod:`bsharp.splits_extra`, which only the commands that
-read it load: the lazy iterators :func:`~bsharp.splits_extra.ordered_subtrees`
-and :func:`~bsharp.splits_extra.partitions`, which yield one split per
-subset (a tree of order 40 has ~2**39 edge subsets; taking the first few
-must not enumerate them all) wrapped in :class:`~bsharp.trees.RootedTree`
-and :class:`~bsharp.splits_extra.Forest`, the partition tables
-(:func:`~bsharp.splits_extra.partition_skeleton_table` of all trees of
-one order grouped by skeleton), and ``with_child``, through which
-:func:`bsharp.series_extra.compose` grows a kept subtree by one root
-child in one dict lookup; their names are still read from here.
+The solves name trees by ids.  This module holds the tree index, which
+builds every tree of an order from the ids of its children
+(:func:`orders_below`, :func:`top_order`), and the edge cuts and γ over
+ids that the modified equation and the modifying integrator of a tableau
+read: no solve parses a level sequence.  The lazy iterators
+:func:`~bsharp.splits_extra.ordered_subtrees` and
+:func:`~bsharp.splits_extra.partitions` (one split per subset: a tree of
+order 40 has ~2**39 edge subsets, and taking the first few must not
+enumerate them all) and the partition tables
+(:func:`~bsharp.splits_extra.partition_skeleton_table`) live in
+:mod:`bsharp.splits_extra`, which only the commands that read them load;
+their names are still read from here.
 
 Nothing walks the 2**(order-1) subsets, a mask, or a level sequence to
 canonicalize: every split of a tree is built over ids from those of the
 root's children (the coproduct recursion of Calaque, Ebrahimi-Fard and
-Manchon, "Two interacting Hopf algebras of trees", 2011).  For a partition
-the edge to each child is kept or cut, and equal partial results are
-merged as they arise; for a subtree split each child is cut off or kept
-in one of its own subtree splits; an edge cut removes the edge to a child
-or one of the child's cuts.  :func:`clear_split_caches` drops every
-table, memo and the tree index.
+Manchon, "Two interacting Hopf algebras of trees", 2011).
+:func:`clear_split_caches` drops every table, memo and the tree index.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right, insort
+from collections.abc import Iterator
 
 from . import _forward
-from .errors import InvalidTreeError
-from .trees import MAX_ORDER, _children
+from .errors import SeriesError
+from .trees import _check_order
 
 __getattr__ = _forward(globals(), "splits_extra", (
-    "Forest", "PartitionSplit", "SubtreeSplit", "ordered_subtrees", "partition_skeleton_table",
-    "partition_split_table", "partitions", "with_child",
+    "Forest", "PartitionSplit", "SubtreeSplit", "edge_cut_id_table", "ordered_subtrees",
+    "partition_skeleton_table", "partition_split_table", "partitions", "tree_id",
 ))
 
 
-# -- tree index and multiset keys --------------------------------------------
+# -- the tree index ------------------------------------------------------------
 #
-# The id tables name trees by dense int ids.  A tree gets its id the first
-# time a table meets it, after its children.  A solve builds the tables of
-# all trees up to its order in ``all_trees_up_to`` order and every row of a
-# tree names only smaller trees and the tree itself, so from an empty index
-# the ids follow that order; a single large tree registers only the trees its
-# table names, never every tree of its order.
-#
-# A multiset of trees is one int, its *multiset key*: the count of id i sits
-# in bits [_BITS*i, _BITS*(i+1)).  A table of a tree of order n holds no
-# multiset with more than n members (the all-cut row of the bush has n
-# one-node components), and n <= MAX_ORDER < 2**_BITS, so no count carries
-# into its neighbour: a union is one ``+`` and the one-tree multiset of id i
-# is ``1 << _BITS*i``.
-
-_BITS = MAX_ORDER.bit_length()
-
+# A tree is a root over a multiset of children.  ``_grafts`` keys it by
+# that multiset, the sorted tuple of the children's ids, and ``_kids``
+# gives the children back in level-sequence order.  A solve indexes every
+# tree below its top order N, one order at a time, each tree built from
+# its children's ids (:func:`orders_below`); from an empty index the ids
+# follow ``all_trees_up_to`` order.  The trees of order N are built the same
+# way, as they are read, and registered nowhere (:func:`top_order`): none
+# of them is a child or a trunk of another.  A tree met any other way
+# (parsed by :func:`bsharp.splits_extra.tree_id`, or grown by a table
+# there) gets its id when it is first met, after its children, and keeps
+# it when its order is indexed whole.
 
 class _Memo(dict):
     """A dict that fills a missing key with ``fill(key)``."""
@@ -82,91 +69,167 @@ class _Memo(dict):
         return value
 
 
-_ids: dict[bytes, int] = {}         # canonical level sequence -> id
-_seqs: list[bytes] = []             # id -> canonical level sequence
-_kids: list[tuple[int, ...]] = []   # id -> children's ids, in level-sequence order
+_DEEPER = bytes(range(1, 256)) + b"\xff"  # translate table: level + 1
+
+_seqs: list[bytes] = []            # id -> canonical level sequence
+_kids: list[tuple[int, ...]] = []  # id -> children's ids, in level-sequence order
+_orders: list[list[int]] = []      # n - 1 -> ids of order n, in all_trees_up_to order
+_firsts: list[int] = []            # the ids of _orders, level sequence descending
 
 
-def tree_id(seq: bytes) -> int:
-    """Id of the tree with canonical level sequence ``seq``."""
-    i = _ids.get(seq)
-    if i is None:
-        if not seq:
-            raise InvalidTreeError("the empty tree has no splits")
-        kids = tuple(map(tree_id, _children(seq)))
-        i = _ids[seq] = len(_seqs)
-        _seqs.append(seq)
-        _kids.append(kids)
-        _grafts[sum(1 << _BITS * k for k in kids)] = i
+def _add(seq: bytes, kids: tuple[int, ...], key: tuple[int, ...]) -> int:
+    i = _grafts[key] = len(_seqs)
+    _seqs.append(seq)
+    _kids.append(kids)
     return i
 
 
-def split_top(key: int) -> tuple[int, int]:
-    """(highest id in the non-empty multiset ``key``, the rest of it)."""
-    top = (key.bit_length() - 1) // _BITS
-    return top, key - (1 << _BITS * top)
+def _graft(key: tuple[int, ...]) -> int:
+    """Id of a root over the children ``key``, met first; read through
+    ``_grafts``."""
+    kids = tuple(sorted(key, key=_seqs.__getitem__, reverse=True))
+    return _add(b"\x00" + b"".join([_seqs[k].translate(_DEEPER) for k in kids]), kids, key)
 
 
-def _members(key: int) -> list[int]:
-    """The ids of the multiset ``key``, highest first, with repeats."""
-    out: list[int] = []
-    while key:
-        top = (key.bit_length() - 1) // _BITS
-        count = key >> _BITS * top
-        out += [top] * count
-        key -= count << _BITS * top
-    return out
+_grafts: dict[tuple[int, ...], int] = _Memo(_graft)  # sorted children's ids -> id
 
 
-def _graft(children: int) -> int:
-    """Id of a root carrying the multiset ``children``, met first as a
-    skeleton, component, kept subtree or trunk; read through ``_grafts``."""
-    members = sorted((_seqs[k] for k in _members(children)), reverse=True)
-    return tree_id(b"\x00" + b"".join(bytes(lvl + 1 for lvl in m) for m in members))
+def _born(n: int) -> Iterator[tuple[bytes, tuple[int, ...]]]:
+    """(level sequence, children's ids in level-sequence order) of every
+    tree of order ``n`` in ``all_trees_up_to`` order, built from the orders
+    below ``n``, which are indexed whole and no more.
+
+    A tree is its greatest child c on the root of a tree r of order
+    n - |c| whose children are no greater than c.  Level sequences
+    compare by c first and then by r, so c runs through ``_firsts`` and r
+    through the trees of its order that qualify, the last ones there."""
+    if n == 1:
+        yield b"\x00", ()
+        return
+    seqs, kids = _seqs, _kids
+    # each order's first children's level sequences, ascending (b"" for •)
+    heads = [[seqs[k[0]] if k else b"" for k in map(kids.__getitem__, reversed(ids))]
+             for ids in _orders]
+    for c in _firsts:
+        s = seqs[c]
+        ids = _orders[n - len(s) - 1]
+        start = len(ids) - bisect_right(heads[n - len(s) - 1], s)
+        head, first = b"\x00" + s.translate(_DEEPER), (c,)
+        for r in ids[start:]:
+            yield head + seqs[r][1:], first + kids[r]
 
 
-_grafts: dict[int, int] = _Memo(_graft)  # multiset key of a root's children -> id
+def orders_below(n: int) -> list[list[int]]:
+    """Index every tree of order below ``n``, an order at a time, and give
+    the ids of each order in ``all_trees_up_to`` order (order m at m - 1)."""
+    while len(_orders) < n - 1:
+        ids = []
+        for seq, kids in _born(len(_orders) + 1):
+            key = tuple(sorted(kids))
+            i = _grafts.get(key)  # met before as a parsed or grown tree
+            ids.append(_add(seq, kids, key) if i is None else i)
+        _orders.append(ids)
+        _firsts[:] = sorted(_firsts + ids, key=_seqs.__getitem__, reverse=True)
+    return _orders[: max(n - 1, 0)]
 
 
-def by_id(coefficients: dict[bytes, object]) -> list:
-    """``coefficients`` (keyed by level sequence) as a list indexed by id,
-    ``None`` for the indexed trees it lacks."""
-    return list(map(coefficients.get, _seqs))
+def top_order(n: int) -> Iterator[tuple[bytes, tuple[int, ...]]]:
+    """(level sequence, children's ids) of every tree of order ``n`` in
+    ``all_trees_up_to`` order, with every order below indexed: a solve
+    reads each tree of its top order once and keeps nothing of it."""
+    if len(_orders) >= n:
+        return ((_seqs[i], _kids[i]) for i in _orders[n - 1])
+    orders_below(n)
+    return _born(n)
+
+
+def densities() -> list[int]:
+    """γ of every indexed tree, by id: its order times its children's γ."""
+    gammas: list[int] = []
+    for seq, kids in zip(_seqs, _kids):
+        g = len(seq)
+        for c in kids:
+            g *= gammas[c]
+        gammas.append(g)
+    return gammas
+
+
+# -- how large an order is, before any tree is built ---------------------------
+
+MAX_CUT_ROWS = 6_000_000  # order 16 needs about 5.2 million, order 17 about 15.6
+
+
+def tree_counts(n: int) -> list[int]:
+    """[a(0), ..., a(n)]: the number of rooted trees of each order (OEIS
+    A000081, a(0) = 0), by Otter's recurrence
+    a(m+1) = Σ_{k=1..m} (Σ_{d|k} d·a(d))·a(m-k+1) / m."""
+    a = [0, 1][: n + 1]
+    divisor_sums = [0]  # divisor_sums[k] = Σ_{d | k} d·a(d)
+    for m in range(1, n):
+        divisor_sums.append(sum(d * a[d] for d in range(1, m + 1) if m % d == 0))
+        a.append(sum(divisor_sums[k] * a[m - k + 1] for k in range(1, m + 1)) // m)
+    return a
+
+
+def check_size(max_order: int) -> None:
+    """Refuse a truncation order whose trees and edge cuts would not fit,
+    before any of them is built: a tree of order n has at most n - 1
+    distinct cuts, so Σ a(n)·(n - 1) bounds the rows of a solve."""
+    _check_order(max_order)
+    counts = tree_counts(max_order)
+    rows = sum(k * (n - 1) for n, k in enumerate(counts))
+    if rows > MAX_CUT_ROWS:
+        raise SeriesError(
+            f"order {max_order} is too large: about {sum(counts):,} trees and "
+            f"{rows:,} edge cuts, past the limit of {MAX_CUT_ROWS:,} cuts (order 16)"
+        )
 
 
 # -- edge-cut tables by the children recursion -------------------------------
 
-def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
-    """Distinct single-edge cuts of the tree ``seq`` over tree ids, cached.
+def cut_rows(kids: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """The edge cuts of a root over the children ``kids`` (in
+    level-sequence order), {(trunk id, branch id): multiplicity}, in the
+    order of the cut nodes along its level sequence.  That tree is its first child c on the
+    root of the tree r of the others, so it is cut at the edge to c,
+    inside c (trunk r grown by the trunk there), or inside r (the trunk
+    there grown by c); equal cuts merge, at the first."""
+    if not kids:
+        return {}
+    c = kids[0]
+    r = _grafts[tuple(sorted(kids[1:]))]
+    rows = {(r, c): 1}
+    get = rows.get
+    for (t, b), k in _cut_tables[c].items():
+        cut = with_child[t][r], b
+        rows[cut] = get(cut, 0) + k
+    grow = with_child[c]
+    for (t, b), k in _cut_tables[r].items():
+        cut = grow[t], b
+        rows[cut] = get(cut, 0) + k
+    return rows
 
-    Rows are (trunk id, branch id, multiplicity), in the order of the cut
-    node's first appearance in the level sequence; the multiplicities sum
-    to order - 1.  The one-node tree has no cuts.
-    """
-    return _cut_tables[tree_id(seq)]
+
+# id -> its edge cuts, {(trunk id, branch id): multiplicity}
+_cut_tables: dict[int, dict] = _Memo(lambda i: cut_rows(_kids[i]))
 
 
-def _cut_rows(i: int) -> tuple[tuple[int, int, int], ...]:
-    rows: dict[tuple[int, int], int] = {}
-    kids = _kids[i]
-    children = sum([1 << _BITS * c for c in kids])
-    for c in kids:
-        rest = children - (1 << _BITS * c)
-        key = _grafts[rest], c  # the edge to c
-        rows[key] = rows.get(key, 0) + 1
-        for t, b, k in _cut_tables[c]:  # an edge inside c
-            key = _grafts[rest + (1 << _BITS * t)], b
-            rows[key] = rows.get(key, 0) + k
-    return tuple([(t, b, k) for (t, b), k in rows.items()])
+def _grow(child: int, s: int) -> int:
+    """Id of the tree ``s`` with one more root child, ``child``."""
+    kids = sorted(_kids[s])
+    insort(kids, child)
+    return _grafts[tuple(kids)]
 
 
-_cut_tables: dict[int, tuple] = _Memo(_cut_rows)  # id -> rows (trunk id, branch id, multiplicity)
+# child id -> {tree id s: id of s with one more root child, the child}: how
+# a trunk is grown, and how compose grows a kept subtree
+with_child: dict[int, dict[int, int]] = _Memo(lambda child: _Memo(lambda s: _grow(child, s)))
 
 
 def clear_split_caches() -> None:
     """Drop every cached split table and the memos behind them, those of
     :mod:`bsharp.splits_extra` too once it is loaded."""
-    for memo in (_cut_tables, _ids, _seqs, _kids, _grafts):
+    for memo in (_cut_tables, with_child, _seqs, _kids, _grafts, _orders, _firsts):
         memo.clear()
     extra = sys.modules.get(f"{__name__}_extra")
     if extra is not None:

@@ -1,13 +1,14 @@
 """Split tables and iterators that the modified-equation path never reads.
 
-The companion of :mod:`bsharp.splits`, over its tree index and multiset
-keys, and loaded only by the commands that read one of these: the lazy
-iterators :func:`ordered_subtrees` and :func:`partitions` (the ``splits``
-command), the partition tables that :func:`bsharp.series_extra.substitute`
-and the modifying integrator of a series sum, and :data:`with_child`, the
-memo through which :func:`bsharp.series_extra.compose` grows a kept
-subtree.  :func:`bsharp.splits.clear_split_caches` drops the tables here
-too, through :func:`_clear`.
+The companion of :mod:`bsharp.splits`, over its tree index and the
+multiset keys below, and loaded only by the commands that read one of
+these: :func:`tree_id` of a parsed tree, the lazy iterators
+:func:`ordered_subtrees` and :func:`partitions` (the ``splits``
+command), the partition tables that
+:func:`bsharp.series_extra.substitute` and the modifying integrator of a
+series sum, and σ over ids for display.
+:func:`bsharp.splits.clear_split_caches` drops the tables here too,
+through :func:`_clear`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,70 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple, Union
 
-from .splits import _BITS, _Memo, _grafts, _kids, _members, _seqs, tree_id
-from .trees import EMPTY_TREE, RootedTree, _EmptyTree, trees_of_order
+from . import splits
+from .errors import InvalidTreeError
+from .splits import _cut_tables, _Memo, _kids, _seqs
+from .trees import EMPTY_TREE, MAX_ORDER, RootedTree, _EmptyTree, _children
+
+_ids: dict[bytes, int] = {}  # level sequence -> id, for trees met as one
+
+
+def tree_id(seq: bytes) -> int:
+    """Id of the tree with canonical level sequence ``seq``, indexed when
+    it is first met, after its children."""
+    i = _ids.get(seq)
+    if i is None:
+        if not seq:
+            raise InvalidTreeError("the empty tree has no splits")
+        i = _ids[seq] = splits._grafts[tuple(sorted(map(tree_id, _children(seq))))]
+    return i
+
+
+def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
+    """Distinct single-edge cuts of the tree ``seq`` over tree ids.
+
+    Rows are (trunk id, branch id, multiplicity), in the order of the cut
+    node's first appearance in the level sequence; the multiplicities sum
+    to order - 1.  The one-node tree has no cuts.  A view of the cached
+    rows that the solves read, {(trunk id, branch id): multiplicity}.
+    """
+    return tuple([(t, b, k) for (t, b), k in _cut_tables[tree_id(seq)].items()])
+
+
+# -- multiset keys --------------------------------------------------------------
+#
+# The tables and iterators here add and merge multisets of trees as they
+# go, so they name one by an int, its *multiset key*: the count of id i
+# sits in bits [_BITS*i, _BITS*(i+1)).  A table of a tree of order n holds
+# no multiset with more than n members (the all-cut row of the bush has n
+# one-node components), and n <= MAX_ORDER < 2**_BITS, so no count carries
+# into its neighbour: a union is one ``+`` and the one-tree multiset of id
+# i is ``1 << _BITS*i``.  A key grows with the highest id in it, so the
+# solves over the whole index key a multiset by its sorted tuple of ids
+# instead (``splits._grafts``).
+
+_BITS = MAX_ORDER.bit_length()
+
+
+def split_top(key: int) -> tuple[int, int]:
+    """(highest id in the non-empty multiset ``key``, the rest of it)."""
+    top = (key.bit_length() - 1) // _BITS
+    return top, key - (1 << _BITS * top)
+
+
+def _members(key: int) -> list[int]:
+    """The ids of the multiset ``key``, highest first, with repeats."""
+    out: list[int] = []
+    while key:
+        top = (key.bit_length() - 1) // _BITS
+        count = key >> _BITS * top
+        out += [top] * count
+        key -= count << _BITS * top
+    return out
+
+
+# multiset key of a root's children -> id of the tree
+_grafts: dict[int, int] = _Memo(lambda children: splits._grafts[tuple(_members(children)[::-1])])
 
 
 class Forest(tuple):
@@ -162,8 +225,7 @@ def partition_skeleton_table(order: int) -> tuple[tuple[int, list[tuple[int, int
     table = _skeleton_tables.get(order)
     if table is None:
         groups: defaultdict[int, list] = defaultdict(list)
-        for tree in trees_of_order(order):
-            i = tree_id(tree._levels)
+        for i in splits.orders_below(order + 1)[order - 1]:
             for (skeleton, forest), k in islice(_partition_rows(i).items(), 1, None):
                 groups[skeleton].append((i, forest, k))
         table = _skeleton_tables[order] = tuple(groups.items())
@@ -228,19 +290,23 @@ def _kept(i: int, j: int = 0) -> Iterator[tuple[int, int]]:
             yield kept + graft, forest + c_forest
 
 
-def _grow(child: int, s: int) -> int:
-    """Id of the tree ``s`` with one more root child, ``child``."""
-    return _grafts[sum([1 << _BITS * k for k in _kids[s]], 1 << _BITS * child)]
-
-
-# child id -> {tree id s: id of s with one more root child, the child}: how
-# compose grows a kept subtree by a child kept in one of its own splits
-with_child: dict[int, dict[int, int]] = _Memo(lambda child: _Memo(lambda s: _grow(child, s)))
+def symmetries() -> list[int]:
+    """σ of every tree of the index, by id: Π σ(c)^k·k! over its distinct
+    children c, each k times a child (equal children are adjacent)."""
+    sigmas: list[int] = []
+    for kids in _kids:
+        s, run, last = 1, 0, None
+        for c in kids:
+            run = run + 1 if c == last else 1
+            s *= sigmas[c] * run
+            last = c
+        sigmas.append(s)
+    return sigmas
 
 
 def _clear() -> None:
     """Drop the tables and memos of this module, for
     :func:`bsharp.splits.clear_split_caches`."""
     partition_split_table.cache_clear()
-    for memo in (_rooted_tables, _skeleton_tables, with_child, _forests):
+    for memo in (_rooted_tables, _skeleton_tables, _forests, _grafts, _ids):
         memo.clear()

@@ -19,16 +19,16 @@ that :mod:`bsharp.graded` picks for A and b and lifts them into once, on
 first use, scaled by a d of theirs; a tableau that only steps, as in a
 direct simulation, loads no series layer.  Φ(τ) and A·Ψ(τ) carry one
 entry per node, so d^|τ|·Φ(τ) is a value of the domain, which its
-``lower`` turns into a coefficient once per tree.  The order check and
-JSON output live in :mod:`bsharp.tableaux_extra`, which only the
-commands that run them load; their names are still read from here.
+``lower`` turns into a coefficient once per tree.  :func:`rk_series`
+reads the trees of the index of :mod:`bsharp.splits`, A·Ψ by id.  The
+weight of one tree, the order check and JSON output live in
+:mod:`bsharp.tableaux_extra`; their names are still read from here.
 """
 
 from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from functools import partial
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -44,11 +44,12 @@ from .coefficients import (
 )
 from .errors import TableauError
 
-__getattr__ = _forward(globals(), "tableaux_extra", ("order_of_accuracy", "tableau_to_json_dict"))
+__getattr__ = _forward(
+    globals(), "tableaux_extra", ("elementary_weight", "order_of_accuracy", "tableau_to_json_dict")
+)
 
 if TYPE_CHECKING:
     from .series import TruncatedBSeries
-    from .trees import RootedTree
 
 
 class RowSumWarning(UserWarning):
@@ -58,7 +59,7 @@ class RowSumWarning(UserWarning):
 class ButcherTableau:
     """Immutable Runge-Kutta tableau with exact entries."""
 
-    __slots__ = ("A", "b", "c", "_lift", "_psi_cache")
+    __slots__ = ("A", "b", "c", "_lift")
 
     def __init__(
         self,
@@ -80,7 +81,6 @@ class ButcherTableau:
         self.b = b
         self.c = c
         self._lift: tuple | None = None
-        self._psi_cache: dict[bytes, tuple] = {}
         for i, row in enumerate(A):
             row_sum = sum(row, Fraction(0))
             if row_sum != c[i]:
@@ -131,51 +131,52 @@ class ButcherTableau:
         return f"<ButcherTableau {self.stages} stages>"
 
 
-# The tree layer is imported by the public entry points, once per call,
-# and its ``_children`` passed down, so that a tableau that only steps
-# loads no tree layer and a series of many trees imports it once.
+# The tree index is imported by rk_series, so that a tableau that only
+# steps loads no tree layer.
 
-def _propagated(tab: ButcherTableau, children, seq: bytes) -> tuple:
-    """d^|τ|·(A·Ψ(τ))_i for each stage i, lifted, τ given by its level
-    sequence; cached."""
-    cached = tab._psi_cache.get(seq)
-    if cached is not None:
-        return cached
-    psi = [1] * tab.stages
-    for child in children(seq):
-        psi = list(map(mul, psi, _propagated(tab, children, child)))
-    result = tuple(sum([a * p for a, p in zip(row, psi) if a], 0) for row in tab._lifted[0])
-    tab._psi_cache[seq] = result
-    return result
+def _products(psi, kids: tuple[int, ...], ones: list) -> list:
+    """Π over the children ``kids`` of their d^|c|·(A·Ψ(c)), stage by
+    stage, ``psi`` giving each by id."""
+    vec = ones
+    for c in kids:
+        vec = list(map(mul, vec, psi[c]))
+    return vec
 
 
-def _weight(tab: ButcherTableau, children, tree: RootedTree) -> Coefficient:
-    _, b, _, lower, d = tab._lifted
-    child_vectors = [_propagated(tab, children, child) for child in children(tree._levels)]
-    total = 0
-    for i, bi in enumerate(b):
-        if not bi:
-            continue
-        term = bi
-        for vec in child_vectors:
-            term = term * vec[i]
-        total = total + term
-    return lower(total, d ** len(tree._levels))
+def _propagated(A, vec: list) -> tuple:
+    """d^|τ|·(A·Ψ(τ)) from the stage products ``vec`` of τ's children."""
+    return tuple(sum([a * p for a, p in zip(row, vec) if a], 0) for row in A)
 
 
-def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
-    """Φ(tree): the coefficient of the method's B-series at ``tree``."""
-    from .trees import _children
-
-    return _weight(tab, _children, tree)
+def _weight(b, vec: list):
+    """d^|τ|·Φ(τ) from the stage products ``vec`` of τ's children."""
+    return sum([bi * p for bi, p in zip(b, vec) if bi], 0)
 
 
 def rk_series(tab: ButcherTableau, max_order: int) -> TruncatedBSeries:
-    """The method's map-kind B-series truncated at ``max_order``."""
-    from .series import TruncatedBSeries
-    from .trees import _children
+    """The method's map-kind B-series truncated at ``max_order``: the
+    weights of the indexed trees below it by id, each tree's A·Ψ kept for
+    its parents, and those of the top order as they are read."""
+    from .series import TruncatedBSeries, _check_max_order
+    from .splits import _kids, _seqs, orders_below, top_order
 
-    return TruncatedBSeries.from_function(max_order, Fraction(1), partial(_weight, tab, _children))
+    _check_max_order(max_order)
+    coeffs = {b"": Fraction(1)}
+    if max_order:
+        A, b, _, lower, d = tab._lifted
+        ones = [1] * len(b)
+        orders = orders_below(max_order)
+        psi: list = [None] * len(_seqs)
+        for n, ids in enumerate(orders, 1):
+            power = d**n
+            for i in ids:
+                vec = _products(psi, _kids[i], ones)
+                coeffs[_seqs[i]] = lower(_weight(b, vec), power)
+                psi[i] = _propagated(A, vec)
+        power = d**max_order
+        for seq, kids in top_order(max_order):
+            coeffs[seq] = lower(_weight(b, _products(psi, kids, ones)), power)
+    return TruncatedBSeries._from_levels(max_order, coeffs)
 
 
 # ---------------------------------------------------------------------------

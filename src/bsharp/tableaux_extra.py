@@ -1,4 +1,4 @@
-"""The order check of a tableau and its JSON output.
+"""The weight of one tree, the order check of a tableau and its JSON output.
 
 The companion of :mod:`bsharp.tableaux`, loaded only by the commands that
 run one of these; a tableau that is only stepped or expanded into a
@@ -10,10 +10,26 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .coefficients import coeff_eval, coeff_print
+from .coefficients import Coefficient, coeff_eval, coeff_print
 from .series import TruncatedBSeries
 from .series_extra import series_order_of_accuracy
-from .tableaux import ButcherTableau, rk_series
+from .splits import _kids
+from .tableaux import ButcherTableau, _products, _propagated, _weight, rk_series
+from .trees import RootedTree
+
+
+def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
+    """Φ(tree): the coefficient of the method's B-series at ``tree``."""
+    from .splits_extra import tree_id
+
+    A, b, _, lower, d = tab._lifted
+    ones = [1] * len(b)
+
+    def products(i: int) -> list:
+        kids = _kids[i]
+        return _products({c: _propagated(A, products(c)) for c in kids}, kids, ones)
+
+    return lower(_weight(b, products(tree_id(tree._levels))), d ** len(tree._levels))
 
 
 def order_of_accuracy(

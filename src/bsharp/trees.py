@@ -5,16 +5,16 @@ depth-first traversal: node levels in visit order, root at level 0.  Among
 all depth-first orderings of the same tree the lexicographically greatest
 sequence is the canonical representative, so equal trees compare equal as
 plain sequences.  Orders above 62 are rejected, which keeps every sequence
-one cache line wide (stored as ``bytes``) and the count fields of the
-multiset keys in :mod:`bsharp.splits` at ``MAX_ORDER.bit_length()`` bits.
+one cache line wide (stored as ``bytes``) and each count field of the
+multiset keys of :mod:`bsharp.splits_extra` at 6 bits.
 
-Canonicalization sorts the child subsequences of every node in descending
-order, which makes the concatenation lexicographically greatest; results
-are memoised by input sequence.  Enumeration steps from one canonical
-sequence to the next in constant amortized time, without canonicalizing.
+Canonicalization sorts each node's child subsequences in descending order,
+which makes the concatenation greatest; results are memoised.  Enumeration
+steps from one canonical sequence to the next in constant amortized time.
 Parsing, validation, canonicalization and :func:`count_trees` live in
 :mod:`bsharp.trees_extra`, which a command that only enumerates trees
-never loads; their names are still read from here.
+never loads; their names are still read from here.  A solve builds its
+trees from their children in the index of :mod:`bsharp.splits`.
 
 The empty tree ``∅`` that indexes the constant term of a B-series is *not*
 an order-0 :class:`RootedTree`; it is the distinct sentinel
@@ -93,7 +93,7 @@ class RootedTree:
         return False
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(l) for l in self._levels) + "]"
+        return "[" + ",".join(map(str, self._levels)) + "]"
 
     def __repr__(self) -> str:
         return f"RootedTree({list(self._levels)!r})"

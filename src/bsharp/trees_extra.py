@@ -51,14 +51,12 @@ def canonicalize(levels: Iterable[int]) -> RootedTree:
 
 def count_trees(n: int) -> int:
     """Number of distinct rooted trees with n nodes (OEIS A000081), by
-    Otter's recurrence a(m+1) = Σ_{k=1..m} (Σ_{d|k} d·a(d))·a(m-k+1) / m."""
+    Otter's recurrence (:func:`bsharp.splits.tree_counts`, which sizes an
+    order before its trees are built)."""
+    from .splits import tree_counts
+
     _check_order(n)
-    a = [0, 1]  # a[0] = 0: the empty tree is not counted
-    divisor_sums = [0]  # divisor_sums[k] = Σ_{d | k} d·a(d)
-    for m in range(1, n):
-        divisor_sums.append(sum(d * a[d] for d in range(1, m + 1) if m % d == 0))
-        a.append(sum(divisor_sums[k] * a[m - k + 1] for k in range(1, m + 1)) // m)
-    return a[n]
+    return tree_counts(n)[n]
 
 
 def parse_tree(text: str):

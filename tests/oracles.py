@@ -134,6 +134,56 @@ def elementary_weight_bruteforce(A, b, levels):
     return total
 
 
+# The weights, γ and σ as the package computed them before the tree index:
+# memoised recursions over level sequences, each tree parsed into its
+# children's sequences.
+
+def weights_by_levels(tab, max_order: int) -> dict:
+    """{level sequence: Φ} of every tree up to ``max_order``, in
+    ``all_trees_up_to`` order: Φ(τ) = Σ_i b_i Π_c (A·Ψ(c))_i over the
+    root's children c, with Ψ_i(τ) = Π_c (A·Ψ(c))_i, over the tableau's
+    lifted entries and lowered by d^|τ|."""
+    from bsharp.trees import all_trees_up_to
+
+    A, b, _, lower, d = tab._lifted
+    propagated: dict = {}
+
+    def vector(seq: bytes) -> tuple:
+        if seq not in propagated:
+            psi = [1] * len(b)
+            for child in _level_children(seq):
+                psi = [p * q for p, q in zip(psi, vector(child))]
+            propagated[seq] = tuple(sum([a * p for a, p in zip(row, psi) if a], 0) for row in A)
+        return propagated[seq]
+
+    out = {}
+    for tree in all_trees_up_to(max_order):
+        seq = tree._levels
+        children = [vector(child) for child in _level_children(seq)]
+        total = 0
+        for i, bi in enumerate(b):
+            if bi:
+                term = bi
+                for vec in children:
+                    term = term * vec[i]
+                total = total + term
+        out[seq] = lower(total, d ** len(seq))
+    return out
+
+
+@lru_cache(maxsize=None)
+def density_by_levels(seq: bytes) -> int:
+    """γ: the order times the γ of each child."""
+    return math.prod(map(density_by_levels, _level_children(seq)), start=len(seq))
+
+
+@lru_cache(maxsize=None)
+def symmetry_by_levels(seq: bytes) -> int:
+    """σ: Π σ(c)^k·k! over the distinct children c, each k times a child."""
+    counts = Counter(_level_children(seq))
+    return math.prod(symmetry_by_levels(c) ** k * math.factorial(k) for c, k in counts.items())
+
+
 # ---------------------------------------------------------------------------
 # splits, by exhaustive subset enumeration
 # ---------------------------------------------------------------------------
@@ -465,7 +515,7 @@ def subtree_id_table(seq: bytes) -> tuple:
     from bsharp import splits, splits_extra
 
     rows = splits_extra._kept(splits.tree_id(seq))
-    return tuple((splits._graft(kept), forest, 1) for kept, forest in rows)
+    return tuple((splits_extra._grafts[kept], forest, 1) for kept, forest in rows)
 
 
 def partition_id_table(seq: bytes) -> tuple:

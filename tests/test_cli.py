@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bsharp.series import exact_series, series_from_json_dict, series_to_json_dict
+from bsharp.cli import COMMANDS
 from bsharp.tableaux import builtin_tableau, rk_series
 from peak_rss import peak_rss
 
@@ -1011,7 +1012,36 @@ def test_a_large_json_field_is_written_one_component_at_a_time(tmp_path):
     assert mb <= 32
 
 
+def test_a_high_order_series_holds_no_top_order_rows(tmp_path):
+    # the rk4 modified equation at order 13: cutting, caching and indexing
+    # every tree, with multiset-int keys, peaked at 78 MB; building each
+    # top-order tree's cuts as it is solved peaks at 42 MB
+    mb = _own_peak_mb("modified-equation", "--tableau", "rk4", "--order", "13",
+                      "--format", "json", tmp_path=tmp_path)
+    assert mb <= 46
+
+
 def test_partition_rows_are_written_as_they_are_enumerated(tmp_path):
     # the 16-node chain has 2^15 rows, 2.6 MB; listing them first peaked at 56 MB
     mb = _own_peak_mb("splits", _chain(16), "--kind", "partitions", tmp_path=tmp_path)
     assert mb <= 25
+
+
+# ---------------------------------------------------------------------------
+# the parser: the named command alone, or every command
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["-h", "trees"], ["nosuch"], ["--bogus", "trees", "3"], ["trees", "3", "--bogus"]]
+    + [[command, "-h"] for command in COMMANDS],
+)
+def test_a_parser_of_the_named_command_reads_like_the_whole_parser(capsys, argv):
+    from bsharp.cli import build_parser, main
+
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert (got.out, got.err, code) == (expected.out, expected.err, exc.value.code)

@@ -1,7 +1,7 @@
 import operator
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 from time import perf_counter
 
 import pytest
@@ -294,6 +294,23 @@ def test_a_power_too_large_to_expand_is_refused_before_it_is_computed(base):
         with pytest.raises(CoefficientError, match=f"{shown} may have more than"):
             base**k
     assert perf_counter() - start < 0.5
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no integer digit limit")
+def test_a_power_too_large_in_all_is_refused_before_it_is_computed():
+    # (1 + alpha)^3000 passes the bounds on its terms and on each
+    # coefficient, yet has 3,001 terms of 1,950,728 digits in all and took
+    # 6-8 s; terms times digits, (k + 1)·k·log10(2), bounds it at ten
+    # times the limit
+    bound = 100 * sys.get_int_max_str_digits()
+    k = max(k for k in range(1, 10**4) if (k + 1) * k * log10(2) <= bound)
+    start = perf_counter()
+    for text in ("(1 + alpha)^3000", f"(1 + alpha)^{k + 1}"):
+        with pytest.raises(ParseError, match=f"may have, in all, more than {bound} digits"):
+            coeff_parse(text)
+    assert perf_counter() - start < 0.1
+    # just below the bound: k + 1 terms of up to k·log10(2) digits
+    assert len(coeff_parse(f"(1 + alpha)^{k}").num) == k + 1
 
 
 def test_a_power_of_many_terms_in_few_symbols_is_still_computed():

@@ -330,6 +330,13 @@ def test_each_command_loads_only_the_layers_it_runs(
     assert _loaded_by(*argvs, uses_json=uses_json) == sorted(["cli", "errors", *layers])
 
 
+def test_a_series_is_written_as_json_without_the_json_package():
+    _loaded_by(
+        ["modified-equation", "--tableau", "midpoint", "--order", "3", "--format", "json"],
+        uses_json=False,
+    )
+
+
 def test_series_file_commands_load_only_the_solve_layers(tmp_path):
     method, flow = str(tmp_path / "method.json"), str(tmp_path / "flow.json")
     assert _loaded_by(

@@ -92,14 +92,17 @@ def test_series_must_cover_exactly_the_tree_range():
 
 def test_series_size_is_checked_before_trees_are_enumerated(monkeypatch):
     # a table far too small for its max_order fails on the tree count
-    # alone; enumerating the 1,011,311 trees up to order 17 takes seconds
+    # alone; enumerating the 376,464 trees up to order 16 takes seconds
     def no_enumeration(max_order):
         raise AssertionError("enumerated trees before comparing the table size")
 
     monkeypatch.setattr(series, "all_trees_up_to", no_enumeration)
-    data = {"kind": "map", "max_order": 17, "empty": "1", "coefficients": {"[0]": "1"}}
-    with pytest.raises(SeriesError, match="cover exactly the 1[0-9]+ trees of order 1..17"):
+    data = {"kind": "map", "max_order": 16, "empty": "1", "coefficients": {"[0]": "1"}}
+    with pytest.raises(SeriesError, match="cover exactly the 376464 trees of order 1..16"):
         series_from_json_dict(data)
+    # past the size bound the order alone is refused
+    with pytest.raises(SeriesError, match="order 17 is too large"):
+        series_from_json_dict({**data, "max_order": 17})
     with pytest.raises(InvalidTreeError, match="exceeds the maximum"):
         series_from_json_dict({**data, "max_order": 63})
 
@@ -593,8 +596,9 @@ def test_modified_equation_builds_no_partition_table():
         assert v[RootedTree(range(n))] == Fraction((-1) ** (n + 1), n)
     assert partition_split_table.cache_info().currsize == 0
     assert not splits_extra._rooted_tables
-    # it indexes trees for its edge-cut tables, and nothing more
-    assert len(splits._cut_tables) == len(splits._seqs) == len(list(all_trees_up_to(11)))
+    # it indexes the trees below its top order for their edge-cut tables,
+    # and nothing more: the top order is cut as it is read
+    assert len(splits._cut_tables) == len(splits._seqs) == len(list(all_trees_up_to(10)))
     clear_split_caches()
     assert not splits._cut_tables and not splits._seqs
 

@@ -47,7 +47,7 @@ T = parse_tree  # shorthand for the fixtures below
 def _forest_seqs(key):
     """The members of a forest multiset key as level sequences, sorted by
     (order, level sequence) like a :class:`Forest`."""
-    return tuple(sorted(sorted(splits._seqs[i] for i in splits._members(key)), key=len))
+    return tuple(sorted(sorted(splits._seqs[i] for i in splits_extra._members(key)), key=len))
 
 
 # frozen: all 16 partition splits of [0,1,2,1,2], as (forest, skeleton, count)
@@ -308,7 +308,7 @@ def test_partition_view_matches_the_bytes_state_builder():
 def test_multiset_counts_fit_their_field():
     # the all-cut row of the bush of the top order has MAX_ORDER one-node
     # components, the largest count any multiset key holds
-    assert 2**splits._BITS > MAX_ORDER
+    assert 2**splits_extra._BITS > MAX_ORDER
     splits.clear_split_caches()
     bush = RootedTree([0] + [1] * (MAX_ORDER - 1))
     table = partition_split_table(bush)
@@ -339,7 +339,7 @@ def test_clear_split_caches_empties_every_cache():
     compose(exact_series(6), exact_series(6))  # grows kept subtrees through splits.with_child
     # the iterator indexes the trees it names: a 7-chain's kept subtrees
     list(ordered_subtrees(RootedTree(range(7))))
-    assert bytes(range(7)) in splits._ids
+    assert bytes(range(7)) in splits_extra._ids
     filled = caches()
     assert {
         "partition_split_table", "_rooted_tables", "_skeleton_tables", "_forests",
@@ -376,7 +376,7 @@ def test_edge_cut_table_matches_bruteforce():
             ours[levels_to_shape(trunk), levels_to_shape(branch)] += k
         assert len(ours) == len(table)  # rows are distinct
         assert ours == edge_cuts_bruteforce(tree.levels)
-        assert edge_cut_id_table(tree._levels) is table
+        assert edge_cut_id_table(tree._levels) == table
     assert edge_cut_id_table(b"\x00") == ()
 
 
@@ -401,7 +401,7 @@ def test_every_id_table_row_names_indexed_trees():
     for tree in all_trees_up_to(6):
         seq = tree._levels
         for head, forest, k in subtree_id_table(seq) + partition_id_table(seq):
-            assert indexed(head, *splits._members(forest)) and type(k) is int
+            assert indexed(head, *splits_extra._members(forest)) and type(k) is int
         for trunk, branch, k in edge_cut_id_table(seq):
             assert indexed(trunk, branch) and type(k) is int
 
