@@ -7,7 +7,10 @@ coefficient tables or, with an ODE, as symbolic right-hand sides), checking
 orders of accuracy, and running fixed-step simulations to CSV.
 
 Exit codes: 0 success, 2 usage error, 3 bad input (files, syntax, or
-domain errors), 4 numeric failure during simulation.
+domain errors), 4 numeric failure during simulation.  ``python -m bsharp``
+and the ``bsharp`` script run :func:`main` through
+:func:`bsharp.__main__.run`, which ends the process once its output is
+written.
 
 Each command's arguments and handler live in a module of their own
 (:data:`COMMANDS`), which imports the layers it runs when the handler is
@@ -87,8 +90,9 @@ def _load_system(args) -> ODESystem:
 # before it opens its output, and then writes each piece as soon as it
 # exists: a field component, a tree, split or simulation row, a JSON member.
 # Such output is never held whole, so its memory grows with the largest
-# piece, not with several copies of everything printed; a series' text and
-# its JSON dict are still built whole before they are written.  Pieces go
+# piece, not with several copies of everything printed.  A series' text
+# and LaTeX are still built whole, and its JSON prints every coefficient,
+# as printing one can fail, before the first member is written.  Pieces go
 # out in batches of about _BATCH characters, because an unbuffered stdout
 # (PYTHONUNBUFFERED) turns every write into a system call; a piece that
 # large on its own is written as it is, without another copy.
@@ -231,6 +235,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,7 +11,6 @@ Only the commands that write JSON load this module.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator
 
 from .cli import _emit
@@ -49,30 +48,6 @@ def _json_text(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _json_members(brackets: str, members: Iterable[tuple], indent: str, depth: int):
-    """The text of a container, given by its ``brackets`` and its (head,
-    value) ``members``, one piece per member, their values in pieces down
-    to ``depth`` levels."""
-    inner = indent + "  "
-    sep = brackets[0] + inner
-    for head, value in members:
-        yield sep + head
-        yield from _json_pieces(value, inner, depth - 1)
-        sep = "," + inner
-    yield indent + brackets[1] if sep[0] == "," else brackets
-
-
-def _json_pieces(value, indent: str, depth: int) -> Iterator[str]:
-    """:func:`_json_text` of ``value`` in pieces: one per member of each
-    container down to ``depth`` levels."""
-    if depth and isinstance(value, dict):
-        members = ((_quote(k) + ": ", v) for k, v in value.items())
-        return _json_members("{}", members, indent, depth)
-    if depth and isinstance(value, (list, tuple)):
-        return _json_members("[]", (("", v) for v in value), indent, depth)
-    return iter((_json_text(value, indent),))
-
-
 def _json_string(text: str) -> tuple[str, ...]:
     """The JSON string of ``text``, in pieces: a text that needs no escape
     is not copied."""
@@ -94,7 +69,20 @@ def _json_list(texts: Iterable[str]) -> Iterator[str]:
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def _emit_json(args, data) -> None:
-    """Write ``json.dumps(data, indent=2)`` and a newline, member by member
-    down to the members of the top level's members."""
-    _emit(args, chain(_json_pieces(data, "\n", 2), ("\n",)))
+def _emit_series_json(args, series) -> None:
+    """Write ``json.dumps(series_to_json_dict(series), indent=2)`` and a
+    newline, member by member, without the dict."""
+    from .series import _json_form
+
+    head, keys, texts = _json_form(series)  # all that can fail, before any output
+
+    def pieces():
+        members = (_quote(k) + ": " + _json_text(v) for k, v in head.items())
+        yield "{\n  " + ",\n  ".join(members) + ',\n  "coefficients": '
+        sep = "{\n    "
+        for key, text in zip(keys, texts):
+            yield sep + _quote(key) + ": " + _quote(text)
+            sep = ",\n    "
+        yield "\n  }\n}\n" if sep[0] == "," else "{}\n}\n"
+
+    _emit(args, pieces())

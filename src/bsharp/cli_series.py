@@ -68,10 +68,9 @@ def _emit_series(args, series: TruncatedBSeries, fmt: str) -> int:
     if fmt == "json":
         if args.reduce_order_by:
             args.subparser.error("--reduce-order-by applies to text/latex output only")
-        from .cli_json import _emit_json
-        from .series import series_to_json_dict
+        from .cli_json import _emit_series_json
 
-        _emit_json(args, series_to_json_dict(series))
+        _emit_series_json(args, series)
     else:
         from .series_extra import format_series
 

@@ -59,7 +59,7 @@ from . import _forward
 from .coefficients import Coefficient, coeff_div, coeff_print  # noqa: F401 (coeff_div: see below)
 from .errors import SeriesError, SingularMethodError
 from .splits import check_size
-from .trees import RootedTree, all_trees_up_to
+from .trees import RootedTree, all_trees_up_to, levels_text
 
 __getattr__ = _forward(globals(), "series_extra", (
     "SeriesTerm", "compose", "display_terms", "exact_series", "format_series", "identity_series",
@@ -214,16 +214,25 @@ def _counted(solved: tuple[TruncatedBSeries, int]) -> TruncatedBSeries:
     return series
 
 
-def series_to_json_dict(series: TruncatedBSeries) -> dict:
-    """JSON-ready dict; coefficient keys in (order, lex) order."""
+def _json_form(series: TruncatedBSeries) -> tuple[dict, Iterator[str], list[str]]:
+    """The JSON form of ``series`` in parts: its members but the
+    coefficients, then the coefficients' keys and their texts, in tree
+    order.  The texts are printed here, as printing a coefficient can fail
+    (a number past Python's digit limit for int-to-text); the keys, each
+    level sequence printed as ``str(tree)`` prints it, cannot fail and are
+    printed as they are read."""
     kind = series.kind
     if kind == "general":
         raise SeriesError(
             "only map-kind (empty 1) and flow-kind (empty 0) series serialize to JSON"
         )
-    return {
-        "kind": kind,
-        "max_order": series.max_order,
-        "empty": coeff_print(series.empty),
-        "coefficients": {str(t): coeff_print(c) for t, c in series.items()},
-    }
+    head = {"kind": kind, "max_order": series.max_order, "empty": coeff_print(series.empty)}
+    texts = list(map(coeff_print, islice(series._coeffs.values(), 1, None)))
+    return head, map(levels_text, islice(series._coeffs, 1, None)), texts
+
+
+def series_to_json_dict(series: TruncatedBSeries) -> dict:
+    """JSON-ready dict; coefficient keys in (order, lex) order."""
+    data, keys, texts = _json_form(series)
+    data["coefficients"] = dict(zip(keys, texts))
+    return data

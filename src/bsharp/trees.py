@@ -93,7 +93,7 @@ class RootedTree:
         return False
 
     def __str__(self) -> str:
-        return "[" + ",".join(map(str, self._levels)) + "]"
+        return levels_text(self._levels)
 
     def __repr__(self) -> str:
         return f"RootedTree({list(self._levels)!r})"
@@ -174,6 +174,11 @@ def all_trees_up_to(max_order: int) -> Iterator[RootedTree]:
     """Trees of every order from 1 to max_order, in (order, sequence) order."""
     for n in range(1, max_order + 1):
         yield from trees_of_order(n)
+
+
+def levels_text(seq: bytes) -> str:
+    """The text of the tree with level sequence ``seq``: ``[0,1,1]``."""
+    return "[" + ",".join(map(str, seq)) + "]"
 
 
 def _child_slices(seq: bytes) -> list[bytes]:

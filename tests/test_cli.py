@@ -22,17 +22,24 @@ LV = "vars p, q\np' = (2 - q)*p\nq' = (p - 1)*q\n"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args):
-    """``python -m bsharp`` in a child process that imports this checkout's
+def _env() -> dict:
+    """The environment of a child process that imports this checkout's
     package, whether or not the parent found it on PYTHONPATH."""
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
+    return {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
+
+
+def run_python(*args, env=None):
+    """``python`` with ``args`` in a child process that imports this
+    checkout's package."""
     return subprocess.run(
-        [sys.executable, "-m", "bsharp", *args],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, *args], capture_output=True, text=True, env=env or _env()
     )
+
+
+def run_cli(*args):
+    """``python -m bsharp`` in a child process."""
+    return run_python("-m", "bsharp", *args)
 
 
 def run_ok(*args):
@@ -909,7 +916,7 @@ def test_streamed_json_is_json_dumps(data, batch):
     written = []
     out = SimpleNamespace(write=written.append, flush=dict)
     with patch.object(cli, "_BATCH", batch), patch.object(cli.sys, "stdout", out):
-        cli_json._emit_json(SimpleNamespace(output=None), data)
+        cli._emit(SimpleNamespace(output=None), (cli_json._json_text(data), "\n"))
         whole = "".join(written)
         written.clear()
         texts = (cli_json._json_text(item, "\n  ") for item in data)
@@ -1045,3 +1052,237 @@ def test_a_parser_of_the_named_command_reads_like_the_whole_parser(capsys, argv)
         build_parser().parse_args(argv)
     expected = capsys.readouterr()
     assert (got.out, got.err, code) == (expected.out, expected.err, exc.value.code)
+
+
+# ---------------------------------------------------------------------------
+# how a command ends: atexit handlers, a flush, and no teardown
+# ---------------------------------------------------------------------------
+
+# ``python -m bsharp`` as a script that first sets something up
+_AS_MAIN = "import runpy; runpy.run_module('bsharp', run_name='__main__', alter_sys=True)\n"
+
+
+def _buffered_env() -> dict:
+    # stdout buffered, so that what a handler prints waits for the last flush
+    return {k: v for k, v in _env().items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_an_atexit_handler_registered_before_the_command_still_runs():
+    proc = run_python(
+        "-c", "import atexit; atexit.register(print, 'handler ran')\n" + _AS_MAIN,
+        "trees", "3", env=_buffered_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[0,1,2]\n[0,1,1]\nhandler ran\n"
+
+
+def test_a_live_thread_is_waited_for():
+    proc = run_python(
+        "-c",
+        "import threading, time\n"
+        "threading.Thread(target=lambda: (time.sleep(0.3), print('thread done'))).start()\n"
+        + _AS_MAIN,
+        "trees", "3", env=_buffered_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(proc.stdout.splitlines()) == ["[0,1,1]", "[0,1,2]", "thread done"]
+
+
+_BLOW_UP = [
+    "simulate", "--tableau", "euler", "--ode-text", "vars y\ny' = y^2\n",
+    "--step", "10", "--t-max", "100", "--initial", "10",
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,stderr,written",
+    [
+        (["trees", "3"], 0, "", "[0,1,2]\n[0,1,1]\n"),
+        (
+            ["trees", "0"], 2,
+            "usage: bsharp trees [-h] [--format {text,json}] [--output FILE] [--properties]\n"
+            "                    order\n"
+            "bsharp trees: error: order must be at least 1\n",
+            None,
+        ),
+        (
+            ["bseries", "--tableau", "nosuch", "--order", "2"], 3,
+            "error: unknown tableau 'nosuch'; built-ins are euler, midpoint, rk4, rk22(<alpha>)\n",
+            None,
+        ),
+        (
+            _BLOW_UP, 4,
+            "error: numeric failure during step to t = 80.0: "
+            "(34, 'Numerical result out of range') (last valid t = 70.0)\n",
+            "t,y\n0.0,10.0\n10.0,1010.0\n20.0,10202010.0\n30.0,1040810090603010.0\n"
+            "40.0,1.0832856447010458e+31\n50.0,1.1735077880153604e+63\n"
+            "60.0,1.3771205285327041e+127\n70.0,1.8964609501061942e+255\n",
+        ),
+    ],
+    ids=["0", "2", "3", "4"],
+)
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+def test_each_exit_code_keeps_its_stderr_and_output(tmp_path, argv, code, stderr, written, output):
+    target = tmp_path / "out.txt"
+    proc = run_cli(*argv, *(("--output", str(target)) if output else ()))
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    if output:
+        assert proc.stdout == ""
+        # a refused command creates no file
+        assert (target.read_text(encoding="utf-8") if target.exists() else None) == written
+    else:
+        assert proc.stdout == (written or "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trees", "12"],
+        ["modified-equation", "--tableau", "midpoint", "--order", "9"],
+        ["modified-equation", "--tableau", "rk22(alpha)", "--order", "6"],
+        ["modified-equation", "--tableau", "rk4", "--order", "0"],
+    ],
+    ids=["trees", "me-json", "me-symbolic-json", "me-json-no-tree"],
+)
+def test_piped_and_file_output_is_complete(tmp_path, argv):
+    from bsharp.series import modified_equation_series
+
+    target = tmp_path / "out.txt"
+    piped = run_ok(*argv)
+    assert run_ok(*argv, "--output", str(target)) == ""
+    assert target.read_text(encoding="utf-8") == piped
+    if argv[0] == "trees":
+        lines = piped.splitlines()
+        assert len(lines) == len(oracles.shapes_of_order(12))
+        assert (lines[0], lines[-1]) == (_chain(12), "[0" + ",1" * 11 + "]")
+    else:
+        # a series is written tree by tree, as json.dumps writes its dict
+        series = modified_equation_series(rk_series(builtin_tableau(argv[2]), int(argv[4])))
+        assert piped == json.dumps(series_to_json_dict(series), indent=2) + "\n"
+
+
+def test_a_failed_last_flush_is_reported_by_the_teardown(tmp_path):
+    # what a handler writes to a closed pipe fails in the last flush: the
+    # interpreter's teardown then reports it and exits with 120, as without
+    # bsharp's own exit
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import atexit, sys; atexit.register(sys.stdout.write, 'x')\n" + _AS_MAIN,
+             "trees", "3", "--output", str(tmp_path / "out.txt")],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=_buffered_env(),
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 120
+    first, second = proc.stderr.splitlines()
+    assert first.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert second == "BrokenPipeError: [Errno 32] Broken pipe"
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "[0,1,2]\n[0,1,1]\n"
+
+
+@pytest.mark.parametrize(
+    "runner,report",
+    [(["cProfile", "-m"], "function calls"), (["trace", "--listfuncs", "--module"], "functions called:")],
+    ids=["profiler", "tracer"],
+)
+def test_a_profiler_or_tracer_still_reports(runner, report):
+    proc = run_python("-m", *runner, "bsharp", "trees", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("[0,1,2]\n[0,1,1]\n")
+    assert report in proc.stdout
+
+
+# the two-parameter family of the symbolic benchmark jobs
+_TWO_PARAMETER = {"A": [["0", "0"], ["3/7*p", "0"]], "b": ["1 - q", "q"], "c": ["0", "3/7*p"],
+                  "symbols": ["p", "q"]}
+
+
+def _kinds(tmp_path) -> dict:
+    """Each command kind as a function of a size n, which the command's
+    work grows with."""
+    tableau = tmp_path / "two_parameter.json"
+    tableau.write_text(json.dumps(_TWO_PARAMETER), encoding="utf-8")
+    return {
+        "me": lambda n: ["modified-equation", "--tableau", "rk4", "--order", str(n)],
+        "mi": lambda n: ["modifying-integrator", "--tableau", "rk4", "--order", str(n)],
+        "mi-symbolic": lambda n: [
+            "modifying-integrator", "--tableau", str(tableau), "--order", str(n - 2)],
+        "bseries": lambda n: ["bseries", "--tableau", "rk4", "--order", str(n)],
+        "compose": lambda n: ["compose", *_series_files(tmp_path, n)],
+        "substitute": lambda n: ["substitute", *_series_files(tmp_path, n - 2, flow=True)],
+        "order": lambda n: ["order", "--tableau", "rk4", "--max", str(n)],
+        "trees": lambda n: ["trees", str(n)],
+        "splits": lambda n: ["splits", _chain(n), "--kind", "partitions"],
+        "field": lambda n: [
+            "modified-equation", "--tableau", "midpoint", "--order", str(n - 2), "--ode-text", LV],
+        "simulate": lambda n: [
+            "simulate", "--tableau", "midpoint", "--ode-text", LV, "--step", "0.1",
+            "--t-max", str(n), "--initial", "1,1", "--modified-order", str(n // 2 - 1)],
+    }
+
+
+def _series_files(tmp_path, order: int, flow: bool = False) -> list[str]:
+    """A (flow or map, rk4) pair of series JSON files of ``order``."""
+    files = []
+    for name, argv in (
+        ("modified-equation" if flow else "bseries", ["--tableau", "midpoint"]),
+        ("bseries", ["--tableau", "rk4"]),
+    ):
+        path = tmp_path / f"{name}-{argv[1]}-{order}.json"
+        if not path.exists():
+            from bsharp.cli import main
+
+            assert main([name, *argv, "--order", str(order), "--output", str(path)]) == 0
+        files.append(str(path))
+    return files
+
+
+@pytest.mark.parametrize(
+    "kind", ["me", "mi", "mi-symbolic", "bseries", "compose", "substitute", "order", "trees",
+             "splits", "field", "simulate"],
+)
+def test_a_command_leaves_a_few_cycles_whatever_its_size(tmp_path, kind):
+    # the CLI process runs with the cyclic collector off: every command
+    # leaves the same few unreachable objects (argparse's parser) at any
+    # size, because the tables it builds hold no reference cycles
+    import gc
+
+    from bsharp.cli import main
+
+    argv = _kinds(tmp_path)[kind]
+    out = str(tmp_path / "out")
+    for n in (6, 8):  # the inputs are made and their code loaded before counting
+        argv(n)
+    main([*argv(6), "--output", out])
+    left = []
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for n in (6, 8):
+            assert main([*argv(n), "--output", out]) == 0
+            assert not gc.isenabled()
+            left.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    assert left[1] <= left[0] <= 150, left
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    import gc
+
+    from bsharp.cli import main
+
+    enabled = gc.isenabled()
+    try:
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            assert main(["trees", "3"]) == 0
+            assert gc.isenabled() is state
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    assert capsys.readouterr().out == "[0,1,2]\n[0,1,1]\n" * 2

@@ -231,6 +231,18 @@ def _loaded_by(*argvs: list[str], uses_json: bool = True) -> list[str]:
     return loaded
 
 
+def test_the_console_script_is_the_entry_of_python_m_bsharp():
+    # the bsharp script and python -m bsharp end the process the same way
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["bsharp"]
+    module, _, name = target.partition(":")
+    from bsharp.__main__ import run
+
+    assert getattr(importlib.import_module(module), name) is run
+
+
 def test_importing_the_package_loads_no_module():
     assert _fresh(
         "import json, sys\n"
