@@ -7,7 +7,8 @@ coefficient tables or, with an ODE, as symbolic right-hand sides), checking
 orders of accuracy, and running fixed-step simulations to CSV.
 
 Exit codes: 0 success, 2 usage error, 3 bad input (files, syntax, or
-domain errors), 4 numeric failure during simulation.  ``python -m bsharp``
+domain errors), 4 numeric failure during simulation, 141 (as for SIGPIPE)
+when a reader closes stdout early.  ``python -m bsharp``
 and the ``bsharp`` script run :func:`main` through
 :func:`bsharp.__main__.run`, which ends the process once its output is
 written.
@@ -206,6 +207,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = _command(argv)
     alone = command in COMMANDS and argv[0] == command  # else the help or an error lists all
     parser = _parser((command,), (command,) if alone else COMMANDS)
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -221,6 +223,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and not getattr(args, "output", None):
+            # the reader of stdout is gone: the rest goes to devnull, where
+            # the last flush cannot fail again, and nothing is reported
+            try:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            except (OSError, ValueError):  # a stdout with no file descriptor
+                pass
+            return 141
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -1,12 +1,22 @@
-"""The ``trees`` and ``splits`` commands: listings written row by row."""
+"""The ``trees`` and ``splits`` commands: listings written row by row.
+
+A listing of more than :data:`_MAX_ROWS` rows is refused before any
+output: ``trees 30`` has about 3.5·10^11 of them, and the partitions of
+a 40-node tree 2^39.
+"""
 
 from __future__ import annotations
 
 import argparse
+import math
 from itertools import chain, islice
 from typing import Iterator
 
 from .cli import _add_output, _emit
+from .errors import BSharpError
+
+#: the most rows one listing may have, as a simulation's
+_MAX_ROWS = 10**7
 
 
 def define(command: str, p: argparse.ArgumentParser) -> None:
@@ -33,45 +43,70 @@ def _primed(rows: Iterator) -> Iterator:
     return chain(first, rows)
 
 
+def _check_rows(rows: int, command: str) -> None:
+    if rows > _MAX_ROWS:
+        raise BSharpError(
+            f"{command} would print {rows:,} rows, more than the {_MAX_ROWS:,} a listing may have"
+        )
+
+
 def cmd_trees(args) -> int:
+    from .trees import _check_order, levels_text, tree_counts, trees_of_order
+
+    n = args.order
+    if n < 1:
+        args.subparser.error("order must be at least 1")
+    _check_order(n)
+    _check_rows(tree_counts(n)[n], f"trees {n}")
+    if not (args.properties or args.format == "json"):
+        _emit(args, (f"{tree}\n" for tree in trees_of_order(n)))
+        return 0
     from fractions import Fraction
 
-    from .trees import trees_of_order
+    from .splits import _gamma, _sigma, densities, symmetries, top_order
 
-    if args.order < 1:
-        args.subparser.error("order must be at least 1")
-    trees = _primed(trees_of_order(args.order))
-    if not (args.properties or args.format == "json"):
-        _emit(args, (f"{tree}\n" for tree in trees))
-        return 0
-    rows = ((t, t.symmetry(), t.density()) for t in trees)
+    trees = top_order(n)  # as trees_of_order lists them, every order below indexed
+    symmetries(), densities()  # of the indexed trees, which _sigma and _gamma read
+    rows = ((levels_text(seq), _sigma(kids), _gamma(n, kids)) for seq, kids in trees)
     if args.format == "json":
         from .cli_json import _json_list, _quote
 
         # each row as json.dumps lays out {"tree", "order", "sigma",
         # "gamma", "inverse_gamma"} in a list
         _emit(args, _json_list(
-            f'{{\n    "tree": {_quote(str(t))},\n    "order": {t.order},\n'
+            f'{{\n    "tree": {_quote(text)},\n    "order": {n},\n'
             f'    "sigma": {sigma},\n    "gamma": {gamma},\n'
             f'    "inverse_gamma": {_quote(str(Fraction(1, gamma)))}\n  }}'
-            for t, sigma, gamma in rows
+            for text, sigma, gamma in rows
         ))
     else:
         _emit(args, (
-            f"{t}: order={t.order}, sigma={sigma}, gamma={gamma}, 1/gamma={Fraction(1, gamma)}\n"
-            for t, sigma, gamma in rows
+            f"{text}: order={n}, sigma={sigma}, gamma={gamma}, 1/gamma={Fraction(1, gamma)}\n"
+            for text, sigma, gamma in rows
         ))
     return 0
 
 
+def _kept(i: int) -> int:
+    """The subtree splits of the indexed tree ``i`` that keep its root:
+    Π (1 + those of a child) over its children."""
+    from .splits import _kids
+
+    return math.prod(1 + _kept(child) for child in _kids[i])
+
+
 def cmd_splits(args) -> int:
+    from .splits import tree_id
     from .splits_extra import ordered_subtrees, partitions
     from .trees_extra import parse_tree
 
     tree = parse_tree(args.tree)
+    command = f"splits {tree} --kind {args.kind}"
     if args.kind == "subtrees":
+        _check_rows(_kept(tree_id(tree._levels)) + 1, command)
         label, splits = "subtree", _primed(ordered_subtrees(tree))
     else:
+        _check_rows(2 ** (tree.order - 1), command)
         label, splits = "skeleton", _primed(partitions(tree))
     if args.format == "json":
         from .cli_json import _json_list, _quote

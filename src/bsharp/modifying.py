@@ -24,7 +24,7 @@ from . import graded
 from .coefficients import is_rational
 from .graded import _lie, _ratios, _reciprocal, _solve, _top_order, lift_tableau
 from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted
-from .splits import _cut_tables, _seqs, cut_rows, densities, orders_below, top_order
+from .splits import _cut_tables, _gamma, _seqs, cut_rows, densities, orders_below, top_order
 
 if TYPE_CHECKING:
     from .tableaux import ButcherTableau
@@ -94,7 +94,7 @@ def _modifying_integrator_stages(
         (n, _seqs[t], _cut_tables[t], gammas[t], t) for n, ids in enumerate(orders, 1) for t in ids
     )
     above = (
-        (top, seq, cut_rows(kids), math.prod(map(gammas.__getitem__, kids), start=top), None)
+        (top, seq, cut_rows(kids), _gamma(top, kids), None)
         for seq, kids in top_order(top)
     )
     for n, seq, rows, gamma, t in chain(below, above):

@@ -216,6 +216,7 @@ class DiffCache:
     the indices so far is zero, since every derivative of zero is zero.  So
     of the n^m assignments only those with nonzero terms are reached, which
     for low-degree polynomial systems is a small share.
+    A tree's differential is built from its children's, by their ids.
     ``tensor_builds`` and ``tree_builds`` count actual constructions, not
     lookups (``tensor_builds`` thus counts only the tensors reached) — tests
     use them to pin the sharing.
@@ -225,7 +226,8 @@ class DiffCache:
         self.system = system
         self._partials: dict[tuple[int, tuple[int, ...]], Expression] = {}
         self._derivatives: dict = {}  # differentiate's memo for this system
-        self._trees: dict[bytes, tuple[Expression, ...]] = {}
+        self._trees: dict[int, tuple[Expression, ...]] = {}  # tree id -> differential
+        self._generation, self._kids = -1, None  # of the index that keys _trees: see _index
         self.tensor_builds = 0
         self.tree_builds = 0
 
@@ -246,17 +248,30 @@ class DiffCache:
 
     def elementary(self, tree: RootedTree) -> tuple[Expression, ...]:
         """The tree's elementary differential, one expression per component."""
-        key = tree._levels
-        out = self._trees.get(key)
+        i = self._index().tree_id(tree._levels)
+        return self._grafted(self._kids[i], i)
+
+    def _index(self):
+        """The tree index, after dropping the differentials of a cleared one."""
+        from . import splits
+
+        if self._generation != splits._generation:
+            self._trees.clear()
+            self._generation, self._kids = splits._generation, splits._kids
+        return splits
+
+    def _grafted(self, kids: tuple[int, ...], i: int | None) -> tuple[Expression, ...]:
+        """The differential of a root over the indexed children ``kids``
+        (in level-sequence order), kept as that of the tree ``i``, if any."""
+        out = self._trees.get(i)
         if out is not None:
             return out
         n = self.system.dimension
-        children = tree.children()
-        if not children:
+        if not kids:
             out = self.system.rhs
         else:
             partials = self._partials
-            child_vals = [self.elementary(child) for child in children]
+            child_vals = [self._grafted(self._kids[c], c) for c in kids]
             components = []
             for j in range(n):
                 # index assignments grown one child at a time, in
@@ -281,7 +296,8 @@ class DiffCache:
                 ]))
             out = tuple(components)
         self.tree_builds += 1
-        self._trees[key] = out
+        if i is not None:
+            self._trees[i] = out
         return out
 
 
@@ -311,7 +327,7 @@ def series_vector_field(
     system's parameters first; a symbol with no binding raises
     :class:`UnboundSymbolError`.
     """
-    from .trees import trees_of_order
+    from .splits import _seqs, _sigma, orders_below, symmetries, top_order
 
     if cache is None:
         cache = DiffCache(system)
@@ -326,14 +342,21 @@ def series_vector_field(
         zero_deg = mul_all((const(empty), variable(j))) if empty != 0 else const(0)
         out[j].append((0, zero_deg))
 
-    for order in range(1, series.max_order + 1):
+    top = series.max_order
+    orders, sigmas = orders_below(top), symmetries()
+    cache._index()
+    for order in range(1, top + 1):
+        if order < top:
+            trees = ((_seqs[i], cache._kids[i], i, sigmas[i]) for i in orders[order - 1])
+        else:
+            trees = ((seq, kids, None, _sigma(kids)) for seq, kids in top_order(top))
         buckets: list[list[Expression]] = [[] for _ in system.variables]
-        for tree in trees_of_order(order):
-            c = coeff_eval(series[tree], bindings)
+        for seq, kids, i, sigma in trees:
+            c = coeff_eval(series._coeffs[seq], bindings)
             if not c:
                 continue
-            weight = const(c / tree.symmetry())
-            diff = cache.elementary(tree)
+            weight = const(c / sigma)
+            diff = cache._grafted(kids, i)
             for j in range(system.dimension):
                 buckets[j].append(mul_all((weight, diff[j])))
         for j in range(system.dimension):

@@ -37,8 +37,8 @@ from .coefficients import Coefficient, coeff_from_json, coeff_pow, coeff_print, 
 from .errors import SeriesError
 from .graded import _domain, _reciprocal, _solve
 from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted
-from .splits import _kids, _seqs, densities, orders_below, with_child
-from .trees import EMPTY_TREE, RootedTree, all_trees_up_to, trees_of_order
+from .splits import _kids, _seqs, densities, orders_below, symmetries, with_child
+from .trees import EMPTY_TREE, RootedTree, all_trees_up_to
 
 
 def _checked_coefficients(
@@ -129,13 +129,11 @@ def series_order_of_accuracy(series: TruncatedBSeries, max_check: int | None = N
         )
     if series.empty != 1:
         return 0
-    order = 0
-    for n in range(1, limit + 1):
-        if all(series[t] == Fraction(1, t.density()) for t in trees_of_order(n)):
-            order = n
-        else:
-            break
-    return order
+    orders, gammas = orders_below(limit + 1), densities()
+    for n, ids in enumerate(orders):
+        if any(series._coeffs[_seqs[i]] != Fraction(1, gammas[i]) for i in ids):
+            return n
+    return len(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +407,6 @@ def display_terms(series: TruncatedBSeries, reduce_order_by: int = 0) -> list[Se
                 "coefficient (its constant term would get a negative h power)"
             )
         terms.append(SeriesTerm(EMPTY_TREE, series.empty, 0))
-    from .splits_extra import symmetries
-
     ids = chain.from_iterable(orders_below(series.max_order + 1))
     sigmas = symmetries()
     for (tree, c), i in zip(series.items(), ids):

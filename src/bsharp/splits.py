@@ -10,10 +10,10 @@ and they drive the Lie-derivative recursion of the modified equation.
 
 The solves name trees by ids.  This module holds the tree index, which
 builds every tree of an order from the ids of its children
-(:func:`orders_below`, :func:`top_order`), and the edge cuts and γ over
-ids that the modified equation and the modifying integrator of a tableau
-read: no solve parses a level sequence.  The lazy iterators
-:func:`~bsharp.splits_extra.ordered_subtrees` and
+(:func:`orders_below`, :func:`top_order`, :func:`tree_id`), σ and γ by
+id, and the edge cuts that the modified equation and the modifying
+integrator of a tableau read: no solve parses a level sequence.  The
+lazy iterators :func:`~bsharp.splits_extra.ordered_subtrees` and
 :func:`~bsharp.splits_extra.partitions` (one split per subset: a tree of
 order 40 has ~2**39 edge subsets, and taking the first few must not
 enumerate them all) and the partition tables
@@ -30,17 +30,19 @@ Manchon, "Two interacting Hopf algebras of trees", 2011).
 
 from __future__ import annotations
 
+import math
 import sys
 from bisect import bisect_right, insort
+from collections import Counter
 from collections.abc import Iterator
 
 from . import _forward
-from .errors import SeriesError
-from .trees import _check_order
+from .errors import InvalidTreeError, SeriesError
+from .trees import _check_order, _children, tree_counts
 
 __getattr__ = _forward(globals(), "splits_extra", (
     "Forest", "PartitionSplit", "SubtreeSplit", "edge_cut_id_table", "ordered_subtrees",
-    "partition_skeleton_table", "partition_split_table", "partitions", "tree_id",
+    "partition_skeleton_table", "partition_split_table", "partitions",
 ))
 
 
@@ -54,9 +56,9 @@ __getattr__ = _forward(globals(), "splits_extra", (
 # follow ``all_trees_up_to`` order.  The trees of order N are built the same
 # way, as they are read, and registered nowhere (:func:`top_order`): none
 # of them is a child or a trunk of another.  A tree met any other way
-# (parsed by :func:`bsharp.splits_extra.tree_id`, or grown by a table
-# there) gets its id when it is first met, after its children, and keeps
-# it when its order is indexed whole.
+# (parsed, by :func:`tree_id`, or grown by a table) gets its id when it is
+# first met, after its children, and keeps it when its order is indexed
+# whole.  σ and γ are lists by id, grown as they are read.
 
 class _Memo(dict):
     """A dict that fills a missing key with ``fill(key)``."""
@@ -75,6 +77,10 @@ _seqs: list[bytes] = []            # id -> canonical level sequence
 _kids: list[tuple[int, ...]] = []  # id -> children's ids, in level-sequence order
 _orders: list[list[int]] = []      # n - 1 -> ids of order n, in all_trees_up_to order
 _firsts: list[int] = []            # the ids of _orders, level sequence descending
+_ids: dict[bytes, int] = {}        # level sequence -> id, for trees met as one
+_sigmas: list[int] = []            # id -> σ, as far as symmetries() has read the index
+_gammas: list[int] = []            # id -> γ, as far as densities() has read the index
+_generation = 0                    # bumped by clear_split_caches(), which voids every id
 
 
 def _add(seq: bytes, kids: tuple[int, ...], key: tuple[int, ...]) -> int:
@@ -143,32 +149,44 @@ def top_order(n: int) -> Iterator[tuple[bytes, tuple[int, ...]]]:
     return _born(n)
 
 
+def tree_id(seq: bytes) -> int:
+    """Id of the tree with canonical level sequence ``seq``, indexed when
+    it is first met, after its children."""
+    i = _ids.get(seq)
+    if i is None:
+        if not seq:
+            raise InvalidTreeError("the empty tree has no splits")
+        i = _ids[seq] = _grafts[tuple(sorted(map(tree_id, _children(seq))))]
+    return i
+
+
+def _sigma(kids: tuple[int, ...]) -> int:
+    """σ of a root over ``kids``: Π σ(c)^k·k! over its distinct children c, k of each."""
+    return math.prod(_sigmas[c] ** k * math.factorial(k) for c, k in Counter(kids).items())
+
+
+def _gamma(n: int, kids: tuple[int, ...]) -> int:
+    """γ of a tree of order ``n`` over the children ``kids``: n·Π γ(c)."""
+    return math.prod(map(_gammas.__getitem__, kids), start=n)
+
+
+def symmetries() -> list[int]:
+    """σ of every indexed tree, by id, from its children's σ."""
+    for kids in _kids[len(_sigmas):]:
+        _sigmas.append(_sigma(kids))
+    return _sigmas
+
+
 def densities() -> list[int]:
     """γ of every indexed tree, by id: its order times its children's γ."""
-    gammas: list[int] = []
-    for seq, kids in zip(_seqs, _kids):
-        g = len(seq)
-        for c in kids:
-            g *= gammas[c]
-        gammas.append(g)
-    return gammas
+    for i in range(len(_gammas), len(_kids)):
+        _gammas.append(_gamma(len(_seqs[i]), _kids[i]))
+    return _gammas
 
 
 # -- how large an order is, before any tree is built ---------------------------
 
 MAX_CUT_ROWS = 6_000_000  # order 16 needs about 5.2 million, order 17 about 15.6
-
-
-def tree_counts(n: int) -> list[int]:
-    """[a(0), ..., a(n)]: the number of rooted trees of each order (OEIS
-    A000081, a(0) = 0), by Otter's recurrence
-    a(m+1) = Σ_{k=1..m} (Σ_{d|k} d·a(d))·a(m-k+1) / m."""
-    a = [0, 1][: n + 1]
-    divisor_sums = [0]  # divisor_sums[k] = Σ_{d | k} d·a(d)
-    for m in range(1, n):
-        divisor_sums.append(sum(d * a[d] for d in range(1, m + 1) if m % d == 0))
-        a.append(sum(divisor_sums[k] * a[m - k + 1] for k in range(1, m + 1)) // m)
-    return a
 
 
 def check_size(max_order: int) -> None:
@@ -229,7 +247,10 @@ with_child: dict[int, dict[int, int]] = _Memo(lambda child: _Memo(lambda s: _gro
 def clear_split_caches() -> None:
     """Drop every cached split table and the memos behind them, those of
     :mod:`bsharp.splits_extra` too once it is loaded."""
-    for memo in (_cut_tables, with_child, _seqs, _kids, _grafts, _orders, _firsts):
+    global _generation
+    _generation += 1
+    for memo in (_cut_tables, with_child, _seqs, _kids, _grafts, _orders, _firsts, _ids,
+                 _sigmas, _gammas):
         memo.clear()
     extra = sys.modules.get(f"{__name__}_extra")
     if extra is not None:

@@ -2,11 +2,10 @@
 
 The companion of :mod:`bsharp.splits`, over its tree index and the
 multiset keys below, and loaded only by the commands that read one of
-these: :func:`tree_id` of a parsed tree, the lazy iterators
-:func:`ordered_subtrees` and :func:`partitions` (the ``splits``
-command), the partition tables that
-:func:`bsharp.series_extra.substitute` and the modifying integrator of a
-series sum, and σ over ids for display.
+these: the lazy iterators :func:`ordered_subtrees` and
+:func:`partitions` (the ``splits`` command), and the partition tables
+that :func:`bsharp.series_extra.substitute` and the modifying integrator
+of a series sum.
 :func:`bsharp.splits.clear_split_caches` drops the tables here too,
 through :func:`_clear`.
 """
@@ -19,22 +18,8 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Union
 
 from . import splits
-from .errors import InvalidTreeError
-from .splits import _cut_tables, _Memo, _kids, _seqs
-from .trees import EMPTY_TREE, MAX_ORDER, RootedTree, _EmptyTree, _children
-
-_ids: dict[bytes, int] = {}  # level sequence -> id, for trees met as one
-
-
-def tree_id(seq: bytes) -> int:
-    """Id of the tree with canonical level sequence ``seq``, indexed when
-    it is first met, after its children."""
-    i = _ids.get(seq)
-    if i is None:
-        if not seq:
-            raise InvalidTreeError("the empty tree has no splits")
-        i = _ids[seq] = splits._grafts[tuple(sorted(map(tree_id, _children(seq))))]
-    return i
+from .splits import _cut_tables, _kids, _Memo, _seqs, tree_id
+from .trees import EMPTY_TREE, MAX_ORDER, RootedTree, _EmptyTree
 
 
 def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
@@ -290,23 +275,9 @@ def _kept(i: int, j: int = 0) -> Iterator[tuple[int, int]]:
             yield kept + graft, forest + c_forest
 
 
-def symmetries() -> list[int]:
-    """σ of every tree of the index, by id: Π σ(c)^k·k! over its distinct
-    children c, each k times a child (equal children are adjacent)."""
-    sigmas: list[int] = []
-    for kids in _kids:
-        s, run, last = 1, 0, None
-        for c in kids:
-            run = run + 1 if c == last else 1
-            s *= sigmas[c] * run
-            last = c
-        sigmas.append(s)
-    return sigmas
-
-
 def _clear() -> None:
     """Drop the tables and memos of this module, for
     :func:`bsharp.splits.clear_split_caches`."""
     partition_split_table.cache_clear()
-    for memo in (_rooted_tables, _skeleton_tables, _forests, _grafts, _ids):
+    for memo in (_rooted_tables, _skeleton_tables, _forests, _grafts):
         memo.clear()

@@ -14,7 +14,8 @@ steps from one canonical sequence to the next in constant amortized time.
 Parsing, validation, canonicalization and :func:`count_trees` live in
 :mod:`bsharp.trees_extra`, which a command that only enumerates trees
 never loads; their names are still read from here.  A solve builds its
-trees from their children in the index of :mod:`bsharp.splits`.
+trees from their children in the index of :mod:`bsharp.splits`, which
+also holds σ and γ by id.
 
 The empty tree ``∅`` that indexes the constant term of a B-series is *not*
 an order-0 :class:`RootedTree`; it is the distinct sentinel
@@ -24,8 +25,6 @@ up or displayed.
 
 from __future__ import annotations
 
-import math
-import sys
 from collections.abc import Iterable, Iterator
 
 from . import _forward
@@ -33,10 +32,9 @@ from .errors import InvalidTreeError
 
 MAX_ORDER = 62
 
-__getattr__ = _forward(globals(), "trees_extra", ("canonicalize", "count_trees", "parse_tree"))
-
-_symmetry_cache: dict[bytes, int] = {}
-_density_cache: dict[bytes, int] = {}
+__getattr__ = _forward(globals(), "trees_extra", (
+    "canonicalize", "clear_tree_caches", "count_trees", "parse_tree",
+))
 
 _SHALLOWER = b"\x00" + bytes(range(255))  # translate table: level - 1
 
@@ -81,12 +79,18 @@ class RootedTree:
 
     def symmetry(self) -> int:
         """Order of the automorphism group (sigma)."""
-        return _symmetry(self._levels)
+        from .splits import symmetries, tree_id
+
+        i = tree_id(self._levels)  # indexed first: symmetries() covers the index
+        return symmetries()[i]
 
     def density(self) -> int:
         """Product over all nodes of the size of the subtree rooted there
         (gamma)."""
-        return _density(self._levels)
+        from .splits import densities, tree_id
+
+        i = tree_id(self._levels)
+        return densities()[i]
 
     @property
     def is_empty(self) -> bool:
@@ -221,36 +225,13 @@ def _successor(levels: bytes) -> bytes | None:
     return bytes(out)
 
 
-def _symmetry(seq: bytes) -> int:
-    result = _symmetry_cache.get(seq)
-    if result is not None:
-        return result
-    counts: dict[bytes, int] = {}
-    for child in _children(seq):
-        counts[child] = counts.get(child, 0) + 1
-    result = 1
-    for child, k in counts.items():
-        result *= _symmetry(child) ** k * math.factorial(k)
-    _symmetry_cache[seq] = result
-    return result
-
-
-def _density(seq: bytes) -> int:
-    result = _density_cache.get(seq)
-    if result is not None:
-        return result
-    result = len(seq)
-    for child in _children(seq):
-        result *= _density(child)
-    _density_cache[seq] = result
-    return result
-
-
-def clear_tree_caches() -> None:
-    """Drop every module-level memo: canonical forms, symmetries and
-    densities.  Trees already built stay valid."""
-    _symmetry_cache.clear()
-    _density_cache.clear()
-    extra = sys.modules.get(f"{__name__}_extra")
-    if extra is not None:
-        extra._canon_cache.clear()
+def tree_counts(n: int) -> list[int]:
+    """[a(0), ..., a(n)]: the number of rooted trees of each order (OEIS
+    A000081, a(0) = 0), by Otter's recurrence
+    a(m+1) = Σ_{k=1..m} (Σ_{d|k} d·a(d))·a(m-k+1) / m."""
+    a = [0, 1][: n + 1]
+    divisor_sums = [0]  # divisor_sums[k] = Σ_{d | k} d·a(d)
+    for m in range(1, n):
+        divisor_sums.append(sum(d * a[d] for d in range(1, m + 1) if m % d == 0))
+        a.append(sum(divisor_sums[k] * a[m - k + 1] for k in range(1, m + 1)) // m)
+    return a

@@ -12,10 +12,16 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import InvalidTreeError
-from .trees import EMPTY_TREE, MAX_ORDER, RootedTree, _check_order, _child_slices
+from .trees import (
+    EMPTY_TREE, MAX_ORDER, RootedTree, _check_order, _child_slices, tree_counts,
+)
 
-# dropped by bsharp.trees.clear_tree_caches
-_canon_cache: dict[bytes, bytes] = {}
+_canon_cache: dict[bytes, bytes] = {}  # level sequence -> its canonical form
+
+
+def clear_tree_caches() -> None:
+    """Drop the memo of canonical forms; trees already built stay valid."""
+    _canon_cache.clear()
 
 
 def _validate(levels: Iterable[int]) -> bytes:
@@ -51,10 +57,7 @@ def canonicalize(levels: Iterable[int]) -> RootedTree:
 
 def count_trees(n: int) -> int:
     """Number of distinct rooted trees with n nodes (OEIS A000081), by
-    Otter's recurrence (:func:`bsharp.splits.tree_counts`, which sizes an
-    order before its trees are built)."""
-    from .splits import tree_counts
-
+    Otter's recurrence (:func:`bsharp.trees.tree_counts`)."""
     _check_order(n)
     return tree_counts(n)[n]
 

@@ -808,6 +808,73 @@ class DiffCacheProductExpansion:
         return out
 
 
+class DiffCacheByLevels:
+    """``DiffCache.elementary`` as it was before the tree index: a memo
+    keyed by level sequence, children re-parsed through
+    ``RootedTree.children()``, the same zero-prefix pruning.  Partials are
+    its own, from ``differentiate`` with a memo of its own."""
+
+    def __init__(self, system):
+        self.system = system
+        self._partials = {}
+        self._derivatives = {}
+        self._trees = {}
+        self.tensor_builds = 0
+        self.tree_builds = 0
+
+    def partial(self, component, indices):
+        from bsharp.expressions import differentiate
+
+        indices = tuple(sorted(indices))
+        key = (component, indices)
+        out = self._partials.get(key)
+        if out is None:
+            if indices:
+                prefix = self.partial(component, indices[:-1])
+                out = differentiate(prefix, indices[-1], self._derivatives)
+            else:
+                out = self.system.rhs[component]
+            self.tensor_builds += 1
+            self._partials[key] = out
+        return out
+
+    def elementary(self, tree):
+        """The tree's elementary differential, one expression per component."""
+        from bsharp.expressions import _ZERO, add_all, mul_all
+
+        key = tree._levels
+        out = self._trees.get(key)
+        if out is not None:
+            return out
+        n = self.system.dimension
+        children = tree.children()
+        if not children:
+            out = self.system.rhs
+        else:
+            child_vals = [self.elementary(child) for child in children]
+            components = []
+            for j in range(n):
+                branches = [((), [])]
+                for vals in child_vals:
+                    grown = []
+                    for indices, factors in branches:
+                        for k in range(n):
+                            if vals[k] is _ZERO:
+                                continue
+                            extended = tuple(sorted(indices + (k,)))
+                            if self.partial(j, extended) is _ZERO:
+                                continue
+                            grown.append((extended, factors + [vals[k]]))
+                    branches = grown
+                components.append(add_all([
+                    mul_all([self.partial(j, indices)] + factors) for indices, factors in branches
+                ]))
+            out = tuple(components)
+        self.tree_builds += 1
+        self._trees[key] = out
+        return out
+
+
 # ---------------------------------------------------------------------------
 # expression normalization, by recursive absorption over Fractions
 # ---------------------------------------------------------------------------

@@ -979,6 +979,38 @@ def test_a_refused_command_writes_nothing(tmp_path, to_file, argv, fragment):
     assert not out.exists()
 
 
+_CHAIN_40 = "[" + ",".join(map(str, range(40))) + "]"
+_BUSH_25 = "[0" + ",1" * 24 + "]"
+
+
+@pytest.mark.parametrize(
+    "argv,rows",
+    [
+        (("trees", "30"), "354,426,847,597"),  # A000081(30)
+        (("splits", _CHAIN_40, "--kind", "partitions"), "549,755,813,888"),  # 2^39
+        (("splits", _BUSH_25, "--kind", "subtrees"), "16,777,217"),  # 2^24 + 1
+    ],
+    ids=["trees-30", "chain-40-partitions", "bush-25-subtrees"],
+)
+def test_a_listing_of_more_than_ten_million_rows_is_refused(tmp_path, argv, rows):
+    # counted before any tree or split is built, so the refusal is at once
+    out = tmp_path / "out.txt"
+    proc = run_cli(*argv, "--output", str(out))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert f"would print {rows} rows, more than the 10,000,000 a listing may have" in proc.stderr
+    assert not out.exists()
+
+
+def test_the_subtree_count_is_the_rows_of_the_listing():
+    from bsharp.cli_trees import _kept
+    from bsharp.splits import tree_id
+    from bsharp.splits_extra import ordered_subtrees
+    from bsharp.trees import all_trees_up_to
+
+    for tree in all_trees_up_to(7):
+        assert _kept(tree_id(tree._levels)) + 1 == sum(1 for _ in ordered_subtrees(tree))
+
+
 # ---------------------------------------------------------------------------
 # memory: a command's own peak, read from a small launcher
 # ---------------------------------------------------------------------------
@@ -1181,6 +1213,36 @@ def test_a_failed_last_flush_is_reported_by_the_teardown(tmp_path):
     assert first.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
     assert second == "BrokenPipeError: [Errno 32] Broken pipe"
     assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "[0,1,2]\n[0,1,1]\n"
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_stdout_early_is_not_an_error(buffered):
+    # as in `bsharp trees 12 | head -1`: the rest of the output goes
+    # nowhere, nothing is reported, and the status is the one a shell
+    # gives a filter killed by SIGPIPE
+    read, write = os.pipe()
+    os.close(read)
+    env = _buffered_env() if buffered else {**_env(), "PYTHONUNBUFFERED": "1"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bsharp", "trees", "12"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_a_broken_pipe_writing_an_output_file_is_still_an_error(monkeypatch, tmp_path, capsys):
+    from bsharp import cli_trees
+    from bsharp.cli import main
+
+    def broken(args, pieces):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli_trees, "_emit", broken)
+    assert main(["trees", "3", "--output", str(tmp_path / "out.txt")]) == 3
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize(

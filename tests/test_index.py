@@ -7,6 +7,7 @@ the command line prints."""
 
 import io
 import math
+import random
 import time
 from collections import Counter
 from contextlib import redirect_stdout
@@ -14,12 +15,12 @@ from contextlib import redirect_stdout
 import pytest
 
 import oracles
-from bsharp import splits, splits_extra
+from bsharp import splits, trees
 from bsharp.cli import main
 from bsharp.coefficients import coeff_print
 from bsharp.errors import SeriesError
 from bsharp.tableaux import builtin_tableau, rk_series, tableau_from_json_dict
-from bsharp.trees import trees_of_order
+from bsharp.trees import RootedTree, trees_of_order
 from bsharp.trees_extra import count_trees
 
 
@@ -54,7 +55,7 @@ def test_each_order_is_built_in_the_enumerators_order(empty_index):
 
 def test_the_index_counts_the_trees(empty_index):
     assert [len(ids) for ids in splits.orders_below(15)] == [count_trees(n) for n in range(1, 15)]
-    assert splits.tree_counts(30)[1:] == [count_trees(n) for n in range(1, 31)]
+    assert trees.tree_counts(30)[1:] == [count_trees(n) for n in range(1, 31)]
 
 
 def test_a_tree_met_before_keeps_its_id(empty_index):
@@ -103,14 +104,24 @@ def test_weights_match_the_level_sequence_code(empty_index, spec):
 
 
 def test_gamma_and_sigma_match_the_level_sequence_code(empty_index):
-    splits.orders_below(11)
-    gammas, sigmas = splits.densities(), splits_extra.symmetries()
+    splits.orders_below(13)
+    gammas, sigmas = splits.densities(), splits.symmetries()
     assert len(gammas) == len(sigmas) == len(splits._seqs)
     for seq, gamma, sigma in zip(splits._seqs, gammas, sigmas):
         assert gamma == oracles.density_by_levels(seq) == oracles.density_direct(list(seq))
         assert sigma == oracles.symmetry_by_levels(seq)
         if len(seq) <= 6:
             assert sigma == oracles.symmetry_bruteforce(list(seq))
+    # trees of order 20 to 40, parsed: indexed as they are met, children first
+    rng = random.Random(34)
+    for n in range(20, 41):
+        levels = [0]
+        for _ in range(n - 1):
+            levels.append(rng.randint(1, levels[-1] + 1))
+        for shape in (levels, range(n), [0] + [1] * (n - 1)):
+            tree = RootedTree(shape)
+            assert tree.symmetry() == oracles.symmetry_by_levels(tree._levels)
+            assert tree.density() == oracles.density_by_levels(tree._levels)
 
 
 # -- the size of an order, checked before any tree is built --------------------

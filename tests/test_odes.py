@@ -12,6 +12,7 @@ from bsharp.expressions import (
     Const,
     Prod,
     add_all,
+    const,
     eval_expression,
     format_expression,
     mul_all,
@@ -21,12 +22,15 @@ from bsharp.expressions import (
 from bsharp.odes import DiffCache, elementary_differential, parse_ode, series_vector_field
 from bsharp.series import modified_equation_series
 from bsharp.tableaux import builtin_tableau, rk_series
-from bsharp.trees import all_trees_up_to, parse_tree
+from bsharp.splits import clear_split_caches
+from bsharp.trees import all_trees_up_to, parse_tree, trees_of_order
 
 from oracles import (
+    DiffCacheByLevels,
     DiffCacheProductExpansion,
     elementary_differential_bruteforce,
     format_expression_tree_walk,
+    symmetry_by_levels,
 )
 
 LV = "vars p, q\np' = (2 - q)*p\nq' = (p - 1)*q\n"
@@ -163,6 +167,64 @@ def test_elementary_matches_the_product_expansion(source):
     for tree in all_trees_up_to(6):
         ours, ref = cache.elementary(tree), oracle.elementary(tree)
         assert all(a is b for a, b in zip(ours, ref, strict=True))
+
+
+# the differentials by tree id against the level-sequence recursion they
+# replaced: the same interned nodes, and the same builds
+
+@pytest.mark.parametrize("source", [LV, OSC, CUBIC3, CUBIC4], ids=["lv", "osc", "cubic3", "cubic4"])
+def test_differentials_by_id_are_the_level_sequence_dag(source):
+    system = parse_ode(source)
+    cache, oracle = DiffCache(system), DiffCacheByLevels(system)
+    for tree in all_trees_up_to(8):
+        ours, ref = cache.elementary(tree), oracle.elementary(tree)
+        assert all(a is b for a, b in zip(ours, ref, strict=True)), tree
+    assert (cache.tree_builds, cache.tensor_builds) == (oracle.tree_builds, oracle.tensor_builds)
+
+
+@pytest.mark.parametrize("source", [LV, OSC, CUBIC3], ids=["lv", "osc", "cubic3"])
+def test_a_field_by_id_is_the_level_sequence_field(source):
+    # its top order is built from the children's ids alone, unindexed
+    system = parse_ode(source)
+    flow = modified_equation_series(rk_series(builtin_tableau("midpoint"), 8))
+    cache, oracle = DiffCache(system), DiffCacheByLevels(system)
+    field = series_vector_field(flow, system, cache)
+    for order in range(1, 9):
+        weighted = [
+            (const(flow[t] / symmetry_by_levels(t._levels)), oracle.elementary(t))
+            for t in trees_of_order(order) if flow[t]
+        ]
+        for j, component in enumerate(field):
+            degree, sum_j = component[order]
+            assert degree == order
+            assert sum_j is add_all([mul_all((w, f[j])) for w, f in weighted])
+    assert (cache.tree_builds, cache.tensor_builds) == (oracle.tree_builds, oracle.tensor_builds)
+
+
+@pytest.mark.parametrize("source", [LV, OSC, CUBIC3], ids=["lv", "osc", "cubic3"])
+def test_differentials_by_id_match_the_bruteforce_at_a_rational_point(source):
+    system = parse_ode(source)
+    cache = DiffCache(system)
+    point = [Fraction(3, 7), Fraction(-5, 4), Fraction(2, 9)][: system.dimension]
+    for tree in all_trees_up_to(6):
+        ours = cache.elementary(tree)
+        ref = elementary_differential_bruteforce(system, tree.levels)
+        assert [eval_expression(e, point) for e in ours] == [
+            eval_expression(e, point) for e in ref
+        ], tree
+
+
+def test_a_cache_outlives_a_cleared_index():
+    # a cleared index gives its ids to other trees; the cache drops what
+    # it kept under the old ones
+    system = parse_ode(LV)
+    cache, oracle = DiffCache(system), DiffCacheByLevels(system)
+    first = list(all_trees_up_to(5))
+    for tree in first:
+        cache.elementary(tree)
+    clear_split_caches()
+    for tree in reversed(first):
+        assert all(a is b for a, b in zip(cache.elementary(tree), oracle.elementary(tree)))
 
 
 def test_elementary_builds_only_the_tensors_it_reaches():

@@ -349,6 +349,19 @@ def test_a_series_is_written_as_json_without_the_json_package():
     )
 
 
+def test_a_listing_of_trees_loads_no_fractions():
+    # 1/γ is printed only with --properties or as JSON; fractions would
+    # bring decimal with it
+    assert _fresh(
+        "import io, json, sys\n"
+        "from bsharp.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        "assert main(['trees', '3']) == 0\n"
+        "print(json.dumps([m for m in ('fractions', 'decimal') if m in sys.modules]),\n"
+        "      file=sys.__stdout__)\n"
+    ) == []
+
+
 def test_series_file_commands_load_only_the_solve_layers(tmp_path):
     method, flow = str(tmp_path / "method.json"), str(tmp_path / "flow.json")
     assert _loaded_by(
@@ -379,8 +392,9 @@ COMPILED = (
     [
         (SIMULATE + ["--modified-order", "3"], 3059),
         (["modified-equation", "--tableau", "midpoint", "--order", "9"], 2169),
+        (["trees", "1"], 763),
     ],
-    ids=["simulate", "modified-equation"],
+    ids=["simulate", "modified-equation", "trees"],
 )
 def test_a_cold_command_compiles_only_the_code_it_runs(argv, lines):
     # a command loads the hot core of each layer it runs, and no other

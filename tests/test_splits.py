@@ -339,11 +339,12 @@ def test_clear_split_caches_empties_every_cache():
     compose(exact_series(6), exact_series(6))  # grows kept subtrees through splits.with_child
     # the iterator indexes the trees it names: a 7-chain's kept subtrees
     list(ordered_subtrees(RootedTree(range(7))))
-    assert bytes(range(7)) in splits_extra._ids
+    assert bytes(range(7)) in splits._ids
+    RootedTree(range(7)).symmetry()  # σ (and, through exact_series, γ) by id
     filled = caches()
     assert {
         "partition_split_table", "_rooted_tables", "_skeleton_tables", "_forests",
-        "with_child", "_cut_tables", "_ids", "_seqs", "_kids", "_grafts",
+        "with_child", "_cut_tables", "_ids", "_seqs", "_kids", "_grafts", "_sigmas", "_gammas",
     } <= filled.keys()
     assert all(size > 0 for size in filled.values()), filled
     splits.clear_split_caches()
