@@ -2,7 +2,9 @@
 
 A listing of more than :data:`_MAX_ROWS` rows is refused before any
 output: ``trees 30`` has about 3.5·10^11 of them, and the partitions of
-a 40-node tree 2^39.
+a 40-node tree 2^39.  So is a ``splits`` listing whose rows times the
+tree's order pass :data:`_MAX_NODES`: the subtree splits of a 24-node
+bush are 8,388,609 rows, about 2·10^8 nodes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from .errors import BSharpError
 
 #: the most rows one listing may have, as a simulation's
 _MAX_ROWS = 10**7
+#: the most rows times tree order one ``splits`` listing may have, some
+#: 10 s of output
+_MAX_NODES = 10**7
 
 
 def define(command: str, p: argparse.ArgumentParser) -> None:
@@ -103,11 +108,16 @@ def cmd_splits(args) -> int:
     tree = parse_tree(args.tree)
     command = f"splits {tree} --kind {args.kind}"
     if args.kind == "subtrees":
-        _check_rows(_kept(tree_id(tree._levels)) + 1, command)
-        label, splits = "subtree", _primed(ordered_subtrees(tree))
+        rows, label, splits = _kept(tree_id(tree._levels)) + 1, "subtree", ordered_subtrees
     else:
-        _check_rows(2 ** (tree.order - 1), command)
-        label, splits = "skeleton", _primed(partitions(tree))
+        rows, label, splits = 2 ** (tree.order - 1), "skeleton", partitions
+    _check_rows(rows, command)
+    if rows * tree.order > _MAX_NODES:
+        raise BSharpError(
+            f"{command} would print {rows:,} rows of {tree.order} nodes, about "
+            f"{rows * tree.order:,} nodes, more than the {_MAX_NODES:,} a listing may have"
+        )
+    splits = _primed(splits(tree))
     if args.format == "json":
         from .cli_json import _json_list, _quote
 

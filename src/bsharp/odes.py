@@ -327,7 +327,7 @@ def series_vector_field(
     system's parameters first; a symbol with no binding raises
     :class:`UnboundSymbolError`.
     """
-    from .splits import _seqs, _sigma, orders_below, symmetries, top_order
+    from .splits import _ids, _seqs, _sigma, orders_below, symmetries, top_order
 
     if cache is None:
         cache = DiffCache(system)
@@ -349,7 +349,7 @@ def series_vector_field(
         if order < top:
             trees = ((_seqs[i], cache._kids[i], i, sigmas[i]) for i in orders[order - 1])
         else:
-            trees = ((seq, kids, None, _sigma(kids)) for seq, kids in top_order(top))
+            trees = ((seq, kids, _ids.get(seq), _sigma(kids)) for seq, kids in top_order(top))
         buckets: list[list[Expression]] = [[] for _ in system.variables]
         for seq, kids, i, sigma in trees:
             c = coeff_eval(series._coeffs[seq], bindings)

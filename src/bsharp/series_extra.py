@@ -11,11 +11,12 @@ arithmetic goes through ``coeff_add``, ``coeff_sub``, ``coeff_mul`` and
 caller can rebind them to count operations.
 
 :func:`_pass` is the only code that sums a grouped split table
-(head, [(tree id, forest key, k), ...]) into the totals Σ k·head·Π
+(head, [(tree id, forest, k), ...]) into the totals Σ k·head·Π
 factor(forest) of its trees: one order at a time in the modifying
 integrator, and in :func:`substitute`.  Its forest products come from
-:func:`_forest_product`: a memo for one call maps each forest key to its
-Π, and a new entry peels the highest id off its key for one product.
+:func:`_forest_product`: a memo for one call maps each forest, the sorted
+tuple of its member ids, to its Π, and a new entry peels the highest id
+off the forest for one product.
 :func:`compose` reads no table: one recursion over each tree's children
 merges the subtree splits that keep the same subtree as they arise.  All
 three run over the domain that :func:`bsharp.graded._graded_denominator`
@@ -144,20 +145,19 @@ _UNSET = object()
 
 
 def _forest_product(
-    products: dict[int, Coefficient | None], factors: list, zero: set[int], split_top, forest: int
+    products: dict[tuple, Coefficient | None], factors: list, zero: set[int], forest: tuple
 ) -> Coefficient | None:
-    """Π factors[id] over the non-empty multiset key ``forest``, memoised in
-    ``products`` for one call: a new entry peels off the highest id
-    (``split_top`` of :mod:`bsharp.splits_extra`) and costs one product.
-    ``None`` when a factor's id is in ``zero``; such a product is never
-    multiplied out."""
+    """Π factors[id] over the non-empty sorted tuple of ids ``forest``,
+    memoised in ``products`` for one call: a new entry peels off the
+    highest id, ``forest[-1]``, and costs one product.  ``None`` when a
+    factor's id is in ``zero``; such a product is never multiplied out."""
     p = products.get(forest, _UNSET)
     if p is _UNSET:
-        top, rest = split_top(forest)
+        top, rest = forest[-1], forest[:-1]
         if top in zero:
             p = None
         elif rest:
-            p = _forest_product(products, factors, zero, split_top, rest)
+            p = _forest_product(products, factors, zero, rest)
             if p is not None:
                 p = series_module.coeff_mul(p, factors[top])
         else:
@@ -291,7 +291,7 @@ def substitute(
     _require_same_order(flow, outer, "substitution")
     if flow.empty:
         raise SeriesError("substitution needs a flow-kind inner series (empty coefficient 0)")
-    from .splits_extra import partition_skeleton_table, split_top
+    from .splits_extra import partition_skeleton_table
 
     top = flow.max_order
     ids = list(zip(islice(flow._coeffs, 1, None), chain.from_iterable(orders_below(top + 1))))
@@ -305,7 +305,7 @@ def substitute(
         else:
             totals[i] = node * factors[i]
     products: dict = {}
-    product = partial(_forest_product, products, factors, zero, split_top)
+    product = partial(_forest_product, products, factors, zero)
     skips += sum([_pass(groups, heads, products, product, totals, skip_zero) for groups in tables])
     coeffs = {b"": outer.empty, **{seq: lower(totals[i], d ** (top + len(seq))) for seq, i in ids}}
     return _counted((TruncatedBSeries._from_levels(top, coeffs), skips))
@@ -332,7 +332,7 @@ def modifying_integrator_series(
     u1: Coefficient = Fraction(1)
     if method.max_order >= 1:
         u1 = _check_u1(method._coeffs[b"\x00"])
-    from .splits_extra import partition_skeleton_table, split_top
+    from .splits_extra import partition_skeleton_table
 
     max_order = method.max_order
     levels = [
@@ -343,15 +343,13 @@ def modifying_integrator_series(
     content, inverse = _reciprocal(u1, lift)
     heads = _lifted(method._coeffs, lift, d, max_order)
     solve = partial(
-        _modifying_integrator_ints, levels, heads, d**max_order, content, inverse, lower, skip_zero,
-        split_top,
+        _modifying_integrator_ints, levels, heads, d**max_order, content, inverse, lower, skip_zero
     )
     return _counted(_solve(solve, max_order, d, content))
 
 
 def _modifying_integrator_ints(
-    levels, heads: list, d_top: int, content: int, inverse, lower, skip_zero: bool, split_top,
-    scale: int,
+    levels, heads: list, d_top: int, content: int, inverse, lower, skip_zero: bool, scale: int
 ):
     """The modifying integrator over scaled values, one :func:`_pass` per
     order.  A solved value is scaled by λ^|τ| (λ = ``scale``) and each
@@ -364,7 +362,7 @@ def _modifying_integrator_ints(
     totals = [0] * len(heads)  # Σ over the rows of a tree, scaled
     zero_solved: set[int] = set()
     products: dict = {}
-    product = partial(_forest_product, products, solved, zero_solved, split_top)
+    product = partial(_forest_product, products, solved, zero_solved)
     gammas = densities()
     out: dict = {b"": Fraction(0)}
     for n, ids, groups in levels:

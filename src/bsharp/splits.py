@@ -240,7 +240,7 @@ def _grow(child: int, s: int) -> int:
 
 
 # child id -> {tree id s: id of s with one more root child, the child}: how
-# a trunk is grown, and how compose grows a kept subtree
+# a trunk, a kept subtree and a partition's components and skeleton grow
 with_child: dict[int, dict[int, int]] = _Memo(lambda child: _Memo(lambda s: _grow(child, s)))
 
 

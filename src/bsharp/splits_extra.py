@@ -1,11 +1,11 @@
 """Split tables and iterators that the modified-equation path never reads.
 
-The companion of :mod:`bsharp.splits`, over its tree index and the
-multiset keys below, and loaded only by the commands that read one of
-these: the lazy iterators :func:`ordered_subtrees` and
-:func:`partitions` (the ``splits`` command), and the partition tables
-that :func:`bsharp.series_extra.substitute` and the modifying integrator
-of a series sum.
+The companion of :mod:`bsharp.splits`, over its tree index, and loaded
+only by the commands that read one of these: the lazy iterators
+:func:`ordered_subtrees` and :func:`partitions` (the ``splits`` command),
+and the partition tables that :func:`bsharp.series_extra.substitute` and
+the modifying integrator of a series sum.  A multiset of trees is named
+by the sorted tuple of its ids, or as the children of one root.
 :func:`bsharp.splits.clear_split_caches` drops the tables here too,
 through :func:`_clear`.
 """
@@ -18,8 +18,8 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Union
 
 from . import splits
-from .splits import _cut_tables, _kids, _Memo, _seqs, tree_id
-from .trees import EMPTY_TREE, MAX_ORDER, RootedTree, _EmptyTree
+from .splits import _cut_tables, _kids, _Memo, _seqs, tree_id, with_child
+from .trees import EMPTY_TREE, RootedTree, _EmptyTree
 
 
 def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
@@ -33,40 +33,14 @@ def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
     return tuple([(t, b, k) for (t, b), k in _cut_tables[tree_id(seq)].items()])
 
 
-# -- multiset keys --------------------------------------------------------------
-#
-# The tables and iterators here add and merge multisets of trees as they
-# go, so they name one by an int, its *multiset key*: the count of id i
-# sits in bits [_BITS*i, _BITS*(i+1)).  A table of a tree of order n holds
-# no multiset with more than n members (the all-cut row of the bush has n
-# one-node components), and n <= MAX_ORDER < 2**_BITS, so no count carries
-# into its neighbour: a union is one ``+`` and the one-tree multiset of id
-# i is ``1 << _BITS*i``.  A key grows with the highest id in it, so the
-# solves over the whole index key a multiset by its sorted tuple of ids
-# instead (``splits._grafts``).
-
-_BITS = MAX_ORDER.bit_length()
+def _merge(a: int, b: int) -> int:
+    """Id of the tree whose root children are those of ``a`` and ``b``."""
+    return splits._grafts[tuple(sorted(_kids[a] + _kids[b]))]
 
 
-def split_top(key: int) -> tuple[int, int]:
-    """(highest id in the non-empty multiset ``key``, the rest of it)."""
-    top = (key.bit_length() - 1) // _BITS
-    return top, key - (1 << _BITS * top)
-
-
-def _members(key: int) -> list[int]:
-    """The ids of the multiset ``key``, highest first, with repeats."""
-    out: list[int] = []
-    while key:
-        top = (key.bit_length() - 1) // _BITS
-        count = key >> _BITS * top
-        out += [top] * count
-        key -= count << _BITS * top
-    return out
-
-
-# multiset key of a root's children -> id of the tree
-_grafts: dict[int, int] = _Memo(lambda children: splits._grafts[tuple(_members(children)[::-1])])
+# tree id a -> {tree id b: id of the tree whose root children are those of
+# a and b}: how a kept child's skeleton and other components join ours
+with_children_of: dict[int, dict[int, int]] = _Memo(lambda a: _Memo(lambda b: _merge(a, b)))
 
 
 class Forest(tuple):
@@ -111,8 +85,8 @@ def ordered_subtrees(tree: RootedTree) -> Iterator[SubtreeSplit]:
     split.  The number of splits is (number of parent-closed subsets) + 1.
     """
     for kept, forest in _kept(tree_id(tree._levels)):
-        members = [RootedTree._wrap(_seqs[m]) for m in _members(forest)]
-        yield SubtreeSplit(RootedTree._wrap(_seqs[_grafts[kept]]), Forest(tuple(members)))
+        members = [RootedTree._wrap(_seqs[m]) for m in forest]
+        yield SubtreeSplit(RootedTree._wrap(_seqs[kept]), Forest(tuple(members)))
     yield SubtreeSplit(EMPTY_TREE, Forest((tree,)))
 
 
@@ -124,18 +98,19 @@ def partitions(tree: RootedTree) -> Iterator[PartitionSplit]:
     skeleton shaped like the tree itself) comes last.
     """
     for comp, skel, others in _states(tree_id(tree._levels)):
-        forest = others + (1 << _BITS * _grafts[comp])
-        members = [RootedTree._wrap(_seqs[m]) for m in _members(forest)]
-        yield PartitionSplit(RootedTree._wrap(_seqs[_grafts[skel]]), Forest(tuple(members)))
+        members = [RootedTree._wrap(_seqs[m]) for m in _kids[others] + (comp,)]
+        yield PartitionSplit(RootedTree._wrap(_seqs[skel]), Forest(tuple(members)))
 
 
 # -- partition tables by the children recursion ------------------------------
 #
-# A *rooted state* of a tree with some edges removed is the triple of
-# multiset keys (children of the root component, children of the skeleton
-# root, the other components).  A tree's rooted table maps each state to
-# the number of edge subsets that give it.  Children are joined one at a
-# time, in level-sequence order; the edge to a child is either kept or cut.
+# A *rooted state* of a tree with some edges removed is the triple of tree
+# ids (the root component, the skeleton, the other components as the
+# children of one root: the one-node tree when there are none).  A tree's
+# rooted table maps each state to the number of edge subsets that give it.
+# Children are joined one at a time, in level-sequence order; the edge to
+# a child is either kept or cut.  A table row names its forest by the
+# sorted tuple of its members' ids, the key of ``splits._grafts``.
 #
 # No masks are stored.  A child's edges are the bits above those of the
 # children joined before it, and the edge to the child is the bit just
@@ -147,12 +122,16 @@ def partitions(tree: RootedTree) -> Iterator[PartitionSplit]:
 # reads :func:`_states`, which hangs one child state at a time through the
 # same :func:`_join`, so it yields one state per edge subset, masks ascending.
 
-_ROOT_ONLY = (0, 0, 0)
+_ROOT_ONLY = (0, 0, 0)  # the one-node tree is the first tree the index meets
 
 # order -> partition rows of its trees grouped by skeleton id
 _skeleton_tables: dict[int, tuple] = {}
-# forest key -> its level sequences, for partition_split_table only
-_forests: dict[int, tuple[bytes, ...]] = {}
+# (other components' id, root component's id) -> the forest's member ids, sorted
+_forest_ids: dict[tuple[int, int], tuple[int, ...]] = _Memo(
+    lambda pair: tuple(sorted(_kids[pair[0]] + pair[1:]))
+)
+# forest's member ids -> their level sequences, for partition_split_table only
+_forests: dict[tuple[int, ...], tuple[bytes, ...]] = {}
 
 
 def _join(partial: dict[tuple, int], child: dict[tuple, int]) -> dict[tuple, int]:
@@ -162,17 +141,18 @@ def _join(partial: dict[tuple, int], child: dict[tuple, int]) -> dict[tuple, int
     get = out.get
     states = list(partial.items())
     for (c_comp, c_skel, c_others), ck in child.items():
-        kept, cut_skel = 1 << _BITS * _grafts[c_comp], 1 << _BITS * _grafts[c_skel]
-        # keep the edge: the child's root component hangs under ours and
-        # its skeleton root merges into ours
+        # keep the edge: the child's root component hangs under ours, its
+        # skeleton root merges into ours and its other components join ours
+        grow, skel_to = with_child[c_comp], with_children_of[c_skel]
+        others_to = with_children_of[c_others]
         for (comp, skel, others), k in states:
-            key = (comp + kept, skel + c_skel, others + c_others)
+            key = (grow[comp], skel_to[skel], others_to[others])
             out[key] = get(key, 0) + k * ck
         # cut the edge: the child's root component is one more component
         # and its whole skeleton hangs under our skeleton root
-        cut_others = c_others + kept
+        hang, others_to = with_child[c_skel], with_children_of[with_child[c_comp][c_others]]
         for (comp, skel, others), k in states:
-            key = (comp, skel + cut_skel, others + cut_others)
+            key = (comp, hang[skel], others_to[others])
             out[key] = get(key, 0) + k * ck
     return out
 
@@ -202,11 +182,11 @@ def _states(i: int, j: int = 0) -> Iterator[tuple[int, int, int]]:
             yield from _join({rest: 1}, {state: 1})
 
 
-def partition_skeleton_table(order: int) -> tuple[tuple[int, list[tuple[int, int, int]]], ...]:
+def partition_skeleton_table(order: int) -> tuple[tuple[int, list[tuple]], ...]:
     """Partition splits of every tree of ``order`` over tree ids, grouped
-    by skeleton, cached: (skeleton id, [(tree id, forest key,
-    multiplicity), ...]), every distinct split of each tree but its first,
-    no-edges-removed one, each skeleton once."""
+    by skeleton, cached: (skeleton id, [(tree id, forest's member ids
+    sorted, multiplicity), ...]), every distinct split of each tree but its
+    first, no-edges-removed one, each skeleton once."""
     table = _skeleton_tables.get(order)
     if table is None:
         groups: defaultdict[int, list] = defaultdict(list)
@@ -217,14 +197,14 @@ def partition_skeleton_table(order: int) -> tuple[tuple[int, list[tuple[int, int
     return table
 
 
-def _partition_rows(i: int) -> dict[tuple[int, int], int]:
-    """(skeleton id, forest key) -> multiplicity over the partition splits
-    of tree ``i``, in order of first appearance."""
-    rows: dict[tuple[int, int], int] = {}
+def _partition_rows(i: int) -> dict[tuple[int, tuple[int, ...]], int]:
+    """(skeleton id, forest's member ids sorted) -> multiplicity over the
+    partition splits of tree ``i``, in order of first appearance."""
+    rows: dict[tuple, int] = {}
     get = rows.get
     # the tree's own rooted table is folded here, not cached
     for (comp, skel, others), k in _build_rooted(i).items():
-        key = (_grafts[skel], others + (1 << _BITS * _grafts[comp]))
+        key = (skel, _forest_ids[others, comp])
         rows[key] = get(key, 0) + k
     return rows
 
@@ -246,7 +226,7 @@ def partition_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, .
     for (s, f), k in _partition_rows(tree_id(tree._levels)).items():
         forest = _forests.get(f)
         if forest is None:
-            members = sorted(map(_seqs.__getitem__, _members(f)))
+            members = sorted(map(_seqs.__getitem__, f))
             members.sort(key=len)  # stable: (order, level sequence)
             forest = _forests[f] = tuple(members)
         rows.append((_seqs[s], forest, k))
@@ -255,29 +235,29 @@ def partition_split_table(tree: RootedTree) -> tuple[tuple[bytes, tuple[bytes, .
 
 # -- subtree splits by the children recursion ---------------------------------
 
-def _kept(i: int, j: int = 0) -> Iterator[tuple[int, int]]:
-    """(multiset key of the kept root's children, forest key) for each
+def _kept(i: int, j: int = 0) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(id of the kept subtree, ids of the forest's members) for each
     subtree split of tree ``i`` that keeps its root, over its children from
     the ``j``-th on, lazily.  Each child is cut off whole or kept in one of
     its own splits, cut first; earlier children vary more slowly, so along
     the level sequence each node's choice varies more slowly than the next."""
     kids = _kids[i]
     if j == len(kids):
-        yield 0, 0
+        yield 0, ()  # the root alone: the one-node tree
         return
     child = kids[j]
-    cut = 1 << _BITS * child
+    cut = (child,)
     for kept, forest in _kept(i, j + 1):
         yield kept, forest + cut
     for c_kept, c_forest in _kept(child):
-        graft = 1 << _BITS * _grafts[c_kept]
+        graft = with_child[c_kept]
         for kept, forest in _kept(i, j + 1):
-            yield kept + graft, forest + c_forest
+            yield graft[kept], forest + c_forest
 
 
 def _clear() -> None:
     """Drop the tables and memos of this module, for
     :func:`bsharp.splits.clear_split_caches`."""
     partition_split_table.cache_clear()
-    for memo in (_rooted_tables, _skeleton_tables, _forests, _grafts):
+    for memo in (_rooted_tables, _skeleton_tables, _forest_ids, _forests, with_children_of):
         memo.clear()

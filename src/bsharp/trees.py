@@ -5,8 +5,7 @@ depth-first traversal: node levels in visit order, root at level 0.  Among
 all depth-first orderings of the same tree the lexicographically greatest
 sequence is the canonical representative, so equal trees compare equal as
 plain sequences.  Orders above 62 are rejected, which keeps every sequence
-one cache line wide (stored as ``bytes``) and each count field of the
-multiset keys of :mod:`bsharp.splits_extra` at 6 bits.
+one cache line wide (stored as ``bytes``).
 
 Canonicalization sorts each node's child subsequences in descending order,
 which makes the concatenation greatest; results are memoised.  Enumeration

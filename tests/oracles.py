@@ -508,14 +508,14 @@ def partition_table_bytes_states(seq: bytes) -> tuple:
 # grouped tables and the lazy iterators are checked against them row for row.
 
 def subtree_id_table(seq: bytes) -> tuple:
-    """(kept id, forest key, 1) for each ordered-subtree split of the tree
-    ``seq`` but the empty one, in the order of
+    """(kept id, forest's member ids, 1) for each ordered-subtree split of
+    the tree ``seq`` but the empty one, in the order of
     :func:`bsharp.splits.ordered_subtrees`, equal rows unmerged; the
-    whole-tree row, last, has the empty forest, key 0."""
+    whole-tree row, last, has the empty forest, ()."""
     from bsharp import splits, splits_extra
 
     rows = splits_extra._kept(splits.tree_id(seq))
-    return tuple((splits_extra._grafts[kept], forest, 1) for kept, forest in rows)
+    return tuple((kept, forest, 1) for kept, forest in rows)
 
 
 def partition_id_table(seq: bytes) -> tuple:

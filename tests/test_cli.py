@@ -1001,6 +1001,21 @@ def test_a_listing_of_more_than_ten_million_rows_is_refused(tmp_path, argv, rows
     assert not out.exists()
 
 
+def test_a_splits_listing_of_more_than_ten_million_nodes_is_refused(tmp_path, capsys):
+    # 2^23 + 1 rows, under the row bound, but each prints the 24-node tree
+    from time import perf_counter
+
+    from bsharp import cli
+
+    out = tmp_path / "out.txt"
+    start = perf_counter()
+    code = cli.main(["splits", "[0" + ",1" * 23 + "]", "--kind", "subtrees", "--output", str(out)])
+    assert perf_counter() - start < 1
+    assert code == 3 and not out.exists()
+    assert ("would print 8,388,609 rows of 24 nodes, about 201,326,616 nodes, "
+            "more than the 10,000,000 a listing may have") in capsys.readouterr().err
+
+
 def test_the_subtree_count_is_the_rows_of_the_listing():
     from bsharp.cli_trees import _kept
     from bsharp.splits import tree_id
@@ -1058,6 +1073,13 @@ def test_a_high_order_series_holds_no_top_order_rows(tmp_path):
     mb = _own_peak_mb("modified-equation", "--tableau", "rk4", "--order", "13",
                       "--format", "json", tmp_path=tmp_path)
     assert mb <= 46
+
+
+def test_a_substitution_keys_its_partition_states_by_tree_ids(tmp_path):
+    # ME(midpoint) into rk4 at order 10: partition states over packed
+    # multiset ints peaked at 46 MB; over tree ids, at 37 MB
+    mb = _own_peak_mb("substitute", *_series_files(tmp_path, 10, flow=True), tmp_path=tmp_path)
+    assert mb <= 41
 
 
 def test_partition_rows_are_written_as_they_are_enumerated(tmp_path):

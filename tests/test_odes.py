@@ -252,6 +252,22 @@ def test_diff_cache_counters_and_reuse():
     assert cache.tree_builds == trees
 
 
+def test_a_field_reads_the_top_order_differentials_a_cache_holds():
+    # every order-6 differential, and through them every one below, is
+    # built once; the order-6 field then builds none of them again
+    system = parse_ode(LV)
+    cache = DiffCache(system)
+    for tree in trees_of_order(6):
+        cache.elementary(tree)
+    assert cache.tree_builds == 37
+    flow = modified_equation_series(rk_series(builtin_tableau("midpoint"), 6))
+    field = series_vector_field(flow, system, cache)
+    assert cache.tree_builds == 37
+    fresh = series_vector_field(flow, system, DiffCache(system))
+    assert all(a is b for ours, ref in zip(field, fresh, strict=True)
+               for (_, a), (_, b) in zip(ours, ref, strict=True))
+
+
 def test_one_shot_helper_checks_cache_ownership():
     lv, osc = parse_ode(LV), parse_ode(OSC)
     cache = DiffCache(lv)

@@ -285,6 +285,32 @@ def test_substitution_is_associative():
     assert substitute(u, substitute(v, w)) == substitute(substitute(u, v), w)
 
 
+def _unit_field(max_order):
+    return TruncatedBSeries.from_function(
+        max_order, Fraction(0), lambda t: Fraction(1) if t.order == 1 else Fraction(0)
+    )
+
+
+# the defining identities at order 8, where the partition tables are built
+# over tree ids: the modified equation reads edge cuts, the modifying
+# integrator of a tableau its stages, and neither reads a partition row
+
+@pytest.mark.parametrize("name", ["midpoint", "rk4", "rk22(alpha)"])
+def test_modifying_integrator_and_modified_equation_substitute_to_the_unit(name):
+    tab = builtin_tableau(name)
+    me = modified_equation_series(rk_series(tab, 8))
+    mi = modifying.modifying_integrator_of_tableau(tab, 8)
+    assert substitute(mi, me) == _unit_field(8)
+    assert substitute(me, mi) == _unit_field(8)
+
+
+def test_substitution_is_associative_at_order_8():
+    u, v = random_flow_series(8, 63), random_flow_series(8, 64)
+    w = random_map_series(8, 65)
+    assert substitute(u, substitute(v, w)) == substitute(substitute(u, v), w)
+    assert substitute(u, substitute(v, _unit_field(8))) == substitute(u, v)
+
+
 def test_modified_equation_round_trip():
     for seed in range(3):
         method = random_map_series(5, 100 + seed)

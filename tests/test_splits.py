@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import islice
 from time import perf_counter
@@ -44,10 +45,10 @@ from test_trees import level_sequences
 T = parse_tree  # shorthand for the fixtures below
 
 
-def _forest_seqs(key):
-    """The members of a forest multiset key as level sequences, sorted by
-    (order, level sequence) like a :class:`Forest`."""
-    return tuple(sorted(sorted(splits._seqs[i] for i in splits_extra._members(key)), key=len))
+def _forest_seqs(ids):
+    """The members of a forest, given by their ids, as level sequences,
+    sorted by (order, level sequence) like a :class:`Forest`."""
+    return tuple(sorted(sorted(splits._seqs[i] for i in ids), key=len))
 
 
 # frozen: all 16 partition splits of [0,1,2,1,2], as (forest, skeleton, count)
@@ -308,7 +309,6 @@ def test_partition_view_matches_the_bytes_state_builder():
 def test_multiset_counts_fit_their_field():
     # the all-cut row of the bush of the top order has MAX_ORDER one-node
     # components, the largest count any multiset key holds
-    assert 2**splits_extra._BITS > MAX_ORDER
     splits.clear_split_caches()
     bush = RootedTree([0] + [1] * (MAX_ORDER - 1))
     table = partition_split_table(bush)
@@ -318,6 +318,18 @@ def test_multiset_counts_fit_their_field():
     # the index holds only the trees the table names: the bushes
     assert sorted(splits._seqs) == sorted(bytes([0] + [1] * n) for n in range(MAX_ORDER))
     splits.clear_split_caches()
+
+
+def test_merging_two_roots_hangs_the_children_of_both():
+    # a's level sequence followed by b's root children, canonicalized
+    rng = random.Random(35)
+    trees = list(all_trees_up_to(10))
+    for _ in range(300):
+        a, b = rng.choice(trees), rng.choice(trees)
+        merged = canonicalize(a._levels + b._levels[1:])._levels
+        i, j = splits.tree_id(a._levels), splits.tree_id(b._levels)
+        assert splits._seqs[splits_extra.with_children_of[i][j]] == merged
+        assert splits_extra.with_children_of[i][j] == splits.tree_id(merged)
 
 
 def test_clear_split_caches_empties_every_cache():
@@ -343,8 +355,9 @@ def test_clear_split_caches_empties_every_cache():
     RootedTree(range(7)).symmetry()  # σ (and, through exact_series, γ) by id
     filled = caches()
     assert {
-        "partition_split_table", "_rooted_tables", "_skeleton_tables", "_forests",
-        "with_child", "_cut_tables", "_ids", "_seqs", "_kids", "_grafts", "_sigmas", "_gammas",
+        "partition_split_table", "_rooted_tables", "_skeleton_tables", "_forest_ids", "_forests",
+        "with_children_of", "with_child", "_cut_tables", "_ids", "_seqs", "_kids", "_grafts",
+        "_sigmas", "_gammas",
     } <= filled.keys()
     assert all(size > 0 for size in filled.values()), filled
     splits.clear_split_caches()
@@ -394,15 +407,15 @@ def test_edge_cut_rows_follow_the_cut_nodes():
 
 
 def test_every_id_table_row_names_indexed_trees():
-    # rows hold only ints: ids of the index, and forest keys whose members
-    # are ids of the index
+    # rows hold only ints: ids of the index, and forests whose members are
+    # ids of the index
     def indexed(*ids):
         return all(type(i) is int and 0 <= i < len(splits._seqs) for i in ids)
 
     for tree in all_trees_up_to(6):
         seq = tree._levels
         for head, forest, k in subtree_id_table(seq) + partition_id_table(seq):
-            assert indexed(head, *splits_extra._members(forest)) and type(k) is int
+            assert indexed(head, *forest) and type(k) is int
         for trunk, branch, k in edge_cut_id_table(seq):
             assert indexed(trunk, branch) and type(k) is int
 
