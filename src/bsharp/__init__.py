@@ -43,7 +43,7 @@ _EXPORTS = {
     ),
     "tableaux_extra": ("elementary_weight", "order_of_accuracy", "tableau_to_json_dict"),
     "expressions": ("Expression", "differentiate"),
-    "expressions_extra": ("eval_expression", "format_expression"),
+    "expressions_extra": ("eval_expression", "format_expression", "format_expressions"),
     "odes": (
         "DiffCache", "ODESystem", "elementary_differential", "parse_ode",
         "series_vector_field",

@@ -54,12 +54,20 @@ COMMANDS = {
 # input loading
 # ---------------------------------------------------------------------------
 
+def _read(path: str) -> str:
+    """A file's text; a file that is not UTF-8 is bad input."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise BSharpError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_json(path: str) -> dict:
     import json
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise BSharpError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -78,8 +86,7 @@ def _load_system(args) -> ODESystem:
 
     if getattr(args, "ode_text", None) is not None:
         return parse_ode(args.ode_text)
-    with open(args.ode, "r", encoding="utf-8") as fh:
-        return parse_ode(fh.read())
+    return parse_ode(_read(args.ode))
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +111,8 @@ _BATCH = 1 << 16
 def _open_output(args) -> TextIO:
     if args.output:
         return open(args.output, "w", encoding="utf-8", newline="")
+    if sys.stdout is None:  # the process started with no stdout (>&-)
+        raise BSharpError("standard output is closed")
     return sys.stdout
 
 

@@ -1,16 +1,13 @@
-"""The commands that print a series, or with an ODE its field:
-``bseries``, ``compose``, ``substitute``, ``modified-equation`` and
-``modifying-integrator``."""
+"""The commands that print a series: ``bseries``, ``compose``,
+``substitute``, ``modified-equation`` and ``modifying-integrator``.  With
+an ODE the last two print a field, through :mod:`bsharp.cli_field`."""
 
 from __future__ import annotations
 
 import argparse
-from itertools import chain, count
 from typing import TYPE_CHECKING
 
-from .cli import (
-    _add_ode_flags, _add_output, _count, _emit, _load_json, _load_system, _load_tableau
-)
+from .cli import _add_ode_flags, _add_output, _count, _emit, _load_json, _load_tableau
 
 if TYPE_CHECKING:
     from .series import TruncatedBSeries
@@ -114,65 +111,12 @@ def _perturbed_flow(args) -> TruncatedBSeries:
     return modifying_integrator_of_tableau(tab, args.order)
 
 
-def _step_symbol(variables: tuple[str, ...]) -> str:
-    """The first of ``h``, ``h_step``, ``h_step2``, ``h_step3``, ... that
-    names no variable, so the printed field reads back unambiguously."""
-    names = chain(("h", "h_step"), (f"h_step{i}" for i in count(2)))
-    return next(name for name in names if name not in variables)
-
-
 def cmd_perturbed(args) -> int:
     """Shared handler for modified-equation and modifying-integrator."""
     flow = _perturbed_flow(args)
     if args.ode is None and getattr(args, "ode_text", None) is None:
         return _emit_series(args, flow, args.format or "json")
 
-    if args.reduce_order_by:
-        args.subparser.error("--reduce-order-by does not apply to --ode output")
-    from .expressions import add_all, mul_all, power, variable
-    from .expressions_extra import format_expression
-    from .odes import DiffCache, series_vector_field
+    from .cli_field import emit_field
 
-    system = _load_system(args)
-    step_name = _step_symbol(system.variables)
-    h = variable(system.dimension)
-    names = system.variables + (step_name,)
-    fields = [
-        add_all([mul_all((power(h, d - 1), expr)) for d, expr in component if d > 0])
-        for component in series_vector_field(flow, system, DiffCache(system))
-    ]
-
-    fmt = args.format or "text"
-    if fmt == "json":
-        from .cli_json import _json_string, _json_text
-
-        # json.dumps of {"variables", "step_symbol", "equations"}, each
-        # component formatted, escaped and written in turn
-        def pieces():
-            yield '{\n  "variables": ' + _json_text(list(system.variables), "\n  ")
-            yield ',\n  "step_symbol": ' + _json_text(step_name)
-            sep = ',\n  "equations": {\n    '
-            for name, f in zip(system.variables, fields):
-                yield sep + _json_text(name) + ": "
-                yield from _json_string(format_expression(f, names))
-                sep = ",\n    "
-            yield "\n  }\n}\n"
-
-        _emit(args, pieces())
-        return 0
-
-    if fmt == "latex":
-        from .coefficients_extra import latex_name
-
-        heads = [f"\\dot{{{latex_name(name)}}} = " for name in system.variables]
-    else:
-        heads = [f"{name}' = " for name in system.variables]
-
-    def lines():
-        for head, f in zip(heads, fields):
-            yield head
-            yield format_expression(f, names, fmt)
-            yield "\n"
-
-    _emit(args, lines())
-    return 0
+    return emit_field(args, flow)

@@ -5,16 +5,18 @@ print a field or evaluate one exactly; a simulation evaluates the
 compiled float field of :func:`bsharp.expressions.compile_float` and never
 loads it.
 
-Printing walks the DAG, not the tree it stands for: each distinct node's
-text is built once and reused at every occurrence, so
-:func:`format_expression` costs time linear in the distinct nodes plus the
-length of their texts, and holds beyond its result only the texts of
-shared nodes that later occurrences still await.
+Printing walks the DAG, not the tree it stands for, and it walks the DAG
+of all the expressions printed together (the components of one field):
+each distinct node's text is built once and reused at every occurrence in
+any of them, so :func:`format_expressions` costs time linear in the
+distinct nodes of all the expressions plus the length of their texts, and
+holds beyond the text it yields only the texts of shared nodes that later
+occurrences still await.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import CoefficientError
 from .expressions import _MINUS_ONE, _ZERO_BASE, Const, Expression, Power, Prod, Sum, Var
@@ -80,15 +82,30 @@ def format_expression(
 
     Text output uses ``*`` and ``^`` and parses back through the ODE
     expression grammar; LaTeX uses ``\\frac`` for fractional constants.
+    This is :func:`format_expressions` of the one expression, so its cost
+    is linear in the expression's distinct nodes plus the length of their
+    texts.
+    """
+    [text] = format_expressions((expr,), names, fmt)
+    return text
+
+
+def format_expressions(
+    exprs: Sequence[Expression], names: Sequence[str], fmt: str = "text"
+) -> Iterator[str]:
+    """Yield the rendering of each expression in ``exprs`` in turn, as
+    :func:`format_expression` would print it.
 
     A node prints the same *core* text wherever it occurs; only the
     parentheses around it depend on whether it stands in a sum, a product
-    or under a power.  One pass counts how often each distinct node is
-    used, then each core is built once, bottom up, by one join of its
-    operands' cores.  The cost is linear in the number of distinct nodes
-    plus the length of their cores.  A core is kept only while a later use
-    still awaits it, so beyond its result the call holds just the shared
-    texts not yet consumed.
+    or under a power.  One walk counts how often each distinct node of all
+    the expressions is used and lists the nodes operands first; then each
+    core is built once, in that order, by one join of its operands' cores.
+    The cost is linear in the number of distinct nodes of all the
+    expressions together plus the length of their cores.  A core is kept
+    only while a later use, in this expression or a later one, still
+    awaits it, so beyond the text it yields the generator holds just the
+    shared texts not yet consumed.
     """
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown expression format {fmt!r}")
@@ -103,83 +120,89 @@ def format_expression(
     left, right = ("\\left(", "\\right)") if latex else ("(", ")")
 
     # the operands of each distinct node, and its uses: one per occurrence
-    # among the operands of a distinct parent, plus one for the root
+    # among the operands of a distinct parent, plus one per time it is a root
     operands: dict[Expression, tuple] = {}
-    uses: dict[Expression, int] = {expr: 1}
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        children = operands[node] = _operands(node)
-        for child in children:
-            if child in uses:
-                uses[child] += 1
-            else:
-                uses[child] = 1
-                stack.append(child)
+    uses: dict[Expression, int] = {}
+    for expr in exprs:
+        uses[expr] = uses.get(expr, 0) + 1
+    # the distinct nodes, each after its operands (a DAG has no cycle, so a
+    # node met again is finished), walked from each root in turn; ends[i]
+    # is where the nodes first reached from root i end
+    order: list[Expression] = []
+    ends: list[int] = []
+    for expr in exprs:
+        if expr not in operands:
+            operands[expr] = children = _operands(expr)
+            stack = [(expr, iter(children))]
+            while stack:
+                node, rest = stack[-1]
+                for child in rest:
+                    uses[child] = uses.get(child, 0) + 1
+                    if child not in operands:
+                        operands[child] = children = _operands(child)
+                        stack.append((child, iter(children)))
+                        break
+                else:
+                    stack.pop()
+                    order.append(node)
+        ends.append(len(order))
 
-    shared: dict[Expression, str] = {}  # cores of nodes with uses still due
-    cores: list[str] = []  # operand cores awaiting their parent
-    work: list = [(expr, False)]
-    while work:
-        node, expanded = work.pop()
-        if not expanded:
-            core = shared.get(node)
-            if core is None:
-                work.append((node, True))
-                work.extend([(child, False) for child in reversed(operands[node])])
-                continue
-            if uses[node] == 1:
-                del shared[node]
-            else:
-                uses[node] -= 1
-            cores.append(core)
-            continue
-        children = operands[node]
-        count = len(children)
-        parts = cores[len(cores) - count:]
-        del cores[len(cores) - count:]
-        kind = type(node)
-        if kind is Sum:
-            pieces = [parts[0]]
-            for body in parts[1:]:
-                if body[0] == "-":
-                    pieces += (" - ", body[1:])
+    cores: dict[Expression, str] = {}  # of the nodes built, those with uses still due
+    start = 0
+    for expr, end in zip(exprs, ends):
+        for node in order[start:end]:
+            children = operands[node]
+            parts = [cores[child] for child in children]
+            for child in children:
+                if uses[child] == 1:
+                    del cores[child]
                 else:
-                    pieces += (" + ", body)
-            core = "".join(pieces)
-        elif kind is Prod:
-            pieces = []
-            if count < len(node.factors):  # signed: print the sign in front
-                pieces.append("-")
-                if node.factors[0] is not _MINUS_ONE:
-                    pieces += (number(-node.factors[0].value), sep)
-            for part, child in zip(parts, children):
-                if _needs_paren(child, 1):
-                    pieces += (left, part, right, sep)
-                else:
-                    pieces += (part, sep)
-            pieces.pop()
-            core = "".join(pieces)
-        elif kind is Power:
-            base = parts[0]
-            if _needs_paren(children[0], 2):
-                base = f"{left}{base}{right}"
-            core = f"{base}^{{{node.exponent}}}" if latex else f"{base}^{node.exponent}"
-        elif kind is Const:
-            core = number(node.value)
-        elif kind is Var:
-            index = node.index
-            if index >= len(names):
-                core = f"y{index}"
-            else:
-                core = spell(names[index])
-        else:  # pragma: no cover
-            raise TypeError(f"not an expression: {node!r}")
-        if uses[node] > 1:
-            uses[node] -= 1
-            shared[node] = core
-        cores.append(core)
-    return cores[0]  # the root stands in a sum context: never parenthesized
+                    uses[child] -= 1
+            kind = type(node)
+            if kind is Sum:
+                pieces = [parts[0]]
+                for body in parts[1:]:
+                    if body[0] == "-":
+                        pieces += (" - ", body[1:])
+                    else:
+                        pieces += (" + ", body)
+                core = "".join(pieces)
+            elif kind is Prod:
+                pieces = []
+                if len(children) < len(node.factors):  # signed: print the sign in front
+                    pieces.append("-")
+                    if node.factors[0] is not _MINUS_ONE:
+                        pieces += (number(-node.factors[0].value), sep)
+                for part, child in zip(parts, children):
+                    if _needs_paren(child, 1):
+                        pieces += (left, part, right, sep)
+                    else:
+                        pieces += (part, sep)
+                pieces.pop()
+                core = "".join(pieces)
+            elif kind is Power:
+                base = parts[0]
+                if _needs_paren(children[0], 2):
+                    base = f"{left}{base}{right}"
+                core = f"{base}^{{{node.exponent}}}" if latex else f"{base}^{node.exponent}"
+            elif kind is Const:
+                core = number(node.value)
+            elif kind is Var:
+                index = node.index
+                core = f"y{index}" if index >= len(names) else spell(names[index])
+            else:  # pragma: no cover
+                raise TypeError(f"not an expression: {node!r}")
+            cores[node] = core
+        start = end
+        text = cores[expr]  # a root stands in a sum context: never parenthesized
+        if uses[expr] == 1:
+            del cores[expr]
+        else:
+            uses[expr] -= 1
+        # while the caller has the text, hold none of the operand texts
+        # that the last join read
+        core = parts = pieces = body = part = base = None
+        yield text
 
 
 def _signed(node: Prod) -> bool:

@@ -79,9 +79,9 @@ class ODESystem:
         return len(self.variables)
 
     def rhs_text(self) -> tuple[str, ...]:
-        from .expressions_extra import format_expression
+        from .expressions_extra import format_expressions
 
-        return tuple(format_expression(e, self.variables) for e in self.rhs)
+        return tuple(format_expressions(self.rhs, self.variables))
 
 
 def _statements(text: str):
@@ -211,11 +211,11 @@ class DiffCache:
     keyed by *sorted* index tuples; asking for ``(2, 0, 1)`` and ``(0, 1, 2)``
     builds one entry.  A node with m children sums, over index assignments
     (k_1, ..., k_m), the partial by y_{k_1} ... y_{k_m} times the children's
-    k_i-th components.  The assignments grow one child at a time, and a
-    prefix is dropped as soon as the child's component or the partial for
-    the indices so far is zero, since every derivative of zero is zero.  So
-    of the n^m assignments only those with nonzero terms are reached, which
-    for low-degree polynomial systems is a small share.
+    k_i-th components.  The assignments grow one child at a time, once for
+    all components: a prefix carries the components whose partial by its
+    indices is nonzero, and is dropped when the child's component is zero or
+    no component is left, since every derivative of zero is zero.  Each
+    step from sorted indices by one more index is kept on the cache.
     A tree's differential is built from its children's, by their ids.
     ``tensor_builds`` and ``tree_builds`` count actual constructions, not
     lookups (``tensor_builds`` thus counts only the tensors reached) — tests
@@ -226,10 +226,10 @@ class DiffCache:
         self.system = system
         self._partials: dict[tuple[int, tuple[int, ...]], Expression] = {}
         self._derivatives: dict = {}  # differentiate's memo for this system
+        self._steps: dict = {}  # sorted indices -> per next index k, see _grafted
         self._trees: dict[int, tuple[Expression, ...]] = {}  # tree id -> differential
         self._generation, self._kids = -1, None  # of the index that keys _trees: see _index
-        self.tensor_builds = 0
-        self.tree_builds = 0
+        self.tensor_builds = self.tree_builds = 0
 
     def partial(self, component: int, indices: tuple[int, ...]) -> Expression:
         """d^m f_component / dy_{i1} ... dy_{im}, indices sorted ascending."""
@@ -270,31 +270,31 @@ class DiffCache:
         if not kids:
             out = self.system.rhs
         else:
-            partials = self._partials
+            partials, steps_of = self._partials, self._steps
             child_vals = [self._grafted(self._kids[c], c) for c in kids]
-            components = []
-            for j in range(n):
-                # index assignments grown one child at a time, in
-                # lexicographic order: (sorted indices, child factors)
-                branches: list[tuple[tuple[int, ...], list[Expression]]] = [((), [])]
-                for vals in child_vals:
-                    grown = []
-                    for indices, factors in branches:
-                        for k in range(n):
-                            value = vals[k]
-                            if value is _ZERO:
-                                continue
+            # index assignments grown one child at a time, in lexicographic
+            # order: (sorted indices, child factors, components still live)
+            branches = [((), [], range(n))]
+            for vals in child_vals:
+                grown = []
+                for indices, factors, live in branches:
+                    steps = steps_of.get(indices) or steps_of.setdefault(indices, [None] * n)
+                    for k, value in enumerate(vals):
+                        if value is _ZERO:
+                            continue
+                        step = steps[k]
+                        if step is None:  # a prefix's live components depend on its indices
                             extended = tuple(sorted(indices + (k,)))
-                            # partial() only on a miss: it re-sorts the indices
-                            if (partials.get((j, extended)) or self.partial(j, extended)) is _ZERO:
-                                continue
-                            grown.append((extended, factors + [value]))
-                    branches = grown
-                components.append(add_all([
-                    mul_all([partials[j, indices]] + factors)
-                    for indices, factors in branches
-                ]))
-            out = tuple(components)
+                            step = steps[k] = extended, [
+                                j for j in live if self.partial(j, extended) is not _ZERO]
+                        if step[1]:
+                            grown.append((step[0], factors + [value], step[1]))
+                branches = grown
+            terms: list[list[Expression]] = [[] for _ in range(n)]
+            for indices, factors, live in branches:
+                for j in live:
+                    terms[j].append(mul_all([partials[j, indices]] + factors))
+            out = tuple(map(add_all, terms))
         self.tree_builds += 1
         if i is not None:
             self._trees[i] = out

@@ -799,6 +799,44 @@ def test_a_refused_simulate_writes_nothing(tmp_path, to_file):
     assert not out.exists()
 
 
+def _not_utf8(path: Path, argv: list, capsys) -> None:
+    """``argv`` reading ``path``, which holds a byte that no UTF-8 text
+    has, exits 3 with one error line naming the file and writes nothing."""
+    from bsharp.cli import main
+
+    path.write_bytes(b"\xff{}")
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not UTF-8 (invalid start byte at byte 0)\n"
+
+
+def test_a_tableau_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    tab = tmp_path / "tab.json"
+    _not_utf8(tab, ["bseries", "--tableau", str(tab), "--order", "2"], capsys)
+
+
+def test_an_ode_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    ode = tmp_path / "system.ode"
+    argv = ["modified-equation", "--tableau", "midpoint", "--order", "2", "--ode", str(ode)]
+    _not_utf8(ode, argv, capsys)
+
+
+def test_a_series_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    series = tmp_path / "series.json"
+    _not_utf8(series, ["compose", str(series), str(series)], capsys)
+
+
+def test_a_closed_stdout_is_an_input_error():
+    # started with no standard output at all (`bsharp trees 3 >&-`)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bsharp", "trees", "3"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=_env(),
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (3, "error: standard output is closed\n")
+
+
 # ---------------------------------------------------------------------------
 # numbers too long for Python's integer-to-text limit
 # ---------------------------------------------------------------------------

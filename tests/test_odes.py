@@ -19,6 +19,7 @@ from bsharp.expressions import (
     power,
     variable,
 )
+from bsharp.expressions_extra import format_expressions
 from bsharp.odes import DiffCache, elementary_differential, parse_ode, series_vector_field
 from bsharp.series import modified_equation_series
 from bsharp.tableaux import builtin_tableau, rk_series
@@ -41,6 +42,8 @@ CUBIC4 = (
     "vars a, b, c, d; a' = 1/2*b - 1/3*a*c*b; b' = -1/2*c + 1/3*b*d; "
     "c' = 1/2*d - 1/3*c*a; d' = -1/2*a + 1/3*d*b"
 )
+# a zero component, and components whose partials vanish at different depths
+SPARSE = "vars p, q, r; p' = 0; q' = p*q; r' = q^2 - r"
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,9 @@ def test_elementary_matches_the_product_expansion(source):
 # the differentials by tree id against the level-sequence recursion they
 # replaced: the same interned nodes, and the same builds
 
-@pytest.mark.parametrize("source", [LV, OSC, CUBIC3, CUBIC4], ids=["lv", "osc", "cubic3", "cubic4"])
+@pytest.mark.parametrize(
+    "source", [LV, OSC, CUBIC3, CUBIC4, SPARSE], ids=["lv", "osc", "cubic3", "cubic4", "sparse"]
+)
 def test_differentials_by_id_are_the_level_sequence_dag(source):
     system = parse_ode(source)
     cache, oracle = DiffCache(system), DiffCacheByLevels(system)
@@ -182,7 +187,7 @@ def test_differentials_by_id_are_the_level_sequence_dag(source):
     assert (cache.tree_builds, cache.tensor_builds) == (oracle.tree_builds, oracle.tensor_builds)
 
 
-@pytest.mark.parametrize("source", [LV, OSC, CUBIC3], ids=["lv", "osc", "cubic3"])
+@pytest.mark.parametrize("source", [LV, OSC, CUBIC3, SPARSE], ids=["lv", "osc", "cubic3", "sparse"])
 def test_a_field_by_id_is_the_level_sequence_field(source):
     # its top order is built from the children's ids alone, unindexed
     system = parse_ode(source)
@@ -337,14 +342,14 @@ def step_fields(source, order):
     return system.variables + ("h",), fields
 
 
-@pytest.mark.parametrize("source", [OSC, CUBIC3, CUBIC4])
+@pytest.mark.parametrize("source", [OSC, CUBIC3, CUBIC4, LV])
 @pytest.mark.parametrize("fmt", ["text", "latex"])
 def test_field_printing_matches_the_tree_walk(source, fmt):
+    # each component alone, and the whole field printed together
     names, fields = step_fields(source, 6)
-    for field in fields:
-        assert format_expression(field, names, fmt) == format_expression_tree_walk(
-            field, names, fmt
-        )
+    walked = [format_expression_tree_walk(field, names, fmt) for field in fields]
+    assert [format_expression(field, names, fmt) for field in fields] == walked
+    assert list(format_expressions(fields, names, fmt)) == walked
 
 
 @pytest.mark.parametrize("source", [LV, OSC, CUBIC3, CUBIC4])
@@ -370,6 +375,31 @@ def _reachable(root):
     return seen
 
 
+def _edge_roots():
+    p, q = variable(0), variable(1)
+    half = const(Fraction(1, 2))
+    inner = add_all((mul_all((const(Fraction(-1, 3)), p, q)), mul_all((half, q))))
+    outer = add_all((mul_all((power(inner, 2), p)), mul_all((const(-2), inner, q)), half))
+    assert inner in _reachable(outer) and half in _reachable(outer)
+    return {
+        "same-root-twice": [inner, inner, outer, inner],
+        "root-inside-a-later-root": [inner, outer],
+        "root-inside-an-earlier-root": [outer, inner],
+        "const-and-var-roots": [half, q, outer, const(Fraction(-5, 7)), p, half],
+        "empty": [],
+    }
+
+
+@pytest.mark.parametrize("case", list(_edge_roots()))
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_expressions_printed_together_match_the_tree_walk(case, fmt):
+    names = ("p", "q")
+    exprs = _edge_roots()[case]
+    assert list(format_expressions(exprs, names, fmt)) == [
+        format_expression_tree_walk(expr, names, fmt) for expr in exprs
+    ]
+
+
 def test_order8_cubic_field_keeps_its_dag():
     # the distinct nodes of the order-8 midpoint field of CUBIC4, which a
     # traced perfbench field_text job reads as expressions.dag_nodes; a
@@ -389,17 +419,17 @@ def test_field_printing_formats_each_constant_once(monkeypatch):
         return text(value)
 
     monkeypatch.setattr(Fraction, "__str__", counted)
-    for field in fields:
-        nodes = _reachable(field)
-        constants = sum(isinstance(node, Const) for node in nodes)
-        signed = sum(
-            isinstance(node, Prod) and isinstance(node.factors[0], Const)
-            and node.factors[0].value < 0
-            for node in nodes
-        )
-        calls = 0
-        format_expression(field, names)
-        assert 0 < calls <= constants + signed
+    # the components share constants, and each is formatted once for all
+    nodes = set().union(*map(_reachable, fields))
+    constants = sum(isinstance(node, Const) for node in nodes)
+    signed = sum(
+        isinstance(node, Prod) and isinstance(node.factors[0], Const)
+        and node.factors[0].value < 0
+        for node in nodes
+    )
+    calls = 0
+    list(format_expressions(fields, names))
+    assert 0 < calls <= constants + signed
 
 
 def test_field_printing_keeps_nothing_but_its_result():
@@ -423,3 +453,41 @@ def test_field_printing_keeps_nothing_but_its_result():
     assert peak - start > 2 * sys.getsizeof(text)  # the call did hold working memory
     kept = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
     assert kept == sys.getsizeof(text)
+
+
+def test_printing_a_field_together_keeps_nothing_but_its_texts():
+    # once the generator is exhausted, neither it nor its working dicts
+    # (counts, operands, shared texts) hold anything
+    names, fields = step_fields(OSC, 5)
+    list(format_expressions(fields, names))  # warm: imports, caches
+    own = [tracemalloc.Filter(True, expressions_extra.__file__)]
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(own)
+        start, _ = tracemalloc.get_traced_memory()
+        printer = format_expressions(fields, names)
+        texts = list(printer)
+        _, peak = tracemalloc.get_traced_memory()
+        after = tracemalloc.take_snapshot().filter_traces(own)
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    sizes = sum(map(sys.getsizeof, texts))
+    assert len(texts) == len(fields)
+    assert peak - start > sizes  # the generator did hold working memory
+    kept = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert kept == sizes
+
+
+def test_printing_together_drops_each_shared_text_after_its_last_use():
+    # the components share subexpressions, whose texts wait for the later
+    # components; after the last text none is left
+    names, fields = step_fields(CUBIC4, 6)
+    printer = format_expressions(fields, names)
+    held = []
+    for _ in fields:
+        next(printer)
+        held.append(len(printer.gi_frame.f_locals["cores"]))
+    assert held[0] > 0 and held[-1] == 0
+    assert next(printer, None) is None

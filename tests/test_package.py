@@ -270,8 +270,10 @@ SIMULATE = [
 ]
 # stepping a tableau lifts none of its entries and runs no series layer
 STEP = ["coefficients", "expressions", "odes", "simulate", "tableaux", *SIMULATE_CLI]
-# a field is formatted by expressions_extra; a simulation compiles it instead
-FIELD, STEPPED = ["expressions", "expressions_extra", "odes"], ["expressions", "odes", "simulate"]
+# a field is written by cli_field and formatted by expressions_extra; a
+# simulation compiles it instead
+FIELD = ["cli_field", "expressions", "expressions_extra", "odes"]
+STEPPED = ["expressions", "odes", "simulate"]
 # b = (1, beta): the modifying integrator divides by 1 + beta, so it runs
 # over plain coefficients, in graded.py's domains like every other solve
 B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2"],
