@@ -6,44 +6,48 @@ modifying integrators, elementary differentials of concrete ODE systems, and
 a small fixed-step simulation harness.
 
 Importing the package loads none of its modules.  Each exported name is
-imported from its home module the first time it is read (PEP 562), so
+imported from its layer's module the first time it is read (PEP 562), so
 ``from bsharp import trees_of_order`` loads ``trees`` and nothing else, and
 each CLI command loads only the layers it runs.  A layer keeps the code
 that the modified-equation, field and simulation paths run in its module,
 and the rest in a companion ``<module>_extra`` that only the commands
-calling it load; each name that moved is still read from its old module,
-which imports it on first access (:func:`_forward`).  To see what a
-command loads and compiles::
+calling it load.  The layer's module reads any public name it lacks from
+its companion on first access (:func:`_forward`), so where a name lives
+is said once, where it is defined.  To see what a command compiles::
 
     PYTHONDONTWRITEBYTECODE=1 python -X importtime -m bsharp trees 1
 """
 
 import sys
 
-# home module -> the names it exports
+# the module of each layer -> the names it exports
 _EXPORTS = {
     "errors": (
         "BSharpError", "CoefficientError", "InvalidTreeError", "NumericFailureError",
         "ParseError", "SeriesError", "SingularMethodError", "TableauError",
         "UnboundSymbolError",
     ),
-    "trees": ("EMPTY_TREE", "RootedTree", "all_trees_up_to", "trees_of_order"),
-    "trees_extra": ("canonicalize", "count_trees", "parse_tree"),
-    "splits_extra": ("Forest", "ordered_subtrees", "partitions"),
+    "trees": (
+        "EMPTY_TREE", "RootedTree", "all_trees_up_to", "canonicalize", "count_trees", "parse_tree",
+        "trees_of_order",
+    ),
+    "splits": ("Forest", "ordered_subtrees", "partitions"),
     "coefficients": ("coeff_eval", "coeff_parse", "coeff_print"),
     "symbolic": ("RationalFunction", "symbol"),
-    "series": ("TruncatedBSeries", "modified_equation_series", "series_to_json_dict"),
-    "series_extra": (
-        "compose", "display_terms", "exact_series", "format_series", "identity_series",
-        "modifying_integrator_series", "scale_step", "series_from_json_dict",
-        "series_order_of_accuracy", "substitute", "truncated",
+    "series": (
+        "TruncatedBSeries", "compose", "display_terms", "exact_series", "format_series",
+        "identity_series", "modified_equation_series", "modifying_integrator_series", "scale_step",
+        "series_from_json_dict", "series_order_of_accuracy", "series_to_json_dict", "substitute",
+        "truncated",
     ),
     "tableaux": (
-        "ButcherTableau", "builtin_tableau", "rk_series", "tableau_from_json_dict",
+        "ButcherTableau", "builtin_tableau", "elementary_weight", "order_of_accuracy", "rk_series",
+        "tableau_from_json_dict", "tableau_to_json_dict",
     ),
-    "tableaux_extra": ("elementary_weight", "order_of_accuracy", "tableau_to_json_dict"),
-    "expressions": ("Expression", "differentiate"),
-    "expressions_extra": ("eval_expression", "format_expression", "format_expressions"),
+    "expressions": (
+        "Expression", "differentiate", "eval_expression", "format_expression",
+        "format_expressions",
+    ),
     "odes": (
         "DiffCache", "ODESystem", "elementary_differential", "parse_ode",
         "series_vector_field",
@@ -79,16 +83,18 @@ def _load(module: str):
     return sys.modules[f"{__name__}.{module}"]
 
 
-def _forward(namespace: dict, companion: str, names: tuple[str, ...]):
+def _forward(namespace: dict, companion: str):
     """The PEP 562 ``__getattr__`` of the module whose globals are
-    ``namespace``: each of ``names`` lives in the module ``companion`` and
-    is imported from it, and kept, the first time it is read."""
+    ``namespace``: a public name it lacks is read from the module
+    ``companion``, imported then, and kept.  A dunder or ``_private`` name
+    is refused without loading anything (a star import, ``__path__``)."""
     module = namespace["__name__"]
 
     def __getattr__(name: str):
-        if name not in names:
+        extra = None if name.startswith("_") else _load(companion)
+        if not hasattr(extra, name):
             raise AttributeError(f"module {module!r} has no attribute {name!r}")
-        value = namespace[name] = getattr(_load(companion), name)
+        value = namespace[name] = getattr(extra, name)
         return value
 
     return __getattr__

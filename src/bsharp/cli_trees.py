@@ -101,8 +101,7 @@ def _kept(i: int) -> int:
 
 
 def cmd_splits(args) -> int:
-    from .splits import tree_id
-    from .splits_extra import ordered_subtrees, partitions
+    from .splits_extra import ordered_subtrees, partitions, tree_id
     from .trees_extra import parse_tree
 
     tree = parse_tree(args.tree)

@@ -21,8 +21,8 @@ value type; the caller only says what a name means.  :func:`coeff_parse`
 reads names as symbols, :func:`parse_rational` refuses them, and
 :func:`bsharp.odes.parse_ode` reads them as variables and parameters.
 :data:`NAME` is the one spelling of a name.  The LaTeX spelling of names
-and rationals lives in :mod:`bsharp.coefficients_extra`, which only LaTeX
-output loads.
+and rationals and the size check of a power live in
+:mod:`bsharp.coefficients_extra`, which only LaTeX output and powers load.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import comb, log10, prod
 from typing import TYPE_CHECKING, Mapping, Union
 
 from . import _forward
 from .errors import CoefficientError, ParseError
 
-__getattr__ = _forward(globals(), "coefficients_extra", ("latex_name",))
+__getattr__ = _forward(globals(), "coefficients_extra")
 
 if TYPE_CHECKING:
     from .symbolic import RationalFunction
@@ -58,42 +57,6 @@ def is_rational(value: object) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_power(base, exponent: int) -> None:
-    """Refuse, before any work, a power past 10·``sys.get_int_max_str_digits()``
-    (0: no limit), which starts to take time: a rational ``base`` to the k
-    with more digits (m-bit ints give > (m - 1)·k·log10(2)), or the term
-    dicts ``base`` of a numerator and a denominator to the k with more terms
-    (at most C(k + t - 1, t - 1) for t terms, and Π (k·(max - min) + 1) over
-    the exponents of each symbol), a coefficient of more digits (at most
-    k·log10(Σ|c|)), or more than ten times the limit in all (terms times
-    digits, summed over both dicts)."""
-    limit, k = 10 * sys.get_int_max_str_digits(), abs(exponent)
-    if is_rational(base):
-        bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
-        # bits·k·0.30103 in ints: bits·k overflows a float past 10^308
-        large, verb = bits * k * 30103 > limit * 100000, "has"
-    else:
-        large, verb, total = False, "may have", 0.0
-        for t in filter(None, base):
-            spans = prod(k * (max(e) - min(e)) + 1 for e in zip(*t))
-            # spans > k when t > 1, so past the limit the costly C(...) can wait
-            terms = spans if k > limit else min(comb(k + len(t) - 1, len(t) - 1), spans)
-            size = log10(sum(map(abs, t.values())))
-            large = large or terms > limit or size and k > limit / size
-            if not large and size:
-                total += terms * k * size
-        if not large and total > 10 * limit:
-            limit *= 10
-            large, verb = True, "may have, in all,"
-    if limit and large:
-        shown = f"exponent {exponent}"
-        if k >= 10**40:  # a digit count, not the digits
-            digits = int(log10(k))  # floor(log10(k)), up to rounding
-            digits += (k >= 10 ** (digits + 1)) - (k < 10**digits) + 1
-            shown = f"a {'negative ' * (exponent < 0)}{digits}-digit exponent"
-        raise CoefficientError(f"a power with {shown} {verb} more than {limit} digits")
-
-
 def coeff_div(a: Coefficient, b: Coefficient) -> Coefficient:
     if not b:
         raise CoefficientError("division by zero coefficient")
@@ -107,6 +70,8 @@ def coeff_pow(c: Coefficient, k: int) -> Coefficient:
         return c ** k
     if k < 0 and c == 0:
         raise CoefficientError("zero coefficient raised to a negative power")
+    from .coefficients_extra import check_power
+
     check_power(c, k)
     return Fraction(c) ** k
 

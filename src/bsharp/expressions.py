@@ -39,7 +39,7 @@ from . import _forward
 from .coefficients import coeff_pow, is_rational
 from .errors import CoefficientError
 
-__getattr__ = _forward(globals(), "expressions_extra", ("eval_expression", "format_expression"))
+__getattr__ = _forward(globals(), "expressions_extra")
 
 # the intern tables, one per kind, keyed as the module docstring says
 _consts, _vars, _sums, _prods, _powers = {}, {}, {}, {}, {}

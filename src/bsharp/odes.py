@@ -248,17 +248,19 @@ class DiffCache:
 
     def elementary(self, tree: RootedTree) -> tuple[Expression, ...]:
         """The tree's elementary differential, one expression per component."""
-        i = self._index().tree_id(tree._levels)
+        from .splits_extra import tree_id
+
+        self._index()
+        i = tree_id(tree._levels)
         return self._grafted(self._kids[i], i)
 
-    def _index(self):
-        """The tree index, after dropping the differentials of a cleared one."""
+    def _index(self) -> None:
+        """Drop the differentials of a cleared tree index."""
         from . import splits
 
         if self._generation != splits._generation:
             self._trees.clear()
             self._generation, self._kids = splits._generation, splits._kids
-        return splits
 
     def _grafted(self, kids: tuple[int, ...], i: int | None) -> tuple[Expression, ...]:
         """The differential of a root over the indexed children ``kids``

@@ -61,11 +61,7 @@ from .errors import SeriesError, SingularMethodError
 from .splits import check_size
 from .trees import RootedTree, all_trees_up_to, levels_text
 
-__getattr__ = _forward(globals(), "series_extra", (
-    "SeriesTerm", "compose", "display_terms", "exact_series", "format_series", "identity_series",
-    "modifying_integrator_series", "scale_step", "series_eq", "series_from_json_dict",
-    "series_order_of_accuracy", "series_sub", "substitute", "truncated",
-))
+__getattr__ = _forward(globals(), "series_extra")
 
 # The coefficient arithmetic of series_extra goes through these names of
 # this module and its coeff_div (the passes add inline), so a caller can

@@ -39,7 +39,7 @@ from .errors import SeriesError
 from .graded import _domain, _reciprocal, _solve
 from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted
 from .splits import _kids, _seqs, densities, orders_below, symmetries, with_child
-from .trees import EMPTY_TREE, RootedTree, all_trees_up_to
+from .trees import RootedTree, all_trees_up_to
 
 
 def _checked_coefficients(
@@ -404,6 +404,8 @@ def display_terms(series: TruncatedBSeries, reduce_order_by: int = 0) -> list[Se
                 "cannot lower the h-grading of a series with a nonzero empty "
                 "coefficient (its constant term would get a negative h power)"
             )
+        from .trees_extra import EMPTY_TREE
+
         terms.append(SeriesTerm(EMPTY_TREE, series.empty, 0))
     ids = chain.from_iterable(orders_below(series.max_order + 1))
     sigmas = symmetries()
@@ -431,7 +433,7 @@ def format_series(
         width = max(len(s) for s in coeff_strs)
         lines = []
         for (tree, _, power), cs in zip(terms, coeff_strs):
-            what = "y" if tree is EMPTY_TREE else f"F({tree})"
+            what = "y" if tree.is_empty else f"F({tree})"
             lines.append(f"{cs:<{width}}  h^{power}  {what}")
         return "\n".join(lines)
     if fmt == "latex":
@@ -447,7 +449,7 @@ def format_series(
             elif cs == "-1":
                 cs = "-"
             h = "" if power == 0 else ("h" if power == 1 else f"h^{{{power}}}")
-            what = "y" if tree is EMPTY_TREE else f"F({tree})"
+            what = "y" if tree.is_empty else f"F({tree})"
             factors = " ".join(p for p in (h, what) if p)
             if cs == "-":
                 body = f"-{factors}"
@@ -466,7 +468,7 @@ def format_series(
 
 
 def series_from_json_dict(data: dict) -> TruncatedBSeries:
-    from .trees_extra import parse_tree
+    from .trees_extra import EMPTY_TREE, parse_tree
 
     if not isinstance(data, dict):
         raise SeriesError("series JSON must be an object")

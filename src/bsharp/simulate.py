@@ -63,9 +63,7 @@ Field = Callable[[Sequence[float]], list[float]]
 # so that a direct or reference run loads no series layer.
 # perfbench/traced.py wraps them by name, though a tableau's modifying
 # integrator no longer calls ``modifying_integrator_series``.
-__getattr__ = _forward(
-    globals(), "series", ("modified_equation_series", "modifying_integrator_series")
-)
+__getattr__ = _forward(globals(), "series")
 
 
 class SimulationPlan:
@@ -125,10 +123,11 @@ def _row_count(step: float, t_max: float) -> int:
     return int(math.floor(t_max / step + 1e-9)) + 1
 
 
-def _float_tableau(tab: ButcherTableau):
-    """Lower the exact tableau to doubles; symbols must be bound already."""
-    a = tuple(tuple(float(coeff_eval(x, {})) for x in row) for row in tab.A)
-    b = tuple(float(coeff_eval(x, {})) for x in tab.b)
+def _float_tableau(tab: ButcherTableau, bindings: dict):
+    """Lower the exact tableau to doubles, its symbols bound to ``bindings``
+    (the system's parameters)."""
+    a = tuple(tuple(float(coeff_eval(x, bindings)) for x in row) for row in tab.A)
+    b = tuple(float(coeff_eval(x, bindings)) for x in tab.b)
     return a, b
 
 
@@ -237,7 +236,7 @@ def iterate_rows(plan: SimulationPlan) -> Iterator[tuple[float, tuple[float, ...
     _require_explicit(plan.tableau)
     field = _build_field(plan)
     if plan.mode == "direct":
-        a, b = _float_tableau(plan.tableau)
+        a, b = _float_tableau(plan.tableau, plan.system.parameters)
         substeps, h_sub = 1, plan.step
     else:
         a, b = _RK4_A, _RK4_B

@@ -10,14 +10,12 @@ and they drive the Lie-derivative recursion of the modified equation.
 
 The solves name trees by ids.  This module holds the tree index, which
 builds every tree of an order from the ids of its children
-(:func:`orders_below`, :func:`top_order`, :func:`tree_id`), σ and γ by
-id, and the edge cuts that the modified equation and the modifying
-integrator of a tableau read: no solve parses a level sequence.  The
-lazy iterators :func:`~bsharp.splits_extra.ordered_subtrees` and
-:func:`~bsharp.splits_extra.partitions` (one split per subset: a tree of
-order 40 has ~2**39 edge subsets, and taking the first few must not
-enumerate them all) and the partition tables
-(:func:`~bsharp.splits_extra.partition_skeleton_table`) live in
+(:func:`orders_below`, :func:`top_order`), σ and γ by id, and the edge
+cuts that the modified equation and the modifying integrator of a
+tableau read: no solve parses a level sequence.  The id of a parsed
+tree (:func:`~bsharp.splits_extra.tree_id`), the lazy iterators of
+splits, the partition tables and
+:func:`~bsharp.splits_extra.clear_split_caches` live in
 :mod:`bsharp.splits_extra`, which only the commands that read them load;
 their names are still read from here.
 
@@ -25,25 +23,20 @@ Nothing walks the 2**(order-1) subsets, a mask, or a level sequence to
 canonicalize: every split of a tree is built over ids from those of the
 root's children (the coproduct recursion of Calaque, Ebrahimi-Fard and
 Manchon, "Two interacting Hopf algebras of trees", 2011).
-:func:`clear_split_caches` drops every table, memo and the tree index.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right, insort
 from collections import Counter
 from collections.abc import Iterator
 
 from . import _forward
-from .errors import InvalidTreeError, SeriesError
-from .trees import _check_order, _children, tree_counts
+from .errors import SeriesError
+from .trees import _check_order, tree_counts
 
-__getattr__ = _forward(globals(), "splits_extra", (
-    "Forest", "PartitionSplit", "SubtreeSplit", "edge_cut_id_table", "ordered_subtrees",
-    "partition_skeleton_table", "partition_split_table", "partitions",
-))
+__getattr__ = _forward(globals(), "splits_extra")
 
 
 # -- the tree index ------------------------------------------------------------
@@ -56,7 +49,7 @@ __getattr__ = _forward(globals(), "splits_extra", (
 # follow ``all_trees_up_to`` order.  The trees of order N are built the same
 # way, as they are read, and registered nowhere (:func:`top_order`): none
 # of them is a child or a trunk of another.  A tree met any other way
-# (parsed, by :func:`tree_id`, or grown by a table) gets its id when it is
+# (parsed, by ``tree_id``, or grown by a table) gets its id when it is
 # first met, after its children, and keeps it when its order is indexed
 # whole.  σ and γ are lists by id, grown as they are read.
 
@@ -149,17 +142,6 @@ def top_order(n: int) -> Iterator[tuple[bytes, tuple[int, ...]]]:
     return _born(n)
 
 
-def tree_id(seq: bytes) -> int:
-    """Id of the tree with canonical level sequence ``seq``, indexed when
-    it is first met, after its children."""
-    i = _ids.get(seq)
-    if i is None:
-        if not seq:
-            raise InvalidTreeError("the empty tree has no splits")
-        i = _ids[seq] = _grafts[tuple(sorted(map(tree_id, _children(seq))))]
-    return i
-
-
 def _sigma(kids: tuple[int, ...]) -> int:
     """σ of a root over ``kids``: Π σ(c)^k·k! over its distinct children c, k of each."""
     return math.prod(_sigmas[c] ** k * math.factorial(k) for c, k in Counter(kids).items())
@@ -242,16 +224,3 @@ def _grow(child: int, s: int) -> int:
 # child id -> {tree id s: id of s with one more root child, the child}: how
 # a trunk, a kept subtree and a partition's components and skeleton grow
 with_child: dict[int, dict[int, int]] = _Memo(lambda child: _Memo(lambda s: _grow(child, s)))
-
-
-def clear_split_caches() -> None:
-    """Drop every cached split table and the memos behind them, those of
-    :mod:`bsharp.splits_extra` too once it is loaded."""
-    global _generation
-    _generation += 1
-    for memo in (_cut_tables, with_child, _seqs, _kids, _grafts, _orders, _firsts, _ids,
-                 _sigmas, _gammas):
-        memo.clear()
-    extra = sys.modules.get(f"{__name__}_extra")
-    if extra is not None:
-        extra._clear()

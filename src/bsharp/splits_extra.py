@@ -1,13 +1,14 @@
 """Split tables and iterators that the modified-equation path never reads.
 
 The companion of :mod:`bsharp.splits`, over its tree index, and loaded
-only by the commands that read one of these: the lazy iterators
+only by the commands that read one of these: the id of a tree met as a
+level sequence (:func:`tree_id`), the lazy iterators
 :func:`ordered_subtrees` and :func:`partitions` (the ``splits`` command),
 and the partition tables that :func:`bsharp.series_extra.substitute` and
 the modifying integrator of a series sum.  A multiset of trees is named
 by the sorted tuple of its ids, or as the children of one root.
-:func:`bsharp.splits.clear_split_caches` drops the tables here too,
-through :func:`_clear`.
+:func:`clear_split_caches` drops the tables of both modules and the tree
+index.
 """
 
 from __future__ import annotations
@@ -18,8 +19,21 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Union
 
 from . import splits
-from .splits import _cut_tables, _kids, _Memo, _seqs, tree_id, with_child
-from .trees import EMPTY_TREE, RootedTree, _EmptyTree
+from .errors import InvalidTreeError
+from .splits import _cut_tables, _grafts, _ids, _kids, _Memo, _seqs, with_child
+from .trees import RootedTree
+from .trees_extra import EMPTY_TREE, _children, _EmptyTree
+
+
+def tree_id(seq: bytes) -> int:
+    """Id of the tree with canonical level sequence ``seq``, indexed when
+    it is first met, after its children."""
+    i = _ids.get(seq)
+    if i is None:
+        if not seq:
+            raise InvalidTreeError("the empty tree has no splits")
+        i = _ids[seq] = _grafts[tuple(sorted(map(tree_id, _children(seq))))]
+    return i
 
 
 def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
@@ -35,7 +49,7 @@ def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
 
 def _merge(a: int, b: int) -> int:
     """Id of the tree whose root children are those of ``a`` and ``b``."""
-    return splits._grafts[tuple(sorted(_kids[a] + _kids[b]))]
+    return _grafts[tuple(sorted(_kids[a] + _kids[b]))]
 
 
 # tree id a -> {tree id b: id of the tree whose root children are those of
@@ -110,7 +124,7 @@ def partitions(tree: RootedTree) -> Iterator[PartitionSplit]:
 # rooted table maps each state to the number of edge subsets that give it.
 # Children are joined one at a time, in level-sequence order; the edge to
 # a child is either kept or cut.  A table row names its forest by the
-# sorted tuple of its members' ids, the key of ``splits._grafts``.
+# sorted tuple of its members' ids, the key of ``_grafts``.
 #
 # No masks are stored.  A child's edges are the bits above those of the
 # children joined before it, and the edge to the child is the bit just
@@ -255,9 +269,12 @@ def _kept(i: int, j: int = 0) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield graft[kept], forest + c_forest
 
 
-def _clear() -> None:
-    """Drop the tables and memos of this module, for
-    :func:`bsharp.splits.clear_split_caches`."""
+def clear_split_caches() -> None:
+    """Drop every cached split table and the memos behind them, and the
+    tree index, which voids every id."""
+    splits._generation += 1
     partition_split_table.cache_clear()
-    for memo in (_rooted_tables, _skeleton_tables, _forest_ids, _forests, with_children_of):
+    for memo in (_cut_tables, with_child, _seqs, _kids, _grafts, splits._orders, splits._firsts,
+                 _ids, splits._sigmas, splits._gammas, _rooted_tables, _skeleton_tables,
+                 _forest_ids, _forests, with_children_of):
         memo.clear()

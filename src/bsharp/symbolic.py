@@ -60,7 +60,7 @@ from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Mapping
 
-from .coefficients import _NAME_RE, Coefficient, check_power, is_rational
+from .coefficients import _NAME_RE, Coefficient, is_rational
 from .errors import CoefficientError, UnboundSymbolError
 
 
@@ -309,6 +309,8 @@ class RationalFunction:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
+        from .coefficients_extra import check_power
+
         num, den = self.num, self.den
         check_power((num, den), k)
         if k < 0:

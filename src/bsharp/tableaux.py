@@ -44,9 +44,7 @@ from .coefficients import (
 )
 from .errors import TableauError
 
-__getattr__ = _forward(
-    globals(), "tableaux_extra", ("elementary_weight", "order_of_accuracy", "tableau_to_json_dict")
-)
+__getattr__ = _forward(globals(), "tableaux_extra")
 
 if TYPE_CHECKING:
     from .series import TruncatedBSeries

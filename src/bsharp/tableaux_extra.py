@@ -13,13 +13,15 @@ from typing import Mapping
 from .coefficients import Coefficient, coeff_eval, coeff_print
 from .series import TruncatedBSeries
 from .series_extra import series_order_of_accuracy
-from .splits import _kids, tree_id
+from .splits import _kids
 from .tableaux import ButcherTableau, _products, _propagated, _weight, rk_series
 from .trees import RootedTree
 
 
 def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
     """Φ(tree): the coefficient of the method's B-series at ``tree``."""
+    from .splits_extra import tree_id
+
     A, b, _, lower, d = tab._lifted
     ones = [1] * len(b)
 

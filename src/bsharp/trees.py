@@ -10,16 +10,12 @@ one cache line wide (stored as ``bytes``).
 Canonicalization sorts each node's child subsequences in descending order,
 which makes the concatenation greatest; results are memoised.  Enumeration
 steps from one canonical sequence to the next in constant amortized time.
-Parsing, validation, canonicalization and :func:`count_trees` live in
-:mod:`bsharp.trees_extra`, which a command that only enumerates trees
-never loads; their names are still read from here.  A solve builds its
-trees from their children in the index of :mod:`bsharp.splits`, which
-also holds σ and γ by id.
-
-The empty tree ``∅`` that indexes the constant term of a B-series is *not*
-an order-0 :class:`RootedTree`; it is the distinct sentinel
-:data:`EMPTY_TREE`, accepted only where a series coefficient is being looked
-up or displayed.
+Parsing, validation, canonicalization, :func:`count_trees` and the
+empty tree ``EMPTY_TREE`` (the constant term of a B-series, not an
+order-0 tree) live in :mod:`bsharp.trees_extra`, which a command that
+only enumerates trees never loads; their names are still read from here.
+A solve builds its trees from their children in the index of
+:mod:`bsharp.splits`, which also holds σ and γ by id.
 """
 
 from __future__ import annotations
@@ -31,11 +27,7 @@ from .errors import InvalidTreeError
 
 MAX_ORDER = 62
 
-__getattr__ = _forward(globals(), "trees_extra", (
-    "canonicalize", "clear_tree_caches", "count_trees", "parse_tree",
-))
-
-_SHALLOWER = b"\x00" + bytes(range(255))  # translate table: level - 1
+__getattr__ = _forward(globals(), "trees_extra")
 
 
 class RootedTree:
@@ -74,11 +66,14 @@ class RootedTree:
 
     def children(self) -> tuple["RootedTree", ...]:
         """Subtrees hanging off the root, largest first."""
+        from .trees_extra import _children
+
         return tuple(map(RootedTree._wrap, _children(self._levels)))
 
     def symmetry(self) -> int:
         """Order of the automorphism group (sigma)."""
-        from .splits import symmetries, tree_id
+        from .splits import symmetries
+        from .splits_extra import tree_id
 
         i = tree_id(self._levels)  # indexed first: symmetries() covers the index
         return symmetries()[i]
@@ -86,7 +81,8 @@ class RootedTree:
     def density(self) -> int:
         """Product over all nodes of the size of the subtree rooted there
         (gamma)."""
-        from .splits import densities, tree_id
+        from .splits import densities
+        from .splits_extra import tree_id
 
         i = tree_id(self._levels)
         return densities()[i]
@@ -125,30 +121,6 @@ class RootedTree:
         return self._key() >= other._key()
 
 
-class _EmptyTree:
-    """Sentinel for the empty tree (constant term of a series)."""
-
-    __slots__ = ()
-    _levels = b""  # the empty level sequence; keys the empty coefficient
-
-    @property
-    def order(self) -> int:
-        return 0
-
-    @property
-    def is_empty(self) -> bool:
-        return True
-
-    def __str__(self) -> str:
-        return "∅"
-
-    def __repr__(self) -> str:
-        return "EMPTY_TREE"
-
-
-EMPTY_TREE = _EmptyTree()
-
-
 def _check_order(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise InvalidTreeError(f"order must be an integer, got {n!r}")
@@ -182,20 +154,6 @@ def all_trees_up_to(max_order: int) -> Iterator[RootedTree]:
 def levels_text(seq: bytes) -> str:
     """The text of the tree with level sequence ``seq``: ``[0,1,1]``."""
     return "[" + ",".join(map(str, seq)) + "]"
-
-
-def _child_slices(seq: bytes) -> list[bytes]:
-    """The subsequences of the root's children, in order, at their original
-    levels."""
-    n = len(seq)
-    starts = [i for i in range(1, n) if seq[i] == seq[0] + 1] + [n]
-    return [seq[s:e] for s, e in zip(starts, starts[1:])]
-
-
-def _children(seq: bytes) -> list[bytes]:
-    """Level sequences of the root's children, in order, each rebased to
-    level 0 (canonical whenever ``seq`` is)."""
-    return [child.translate(_SHALLOWER) for child in _child_slices(seq)]
 
 
 def _successor(levels: bytes) -> bytes | None:

@@ -1,10 +1,12 @@
-"""Reading, validating and canonicalizing level sequences, and counting trees.
+"""Reading, validating and canonicalizing level sequences, counting trees,
+and the empty tree.
 
 The companion of :mod:`bsharp.trees`: enumeration never canonicalizes, so
 a command that only enumerates trees (a modified equation, a simulation)
 never loads this module.  :class:`~bsharp.trees.RootedTree` imports it
-when it is built from a level sequence, and :mod:`bsharp.trees` reads its
-public names from here on first access.
+when it is built from a level sequence.  The empty tree :data:`EMPTY_TREE`
+that indexes the constant term of a B-series is a sentinel, not an order-0
+tree, read only where a coefficient is looked up or displayed.
 """
 
 from __future__ import annotations
@@ -12,11 +14,35 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import InvalidTreeError
-from .trees import (
-    EMPTY_TREE, MAX_ORDER, RootedTree, _check_order, _child_slices, tree_counts,
-)
+from .trees import MAX_ORDER, RootedTree, _check_order, tree_counts
+
+_SHALLOWER = b"\x00" + bytes(range(255))  # translate table: level - 1
 
 _canon_cache: dict[bytes, bytes] = {}  # level sequence -> its canonical form
+
+
+class _EmptyTree:
+    """Sentinel for the empty tree (constant term of a series)."""
+
+    __slots__ = ()
+    _levels = b""  # the empty level sequence; keys the empty coefficient
+
+    @property
+    def order(self) -> int:
+        return 0
+
+    @property
+    def is_empty(self) -> bool:
+        return True
+
+    def __str__(self) -> str:
+        return "∅"
+
+    def __repr__(self) -> str:
+        return "EMPTY_TREE"
+
+
+EMPTY_TREE = _EmptyTree()
 
 
 def clear_tree_caches() -> None:
@@ -92,3 +118,15 @@ def _canon(seq: bytes) -> bytes:
     return out
 
 
+def _child_slices(seq: bytes) -> list[bytes]:
+    """The subsequences of the root's children, in order, at their original
+    levels."""
+    n = len(seq)
+    starts = [i for i in range(1, n) if seq[i] == seq[0] + 1] + [n]
+    return [seq[s:e] for s, e in zip(starts, starts[1:])]
+
+
+def _children(seq: bytes) -> list[bytes]:
+    """Level sequences of the root's children, in order, each rebased to
+    level 0 (canonical whenever ``seq`` is)."""
+    return [child.translate(_SHALLOWER) for child in _child_slices(seq)]

@@ -641,6 +641,17 @@ def test_simulate_refuses_an_unbound_symbol_before_any_output(tmp_path, output):
     assert proc.stderr.startswith("error:") and "alpha" in proc.stderr
 
 
+def test_simulate_binds_a_symbolic_tableau_from_the_param_lines():
+    # the direct run reads alpha from the param line, as the series modes
+    # do: rk22(1) is Heun's method, which on x' = x with h = 1/2 makes the
+    # same doubles as the midpoint rule
+    rest = ["--ode-text", "vars x; param alpha = 1; x' = x", "--step", "0.5", "--t-max", "1",
+            "--initial", "1"]
+    out = run_ok("simulate", "--tableau", "rk22(alpha)", *rest)
+    assert out == run_ok("simulate", "--tableau", "midpoint", *rest)
+    assert out.splitlines()[-1] == "1.0,2.640625"
+
+
 def test_simulate_runs_a_field_whose_constants_fit():
     out = run_ok(
         "simulate", "--tableau", "midpoint", "--ode-text", "vars x; x' = 10^200*x^2",
@@ -747,6 +758,42 @@ def test_field_output_is_byte_identical(kind, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, tableau, fmt)
+
+
+# ---------------------------------------------------------------------------
+# determinism: a symbolic series and the field of a series solve
+# ---------------------------------------------------------------------------
+
+_PINNED = {
+    "me-symbolic": ["modified-equation", "--tableau", "rk22(alpha)", "--order", "6",
+                    "--format", "json"],
+    "mi-field": ["modifying-integrator", "--tableau", "rk4", "--order", "6", "--ode-text", LV,
+                 "--format", "text"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED.values()), ids=list(_PINNED))
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    outs = set()
+    for seed in ("0", "1", "2"):
+        proc = run_python("-m", "bsharp", *argv, env={**_env(), "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+
+
+@pytest.mark.parametrize("argv", list(_PINNED.values()), ids=list(_PINNED))
+def test_output_does_not_depend_on_the_trees_indexed_before(argv, capsys):
+    # trees of orders 5 to 7 get their ids before the index reaches their
+    # order, so the solve meets ids out of all_trees_up_to order
+    from bsharp.splits import clear_split_caches, tree_id
+    from bsharp.trees import parse_tree
+
+    cold = run_ok(*argv)
+    clear_split_caches()
+    for text in ("[0,1,2,1,1]", "[0,1,1,2,2,1]", "[0,1,2,1,2,1,1]"):
+        tree_id(parse_tree(text)._levels)
+    assert _stdout_of(argv, capsys) == cold
 
 
 # ---------------------------------------------------------------------------

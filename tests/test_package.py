@@ -171,14 +171,88 @@ def test_every_export_is_its_home_modules_object():
     assert bsharp.__all__[-1] == "__version__"
     for name in bsharp.__all__[:-1]:
         home = importlib.import_module(f"bsharp.{bsharp._HOME[name]}")
-        assert getattr(bsharp, name) is getattr(home, name), name
+        value = getattr(bsharp, name)
+        assert value is getattr(home, name), name
+        # defined by the layer's module or its companion
+        defined = getattr(value, "__module__", None) or type(value).__module__
+        assert defined in (home.__name__, f"{home.__name__}_extra"), name
     assert set(bsharp.__all__) <= set(dir(bsharp))
+
+
+# a layer's module -> its companion, which holds the code no hot command runs
+COMPANIONS = {module[: -len("_extra")]: module for module in MODULES if module.endswith("_extra")}
+# the modules that read the names they lack from another: the layers with a
+# companion, and simulate, whose series solves are read from series
+FORWARDING = sorted([*COMPANIONS, "simulate"])
+
+
+def _defined_names(module: str) -> set[str]:
+    """The names that a module-level def, class or assignment of ``module`` binds."""
+    names = set()
+    for node in ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {sub.id for target in targets for sub in ast.walk(target)
+                      if isinstance(sub, ast.Name)}
+    return names
+
+
+def test_each_forwarding_module_says_so_with_no_name_list():
+    # where a name lives is said once, by the module that defines it
+    found = sorted(
+        module for module in MODULES
+        if "_forward(" in (SOURCE / f"{module}.py").read_text(encoding="utf-8")
+    )
+    assert found == FORWARDING
+    for module in FORWARDING:
+        target = COMPANIONS.get(module, "series")
+        source = (SOURCE / f"{module}.py").read_text(encoding="utf-8")
+        assert f'__getattr__ = _forward(globals(), "{target}")' in source, module
+    assert not any(module.endswith("_extra") for module in bsharp._EXPORTS)
+
+
+@pytest.mark.parametrize("companion", sorted(COMPANIONS.values()))
+def test_every_public_name_of_a_companion_is_read_from_its_layers_module(companion):
+    layer = importlib.import_module(f"bsharp.{companion[: -len('_extra')]}")
+    extra = importlib.import_module(f"bsharp.{companion}")
+    public = sorted(name for name in _defined_names(companion) if not name.startswith("_"))
+    assert public
+    for name in public:
+        assert getattr(layer, name) is getattr(extra, name), name
+
+
+def test_dunder_and_private_names_load_nothing_more():
+    # a star import, hasattr(m, "__path__") and a missing private name are
+    # refused before the companion (or series, for simulate) is imported
+    before, after = _fresh(
+        "import importlib, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('bsharp.'))\n"
+        "before, after = [], []\n"
+        f"for name in {sorted(FORWARDING, key=lambda m: m != 'simulate')!r}:\n"
+        "    module = importlib.import_module('bsharp.' + name)\n"
+        "    before.append(loaded())\n"
+        "    for attr in ('__all__', '__path__', '_no_such_name'):\n"
+        "        hasattr(module, attr)\n"
+        "    exec(f'from bsharp.{name} import *', {})\n"
+        "    after.append(loaded())\n"
+        "print(json.dumps([before, after]))\n"
+    )
+    assert before == after
+    assert "bsharp.series" not in after[0]  # simulate alone
+    assert not [m for m in after[-1] if m.endswith("_extra")]
 
 
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         bsharp.no_such_name
     assert not hasattr(bsharp, "no_such_name")
+    for module in FORWARDING:
+        layer = importlib.import_module(f"bsharp.{module}")
+        with pytest.raises(AttributeError, match=rf"'bsharp.{module}' has no attribute 'no_such'"):
+            layer.no_such
 
 
 def _fresh(code: str, *args: str, read=json.loads):
@@ -278,6 +352,9 @@ STEPPED = ["expressions", "odes", "simulate"]
 # over plain coefficients, in graded.py's domains like every other solve
 B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2"],
             "symbols": ["beta"]}
+# a rational tableau file, as the benchmark's series jobs read them
+RATIONAL = {"A": [["0", "0", "0"], ["1/2", "0", "0"], ["-1/3", "2/3", "0"]],
+            "b": ["1/4", "0", "3/4"], "c": ["0", "1/2", "1/3"]}
 
 
 # a series prints as JSON by default; trees, splits, order, a field and
@@ -322,6 +399,16 @@ B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2
             [["modified-equation", "--tableau", "midpoint", "--order", "3", "--ode-text", ODE]],
             SOLVE + SERIES + FIELD, False,
         ),
+        (
+            [["modifying-integrator", "--tableau", "rational.json", "--order", "9",
+              "--format", "json"]],
+            SOLVE + SERIES + JSON + MI, True,
+        ),
+        (
+            [["modified-equation", "--tableau", "midpoint", "--order", "3", "--ode-text", ODE,
+              "--format", "json"]],
+            SOLVE + SERIES + FIELD + JSON, True,
+        ),
         ([SIMULATE + ["--modified-order", "2"]], SOLVE + SIMULATE_CLI + STEPPED, False),
         (
             [SIMULATE + ["--modified-order", "2", "--modifying-integrator"]],
@@ -332,8 +419,8 @@ B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2
     ],
     ids=[
         "help", "trees", "splits", "order", "me", "mi", "me-symbolic", "mi-plain",
-        "bseries-symbolic", "me-ode", "simulate", "simulate-mi", "simulate-direct",
-        "simulate-reference",
+        "bseries-symbolic", "me-ode", "mi-file-order-9", "me-ode-json", "simulate",
+        "simulate-mi", "simulate-direct", "simulate-reference",
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(
@@ -341,6 +428,7 @@ def test_each_command_loads_only_the_layers_it_runs(
 ):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "b_1_beta.json").write_text(json.dumps(B_1_BETA), encoding="utf-8")
+    (tmp_path / "rational.json").write_text(json.dumps(RATIONAL), encoding="utf-8")
     assert _loaded_by(*argvs, uses_json=uses_json) == sorted(["cli", "errors", *layers])
 
 
@@ -393,14 +481,15 @@ COMPILED = (
     "argv,lines",
     [
         (SIMULATE + ["--modified-order", "3"], 3059),
-        (["modified-equation", "--tableau", "midpoint", "--order", "9"], 2169),
-        (["trees", "1"], 763),
+        (["modified-equation", "--tableau", "midpoint", "--order", "9"], 2102),
+        (["trees", "1"], 744),
     ],
     ids=["simulate", "modified-equation", "trees"],
 )
 def test_a_cold_command_compiles_only_the_code_it_runs(argv, lines):
     # a command loads the hot core of each layer it runs, and no other
     # command's arguments or handler; code that only other commands run
-    # lives in companion modules.  The bound is the count when this test
-    # was written, plus 5 %.
+    # lives in companion modules.  The bound is the count recorded when
+    # the test was written, or the lower count of a later change that moved
+    # code no hot command runs into a companion, plus 5 %.
     assert _fresh(COMPILED, repr(argv), read=int) <= lines * 1.05

@@ -201,8 +201,24 @@ def test_composition_identity_laws():
 
 
 def test_composition_is_associative():
-    a, b, c = (random_map_series(5, seed) for seed in (31, 32, 33))
-    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+    family = [rk_series(builtin_tableau(f"rk22({p})"), 6) for p in ("alpha", "2*alpha", "alpha+1")]
+    for a, b, c in (
+        [random_map_series(5, seed) for seed in (31, 32, 33)],
+        [random_map_series(8, seed) for seed in (34, 35, 36)],
+        family,
+    ):
+        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+@pytest.mark.parametrize("name,order", [("midpoint", 8), ("rk4", 8), ("rk22(alpha)", 6)])
+def test_two_half_steps_follow_the_modified_field_at_half_the_step(name, order):
+    # the modified field of a at step h/2, flowed for time h: ME(a∘a at
+    # h/2)(τ) = 2^(1−|τ|)·ME(a)(τ), which ties compose's recursion to the
+    # edge-cut modified equation
+    a = rk_series(builtin_tableau(name), order)
+    halves = modified_equation_series(compose(a, a, normalize_stepsize=True))
+    for tree, c in modified_equation_series(a).items():
+        assert halves[tree] == c * Fraction(2, 2**tree.order), tree
 
 
 def test_compose_and_substitute_match_split_oracles():

@@ -376,7 +376,7 @@ def looped(p):
     """The rows of ``p`` stepped by ``oracles.rk_step_loop`` on its own field."""
     field = simulate._build_field(p)
     if p.mode == "direct":
-        a, b = simulate._float_tableau(p.tableau)
+        a, b = simulate._float_tableau(p.tableau, p.system.parameters)
         return stepped_rows(a, b, field, p.initial, p.step, p.rows, 1)
     return stepped_rows(*RK4_FLOAT, field, p.initial, p.step, p.rows, 100)
 
