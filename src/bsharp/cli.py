@@ -39,7 +39,7 @@ if TYPE_CHECKING:
 # command -> (the module that defines its arguments and handler, its help)
 COMMANDS = {
     "trees": ("cli_trees", "list canonical rooted trees of one order"),
-    "splits": ("cli_trees", "list the split table of a tree"),
+    "splits": ("cli_splits", "list the split table of a tree"),
     "bseries": ("cli_series", "series of a Runge-Kutta method"),
     "compose": ("cli_series", "compose two series (INNER first, then OUTER)"),
     "substitute": ("cli_series", "substitute a flow series into another series"),

@@ -290,9 +290,9 @@ def coeff_from_json(value, where: str, error: type[Exception]) -> Coefficient:
 
 
 def _symbol(name: str, line: int | None, column: int):
-    from .symbolic import symbol
+    from .symbolic import _named
 
-    return symbol(name)
+    return _named(name)
 
 
 def _no_names(name: str, line: int | None, column: int):

@@ -98,14 +98,16 @@ def format_expressions(
 
     A node prints the same *core* text wherever it occurs; only the
     parentheses around it depend on whether it stands in a sum, a product
-    or under a power.  One walk counts how often each distinct node of all
-    the expressions is used and lists the nodes operands first; then each
-    core is built once, in that order, by one join of its operands' cores.
-    The cost is linear in the number of distinct nodes of all the
-    expressions together plus the length of their cores.  A core is kept
-    only while a later use, in this expression or a later one, still
-    awaits it, so beyond the text it yields the generator holds just the
-    shared texts not yet consumed.
+    or under a power.  The core of a signed product leaves out its minus
+    sign, which the context prints (" - " in a sum), so no product's core
+    is copied to drop its sign.  One walk counts how
+    often each distinct node of all the expressions is used and lists the
+    nodes operands first; then each core is built once, in that order, by
+    one join of its operands' cores.  The cost is linear in the number of
+    distinct nodes of all the expressions together plus the length of
+    their cores.  A core is kept only while a later use, in this
+    expression or a later one, still awaits it, so beyond the text it
+    yields the generator holds just the shared texts not yet consumed.
     """
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown expression format {fmt!r}")
@@ -148,6 +150,9 @@ def format_expressions(
         ends.append(len(order))
 
     cores: dict[Expression, str] = {}  # of the nodes built, those with uses still due
+    # the signed products: the text of one is a minus sign and its core,
+    # and the context that prints one adds the sign
+    signed: set[Expression] = set()
     start = 0
     for expr, end in zip(exprs, ends):
         for node in order[start:end]:
@@ -160,29 +165,37 @@ def format_expressions(
                     uses[child] -= 1
             kind = type(node)
             if kind is Sum:
-                pieces = [parts[0]]
-                for body in parts[1:]:
-                    if body[0] == "-":
+                terms = zip(children, parts)
+                child, body = next(terms)
+                pieces = ["-", body] if child in signed else [body]
+                for child, body in terms:
+                    if child in signed:
+                        pieces += (" - ", body)
+                    elif body[0] == "-":  # a negative constant, or a sum led by a negative term
                         pieces += (" - ", body[1:])
                     else:
                         pieces += (" + ", body)
                 core = "".join(pieces)
             elif kind is Prod:
                 pieces = []
-                if len(children) < len(node.factors):  # signed: print the sign in front
-                    pieces.append("-")
+                if len(children) < len(node.factors):  # signed
+                    signed.add(node)
                     if node.factors[0] is not _MINUS_ONE:
                         pieces += (number(-node.factors[0].value), sep)
                 for part, child in zip(parts, children):
-                    if _needs_paren(child, 1):
-                        pieces += (left, part, right, sep)
-                    else:
+                    if not _needs_paren(child, 1):
                         pieces += (part, sep)
+                    elif child in signed:
+                        pieces += (left, "-", part, right, sep)
+                    else:
+                        pieces += (left, part, right, sep)
                 pieces.pop()
                 core = "".join(pieces)
             elif kind is Power:
                 base = parts[0]
-                if _needs_paren(children[0], 2):
+                if children[0] in signed:
+                    base = f"{left}-{base}{right}"
+                elif _needs_paren(children[0], 2):
                     base = f"{left}{base}{right}"
                 core = f"{base}^{{{node.exponent}}}" if latex else f"{base}^{node.exponent}"
             elif kind is Const:
@@ -195,6 +208,8 @@ def format_expressions(
             cores[node] = core
         start = end
         text = cores[expr]  # a root stands in a sum context: never parenthesized
+        if expr in signed:
+            text = "-" + text
         if uses[expr] == 1:
             del cores[expr]
         else:

@@ -18,13 +18,16 @@ tableau entry is of order 1, a series' c(τ) of order |τ|):
   then lifts as the square of the symbol of 1 + beta); its lift and lower
   live with the symbolic layer, which only such a solve loads.
 
-:func:`_domain` gives the (lift, lower, d) of each.  A product of the
-values of trees whose orders add up to |τ| (a stage product, a Lie term
-c_{j-1}(trunk)·v(branch), or Π v(component) over a partition) carries
-exactly λ^|τ|, so products are exact without rescaling, and each tree's
-value becomes a coefficient once, at the end: ``Fraction(value,
-λ^|τ|)``, or the normal form of a Laurent value over λ^|τ|, with each
-1/Q put back.  When every denominator is a monomial that normal form is
+:func:`_domain` gives the (lift, lower, d) of each, and the domain's own
+two accumulation kernels, a Lie kernel and a weighted sum: :func:`_lie`
+and :func:`_dot` for ints, and for Laurent values those of the symbolic
+layer, which sum products term by term where ``+=`` would copy the sum.
+A product of the values of trees whose orders add up to |τ| (a stage
+product, a Lie term c_{j-1}(trunk)·v(branch), or Π v(component) over a
+partition) carries exactly λ^|τ|, so products are exact without
+rescaling, and each tree's value becomes a coefficient once, at the end:
+``Fraction(value, λ^|τ|)``, or the normal form of a Laurent value over
+λ^|τ|, with each 1/Q put back.  When every denominator is a monomial that normal form is
 the one rational-function arithmetic reaches, since a monomial
 denominator never grows into a sum; otherwise it is a numerator over
 λ^|τ|·Π Q^K, reduced by no polynomial GCD.  A tableau is lifted once, by
@@ -82,7 +85,7 @@ def _graded_denominator(pairs, divisor=1) -> tuple[int, tuple[str, ...], tuple[d
     factoring.  A denominator is content·x^m·Q; every prime of every
     content divides d.  The distinct Q that are not 1 are taken lowest
     degree first, and each is divided by the ``rests`` registered before
-    it (:func:`bsharp.symbolic._factors`); what is left, if not 1, joins
+    it (:func:`bsharp.symbolic_extra._factors`); what is left, if not 1, joins
     ``rests`` as a term dict over the sorted parameters and has one more
     symbol, ``~k`` for ``rests[k]``, that stands for its reciprocal and
     ends ``symbols``.  So Q and Q^2 share one symbol, of power 1 and 2."""
@@ -108,7 +111,8 @@ def _graded_denominator(pairs, divisor=1) -> tuple[int, tuple[str, ...], tuple[d
     names = tuple(sorted(symbols))
     rests: list[dict] = []
     if dens:
-        from .symbolic import _degree, _factors, _rest, _widen
+        from .symbolic import _widen
+        from .symbolic_extra import _degree, _factors, _rest
 
         found: list[dict] = []
         for rest in (_rest(_widen(c.symbols, c.den, names))[2] for c in dens):
@@ -122,17 +126,17 @@ def _graded_denominator(pairs, divisor=1) -> tuple[int, tuple[str, ...], tuple[d
 
 
 def _domain(pairs, divisor=1) -> tuple:
-    """``(lift, lower, d)`` of the domain :func:`_graded_denominator`
+    """``(lift, lower, d, lie, dot)`` of the domain :func:`_graded_denominator`
     gives: ints when it has no symbols, and otherwise Laurent polynomials,
-    which load the symbolic layer, both divided by :func:`_exact`."""
+    which load the symbolic layer, both divided by :func:`_exact`; ``lie``
+    and ``dot`` are its kernels, called as :func:`_lie` and :func:`_dot`."""
     d, symbols, rests = _graded_denominator(pairs, divisor)
     if not symbols:
-        return _lift_int, Fraction, d
-    from .symbolic import _lift_laurent, _lower_laurent
+        return _lift_int, Fraction, d, _lie, _dot
+    from .symbolic import _laurent_dot, _laurent_lie, _lift_laurent, _lower_laurent, _Unpacked
 
-    return (
-        partial(_lift_laurent, symbols, rests, _exact), partial(_lower_laurent, symbols, rests), d
-    )
+    lower = partial(_lower_laurent, symbols, rests, _Unpacked(len(symbols)))
+    return partial(_lift_laurent, symbols, rests, _exact), lower, d, _laurent_lie, _laurent_dot
 
 
 def _reciprocal(u1, lift) -> tuple:
@@ -145,12 +149,13 @@ def _reciprocal(u1, lift) -> tuple:
 
 
 def lift_tableau(A, b, divisor=1) -> tuple:
-    """``(d·A, d·b, lift, lower, d)``: the entries of a tableau, each of
-    order 1, lifted by d into their domain (made with ``divisor``), in
-    which d^|τ|·Φ(τ) is a value whose ``lower(value, d^|τ|)`` is Φ(τ)."""
-    lift, lower, d = _domain(((1, x) for row in (b, *A) for x in row), divisor)
+    """``(d·A, d·b, lift, lower, d, lie, dot)``: the entries of a tableau,
+    each of order 1, lifted by d into their domain (made with ``divisor``),
+    in which d^|τ|·Φ(τ) is a value whose ``lower(value, d^|τ|)`` is Φ(τ),
+    and that domain's kernels."""
+    lift, lower, d, lie, dot = _domain(((1, x) for row in (b, *A) for x in row), divisor)
     lifted = [tuple(lift(x, d) for x in row) for row in (b, *A)]
-    return tuple(lifted[1:]), lifted[0], lift, lower, d
+    return tuple(lifted[1:]), lifted[0], lift, lower, d, lie, dot
 
 
 def _initial_scale(max_order: int, d: int, divisor: int) -> int:
@@ -179,8 +184,8 @@ def _solve(solve, max_order: int, d: int, divisor: int = 1) -> tuple[TruncatedBS
 def modified_equation(method: TruncatedBSeries, skip_zero: bool) -> tuple[TruncatedBSeries, int]:
     """The modified equation of ``method`` and its number of zero skips."""
     coeffs, top = method._coeffs, method.max_order
-    lift, lower, d = _domain((len(seq), c) for seq, c in coeffs.items() if seq)
-    solve = partial(_modified_equation_ints, coeffs, top, lift, lower, skip_zero)
+    lift, lower, d, lie, dot = _domain((len(seq), c) for seq, c in coeffs.items() if seq)
+    solve = partial(_modified_equation_ints, coeffs, top, lift, lower, lie, dot, skip_zero)
     return _solve(solve, top, d)
 
 
@@ -221,13 +226,18 @@ def _lie(rows: dict, branch: list, lists: list, width: int, skip_zero: bool) -> 
     return higher, skips
 
 
-def _top_order(lists: list, weights: list, stride: int = 1) -> list:
-    """Each list of ``lists`` folded for the top order: [Σ_j lists[θ][stride·j]·weights[j]]
-    over its nonzero terms, or [] when that is zero."""
+def _dot(values, weights):
+    """Σ values[i]·weights[i] over ints, to the shorter of the two."""
+    return sum(map(operator.mul, values, weights))
+
+
+def _top_order(lists: list, weights: list, dot, stride: int = 1) -> list:
+    """Each list of ``lists`` folded for the top order by the domain's
+    ``dot``: [Σ_j lists[θ][stride·j]·weights[j]], or [] when that is zero."""
     folded: list = [None] * len(lists)
     for i, c in enumerate(lists):
         if c is not None:
-            total = sum([t * r for t, r in zip(c[::stride], weights) if t], 0)
+            total = dot(c[::stride], weights)
             folded[i] = [total] if total else []
     return folded
 
@@ -238,7 +248,9 @@ def _ratios(n: int) -> list[int]:
     return [whole // math.factorial(j) for j in range(1, n + 1)]
 
 
-def _modified_equation_ints(weights: dict, top: int, lift, lower, skip_zero: bool, scale: int):
+def _modified_equation_ints(
+    weights: dict, top: int, lift, lower, lie, dot, skip_zero: bool, scale: int
+):
     """The modified equation of the coefficients ``weights`` (keyed by
     level sequence) up to order ``top``, over values scaled by λ^|τ|,
     λ = ``scale``: v(τ)·λ^|τ| = a(τ)·λ^|τ| - (Σ_{j≥2} c_j(τ)·λ^|τ|·|τ|!/j!) / |τ|!,
@@ -252,21 +264,21 @@ def _modified_equation_ints(weights: dict, top: int, lift, lower, skip_zero: boo
         return coeffs, skips
     orders = orders_below(top)
     v: list = [None] * len(_seqs)
-    lie: list = [None] * len(_seqs)
+    lists: list = [None] * len(_seqs)
     for n, ids in enumerate(orders, 1):
         power, whole, ratios = scale**n, math.factorial(n), _ratios(n)[1:]
         for i in ids:
-            higher, skipped = _lie(_cut_tables[i], v, lie, n - 1, skip_zero)
+            higher, skipped = lie(_cut_tables[i], v, lists, n - 1, skip_zero)
             skips += skipped
             seq = _seqs[i]
-            total = sum(map(operator.mul, higher, ratios))
+            total = dot(higher, ratios)
             v[i] = value = lift(weights[seq], power) - _exact(total, whole)
-            lie[i] = [value] + higher
+            lists[i] = [value] + higher
             coeffs[seq] = lower(value, power)
     power, whole = scale**top, math.factorial(top)
-    lie = _top_order(lie, _ratios(top)[1:])
+    lists = _top_order(lists, _ratios(top)[1:], dot)
     for seq, kids in top_order(top):
-        (total,), skipped = _lie(cut_rows(kids), v, lie, 1, skip_zero)
+        (total,), skipped = lie(cut_rows(kids), v, lists, 1, skip_zero)
         skips += skipped
         coeffs[seq] = lower(lift(weights[seq], power) - _exact(total, whole), power)
     return coeffs, skips

@@ -3,8 +3,8 @@ v with which the method applied to the field h·v is the exact flow of the
 original field.
 
 :func:`modifying_integrator_of_tableau` is a stage recursion over
-single-edge cuts, one pass of the Lie kernel :func:`bsharp.graded._lie`
-per tree and stage, over the scalar domains of :mod:`bsharp.graded`.  The
+single-edge cuts, one pass of its scalar domain's Lie kernel
+(:func:`bsharp.graded._domain`) per tree and stage.  The
 modifying integrator of any map-kind series, which solves
 substitute(v, method) = exact flow over the distinct partition splits,
 is :func:`bsharp.series_extra.modifying_integrator_series`.  Only the
@@ -14,7 +14,6 @@ commands that run one of these load this module.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -22,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import graded
 from .coefficients import is_rational
-from .graded import _lie, _ratios, _reciprocal, _solve, _top_order, lift_tableau
+from .graded import _ratios, _reciprocal, _solve, _top_order, lift_tableau
 from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted
 from .splits import _cut_tables, _gamma, _seqs, cut_rows, densities, orders_below, top_order
 
@@ -47,16 +46,19 @@ def modifying_integrator_of_tableau(
         return TruncatedBSeries._from_levels(0, {b"": Fraction(0)})
     u1 = sum(tab.b, Fraction(0))
     _check_u1(u1)
-    A, b, lift, lower, d = tab._lifted if is_rational(u1) else lift_tableau(tab.A, tab.b, u1)
+    lifted = tab._lifted if is_rational(u1) else lift_tableau(tab.A, tab.b, u1)
+    A, b, lift, lower, d, lie, dot = lifted
     content, inverse = _reciprocal(u1, lift)
     solve = partial(
-        _modifying_integrator_stages, max_order, A, b, d, content, inverse, lower, skip_zero
+        _modifying_integrator_stages,
+        max_order, A, b, d, content, inverse, lower, lie, dot, skip_zero,
     )
     return _counted(_solve(solve, max_order, d, content))
 
 
 def _modifying_integrator_stages(
-    top: int, A: list, b: list, d: int, content: int, inverse, lower, skip_zero: bool, scale: int
+    top: int, A: list, b: list, d: int, content: int, inverse, lower, lie, dot,
+    skip_zero: bool, scale: int,
 ):
     """The modifying integrator of the tableau (``A``, ``b``), lifted by d,
     over values scaled by λ^|τ| (λ = ``scale``), one tree at a time.
@@ -76,13 +78,13 @@ def _modifying_integrator_stages(
     A stage whose row of A is zero has w_i = 0 and K_i = v, and costs
     nothing.  For every other stage, the list of a tree θ interleaves the
     iterates of its two Lie series, [L^0 v, c_1, L^1 v, c_2, ...] at θ, so
-    one :func:`bsharp.graded._lie` pass gives both; at the top order N no w_i is formed,
-    and the list is folded into Σ_j (L^j v)(θ)·N!/(j+1)!.  Every division
-    is one, by d·|τ|!·u1 for v and by d·|τ|! for w_i."""
+    one pass of the domain's Lie kernel ``lie`` gives both, and a sum of
+    products is one ``dot``; at the top order N no w_i is formed, and the
+    list is folded into Σ_j (L^j v)(θ)·N!/(j+1)!.  Every division is one,
+    by d·|τ|!·u1 for v and by d·|τ|! for w_i."""
     orders = orders_below(top)
     gammas = densities()
-    stages = range(len(b))
-    active = [i for i in stages if any(A[i])]
+    active = [i for i in range(len(b)) if any(A[i])]
     w = {i: [None] * len(_seqs) for i in active}
     lists = {i: [None] * len(_seqs) for i in active}
     skips = 0
@@ -102,25 +104,26 @@ def _modifying_integrator_stages(
             order, power, whole, ratios = n, scale**n, math.factorial(n), _ratios(n)
             one = d * power  # d·1, scaled
             if n == top:
-                folds = {i: _top_order(lists[i], ratios, 2) for i in active}
-        lie, R = {}, {}  # the iterates, and n!·R_i(τ), of each active stage, scaled
+                folds = {i: _top_order(lists[i], ratios, dot, 2) for i in active}
+        iterates = {}  # of each active stage
+        R = [0] * len(b)  # n!·R_i(τ) of each stage, scaled
         for i in active:
             if n == top:
-                (R[i],), skipped = _lie(rows, w[i], folds[i], 1, skip_zero)
+                (R[i],), skipped = lie(rows, w[i], folds[i], 1, skip_zero)
             else:
-                lie[i], skipped = _lie(rows, w[i], lists[i], 2 * n - 2, skip_zero)
-                R[i] = sum(map(operator.mul, lie[i][::2], ratios))
+                iterates[i], skipped = lie(rows, w[i], lists[i], 2 * n - 2, skip_zero)
+                R[i] = dot(iterates[i][::2], ratios)
             skips += skipped
-        total = one * (whole // gamma) - sum([b[i] * R[i] for i in active if b[i]], 0)
+        total = one * (whole // gamma) - dot(b, R)
         value = graded._exact(total if inverse == 1 else total * inverse, d * whole * content)
         out[seq] = lower(value, power)
         if n == top:
             continue
         base = whole * value
-        K = [base + R.get(j, 0) for j in stages]  # n!·K_j(τ)
+        K = [base + r for r in R]  # n!·K_j(τ)
         for i in active:
-            Y = sum([a * k for a, k in zip(A[i], K) if a], 0)  # d·n!·Y_i(τ)
-            lies = sum(map(operator.mul, lie[i][1::2], ratios[1:]))
+            Y = dot(A[i], K)  # d·n!·Y_i(τ)
+            lies = dot(iterates[i][1::2], ratios[1:])
             w[i][t] = w_i = graded._exact(Y - d * lies, d * whole)
-            lists[i][t] = [value, w_i] + lie[i]
+            lists[i][t] = [value, w_i] + iterates[i]
     return out, skips

@@ -22,7 +22,9 @@ merges the subtree splits that keep the same subtree as they arise.  All
 three run over the domain that :func:`bsharp.graded._graded_denominator`
 picks for their operands.  Compose and substitute never divide, so they
 run once, at λ = d.  The terms of a sum of ints or Laurent values, and so
-its printed form, do not depend on the order of its terms.
+its printed form, do not depend on the order of its terms.  An order
+whose partition tables would stand for more than
+:data:`MAX_EDGE_SUBSETS` edge subsets is refused before any is built.
 """
 
 from __future__ import annotations
@@ -39,7 +41,12 @@ from .errors import SeriesError
 from .graded import _domain, _reciprocal, _solve
 from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted
 from .splits import _kids, _seqs, densities, orders_below, symmetries, with_child
-from .trees import RootedTree, all_trees_up_to
+from .trees import RootedTree, all_trees_up_to, tree_counts
+
+#: the most edge subsets, Σ a(n)·2^(n−1) over the orders, that the partition
+#: tables of :func:`substitute` and :func:`modifying_integrator_series` may
+#: stand for: 63.2 million at order 13 (2.0 GB, 35-37 s), 333 million at 14
+MAX_EDGE_SUBSETS = 100_000_000
 
 
 def _checked_coefficients(
@@ -199,7 +206,7 @@ def _lifted(coeffs: dict, lift, d: int, top: int = 0) -> list:
 def _operands(inner: TruncatedBSeries, outer: TruncatedBSeries, top: int, skip_zero: bool):
     """(heads, factors, zero factor ids, lower, d): outer's c(τ) lifted by
     d^``top`` (d^|τ| for 0) and inner's by d^|τ|, in the domain of both."""
-    lift, lower, d = _domain((t.order, c) for t, c in chain(inner.items(), outer.items()))
+    lift, lower, d, _, _ = _domain((t.order, c) for t, c in chain(inner.items(), outer.items()))
     heads, factors = _lifted(outer._coeffs, lift, d, top), _lifted(inner._coeffs, lift, d)
     zero = {i for i, c in enumerate(factors) if skip_zero and c is not None and not c}
     return heads, factors, zero, lower, d
@@ -271,6 +278,19 @@ def compose(
     return _counted((TruncatedBSeries._from_levels(top, coeffs), skips))
 
 
+def _check_partitions(max_order: int, op: str) -> None:
+    """Refuse ``op`` at ``max_order`` before any partition table is built,
+    if its tables would stand for more than :data:`MAX_EDGE_SUBSETS` edge
+    subsets; they take about 32 bytes each."""
+    subsets = sum(k << (n - 1) for n, k in enumerate(tree_counts(max_order)[1:], 1))
+    if subsets > MAX_EDGE_SUBSETS:
+        raise SeriesError(
+            f"{op} at order {max_order} is too large: about {subsets:,} edge subsets, "
+            f"some {subsets * 32 / 1e9:.1f} GB of partition tables, past the limit of "
+            f"{MAX_EDGE_SUBSETS:,} subsets (order 13)"
+        )
+
+
 def substitute(
     flow: TruncatedBSeries,
     outer: TruncatedBSeries,
@@ -291,6 +311,7 @@ def substitute(
     _require_same_order(flow, outer, "substitution")
     if flow.empty:
         raise SeriesError("substitution needs a flow-kind inner series (empty coefficient 0)")
+    _check_partitions(flow.max_order, "substitution")
     from .splits_extra import partition_skeleton_table
 
     top = flow.max_order
@@ -329,6 +350,7 @@ def modifying_integrator_series(
     """
     if method.empty != 1:
         raise SeriesError("modifying integrator needs a map-kind method series")
+    _check_partitions(method.max_order, "the modifying integrator of a series")
     u1: Coefficient = Fraction(1)
     if method.max_order >= 1:
         u1 = _check_u1(method._coeffs[b"\x00"])
@@ -339,7 +361,7 @@ def modifying_integrator_series(
         (n, ids, partition_skeleton_table(n))
         for n, ids in enumerate(orders_below(max_order + 1), 1)
     ]
-    lift, lower, d = _domain(((t.order, c) for t, c in method.items()), u1)
+    lift, lower, d, _, _ = _domain(((t.order, c) for t, c in method.items()), u1)
     content, inverse = _reciprocal(u1, lift)
     heads = _lifted(method._coeffs, lift, d, max_order)
     solve = partial(

@@ -5,7 +5,9 @@ This module is loaded the first time a coefficient has a symbol: when
 :func:`bsharp.coefficients.coeff_parse` reads a name, or when a caller
 builds a :class:`RationalFunction` or a :func:`symbol`.  Rational
 coefficients never load it; :mod:`bsharp.coefficients` tells the two
-kinds apart with :func:`~bsharp.coefficients.is_rational`.
+kinds apart with :func:`~bsharp.coefficients.is_rational`.  What no
+symbolic series solve runs lives in :mod:`bsharp.symbolic_extra`, from
+which this module reads a public name it lacks.
 
 A rational function is one sorted tuple of symbol names and two term
 dicts over it, numerator and denominator, each mapping an exponent vector
@@ -43,11 +45,14 @@ A value with a monomial denominator is an integer Laurent polynomial over
 an integer, so :mod:`bsharp.graded` solves symbolic series over
 :class:`_Laurent` polynomials, lifted by :func:`_lift_laurent`, with one
 :func:`_normalize` per coefficient at the end (:func:`_lower_laurent`),
-and prints what this arithmetic prints.  A denominator content·x^m·Q
-whose rest Q is not 1 lifts to a product of Laurent symbols, named ``~k``
-(no parameter name can be), each of which stands for the reciprocal of
-one of the factors of Q that :func:`bsharp.graded._graded_denominator`
-registered (:func:`_factors`); lowering puts them back.
+and prints what this arithmetic prints.  The domain owns the kernels a
+solve accumulates with, :func:`_laurent_lie` and :func:`_laurent_dot`,
+which :func:`bsharp.graded._domain` hands out.  A denominator
+content·x^m·Q whose rest Q is not 1 lifts to a product of Laurent
+symbols, named ``~k`` (no parameter name can be), each of which stands
+for the reciprocal of one of the factors of Q that
+:func:`bsharp.graded._graded_denominator` registered
+(:func:`bsharp.symbolic_extra._factors`); lowering puts them back.
 
 Term order everywhere (printing, leading coefficients) is graded
 lexicographic, highest degree first, with symbols sorted by name.
@@ -56,12 +61,15 @@ lexicographic, highest degree first, with symbols sorted by name.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd
 from operator import add, sub
 from typing import Mapping
 
-from .coefficients import _NAME_RE, Coefficient, is_rational
-from .errors import CoefficientError, UnboundSymbolError
+from . import _forward
+from .coefficients import Coefficient, is_rational
+from .errors import CoefficientError
+
+__getattr__ = _forward(globals(), "symbolic_extra")
 
 
 def _grlex(exps: tuple[int, ...]):
@@ -135,18 +143,6 @@ def _poly_mul(ta: dict, tb: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _poly_pow(t: dict, k: int, width: int) -> dict:
-    """``t`` to the power ``k >= 0`` by repeated squaring."""
-    result = {(0,) * width: 1}
-    while k:
-        if k & 1:
-            result = _poly_mul(result, t)
-        k >>= 1
-        if k:
-            t = _poly_mul(t, t)
-    return result
-
-
 def _normalize(symbols: tuple[str, ...], num: dict, den: dict) -> Coefficient:
     """The normal form of ``num/den``: integer term dicts over ``symbols``
     with no zero coefficient, ``den`` not empty."""
@@ -217,45 +213,17 @@ class RationalFunction:
     def __init__(self, symbols: tuple[str, ...], num: Mapping, den: Mapping):
         """``num/den``, term dicts over ``symbols`` (any order) with int or
         ``Fraction`` coefficients; zero terms are dropped."""
-        num = {e: c for e, c in num.items() if c}
-        den = {e: c for e, c in den.items() if c}
-        if not den:
-            raise CoefficientError("zero denominator in rational function")
-        ordered = tuple(sorted(symbols))
-        if len(set(ordered)) != len(ordered):
-            raise CoefficientError(f"repeated symbol in {symbols!r}")
-        num, den = _widen(symbols, num, ordered), _widen(symbols, den, ordered)
-        scale = lcm(*(c.denominator for t in (num, den) for c in t.values()))
-        value = _normalize(
-            ordered,
-            {e: c.numerator * (scale // c.denominator) for e, c in num.items()},
-            {e: c.numerator * (scale // c.denominator) for e, c in den.items()},
-        )
-        if isinstance(value, RationalFunction):
-            self.symbols, self.num, self.den = value.symbols, value.num, value.den
-        else:
-            n = value.numerator
-            self.symbols, self.num, self.den = (), {(): n} if n else {}, {(): value.denominator}
+        from .symbolic_extra import _terms
+
+        self.symbols, self.num, self.den = _terms(symbols, num, den)
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def eval(self, bindings: Mapping[str, Fraction]) -> Fraction:
-        for name in self.symbols:
-            if name not in bindings:
-                raise UnboundSymbolError(f"no value bound for symbol '{name}'")
-        values = [Fraction(bindings[name]) for name in self.symbols]
+        from .symbolic_extra import _eval
 
-        def at(terms: dict) -> Fraction:
-            return sum(
-                (c * prod(v ** e for v, e in zip(values, exps) if e) for exps, c in terms.items()),
-                Fraction(0),
-            )
-
-        den = at(self.den)
-        if den == 0:
-            raise CoefficientError("denominator vanishes at the evaluation point")
-        return at(self.num) / den
+        return _eval(self, bindings)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -309,16 +277,9 @@ class RationalFunction:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        from .coefficients_extra import check_power
+        from .symbolic_extra import _power
 
-        num, den = self.num, self.den
-        check_power((num, den), k)
-        if k < 0:
-            if not num:
-                raise CoefficientError("zero coefficient raised to a negative power")
-            num, den, k = den, num, -k
-        width = len(self.symbols)
-        return _normalize(self.symbols, _poly_pow(num, k, width), _poly_pow(den, k, width))
+        return _power(self, k)
 
     def __eq__(self, other: object) -> bool:
         ops = _aligned(self, other)
@@ -337,13 +298,14 @@ class RationalFunction:
         return f"<RationalFunction {_rf_text(self)}>"
 
     def _latex(self) -> str:
+        from .symbolic_extra import _rf_latex
+
         return _rf_latex(self)
 
 
-def symbol(name: str) -> RationalFunction:
-    """The coefficient consisting of a bare named parameter."""
-    if not _NAME_RE.match(name):
-        raise CoefficientError(f"invalid symbol name {name!r}")
+def _named(name: str) -> RationalFunction:
+    """The coefficient of the bare parameter ``name``, spelled as
+    :data:`bsharp.coefficients.NAME` says (:func:`symbol` checks that)."""
     return _normalize((name,), {(1,): 1}, {(0,): 1})
 
 
@@ -395,16 +357,6 @@ def _rf_text(rf: RationalFunction) -> str:
     if not _is_atomic(rf.den):
         den_str = f"({den_str})"
     return f"{num_str}/{den_str}"
-
-
-def _rf_latex(rf: RationalFunction) -> str:
-    from .coefficients_extra import latex_name
-
-    names = tuple(map(latex_name, rf.symbols))
-    num_str = _poly_render(names, rf.num, True)
-    if rf.den == {(0,) * len(rf.symbols): 1}:
-        return num_str
-    return f"\\frac{{{num_str}}}{{{_poly_render(names, rf.den, True)}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +436,67 @@ def _terms_of(value) -> dict:
     return value.terms if isinstance(value, _Laurent) else {0: value}
 
 
+# The kernels multiply the terms of each pair of values straight into one
+# term dict per sum (Monagan and Pearce, "Sparse polynomial multiplication
+# and division in Maple 14", 2009): no pair builds a product value, and no
+# addition copies the sum so far.  They skip the zeros the int kernels skip.
+
+def _summed(out: dict) -> _Laurent:
+    """The value of the accumulated terms ``out``, its zeros dropped."""
+    if 0 in out.values():  # a term that cancelled
+        out = {e: c for e, c in out.items() if c}
+    return _Laurent(out)
+
+
+def _laurent_lie(rows: dict, branch: list, lists: list, width: int, skip_zero: bool):
+    """:func:`bsharp.graded._lie` of Laurent values: Σ over the edge cuts
+    ``rows``, {(trunk θ, branch β): k}, of k·branch[β]·lists[θ][j], for
+    each j < ``width``, and the number of zero factors skipped."""
+    skips = 0
+    sums: list = [{} for _ in range(width)]
+    for (trunk, b), k in rows.items():
+        w = branch[b]
+        tw = w.terms if w.__class__ is _Laurent else {0: w} if w else {}
+        if not tw:  # a zero adds nothing, and is counted when skipped
+            skips += skip_zero
+            continue
+        if k != 1:
+            tw = {e: c * k for e, c in tw.items()}
+        tw = tw.items()
+        for c, out in zip(lists[trunk], sums):
+            tc = c.terms if c.__class__ is _Laurent else {0: c} if c else {}
+            if not tc:
+                skips += skip_zero
+                continue
+            get = out.get
+            tc = tc.items()
+            for ew, cw in tw:
+                for ec, cc in tc:
+                    e = ec + ew
+                    out[e] = get(e, 0) + cc * cw
+    return [_summed(out) for out in sums], skips
+
+
+def _laurent_dot(values, weights) -> _Laurent:
+    """Σ values[i]·weights[i] over Laurent values and ints, to the
+    shorter of the two; a zero on either side is skipped."""
+    out: dict = {}
+    get = out.get
+    for v, w in zip(values, weights):
+        if not (v and w):
+            continue
+        tv = _terms_of(v).items()
+        if w.__class__ is int:
+            for e, c in tv:
+                out[e] = get(e, 0) + c * w
+            continue
+        for ew, cw in w.terms.items():
+            for ev, cv in tv:
+                e = ev + ew
+                out[e] = get(e, 0) + cv * cw
+    return _summed(out)
+
+
 # A Laurent term's exponent tuple is one int, Σ e_i·2^(32·i), so that the
 # product of two terms adds two ints and a term dict hashes ints.  Each e_i
 # is a balanced digit, |e_i| < 2^31, and a sum of exponents stays far
@@ -497,67 +510,33 @@ def _pack(exponents) -> int:
     return sum(e << _DIGIT * i for i, e in enumerate(exponents))
 
 
-def _unpack(key: int, width: int) -> tuple[int, ...]:
-    exponents = []
-    for _ in range(width):
-        e = ((key + _HALF) & _MASK) - _HALF
-        exponents.append(e)
-        key = (key - e) >> _DIGIT
-    return tuple(exponents)
+class _Unpacked(dict):
+    """Packed exponent -> its tuple over ``width`` symbols, unpacked once
+    per solve, which lowers thousands of terms over a few dozen monomials."""
 
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
 
-def _rest(den: dict) -> tuple[int, tuple[int, ...], dict]:
-    """The denominator ``den`` as content·x^low·Q: ``(content, low, Q)``,
-    Q with coprime integer coefficients, a positive lead and no symbol
-    dividing it; Q is 1 for a one-term ``den``."""
-    low = tuple(map(min, zip(*den)))
-    content = gcd(*den.values())
-    return content, low, {tuple(map(sub, e, low)): c // content for e, c in den.items()}
-
-
-def _quotient(num: dict, q: dict) -> dict | None:
-    """``num``/``q`` if ``q`` divides the polynomial ``num`` exactly, else
-    None: division by leading terms in graded-lex order."""
-    lead = max(q, key=_grlex)
-    out: dict = {}
-    while num:
-        e = max(num, key=_grlex)
-        shift = tuple(map(sub, e, lead))
-        if min(shift) < 0 or num[e] % q[lead]:
-            return None
-        out[shift] = factor = num[e] // q[lead]
-        num = _poly_add(num, _poly_scale(q, shift, factor), negate=True)
-    return out
-
-
-def _degree(terms: dict) -> int:
-    """The total degree of a polynomial."""
-    return max(map(sum, terms))
-
-
-def _factors(q: dict, rests) -> tuple[list[int], dict]:
-    """``([e_0, e_1, ...], left)`` with q = Π rests[k]^e_k · left: each
-    of ``rests`` in turn divided out of the polynomial ``q`` as often as
-    it goes in."""
-    exponents = []
-    for rest in rests:
-        e = 0
-        quotient = _quotient(q, rest)
-        while quotient is not None:
-            q, e = quotient, e + 1
-            quotient = _quotient(q, rest)
-        exponents.append(e)
-    return exponents, q
+    def __missing__(self, packed: int) -> tuple[int, ...]:
+        exponents, key = [], packed
+        for _ in range(self.width):
+            e = ((key + _HALF) & _MASK) - _HALF
+            exponents.append(e)
+            key = (key - e) >> _DIGIT
+        value = self[packed] = tuple(exponents)
+        return value
 
 
 def _lift_laurent(symbols: tuple[str, ...], rests: tuple, div, c, scale: int):
     """``scale``·c over ``symbols`` for a rational function c; an int, a
     constant, for a rational c.  A denominator content·x^low·Q whose Q is
-    not 1 is a product of ``rests`` (:func:`_factors`), each of which
-    multiplies by the symbol of ``symbols`` that stands for its reciprocal:
-    the symbols of ``rests`` end ``symbols``, in order.  Either must be
-    exact: ``div`` is the exact int division of the solve.  A numerator
-    that a factor divides is divided instead."""
+    not 1 is a product of ``rests``
+    (:func:`bsharp.symbolic_extra._factors`), each of which multiplies by
+    the symbol of ``symbols`` that stands for its reciprocal: the symbols
+    of ``rests`` end ``symbols``, in order.  Either must be exact: ``div``
+    is the exact int division of the solve.  A numerator that a factor
+    divides is divided instead."""
     if is_rational(c):
         return c.numerator * div(scale, c.denominator)
     num = _widen(c.symbols, c.num, symbols)
@@ -566,6 +545,8 @@ def _lift_laurent(symbols: tuple[str, ...], rests: tuple, div, c, scale: int):
         shift = _pack(low)
     else:
         named = len(symbols) - len(rests)
+        from .symbolic_extra import _factors, _quotient, _rest
+
         den, low, rest = _rest(_widen(c.symbols, c.den, symbols[:named]))
         shift = _pack(low)
         for k, e in enumerate(_factors(rest, rests)[0]):
@@ -580,16 +561,19 @@ def _lift_laurent(symbols: tuple[str, ...], rests: tuple, div, c, scale: int):
     return _Laurent({_pack(e) - shift: k * q for e, k in num.items()})
 
 
-def _lower_laurent(symbols: tuple[str, ...], rests: tuple, value, power: int):
-    """The coefficient ``value``/``power`` in its normal form.  With K_Q
-    the highest power of each inverse symbol 1/Q in ``value``, that is Σ
+def _lower_laurent(symbols: tuple[str, ...], rests: tuple, unpacked: _Unpacked, value, power: int):
+    """The coefficient ``value``/``power`` in its normal form, its packed
+    exponents read through the solve's ``unpacked``.  With K_Q the highest
+    power of each inverse symbol 1/Q in ``value``, that is Σ
     c·x^e·Π Q^(K_Q - e_Q) over its terms, divided by ``power``·Π Q^K_Q."""
     if isinstance(value, int):
         return Fraction(value, power)
     width = len(symbols)
-    terms = {_unpack(e, width): c for e, c in value.terms.items()}
+    terms = {unpacked[e]: c for e, c in value.terms.items()}
     if not rests:
         return _normalize(symbols, terms, {(0,) * width: power})
+    from .symbolic_extra import _poly_pow
+
     named = width - len(rests)
     tops = tuple(map(max, zip(*terms)))[named:]
     parts: dict = {}  # the terms of each inverse exponent vector

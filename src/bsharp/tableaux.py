@@ -91,7 +91,7 @@ class ButcherTableau:
 
     @property
     def _lifted(self) -> tuple:
-        """``(A, b, lift, lower, d)`` of :func:`bsharp.graded.lift_tableau`,
+        """``(A, b, lift, lower, d, lie, dot)`` of :func:`bsharp.graded.lift_tableau`,
         lifted on first use."""
         if self._lift is None:
             from .graded import lift_tableau
@@ -161,7 +161,7 @@ def rk_series(tab: ButcherTableau, max_order: int) -> TruncatedBSeries:
     _check_max_order(max_order)
     coeffs = {b"": Fraction(1)}
     if max_order:
-        A, b, _, lower, d = tab._lifted
+        A, b, _, lower, d, _, _ = tab._lifted
         ones = [1] * len(b)
         orders = orders_below(max_order)
         psi: list = [None] * len(_seqs)

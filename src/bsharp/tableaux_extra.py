@@ -22,7 +22,7 @@ def elementary_weight(tab: ButcherTableau, tree: RootedTree) -> Coefficient:
     """Φ(tree): the coefficient of the method's B-series at ``tree``."""
     from .splits_extra import tree_id
 
-    A, b, _, lower, d = tab._lifted
+    A, b, _, lower, d, _, _ = tab._lifted
     ones = [1] * len(b)
 
     def products(i: int) -> list:

@@ -145,7 +145,7 @@ def weights_by_levels(tab, max_order: int) -> dict:
     lifted entries and lowered by d^|τ|."""
     from bsharp.trees import all_trees_up_to
 
-    A, b, _, lower, d = tab._lifted
+    A, b, _, lower, d, _, _ = tab._lifted
     propagated: dict = {}
 
     def vector(seq: bytes) -> tuple:

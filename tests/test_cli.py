@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bsharp.series import exact_series, series_from_json_dict, series_to_json_dict
+from bsharp.series import (
+    exact_series, modified_equation_series, series_from_json_dict, series_to_json_dict,
+)
 from bsharp.cli import COMMANDS
 from bsharp.tableaux import builtin_tableau, rk_series
 from peak_rss import peak_rss
@@ -186,6 +188,25 @@ def test_substitute_cli_round_trip(tmp_path):
     exact.write_text(json.dumps(series_to_json_dict(exact_series(4))))
     out = json.loads(run_ok("substitute", str(flow), str(exact)))
     assert out == json.loads(method.read_text())
+
+
+def test_a_substitution_past_the_size_bound_exits_3_with_an_estimate(monkeypatch, tmp_path, capsys):
+    # the bound lowered to below order 3's 11 edge subsets: the refusal path
+    # of two order-14 series (333 million subsets), without their files
+    from bsharp import cli, series_extra
+
+    paths = [tmp_path / "flow.json", tmp_path / "method.json"]
+    method = rk_series(builtin_tableau("midpoint"), 3)
+    for path, series in zip(paths, (modified_equation_series(method), method)):
+        path.write_text(json.dumps(series_to_json_dict(series)))
+    monkeypatch.setattr(series_extra, "MAX_EDGE_SUBSETS", 10)
+    out = tmp_path / "out.json"
+    assert cli.main(["substitute", *map(str, paths), "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: substitution at order 3 is too large: about 11 edge subsets, some 0.0 GB of "
+        "partition tables, past the limit of 10 subsets (order 13)\n"
+    )
+    assert not out.exists()
 
 
 def test_compose_rejects_flow_inner(tmp_path):
@@ -1102,7 +1123,7 @@ def test_a_splits_listing_of_more_than_ten_million_nodes_is_refused(tmp_path, ca
 
 
 def test_the_subtree_count_is_the_rows_of_the_listing():
-    from bsharp.cli_trees import _kept
+    from bsharp.cli_splits import _kept
     from bsharp.splits import tree_id
     from bsharp.splits_extra import ordered_subtrees
     from bsharp.trees import all_trees_up_to

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import bsharp.symbolic as symbolic_module
+import bsharp.symbolic_extra as symbolic_extra
 from bsharp.coefficients import (
     coeff_div,
     coeff_eval,
@@ -341,7 +341,7 @@ def test_powers_are_taken_by_repeated_squaring(monkeypatch, build, k):
     # seconds
     value = build(symbol)
     calls = []
-    mul, power = symbolic_module._poly_mul, symbolic_module._poly_pow
+    mul, power = symbolic_extra._poly_mul, symbolic_extra._poly_pow
 
     def counting_mul(a, b):
         calls[-1] += 1
@@ -351,8 +351,8 @@ def test_powers_are_taken_by_repeated_squaring(monkeypatch, build, k):
         calls.append(0)
         return power(t, k, width)
 
-    monkeypatch.setattr(symbolic_module, "_poly_mul", counting_mul)
-    monkeypatch.setattr(symbolic_module, "_poly_pow", counting_pow)
+    monkeypatch.setattr(symbolic_extra, "_poly_mul", counting_mul)
+    monkeypatch.setattr(symbolic_extra, "_poly_pow", counting_pow)
     got = coeff_pow(value, k)
     assert len(calls) == 2 and max(calls) <= 2 * k.bit_length()
     if k < 1000:

@@ -349,7 +349,8 @@ STEP = ["coefficients", "expressions", "odes", "simulate", "tableaux", *SIMULATE
 FIELD = ["cli_field", "expressions", "expressions_extra", "odes"]
 STEPPED = ["expressions", "odes", "simulate"]
 # b = (1, beta): the modifying integrator divides by 1 + beta, so it runs
-# over plain coefficients, in graded.py's domains like every other solve
+# over plain coefficients, in graded.py's domains like every other solve,
+# and registers 1 + beta as a denominator factor in symbolic_extra
 B_1_BETA = {"A": [["0", "0"], ["1/2", "0"]], "b": ["1", "beta"], "c": ["0", "1/2"],
             "symbols": ["beta"]}
 # a rational tableau file, as the benchmark's series jobs read them
@@ -364,12 +365,12 @@ RATIONAL = {"A": [["0", "0", "0"], ["1/2", "0", "0"], ["-1/3", "2/3", "0"]],
     [
         (
             [[command, "--help"] for command in COMMANDS],
-            TREES + SERIES + ORDER + SIMULATE_CLI, False,
+            TREES + ["cli_splits"] + SERIES + ORDER + SIMULATE_CLI, False,
         ),
         ([["trees", "1"]], TREES + ["trees"], False),
         (
             [["splits", "[0,1,1]", "--kind", "partitions"]],
-            TREES + ["splits", "splits_extra", "trees", "trees_extra"], False,
+            TREES + ["cli_splits", "splits", "splits_extra", "trees", "trees_extra"], False,
         ),
         (
             [["order", "--tableau", "rk4", "--max", "4"]],
@@ -389,7 +390,7 @@ RATIONAL = {"A": [["0", "0", "0"], ["1/2", "0", "0"], ["-1/3", "2/3", "0"]],
         ),
         (
             [["modifying-integrator", "--tableau", "b_1_beta.json", "--order", "3"]],
-            SOLVE + SERIES + JSON + MI + SYMBOLIC, True,
+            SOLVE + SERIES + JSON + MI + SYMBOLIC + ["symbolic_extra"], True,
         ),
         (
             [["bseries", "--tableau", "rk22(alpha)", "--order", "3"]],
@@ -482,9 +483,10 @@ COMPILED = (
     [
         (SIMULATE + ["--modified-order", "3"], 3059),
         (["modified-equation", "--tableau", "midpoint", "--order", "9"], 2102),
-        (["trees", "1"], 744),
+        (["trees", "1"], 677),
+        (["modifying-integrator", "--tableau", "rk22(alpha)", "--order", "3"], 2833),
     ],
-    ids=["simulate", "modified-equation", "trees"],
+    ids=["simulate", "modified-equation", "trees", "symbolic-modifying-integrator"],
 )
 def test_a_cold_command_compiles_only_the_code_it_runs(argv, lines):
     # a command loads the hot core of each layer it runs, and no other

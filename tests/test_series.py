@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -105,6 +106,29 @@ def test_series_size_is_checked_before_trees_are_enumerated(monkeypatch):
         series_from_json_dict({**data, "max_order": 17})
     with pytest.raises(InvalidTreeError, match="exceeds the maximum"):
         series_from_json_dict({**data, "max_order": 63})
+
+
+def test_a_substitution_past_the_edge_subset_bound_is_refused_before_any_table(monkeypatch):
+    # two order-14 series stand for 333 million edge subsets, some 10 GB of
+    # partition tables; the order alone is refused, before any coefficient
+    # is read or any table built
+    def no_tables(n):
+        raise AssertionError("built a partition table before the size check")
+
+    monkeypatch.setattr(splits_extra, "partition_skeleton_table", no_tables)
+    flow = TruncatedBSeries._from_levels(14, {b"": Fraction(0)})
+    method = TruncatedBSeries._from_levels(14, {b"": Fraction(1)})
+    message = (
+        r"at order 14 is too large: about 333,364,411 edge subsets, some 10\.7 GB of "
+        r"partition tables, past the limit of 100,000,000 subsets \(order 13\)"
+    )
+    with pytest.raises(SeriesError, match="substitution " + message):
+        substitute(flow, method)
+    with pytest.raises(SeriesError, match="the modifying integrator of a series " + message):
+        modifying_integrator_series(method)
+    # order 13, 63,249,595 subsets, is admitted
+    series_extra._check_partitions(13, "substitution")
+    assert series_extra.MAX_EDGE_SUBSETS == series.MAX_EDGE_SUBSETS == 100_000_000
 
 
 def test_kind_classification():
@@ -561,6 +585,50 @@ def test_laurent_difference_is_the_sum_with_the_negation():
     assert terms(a - b) == {symbolic._pack(e): c for e, c in expected}
 
 
+def _laurent_terms(value) -> dict:
+    """The terms of a Laurent value or of an int, a constant."""
+    if isinstance(value, symbolic._Laurent):
+        return value.terms
+    return {0: value} if value else {}
+
+
+@st.composite
+def _laurent_values(draw, size: int) -> list:
+    """``size`` values of a solve over two symbols: ints (zero too) and
+    Laurent polynomials of small exponents, some the negation of another,
+    so that sums of their products cancel term by term."""
+    exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(symbolic._pack)
+    laurent = st.dictionaries(exponents, st.integers(-3, 3).filter(bool), max_size=4)
+    pool = draw(st.lists(
+        st.one_of(st.integers(-3, 3), laurent.map(symbolic._Laurent)), min_size=1, max_size=4
+    ))
+    pool += [-v for v in pool]
+    return draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_laurent_kernels_equal_a_fold_of_the_laurent_operators(data, skip_zero):
+    # the Lie kernel and the weighted sum of the Laurent domain against
+    # graded._lie and sum(map(mul, ...)) over the _Laurent operators:
+    # the same terms, cancelled ones dropped, and the same zero skips
+    width = data.draw(st.integers(1, 4))
+    branch = data.draw(_laurent_values(4))
+    lists = [data.draw(_laurent_values(data.draw(st.integers(0, width)))) for _ in range(3)]
+    rows = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 3)), st.integers(1, 3), max_size=8
+    ))
+    got, skips = symbolic._laurent_lie(rows, branch, lists, width, skip_zero)
+    expected, expected_skips = graded._lie(rows, branch, lists, width, skip_zero)
+    assert [_laurent_terms(v) for v in got] == [_laurent_terms(v) for v in expected]
+    assert skips == expected_skips
+    values = data.draw(_laurent_values(4))
+    weights = data.draw(st.one_of(_laurent_values(4), st.lists(st.integers(-3, 3), max_size=4)))
+    assert _laurent_terms(symbolic._laurent_dot(values, weights)) == _laurent_terms(
+        sum(map(operator.mul, values, weights))
+    )
+
+
 @st.composite
 def _unreduced(draw):
     """A rational function over one or two symbols: a numerator of a few
@@ -589,7 +657,7 @@ def test_a_laurent_lift_lowers_back_to_the_coefficient(values, order, scale):
     # each denominator's rest, the factor that is not a monomial, becomes
     # an inverse symbol; lowering substitutes it back
     assert graded._graded_denominator((order, c) for c in values)[2]  # a rest
-    lift, lower, d = graded._domain((order, c) for c in values)
+    lift, lower, d, _, _ = graded._domain((order, c) for c in values)
     scale *= d**order
     lifted = [lift(c, scale) for c in values]
     for c, value in zip(values, lifted):
@@ -1031,27 +1099,49 @@ def _count_products(monkeypatch, solve, *args):
     return calls
 
 
-def _count_domain_products(monkeypatch, solve, method):
-    """Number of products that ``solve(method)`` takes in its scalar
-    domain: of ints that start as :class:`test_stages._Counted` ints lifted
-    from a rational series, or of :class:`bsharp.symbolic._Laurent` values
-    that build a new value (a product by 1 returns its operand)."""
-    _Counted.products = 0
-    lift = graded._lift_int
-    monkeypatch.setattr(graded, "_lift_int", lambda *args: _Counted(lift(*args)))
-    calls = 0
+def _count_laurent_products(monkeypatch) -> list:
+    """A one-item list that counts, from now on, the products of
+    :class:`bsharp.symbolic._Laurent` values that build a new value (a
+    product by 1 returns its operand), and the nonzero pairs of values that
+    the Laurent domain's kernels multiply term by term, each counted as
+    one product, as the operators would take it."""
+    count = [0]
     mul = symbolic._Laurent.__mul__
+    lie, dot = symbolic._laurent_lie, symbolic._laurent_dot
 
     def counting(a, b):
-        nonlocal calls
         product = mul(a, b)
-        calls += product is not a
+        count[0] += product is not a
         return product
+
+    def counting_lie(rows, branch, lists, width, skip_zero):
+        for (trunk, b), k in rows.items():
+            if branch[b]:
+                count[0] += (k != 1) + sum(1 for c in lists[trunk] if c)
+        return lie(rows, branch, lists, width, skip_zero)
+
+    def counting_dot(values, weights):
+        count[0] += sum(1 for v, w in zip(values, weights) if v and w and 1 not in (v, w))
+        return dot(values, weights)
 
     monkeypatch.setattr(symbolic._Laurent, "__mul__", counting)
     monkeypatch.setattr(symbolic._Laurent, "__rmul__", counting)
+    monkeypatch.setattr(symbolic, "_laurent_lie", counting_lie)
+    monkeypatch.setattr(symbolic, "_laurent_dot", counting_dot)
+    return count
+
+
+def _count_domain_products(monkeypatch, solve, method):
+    """Number of products that ``solve(method)`` takes in its scalar
+    domain: of ints that start as :class:`test_stages._Counted` ints lifted
+    from a rational series, or of Laurent values
+    (:func:`_count_laurent_products`)."""
+    _Counted.products = 0
+    lift = graded._lift_int
+    monkeypatch.setattr(graded, "_lift_int", lambda *args: _Counted(lift(*args)))
+    count = _count_laurent_products(monkeypatch)
     solve(method)
-    return calls + _Counted.products
+    return count[0] + _Counted.products
 
 
 @pytest.mark.parametrize(
@@ -1091,20 +1181,10 @@ def test_modified_equation_product_count_at_order_9(monkeypatch, name, bound):
 def test_laurent_modified_equation_product_count_at_order_9(monkeypatch):
     # the Laurent domain's own products, held to the plain domain's bound;
     # a product by 1 returns its operand and builds nothing
-    calls = 0
-    mul = symbolic._Laurent.__mul__
-
-    def counting(a, b):
-        nonlocal calls
-        product = mul(a, b)
-        calls += product is not a
-        return product
-
-    monkeypatch.setattr(symbolic._Laurent, "__mul__", counting)
-    monkeypatch.setattr(symbolic._Laurent, "__rmul__", counting)
+    count = _count_laurent_products(monkeypatch)
     method = rk_series(builtin_tableau("rk22(alpha)"), 9)
     assert _count_products(monkeypatch, modified_equation_series, method) == 0
-    assert 0 < calls <= 14422
+    assert 0 < count[0] <= 14422
 
 
 @pytest.mark.parametrize(
