@@ -92,9 +92,9 @@ def cmd_compose(args) -> int:
 
 
 def cmd_substitute(args) -> int:
-    from .series_extra import substitute
+    from .series_extra import _flow_from_json, substitute
 
-    flow = _load_series(args.flow)
+    flow = _flow_from_json(_load_json(args.flow))
     outer = _load_series(args.outer)
     return _emit_series(args, substitute(flow, outer), args.format)
 

@@ -184,17 +184,11 @@ def add_all(parts: Sequence[Expression]) -> Expression:
     # the terms of each like-term body, in first-seen order; a body is keyed
     # by itself, or by its factor tuple when it is a product
     groups: dict[object, list[Expression]] = {}
-    # a sum may hold a sum (like terms c*S that collect to coefficient 1 leave
-    # the sum S itself), so the loop also visits the sums met among the terms
-    parts = list(parts)
     for part in parts:
         for term in part.terms if type(part) is Sum else (part,):
             kind = type(term)
             if kind is Const:
                 scalars.append(term)
-                continue
-            if kind is Sum:
-                parts.append(term)
                 continue
             if kind is Prod:
                 key = term.factors
@@ -209,6 +203,7 @@ def add_all(parts: Sequence[Expression]) -> Expression:
                 group.append(term)
 
     terms: list[Expression] = []
+    spread: list[Expression] = []  # sums S whose like terms c*S collect to S
     for key, group in groups.items():
         if len(group) == 1:  # a lone term is already its own normal form
             terms.append(group[0])
@@ -219,8 +214,13 @@ def add_all(parts: Sequence[Expression]) -> Expression:
         )
         if coeff == 0:
             continue
+        if coeff == 1 and type(key) is Sum:
+            spread.append(key)
+            continue
         body = key if type(key) is tuple else (key,)
         terms.append(_raw_prod(body) if coeff == 1 else _raw_prod((const(coeff),) + body))
+    if spread:  # a sum holds no sum: S's terms join the collection again
+        return add_all([*terms, *scalars, *spread])
     terms.sort(key=_order)
     if scalars:
         constant = scalars[0] if len(scalars) == 1 else const(sum(c.value for c in scalars))

@@ -181,11 +181,11 @@ def _solve(solve, max_order: int, d: int, divisor: int = 1) -> tuple[TruncatedBS
             return TruncatedBSeries._from_levels(max_order, coeffs), skips
 
 
-def modified_equation(method: TruncatedBSeries, skip_zero: bool) -> tuple[TruncatedBSeries, int]:
+def modified_equation(method: TruncatedBSeries) -> tuple[TruncatedBSeries, int]:
     """The modified equation of ``method`` and its number of zero skips."""
     coeffs, top = method._coeffs, method.max_order
     lift, lower, d, lie, dot = _domain((len(seq), c) for seq, c in coeffs.items() if seq)
-    solve = partial(_modified_equation_ints, coeffs, top, lift, lower, lie, dot, skip_zero)
+    solve = partial(_modified_equation_ints, coeffs, top, lift, lower, lie, dot)
     return _solve(solve, top, d)
 
 
@@ -205,7 +205,7 @@ def modified_equation(method: TruncatedBSeries, skip_zero: bool) -> tuple[Trunca
 # per cut, in every scalar domain.
 
 
-def _lie(rows: dict, branch: list, lists: list, width: int, skip_zero: bool) -> tuple[list, int]:
+def _lie(rows: dict, branch: list, lists: list, width: int) -> tuple[list, int]:
     """Σ over the edge cuts ``rows``, {(trunk θ, branch β): k}, of
     k·branch[β]·lists[θ][j], for each j < ``width``, and the number of
     zero factors skipped."""
@@ -213,13 +213,13 @@ def _lie(rows: dict, branch: list, lists: list, width: int, skip_zero: bool) -> 
     higher = [0] * width
     for (trunk, b), k in rows.items():
         w = branch[b]
-        if skip_zero and not w:
+        if not w:
             skips += 1
             continue
         if k != 1:
             w *= k
         for j, c in enumerate(lists[trunk]):
-            if skip_zero and not c:
+            if not c:
                 skips += 1
                 continue
             higher[j] += c * w
@@ -248,9 +248,7 @@ def _ratios(n: int) -> list[int]:
     return [whole // math.factorial(j) for j in range(1, n + 1)]
 
 
-def _modified_equation_ints(
-    weights: dict, top: int, lift, lower, lie, dot, skip_zero: bool, scale: int
-):
+def _modified_equation_ints(weights: dict, top: int, lift, lower, lie, dot, scale: int):
     """The modified equation of the coefficients ``weights`` (keyed by
     level sequence) up to order ``top``, over values scaled by λ^|τ|,
     λ = ``scale``: v(τ)·λ^|τ| = a(τ)·λ^|τ| - (Σ_{j≥2} c_j(τ)·λ^|τ|·|τ|!/j!) / |τ|!,
@@ -268,7 +266,7 @@ def _modified_equation_ints(
     for n, ids in enumerate(orders, 1):
         power, whole, ratios = scale**n, math.factorial(n), _ratios(n)[1:]
         for i in ids:
-            higher, skipped = lie(_cut_tables[i], v, lists, n - 1, skip_zero)
+            higher, skipped = lie(_cut_tables[i], v, lists, n - 1)
             skips += skipped
             seq = _seqs[i]
             total = dot(higher, ratios)
@@ -278,7 +276,7 @@ def _modified_equation_ints(
     power, whole = scale**top, math.factorial(top)
     lists = _top_order(lists, _ratios(top)[1:], dot)
     for seq, kids in top_order(top):
-        (total,), skipped = lie(cut_rows(kids), v, lists, 1, skip_zero)
+        (total,), skipped = lie(cut_rows(kids), v, lists, 1)
         skips += skipped
         coeffs[seq] = lower(lift(weights[seq], power) - _exact(total, whole), power)
     return coeffs, skips

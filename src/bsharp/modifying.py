@@ -29,9 +29,7 @@ if TYPE_CHECKING:
     from .tableaux import ButcherTableau
 
 
-def modifying_integrator_of_tableau(
-    tab: ButcherTableau, max_order: int, *, skip_zero: bool = True
-) -> TruncatedBSeries:
+def modifying_integrator_of_tableau(tab: ButcherTableau, max_order: int) -> TruncatedBSeries:
     """The modifying integrator of the Runge-Kutta tableau ``tab``: the
     flow-kind series v, truncated at ``max_order``, with which the method
     applied to the field h·v is the exact flow of the original field.
@@ -50,15 +48,13 @@ def modifying_integrator_of_tableau(
     A, b, lift, lower, d, lie, dot = lifted
     content, inverse = _reciprocal(u1, lift)
     solve = partial(
-        _modifying_integrator_stages,
-        max_order, A, b, d, content, inverse, lower, lie, dot, skip_zero,
+        _modifying_integrator_stages, max_order, A, b, d, content, inverse, lower, lie, dot
     )
     return _counted(_solve(solve, max_order, d, content))
 
 
 def _modifying_integrator_stages(
-    top: int, A: list, b: list, d: int, content: int, inverse, lower, lie, dot,
-    skip_zero: bool, scale: int,
+    top: int, A: list, b: list, d: int, content: int, inverse, lower, lie, dot, scale: int
 ):
     """The modifying integrator of the tableau (``A``, ``b``), lifted by d,
     over values scaled by λ^|τ| (λ = ``scale``), one tree at a time.
@@ -109,9 +105,9 @@ def _modifying_integrator_stages(
         R = [0] * len(b)  # n!·R_i(τ) of each stage, scaled
         for i in active:
             if n == top:
-                (R[i],), skipped = lie(rows, w[i], folds[i], 1, skip_zero)
+                (R[i],), skipped = lie(rows, w[i], folds[i], 1)
             else:
-                iterates[i], skipped = lie(rows, w[i], lists[i], 2 * n - 2, skip_zero)
+                iterates[i], skipped = lie(rows, w[i], lists[i], 2 * n - 2)
                 R[i] = dot(iterates[i][::2], ratios)
             skips += skipped
         total = one * (whole // gamma) - dot(b, R)

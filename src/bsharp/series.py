@@ -69,8 +69,7 @@ __getattr__ = _forward(globals(), "series_extra")
 coeff_add, coeff_sub, coeff_mul = operator.add, operator.sub, operator.mul
 
 # Instrumentation: the operations skip whole split terms with a factor that
-# is exactly zero.  The counter lets tests verify both that the skip fires
-# and (with skip_zero=False) that it never changes results.
+# is exactly zero.  The counter lets tests verify that the skip fires.
 _zero_skips = 0
 
 
@@ -170,9 +169,7 @@ def _check_max_order(max_order) -> None:
     check_size(max_order)
 
 
-def modified_equation_series(
-    method: TruncatedBSeries, *, skip_zero: bool = True
-) -> TruncatedBSeries:
+def modified_equation_series(method: TruncatedBSeries) -> TruncatedBSeries:
     """Flow-kind series v with substitute(v, exact flow) = method.
 
     Integrating the modified field h·v to time h reproduces the method's
@@ -182,14 +179,13 @@ def modified_equation_series(
     (Hairer-Lubich-Wanner, GNI §IX.9).  Every c_j(τ) with j ≥ 2 involves
     only smaller trees, so v(τ) = method(τ) - Σ_{j=2}^{|τ|} c_j(τ)/j! is
     solved tree by tree, in one :mod:`bsharp.graded` loop for both scalar
-    domains.  ``skip_zero`` drops cut terms with a zero factor
-    instead of multiplying them through; it never changes the result.
+    domains, which skips the cut terms with a zero factor.
     """
     if method.empty != 1:
         raise SeriesError("modified equation needs a map-kind method series")
     from . import graded
 
-    return _counted(graded.modified_equation(method, skip_zero))
+    return _counted(graded.modified_equation(method))
 
 
 def _check_u1(u1: Coefficient) -> Coefficient:

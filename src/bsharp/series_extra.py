@@ -152,19 +152,19 @@ _UNSET = object()
 
 
 def _forest_product(
-    products: dict[tuple, Coefficient | None], factors: list, zero: set[int], forest: tuple
+    products: dict[tuple, Coefficient | None], factors: list, forest: tuple
 ) -> Coefficient | None:
     """Π factors[id] over the non-empty sorted tuple of ids ``forest``,
     memoised in ``products`` for one call: a new entry peels off the
     highest id, ``forest[-1]``, and costs one product.  ``None`` when a
-    factor's id is in ``zero``; such a product is never multiplied out."""
+    factor is zero; such a product is never multiplied out."""
     p = products.get(forest, _UNSET)
     if p is _UNSET:
         top, rest = forest[-1], forest[:-1]
-        if top in zero:
+        if not factors[top]:
             p = None
         elif rest:
-            p = _forest_product(products, factors, zero, rest)
+            p = _forest_product(products, factors, rest)
             if p is not None:
                 p = series_module.coeff_mul(p, factors[top])
         else:
@@ -173,7 +173,7 @@ def _forest_product(
     return p
 
 
-def _pass(groups, heads: list, products: dict, product, totals: list, skip_zero: bool) -> int:
+def _pass(groups, heads: list, products: dict, product, totals: list) -> int:
     """Add k·heads[head]·Π(forest) to totals[tree id] for every row of the
     grouped split table ``groups``, and give the number of zero skips.
     ``product`` is :func:`_forest_product` bound to the memo ``products``.
@@ -183,7 +183,7 @@ def _pass(groups, heads: list, products: dict, product, totals: list, skip_zero:
     known = products.get
     for head, rows in groups:
         w = heads[head]
-        if skip_zero and not w:
+        if not w:
             skips += len(rows)
             continue
         for i, forest, k in rows:
@@ -203,13 +203,11 @@ def _lifted(coeffs: dict, lift, d: int, top: int = 0) -> list:
     return list(map({seq: lift(c, d ** (top or len(seq))) for seq, c in trees}.get, _seqs))
 
 
-def _operands(inner: TruncatedBSeries, outer: TruncatedBSeries, top: int, skip_zero: bool):
-    """(heads, factors, zero factor ids, lower, d): outer's c(τ) lifted by
-    d^``top`` (d^|τ| for 0) and inner's by d^|τ|, in the domain of both."""
+def _operands(inner: TruncatedBSeries, outer: TruncatedBSeries, top: int):
+    """(heads, factors, lower, d): outer's c(τ) lifted by d^``top``
+    (d^|τ| for 0) and inner's by d^|τ|, in the domain of both."""
     lift, lower, d, _, _ = _domain((t.order, c) for t, c in chain(inner.items(), outer.items()))
-    heads, factors = _lifted(outer._coeffs, lift, d, top), _lifted(inner._coeffs, lift, d)
-    zero = {i for i, c in enumerate(factors) if skip_zero and c is not None and not c}
-    return heads, factors, zero, lower, d
+    return _lifted(outer._coeffs, lift, d, top), _lifted(inner._coeffs, lift, d), lower, d
 
 
 def compose(
@@ -217,15 +215,13 @@ def compose(
     outer: TruncatedBSeries,
     *,
     normalize_stepsize: bool = False,
-    skip_zero: bool = True,
 ) -> TruncatedBSeries:
     """Series of "inner step, then outer step".
 
     ``inner`` must be map-kind (its output state feeds ``outer``).  With
     ``normalize_stepsize`` both factors are first rescaled to half steps, so
     composing a method with itself keeps h the full-step width.
-    ``skip_zero`` drops split terms with a zero factor; it never changes
-    the result.
+    Split terms with a zero factor are skipped.
 
     A state maps a kept subtree s to V_s, Σ Π inner(cut branch) over the
     splits that keep s, from {•: 1}; each child c is cut (V·inner(c)) or
@@ -242,7 +238,7 @@ def compose(
         outer = scale_step(outer, half)
     ids = chain.from_iterable(orders_below(inner.max_order + 1))
     trees = [(seq, c, i) for (seq, c), i in zip(islice(inner._coeffs.items(), 1, None), ids)]
-    heads, factors, zero, lower, d = _operands(inner, outer, 0, skip_zero)
+    heads, factors, lower, d = _operands(inner, outer, 0)
     top = inner.max_order
     kept: list = [None] * len(heads)  # id -> its (memo growing s by it, V) pairs
     empty, skips = outer.empty, 0
@@ -251,26 +247,25 @@ def compose(
         states: dict = {trees[0][2]: 1}  # the root alone
         for c in _kids[i]:
             f = factors[c]
-            cut = f or not skip_zero
-            skips += not cut
+            skips += not f
             out: dict = {}
             get = out.get
             for s, v in states.items():
-                if skip_zero and not v:
+                if not v:
                     skips += 1
                     continue
-                if cut:
+                if f:
                     out[s] = get(s, 0) + v * f
                 for grown, w in kept[c]:
                     t = grown[s]
                     out[t] = get(t, 0) + v * w
             states = out
-        terms = [heads[s] * v for s, v in states.items() if heads[s] and v or not skip_zero]
+        terms = [heads[s] * v for s, v in states.items() if heads[s] and v]
         skips += len(states) - len(terms)
         if len(seq) < top:
-            kept[i] = [(with_child[s], v) for s, v in states.items() if v or not skip_zero]
+            kept[i] = [(with_child[s], v) for s, v in states.items() if v]
         total = lower(sum(terms, 0), d ** len(seq))
-        if skip_zero and (not empty or i in zero):
+        if not (empty and factors[i]):
             skips += 1
         else:
             total += empty * a
@@ -291,18 +286,13 @@ def _check_partitions(max_order: int, op: str) -> None:
         )
 
 
-def substitute(
-    flow: TruncatedBSeries,
-    outer: TruncatedBSeries,
-    *,
-    skip_zero: bool = True,
-) -> TruncatedBSeries:
+def substitute(flow: TruncatedBSeries, outer: TruncatedBSeries) -> TruncatedBSeries:
     """Feed the flow-kind series ``flow`` in as the vector field of ``outer``.
 
     coeff(τ) = Σ over partition splits of outer(skeleton) · Π flow(component),
     each distinct split weighted by its multiplicity.  The empty coefficient
-    is ``outer``'s.  ``skip_zero`` drops split terms whose skeleton weight
-    (or any component coefficient) is zero; it never changes the result.
+    is ``outer``'s.  Split terms whose skeleton weight (or any component
+    coefficient) is zero are skipped.
 
     Skeleton weights are lifted by d^N and each component by d^|component|,
     so every row of τ has the scale d^N·d^|τ|.  The row outer(•)·flow(τ),
@@ -317,24 +307,22 @@ def substitute(
     top = flow.max_order
     ids = list(zip(islice(flow._coeffs, 1, None), chain.from_iterable(orders_below(top + 1))))
     tables = [partition_skeleton_table(n) for n in range(1, top + 1)]  # index every tree
-    heads, factors, zero, lower, d = _operands(flow, outer, top, skip_zero)
+    heads, factors, lower, d = _operands(flow, outer, top)
     node = heads[ids[0][1]] if top else 0  # outer(•)
     totals, skips = [0] * len(heads), 0
     for _, i in ids:
-        if skip_zero and (not node or i in zero):
+        if not (node and factors[i]):
             skips += 1
         else:
             totals[i] = node * factors[i]
     products: dict = {}
-    product = partial(_forest_product, products, factors, zero)
-    skips += sum([_pass(groups, heads, products, product, totals, skip_zero) for groups in tables])
+    product = partial(_forest_product, products, factors)
+    skips += sum([_pass(groups, heads, products, product, totals) for groups in tables])
     coeffs = {b"": outer.empty, **{seq: lower(totals[i], d ** (top + len(seq))) for seq, i in ids}}
     return _counted((TruncatedBSeries._from_levels(top, coeffs), skips))
 
 
-def modifying_integrator_series(
-    method: TruncatedBSeries, *, skip_zero: bool = True
-) -> TruncatedBSeries:
+def modifying_integrator_series(method: TruncatedBSeries) -> TruncatedBSeries:
     """Flow-kind series v with substitute(v, method) = exact flow.
 
     Applying the method to the field h·v integrates the *original* field
@@ -342,9 +330,9 @@ def modifying_integrator_series(
     tree by tree over the distinct partition splits, each term weighted by
     its multiplicity: v(τ) = (1/γ(τ) - Σ k·method(skeleton)·Π v(component))
     / method(•), the sum over every split but the no-edges-removed one, in
-    one :func:`_pass` per order for both scalar domains.  ``skip_zero``
-    drops split terms whose skeleton weight (or any component coefficient)
-    is zero — a pure optimization.  The modifying integrator of a tableau,
+    one :func:`_pass` per order for both scalar domains; split terms whose
+    skeleton weight (or any component coefficient) is zero are skipped.
+    The modifying integrator of a tableau,
     :func:`bsharp.modifying.modifying_integrator_of_tableau`, reads no
     partition table.
     """
@@ -365,13 +353,13 @@ def modifying_integrator_series(
     content, inverse = _reciprocal(u1, lift)
     heads = _lifted(method._coeffs, lift, d, max_order)
     solve = partial(
-        _modifying_integrator_ints, levels, heads, d**max_order, content, inverse, lower, skip_zero
+        _modifying_integrator_ints, levels, heads, d**max_order, content, inverse, lower
     )
     return _counted(_solve(solve, max_order, d, content))
 
 
 def _modifying_integrator_ints(
-    levels, heads: list, d_top: int, content: int, inverse, lower, skip_zero: bool, scale: int
+    levels, heads: list, d_top: int, content: int, inverse, lower, scale: int
 ):
     """The modifying integrator over scaled values, one :func:`_pass` per
     order.  A solved value is scaled by λ^|τ| (λ = ``scale``) and each
@@ -382,20 +370,17 @@ def _modifying_integrator_ints(
     divisor = d_top * content  # total / (d^N·u1) = total·inverse / divisor
     solved: list = [None] * len(heads)
     totals = [0] * len(heads)  # Σ over the rows of a tree, scaled
-    zero_solved: set[int] = set()
     products: dict = {}
-    product = partial(_forest_product, products, solved, zero_solved)
+    product = partial(_forest_product, products, solved)
     gammas = densities()
     out: dict = {b"": Fraction(0)}
     for n, ids, groups in levels:
         power = scale**n
         one = d_top * power  # 1, scaled
-        skips += _pass(groups, heads, products, product, totals, skip_zero)
+        skips += _pass(groups, heads, products, product, totals)
         for i in ids:
             total = graded._exact(one, gammas[i]) - totals[i]
             solved[i] = value = graded._exact(total if inverse == 1 else total * inverse, divisor)
-            if skip_zero and not value:
-                zero_solved.add(i)
             out[_seqs[i]] = lower(value, power)
     return out, skips
 
@@ -487,6 +472,16 @@ def format_series(
                 parts.append(f" + {body}")
         return "".join(parts)
     raise ValueError(f"unknown series format {fmt!r}")
+
+
+def _flow_from_json(data: dict) -> TruncatedBSeries:
+    """The flow of a substitution from its JSON form, its ``max_order``
+    sized by :func:`_check_partitions` before any coefficient is parsed."""
+    order = data.get("max_order") if isinstance(data, dict) else None
+    if isinstance(order, int) and not isinstance(order, bool):
+        _check_max_order(order)
+        _check_partitions(order, "substitution")
+    return series_from_json_dict(data)
 
 
 def series_from_json_dict(data: dict) -> TruncatedBSeries:

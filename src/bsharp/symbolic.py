@@ -448,7 +448,7 @@ def _summed(out: dict) -> _Laurent:
     return _Laurent(out)
 
 
-def _laurent_lie(rows: dict, branch: list, lists: list, width: int, skip_zero: bool):
+def _laurent_lie(rows: dict, branch: list, lists: list, width: int):
     """:func:`bsharp.graded._lie` of Laurent values: Σ over the edge cuts
     ``rows``, {(trunk θ, branch β): k}, of k·branch[β]·lists[θ][j], for
     each j < ``width``, and the number of zero factors skipped."""
@@ -457,8 +457,8 @@ def _laurent_lie(rows: dict, branch: list, lists: list, width: int, skip_zero: b
     for (trunk, b), k in rows.items():
         w = branch[b]
         tw = w.terms if w.__class__ is _Laurent else {0: w} if w else {}
-        if not tw:  # a zero adds nothing, and is counted when skipped
-            skips += skip_zero
+        if not tw:
+            skips += 1
             continue
         if k != 1:
             tw = {e: c * k for e, c in tw.items()}
@@ -466,7 +466,7 @@ def _laurent_lie(rows: dict, branch: list, lists: list, width: int, skip_zero: b
         for c, out in zip(lists[trunk], sums):
             tc = c.terms if c.__class__ is _Laurent else {0: c} if c else {}
             if not tc:
-                skips += skip_zero
+                skips += 1
                 continue
             get = out.get
             tc = tc.items()

@@ -896,8 +896,10 @@ def _by_kind_and_digest(node):
 def add_all_by_absorbing(parts):
     """``expressions.add_all`` as it was before its flatten loop: a
     recursive ``absorb`` with a Fraction scale, like terms collected by
-    body and constants folded in Fraction arithmetic.  Nodes come from the
-    module's constructors, so a result is the interned node itself."""
+    body and constants folded in Fraction arithmetic; a sum body that
+    collects to coefficient 1 is absorbed again, as a sum holds no sum.
+    Nodes come from the module's constructors, so a result is the
+    interned node itself."""
     from bsharp.expressions import Const, Prod, Sum, _raw_prod, _raw_sum, const
 
     constant = Fraction(0)
@@ -928,6 +930,15 @@ def add_all_by_absorbing(parts):
 
     for part in parts:
         absorb(part, Fraction(1))
+    # a sum holds no sum: a sum body whose coefficient is 1 is absorbed
+    # again term by term, one at a time, until none is left
+    while True:
+        spread = [body for body in order if isinstance(body, Sum) and collected[body] == 1]
+        if not spread:
+            break
+        order.remove(spread[0])
+        del collected[spread[0]]
+        absorb(spread[0], Fraction(1))
 
     terms = []
     for body in order:

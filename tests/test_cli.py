@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -207,6 +208,28 @@ def test_a_substitution_past_the_size_bound_exits_3_with_an_estimate(monkeypatch
         "partition tables, past the limit of 10 subsets (order 13)\n"
     )
     assert not out.exists()
+
+
+def test_a_substitution_of_an_oversized_flow_is_refused_before_its_coefficients(
+    tmp_path, capsys
+):
+    # two order-14 files whose coefficient tables are empty: the flow's
+    # max_order is sized as soon as its JSON is read, so the refusal is the
+    # size estimate, not a complaint about the coefficients
+    from bsharp import cli
+
+    paths = [tmp_path / "flow.json", tmp_path / "method.json"]
+    for path, kind, empty in zip(paths, ("flow", "map"), ("0", "1")):
+        path.write_text(json.dumps(
+            {"kind": kind, "max_order": 14, "empty": empty, "coefficients": {}}
+        ))
+    start = time.perf_counter()
+    assert cli.main(["substitute", *map(str, paths)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: substitution at order 14 is too large: about 333,364,411 edge subsets, "
+        "some 10.7 GB of partition tables, past the limit of 100,000,000 subsets (order 13)\n"
+    )
 
 
 def test_compose_rejects_flow_inner(tmp_path):
@@ -730,11 +753,16 @@ _NESTED_SUMS = (
     "vars p, q, r; p' = 2*(p+q) + r - (p+q); q' = p*(2*(p+q) + r - (p+q)) - q; "
     "r' = (p+q)^2 - 2*(p+q)*(p+q) + p"
 )
+_FLAT_SUMS = (
+    "vars p, q, r; p' = p + q + r; q' = p*(p + q + r) - q; r' = (p+q)^2 - 2*(p+q)*(p+q) + p"
+)
 
 # sha256 of stdout at order 6 for the four job kinds of the perfbench
-# field_text workload, and at order 3 for the nested sums, recorded before
-# the expression builders and the printer were rewritten for speed; the
-# DAG and its text must not change
+# field_text workload, recorded before the expression builders and the
+# printer were rewritten for speed; the DAG and its text must not change.
+# The nested sums at order 3 print as the same system written flat,
+# _FLAT_SUMS, whose digests were recorded before like terms c*S that
+# collect to a sum S were spread into the sum holding them
 _FIELD_DIGESTS = {
     ("modified-equation", "midpoint", 6, _CUBIC3): {
         "text": "4c7fc68136f8f4716b62fb8b04e66eafc307ba71e1248e7b86310a1af79dbe7a",
@@ -757,14 +785,14 @@ _FIELD_DIGESTS = {
         "latex": "23342e9340dced138ba85301dbdaef96ccf81c9b436940ea93e3d232bb799aaa",
     },
     ("modified-equation", "midpoint", 3, _NESTED_SUMS): {
-        "text": "877124d6930877dea5143fe444bb999906e152d8239646d69a30656554de9451",
-        "json": "2c1ee2257ee5a23c5ac6409a3887f5539447c0bbd38328f8dfa9635fa44d20c9",
-        "latex": "af6d25bc70d6f6d3d07ebbe6cd22b897be296a71f8d2bb7c87fbe9a2f087082f",
+        "text": "4052ccb540bc1fca23254a46eef393d475a2e7c80e3d81693ca313cdfd20cd6f",
+        "json": "fd99a7a20e6d75f074b807298b5931a30b44de805522514b13a33dddda84dbe4",
+        "latex": "9ae94c09ac330adc1a87918cee9037c6202c232fc1a5603ed35dfb7aeeaf44e2",
     },
     ("modifying-integrator", "midpoint", 3, _NESTED_SUMS): {
-        "text": "ccf03736ae1fa89b63b352be528f02a013e2a3799351a3df5140f363cc51d6ee",
-        "json": "2763716bc0a2eb4a1c5fa34b26150add620f5f17d92309bc38642a8741b01ac9",
-        "latex": "c85c7f0285334718ce9b7b23d6dfc17e1f4fc225a06ddf2e97eddbf60242d888",
+        "text": "59718f92d0623e64ada8a1b5024cea16a89edd51cb798bd02cb902b86c43de00",
+        "json": "8ac14b9db6d7bb3f4250fd3d964cecf02e72d4c76df075486f138568402a6347",
+        "latex": "fc2fb98c9449015afeef54024cbbc49b87f2c2cdd8e3c9c8849cfbfbf7175380",
     },
 }
 
@@ -779,6 +807,19 @@ def test_field_output_is_byte_identical(kind, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, tableau, fmt)
+
+
+@pytest.mark.parametrize("command", ["modified-equation", "modifying-integrator"])
+def test_a_field_of_nested_sums_prints_as_its_flat_form(command, capsys):
+    # 2*(p+q) + r - (p+q) is the node p + q + r, so every field built
+    # from it is the one built from the flat system
+    from bsharp.cli import main
+
+    outs = []
+    for ode in (_NESTED_SUMS, _FLAT_SUMS):
+        assert main([command, "--tableau", "midpoint", "--order", "3", "--ode-text", ode]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,24 @@ def test_builders_return_the_nodes_absorption_gives(operands):
 
 
 def test_a_sum_held_by_a_sum_flattens_when_summed_again():
-    assert _NESTED.terms == (variable(2), add_all([P, Q]))
+    # like terms c*S that collect to S leave S's terms, not S, in the sum
+    assert _NESTED is add_all([P, Q, variable(2)])
     assert add_all([_NESTED]) is add_all([P, Q, variable(2)]) is add_all_by_absorbing([_NESTED])
     assert add_all([_NESTED, -P]) is add_all([Q, variable(2)])
     assert add_all([const(1), _NESTED, _NESTED]) is add_all_by_absorbing([const(1), _NESTED, _NESTED])
+
+
+def test_like_sum_terms_that_collect_to_one_join_the_sum_term_by_term():
+    # with S = x + y, 2*S - S + z is the node x + y + z: no sum inside a
+    # sum, so a product of it cancels against one of x + y + z
+    x, y, z, w = (variable(i) for i in range(4))
+    s = add_all([x, y])
+    flat = add_all([x, y, z])
+    nested = add_all([mul_all([const(2), s]), mul_all([const(-1), s]), z])
+    assert nested is flat
+    assert add_all([mul_all([nested, w]), -mul_all([flat, w])]) is const(0)
+    # the like terms of S feed back into the collection and meet x
+    assert add_all([mul_all([const(2), s]), mul_all([const(-1), s]), mul_all([const(-1), x])]) is y
 
 
 def test_builders_cancel_to_zero_and_one():

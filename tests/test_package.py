@@ -484,7 +484,7 @@ COMPILED = (
         (SIMULATE + ["--modified-order", "3"], 3059),
         (["modified-equation", "--tableau", "midpoint", "--order", "9"], 2102),
         (["trees", "1"], 677),
-        (["modifying-integrator", "--tableau", "rk22(alpha)", "--order", "3"], 2833),
+        (["modifying-integrator", "--tableau", "rk22(alpha)", "--order", "3"], 2823),
     ],
     ids=["simulate", "modified-equation", "trees", "symbolic-modifying-integrator"],
 )

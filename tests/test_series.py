@@ -606,22 +606,26 @@ def _laurent_values(draw, size: int) -> list:
     return draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
 
 
-@given(st.data(), st.booleans())
+@given(st.data())
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_laurent_kernels_equal_a_fold_of_the_laurent_operators(data, skip_zero):
-    # the Lie kernel and the weighted sum of the Laurent domain against
-    # graded._lie and sum(map(mul, ...)) over the _Laurent operators:
-    # the same terms, cancelled ones dropped, and the same zero skips
+def test_laurent_kernels_equal_a_fold_of_the_laurent_operators(data):
+    # the Lie kernel and the weighted sum of the Laurent domain against a
+    # fold of every term and sum(map(mul, ...)) over the _Laurent
+    # operators: the same terms, cancelled ones dropped, and the zero
+    # skips of graded._lie
     width = data.draw(st.integers(1, 4))
     branch = data.draw(_laurent_values(4))
     lists = [data.draw(_laurent_values(data.draw(st.integers(0, width)))) for _ in range(3)]
     rows = data.draw(st.dictionaries(
         st.tuples(st.integers(0, 2), st.integers(0, 3)), st.integers(1, 3), max_size=8
     ))
-    got, skips = symbolic._laurent_lie(rows, branch, lists, width, skip_zero)
-    expected, expected_skips = graded._lie(rows, branch, lists, width, skip_zero)
+    got, skips = symbolic._laurent_lie(rows, branch, lists, width)
+    expected = [0] * width
+    for (trunk, b), k in rows.items():
+        for j, c in enumerate(lists[trunk]):
+            expected[j] = expected[j] + c * (branch[b] * k)
     assert [_laurent_terms(v) for v in got] == [_laurent_terms(v) for v in expected]
-    assert skips == expected_skips
+    assert skips == graded._lie(rows, branch, lists, width)[1]
     values = data.draw(_laurent_values(4))
     weights = data.draw(st.one_of(_laurent_values(4), st.lists(st.integers(-3, 3), max_size=4)))
     assert _laurent_terms(symbolic._laurent_dot(values, weights)) == _laurent_terms(
@@ -866,12 +870,12 @@ def _rational_compose_pairs(draw):
     return series(Fraction(1)), series(draw(st.sampled_from([Fraction(k) for k in (0, 1, 2)])))
 
 
-@given(_rational_compose_pairs(), st.booleans())
+@given(_rational_compose_pairs())
 @settings(max_examples=60, deadline=None)
-def test_compose_prints_like_the_row_by_row_oracle_on_random_series(pair, skip_zero):
+def test_compose_prints_like_the_row_by_row_oracle_on_random_series(pair):
     inner, outer = pair
     trees = [t._levels for t in all_trees_up_to(inner.max_order)]
-    got = compose(inner, outer, skip_zero=skip_zero)._coeffs
+    got = compose(inner, outer)._coeffs
     expected = compose_rows(inner._coeffs, outer._coeffs, trees)
     assert list(got) == list(expected)
     assert [coeff_print(c) for c in got.values()] == [coeff_print(c) for c in expected.values()]
@@ -908,24 +912,22 @@ def _rational_methods(draw):
     return _random_series(draw, draw(st.integers(1, 6)), Fraction(1), nonzero)
 
 
-@given(_rational_substitute_pairs(), st.booleans())
+@given(_rational_substitute_pairs())
 @settings(max_examples=60, deadline=None)
-def test_substitute_prints_like_the_row_by_row_oracle_on_random_series(pair, skip_zero):
+def test_substitute_prints_like_the_row_by_row_oracle_on_random_series(pair):
     flow, outer = pair
     trees = [t._levels for t in all_trees_up_to(flow.max_order)]
-    got = substitute(flow, outer, skip_zero=skip_zero)._coeffs
+    got = substitute(flow, outer)._coeffs
     expected = substitute_rows(flow._coeffs, outer._coeffs, trees)
     assert list(got) == list(expected)
     assert [coeff_print(c) for c in got.values()] == [coeff_print(c) for c in expected.values()]
 
 
-@given(_rational_methods(), st.booleans())
+@given(_rational_methods())
 @settings(max_examples=60, deadline=None)
-def test_modifying_integrator_prints_like_the_row_by_row_oracle_on_random_series(
-    method, skip_zero
-):
+def test_modifying_integrator_prints_like_the_row_by_row_oracle_on_random_series(method):
     trees = [t._levels for t in all_trees_up_to(method.max_order)]
-    got = modifying_integrator_series(method, skip_zero=skip_zero)._coeffs
+    got = modifying_integrator_series(method)._coeffs
     expected = modifying_integrator_rows(method._coeffs, method.max_order, trees)
     assert list(got) == list(expected)
     assert [coeff_print(c) for c in got.values()] == [coeff_print(c) for c in expected.values()]
@@ -941,11 +943,10 @@ _A21 = tableau_from_json_dict(
     st.integers(1, 6),
     st.sampled_from(["a21", "midpoint", "rk4", "rk22(alpha)"]),
     st.booleans(),
-    st.booleans(),
 )
 @settings(max_examples=12, deadline=None)
 def test_compose_with_a_non_monomial_denominator_equals_the_row_by_row_oracle(
-    order, partner, a21_first, skip_zero
+    order, partner, a21_first
 ):
     # plain coefficients: an unreduced sum prints by its summation order,
     # so the values are compared, not the printed forms
@@ -953,7 +954,7 @@ def test_compose_with_a_non_monomial_denominator_equals_the_row_by_row_oracle(
     other = a21 if partner == "a21" else rk_series(builtin_tableau(partner), order)
     inner, outer = (a21, other) if a21_first else (other, a21)
     trees = [t._levels for t in all_trees_up_to(order)]
-    assert compose(inner, outer, skip_zero=skip_zero)._coeffs == compose_rows(
+    assert compose(inner, outer)._coeffs == compose_rows(
         inner._coeffs, outer._coeffs, trees
     )
 
@@ -1040,14 +1041,20 @@ def test_laurent_solves_print_like_the_coefficient_path(solve, name):
 
 @pytest.mark.parametrize("solve", [modified_equation_series, modifying_integrator_series])
 def test_laurent_solves_skip_the_zero_terms_of_the_coefficient_path(solve):
-    # skips fire, and none of them changes a printed coefficient
+    # skips fire, and none of them changes a printed coefficient: every
+    # denominator is a monomial, so the row-by-row oracle, which skips
+    # nothing, prints alike
     method = rk_series(builtin_tableau("rk22(alpha)"), 7)
+    trees = [t._levels for t in all_trees_up_to(7)]
+    oracle = modified_equation_rows if solve is modified_equation_series else (
+        modifying_integrator_rows
+    )
+    expected = oracle(method._coeffs, 7, trees)
+    assert _monomial(expected.values())
     reset_zero_skip_count()
-    printed = [coeff_print(c) for c in solve(method)._coeffs.values()]
-    laurent = zero_skip_count()
-    eager = solve(method, skip_zero=False)
-    assert zero_skip_count() == laurent > 0
-    assert [coeff_print(c) for c in eager._coeffs.values()] == printed
+    got = solve(method)._coeffs
+    assert zero_skip_count() > 0
+    _assert_like(got, expected)
     reset_zero_skip_count()
 
 
@@ -1063,15 +1070,22 @@ def test_plain_solves_skip_zero_terms_without_changing_a_printed_coefficient(sol
     # both solves hold an inverse symbol: b2 = 1/(2 + 2*beta), and the
     # modifying integrator of b = (1, beta) divides by 1 + beta.  The
     # modified equation of b = (1, beta) has no zero factor to skip, but
-    # rk22(1 + beta) is of order 2, so v([0,1]) = 0
+    # rk22(1 + beta) is of order 2, so v([0,1]) = 0.  The row-by-row
+    # oracle skips nothing; its unreduced sums print in their summation
+    # order, so the values are compared
     method = rk_series(tab, 5)
     u1 = method[T("[0]")] if solve is modifying_integrator_series else 1
     assert _grading(method, u1)[2]
+    trees = [t._levels for t in all_trees_up_to(5)]
+    oracle = modified_equation_rows if solve is modified_equation_series else (
+        modifying_integrator_rows
+    )
+    expected = oracle(method._coeffs, 5, trees)
+    assert not _monomial(expected.values())
     reset_zero_skip_count()
-    eager = [coeff_print(c) for c in solve(method, skip_zero=False)._coeffs.values()]
-    assert zero_skip_count() == 0
-    assert [coeff_print(c) for c in solve(method)._coeffs.values()] == eager
+    got = solve(method)._coeffs
     assert zero_skip_count() > 0
+    _assert_like(got, expected)
     reset_zero_skip_count()
 
 
@@ -1114,11 +1128,11 @@ def _count_laurent_products(monkeypatch) -> list:
         count[0] += product is not a
         return product
 
-    def counting_lie(rows, branch, lists, width, skip_zero):
+    def counting_lie(rows, branch, lists, width):
         for (trunk, b), k in rows.items():
             if branch[b]:
                 count[0] += (k != 1) + sum(1 for c in lists[trunk] if c)
-        return lie(rows, branch, lists, width, skip_zero)
+        return lie(rows, branch, lists, width)
 
     def counting_dot(values, weights):
         count[0] += sum(1 for v, w in zip(values, weights) if v and w and 1 not in (v, w))
@@ -1194,7 +1208,7 @@ def test_laurent_modified_equation_product_count_at_order_9(monkeypatch):
 def test_rational_solves_skip_the_zero_terms_of_the_coefficient_path(solve, order, skips):
     # the integer domain skips the zero factors of the rows it walks; the
     # modified equation's count depends on the zeros its top-order fold
-    # drops and is not pinned
+    # drops and is pinned in test_zero_skip_counts_stay_as_recorded
     method = rk_series(builtin_tableau("midpoint"), order)
     reset_zero_skip_count()
     solve(method)
@@ -1273,26 +1287,59 @@ def test_perturbation_builders_reject_flow_kind_input():
 
 
 def test_zero_skipping_is_observable_but_harmless():
+    # each solve skips zero terms and equals its row-by-row oracle, which
+    # multiplies every term out
     method = rk_series(builtin_tableau("midpoint"), 6)
+    trees = [t._levels for t in all_trees_up_to(6)]
     reset_zero_skip_count()
-    eager = modified_equation_series(method, skip_zero=False)
-    assert zero_skip_count() == 0
-    lazy = modified_equation_series(method)
+    assert modified_equation_series(method)._coeffs == modified_equation_rows(
+        method._coeffs, 6, trees
+    )
     assert zero_skip_count() > 0
-    assert eager == lazy
     before = zero_skip_count()
-    assert modifying_integrator_series(method, skip_zero=False) == (
-        modifying_integrator_series(method)
+    assert modifying_integrator_series(method)._coeffs == modifying_integrator_rows(
+        method._coeffs, 6, trees
     )
     assert zero_skip_count() > before
     # Euler's series is zero on every tree but [0]; the exact flow has no
     # zero, so every skip is of a zero inner factor
     euler, exact = rk_series(builtin_tableau("euler"), 6), exact_series(6)
     before = zero_skip_count()
-    assert compose(euler, exact, skip_zero=False) == compose(euler, exact)
+    assert compose(euler, exact)._coeffs == compose_rows(euler._coeffs, exact._coeffs, trees)
     assert zero_skip_count() > before
     reset_zero_skip_count()
     assert zero_skip_count() == 0
+
+
+@pytest.mark.parametrize(
+    "solve,name,order,skips",
+    [
+        ("me", "rk22(alpha)", 8, 396),
+        ("me", "rk22(alpha)", 9, 1130),
+        ("tableau-mi", "rk22(alpha)", 8, 64),
+        ("me", "midpoint", 9, 1332),
+        ("series-mi", "midpoint", 8, 7356),
+        ("compose-exact", "euler", 8, 440),
+    ],
+)
+def test_zero_skip_counts_stay_as_recorded(solve, name, order, skips):
+    # the counts series.zero_skip_count() gave when they were recorded:
+    # each skip is a term the solve did not multiply out, so a change of
+    # the kernels that skips fewer (or more) zeros shows here
+    tab = builtin_tableau(name)
+    reset_zero_skip_count()
+    if solve == "tableau-mi":
+        modifying.modifying_integrator_of_tableau(tab, order)
+    else:
+        method = rk_series(tab, order)
+        if solve == "me":
+            modified_equation_series(method)
+        elif solve == "series-mi":
+            modifying_integrator_series(method)
+        else:
+            compose(method, exact_series(order))
+    assert zero_skip_count() == skips
+    reset_zero_skip_count()
 
 
 # ---------------------------------------------------------------------------
