@@ -44,11 +44,12 @@ def cmd_trees(args) -> int:
         return 0
     from fractions import Fraction
 
-    from .splits import _gamma, _sigma, densities, symmetries, top_order
+    from .splits import _gamma, _sigma, densities, symmetries, walk
 
-    trees = top_order(n)  # as trees_of_order lists them, every order below indexed
+    trees = walk(n)  # order n as trees_of_order lists it, every order below indexed
     symmetries(), densities()  # of the indexed trees, which _sigma and _gamma read
-    rows = ((levels_text(seq), _sigma(kids), _gamma(n, kids)) for seq, kids in trees)
+    rows = ((levels_text(seq), _sigma(kids), _gamma(n, kids))
+            for m, seq, kids, _ in trees if m == n)
     if args.format == "json":
         from .cli_json import _json_list, _quote
 

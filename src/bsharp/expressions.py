@@ -184,8 +184,12 @@ def add_all(parts: Sequence[Expression]) -> Expression:
     # the terms of each like-term body, in first-seen order; a body is keyed
     # by itself, or by its factor tuple when it is a product
     groups: dict[object, list[Expression]] = {}
+    wholes = None  # the bodies S of parts c*S: a sum part S stays whole, to collect as (1 + c)*S
     for part in parts:
-        for term in part.terms if type(part) is Sum else (part,):
+        if wholes is None and type(part) is Sum:
+            wholes = {p.factors[1] for p in parts
+                      if type(p) is Prod and len(p.factors) == 2 and type(p.factors[0]) is Const}
+        for term in part.terms if type(part) is Sum and part not in wholes else (part,):
             kind = type(term)
             if kind is Const:
                 scalars.append(term)

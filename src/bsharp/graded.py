@@ -57,7 +57,7 @@ from itertools import chain
 
 from .coefficients import coeff_div, is_rational
 from .series import TruncatedBSeries
-from .splits import _cut_tables, _seqs, cut_rows, orders_below, top_order
+from .splits import _cut_tables, _seqs, cut_rows, walk
 
 
 class _Inexact(ArithmeticError):
@@ -258,25 +258,24 @@ def _modified_equation_ints(weights: dict, top: int, lift, lower, lie, dot, scal
     dropped."""
     skips = 0
     coeffs: dict = {b"": Fraction(0)}
-    if not top:
-        return coeffs, skips
-    orders = orders_below(top)
+    trees = walk(top)
     v: list = [None] * len(_seqs)
     lists: list = [None] * len(_seqs)
-    for n, ids in enumerate(orders, 1):
-        power, whole, ratios = scale**n, math.factorial(n), _ratios(n)[1:]
-        for i in ids:
-            higher, skipped = lie(_cut_tables[i], v, lists, n - 1)
+    order = 0
+    for n, seq, kids, i in trees:
+        if n != order:
+            order, power, whole, ratios = n, scale**n, math.factorial(n), _ratios(n)[1:]
+            if n == top:
+                lists = _top_order(lists, ratios, dot)
+        if i is None:
+            (total,), skipped = lie(cut_rows(kids), v, lists, 1)
             skips += skipped
-            seq = _seqs[i]
-            total = dot(higher, ratios)
-            v[i] = value = lift(weights[seq], power) - _exact(total, whole)
-            lists[i] = [value] + higher
-            coeffs[seq] = lower(value, power)
-    power, whole = scale**top, math.factorial(top)
-    lists = _top_order(lists, _ratios(top)[1:], dot)
-    for seq, kids in top_order(top):
-        (total,), skipped = lie(cut_rows(kids), v, lists, 1)
+            coeffs[seq] = lower(lift(weights[seq], power) - _exact(total, whole), power)
+            continue
+        higher, skipped = lie(_cut_tables[i], v, lists, n - 1)
         skips += skipped
-        coeffs[seq] = lower(lift(weights[seq], power) - _exact(total, whole), power)
+        total = dot(higher, ratios)
+        v[i] = value = lift(weights[seq], power) - _exact(total, whole)
+        lists[i] = [value] + higher
+        coeffs[seq] = lower(value, power)
     return coeffs, skips

@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import graded
 from .coefficients import is_rational
 from .graded import _ratios, _reciprocal, _solve, _top_order, lift_tableau
 from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted
-from .splits import _cut_tables, _gamma, _seqs, cut_rows, densities, orders_below, top_order
+from .splits import _cut_tables, _gamma, _seqs, cut_rows, densities, walk
 
 if TYPE_CHECKING:
     from .tableaux import ButcherTableau
@@ -78,29 +77,21 @@ def _modifying_integrator_stages(
     products is one ``dot``; at the top order N no w_i is formed, and the
     list is folded into Σ_j (L^j v)(θ)·N!/(j+1)!.  Every division is one,
     by d·|τ|!·u1 for v and by d·|τ|! for w_i."""
-    orders = orders_below(top)
-    gammas = densities()
+    trees = walk(top)
+    densities()  # γ of every tree below the top order, which _gamma reads
     active = [i for i in range(len(b)) if any(A[i])]
     w = {i: [None] * len(_seqs) for i in active}
     lists = {i: [None] * len(_seqs) for i in active}
     skips = 0
     out: dict = {b"": Fraction(0)}
     order = 0
-    # (order, level sequence, cut rows, γ, id) of each tree; the top order
-    # is cut as it is read and has no id
-    below = (
-        (n, _seqs[t], _cut_tables[t], gammas[t], t) for n, ids in enumerate(orders, 1) for t in ids
-    )
-    above = (
-        (top, seq, cut_rows(kids), _gamma(top, kids), None)
-        for seq, kids in top_order(top)
-    )
-    for n, seq, rows, gamma, t in chain(below, above):
+    for n, seq, kids, t in trees:
         if n != order:
             order, power, whole, ratios = n, scale**n, math.factorial(n), _ratios(n)
             one = d * power  # d·1, scaled
             if n == top:
                 folds = {i: _top_order(lists[i], ratios, dot, 2) for i in active}
+        rows = _cut_tables[t] if n < top else cut_rows(kids)  # the top order is cut as it is read
         iterates = {}  # of each active stage
         R = [0] * len(b)  # n!·R_i(τ) of each stage, scaled
         for i in active:
@@ -110,7 +101,7 @@ def _modifying_integrator_stages(
                 iterates[i], skipped = lie(rows, w[i], lists[i], 2 * n - 2)
                 R[i] = dot(iterates[i][::2], ratios)
             skips += skipped
-        total = one * (whole // gamma) - dot(b, R)
+        total = one * (whole // _gamma(n, kids)) - dot(b, R)
         value = graded._exact(total if inverse == 1 else total * inverse, d * whole * content)
         out[seq] = lower(value, power)
         if n == top:

@@ -27,6 +27,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from .coefficients import NAME, coeff_eval, parse_arithmetic, parse_rational
@@ -216,7 +218,9 @@ class DiffCache:
     indices is nonzero, and is dropped when the child's component is zero or
     no component is left, since every derivative of zero is zero.  Each
     step from sorted indices by one more index is kept on the cache.
-    A tree's differential is built from its children's, by their ids.
+    A tree's differential is built from its children's, read by their ids
+    in the tree index, and kept by its level sequence, whatever its order:
+    the differentials kept outlive a cleared index.
     ``tensor_builds`` and ``tree_builds`` count actual constructions, not
     lookups (``tensor_builds`` thus counts only the tensors reached) — tests
     use them to pin the sharing.
@@ -227,8 +231,7 @@ class DiffCache:
         self._partials: dict[tuple[int, tuple[int, ...]], Expression] = {}
         self._derivatives: dict = {}  # differentiate's memo for this system
         self._steps: dict = {}  # sorted indices -> per next index k, see _grafted
-        self._trees: dict[int, tuple[Expression, ...]] = {}  # tree id -> differential
-        self._generation, self._kids = -1, None  # of the index that keys _trees: see _index
+        self._trees: dict[bytes, tuple[Expression, ...]] = {}  # level sequence -> differential
         self.tensor_builds = self.tree_builds = 0
 
     def partial(self, component: int, indices: tuple[int, ...]) -> Expression:
@@ -248,32 +251,26 @@ class DiffCache:
 
     def elementary(self, tree: RootedTree) -> tuple[Expression, ...]:
         """The tree's elementary differential, one expression per component."""
+        from .splits import _kids
         from .splits_extra import tree_id
 
-        self._index()
-        i = tree_id(tree._levels)
-        return self._grafted(self._kids[i], i)
+        seq = tree._levels
+        return self._grafted(seq, _kids[tree_id(seq)])
 
-    def _index(self) -> None:
-        """Drop the differentials of a cleared tree index."""
-        from . import splits
-
-        if self._generation != splits._generation:
-            self._trees.clear()
-            self._generation, self._kids = splits._generation, splits._kids
-
-    def _grafted(self, kids: tuple[int, ...], i: int | None) -> tuple[Expression, ...]:
-        """The differential of a root over the indexed children ``kids``
-        (in level-sequence order), kept as that of the tree ``i``, if any."""
-        out = self._trees.get(i)
+    def _grafted(self, seq: bytes, kids: tuple[int, ...]) -> tuple[Expression, ...]:
+        """The differential of the tree ``seq``, a root over the indexed
+        children ``kids`` (in level-sequence order)."""
+        out = self._trees.get(seq)
         if out is not None:
             return out
         n = self.system.dimension
         if not kids:
             out = self.system.rhs
         else:
+            from .splits import _kids, _seqs
+
             partials, steps_of = self._partials, self._steps
-            child_vals = [self._grafted(self._kids[c], c) for c in kids]
+            child_vals = [self._grafted(_seqs[c], _kids[c]) for c in kids]
             # index assignments grown one child at a time, in lexicographic
             # order: (sorted indices, child factors, components still live)
             branches = [((), [], range(n))]
@@ -298,8 +295,7 @@ class DiffCache:
                     terms[j].append(mul_all([partials[j, indices]] + factors))
             out = tuple(map(add_all, terms))
         self.tree_builds += 1
-        if i is not None:
-            self._trees[i] = out
+        self._trees[seq] = out
         return out
 
 
@@ -329,7 +325,7 @@ def series_vector_field(
     system's parameters first; a symbol with no binding raises
     :class:`UnboundSymbolError`.
     """
-    from .splits import _ids, _seqs, _sigma, orders_below, symmetries, top_order
+    from .splits import _sigma, symmetries, walk
 
     if cache is None:
         cache = DiffCache(system)
@@ -344,21 +340,16 @@ def series_vector_field(
         zero_deg = mul_all((const(empty), variable(j))) if empty != 0 else const(0)
         out[j].append((0, zero_deg))
 
-    top = series.max_order
-    orders, sigmas = orders_below(top), symmetries()
-    cache._index()
-    for order in range(1, top + 1):
-        if order < top:
-            trees = ((_seqs[i], cache._kids[i], i, sigmas[i]) for i in orders[order - 1])
-        else:
-            trees = ((seq, kids, _ids.get(seq), _sigma(kids)) for seq, kids in top_order(top))
+    trees = walk(series.max_order)
+    symmetries()  # σ of every tree below the top order, which _sigma reads
+    for order, group in groupby(trees, itemgetter(0)):
         buckets: list[list[Expression]] = [[] for _ in system.variables]
-        for seq, kids, i, sigma in trees:
+        for _, seq, kids, _ in group:
             c = coeff_eval(series._coeffs[seq], bindings)
             if not c:
                 continue
-            weight = const(c / sigma)
-            diff = cache._grafted(kids, i)
+            weight = const(c / _sigma(kids))
+            diff = cache._grafted(seq, kids)
             for j in range(system.dimension):
                 buckets[j].append(mul_all((weight, diff[j])))
         for j in range(system.dimension):

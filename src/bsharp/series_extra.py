@@ -40,7 +40,9 @@ from .coefficients import Coefficient, coeff_from_json, coeff_pow, coeff_print, 
 from .errors import SeriesError
 from .graded import _domain, _reciprocal, _solve
 from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted
-from .splits import _kids, _seqs, densities, orders_below, symmetries, with_child
+from .splits import (
+    _gamma, _kids, _seqs, _sigma, densities, orders_below, symmetries, walk, with_child,
+)
 from .trees import RootedTree, all_trees_up_to, tree_counts
 
 #: the most edge subsets, Σ a(n)·2^(n−1) over the orders, that the partition
@@ -131,17 +133,20 @@ def series_order_of_accuracy(series: TruncatedBSeries, max_check: int | None = N
     ``max_check`` defaults to the truncation order and cannot exceed it.
     """
     limit = series.max_order if max_check is None else max_check
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+        raise SeriesError(f"max_check must be a non-negative integer, got {max_check!r}")
     if limit > series.max_order:
         raise SeriesError(
             f"cannot verify order {limit} from a series truncated at {series.max_order}"
         )
     if series.empty != 1:
         return 0
-    orders, gammas = orders_below(limit + 1), densities()
-    for n, ids in enumerate(orders):
-        if any(series._coeffs[_seqs[i]] != Fraction(1, gammas[i]) for i in ids):
-            return n
-    return len(orders)
+    trees = walk(limit)
+    densities()  # γ of every tree below the order checked, which _gamma reads
+    for n, seq, kids, _ in trees:
+        if series._coeffs[seq] != Fraction(1, _gamma(n, kids)):
+            return n - 1
+    return limit
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +419,19 @@ def display_terms(series: TruncatedBSeries, reduce_order_by: int = 0) -> list[Se
         from .trees_extra import EMPTY_TREE
 
         terms.append(SeriesTerm(EMPTY_TREE, series.empty, 0))
-    ids = chain.from_iterable(orders_below(series.max_order + 1))
-    sigmas = symmetries()
-    for (tree, c), i in zip(series.items(), ids):
+    trees = walk(series.max_order)
+    symmetries()  # σ of every tree below the top order, which _sigma reads
+    for n, seq, kids, _ in trees:
+        c = series._coeffs[seq]
         if not c:
             continue
-        power = tree.order - reduce_order_by
+        tree = RootedTree._wrap(seq)
+        power = n - reduce_order_by
         if power < 0:
             raise SeriesError(
                 f"reduce_order_by={reduce_order_by} gives tree {tree} a negative h power"
             )
-        terms.append(SeriesTerm(tree, series_module.coeff_div(c, sigmas[i]), power))
+        terms.append(SeriesTerm(tree, series_module.coeff_div(c, _sigma(kids)), power))
     return terms
 
 

@@ -10,11 +10,12 @@ and they drive the Lie-derivative recursion of the modified equation.
 
 The solves name trees by ids.  This module holds the tree index, which
 builds every tree of an order from the ids of its children
-(:func:`orders_below`, :func:`top_order`), σ and γ by id, and the edge
-cuts that the modified equation and the modifying integrator of a
-tableau read: no solve parses a level sequence.  The id of a parsed
-tree (:func:`~bsharp.splits_extra.tree_id`), the lazy iterators of
-splits, the partition tables and
+(:func:`orders_below`), the one walk of the trees up to an order that
+every pass keeping nothing of its top order reads (:func:`walk`), σ and γ
+by id, and the edge cuts that the modified equation and the modifying
+integrator of a tableau read: no solve parses a level sequence.  The id
+of a parsed tree (:func:`~bsharp.splits_extra.tree_id`), the lazy
+iterators of splits, the partition tables and
 :func:`~bsharp.splits_extra.clear_split_caches` live in
 :mod:`bsharp.splits_extra`, which only the commands that read them load;
 their names are still read from here.
@@ -31,6 +32,7 @@ import math
 from bisect import bisect_right, insort
 from collections import Counter
 from collections.abc import Iterator
+from itertools import chain
 
 from . import _forward
 from .errors import SeriesError
@@ -46,12 +48,13 @@ __getattr__ = _forward(globals(), "splits_extra")
 # gives the children back in level-sequence order.  A solve indexes every
 # tree below its top order N, one order at a time, each tree built from
 # its children's ids (:func:`orders_below`); from an empty index the ids
-# follow ``all_trees_up_to`` order.  The trees of order N are built the same
-# way, as they are read, and registered nowhere (:func:`top_order`): none
-# of them is a child or a trunk of another.  A tree met any other way
-# (parsed, by ``tree_id``, or grown by a table) gets its id when it is
-# first met, after its children, and keeps it when its order is indexed
-# whole.  σ and γ are lists by id, grown as they are read.
+# follow ``all_trees_up_to`` order.  A pass that keeps nothing of its top
+# order N reads :func:`walk`: the trees of order N are built the same way,
+# as they are read, and registered nowhere, as none of them is a child or a
+# trunk of another.  A tree met any other way (parsed, by ``tree_id``, or
+# grown by a table) gets its id when it is first met, after its children,
+# and keeps it when its order is indexed whole.  σ and γ are lists by id,
+# grown as they are read.
 
 class _Memo(dict):
     """A dict that fills a missing key with ``fill(key)``."""
@@ -73,7 +76,6 @@ _firsts: list[int] = []            # the ids of _orders, level sequence descendi
 _ids: dict[bytes, int] = {}        # level sequence -> id, for trees met as one
 _sigmas: list[int] = []            # id -> σ, as far as symmetries() has read the index
 _gammas: list[int] = []            # id -> γ, as far as densities() has read the index
-_generation = 0                    # bumped by clear_split_caches(), which voids every id
 
 
 def _add(seq: bytes, kids: tuple[int, ...], key: tuple[int, ...]) -> int:
@@ -132,14 +134,17 @@ def orders_below(n: int) -> list[list[int]]:
     return _orders[: max(n - 1, 0)]
 
 
-def top_order(n: int) -> Iterator[tuple[bytes, tuple[int, ...]]]:
-    """(level sequence, children's ids) of every tree of order ``n`` in
-    ``all_trees_up_to`` order, with every order below indexed: a solve
-    reads each tree of its top order once and keeps nothing of it."""
-    if len(_orders) >= n:
-        return ((_seqs[i], _kids[i]) for i in _orders[n - 1])
-    orders_below(n)
-    return _born(n)
+def walk(top: int) -> Iterator[tuple[int, bytes, tuple[int, ...], int | None]]:
+    """(order, level sequence, children's ids, id) of every tree up to
+    order ``top`` in ``all_trees_up_to`` order, every order below ``top``
+    indexed before it returns.  The trees of order ``top`` have id None and
+    register nothing: a pass reads each of them once and keeps nothing."""
+    orders = orders_below(top)
+    below = ((n, _seqs[i], _kids[i], i) for n, ids in enumerate(orders, 1) for i in ids)
+    if top < 1:
+        return below
+    trees = ((_seqs[i], _kids[i]) for i in _orders[top - 1]) if len(_orders) >= top else _born(top)
+    return chain(below, ((top, seq, kids, None) for seq, kids in trees))
 
 
 def _sigma(kids: tuple[int, ...]) -> int:

@@ -272,7 +272,6 @@ def _kept(i: int, j: int = 0) -> Iterator[tuple[int, tuple[int, ...]]]:
 def clear_split_caches() -> None:
     """Drop every cached split table and the memos behind them, and the
     tree index, which voids every id."""
-    splits._generation += 1
     partition_split_table.cache_clear()
     for memo in (_cut_tables, with_child, _seqs, _kids, _grafts, splits._orders, splits._firsts,
                  _ids, splits._sigmas, splits._gammas, _rooted_tables, _skeleton_tables,

@@ -153,27 +153,23 @@ def _weight(b, vec: list):
 
 def rk_series(tab: ButcherTableau, max_order: int) -> TruncatedBSeries:
     """The method's map-kind B-series truncated at ``max_order``: the
-    weights of the indexed trees below it by id, each tree's A·Ψ kept for
-    its parents, and those of the top order as they are read."""
+    weights of the trees up to it, each indexed tree's A·Ψ kept for its
+    parents."""
     from .series import TruncatedBSeries, _check_max_order
-    from .splits import _kids, _seqs, orders_below, top_order
+    from .splits import _seqs, walk
 
     _check_max_order(max_order)
     coeffs = {b"": Fraction(1)}
     if max_order:
         A, b, _, lower, d, _, _ = tab._lifted
-        ones = [1] * len(b)
-        orders = orders_below(max_order)
+        ones, powers = [1] * len(b), [d**n for n in range(max_order + 1)]
+        trees = walk(max_order)
         psi: list = [None] * len(_seqs)
-        for n, ids in enumerate(orders, 1):
-            power = d**n
-            for i in ids:
-                vec = _products(psi, _kids[i], ones)
-                coeffs[_seqs[i]] = lower(_weight(b, vec), power)
+        for n, seq, kids, i in trees:
+            vec = _products(psi, kids, ones)
+            coeffs[seq] = lower(_weight(b, vec), powers[n])
+            if i is not None:
                 psi[i] = _propagated(A, vec)
-        power = d**max_order
-        for seq, kids in top_order(max_order):
-            coeffs[seq] = lower(_weight(b, _products(psi, kids, ones)), power)
     return TruncatedBSeries._from_levels(max_order, coeffs)
 
 

@@ -897,8 +897,9 @@ def add_all_by_absorbing(parts):
     """``expressions.add_all`` as it was before its flatten loop: a
     recursive ``absorb`` with a Fraction scale, like terms collected by
     body and constants folded in Fraction arithmetic; a sum body that
-    collects to coefficient 1 is absorbed again, as a sum holds no sum.
-    Nodes come from the module's constructors, so a result is the
+    collects to coefficient 1 is absorbed again, as a sum holds no sum,
+    and a sum part beside a constant multiple of it is kept whole.  Nodes
+    come from the module's constructors, so a result is the
     interned node itself."""
     from bsharp.expressions import Const, Prod, Sum, _raw_prod, _raw_sum, const
 
@@ -906,12 +907,12 @@ def add_all_by_absorbing(parts):
     collected = {}
     order = []
 
-    def absorb(part, scale):
+    def absorb(part, scale, whole=False):
         nonlocal constant
         if isinstance(part, Const):
             constant += scale * part.value
             return
-        if isinstance(part, Sum):
+        if isinstance(part, Sum) and not whole:
             for term in part.terms:
                 absorb(term, scale)
             return
@@ -928,8 +929,14 @@ def add_all_by_absorbing(parts):
             collected[body] = coeff
             order.append(body)
 
+    # a sum part S beside a part c*S is absorbed as one body, so that the
+    # two collect as (1 + c)*S
+    scaled = {
+        part.factors[1] for part in parts
+        if isinstance(part, Prod) and len(part.factors) == 2 and isinstance(part.factors[0], Const)
+    }
     for part in parts:
-        absorb(part, Fraction(1))
+        absorb(part, Fraction(1), part in scaled)
     # a sum holds no sum: a sum body whose coefficient is 1 is absorbed
     # again term by term, one at a time, until none is left
     while True:

@@ -809,6 +809,64 @@ def test_field_output_is_byte_identical(kind, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, tableau, fmt)
 
 
+# sha256 of stdout of the series commands that walk the tree index, at
+# order 9 (trees at 8), recorded before every pass came to read one walk;
+# the outputs must not change
+_SERIES_DIGESTS = {
+    ("bseries", "midpoint", "json"): "4f4708e08e1657a20a21eeed21831e7eed8283e5794585696ab9f78e2fca1838",
+    ("bseries", "midpoint", "text"): "3d065e6c1f992c753f206af8f116e4d7f9c2a23d52a5ef11fc3ccb2ff8dfb376",
+    ("bseries", "rk4", "json"): "2c8a1d4025a9901ccaf2cb14846b31f828f308331becbda01a614cc954f56051",
+    ("bseries", "rk4", "text"): "798d393c919352b7e08cfcb798cf8d97a8641ddfbf1ab5fcf3053484ec4c1c30",
+    ("bseries", "rk22(alpha)", "json"): "29c4a27798c366f3c552f88519c60d024b0dc792b060749f8031b97579938c61",
+    ("bseries", "rk22(alpha)", "text"): "35f28112991af8c97800a7d2d7bb93678e920f16bea8ad41a5b85ed39eab581e",
+    ("modified-equation", "midpoint", "json"):
+        "fe2848ecc668288d6e2564b5c2575f105e63fc8031e4a0b8bf474eaf2cc917c2",
+    ("modified-equation", "midpoint", "text"):
+        "5794e1da6b0532b05caaee1b0d1d0073da4654daf4337aa97b1a0abb09bc582f",
+    ("modified-equation", "rk4", "json"):
+        "e549716ceac31687d4736d39de5287f6ff0553ba203f3b8b52706f10b81a0408",
+    ("modified-equation", "rk4", "text"):
+        "071097e6dd5c55b064d4c49115ff197f48d2519cb2bd8ab1460b049766290456",
+    ("modified-equation", "rk22(alpha)", "json"):
+        "cf80fb3278e7528de568b75c7965e5a91713a038662e06cb61bcb5eb012cc60e",
+    ("modified-equation", "rk22(alpha)", "text"):
+        "6ab90e98a51ed6b929b75bc030598c57cac5a1972be68c603d09d6effe90fb4d",
+    ("modifying-integrator", "midpoint", "json"):
+        "9fe710b5c2c0504eb6839e39e08396fe819ca0bf38bb46f91e54197e2782c6b7",
+    ("modifying-integrator", "midpoint", "text"):
+        "952c18194a3b77b5a12e057db9d492d7a371661a996f4cf22ff3e8c9a659a213",
+    ("modifying-integrator", "rk4", "json"):
+        "2f446019e05aa7b88214429a1676ed7ba9e9b5b6b92e94ccd703cca7aaf1acbe",
+    ("modifying-integrator", "rk4", "text"):
+        "cca01daace925c6cff9a2f047484d3ba8e6f87f0a2278700fcd3dacd0b322e73",
+    ("modifying-integrator", "rk22(alpha)", "json"):
+        "359552fb69c77f15aed1429c6ccb40e70cc6f2d052e67720d0d05635929859c8",
+    ("modifying-integrator", "rk22(alpha)", "text"):
+        "5c655a2f910c5d766e1e9221cdacc9fd76f922dd74cf814df3c78769067969dc",
+    ("order", "rk4"): "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    ("order", "rk22(alpha)"): "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    ("trees",): "c5eec9544b212f2a86484d26e4997b0c4bcc8abaf65cc4d2b9158f152cc0c26b",
+}
+
+
+def _series_argv(kind: tuple) -> list[str]:
+    if kind[0] == "trees":
+        return ["trees", "8", "--properties", "--format", "json"]
+    if kind[0] == "order":
+        return ["order", "--tableau", kind[1], "--max", "9"]
+    command, tableau, fmt = kind
+    return [command, "--tableau", tableau, "--order", "9", "--format", fmt]
+
+
+@pytest.mark.parametrize("kind", list(_SERIES_DIGESTS), ids=" ".join)
+def test_series_output_is_byte_identical(kind, capsys):
+    from bsharp.cli import main
+
+    assert main(_series_argv(kind)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _SERIES_DIGESTS[kind]
+
+
 @pytest.mark.parametrize("command", ["modified-equation", "modifying-integrator"])
 def test_a_field_of_nested_sums_prints_as_its_flat_form(command, capsys):
     # 2*(p+q) + r - (p+q) is the node p + q + r, so every field built

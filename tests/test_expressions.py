@@ -175,6 +175,18 @@ def test_like_sum_terms_that_collect_to_one_join_the_sum_term_by_term():
     assert add_all([mul_all([const(2), s]), mul_all([const(-1), s]), mul_all([const(-1), x])]) is y
 
 
+def test_a_sum_collects_with_a_constant_multiple_of_itself():
+    # with T = x + y + z, T stays whole beside c*T, so the two collect as (1 + c)*T
+    x, y, z = (variable(i) for i in range(3))
+    t = add_all([x, y, z])
+    assert t - t is const(0) is add_all([t, -t]) is add_all_by_absorbing([t, -t])
+    assert t + 2 * t is mul_all([const(3), t]) is add_all_by_absorbing([t, 2 * t])
+    assert format_expression(t + 2 * t, ("x", "y", "z")) == "3*(z + y + x)"
+    # c*T beside T and one of T's terms: T collects, the term stays apart
+    assert add_all([t, -t, x]) is x
+    assert add_all([t, mul_all([const(-2), t])]) is mul_all([const(-1), t])
+
+
 def test_builders_cancel_to_zero_and_one():
     s = add_all([P, power(Q, -2), const(Fraction(-1, 2))])
     for x in (P, power(Q, -2), mul_all([const(Fraction(-2, 3)), P, power(Q, -1)])):

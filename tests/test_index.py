@@ -46,11 +46,64 @@ def test_each_order_is_built_in_the_enumerators_order(empty_index):
         assert seq == b"\x00" + b"".join(_deeper(splits._seqs[c]) for c in kids)
     # the top order is read as it is built and registers nothing
     size = len(splits._seqs)
-    top = list(splits.top_order(10))
+    top = [(seq, kids) for _, seq, kids, i in splits.walk(10) if i is None]
     assert [seq for seq, _ in top] == [t._levels for t in trees_of_order(10)]
     assert all(seq == b"\x00" + b"".join(_deeper(splits._seqs[c]) for c in kids)
                for seq, kids in top)
     assert len(splits._seqs) == size and len(splits._grafts) == size
+
+
+def _unborn(n):
+    raise AssertionError(f"the trees of order {n} were built")
+
+
+@pytest.mark.parametrize("top", [1, 2, 5, 9])
+def test_a_walk_reads_every_tree_up_to_its_order(empty_index, top):
+    walked = list(splits.walk(top))
+    expected = list(trees.all_trees_up_to(top))
+    assert [(n, seq) for n, seq, _, _ in walked] == [(t.order, t._levels) for t in expected]
+    # below the top order: the index's ids and children, as orders_below gives them
+    ids = [i for ids in splits.orders_below(top) for i in ids]
+    assert [i for n, _, _, i in walked if n < top] == ids
+    assert all(kids == splits._kids[i] for n, _, kids, i in walked if n < top)
+    # the top order: no id, its children's ids on a root, and nothing registered
+    size = len(splits._seqs), len(splits._grafts)
+    for n, seq, kids, i in splits.walk(top):
+        assert (n < top) is (i is not None)
+        assert seq == b"\x00" + b"".join(_deeper(splits._seqs[c]) for c in kids)
+    assert (len(splits._seqs), len(splits._grafts)) == size
+    # read from the index when that order is already there, the same trees
+    splits.orders_below(top + 1)
+    assert list(splits.walk(top)) == walked
+
+
+@pytest.mark.parametrize("top", [0, -1, -5])
+def test_a_walk_below_order_one_yields_nothing(empty_index, monkeypatch, top):
+    monkeypatch.setattr(splits, "_born", _unborn)
+    assert list(splits.walk(top)) == []
+    assert not splits._seqs
+
+
+_SOLVES_AT_6 = [
+    ["modified-equation", "--tableau", "rk4", "--order", "6", "--format", "json"],
+    ["modifying-integrator", "--tableau", "rk22(alpha)", "--order", "6", "--format", "text"],
+    ["modified-equation", "--tableau", "midpoint", "--order", "6", "--ode-text",
+     "vars p, q; p' = (2 - q)*p; q' = (p - 1)*q"],
+    ["trees", "6", "--properties"],
+]
+
+
+@pytest.mark.parametrize("argv", _SOLVES_AT_6, ids=lambda argv: argv[0])
+def test_a_solve_reads_its_top_order_alike_indexed_or_not(empty_index, capsys, argv):
+    # a solve at order 7 indexes order 6, which a solve at 6 then reads from the index
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    splits.clear_split_caches()
+    assert main(["modified-equation", "--tableau", "rk4", "--order", "7"]) == 0
+    capsys.readouterr()
+    assert len(splits._orders) == 6
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
 
 
 def test_the_index_counts_the_trees(empty_index):
@@ -73,7 +126,7 @@ def test_cut_rows_match_the_bruteforce(empty_index):
     # below the top order as cached and at the top order as streamed
     orders = splits.orders_below(8)
     trees = [(splits._seqs[i], splits._cut_tables[i]) for ids in orders for i in ids]
-    trees += [(seq, splits.cut_rows(kids)) for seq, kids in splits.top_order(8)]
+    trees += [(seq, splits.cut_rows(kids)) for _, seq, kids, i in splits.walk(8) if i is None]
     assert len(trees) == sum(map(count_trees, range(1, 9)))
     for seq, rows in trees:
         ours = Counter()

@@ -172,8 +172,9 @@ def test_elementary_matches_the_product_expansion(source):
         assert all(a is b for a, b in zip(ours, ref, strict=True))
 
 
-# the differentials by tree id against the level-sequence recursion they
-# replaced: the same interned nodes, and the same builds
+# the differentials built from their children's ids against the
+# level-sequence recursion they replaced: the same interned nodes, and the
+# same builds
 
 @pytest.mark.parametrize(
     "source", [LV, OSC, CUBIC3, CUBIC4, SPARSE], ids=["lv", "osc", "cubic3", "cubic4", "sparse"]
@@ -220,16 +221,26 @@ def test_differentials_by_id_match_the_bruteforce_at_a_rational_point(source):
 
 
 def test_a_cache_outlives_a_cleared_index():
-    # a cleared index gives its ids to other trees; the cache drops what
-    # it kept under the old ones
+    # a cleared index gives its ids to other trees; the cache keeps what it
+    # built by level sequence, so the same trees cost no new builds
     system = parse_ode(LV)
     cache, oracle = DiffCache(system), DiffCacheByLevels(system)
     first = list(all_trees_up_to(5))
     for tree in first:
         cache.elementary(tree)
+    builds = cache.tree_builds
     clear_split_caches()
     for tree in reversed(first):
         assert all(a is b for a, b in zip(cache.elementary(tree), oracle.elementary(tree)))
+    assert cache.tree_builds == builds
+    # the field of an order-5 series reads the order-5 differentials kept
+    clear_split_caches()
+    flow = modified_equation_series(rk_series(builtin_tableau("midpoint"), 5))
+    field = series_vector_field(flow, system, cache)
+    assert cache.tree_builds == builds
+    fresh = series_vector_field(flow, system, DiffCache(system))
+    assert all(a is b for ours, ref in zip(field, fresh, strict=True)
+               for (_, a), (_, b) in zip(ours, ref, strict=True))
 
 
 def test_elementary_builds_only_the_tensors_it_reaches():

@@ -1363,6 +1363,22 @@ def test_order_of_accuracy_edges():
         series_order_of_accuracy(exact_series(3), 5)
 
 
+@pytest.mark.parametrize("max_check", [-1, -20, True, False, 2.0, "3"])
+def test_order_of_accuracy_refuses_a_max_check_it_cannot_honour(max_check, monkeypatch):
+    # refused before any walk starts: no tree of any order is built
+    from bsharp import splits
+
+    series = rk_series(builtin_tableau("rk4"), 4)
+
+    def unborn(n):
+        raise AssertionError(f"the trees of order {n} were built")
+
+    monkeypatch.setattr(splits, "_born", unborn)
+    with pytest.raises(SeriesError, match="max_check must be a non-negative integer"):
+        series_order_of_accuracy(series, max_check)
+    assert series_order_of_accuracy(series, 0) == 0
+
+
 # ---------------------------------------------------------------------------
 # display
 # ---------------------------------------------------------------------------
