@@ -30,7 +30,7 @@ import sys
 from typing import TYPE_CHECKING, Collection, Iterable, Optional, Sequence, TextIO
 
 from . import _load
-from .errors import BSharpError, NumericFailureError
+from .errors import BSharpError
 
 if TYPE_CHECKING:
     from .odes import ODESystem
@@ -66,10 +66,20 @@ def _read(path: str) -> str:
 def _load_json(path: str) -> dict:
     import json
 
+    def unique(pairs: list) -> dict:  # an object that repeats a key is bad input
+        data = dict(pairs)
+        if len(data) < len(pairs):
+            seen: set = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise BSharpError(f"{path}: duplicate key {json.dumps(key, ensure_ascii=False)}")
+        return data
+
     try:
-        return json.loads(_read(path))
+        return json.loads(_read(path), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise BSharpError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise BSharpError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_tableau(spec: str) -> ButcherTableau:
@@ -225,9 +235,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    except NumericFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except BSharpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -272,7 +272,10 @@ def parse_arithmetic(text: str, name, *, line: int | None = None, col_offset: in
     tokens = tokenize(text, line=line, col_offset=col_offset)
     if tokens[0][0] == "end":
         raise ParseError("empty expression", line=line, column=col_offset + 1)
-    return _Parser(tokens, name, line).parse()
+    try:
+        return _Parser(tokens, name, line).parse()
+    except RecursionError:  # the parser recurses once per level of parentheses
+        raise ParseError("expression nested too deeply", line=line, column=col_offset + 1) from None
 
 
 def coeff_parse(text: str) -> Coefficient:

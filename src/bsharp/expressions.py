@@ -184,10 +184,10 @@ def add_all(parts: Sequence[Expression]) -> Expression:
     # the terms of each like-term body, in first-seen order; a body is keyed
     # by itself, or by its factor tuple when it is a product
     groups: dict[object, list[Expression]] = {}
-    wholes = None  # the bodies S of parts c*S: a sum part S stays whole, to collect as (1 + c)*S
+    wholes = None  # the S of each c*S in parts or sum parts: a sum part S collects as (1 + c)*S
     for part in parts:
         if wholes is None and type(part) is Sum:
-            wholes = {p.factors[1] for p in parts
+            wholes = {p.factors[1] for q in parts for p in (q.terms if type(q) is Sum else (q,))
                       if type(p) is Prod and len(p.factors) == 2 and type(p.factors[0]) is Const}
         for term in part.terms if type(part) is Sum and part not in wholes else (part,):
             kind = type(term)
@@ -209,7 +209,7 @@ def add_all(parts: Sequence[Expression]) -> Expression:
     terms: list[Expression] = []
     spread: list[Expression] = []  # sums S whose like terms c*S collect to S
     for key, group in groups.items():
-        if len(group) == 1:  # a lone term is already its own normal form
+        if len(group) == 1 and type(key) is not Sum:  # a lone term is its own normal form
             terms.append(group[0])
             continue
         coeff = sum(

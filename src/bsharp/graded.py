@@ -1,5 +1,5 @@
 """Graded scaling: the one home of the scalar domains of exact weights
-and solves, the modified equation, and the Lie kernel.
+and solves, the solve loop, the modified equation's pass and the Lie kernel.
 
 :func:`bsharp.tableaux.elementary_weight`, the solves and the passes,
 :func:`bsharp.series.modified_equation_series`, the modifying
@@ -30,19 +30,20 @@ rescaling, and each tree's value becomes a coefficient once, at the end:
 λ^|τ|, with each 1/Q put back.  When every denominator is a monomial that normal form is
 the one rational-function arithmetic reaches, since a monomial
 denominator never grows into a sum; otherwise it is a numerator over
-λ^|τ|·Π Q^K, reduced by no polynomial GCD.  A tableau is lifted once, by
-the d of its entries, and its weights never divide.  The solves are
+λ^|τ|·Π Q^K, reduced by no polynomial GCD.  A tableau's weights are
+lifted by the d of its entries and never divide.  The solves are
 fraction-free elimination (Bareiss, Math. Comp. 22, 1968): every
 division is checked by :func:`_exact`; a remainder means that λ is too
-small, and :func:`_solve` squares λ and starts over.  That terminates:
-every prime of a true denominator divides the starting λ (see
-:func:`_initial_scale`), and squaring doubles each prime's power.  Both
-domains skip the same zero terms, and no loop multiplies by a
+small, and :func:`_solve`, which every exact solve returns, squares λ,
+starts over and builds the series of the pass that ends.  That
+terminates: every prime of a true denominator divides the starting λ
+(see :func:`_initial_scale`), and squaring doubles each prime's power.
+Both domains skip the same zero terms, and no loop multiplies by a
 multiplicity or a denominator of 1.
 
-The modified equation, :func:`modified_equation`, is one pass per tree of
-the Lie kernel over single-edge cuts, :func:`_lie`, which the stage
-recursion of :func:`bsharp.modifying.modifying_integrator_of_tableau`
+The modified equation's pass, :func:`_modified_equation_ints`, is one run
+per tree of the Lie kernel over single-edge cuts, :func:`_lie`, which the
+stage recursion of :func:`bsharp.modifying.modifying_integrator_of_tableau`
 shares.  At the top order N a pass costs one product per cut (the
 top-order shortcut, :func:`_top_order`), in every domain.
 """
@@ -56,7 +57,7 @@ from functools import partial
 from itertools import chain
 
 from .coefficients import coeff_div, is_rational
-from .series import TruncatedBSeries
+from .series import TruncatedBSeries, _counted
 from .splits import _cut_tables, _seqs, cut_rows, walk
 
 
@@ -167,10 +168,11 @@ def _initial_scale(max_order: int, d: int, divisor: int) -> int:
     return d * math.lcm(*range(1, max_order + 1)) * divisor**2
 
 
-def _solve(solve, max_order: int, d: int, divisor: int = 1) -> tuple[TruncatedBSeries, int]:
-    """Run ``solve(λ)``, which gives the coefficients keyed by level
-    sequence and the number of zero skips.  λ starts at
-    :func:`_initial_scale` and is squared until every division is exact."""
+def _solve(solve, max_order: int, d: int, divisor: int = 1) -> TruncatedBSeries:
+    """The series of ``solve(λ)``, which gives the coefficients keyed by
+    level sequence and the number of zero skips.  λ starts at
+    :func:`_initial_scale` and is squared until every division is exact;
+    :func:`bsharp.series._counted` then books the skips of that pass alone."""
     scale = _initial_scale(max_order, d, divisor)
     while True:
         try:
@@ -178,15 +180,7 @@ def _solve(solve, max_order: int, d: int, divisor: int = 1) -> tuple[TruncatedBS
         except _Inexact:
             scale *= scale
         else:
-            return TruncatedBSeries._from_levels(max_order, coeffs), skips
-
-
-def modified_equation(method: TruncatedBSeries) -> tuple[TruncatedBSeries, int]:
-    """The modified equation of ``method`` and its number of zero skips."""
-    coeffs, top = method._coeffs, method.max_order
-    lift, lower, d, lie, dot = _domain((len(seq), c) for seq, c in coeffs.items() if seq)
-    solve = partial(_modified_equation_ints, coeffs, top, lift, lower, lie, dot)
-    return _solve(solve, top, d)
+            return _counted(max_order, coeffs, skips)
 
 
 # -- the Lie kernel -------------------------------------------------------------

@@ -19,9 +19,8 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from . import graded
-from .coefficients import is_rational
 from .graded import _ratios, _reciprocal, _solve, _top_order, lift_tableau
-from .series import TruncatedBSeries, _check_max_order, _check_u1, _counted
+from .series import TruncatedBSeries, _check_max_order, _check_u1
 from .splits import _cut_tables, _gamma, _seqs, cut_rows, densities, walk
 
 if TYPE_CHECKING:
@@ -34,22 +33,20 @@ def modifying_integrator_of_tableau(tab: ButcherTableau, max_order: int) -> Trun
     applied to the field h·v is the exact flow of the original field.
 
     v is solved from the stages over edge cuts
-    (:func:`_modifying_integrator_stages`) and the entries the tableau
-    lifted when it was built, or, for a symbolic Σb, lifted again with Σb
-    so that the domain holds 1/Σb.  Requires Σb ≠ 0.
+    (:func:`_modifying_integrator_stages`) and the entries lifted with Σb,
+    so that the domain holds 1/Σb; for a rational Σb that is the domain of
+    the tableau's own entries.  Requires Σb ≠ 0.
     """
     _check_max_order(max_order)
     if not max_order:
         return TruncatedBSeries._from_levels(0, {b"": Fraction(0)})
-    u1 = sum(tab.b, Fraction(0))
-    _check_u1(u1)
-    lifted = tab._lifted if is_rational(u1) else lift_tableau(tab.A, tab.b, u1)
-    A, b, lift, lower, d, lie, dot = lifted
+    u1 = _check_u1(sum(tab.b, Fraction(0)))
+    A, b, lift, lower, d, lie, dot = lift_tableau(tab.A, tab.b, u1)
     content, inverse = _reciprocal(u1, lift)
     solve = partial(
         _modifying_integrator_stages, max_order, A, b, d, content, inverse, lower, lie, dot
     )
-    return _counted(_solve(solve, max_order, d, content))
+    return _solve(solve, max_order, d, content)
 
 
 def _modifying_integrator_stages(

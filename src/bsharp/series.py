@@ -52,6 +52,7 @@ field).  JSON files store raw coefficients, never the σ-divided form.
 from __future__ import annotations
 
 import operator
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Mapping
 
@@ -183,9 +184,11 @@ def modified_equation_series(method: TruncatedBSeries) -> TruncatedBSeries:
     """
     if method.empty != 1:
         raise SeriesError("modified equation needs a map-kind method series")
-    from . import graded
+    from .graded import _domain, _modified_equation_ints, _solve
 
-    return _counted(graded.modified_equation(method))
+    coeffs, top = method._coeffs, method.max_order
+    lift, lower, d, lie, dot = _domain((len(seq), c) for seq, c in coeffs.items() if seq)
+    return _solve(partial(_modified_equation_ints, coeffs, top, lift, lower, lie, dot), top, d)
 
 
 def _check_u1(u1: Coefficient) -> Coefficient:
@@ -198,12 +201,12 @@ def _check_u1(u1: Coefficient) -> Coefficient:
     return u1
 
 
-def _counted(solved: tuple[TruncatedBSeries, int]) -> TruncatedBSeries:
-    """The series of a solve, its zero skips added to the count."""
+def _counted(max_order: int, coeffs: dict[bytes, Coefficient], skips: int) -> TruncatedBSeries:
+    """The series of the stored dict ``coeffs`` that a solve, compose or
+    substitute built, its ``skips`` zero skips added to the count."""
     global _zero_skips
-    series, skips = solved
     _zero_skips += skips
-    return series
+    return TruncatedBSeries._from_levels(max_order, coeffs)
 
 
 def _json_form(series: TruncatedBSeries) -> tuple[dict, Iterator[str], list[str]]:

@@ -88,20 +88,20 @@ def series_sub(a: TruncatedBSeries, b: TruncatedBSeries) -> TruncatedBSeries:
     """Coefficient-wise difference (useful for order-condition residuals)."""
     _require_same_order(a, b, "series subtraction")
     sub = series_module.coeff_sub
-    return TruncatedBSeries(
-        a.max_order, sub(a.empty, b.empty), {t: sub(ca, b[t]) for t, ca in a.items()}
+    return TruncatedBSeries._from_levels(
+        a.max_order, dict(zip(a._coeffs, map(sub, a._coeffs.values(), b._coeffs.values())))
     )
 
 
 def truncated(series: TruncatedBSeries, max_order: int) -> TruncatedBSeries:
     """Restriction to a smaller maximum order."""
+    _check_max_order(max_order)
     if max_order > series.max_order:
         raise SeriesError(
             f"cannot extend a series truncated at {series.max_order} to {max_order}"
         )
-    return TruncatedBSeries(
-        max_order, series.empty, {t: series[t] for t in all_trees_up_to(max_order)}
-    )
+    size = 1 + sum(tree_counts(max_order)[1:])  # the empty tree, then every tree up to max_order
+    return TruncatedBSeries._from_levels(max_order, dict(islice(series._coeffs.items(), size)))
 
 
 def exact_series(max_order: int) -> TruncatedBSeries:
@@ -119,11 +119,9 @@ def identity_series(max_order: int) -> TruncatedBSeries:
 def scale_step(series: TruncatedBSeries, mu: Coefficient) -> TruncatedBSeries:
     """Replace step h by μ·h: coeff(τ) picks up μ^{|τ|}."""
     mul = series_module.coeff_mul
-    return TruncatedBSeries(
-        series.max_order,
-        series.empty,
-        {t: mul(coeff_pow(mu, t.order), c) for t, c in series.items()},
-    )
+    trees = islice(series._coeffs.items(), 1, None)
+    coeffs = {seq: mul(coeff_pow(mu, len(seq)), c) for seq, c in trees}
+    return TruncatedBSeries._from_levels(series.max_order, {b"": series.empty, **coeffs})
 
 
 def series_order_of_accuracy(series: TruncatedBSeries, max_check: int | None = None) -> int:
@@ -275,7 +273,7 @@ def compose(
         else:
             total += empty * a
         coeffs[seq] = total
-    return _counted((TruncatedBSeries._from_levels(top, coeffs), skips))
+    return _counted(top, coeffs, skips)
 
 
 def _check_partitions(max_order: int, op: str) -> None:
@@ -324,7 +322,7 @@ def substitute(flow: TruncatedBSeries, outer: TruncatedBSeries) -> TruncatedBSer
     product = partial(_forest_product, products, factors)
     skips += sum([_pass(groups, heads, products, product, totals) for groups in tables])
     coeffs = {b"": outer.empty, **{seq: lower(totals[i], d ** (top + len(seq))) for seq, i in ids}}
-    return _counted((TruncatedBSeries._from_levels(top, coeffs), skips))
+    return _counted(top, coeffs, skips)
 
 
 def modifying_integrator_series(method: TruncatedBSeries) -> TruncatedBSeries:
@@ -360,7 +358,7 @@ def modifying_integrator_series(method: TruncatedBSeries) -> TruncatedBSeries:
     solve = partial(
         _modifying_integrator_ints, levels, heads, d**max_order, content, inverse, lower
     )
-    return _counted(_solve(solve, max_order, d, content))
+    return _solve(solve, max_order, d, content)
 
 
 def _modifying_integrator_ints(

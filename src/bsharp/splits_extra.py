@@ -36,17 +36,6 @@ def tree_id(seq: bytes) -> int:
     return i
 
 
-def edge_cut_id_table(seq: bytes) -> tuple[tuple[int, int, int], ...]:
-    """Distinct single-edge cuts of the tree ``seq`` over tree ids.
-
-    Rows are (trunk id, branch id, multiplicity), in the order of the cut
-    node's first appearance in the level sequence; the multiplicities sum
-    to order - 1.  The one-node tree has no cuts.  A view of the cached
-    rows that the solves read, {(trunk id, branch id): multiplicity}.
-    """
-    return tuple([(t, b, k) for (t, b), k in _cut_tables[tree_id(seq)].items()])
-
-
 def _merge(a: int, b: int) -> int:
     """Id of the tree whose root children are those of ``a`` and ``b``."""
     return _grafts[tuple(sorted(_kids[a] + _kids[b]))]

@@ -42,10 +42,8 @@ def order_of_accuracy(
     """
     series = rk_series(tab, max_check)
     if bindings is not None:
-        series = TruncatedBSeries(
-            max_check,
-            coeff_eval(series.empty, bindings),
-            {t: coeff_eval(c, bindings) for t, c in series.items()},
+        series = TruncatedBSeries._from_levels(
+            max_check, {seq: coeff_eval(c, bindings) for seq, c in series._coeffs.items()}
         )
     return series_order_of_accuracy(series)
 

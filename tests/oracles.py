@@ -518,6 +518,17 @@ def subtree_id_table(seq: bytes) -> tuple:
     return tuple((kept, forest, 1) for kept, forest in rows)
 
 
+def edge_cut_id_table(seq: bytes) -> tuple:
+    """(trunk id, branch id, multiplicity) for each distinct single-edge
+    cut of the tree ``seq``, in the order of the cut node's first
+    appearance in the level sequence; the multiplicities sum to order - 1,
+    and the one-node tree has none.  A view of the cached rows that the
+    solves read, {(trunk id, branch id): multiplicity}."""
+    from bsharp import splits
+
+    return tuple((t, b, k) for (t, b), k in splits._cut_tables[splits.tree_id(seq)].items())
+
+
 def partition_id_table(seq: bytes) -> tuple:
     """(skeleton id, forest key, multiplicity) for each distinct partition
     split of the tree ``seq``, in the order of first appearance; the first
@@ -898,9 +909,9 @@ def add_all_by_absorbing(parts):
     recursive ``absorb`` with a Fraction scale, like terms collected by
     body and constants folded in Fraction arithmetic; a sum body that
     collects to coefficient 1 is absorbed again, as a sum holds no sum,
-    and a sum part beside a constant multiple of it is kept whole.  Nodes
-    come from the module's constructors, so a result is the
-    interned node itself."""
+    and a sum part beside a constant multiple of it, a part or a term of
+    another sum part, is kept whole.  Nodes come from the module's
+    constructors, so a result is the interned node itself."""
     from bsharp.expressions import Const, Prod, Sum, _raw_prod, _raw_sum, const
 
     constant = Fraction(0)
@@ -929,11 +940,12 @@ def add_all_by_absorbing(parts):
             collected[body] = coeff
             order.append(body)
 
-    # a sum part S beside a part c*S is absorbed as one body, so that the
-    # two collect as (1 + c)*S
+    # a sum part S beside a term c*S, a part or a term of a sum part, is
+    # absorbed as one body, so that the two collect as (1 + c)*S
+    terms = [t for part in parts for t in (part.terms if isinstance(part, Sum) else (part,))]
     scaled = {
-        part.factors[1] for part in parts
-        if isinstance(part, Prod) and len(part.factors) == 2 and isinstance(part.factors[0], Const)
+        t.factors[1] for t in terms
+        if isinstance(t, Prod) and len(t.factors) == 2 and isinstance(t.factors[0], Const)
     }
     for part in parts:
         absorb(part, Fraction(1), part in scaled)

@@ -994,6 +994,110 @@ def test_a_series_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     _not_utf8(series, ["compose", str(series), str(series)], capsys)
 
 
+_DEEP = 5000  # parentheses, far past the parser's recursion limit
+
+
+def _deep(inner: str) -> str:
+    return "(" * _DEEP + inner + ")" * _DEEP
+
+
+def _deep_tableau(tmp_path):
+    path = tmp_path / "deep-entry.json"
+    path.write_text(json.dumps({"A": [["0", "0"], [_deep("1"), "0"]], "b": ["1/2", "1/2"],
+                                "c": ["0", "1"]}))
+    return ["bseries", "--tableau", str(path), "--order", "2"]
+
+
+def _deep_ode_file(tmp_path):
+    path = tmp_path / "deep.ode"
+    path.write_text(f"vars y\ny' = {_deep('y')}\n")
+    return ["modified-equation", "--tableau", "euler", "--order", "2", "--ode", str(path)]
+
+
+def _deep_series(tmp_path):
+    path = tmp_path / "deep-series.json"
+    path.write_text(json.dumps({"kind": "map", "max_order": 1, "empty": "1",
+                                "coefficients": {"[0]": _deep("1")}}))
+    return ["compose", str(path), str(path)]
+
+
+def _nested_json(tmp_path, command):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 10_000 + "]" * 10_000)
+    if command == "compose":
+        return ["compose", str(path), str(path)]
+    return ["bseries", "--tableau", str(path), "--order", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (lambda _: ["modified-equation", "--tableau", "euler", "--order", "2",
+                    "--ode-text", f"vars y\ny' = {_deep('y')}"],
+         3, "line 2, column 5: expression nested too deeply"),
+        (_deep_ode_file, 3, "line 2, column 5: expression nested too deeply"),
+        (lambda _: ["bseries", "--tableau", f"rk22({_deep('alpha')})", "--order", "2"],
+         3, "expression nested too deeply"),
+        (_deep_tableau, 3, "expression nested too deeply"),
+        (_deep_series, 3, "expression nested too deeply"),
+        (lambda _: ["order", "--tableau", "rk22(alpha)", "--max", "2", "--bind",
+                    f"alpha={_deep('1')}"],
+         2, "is not a rational number"),
+        (lambda tmp: _nested_json(tmp, "bseries"), 3, "nested.json: JSON nested too deeply"),
+        (lambda tmp: _nested_json(tmp, "compose"), 3, "nested.json: JSON nested too deeply"),
+    ],
+    ids=["ode-text", "ode-file", "rk22", "tableau-entry", "series-coefficient", "bind",
+         "tableau-json", "series-json"],
+)
+def test_deeply_nested_input_is_refused_without_a_traceback(tmp_path, capsys, argv, code, message):
+    # every channel gives its parse-error exit, not a RecursionError
+    from bsharp.cli import main
+
+    argv = argv(tmp_path)
+    start = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+
+
+def test_a_deeply_nested_system_within_the_limit_still_simulates():
+    rhs = "y"
+    for _ in range(60):
+        rhs = f"x*(y + {rhs})"
+    out = run_ok(
+        "simulate", "--tableau", "midpoint",
+        "--ode-text", f"vars x, y\nx' = -y/100\ny' = ({rhs})/1000000",
+        "--step", "0.01", "--t-max", "0.02", "--initial", "0.1,0.1", "--modified-order", "3",
+    )
+    assert len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize(
+    "text,key,argv",
+    [
+        ('{"kind": "map", "max_order": 2, "empty": "1",'
+         ' "coefficients": {"[0]": "1", "[0,1]": "1/2", "[0,1]": "1/3"}}', "[0,1]",
+         ["compose", "FILE", "FILE"]),
+        ('{"A": [["0"]], "b": ["1"], "b": ["1/2"], "c": ["0"]}', "b",
+         ["bseries", "--tableau", "FILE", "--order", "2"]),
+    ],
+    ids=["series", "tableau"],
+)
+def test_a_repeated_json_key_is_an_input_error(tmp_path, capsys, text, key, argv):
+    from bsharp.cli import main
+
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert main([str(path) if arg == "FILE" else arg for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f'error: {path}: duplicate key "{key}"\n'
+
+
 def test_a_closed_stdout_is_an_input_error():
     # started with no standard output at all (`bsharp trees 3 >&-`)
     proc = subprocess.run(

@@ -187,6 +187,32 @@ def test_a_sum_collects_with_a_constant_multiple_of_itself():
     assert add_all([t, mul_all([const(-2), t])]) is mul_all([const(-1), t])
 
 
+def test_a_sum_collects_with_a_multiple_of_it_inside_another_sum():
+    # with T = x + y + z and U = w + 2*T, T + U is w + 3*T: the 2*T inside U
+    # keeps T whole, as a part 2*T would
+    x, y, z, w = (variable(i) for i in range(4))
+    t = add_all([x, y, z])
+    u = add_all([w, mul_all([const(2), t])])
+    want = add_all([w, mul_all([const(3), t])])
+    assert add_all([t, u]) is want is add_all([u, t]) is add_all_by_absorbing([t, u])
+    assert format_expression(want, ("x", "y", "z", "w")) == "w + 3*(z + y + x)"
+    assert add_all([t, u, mul_all([const(-1), u])]) is t
+
+
+def test_a_sum_kept_whole_by_a_term_of_a_kept_sum_is_spread_again():
+    # T is kept whole by the 2*T inside U, and U by the part c*U beside it,
+    # so T's only term is T itself: a sum holds no sum, so T is spread
+    x, y, z, w, v = (variable(i) for i in range(5))
+    t = add_all([x, y, z])
+    u = add_all([w, mul_all([const(2), t])])
+    parts = [t, u, mul_all([const(-1), u]), v]
+    assert add_all(parts) is add_all([x, y, z, v]) is add_all_by_absorbing(parts)
+    parts = [t, u, mul_all([const(5), u])]
+    want = add_all([x, y, z, mul_all([const(6), u])])
+    assert add_all(parts) is want is add_all_by_absorbing(parts)
+    assert not any(type(term) is Sum for term in want.terms)
+
+
 def test_builders_cancel_to_zero_and_one():
     s = add_all([P, power(Q, -2), const(Fraction(-1, 2))])
     for x in (P, power(Q, -2), mul_all([const(Fraction(-2, 3)), P, power(Q, -1)])):

@@ -32,7 +32,9 @@ from bsharp.series import (
     truncated,
     zero_skip_count,
 )
-from bsharp import graded, modifying, series, series_extra, splits, splits_extra, symbolic
+from bsharp import (
+    graded, modifying, series, series_extra, splits, splits_extra, symbolic, tableaux_extra,
+)
 from bsharp.splits import clear_split_caches, partition_split_table
 from bsharp.symbolic import symbol
 from bsharp.tableaux import (
@@ -192,6 +194,74 @@ def test_scale_step_grades_by_order():
     scaled = scale_step(s, mu)
     for tree, c in s.items():
         assert scaled[tree] == c * Fraction(3) ** tree.order
+
+
+def _assert_stored_alike(got, want):
+    # the same stored dict: keys in all_trees_up_to order, equal printed values
+    keys = [b""] + [t._levels for t in all_trees_up_to(want.max_order)]
+    assert got.max_order == want.max_order
+    assert list(got._coeffs) == keys == list(want._coeffs)
+    assert list(map(coeff_print, got._coeffs.values())) == list(
+        map(coeff_print, want._coeffs.values())
+    )
+
+
+# the two-parameter family of explicit three-stage order-3 methods, in c2 and c3
+_FAM3 = tableau_from_json_dict({
+    "A": [["0", "0", "0"], ["c2", "0", "0"],
+          ["c3 - c3*(c3 - c2)/(c2*(2 - 3*c2))", "c3*(c3 - c2)/(c2*(2 - 3*c2))", "0"]],
+    "b": ["1 - (3*c3 - 2)/(6*c2*(c3 - c2)) - (2 - 3*c2)/(6*c3*(c3 - c2))",
+          "(3*c3 - 2)/(6*c2*(c3 - c2))", "(2 - 3*c2)/(6*c3*(c3 - c2))"],
+    "c": ["0", "c2", "c3"],
+})
+
+
+@pytest.mark.parametrize("tab", [builtin_tableau("midpoint"), builtin_tableau("rk22(alpha)"), _FAM3],
+                         ids=["midpoint", "rk22(alpha)", "fam3"])
+def test_derived_series_are_what_the_checking_constructor_builds(tab):
+    # truncated, scale_step and series_sub build from their sources' stored dicts
+    s, x = rk_series(tab, 6), exact_series(6)
+    for order in (0, 1, 4, 6):
+        want = TruncatedBSeries(order, s.empty, {t: s[t] for t in all_trees_up_to(order)})
+        _assert_stored_alike(truncated(s, order), want)
+    for mu in (Fraction(-2, 3), symbol("beta")):
+        want = TruncatedBSeries(6, s.empty, {t: c * mu**t.order for t, c in s.items()})
+        _assert_stored_alike(scale_step(s, mu), want)
+    want = TruncatedBSeries(6, s.empty - x.empty, {t: c - x[t] for t, c in s.items()})
+    _assert_stored_alike(series_sub(s, x), want)
+
+
+def test_truncated_refuses_an_order_that_is_not_one():
+    s = exact_series(4)
+    for order in ("3", 3.0, -1, True):
+        with pytest.raises(SeriesError, match="max_order must be a non-negative integer"):
+            truncated(s, order)
+
+
+@pytest.mark.parametrize(
+    "tab,bindings,expected",
+    [(builtin_tableau("rk22(alpha)"), {"alpha": Fraction(2, 3)}, 2),
+     (_FAM3, {"c2": Fraction(1, 2), "c3": Fraction(1)}, 3)],
+    ids=["rk22(alpha)", "fam3"],
+)
+def test_order_checks_the_bound_series_the_checking_constructor_builds(
+    monkeypatch, tab, bindings, expected
+):
+    checked = []
+
+    def order_of(series):
+        checked.append(series)
+        return series_order_of_accuracy(series)
+
+    monkeypatch.setattr(tableaux_extra, "series_order_of_accuracy", order_of)
+    order = tableaux_extra.order_of_accuracy(tab, 5, bindings)
+    s = rk_series(tab, 5)
+    want = TruncatedBSeries(
+        5, coeff_eval(s.empty, bindings), {t: coeff_eval(c, bindings) for t, c in s.items()}
+    )
+    (got,) = checked
+    _assert_stored_alike(got, want)
+    assert order == series_order_of_accuracy(want) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +603,17 @@ def test_a_too_small_scale_restarts_to_the_same_result(monkeypatch, solve, name)
     # Start from the radical of the derived scale: every prime of every true
     # denominator, each once, so λ^2 holds only 2^2 and 7^2.  The stage
     # recursion of the modifying integrator reads the tableau, not its
-    # series, and restarts to the partition solve's result.
+    # series, and restarts to the partition solve's result.  Only the pass
+    # that finishes books its zero skips.
     tab = _RESTART_TABLEAUX[name]
     if solve is modifying.modifying_integrator_of_tableau:
         solve, method = partial(solve, max_order=5), tab
         assert solve(tab) == modifying_integrator_series(rk_series(tab, 5))
     else:
         method = rk_series(tab, 5)
+    reset_zero_skip_count()
     expected = solve(method)
+    skips = zero_skip_count()
     start, exact = graded._initial_scale, graded._exact
     remainders = []
 
@@ -553,8 +626,11 @@ def test_a_too_small_scale_restarts_to_the_same_result(monkeypatch, solve, name)
 
     monkeypatch.setattr(graded, "_initial_scale", lambda *args: _radical(start(*args)))
     monkeypatch.setattr(graded, "_exact", checked)
+    reset_zero_skip_count()
     got = solve(method)
     assert remainders  # the first scale was too small, and the solve started over
+    assert zero_skip_count() == skips
+    reset_zero_skip_count()
     assert got == expected
     assert [coeff_print(c) for _, c in got.items()] == [coeff_print(c) for _, c in expected.items()]
     assert all(type(c) is type(expected[t]) for t, c in got.items())

@@ -13,7 +13,6 @@ from bsharp.splits import (
     Forest,
     PartitionSplit,
     SubtreeSplit,
-    edge_cut_id_table,
     ordered_subtrees,
     partition_split_table,
     partitions,
@@ -29,6 +28,7 @@ from bsharp.trees import (
 )
 
 from oracles import (
+    edge_cut_id_table,
     edge_cut_rows_by_slices,
     edge_cuts_bruteforce,
     levels_to_shape,
